@@ -38,36 +38,7 @@ from repro.common.sizes import (
     SCALAR_SIZE,
     size_of,
 )
-
-
-class _Tombstone:
-    """Sentinel value marking a deleted object."""
-
-    __slots__ = ()
-
-    #: Byte size charged by the log size model (a delete marker).
-    stable_size = 1
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return "TOMBSTONE"
-
-    def __reduce__(self):
-        # The sentinel is compared with ``is``; pickling (persistent
-        # WAL files carry delete payloads) must reproduce the singleton.
-        return (_tombstone_singleton, ())
-
-
-#: Value written by delete operations; the cache and store treat an
-#: object whose current value is TOMBSTONE as terminated (Section 5:
-#: "When X's lifetime is terminated, as in a delete, rSI becomes the
-#: lSI of the delete and the object can be removed from the object
-#: table").
-TOMBSTONE = _Tombstone()
-
-
-def _tombstone_singleton() -> "_Tombstone":
-    """Unpickling hook: always return the module singleton."""
-    return TOMBSTONE
+from repro.common.tombstone import TOMBSTONE
 
 
 class OpKind(enum.Enum):

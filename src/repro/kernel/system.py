@@ -505,14 +505,15 @@ class RecoverableSystem:
         self.health = SystemHealth.FAILED
 
     def close(self) -> None:
-        """Release background resources (the group-commit timer).
+        """Release background resources: the group-commit timer and
+        the file log's append descriptor.
 
         Idempotent; the system remains usable afterwards (forces fall
-        back to the piggyback path).  Long-lived owners — the serving
-        daemon, benchmark harnesses — call this on shutdown so the
-        timer thread never outlives its system.
+        back to the piggyback path and reopen the log file).
+        Long-lived owners — the serving daemon, benchmark harnesses —
+        call this on shutdown so neither outlives its system.
         """
-        self.log.stop_group_commit_timer()
+        self.log.close()
 
     # ------------------------------------------------------------------
     # verification support

@@ -21,8 +21,10 @@ The durable *stores* live on the canonical storage surface,
 :class:`~repro.storage.logstore.LogStructuredStableStore`); they are
 re-exported here for compatibility, as are the fault-injecting variants.
 
-Serialization is :mod:`pickle`: appropriate for a research system that
-opens only its own files; do not open untrusted database directories.
+Serialization is the versioned binary codec of :mod:`repro.wal.codec`
+and :mod:`repro.common.codec` (layout in DESIGN.md): decoding executes
+nothing and bounds every length by the bytes present, and a directory
+written by another codec version is refused, not repaired.
 """
 
 from repro.storage.file_store import FileStableStore

@@ -16,7 +16,6 @@ only the WAL-side wrapper lives here because the file log itself is a
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional
 
 from repro.persist.file_log import FileLogManager
@@ -52,15 +51,12 @@ class FaultyFileLog(FileLogManager):
         super()._write_stable(landed)
         if pending:
             frame = self._frame(pending[-1])
-            with open(self.path, "ab") as handle:
-                handle.write(frame[: max(1, len(frame) // 2)])
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._append_bytes(frame[: max(1, len(frame) // 2)])
         raise FaultCrash(f"machine lost mid-force ({spec.describe()})")
 
     def crash(self) -> None:
         super().crash()
         # A machine restart reopens the file and repairs the torn tail;
-        # the in-process equivalent is rewriting the file to the good
-        # frames the in-memory stable log kept.
-        self._rewrite()
+        # the in-process equivalent is cutting the file back to the end
+        # of the good frames the in-memory stable log kept.
+        self._repair_tail()

@@ -20,7 +20,7 @@ and current stable end (``through``).
 ``repl_batch`` (primary → witness, pushed)::
 
     {"kind": "repl_batch", "epoch": 1, "through": 57,
-     "checkpoint": false, "records": ["<base64 pickle>", ...]}
+     "checkpoint": false, "records": ["<base64 record payload>", ...]}
 
 ``records`` are the primary's forced :class:`~repro.wal.records`
 objects — operation, fence and epoch records only; the primary's
@@ -43,19 +43,23 @@ an operation only once the witness watermark covers its lSI —
 replication is semi-synchronous, which is what makes the acked-write
 oracle extendable across the pair.
 
-Records travel as pickles in base64 envelopes.  The pair runs the same
-codebase on both ends and the channel is operator-configured (the
-witness dials an address it was given), so the trusted-peer assumption
-of pickle holds here the same way it does for the on-disk log frames.
+Records travel as the versioned binary payloads of
+:mod:`repro.wal.codec` — the same bytes the WAL file frames — in base64
+envelopes (the frame is JSON).  Nothing on this channel is trusted:
+decoding constructs only shippable record classes, bounds every length
+by the bytes received, and answers anything else — garbage, a foreign
+codec version, a record kind that is never shipped — with
+:class:`~repro.serve.errors.ProtocolError`.
 """
 
 from __future__ import annotations
 
 import base64
-import pickle
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.common.codec import CodecError
 from repro.serve.errors import ProtocolError
+from repro.wal.codec import decode_record, encode_record
 from repro.wal.records import (
     EpochRecord,
     FenceRecord,
@@ -81,7 +85,7 @@ def shippable(record: LogRecord) -> bool:
 def encode_records(records: Sequence[LogRecord]) -> List[str]:
     """Serialize records for a ``repl_batch`` frame."""
     return [
-        base64.b64encode(pickle.dumps(record)).decode("ascii")
+        base64.b64encode(encode_record(record)).decode("ascii")
         for record in records
     ]
 
@@ -96,13 +100,12 @@ def decode_records(blobs: Sequence[Any]) -> List[LogRecord]:
                 f"{type(blob).__name__}"
             )
         try:
-            record = pickle.loads(base64.b64decode(blob))
-        except Exception as exc:  # noqa: BLE001 - any decode failure
+            record = decode_record(base64.b64decode(blob, validate=True))
+        except (ValueError, CodecError) as exc:  # bad base64 / bad payload
             raise ProtocolError(f"undecodable shipped record: {exc}") from None
-        if not isinstance(record, LogRecord):
+        if not shippable(record):
             raise ProtocolError(
-                f"shipped blob decoded to {type(record).__name__}, "
-                "not a LogRecord"
+                f"{type(record).__name__} is never shipped; refusing it"
             )
         records.append(record)
     return records

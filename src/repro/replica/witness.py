@@ -254,6 +254,7 @@ class WitnessDaemon(ServeDaemon):
                     return
                 continue
             sock.settimeout(None)
+            protocol.disable_nagle(sock)
             with self._sock_lock:
                 if self._stop_subscriber.is_set():
                     sock.close()

@@ -167,6 +167,7 @@ class DaemonClient:
             (self.host, self.port), timeout=self.connect_timeout
         )
         sock.settimeout(self.connect_timeout)
+        protocol.disable_nagle(sock)
         self._sock = sock
         return sock
 

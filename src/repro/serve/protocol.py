@@ -122,6 +122,18 @@ def decode_value(value: Any) -> Any:
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
+def disable_nagle(sock: socket.socket) -> None:
+    """Set ``TCP_NODELAY``: every frame is one complete ``sendall``.
+
+    With Nagle on, a peer that pipelines small frames on one connection
+    has each frame held until the previous one is acknowledged — the
+    delayed-ACK interaction, about 2/rate per request.  Every TCP
+    socket that carries this protocol calls this once it is connected
+    or accepted.
+    """
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def send_frame(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Serialize ``message`` and write one frame."""
     payload = json.dumps(message, separators=(",", ":")).encode("utf-8")

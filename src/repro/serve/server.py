@@ -123,6 +123,10 @@ class _Connection:
     """A client socket plus the lock that serializes frame sends."""
 
     def __init__(self, sock: socket.socket) -> None:
+        try:
+            protocol.disable_nagle(sock)
+        except OSError:
+            pass  # peer already gone; the reader loop finds out
         self.sock = sock
         self.lock = threading.Lock()
         self.alive = True
@@ -312,6 +316,7 @@ class ServeDaemon:
                 # cleanly recoverable WAL tail (the torn-tail repair
                 # path); the next startup's supervised recovery owns it.
                 status = 1
+        self.system.close()
         # Closing the sockets unblocks reader threads parked in recv.
         self._close_everything()
         for thread in list(self._readers):

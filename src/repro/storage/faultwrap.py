@@ -39,10 +39,10 @@ first two for compatibility.
 from __future__ import annotations
 
 import os
-import pickle
 import zlib
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
 
+from repro.common.codec import encode_stored_version, encode_value
 from repro.common.errors import CorruptObjectError
 from repro.common.identifiers import ObjectId, StateId
 from repro.storage.faults import FaultKind, FaultModel, FaultSpec
@@ -63,7 +63,7 @@ WRITE_DAMAGE: FrozenSet[FaultKind] = frozenset(
 # ----------------------------------------------------------------------
 def version_checksum(version: StoredVersion) -> int:
     """Integrity checksum of a stored version (value + vSI)."""
-    return zlib.crc32(pickle.dumps((version.value, version.vsi)))
+    return zlib.crc32(encode_stored_version(version.value, version.vsi))
 
 
 def damaged_value(value: Any, kind: FaultKind, point: int) -> bytes:
@@ -73,7 +73,7 @@ def damaged_value(value: Any, kind: FaultKind, point: int) -> bytes:
     part that landed); corruption flips a bit of the serialized form.
     Either way the result fails the checksum of the intended version.
     """
-    raw = pickle.dumps(value)
+    raw = encode_value(value)
     if kind is FaultKind.TORN:
         return b"\x00TORN\x00" + raw[: max(1, len(raw) // 2)]
     flip = point % max(1, len(raw))

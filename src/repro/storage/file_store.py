@@ -2,8 +2,8 @@
 
 Each object version ``(value, vSI)`` is written to
 ``<root>/objects/<encoded-id>.obj`` as a checksummed frame —
-``magic || [length][crc32] || pickle bytes``, mirroring the WAL's frame
-format — via the classic temp-file + fsync + atomic-rename dance, so a
+``magic || [length][crc32] || codec payload``, mirroring the WAL's frame
+format (:mod:`repro.storage.framing`) — via the classic temp-file + fsync + atomic-rename dance, so a
 single-object write either fully lands or fully doesn't — exactly the
 atomicity granule the paper's model assumes.  Multi-object writes
 issued with ``atomic=False`` go one rename at a time and can genuinely
@@ -11,7 +11,7 @@ tear across a process crash.
 
 The framing is the detection layer: a torn or bit-rotted object file
 fails its length/checksum test on load and is **quarantined** (moved to
-``<root>/quarantine/``) instead of raising a bare unpickling error or
+``<root>/quarantine/``) instead of raising a bare decoding error or
 silently returning garbage; recovery then replays the object from the
 log (see ``RecoverableSystem.recover``'s quarantine fallback).
 

@@ -1,14 +1,18 @@
 """Shared on-disk framing for the durable storage backends.
 
 Every durable backend in :mod:`repro.storage` writes checksummed frames
-— ``magic || [length][crc32] || pickle bytes`` — mirroring the WAL's
-frame format: :class:`~repro.storage.file_store.FileStableStore` frames
-one object version per file, and
+— ``magic || [length][crc32] || payload`` — mirroring the WAL's frame
+format, with the payload the stored-version encoding of the shared
+binary codec (:mod:`repro.common.codec`: ``version · type · vSI ·``
+tagged value): :class:`~repro.storage.file_store.FileStableStore`
+frames one object version per file, and
 :class:`~repro.storage.logstore.LogStructuredStableStore` appends
 record frames to segment files.  The framing is the detection layer: a
 torn or bit-rotted frame fails its length/checksum test instead of
 silently yielding garbage, which is what lets recovery quarantine
-damage and replay it from the log.
+damage and replay it from the log.  A frame written by another codec
+version is not damage: it is refused
+(:class:`~repro.common.codec.UnknownVersionError`), never quarantined.
 
 The module also provides the **restore-pending marker** shared by the
 durable backends (:class:`DurableMediaMarker`): the redo-scan start a
@@ -22,12 +26,17 @@ version (see ``StableStore.media_redo_pending``).
 from __future__ import annotations
 
 import os
-import pickle
 import struct
 import tempfile
 import zlib
 from typing import Any, Optional, Tuple
 
+from repro.common.codec import (
+    CodecError,
+    UnknownVersionError,
+    decode_stored_version,
+    encode_stored_version,
+)
 from repro.common.errors import CorruptObjectError
 from repro.common.identifiers import NULL_SI, StateId
 from repro.common.retry import retry_transient
@@ -63,12 +72,13 @@ def fsync_dir(path: str) -> None:
 
 def frame(value: Any, vsi: StateId) -> bytes:
     """Serialize one ``(value, vSI)`` pair as a checksummed frame."""
-    payload = pickle.dumps((value, vsi))
+    payload = encode_stored_version(value, vsi)
     return MAGIC + HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def unframe(data: bytes, origin: str) -> Tuple[Any, StateId]:
-    """Parse a frame, raising :class:`CorruptObjectError` on any damage."""
+    """Parse a frame, raising :class:`CorruptObjectError` on any damage
+    (and ``UnknownVersionError`` for another codec version's frame)."""
     if not data.startswith(MAGIC):
         raise CorruptObjectError(f"{origin}: bad magic (torn or foreign file)")
     body = data[len(MAGIC) :]
@@ -81,10 +91,11 @@ def unframe(data: bytes, origin: str) -> Tuple[Any, StateId]:
     if zlib.crc32(payload) != checksum:
         raise CorruptObjectError(f"{origin}: checksum mismatch (bit rot)")
     try:
-        value, vsi = pickle.loads(payload)
-    except Exception as exc:
+        return decode_stored_version(payload)
+    except UnknownVersionError as exc:
+        raise UnknownVersionError(f"{origin}: {exc}") from None
+    except CodecError as exc:
         raise CorruptObjectError(f"{origin}: undecodable payload: {exc}")
-    return value, vsi
 
 
 def write_file_durably(path: str, data: bytes) -> None:

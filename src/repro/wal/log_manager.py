@@ -131,18 +131,30 @@ class LogManager:
         if thread is not None and thread is not threading.current_thread():
             thread.join()
 
+    def close(self) -> None:
+        """Release what the log holds open (here: the timer thread).
+
+        Idempotent, and the log stays usable afterwards; file-backed
+        logs also release their descriptor.
+        """
+        self.stop_group_commit_timer()
+
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
     def append(self, record: LogRecord) -> StateId:
         """Append ``record`` to the volatile buffer, assigning its lSI."""
         with self._lock:
+            # Sized first: a value outside the modelled universe raises
+            # here, before the record can wedge the buffer.
+            size = record.record_size()
+            value_bytes = record.value_bytes()
             record.lsi = self._next_lsi
             self._next_lsi += 1
             self._buffer.append(record)
             self.stats.log_records += 1
-            self.stats.log_bytes += record.record_size()
-            self.stats.log_value_bytes += record.value_bytes()
+            self.stats.log_bytes += size
+            self.stats.log_value_bytes += value_bytes
             if self.obs.enabled:
                 self._append_times[record.lsi] = time.perf_counter()
             return record.lsi

@@ -20,11 +20,11 @@ atomic-flush mechanism.
 
 from __future__ import annotations
 
-import pickle
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
+from repro.common.codec import encode_value
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
 from repro.common.sizes import ID_SIZE, RECORD_HEADER_SIZE, SCALAR_SIZE, size_of
 from repro.core.operation import Operation
@@ -109,8 +109,8 @@ class CheckpointRecord(LogRecord):
 
     dirty_objects: Dict[ObjectId, StateId]
     #: CRC32 of the canonicalized dirty-object table; filled in on
-    #: construction.  ``None`` only for records unpickled from logs
-    #: written before checksums existed — treated as intact.
+    #: construction.  A record whose checksum was cleared to ``None``
+    #: claims nothing and is treated as intact.
     checksum: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -119,7 +119,7 @@ class CheckpointRecord(LogRecord):
 
     def _content_checksum(self) -> int:
         table = sorted(self.dirty_objects.items())
-        return zlib.crc32(pickle.dumps(table))
+        return zlib.crc32(encode_value(table))
 
     def is_intact(self) -> bool:
         """Whether the dirty-object table still matches its checksum."""

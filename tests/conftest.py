@@ -5,6 +5,19 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
+
+# CI's second pass over tests/test_codec.py: a fixed (derandomized)
+# example sequence with a raised budget, so a failing case is the same
+# case on every run and its reproduction blob is in the log.
+# Select with ``--hypothesis-profile=codec-ci``.
+settings.register_profile(
+    "codec-ci",
+    max_examples=1500,
+    derandomize=True,
+    print_blob=True,
+    deadline=None,
+)
 
 #: Release-soak knob: REPRO_SOAK=5 multiplies every property test's
 #: example budget by 5.  The default keeps the suite fast.

@@ -1,0 +1,683 @@
+"""The binary record codec (repro.common.codec, repro.wal.codec).
+
+Round trips over the whole value universe and every record class,
+hostile and stale bytes on disk and on the wire, golden bytes that pin
+the layout, and the paper's C1 claim measured on real encoded bytes.
+
+The property tests take their example budget from the active
+hypothesis profile; CI reruns this module under the derandomized
+``codec-ci`` profile (tests/conftest.py) so a failure replays.
+"""
+
+from __future__ import annotations
+
+import ast
+import base64
+import errno
+import os
+import pathlib
+import pickle
+import struct
+import tracemalloc
+import zlib
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.codec import (
+    MAX_DEPTH,
+    VERSION,
+    CodecError,
+    UnknownVersionError,
+    decode_stored_version,
+    decode_value,
+    encode_stored_version,
+    encode_value,
+)
+from repro.common.sizes import ID_SIZE
+from repro.core.operation import TOMBSTONE, Operation, OpKind
+from repro.persist.file_log import _HEADER, FileLogManager
+from repro.replica.wire import decode_records
+from repro.serve.errors import ProtocolError
+from repro.wal.codec import RECORD_TYPES, decode_record, encode_record
+from repro.wal.records import (
+    CheckpointRecord,
+    EpochRecord,
+    FenceRecord,
+    FlushRecord,
+    FlushTxnCommitRecord,
+    FlushTxnValuesRecord,
+    InstallationRecord,
+    LogRecord,
+    OperationRecord,
+)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+# ----------------------------------------------------------------------
+# strict structural equality (== conflates 1/True/1.0 and ignores order)
+# ----------------------------------------------------------------------
+def same(left, right) -> bool:
+    if type(left) is not type(right):
+        return False
+    if isinstance(left, float):
+        return struct.pack("<d", left) == struct.pack("<d", right)
+    if isinstance(left, (tuple, list)):
+        return len(left) == len(right) and all(map(same, left, right))
+    if isinstance(left, dict):
+        return len(left) == len(right) and all(
+            same(a, b) and same(left[a], right[b])
+            for a, b in zip(left, right)
+        )
+    if isinstance(left, (set, frozenset)):  # not ==: {nan} != {nan}
+        return len(left) == len(right) and all(
+            any(same(a, b) for b in right) for a in left
+        )
+    if isinstance(left, Operation):
+        return same(vars(left), vars(right))
+    if isinstance(left, LogRecord):
+        return same(vars(left), vars(right))
+    if left is TOMBSTONE or isinstance(left, OpKind):
+        return left is right
+    return left == right
+
+
+# ----------------------------------------------------------------------
+# strategies
+# ----------------------------------------------------------------------
+TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=()), max_size=12
+)  # includes lone surrogates
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(allow_nan=True),
+    st.binary(max_size=40),
+    TEXT,
+    st.just(TOMBSTONE),
+)
+HASHABLES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(tuple),
+        st.frozensets(inner, max_size=3),
+    ),
+    max_leaves=6,
+)
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(HASHABLES, inner, max_size=4),
+        st.sets(HASHABLES, max_size=3),
+        st.frozensets(HASHABLES, max_size=3),
+    ),
+    max_leaves=12,
+)
+IDS = st.text(min_size=1, max_size=10)
+SIS = st.integers(min_value=0, max_value=2**64 - 1)
+OPTIONAL_SIS = st.one_of(st.none(), st.integers(0, 2**62))
+SI_MAPS = st.dictionaries(IDS, OPTIONAL_SIS, max_size=4)
+
+
+@st.composite
+def operations(draw):
+    kind = draw(st.sampled_from(list(OpKind)))
+    writes = draw(st.frozensets(IDS, min_size=1, max_size=3))
+    reads = draw(st.frozensets(IDS, max_size=3))
+    payload = None
+    if kind is OpKind.PHYSIOLOGICAL:
+        writes = frozenset(sorted(writes)[:1])
+        reads = draw(st.sampled_from([frozenset(), writes]))
+    if kind in (OpKind.PHYSICAL, OpKind.IDENTITY) or draw(st.booleans()):
+        order = draw(st.permutations(sorted(writes)))
+        payload = {obj: draw(VALUES) for obj in order}
+    return Operation(
+        draw(TEXT),
+        kind,
+        reads,
+        writes,
+        fn=draw(TEXT),
+        params=tuple(draw(st.lists(VALUES, max_size=3))),
+        payload=payload,
+        op_id=draw(st.integers(-1, 2**40)),
+    )
+
+
+RECORDS = st.one_of(
+    operations().map(OperationRecord),
+    st.builds(
+        InstallationRecord,
+        SI_MAPS,
+        SI_MAPS,
+        st.lists(st.integers(0, 2**62), max_size=4).map(tuple),
+    ),
+    st.builds(FlushRecord, IDS, st.integers(0, 2**62)),
+    st.builds(
+        CheckpointRecord,
+        st.dictionaries(IDS, st.integers(0, 2**62), max_size=4),
+        st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    ),
+    st.builds(
+        FenceRecord,
+        TEXT,
+        st.integers(0, 64),
+        st.lists(st.integers(0, 64), max_size=4).map(tuple),
+        st.dictionaries(st.integers(0, 64), st.integers(0, 2**62), max_size=4),
+    ),
+    st.builds(EpochRecord, st.integers(0, 2**40), TEXT, TEXT),
+    st.builds(
+        FlushTxnValuesRecord,
+        st.integers(0, 2**40),
+        st.dictionaries(
+            IDS, st.tuples(VALUES, st.integers(0, 2**62)), max_size=3
+        ),
+    ),
+    st.builds(FlushTxnCommitRecord, st.integers(0, 2**40)),
+)
+
+
+@st.composite
+def stamped_records(draw):
+    record = draw(RECORDS)
+    record.lsi = draw(SIS)
+    if isinstance(record, OperationRecord):
+        record.op.lsi = record.lsi  # as append_operation leaves them
+    return record
+
+
+# ----------------------------------------------------------------------
+# round trips
+# ----------------------------------------------------------------------
+class TestValueRoundTrip:
+    @given(VALUES)
+    @settings(deadline=None)
+    def test_every_value_round_trips_exactly(self, value):
+        assert same(decode_value(encode_value(value)), value)
+
+    @given(VALUES, SIS)
+    @settings(deadline=None)
+    def test_stored_versions_round_trip(self, value, vsi):
+        decoded, decoded_vsi = decode_stored_version(
+            encode_stored_version(value, vsi)
+        )
+        assert same(decoded, value) and decoded_vsi == vsi
+
+    def test_the_distinctions_pickle_kept_are_kept(self):
+        for value in (
+            {"b": 1, "a": 2},  # dict order
+            (1, 2),
+            [1, 2],  # tuple vs list
+            True,
+            1,
+            1.0,  # bool vs int vs float
+            2**64,
+            -(2**64),
+            2**63 - 1,
+            -(2**63),
+            {1, 2},
+            frozenset({1, 2}),  # set vs frozenset
+            "\ud800",  # a lone surrogate, as a JSON client can send
+            b"",
+            "",
+            (),
+        ):
+            assert same(decode_value(encode_value(value)), value), value
+        assert list(decode_value(encode_value({"b": 1, "a": 2}))) == ["b", "a"]
+
+    def test_tombstone_is_the_singleton(self):
+        assert decode_value(encode_value(TOMBSTONE)) is TOMBSTONE
+        assert decode_value(encode_value([TOMBSTONE]))[0] is TOMBSTONE
+
+    def test_set_encoding_ignores_iteration_order(self):
+        members = [f"k{i}" for i in range(50)] + list(range(50))
+        forward, backward = set(), set()
+        for member in members:
+            forward.add(member)
+        for member in reversed(members):
+            backward.add(member)
+        assert encode_value(forward) == encode_value(backward)
+
+    def test_values_outside_the_universe_are_type_errors(self):
+        class Point:
+            pass
+
+        for alien in (Point(), bytearray(b"x"), 1j, OpKind.LOGICAL, range(3)):
+            with pytest.raises(TypeError):
+                encode_value(alien)
+            with pytest.raises(TypeError):
+                encode_value({"nested": [alien]})
+
+    def test_nesting_is_bounded_on_both_sides(self):
+        value = None
+        for _ in range(MAX_DEPTH):
+            value = [value]
+        assert same(decode_value(encode_value(value)), value)
+        with pytest.raises(CodecError):
+            encode_value([value])
+        too_deep = b"\x08\x01" * (MAX_DEPTH + 1) + b"\x00"
+        with pytest.raises(CodecError):
+            decode_value(too_deep)
+
+
+class TestRecordRoundTrip:
+    @given(stamped_records())
+    @settings(deadline=None)
+    def test_every_record_class_round_trips(self, record):
+        decoded = decode_record(encode_record(record))
+        assert same(decoded, record)
+
+    def test_every_class_in_the_type_table_is_exercised(self):
+        assert set(RECORD_TYPES.values()) == {type(r) for r in GOLDEN_RECORDS}
+
+    def test_decoded_operations_went_through_validation(self):
+        """A payload that names a physical operation whose payload keys
+        differ from its writeset is refused by Operation.__post_init__,
+        surfaced as the codec error."""
+        record = _stamp(OperationRecord(_put("x", b"v")), 9)
+        payload = encode_record(record)
+        # flip the payload key "x" to "y" (its last occurrence)
+        at = payload.rindex(b"\x01x")
+        with pytest.raises(CodecError, match="payload keys"):
+            decode_record(payload[:at] + b"\x01y" + payload[at + 2 :])
+
+    def test_classes_outside_the_table_do_not_encode(self):
+        class Private(LogRecord):
+            pass
+
+        for alien in (LogRecord(), Private()):
+            with pytest.raises(TypeError):
+                encode_record(alien)
+
+
+# ----------------------------------------------------------------------
+# golden bytes: an accidental layout change fails loudly
+# ----------------------------------------------------------------------
+def _stamp(record, lsi):
+    record.lsi = lsi
+    if isinstance(record, OperationRecord):
+        record.op.lsi = lsi
+    return record
+
+
+def _put(obj, value):
+    return Operation(
+        f"put({obj})", OpKind.PHYSICAL, frozenset(), {obj}, payload={obj: value}
+    )
+
+
+GOLDEN_RECORDS = [
+    _stamp(
+        OperationRecord(
+            Operation(
+                "copy",
+                OpKind.LOGICAL,
+                {"f:a"},
+                {"f:b"},
+                fn="fs.copy",
+                params=("f:a", "f:b", 7),
+                op_id=4,
+            )
+        ),
+        258,
+    ),
+    _stamp(InstallationRecord({"a": 3, "b": None}, {"c": 9}, (2, 3)), 5),
+    _stamp(FlushRecord("page:7", 300), 6),
+    _stamp(CheckpointRecord({"a": 3, "b": 130}), 7),
+    _stamp(FenceRecord("f-1", 1, (0, 1), {0: 12, 1: 40}), 8),
+    _stamp(EpochRecord(2, "witness", "promoted at 41"), 9),
+    _stamp(FlushTxnValuesRecord(3, {"a": (b"v", 11), "b": (TOMBSTONE, 12)}), 10),
+    _stamp(FlushTxnCommitRecord(3), 11),
+]
+GOLDEN_HEX = [
+    "01010201000000000000" "00" "05" "04636f7079" "0766732e636f7079"
+    "0103663a61" "0103663a62" "03" "0603663a61" "0603663a62" "030107",
+    "01020500000000000000" "02" "016104" "016200" "01" "01630a" "02" "02" "03",
+    "01030600000000000000" "06706167653a37" "ac02",
+    "01040700000000000000" "e39e99aa03" "02" "016104" "01628301",
+    "01050800000000000000" "03662d31" "01" "02" "00" "01" "02" "000c" "0128",
+    "01060900000000000000" "02" "077769746e657373"
+    "0e70726f6d6f746564206174203431",
+    "01070a00000000000000" "03" "02" "0161" "0b" "050176" "0162" "0c" "0c",
+    "01080b00000000000000" "03",
+]
+GOLDEN_STORED_HEX = (
+    "01102a00000000000000" "09" "02" "06016b" "0502ff00" "06016e" "0702" "00"
+    "04000000000000f83f"
+)
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize(
+        "record,expected",
+        list(zip(GOLDEN_RECORDS, GOLDEN_HEX)),
+        ids=[type(r).__name__ for r in GOLDEN_RECORDS],
+    )
+    def test_record_layout_is_pinned(self, record, expected):
+        assert encode_record(record).hex() == expected
+        assert same(decode_record(bytes.fromhex(expected)), record)
+
+    def test_stored_version_layout_is_pinned(self):
+        value = {"k": b"\xff\x00", "n": (None, 1.5)}
+        assert encode_stored_version(value, 42).hex() == GOLDEN_STORED_HEX
+        decoded, vsi = decode_stored_version(bytes.fromhex(GOLDEN_STORED_HEX))
+        assert same(decoded, value) and vsi == 42
+
+
+# ----------------------------------------------------------------------
+# hostile bytes
+# ----------------------------------------------------------------------
+def _decodes_or_codec_error(decode, data) -> None:
+    try:
+        decode(data)
+    except CodecError:
+        pass
+
+
+class TestHostileBytes:
+    @given(st.binary(max_size=200))
+    @settings(deadline=None)
+    def test_random_bytes_raise_only_the_codec_error(self, data):
+        _decodes_or_codec_error(decode_value, data)
+        _decodes_or_codec_error(decode_record, data)
+        _decodes_or_codec_error(decode_stored_version, data)
+
+    @given(st.binary(max_size=120), st.sampled_from(sorted(RECORD_TYPES)))
+    @settings(deadline=None)
+    def test_random_bodies_behind_a_valid_header(self, body, kind):
+        header = struct.pack("<BBQ", VERSION, kind, 7)
+        _decodes_or_codec_error(decode_record, header + body)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [bytes.fromhex(h) for h in GOLDEN_HEX],
+        ids=[type(r).__name__ for r in GOLDEN_RECORDS],
+    )
+    def test_every_bit_flip_and_every_prefix(self, payload):
+        tracemalloc.start()
+        try:
+            for cut in range(len(payload)):
+                with pytest.raises(CodecError):
+                    decode_record(payload[:cut])
+            for index in range(len(payload) * 8):
+                flipped = bytearray(payload)
+                flipped[index // 8] ^= 1 << (index % 8)
+                _decodes_or_codec_error(decode_record, bytes(flipped))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize(
+        "claim",
+        [
+            b"\x05",  # bytes
+            b"\x06",  # str
+            b"\x03",  # int width
+            b"\x07",  # tuple
+            b"\x08",  # list
+            b"\x09",  # dict
+            b"\x0a",  # set
+            b"\x0b",  # frozenset
+        ],
+    )
+    def test_declared_lengths_are_checked_before_allocating(self, claim):
+        huge = b"\xff\xff\xff\xff\xff\xff\xff\x7f"  # 2**56 - 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(CodecError):
+                decode_value(claim + huge + b"\x00" * 16)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
+    def test_trailing_bytes_are_rejected(self):
+        with pytest.raises(CodecError, match="trailing"):
+            decode_value(encode_value(1) + b"\x00")
+        with pytest.raises(CodecError, match="trailing"):
+            decode_record(bytes.fromhex(GOLDEN_HEX[-1]) + b"\x00")
+
+    def test_non_canonical_encodings_are_rejected(self):
+        for data in (
+            b"\x03\x02\x01\x00",  # int 1 in two bytes
+            b"\x03\x00",  # int in zero bytes
+            b"\x05\x81\x00x",  # length 1 as a two-byte varint
+            b"\x0a\x02\x03\x01\x01\x03\x01\x01",  # set {1, 1}
+            b"\x09\x02\x00\x00\x00\x00",  # dict {None: None, None: None}
+        ):
+            with pytest.raises(CodecError):
+                decode_value(data)
+
+    def test_unhashable_keys_and_members_are_codec_errors(self):
+        with pytest.raises(CodecError):
+            decode_value(b"\x09\x01\x08\x00\x00")  # {[]: None}
+        with pytest.raises(CodecError):
+            decode_value(b"\x0a\x01\x09\x00")  # {{}}
+
+    def test_unknown_version_is_named(self):
+        payload = bytearray(bytes.fromhex(GOLDEN_HEX[0]))
+        payload[0] = 2
+        with pytest.raises(UnknownVersionError, match="version 2"):
+            decode_record(bytes(payload))
+        with pytest.raises(UnknownVersionError, match="version 128"):
+            decode_record(pickle.dumps(GOLDEN_RECORDS[0]))
+        with pytest.raises(UnknownVersionError, match="version 128"):
+            decode_stored_version(pickle.dumps((b"v", 3)))
+
+    def test_unknown_type_is_rejected(self):
+        for kind in (0, 9, 16, 255):
+            with pytest.raises(CodecError, match="unknown record type"):
+                decode_record(struct.pack("<BBQ", VERSION, kind, 1))
+        with pytest.raises(CodecError):
+            decode_stored_version(bytes.fromhex(GOLDEN_HEX[0]))
+
+
+# ----------------------------------------------------------------------
+# the wire: pickle is gone from the request listener
+# ----------------------------------------------------------------------
+_DETONATED = []
+
+
+def _detonate():
+    _DETONATED.append("ran")
+    return LogRecord()
+
+
+class _Bomb:
+    def __reduce__(self):
+        return (_detonate, ())
+
+
+class TestWireRefusesPickle:
+    def test_a_reduce_payload_in_a_repl_batch_runs_nothing(self):
+        blob = base64.b64encode(pickle.dumps(_Bomb())).decode("ascii")
+        pickle.loads(base64.b64decode(blob))  # the bomb is live...
+        assert _DETONATED == ["ran"]
+        del _DETONATED[:]
+        with pytest.raises(ProtocolError):  # ...and the wire is deaf to it
+            decode_records([blob])
+        assert _DETONATED == []
+
+
+# ----------------------------------------------------------------------
+# on disk: torn tail versus written-whole-but-undecodable
+# ----------------------------------------------------------------------
+def _frame(payload: bytes) -> bytes:
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _log_with(tmp_path, count):
+    log = FileLogManager(str(tmp_path))
+    for index in range(count):
+        log.append_operation(_put(f"k{index}", b"v%d" % index))
+    log.force()
+    log.close()
+    return os.path.join(str(tmp_path), "wal.log")
+
+
+class TestUndecodableFrameOnDisk:
+    @pytest.mark.parametrize(
+        "bad_payload",
+        [
+            struct.pack("<BBQ", VERSION, 1, 2) + b"\xff\xff",  # bad body
+            struct.pack("<BBQ", VERSION, 99, 2),  # unknown type
+            pickle.dumps(_stamp(OperationRecord(_put("k", b"v")), 2)),
+        ],
+        ids=["bad-body", "unknown-type", "pre-codec-pickle"],
+    )
+    def test_crc_valid_undecodable_mid_log_frame_refuses_open(
+        self, tmp_path, bad_payload
+    ):
+        path = _log_with(tmp_path, 3)
+        with open(path, "rb") as handle:
+            data = handle.read()
+        first_len = _HEADER.size + _HEADER.unpack_from(data, 0)[0]
+        damaged = data[:first_len] + _frame(bad_payload) + data[first_len:]
+        with open(path, "wb") as handle:
+            handle.write(damaged)
+        with pytest.raises(CodecError, match="refusing to open"):
+            FileLogManager(str(tmp_path))
+        with open(path, "rb") as handle:
+            assert handle.read() == damaged  # untouched: nothing truncated
+
+    def test_a_pre_codec_directory_names_the_version(self, tmp_path):
+        path = os.path.join(str(tmp_path), "wal.log")
+        record = _stamp(OperationRecord(_put("k", b"v")), 1)
+        with open(path, "wb") as handle:
+            handle.write(_frame(pickle.dumps(record)))
+        with pytest.raises(UnknownVersionError, match="version 128"):
+            FileLogManager(str(tmp_path))
+
+    def test_crc_failing_final_frame_is_still_a_torn_tail(self, tmp_path):
+        path = _log_with(tmp_path, 2)
+        good = os.path.getsize(path)
+        with open(path, "ab") as handle:
+            handle.write(_frame(b"\x01\x01half a record")[:-3])
+        log = FileLogManager(str(tmp_path))
+        assert len(log) == 2 and os.path.getsize(path) == good
+
+
+class TestFailedForceLeavesOffsetsTrue:
+    """A force that errors after bytes landed (O_APPEND keeps them) must
+    not leave them ahead of the next append: the frame offsets drive
+    truncation's byte copy."""
+
+    @staticmethod
+    def _failing_fsync(monkeypatch, failures):
+        real = os.fsync
+        left = [failures]
+
+        def fsync(fd):
+            if left[0]:
+                left[0] -= 1
+                raise OSError(errno.EIO, "injected fsync failure")
+            real(fd)
+
+        monkeypatch.setattr("repro.persist.file_log.os.fsync", fsync)
+
+    @pytest.mark.parametrize("failures", [1, 2], ids=["append", "and-repair"])
+    def test_force_again_truncate_and_reopen(
+        self, tmp_path, monkeypatch, failures
+    ):
+        log = FileLogManager(str(tmp_path))
+        log.append_operation(_put("a", b"1"))
+        log.append_operation(_put("b", b"2"))
+        self._failing_fsync(monkeypatch, failures)
+        with pytest.raises(OSError):
+            log.force()
+        assert log.stable_end_lsi() == 0 and log.buffered_lsis() == [1, 2]
+        third = log.append_operation(_put("c", b"3"))
+        log.force()
+        assert os.path.getsize(log.path) == log._end
+        assert log.truncate_before(third, third) == 2
+        log.close()
+        reopened = FileLogManager(str(tmp_path))
+        assert [r.lsi for r in reopened.stable_records()] == [third]
+        assert reopened.stable_operations()[0].payload == {"c": b"3"}
+
+
+class TestUnencodableValueFailsItsOwnAppend:
+    def test_the_log_stays_usable(self, tmp_path):
+        log = FileLogManager(str(tmp_path))
+        first = log.append_operation(_put("a", b"1"))
+        with pytest.raises(TypeError, match="bytearray"):
+            log.append_operation(_put("b", bytearray(b"2")))
+        assert log.buffered_lsis() == [first]
+        second = log.append_operation(_put("c", b"3"))
+        assert second == first + 1  # the refused append took no lSI
+        log.force()
+        log.close()
+        reopened = FileLogManager(str(tmp_path))
+        assert [r.lsi for r in reopened.stable_records()] == [first, second]
+
+
+# ----------------------------------------------------------------------
+# C1 on real bytes (Figure 1): logical records are identifiers only
+# ----------------------------------------------------------------------
+class TestLogicalRecordsAreIdentifierSized:
+    @staticmethod
+    def _copy(sources, kind, value_size):
+        reads = {f"file:{i:04d}" for i in range(sources)}
+        writes = {"file:dest"}
+        if kind is OpKind.LOGICAL:
+            op = Operation(
+                "fs.concat", kind, reads, writes, fn="fs.concat",
+                params=tuple(sorted(reads)) + ("file:dest",),
+            )
+        else:
+            op = Operation(
+                "fs.concat", kind, frozenset(), writes,
+                payload={"file:dest": b"x" * (sources * value_size)},
+            )
+        return len(encode_record(_stamp(OperationRecord(op), 1000)))
+
+    def test_logical_size_is_independent_of_value_size(self):
+        """The record names objects; how big they are never enters."""
+        for sources in (1, 4, 16):
+            assert (
+                self._copy(sources, OpKind.LOGICAL, 10)
+                == self._copy(sources, OpKind.LOGICAL, 1 << 20)
+            )
+
+    def test_logical_size_is_linear_in_identifier_count(self):
+        """Bounded by a small linear function of the identifiers named
+        (readset + writeset + identifier parameters + fn + name): the
+        paper's "unlikely to be larger than 16 bytes" per identifier."""
+        for sources in (1, 2, 8, 64, 512):
+            identifiers = 2 * (sources + 1) + 2
+            assert self._copy(sources, OpKind.LOGICAL, 0) <= (
+                24 + ID_SIZE * identifiers
+            )
+
+    def test_physical_equivalent_carries_its_value_bytes(self):
+        for sources, value_size in ((1, 128), (4, 4096), (16, 8192)):
+            physical = self._copy(sources, OpKind.PHYSICAL, value_size)
+            logical = self._copy(sources, OpKind.LOGICAL, value_size)
+            assert physical >= sources * value_size
+            assert logical < physical
+
+
+# ----------------------------------------------------------------------
+# pickle is off disk and off the network
+# ----------------------------------------------------------------------
+def test_no_module_under_src_imports_pickle():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            for name in names:
+                if name.split(".")[0] in ("pickle", "cPickle", "_pickle",
+                                          "marshal", "shelve", "dill"):
+                    offenders.append(f"{path.relative_to(SRC)}: {name}")
+    assert offenders == []

@@ -2,7 +2,6 @@
 a genuine process-kill crash, torn WAL tails, and truncation."""
 
 import os
-import pickle
 import subprocess
 import sys
 import textwrap
@@ -109,6 +108,85 @@ class TestFileLogManager:
         assert os.path.getsize(log.path) < before
         again = FileLogManager(dbdir)
         assert [r.lsi for r in again.stable_records()] == lsis[3:]
+
+    def test_truncation_copies_the_retained_byte_suffix(self, dbdir):
+        """No record is re-encoded: the new file is byte-for-byte the
+        tail of the old one, and appends keep landing behind it."""
+        log = FileLogManager(dbdir)
+        from repro.wal.records import CheckpointRecord
+
+        lsis = [log.append(CheckpointRecord({f"o{i}": i})) for i in range(6)]
+        log.force()
+        with open(log.path, "rb") as handle:
+            before = handle.read()
+        assert log.truncate_before(lsis[2], redo_start=lsis[2]) == 2
+        with open(log.path, "rb") as handle:
+            after = handle.read()
+        assert after and before.endswith(after)
+        assert log.truncate_before(lsis[4], redo_start=lsis[4]) == 2
+        tail = log.append(CheckpointRecord({"tail": 9}))
+        log.force()
+        again = FileLogManager(dbdir)
+        assert [r.lsi for r in again.stable_records()] == lsis[4:] + [tail]
+        # Everything dropped: an empty file, not a missing one.
+        end = log.stable_end_lsi() + 1
+        log.truncate_before(end, redo_start=end)
+        assert os.path.getsize(log.path) == 0
+
+    def test_one_append_descriptor_for_the_logs_lifetime(self, dbdir):
+        log = FileLogManager(dbdir)
+        from repro.wal.records import CheckpointRecord
+
+        assert log._fd is None  # a log that never forces holds nothing
+        lsis = [log.append(CheckpointRecord({}))]
+        log.force()
+        held = log._fd
+        assert held is not None
+        for _ in range(2):
+            lsis.append(log.append(CheckpointRecord({})))
+            log.force()
+            assert log._fd == held
+        assert os.fstat(held).st_ino == os.stat(log.path).st_ino
+        # The rename in truncation orphans the held inode: the next
+        # force must land in the file that now carries the name.
+        log.truncate_before(lsis[1], redo_start=lsis[1])
+        log.append(CheckpointRecord({}))
+        log.force()
+        assert os.fstat(log._fd).st_ino == os.stat(log.path).st_ino
+        assert len(FileLogManager(dbdir)) == 3
+        # close() releases it; the log stays usable and reopens lazily.
+        log.close()
+        assert log._fd is None
+        with pytest.raises(OSError):
+            os.fstat(held)
+        log.close()  # idempotent
+        log.append(CheckpointRecord({}))
+        log.force()
+        assert len(FileLogManager(dbdir)) == 4
+        log.close()
+
+    def test_a_dropped_log_does_not_leak_its_descriptor(self, dbdir):
+        """Harnesses build a log per run and never close it."""
+        import gc
+
+        from repro.wal.records import CheckpointRecord
+
+        log = FileLogManager(dbdir)
+        log.append(CheckpointRecord({}))
+        log.force()
+        held = log._fd
+        del log
+        gc.collect()
+        with pytest.raises(OSError):
+            os.fstat(held)
+
+    def test_system_close_releases_the_descriptor(self, dbdir):
+        system = _open(dbdir)
+        RecoverableFileSystem(system).write_file("a", b"1")
+        system.log.force()
+        assert system.log._fd is not None
+        system.close()
+        assert system.log._fd is None
 
 
 class TestPersistentSystem:
@@ -234,11 +312,14 @@ KILLED_CHILD = textwrap.dedent(
 )
 
 
-class TestTombstonePickle:
-    def test_tombstone_singleton_survives_pickle(self):
+class TestTombstoneCodec:
+    def test_tombstone_singleton_survives_the_codec(self):
+        from repro.common.codec import decode_value, encode_value
         from repro.core.operation import TOMBSTONE
 
-        assert pickle.loads(pickle.dumps(TOMBSTONE)) is TOMBSTONE
+        assert decode_value(encode_value(TOMBSTONE)) is TOMBSTONE
+        nested = decode_value(encode_value({"gone": (TOMBSTONE, 1)}))
+        assert nested["gone"][0] is TOMBSTONE
 
     def test_deletes_survive_reopen(self, dbdir):
         """A delete's WAL record carries TOMBSTONE; replay after reopen

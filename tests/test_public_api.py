@@ -49,6 +49,16 @@ class TestTopLevel:
         parts = repro.__version__.split(".")
         assert len(parts) == 3 and all(p.isdigit() for p in parts)
 
+    def test_version_agrees_with_pyproject(self):
+        import pathlib
+        import re
+
+        text = (
+            pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+        ).read_text(encoding="utf-8")
+        declared = re.search(r'(?m)^version\s*=\s*"([^"]+)"', text).group(1)
+        assert declared == repro.__version__
+
     def test_storage_surface_exported(self):
         # The pluggable-backend surface (PR 8) is part of the package
         # API: the backends, their fault-injecting variants, and the

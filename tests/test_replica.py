@@ -134,15 +134,28 @@ class TestWire:
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(ProtocolError):
-            decode_records(["not base64 pickle!!"])
+            decode_records(["not base64 at all!!"])
 
-    def test_decode_rejects_non_record_pickle(self):
+    def test_decode_rejects_a_value_that_is_not_a_record(self):
         import base64
-        import pickle
 
-        blob = base64.b64encode(pickle.dumps({"not": "a record"})).decode()
+        from repro.common.codec import encode_value
+
+        blob = base64.b64encode(encode_value({"not": "a record"})).decode()
         with pytest.raises(ProtocolError):
             decode_records([blob])
+
+    def test_decode_refuses_record_kinds_that_are_never_shipped(self):
+        """The primary's bookkeeping records encode fine — they are on
+        its WAL — but a peer must not be able to push one."""
+        import base64
+
+        from repro.wal.codec import encode_record
+
+        for private in (CheckpointRecord({"x": 3}), InstallationRecord({}, {}, ())):
+            blob = base64.b64encode(encode_record(private)).decode()
+            with pytest.raises(ProtocolError, match="never shipped"):
+                decode_records([blob])
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +251,22 @@ def _client(port: int, attempts: int = 5) -> DaemonClient:
 
 
 class TestPair:
+    def test_replication_channel_sets_tcp_nodelay_on_both_ends(self):
+        import socket
+
+        primary, witness = _start_pair()
+        try:
+            with witness._sock_lock:
+                dialed = witness._subscriber_sock
+            with primary._conns_lock:
+                accepted = [conn.sock for conn in primary._conns]
+            assert accepted
+            for sock in [dialed] + accepted:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
     def test_acks_wait_for_witness_watermark(self):
         primary, witness = _start_pair()
         try:

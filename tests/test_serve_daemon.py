@@ -52,6 +52,26 @@ def client_for(daemon, **kw):
     return DaemonClient("127.0.0.1", daemon.port, **kw)
 
 
+def nodelay(sock) -> bool:
+    import socket
+
+    return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+
+class TestNagleIsOff:
+    """Small frames pipelined on one connection must not wait out the
+    peer's delayed ACK; checked by option, not by timing."""
+
+    def test_client_and_accepted_sockets_set_tcp_nodelay(self, served):
+        client = client_for(served)
+        client.ping()
+        assert nodelay(client._sock)
+        with served._conns_lock:
+            accepted = [conn.sock for conn in served._conns]
+        assert accepted and all(nodelay(sock) for sock in accepted)
+        client.close()
+
+
 class TestRoundTrips:
     def test_put_get_delete(self, served):
         client = client_for(served)

@@ -75,6 +75,20 @@ def key_on(daemon, shard: int, tag: str = "k") -> str:
         probe += 1
 
 
+class TestNagleIsOff:
+    def test_accepted_sockets_set_tcp_nodelay(self, served):
+        import socket
+
+        client = client_for(served)
+        client.ping()
+        with served._conns_lock:
+            accepted = [conn.sock for conn in served._conns]
+        assert accepted
+        for sock in accepted:
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        client.close()
+
+
 class TestRoutingAndLabels:
     def test_put_and_get_carry_the_owning_shard(self, served):
         with client_for(served) as client:
