@@ -49,8 +49,8 @@ from repro.storage.faults import (
     RECOVERY_PHASE,
     FaultModel,
     FuzzRates,
-    FaultyStore,
 )
+from repro.storage.faultwrap import FaultyStore
 from repro.storage.stable_store import StoredVersion
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads import register_workload_functions

@@ -38,7 +38,7 @@ import pytest
 from repro.analysis import Table
 from repro.common.rng import make_rng
 from repro.serve import DaemonClient, RetryPolicy
-from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
+from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.shard import ShardedSystem
 from repro.wal.latency import LatencyLog
 from repro.workloads import register_workload_functions
@@ -105,9 +105,9 @@ def _run_load(
         )
     sharded = ShardedSystem.build(shards, log_factory=log_factory)
     register_workload_functions(sharded.registry)
-    daemon = ShardedServeDaemon(
+    daemon = ServeDaemon(
         sharded,
-        ShardedDaemonConfig(port=0, http_port=None, max_queue=256),
+        DaemonConfig(port=0, http_port=None, max_queue=256),
     ).start()
     keys = _keys_by_shard(shards, max(2, CLIENTS))
     payload = b"x" * 64

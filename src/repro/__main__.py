@@ -111,8 +111,6 @@ from repro.serve import (
     RetryPolicy,
     ServeDaemon,
     ServeError,
-    ShardedDaemonConfig,
-    ShardedServeDaemon,
     ShardLiveFireConfig,
     ShardLiveFireHarness,
 )
@@ -187,9 +185,11 @@ def _harness(args: argparse.Namespace) -> TortureHarness:
     return TortureHarness(_torture_config(args), metrics=metrics)
 
 
-def _dump_metrics(harness: TortureHarness, args: argparse.Namespace) -> None:
-    if harness.obs is not None:
-        dump_jsonl(harness.obs, args.metrics_out)
+def _dump_campaign_metrics(
+    metrics: Optional[MetricsRegistry], args: argparse.Namespace
+) -> None:
+    if metrics is not None:
+        dump_jsonl(metrics, args.metrics_out)
         print(f"telemetry written to {args.metrics_out}")
 
 
@@ -220,7 +220,7 @@ def torture_sweep(args: argparse.Namespace) -> int:
         f"(workload seed {args.workload_seed}, {args.ops} operations)"
     )
     status = _report_torture(harness.sweep())
-    _dump_metrics(harness, args)
+    _dump_campaign_metrics(harness.obs, args)
     return status
 
 
@@ -236,7 +236,7 @@ def torture_fuzz(args: argparse.Namespace) -> int:
         f"(workload seed {args.workload_seed})"
     )
     status = _report_torture(harness.fuzz(args.runs, args.seed, rates))
-    _dump_metrics(harness, args)
+    _dump_campaign_metrics(harness.obs, args)
     return status
 
 
@@ -259,11 +259,13 @@ def torture_v2(args: argparse.Namespace) -> int:
         )
         fuzz = harness.fuzz_recovery(args.fuzz_runs, args.seed, rates)
         status = _report_torture(fuzz) or status
-    _dump_metrics(harness, args)
+    _dump_campaign_metrics(harness.obs, args)
     return status
 
 
-def _report_livefire(report: LiveFireReport) -> int:
+def _report_livefire(report) -> int:
+    """Print one live-fire campaign's verdict (v3, v4 and v5 reports
+    share the summary/failures/losses shape); 1 when any run failed."""
     print(report.summary())
     if report.ok:
         return 0
@@ -302,29 +304,8 @@ def torture_v3(args: argparse.Namespace) -> int:
                     )
                 )
         status = _report_livefire(sub) or status
-    if metrics is not None:
-        dump_jsonl(metrics, args.metrics_out)
-        print(f"telemetry written to {args.metrics_out}")
+    _dump_campaign_metrics(metrics, args)
     return status
-
-
-def _shard_components(args: argparse.Namespace, index: int):
-    """Store + log for one shard, under ``data-dir/shard-<index>``."""
-    shard_dir = os.path.join(args.data_dir, f"shard-{index}")
-    backend = getattr(args, "store", "file")
-    if args.fault_seed is not None:
-        model = FaultModel.fuzz(
-            args.fault_seed + index,
-            FuzzRates(
-                transient=args.p_transient,
-                torn=args.p_torn,
-                corrupt=args.p_corrupt,
-            ),
-        )
-        return make_store(backend, shard_dir, model=model), FaultyFileLog(
-            shard_dir, model
-        )
-    return make_store(backend, shard_dir), FileLogManager(shard_dir)
 
 
 def torture_v4(args: argparse.Namespace) -> int:
@@ -343,19 +324,8 @@ def torture_v4(args: argparse.Namespace) -> int:
         f"({args.shards} shards, {args.clients} clients x "
         f"{args.requests} requests, store {args.store})"
     )
-    report = harness.campaign(args.runs, args.seed)
-    print(report.summary())
-    status = 0
-    if not report.ok:
-        print("\nfailing runs:")
-        for outcome in report.failures():
-            print(f"  {outcome.description}: {outcome.error}")
-            for loss in outcome.losses:
-                print(f"    lost: {loss}")
-        status = 1
-    if metrics is not None:
-        dump_jsonl(metrics, args.metrics_out)
-        print(f"telemetry written to {args.metrics_out}")
+    status = _report_livefire(harness.campaign(args.runs, args.seed))
+    _dump_campaign_metrics(metrics, args)
     return status
 
 
@@ -374,19 +344,8 @@ def torture_v5(args: argparse.Namespace) -> int:
         f"{args.seed} ({args.clients} clients x {args.requests} requests, "
         f"zombie ratio {args.zombie_ratio})"
     )
-    report = harness.campaign(args.runs, args.seed)
-    print(report.summary())
-    status = 0
-    if not report.ok:
-        print("\nfailing runs:")
-        for outcome in report.failures():
-            print(f"  {outcome.description}: {outcome.error}")
-            for loss in outcome.losses:
-                print(f"    lost: {loss}")
-        status = 1
-    if metrics is not None:
-        dump_jsonl(metrics, args.metrics_out)
-        print(f"telemetry written to {args.metrics_out}")
+    status = _report_livefire(harness.campaign(args.runs, args.seed))
+    _dump_campaign_metrics(metrics, args)
     return status
 
 
@@ -422,13 +381,36 @@ def _parse_primary(spec: str) -> tuple:
     return (host or "127.0.0.1", int(port))
 
 
+def _store_and_log(args: argparse.Namespace, index: int):
+    """Store + log of recovery domain ``index``.
+
+    One domain lives at the root of the data directory (``wal.log``
+    right under it); N > 1 live under ``data-dir/shard-<index>``, each
+    its own WAL stream.  A ``--fault-seed`` arms one seeded fuzz model
+    per domain over both devices.
+    """
+    root = args.data_dir
+    if args.shards > 1:
+        root = os.path.join(root, f"shard-{index}")
+    if args.fault_seed is None:
+        return make_store(args.store, root), FileLogManager(root)
+    model = FaultModel.fuzz(
+        args.fault_seed + index,
+        FuzzRates(
+            transient=args.p_transient,
+            torn=args.p_torn,
+            corrupt=args.p_corrupt,
+        ),
+    )
+    return make_store(args.store, root, model=model), FaultyFileLog(root, model)
+
+
 def serve_daemon(args: argparse.Namespace) -> int:
     system_config = SystemConfig(
         cache=recommended_cache_config(args.store),
         group_commit=args.group_commit,
         group_commit_interval_ms=args.group_commit_interval_ms,
     )
-    metrics = MetricsRegistry()
     if args.shards > 1 and (args.witness_of or args.replicate):
         print(
             "replication serves one recovery domain per daemon; "
@@ -436,81 +418,35 @@ def serve_daemon(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards > 1:
-        # Sharded topology: each shard recovers its own directory (its
-        # own WAL stream) independently; the daemon gates admission and
-        # supervises per shard.
-        stores_logs = [
-            _shard_components(args, index) for index in range(args.shards)
-        ]
-        sharded = ShardedSystem.build(
-            args.shards,
-            config_factory=lambda index: system_config,
-            store_factory=lambda index: stores_logs[index][0],
-            log_factory=lambda index: stores_logs[index][1],
-        )
-        register_workload_functions(sharded.registry)
-        for shard_system in sharded.systems:
-            # Cold start per shard (see the single-kernel comment).
-            shard_system.crash()
-        daemon = ShardedServeDaemon(
-            sharded,
-            ShardedDaemonConfig(
-                host=args.host,
-                port=args.port,
-                http_port=None if args.no_http else args.http_port,
-                max_queue=args.max_queue,
-                default_deadline_ms=args.default_deadline_ms,
-                allow_chaos=args.allow_chaos,
-                flightrec_path=os.path.join(
-                    args.data_dir, "flightrec.jsonl"
-                ),
-            ),
-        )
-        daemon.start()
-        health = daemon.aggregate_health()
-        print(
-            f"serving {args.data_dir} on {args.host}:{daemon.port} "
-            f"({args.shards} shards, health: {health.value}"
-            + (f", http: {daemon.http_port}" if daemon.http_port else "")
-            + ")",
-            flush=True,
-        )
-        return _serve_wait(daemon, args, metrics=daemon.obs)
-    if args.fault_seed is not None:
-        model = FaultModel.fuzz(
-            args.fault_seed,
-            FuzzRates(
-                transient=args.p_transient,
-                torn=args.p_torn,
-                corrupt=args.p_corrupt,
-            ),
-        )
-        store = make_store(args.store, args.data_dir, model=model)
-        log = FaultyFileLog(args.data_dir, model)
-    else:
-        store = make_store(args.store, args.data_dir)
-        log = FileLogManager(args.data_dir)
-    system = RecoverableSystem(system_config, store=store, log=log)
-    register_workload_functions(system.registry)
-    system.attach_metrics(metrics)
+    # Each recovery domain recovers its own directory (its own WAL
+    # stream) independently; the daemon gates admission and supervises
+    # per domain.
+    stores_logs = [_store_and_log(args, index) for index in range(args.shards)]
+    sharded = ShardedSystem.build(
+        args.shards,
+        config_factory=lambda index: system_config,
+        store_factory=lambda index: stores_logs[index][0],
+        log_factory=lambda index: stores_logs[index][1],
+    )
+    register_workload_functions(sharded.registry)
     # Cold start: whatever the directory contains — a clean shutdown,
     # SIGKILL debris — the daemon's supervised startup must recover it
     # before the listener opens.  Entering the crashed state makes the
     # watchdog run the full escalation ladder.
-    system.crash()
+    sharded.crash_all()
     daemon_config = DaemonConfig(
         host=args.host,
         port=args.port,
         http_port=None if args.no_http else args.http_port,
         max_queue=args.max_queue,
         default_deadline_ms=args.default_deadline_ms,
+        allow_chaos=args.allow_chaos,
         flightrec_path=os.path.join(args.data_dir, "flightrec.jsonl"),
     )
     if args.witness_of:
         primary_host, primary_port = _parse_primary(args.witness_of)
         daemon = WitnessDaemon(
-            system,
+            sharded.systems[0],
             daemon_config,
             witness=WitnessConfig(
                 primary_host=primary_host,
@@ -518,27 +454,30 @@ def serve_daemon(args: argparse.Namespace) -> int:
                 epoch_root=args.data_dir,
             ),
         )
-    elif args.replicate:
-        daemon = ServeDaemon(
-            system,
-            daemon_config,
-            replication=ReplicationConfig(epoch_root=args.data_dir),
-        )
     else:
-        daemon = ServeDaemon(system, daemon_config)
+        daemon = ServeDaemon(
+            sharded,
+            daemon_config,
+            replication=(
+                ReplicationConfig(epoch_root=args.data_dir)
+                if args.replicate
+                else None
+            ),
+        )
     daemon.start()
+    topology = f"{args.shards} shards, " if args.shards > 1 else ""
     role = f", role: {daemon.role}" if daemon.role != "primary" else ""
     print(
         f"serving {args.data_dir} on {args.host}:{daemon.port} "
-        f"(health: {system.health.value}{role}"
+        f"({topology}health: {daemon.aggregate_health().value}{role}"
         + (f", http: {daemon.http_port}" if daemon.http_port else "")
         + ")",
         flush=True,
     )
-    return _serve_wait(daemon, args, metrics=metrics)
+    return _serve_wait(daemon, args)
 
 
-def _serve_wait(daemon, args: argparse.Namespace, metrics) -> int:
+def _serve_wait(daemon: ServeDaemon, args: argparse.Namespace) -> int:
     if args.port_file:
         payload = {
             "port": daemon.port,
@@ -559,8 +498,8 @@ def _serve_wait(daemon, args: argparse.Namespace, metrics) -> int:
     stop.wait()
     print("draining for shutdown", flush=True)
     status = daemon.stop(graceful=True)
-    if args.metrics_out and metrics is not None:
-        dump_jsonl(metrics, args.metrics_out)
+    if args.metrics_out:
+        dump_jsonl(daemon.obs, args.metrics_out)
     print(f"shutdown complete (status {status})", flush=True)
     return status
 

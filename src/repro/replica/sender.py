@@ -1,8 +1,9 @@
 """Primary-side replication: ship forced WAL records, gate the ack.
 
-The :class:`ReplicationSender` hangs off a
-:class:`~repro.serve.server.ServeDaemon` and owns the primary half of
-the protocol in :mod:`repro.replica.wire`:
+The :class:`ReplicationSender` is attached to one shard of a
+:class:`~repro.serve.server.ServeDaemon` — it ships that shard's
+:class:`~repro.kernel.system.RecoverableSystem` log — and owns the
+primary half of the protocol in :mod:`repro.replica.wire`:
 
 * a witness's ``repl_subscribe`` registers its connection (and durable
   watermark) here; the reply carries the primary's epoch and stable
@@ -41,7 +42,8 @@ from repro.serve import protocol
 from repro.serve.errors import FencedError, ServerUnavailableError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.server import ServeDaemon, _Connection
+    from repro.kernel.system import RecoverableSystem
+    from repro.serve.server import _Connection
 
 
 @dataclass
@@ -65,9 +67,11 @@ class ReplicationSender:
     """The primary's shipping, watermark and fencing state."""
 
     def __init__(
-        self, daemon: "ServeDaemon", config: Optional[ReplicationConfig] = None
+        self,
+        system: "RecoverableSystem",
+        config: Optional[ReplicationConfig] = None,
     ) -> None:
-        self.daemon = daemon
+        self.system = system
         self.config = config if config is not None else ReplicationConfig()
         self.epochs = EpochStore(self.config.epoch_root)
         #: This primary's epoch.  Bumped only by an external promotion
@@ -130,7 +134,7 @@ class ReplicationSender:
         self, conn: "_Connection", request: Dict[str, Any]
     ) -> None:
         request_id = request.get("id")
-        health = self.daemon.system.health.value
+        health = self.system.health.value
         try:
             watermark = int(request.get("watermark", NULL_SI))
             peer_epoch = int(request.get("epoch", self.epoch))
@@ -141,7 +145,7 @@ class ReplicationSender:
                 )
             )
             return
-        log = self.daemon.system.log
+        log = self.system.log
         previous: Optional["_Connection"] = None
         with self._cond:
             if peer_epoch > self.epoch:
@@ -188,8 +192,8 @@ class ReplicationSender:
             self._cond.notify_all()
         if previous is not None and previous is not conn:
             previous.close()
-        if self.daemon.system.obs.enabled:
-            self.daemon.system.obs.count("repl.subscribes")
+        if self.system.obs.enabled:
+            self.system.obs.count("repl.subscribes")
 
     def _handle_ack(
         self, conn: "_Connection", request: Dict[str, Any]
@@ -207,13 +211,13 @@ class ReplicationSender:
                 return  # a superseded connection's straggler
             if watermark > self._watermark:
                 self._watermark = watermark
-                log = self.daemon.system.log
+                log = self.system.log
                 if self._protection is not None:
                     log.remove_protection(self._protection)
                 self._protection = log.add_protection(watermark + 1)
             unacked = max(0, self._shipped_through - self._watermark)
             self._cond.notify_all()
-        obs = self.daemon.system.obs
+        obs = self.system.obs
         if obs.enabled:
             obs.gauge("repl.witness_watermark", watermark)
             obs.gauge("repl.unacked_records", unacked)
@@ -231,7 +235,7 @@ class ReplicationSender:
         if self._conn is not None:
             self._conn = None
         self._cond.notify_all()
-        obs = self.daemon.system.obs
+        obs = self.system.obs
         if obs.enabled:
             obs.count("repl.fenced")
         obs.emit("epoch.fenced", old=self.epoch, new=peer_epoch)
@@ -300,7 +304,7 @@ class ReplicationSender:
         conn = self._conn
         if conn is None or not conn.alive or self.fenced:
             return
-        log = self.daemon.system.log
+        log = self.system.log
         through = log.stable_end_lsi()
         if through <= self._shipped_through and not checkpoint:
             return
@@ -309,7 +313,7 @@ class ReplicationSender:
             for record in log.stable_records(self._shipped_through + 1)
             if wire.shippable(record)
         ]
-        obs = self.daemon.system.obs
+        obs = self.system.obs
         ship_ctx = trace.child() if trace is not None else None
         wire_trace = ship_ctx.to_wire() if ship_ctx is not None else None
         with obs.span("repl.ship_ms",
@@ -344,7 +348,7 @@ class ReplicationSender:
         """Release the truncation pin and drop the witness connection."""
         with self._cond:
             if self._protection is not None:
-                self.daemon.system.log.remove_protection(self._protection)
+                self.system.log.remove_protection(self._protection)
                 self._protection = None
             self._conn = None
             self._cond.notify_all()

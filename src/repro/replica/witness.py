@@ -1,7 +1,9 @@
 """The witness daemon: continuous redo from a shipped WAL, promotion.
 
-A :class:`WitnessDaemon` is a :class:`~repro.serve.server.ServeDaemon`
-in a different role: instead of executing client operations, it dials
+A :class:`WitnessDaemon` is a one-shard
+:class:`~repro.serve.server.ServeDaemon` in a different role, hooked
+into the one serving core at its admit, inline-answer and dispatch
+points: instead of executing client operations, it dials
 the primary (``python -m repro serve --witness-of HOST:PORT``),
 subscribes from its own durable watermark, adopts every shipped batch
 into its log (:meth:`~repro.wal.log_manager.LogManager.adopt_records`
@@ -45,7 +47,13 @@ from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.replica import wire
 from repro.replica.epoch import INITIAL_EPOCH, EpochStore
 from repro.serve import protocol
-from repro.serve.server import DaemonConfig, ServeDaemon, _Connection
+from repro.serve.server import (
+    DaemonConfig,
+    ServeDaemon,
+    _Connection,
+    _Shard,
+    _Work,
+)
 from repro.storage.backup import FuzzyBackup
 
 
@@ -222,20 +230,16 @@ class WitnessDaemon(ServeDaemon):
                 return
         super()._admit(conn, request)
 
-    def _inline_answer(
-        self, kind: str, request_id: Any, health: SystemHealth
-    ) -> Dict[str, Any]:
-        answer = super()._inline_answer(kind, request_id, health)
+    def _inline_answer(self, kind: str, request_id: Any) -> Dict[str, Any]:
+        answer = super()._inline_answer(kind, request_id)
         if kind in ("ping", "health"):
             answer.update(self.replication_status())
         return answer
 
-    def _dispatch(
-        self, request: Dict[str, Any], request_id: Any
-    ) -> Dict[str, Any]:
-        if request.get("kind") == "promote":
-            return self._promote(request_id)
-        return super()._dispatch(request, request_id)
+    def _dispatch(self, shard: _Shard, work: _Work) -> Dict[str, Any]:
+        if work.request.get("kind") == "promote":
+            return self._promote(work.request.get("id"))
+        return super()._dispatch(shard, work)
 
     # ------------------------------------------------------------------
     # the subscriber: dial, adopt, ack, redo
@@ -506,7 +510,12 @@ class WitnessDaemon(ServeDaemon):
                 pass
         self._halt_subscriber()
         with self._witness_lock:
-            watermark = self.system.log.stable_end_lsi()
+            # Everything durably adopted counts, including what a redo
+            # cycle already installed and truncated off the log (the
+            # stable end alone reads NULL_SI right after such a cycle).
+            watermark = max(
+                self._adopted_through, self.system.log.stable_end_lsi()
+            )
             if not self.system._crashed:
                 self.system.crash()
             RecoverySupervisor(

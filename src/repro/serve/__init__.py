@@ -1,12 +1,16 @@
-"""The serving layer: an operable daemon over one recoverable system.
+"""The serving layer: an operable daemon over N recovery domains.
 
 ``repro.serve`` turns the kernel + escalation-ladder machinery into a
 long-running process with an operator's contract:
 
-* :class:`ServeDaemon` — supervised startup, health-gated admission,
-  single-writer apply loop with force-before-ack durability, deadlines
-  and backpressure, graceful (SIGTERM) and abrupt (SIGKILL-model)
-  shutdown, and a ``/metrics`` + ``/healthz`` scrape endpoint;
+* :class:`ServeDaemon` — the one serving core: supervised startup,
+  per-shard health-gated admission, one single-writer apply loop per
+  shard with force-before-ack durability, deadlines and backpressure,
+  graceful (SIGTERM) and abrupt (SIGKILL-model) shutdown, and a
+  ``/metrics`` + ``/healthz`` scrape endpoint.  Given one
+  :class:`~repro.kernel.system.RecoverableSystem` it is the
+  single-kernel server; given a :class:`~repro.shard.ShardedSystem` it
+  serves N shards through the same code;
 * :class:`DaemonClient` / :class:`RetryPolicy` — the client library:
   jittered exponential backoff that honors server ``retry_after_ms``
   hints under an overall elapsed deadline budget;
@@ -21,9 +25,8 @@ The live-fire torture lane (:mod:`repro.serve.livefire`, surfaced as
 daemon under storage faults and kills, asserting every acknowledged
 write survives recovery.
 
-Sharded serving (:mod:`repro.serve.sharded`, ``python -m repro serve
---shards N``) fronts N independent recovery domains —
-:class:`ShardedServeDaemon` with one apply thread, WAL stream, health
+Sharded serving (``python -m repro serve --shards N``) fronts N
+independent recovery domains with one apply thread, WAL stream, health
 gate and watchdog per shard, a fence-protocol rendezvous for
 cross-shard operations, and chaos endpoints used by the torture v4
 lane (:mod:`repro.serve.livefire_shard`) to kill one shard and prove
@@ -62,7 +65,6 @@ from repro.serve.livefire_shard import (
     ShardLiveFireReport,
 )
 from repro.serve.server import WRITE_KINDS, DaemonConfig, ServeDaemon
-from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
 from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
 
 __all__ = [
@@ -88,8 +90,6 @@ __all__ = [
     "ShardLiveFireHarness",
     "ShardLiveFireOutcome",
     "ShardLiveFireReport",
-    "ShardedDaemonConfig",
-    "ShardedServeDaemon",
     "ShuttingDownError",
     "WRITE_KINDS",
     "WatchdogConfig",

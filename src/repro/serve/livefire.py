@@ -22,7 +22,7 @@ Two lanes:
 
 * **in-process** (:meth:`LiveFireHarness.run` / :meth:`campaign`) —
   the daemon runs on in-memory faulty components
-  (:class:`~repro.storage.faults.FaultyStore` /
+  (:class:`~repro.storage.faultwrap.FaultyStore` /
   :class:`~repro.wal.faulty_log.FaultyLog`) with a seeded fuzz
   schedule; mid-serve faults exercise the watchdog's restart ladder
   live, ``kill()`` models SIGKILL, and hundreds of seeded runs fit in
@@ -67,7 +67,8 @@ from repro.serve.client import DaemonClient, RetryPolicy
 from repro.serve.errors import ServeError
 from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.serve.watchdog import WatchdogConfig
-from repro.storage.faults import FaultModel, FaultyStore, FuzzRates
+from repro.storage.faults import FaultModel, FuzzRates
+from repro.storage.faultwrap import FaultyStore
 from repro.wal.faulty_log import FaultyLog
 
 
@@ -251,7 +252,7 @@ class LiveFireHarness:
         stop.set()
         for worker in workers:
             worker.join(timeout=10.0)
-        outcome.restarts = daemon.watchdog.restarts
+        outcome.restarts = daemon.restarts()
         # The verdict is never faulted: recovery of the restarted
         # daemon runs against an honest device, like torture v1/v2.
         model.armed = False

@@ -5,7 +5,7 @@ The v4 lane tortures the **sharded** daemon's stronger claim — shards
 are independent recovery domains:
 
 * concurrent clients drive puts (and seeded cross-shard applies)
-  against a :class:`~repro.serve.sharded.ShardedServeDaemon` whose
+  against a :class:`~repro.serve.server.ServeDaemon` whose
   shards all run on seeded faulty devices;
 * at a seeded ack count one seeded **victim shard's worker is killed
   in place** (its volatile state — cache and unforced WAL tail — is
@@ -42,11 +42,12 @@ from repro.kernel.system import RecoverableSystem, SystemConfig, SystemHealth
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.client import DaemonClient, RetryPolicy
 from repro.serve.errors import ServeError
-from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
+from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.serve.watchdog import WatchdogConfig
 from repro.shard.group import ShardedSystem
 from repro.shard.router import ShardRouter
-from repro.storage.faults import FaultModel, FaultyStore, FuzzRates
+from repro.storage.faults import FaultModel, FuzzRates
+from repro.storage.faultwrap import FaultyStore
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads.generator import register_workload_functions
 
@@ -249,9 +250,9 @@ class ShardLiveFireHarness:
         backups = [
             BackupManager(system).take_backup() for system in sharded.systems
         ]
-        daemon = ShardedServeDaemon(
+        daemon = ServeDaemon(
             sharded,
-            ShardedDaemonConfig(
+            DaemonConfig(
                 port=0,
                 http_port=None,
                 max_queue=cfg.max_queue,
@@ -263,7 +264,7 @@ class ShardLiveFireHarness:
                     )
                 ),
             ),
-            backups=backups,
+            backup=backups,
         )
         daemon.start()
         rng = make_rng(f"v4:{seed}")
@@ -457,7 +458,7 @@ class ShardLiveFireHarness:
 
     def _sentinel_puts(
         self,
-        daemon: ShardedServeDaemon,
+        daemon: ServeDaemon,
         router: ShardRouter,
         victim: int,
         seed: int,
@@ -507,7 +508,7 @@ class ShardLiveFireHarness:
     # ------------------------------------------------------------------
     def _audit(
         self,
-        daemon: ShardedServeDaemon,
+        daemon: ServeDaemon,
         sharded: ShardedSystem,
         records: List[_ClientRecord],
         outcome: ShardLiveFireOutcome,

@@ -1,56 +1,104 @@
-"""The serving daemon: a supervised socket front end on one system.
+"""The serving daemon: one supervised socket front end, N recovery domains.
 
-``ServeDaemon`` wraps a :class:`~repro.kernel.system.RecoverableSystem`
-behind the length-prefixed JSON protocol of
-:mod:`repro.serve.protocol` and turns the escalation-ladder machinery
-into an *operable* long-running process:
+``ServeDaemon`` puts the length-prefixed JSON protocol of
+:mod:`repro.serve.protocol` in front of one
+:class:`~repro.kernel.system.RecoverableSystem` — or of the N kernels
+of a :class:`~repro.shard.ShardedSystem`; the single-kernel server *is*
+the one-shard case of the same class (trivial router, rendezvous never
+taken) — and turns the escalation-ladder machinery into an *operable*
+long-running process:
 
-* **supervised startup** — the listener does not open until the
-  :class:`~repro.serve.watchdog.ServingWatchdog` has driven recovery to
-  a terminal state, so a daemon restarted over SIGKILL debris serves
-  its first request from verified state;
-* **health-gated admission** — requests are admitted when HEALTHY,
+* **supervised startup** — the listener does not open until every
+  shard's :class:`~repro.serve.watchdog.ServingWatchdog` has driven
+  recovery to a terminal state, so a daemon restarted over SIGKILL
+  debris serves its first request from verified state.  A shard that
+  lands DEGRADED or FAILED does not block the others — admission gates
+  per shard, which is the partial-outage point;
+* **health-gated admission, per shard** — each shard has its own
+  bounded queue and health gate: requests are admitted when HEALTHY,
   queued (bounded backlog) while RECOVERING, answered read-only while
-  DEGRADED (writes get a structured ``DEGRADED`` rejection), and
-  refused outright when FAILED;
-* **single-writer apply loop** — the kernel is not thread-safe, so all
-  system access is confined to one apply thread fed by the admission
-  queue; reader threads only frame, validate, gate and enqueue.
-  Because every acknowledgment is sent *after* the operation's log
-  record is forced stable, an acked write is durable by construction —
-  the exactly-once visibility invariant the live-fire torture lane
-  asserts;
+  DEGRADED (writes get a structured ``DEGRADED`` rejection), refused
+  outright when FAILED.  One shard DEGRADED answers *its* writes with
+  ``DEGRADED`` while the other shards keep acking; one shard's full
+  queue answers ``BACKPRESSURE`` **with the shard index**, so clients
+  back off that shard only;
+* **one apply thread per shard** — the kernel is not thread-safe, so
+  shard k's kernel is touched only by shard k's worker; reader threads
+  only frame, validate, gate and enqueue.  N single-shard operations
+  proceed genuinely in parallel (N WAL forces overlap; the force
+  latency, not the GIL, is the serial resource);
+* **the ack pipeline** — ``ack.queue_ms → ack.apply_ms → ack.force_ms
+  → [ack.repl_wait_ms]``.  Every acknowledgment is sent *after* the
+  operation's log record is forced stable (and, on a replicated shard,
+  after the witness's durable receipt), so an acked write is durable
+  by construction — the exactly-once visibility invariant the
+  live-fire torture lanes assert;
 * **deadlines and backpressure** — every request carries a deadline
   budget (``deadline_ms``, defaulted and capped by config); a request
-  that expires while queued is answered ``DEADLINE`` without touching
-  the system, and a full queue answers ``BACKPRESSURE`` with a
-  ``retry_after_ms`` hint the client's backoff honors;
-* **mid-serve crash watchdog** — a storage failure surfacing inside
-  the apply loop discards volatile state and re-runs the supervisor
-  ladder while admission keeps queueing; the in-flight request gets a
-  retryable ``UNAVAILABLE`` answer (its durability is decided by the
-  WAL, and the daemon only ever acks after a force);
+  that expires while queued — a cross-shard one included — is answered
+  ``DEADLINE`` without touching a kernel, and a full queue answers
+  ``BACKPRESSURE`` with a ``retry_after_ms`` hint the client's backoff
+  honors;
+* **mid-serve crash watchdog, per shard** — a storage failure
+  surfacing inside an apply discards that shard's volatile state and
+  re-runs its supervisor ladder while admission keeps queueing and the
+  other shards serve on; the in-flight request gets a retryable
+  ``UNAVAILABLE`` answer (its durability is decided by the WAL, and
+  the daemon only ever acks after a force);
+* **cross-shard operations** — an ``apply`` whose footprint spans
+  shards is executed under a rendezvous: the operation is enqueued to
+  every participant, the lowest-numbered participant coordinates, the
+  other participants park their worker (their kernel's "turn" is what
+  the coordinator borrows), and the
+  :meth:`~repro.shard.ShardedSystem.execute_cross` fence protocol
+  runs — local physical ops, fence records on every participant, all
+  participant WALs forced, then the ack.  Rendezvous tokens are
+  enqueued under one daemon-wide lock so their relative order is the
+  same in every participant queue — two cross-shard operations can
+  never deadlock waiting for each other's participants;
+* **chaos endpoints** — with ``allow_chaos`` the protocol kinds
+  ``kill_shard`` / ``revive_shard`` let harnesses and the CI smoke job
+  kill one shard worker in place (its volatile state is lost, exactly
+  the SIGKILL model) and later revive it through supervised recovery,
+  proving partial-outage behavior against a real process;
 * **graceful shutdown** — ``stop()`` (the SIGTERM path) stops
-  admitting, drains the queue, forces the WAL, checkpoints, and closes;
-  ``kill()`` models SIGKILL for harnesses: everything stops now and
-  whatever the WAL did not force never happened.
+  admitting, drains the queues, forces every WAL, checkpoints, and
+  closes; ``kill()`` models SIGKILL for harnesses: everything stops
+  now and whatever the WALs did not force never happened.
 
-The ``/metrics`` + ``/healthz`` HTTP endpoint
+Metrics: a one-shard daemon reports ``serve.*`` / ``ack.*`` into its
+kernel's own registry.  With N > 1 every kernel keeps its own registry
+(the io/engine collector prefixes would collide on a shared one), the
+daemon keeps a separate one for ``serve.*``, and ``/metrics`` renders
+the merged view with ``shard<k>.`` prefixes.  That wiring, done once
+in the constructor, is the only place the daemon looks at N.  The
+``/metrics`` + ``/healthz`` HTTP endpoint
 (:class:`~repro.obs.http.ObsHTTPServer`) runs alongside the socket
-listener so the registry PR 5 built is scrapeable while faults fire.
+listener so the registry is scrapeable while faults fire.
 """
 
 from __future__ import annotations
 
+import itertools
 import queue
 import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    TYPE_CHECKING,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.replica.sender import ReplicationConfig
+    from repro.replica.sender import ReplicationConfig, ReplicationSender
 
 from repro.common.errors import (
     CorruptObjectError,
@@ -68,10 +116,19 @@ from repro.obs.tracing import TraceContext
 from repro.serve import protocol
 from repro.serve.errors import FencedError, ServerUnavailableError
 from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
+from repro.shard.group import CrossShardError, ShardedSystem
 from repro.storage.backup import FuzzyBackup
 
 #: Request kinds that mutate state (gated in DEGRADED health).
 WRITE_KINDS = frozenset({"put", "delete", "apply"})
+
+#: Health severity order for the aggregate health string.
+_HEALTH_RANK = {
+    SystemHealth.HEALTHY: 0,
+    SystemHealth.RECOVERING: 1,
+    SystemHealth.DEGRADED: 2,
+    SystemHealth.FAILED: 3,
+}
 
 
 @dataclass
@@ -84,7 +141,8 @@ class DaemonConfig:
     #: Port for the /metrics + /healthz HTTP endpoint (0 = ephemeral,
     #: None = no HTTP endpoint).
     http_port: Optional[int] = 0
-    #: Bounded admission backlog: arrivals past this get BACKPRESSURE.
+    #: Bounded admission backlog per shard: arrivals past this get
+    #: BACKPRESSURE.
     max_queue: int = 64
     #: Deadline budget applied to requests that carry none.
     default_deadline_ms: int = 5_000
@@ -92,7 +150,7 @@ class DaemonConfig:
     max_deadline_ms: int = 60_000
     #: Backoff hint returned with BACKPRESSURE / UNAVAILABLE answers.
     retry_after_ms: int = 50
-    #: Graceful shutdown: how long to drain the queue before answering
+    #: Graceful shutdown: how long to drain the queues before answering
     #: the stragglers SHUTTING_DOWN.
     drain_deadline_s: float = 10.0
     #: Write a checkpoint during graceful shutdown (HEALTHY only).
@@ -105,18 +163,9 @@ class DaemonConfig:
     flightrec_path: Optional[str] = None
     #: Flight-recorder ring capacity (recent events kept).
     flightrec_capacity: int = 2048
-
-
-@dataclass
-class _Work:
-    """One admitted request waiting for the apply loop."""
-
-    request: Dict[str, Any]
-    conn: "_Connection"
-    deadline: float
-    enqueued: float
-    #: Distributed-trace context minted by the client (None untraced).
-    trace: Optional[TraceContext] = None
+    #: Accept ``kill_shard`` / ``revive_shard`` chaos requests.  Off by
+    #: default: only harnesses and CI smoke jobs should ever enable it.
+    allow_chaos: bool = False
 
 
 class _Connection:
@@ -154,66 +203,231 @@ class _Connection:
                 pass
 
 
-class ServeDaemon:
-    """A long-running, supervised serving loop over one system."""
+class _ShardEventSink:
+    """Tags one shard's events with its index, then records them.
+
+    With N > 1 every shard kernel's registry gets one of these so
+    health transitions, watchdog restarts and fault-point events from
+    all N recovery domains land in the daemon's single flight recorder
+    with the shard attributed.
+    """
+
+    def __init__(self, recorder: FlightRecorder, index: int) -> None:
+        self._recorder = recorder
+        self._index = index
+
+    def emit(self, kind: str, **details: Any) -> None:
+        details.setdefault("shard", self._index)
+        self._recorder.emit(kind, **details)
+
+
+class _CrossJob:
+    """One cross-shard request's rendezvous state."""
+
+    def __init__(self, participants: Tuple[int, ...]) -> None:
+        self.participants = participants
+        self.coordinator = participants[0]
+        self._lock = threading.Lock()
+        self._arrived: set = set()
+        self.all_arrived = threading.Event()
+        #: Set exactly once, after the coordinator answered (or the job
+        #: was cancelled); parked participants resume on it.
+        self.done = threading.Event()
+        self.cancelled = False
+
+    def arrive(self, shard: int) -> None:
+        with self._lock:
+            self._arrived.add(shard)
+            if self._arrived >= set(self.participants):
+                self.all_arrived.set()
+
+    def cancel(self) -> bool:
+        """Call the job off and release every parked participant.
+
+        Tokens still queued become no-ops.  True for exactly one
+        caller: the one that owes the client the refusal.
+        """
+        with self._lock:
+            first = not self.cancelled
+            self.cancelled = True
+        self.done.set()
+        return first
+
+
+@dataclass
+class _Work:
+    """One admitted request waiting in a shard's queue."""
+
+    request: Dict[str, Any]
+    conn: _Connection
+    deadline: float
+    enqueued: float
+    #: Distributed-trace context minted by the client (None untraced).
+    trace: Optional[TraceContext] = None
+    #: Rendezvous state when the footprint spans shards: the same work
+    #: item then sits in every participant's queue.
+    cross: Optional[_CrossJob] = None
+
+
+class _Shard:
+    """One recovery domain's serving-side state."""
 
     def __init__(
         self,
+        index: int,
         system: RecoverableSystem,
+        watchdog: ServingWatchdog,
+        max_queue: int,
+    ) -> None:
+        self.index = index
+        self.system = system
+        self.watchdog = watchdog
+        #: Primary-side replication of this shard's WAL (None =
+        #: standalone).  With a sender attached, every write's ack
+        #: additionally waits for the witness's durable receipt — see
+        #: :mod:`repro.replica.sender`.
+        self.replication: Optional["ReplicationSender"] = None
+        self.queue: "queue.Queue[_Work]" = queue.Queue(
+            maxsize=max(1, max_queue)
+        )
+        self.thread: Optional[threading.Thread] = None
+        self.stop = threading.Event()
+        self.idle = threading.Event()
+        self.idle.set()
+        #: True between kill_shard and revive_shard: the worker is dead
+        #: and the shard's volatile state is gone.
+        self.killed = False
+
+
+#: Storage failures that surface inside an apply: the shard's volatile
+#: state is suspect, so its watchdog re-runs the ladder.
+_SERVING_CRASHES = (SimulatedCrash, CorruptObjectError, TransientStorageError)
+
+
+def _span_tags(trace: Optional[TraceContext]) -> Dict[str, Any]:
+    """Tags making a stage span a direct child of the client's root."""
+    return trace.child().tags() if trace is not None else {}
+
+
+class ServeDaemon:
+    """A long-running, supervised serving loop over N recovery domains."""
+
+    def __init__(
+        self,
+        system: Union[RecoverableSystem, ShardedSystem],
         config: Optional[DaemonConfig] = None,
-        backup: Optional[FuzzyBackup] = None,
+        backup: Union[
+            None, FuzzyBackup, Sequence[Optional[FuzzyBackup]]
+        ] = None,
         replication: Optional["ReplicationConfig"] = None,
     ) -> None:
-        self.system = system
+        #: The topology served: a lone kernel is wrapped as its own
+        #: one-shard group, so everything below is written once.
+        self.sharded = (
+            system
+            if isinstance(system, ShardedSystem)
+            else ShardedSystem([system])
+        )
         self.config = config if config is not None else DaemonConfig()
-        if not system.obs.enabled:
-            system.attach_metrics(MetricsRegistry())
-        #: Crash flight recorder: taps the registry's event stream
-        #: (health transitions, watchdog restarts, epoch changes) into
-        #: a bounded ring persisted at ``flightrec_path``.
+        systems = self.sharded.systems
+        for kernel in systems:
+            if not kernel.obs.enabled:
+                kernel.attach_metrics(MetricsRegistry())
+        backups = (
+            list(backup) if isinstance(backup, (list, tuple)) else [backup]
+        )
+        backups += [None] * (len(systems) - len(backups))
+        self._shards: List[_Shard] = [
+            _Shard(
+                index,
+                kernel,
+                ServingWatchdog(
+                    kernel, backup=backups[index], config=self.config.watchdog
+                ),
+                self.config.max_queue,
+            )
+            for index, kernel in enumerate(systems)
+        ]
+        if replication is not None:
+            from repro.replica.sender import ReplicationSender
+
+            # ``self.system`` refuses N > 1: a sender ships one WAL.
+            self._shards[0].replication = ReplicationSender(
+                self.system, replication
+            )
+        #: Crash flight recorder: taps the registries' event streams
+        #: (health transitions, watchdog restarts, epoch changes, chaos)
+        #: into one bounded ring persisted at ``flightrec_path``, so a
+        #: dump interleaves all N domains' transitions on one timeline.
         self.flightrec = FlightRecorder(
             self.config.flightrec_path,
             capacity=self.config.flightrec_capacity,
         )
-        system.obs.subscribe(self.flightrec)
-        self.watchdog = ServingWatchdog(
-            system, backup=backup, config=self.config.watchdog
-        )
-        #: Primary-side replication (None = standalone).  With a sender
-        #: attached, every write's ack additionally waits for the
-        #: witness's durable receipt — see :mod:`repro.replica.sender`.
-        self.replication = None
-        if replication is not None:
-            from repro.replica.sender import ReplicationSender
-
-            self.replication = ReplicationSender(self, replication)
+        #: ``(prefix, registry)`` of every kernel registry that is *not*
+        #: the daemon's own; the merged ``/metrics`` view prefixes them.
+        self._kernel_registries: List[Tuple[str, Any]] = []
+        if len(systems) == 1:
+            # The daemon's series join the kernel's: one registry, one
+            # scrape, spans of both layers nest in one tree.
+            self.obs = systems[0].obs
+        else:
+            # One registry per kernel: the io/engine collector prefixes
+            # collide on a shared registry.
+            self.obs = MetricsRegistry()
+            for index, kernel in enumerate(systems):
+                kernel.obs.subscribe(_ShardEventSink(self.flightrec, index))
+                self._kernel_registries.append(
+                    (f"shard{index}.", kernel.obs)
+                )
+        self.obs.subscribe(self.flightrec)
         self.role = "primary"
-        self._queue: "queue.Queue[_Work]" = queue.Queue(
-            maxsize=max(1, self.config.max_queue)
-        )
         self._listener: Optional[socket.socket] = None
         self._http: Optional[ObsHTTPServer] = None
-        self._apply_thread: Optional[threading.Thread] = None
         self._accept_thread: Optional[threading.Thread] = None
-        self._readers: List[threading.Thread] = []
-        self._conns: List[_Connection] = []
+        #: Open connections and the reader thread of each; a reader
+        #: drops its own entry on exit, so this is bounded by the
+        #: connections currently open, not by those ever accepted.
+        self._conns: Dict[_Connection, threading.Thread] = {}
         self._conns_lock = threading.Lock()
+        #: Serializes cross-job enqueues: tokens of different cross jobs
+        #: appear in the same relative order in every participant queue,
+        #: which is the no-deadlock argument for the rendezvous.
+        self._cross_lock = threading.Lock()
+        #: Serializes chaos operations (kill/revive) with each other.
+        self._control_lock = threading.Lock()
         self._draining = threading.Event()
         self._stopping = threading.Event()
-        self._apply_idle = threading.Event()
-        self._apply_idle.set()
         self._started = False
-        self._op_counter = 0
-        #: Deadline of the request the apply thread is executing (the
-        #: replication wait honors it; single apply thread, no races).
-        self._deadline_in_flight: Optional[float] = None
-        #: Trace context of the request the apply thread is executing
-        #: (same single-thread pattern as the deadline).
-        self._trace_in_flight: Optional[TraceContext] = None
+        self._op_ids = itertools.count(1)
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # what is served
     # ------------------------------------------------------------------
+    @property
+    def shards(self) -> int:
+        return len(self._shards)
+
+    @property
+    def system(self) -> RecoverableSystem:
+        """The kernel of a one-shard daemon.
+
+        Replication and the witness role attach to exactly one recovery
+        domain and reach it through here; a daemon over N > 1 shards
+        has no "the" system (use ``sharded.systems``).
+        """
+        if len(self._shards) != 1:
+            raise ValueError(
+                f"this daemon serves {len(self._shards)} recovery domains; "
+                "replication and the witness role attach to exactly one "
+                "(a sharded witness is not implemented)"
+            )
+        return self._shards[0].system
+
+    @property
+    def replication(self) -> Optional["ReplicationSender"]:
+        """The primary-side replication sender (None = standalone)."""
+        return self._shards[0].replication
+
     @property
     def port(self) -> Optional[int]:
         """Bound request port once started."""
@@ -226,24 +440,49 @@ class ServeDaemon:
         """Bound scrape port once started (None when disabled)."""
         return self._http.port if self._http is not None else None
 
+    def restarts(self) -> int:
+        """Mid-serve watchdog restarts summed over the shards."""
+        return sum(shard.watchdog.restarts for shard in self._shards)
+
+    def aggregate_health(self) -> SystemHealth:
+        """The worst health across shards (the conservative headline)."""
+        return max(
+            (shard.system.health for shard in self._shards),
+            key=_HEALTH_RANK.__getitem__,
+        )
+
+    def current_epoch(self) -> Optional[int]:
+        """This server's replication epoch (None when standalone)."""
+        sender = self.replication
+        return sender.epoch if sender is not None else None
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
     def start(self) -> "ServeDaemon":
         """Supervised startup, then open the listener and HTTP endpoint.
 
         Recovery runs **before** the first connection can be accepted:
         a client that manages to connect has, by definition, a server
-        whose escalation ladder already landed somewhere terminal.
+        whose escalation ladders already landed somewhere terminal.
+        Startup recovery is per shard and sequential.
         """
         if self._started:
             raise RuntimeError("daemon already started")
         self._started = True
         self.flightrec.record(
             "daemon.start",
-            {"role": self.role, "health": self.system.health.value},
+            {
+                "role": self.role,
+                "shards": len(self._shards),
+                "health": self.aggregate_health().value,
+            },
         )
-        self.watchdog.supervised_startup()
+        for shard in self._shards:
+            shard.watchdog.supervised_startup()
         if self.config.http_port is not None:
             self._http = ObsHTTPServer(
-                self._metrics_source,
+                self._combined_snapshot,
                 self._health_payload,
                 host=self.config.host,
                 port=self.config.http_port,
@@ -260,27 +499,35 @@ class ServeDaemon:
             "daemon.serving",
             {
                 "role": self.role,
-                "health": self.system.health.value,
+                "health": self.aggregate_health().value,
                 "port": listener.getsockname()[1],
             },
         )
-        self._apply_thread = threading.Thread(
-            target=self._apply_loop, name="repro-serve-apply", daemon=True
-        )
-        self._apply_thread.start()
+        for shard in self._shards:
+            self._start_worker(shard)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-serve-accept", daemon=True
         )
         self._accept_thread.start()
         return self
 
+    def _start_worker(self, shard: _Shard) -> None:
+        shard.stop = threading.Event()
+        shard.thread = threading.Thread(
+            target=self._shard_loop,
+            args=(shard,),
+            name=f"repro-serve-apply-{shard.index}",
+            daemon=True,
+        )
+        shard.thread.start()
+
     def stop(self, graceful: bool = True) -> int:
         """Shut down; the SIGTERM path when ``graceful``.
 
-        Graceful order: stop admitting → drain the backlog (bounded by
-        ``drain_deadline_s``; stragglers get SHUTTING_DOWN) → force the
-        WAL → checkpoint (HEALTHY systems only) → close.  Returns the
-        process exit status (0 on a clean drain).
+        Graceful order: stop admitting → drain the backlogs (bounded by
+        ``drain_deadline_s``; stragglers get SHUTTING_DOWN) → force
+        every WAL → checkpoint (HEALTHY shards only) → close.  Returns
+        the process exit status (0 on a clean drain).
         """
         if not self._started:
             return 0
@@ -288,43 +535,51 @@ class ServeDaemon:
         if graceful:
             deadline = time.monotonic() + self.config.drain_deadline_s
             while time.monotonic() < deadline:
-                if self._queue.empty() and self._apply_idle.is_set():
+                if all(
+                    shard.queue.empty() and shard.idle.is_set()
+                    for shard in self._shards
+                    if not shard.killed
+                ):
                     break
                 time.sleep(0.01)
-        self._stopping.set()
-        # Apply and accept loops poll their stop flag; join them before
-        # touching the kernel so the final force races nothing.
-        for thread in (self._apply_thread, self._accept_thread):
-            if thread is not None:
-                thread.join(timeout=5.0)
-        self._flush_queue("SHUTTING_DOWN", "server is shutting down")
+        # Workers and the accept loop poll their stop flag; join them
+        # before touching the kernels so the final force races nothing.
+        self._join_workers()
+        for shard in self._shards:
+            self._flush_queue(shard, "SHUTTING_DOWN", "server is shutting down")
         status = 0
-        if graceful and not self.system._crashed:
-            try:
-                self.system.log.force()
-                if (
-                    self.config.checkpoint_on_shutdown
-                    and self.system.health is SystemHealth.HEALTHY
-                ):
-                    self.system.checkpoint(truncate=True)
-                if self.replication is not None:
-                    # Nudge the witness to materialize what it holds;
-                    # its receipt is not waited for (we are exiting).
-                    self.replication.ship_checkpoint_hint()
-            except (ReproError, SimulatedCrash):
-                # A device that dies during the final force leaves a
-                # cleanly recoverable WAL tail (the torn-tail repair
-                # path); the next startup's supervised recovery owns it.
-                status = 1
-        self.system.close()
+        if graceful:
+            for shard in self._shards:
+                if shard.killed or shard.system._crashed:
+                    continue
+                try:
+                    shard.system.log.force()
+                    if (
+                        self.config.checkpoint_on_shutdown
+                        and shard.system.health is SystemHealth.HEALTHY
+                    ):
+                        shard.system.checkpoint(truncate=True)
+                    if shard.replication is not None:
+                        # Nudge the witness to materialize what it
+                        # holds; its receipt is not waited for (we are
+                        # exiting).
+                        shard.replication.ship_checkpoint_hint()
+                except (ReproError, SimulatedCrash):
+                    # A device that dies during the final force leaves
+                    # a cleanly recoverable WAL tail (the torn-tail
+                    # repair path); the next startup's supervised
+                    # recovery owns it.
+                    status = 1
+        self.sharded.close()
         # Closing the sockets unblocks reader threads parked in recv.
         self._close_everything()
-        for thread in list(self._readers):
-            thread.join(timeout=5.0)
         self.flightrec.record(
             "daemon.stop",
-            {"graceful": graceful, "status": status,
-             "health": self.system.health.value},
+            {
+                "graceful": graceful,
+                "status": status,
+                "health": self.aggregate_health().value,
+            },
         )
         self.flightrec.close("sigterm" if graceful else "stop")
         return status
@@ -333,23 +588,29 @@ class ServeDaemon:
         """Abrupt stop (the SIGKILL model for in-process harnesses).
 
         No drain, no force, no checkpoint: connections die mid-frame
-        and whatever sat in the volatile log buffer is lost.  The
-        harness completes the simulation by calling ``system.crash()``
-        before handing the storage to a restarted daemon.
+        and whatever sat in the volatile log buffers is lost.  The
+        harness completes the simulation by calling ``crash()`` on the
+        system(s) before handing the storage to a restarted daemon.
         """
         if not self._started:
             return
         self._draining.set()
-        self._stopping.set()
         self._close_everything()
-        for thread in (self._apply_thread, self._accept_thread):
+        self._join_workers()
+        for shard in self._shards:
+            self._flush_queue(shard, None, None)
+
+    def _join_workers(self) -> None:
+        self._stopping.set()
+        for shard in self._shards:
+            shard.stop.set()
+        threads = [shard.thread for shard in self._shards]
+        for thread in (*threads, self._accept_thread):
             if thread is not None:
                 thread.join(timeout=5.0)
-        for thread in list(self._readers):
-            thread.join(timeout=5.0)
-        self._flush_queue(None, None)
 
     def _close_everything(self) -> None:
+        """Close listener, connections and HTTP; join the readers."""
         if self.replication is not None:
             self.replication.close()
         if self._listener is not None:
@@ -359,31 +620,110 @@ class ServeDaemon:
                 pass
             self._listener = None
         with self._conns_lock:
-            conns, self._conns = self._conns, []
+            conns = dict(self._conns)
         for conn in conns:
             conn.close()
         if self._http is not None:
             self._http.stop()
             self._http = None
+        for thread in conns.values():
+            thread.join(timeout=5.0)
 
     def _flush_queue(
-        self, code: Optional[str], message: Optional[str]
+        self, shard: _Shard, code: Optional[str], message: Optional[str]
     ) -> None:
         """Answer (or drop, when ``code`` is None) any leftover work."""
         while True:
             try:
-                work = self._queue.get_nowait()
+                work = shard.queue.get_nowait()
             except queue.Empty:
                 return
+            if work.cross is not None and not work.cross.cancel():
+                continue  # another participant's flush already answered
             if code is not None:
                 work.conn.send(
                     protocol.error_response(
                         work.request.get("id"),
                         code,
                         message or "",
-                        self.system.health.value,
+                        shard.system.health.value,
+                        shard=shard.index,
                     )
                 )
+
+    # ------------------------------------------------------------------
+    # chaos: kill and revive one shard
+    # ------------------------------------------------------------------
+    def kill_shard(self, index: int) -> None:
+        """Kill shard ``index``'s worker in place (SIGKILL model).
+
+        The worker thread is stopped and joined, the shard's volatile
+        state (cache + unforced WAL buffer) is discarded, and its
+        queued requests are answered ``UNAVAILABLE``.  Every other
+        shard keeps serving; cross-shard requests naming the victim
+        time out at the rendezvous and answer ``UNAVAILABLE`` too.
+        """
+        with self._control_lock:
+            shard = self._shards[index]
+            if shard.killed:
+                return
+            shard.killed = True
+            shard.stop.set()
+            if shard.thread is not None:
+                shard.thread.join(timeout=10.0)
+            if not shard.system._crashed:
+                shard.system.crash()
+            self.obs.count(f"serve.shard.{index}.kills")
+            self.obs.emit("shard.kill", shard=index)
+            self._flush_queue(
+                shard, "UNAVAILABLE", f"shard {index} worker was killed"
+            )
+
+    def revive_shard(self, index: int) -> None:
+        """Recover a killed shard and put a fresh worker on it."""
+        with self._control_lock:
+            shard = self._shards[index]
+            if not shard.killed:
+                raise ValueError(f"shard {index} is not killed")
+            shard.watchdog.supervised_startup()
+            self._start_worker(shard)
+            shard.killed = False
+            self.obs.count(f"serve.shard.{index}.revives")
+            self.obs.emit(
+                "shard.revive",
+                shard=index,
+                health=shard.system.health.value,
+            )
+
+    def _handle_chaos(
+        self, conn: _Connection, request: Dict[str, Any], reject: Callable
+    ) -> None:
+        if not self.config.allow_chaos:
+            reject(
+                "BAD_REQUEST",
+                "chaos endpoints are disabled (start with allow_chaos)",
+            )
+            return
+        raw = request.get("shard")
+        if not isinstance(raw, int) or not 0 <= raw < len(self._shards):
+            reject("BAD_REQUEST", f"bad shard index {raw!r}")
+            return
+        try:
+            if request.get("kind") == "kill_shard":
+                self.kill_shard(raw)
+            else:
+                self.revive_shard(raw)
+        except ValueError as exc:
+            reject("BAD_REQUEST", str(exc), shard=self._shards[raw])
+            return
+        conn.send(
+            protocol.ok_response(
+                request.get("id"),
+                self.aggregate_health().value,
+                shard=raw,
+                killed=self._shards[raw].killed,
+            )
+        )
 
     # ------------------------------------------------------------------
     # accept + read side
@@ -400,25 +740,22 @@ class ServeDaemon:
             except OSError:
                 return
             conn = _Connection(sock)
-            with self._conns_lock:
-                self._conns.append(conn)
             thread = threading.Thread(
                 target=self._reader_loop,
                 args=(conn,),
                 name="repro-serve-conn",
                 daemon=True,
             )
+            with self._conns_lock:
+                self._conns[conn] = thread
             thread.start()
-            self._readers.append(thread)
 
     def _reader_loop(self, conn: _Connection) -> None:
         try:
             while not self._stopping.is_set():
                 try:
                     request = protocol.recv_frame(conn.sock)
-                except protocol.ProtocolError:
-                    break
-                except OSError:
+                except (protocol.ProtocolError, OSError):
                     break
                 if request is None:
                     break
@@ -427,24 +764,37 @@ class ServeDaemon:
             if self.replication is not None:
                 self.replication.detach(conn)
             conn.close()
+            with self._conns_lock:
+                self._conns.pop(conn, None)
 
+    # ------------------------------------------------------------------
+    # admission (reader threads): validate, route, health-gate, enqueue
+    # ------------------------------------------------------------------
     def _admit(self, conn: _Connection, request: Dict[str, Any]) -> None:
-        """The admission gate: validate, health-gate, enqueue."""
-        obs = self.system.obs
         request_id = request.get("id")
         kind = request.get("kind")
-        health = self.system.health
-        if obs.enabled:
-            obs.count("serve.requests")
+        self.obs.count("serve.requests")
 
         def reject(
-            code: str, message: str, retry_after_ms: Optional[int] = None
+            code: str,
+            message: str,
+            retry_after_ms: Optional[int] = None,
+            shard: Optional[_Shard] = None,
         ) -> None:
-            if obs.enabled:
-                obs.count(f"serve.rejected.{code.lower()}")
+            self.obs.count(f"serve.rejected.{code.lower()}")
+            health = (
+                shard.system.health
+                if shard is not None
+                else self.aggregate_health()
+            )
             conn.send(
                 protocol.error_response(
-                    request_id, code, message, health.value, retry_after_ms
+                    request_id,
+                    code,
+                    message,
+                    health.value,
+                    retry_after_ms,
+                    shard=shard.index if shard is not None else None,
                 )
             )
 
@@ -460,14 +810,17 @@ class ServeDaemon:
                 return
             self.replication.handle_frame(conn, request)
             return
+        if kind in protocol.CHAOS_KINDS:
+            self._handle_chaos(conn, request, reject)
+            return
         if kind not in protocol.REQUEST_KINDS:
             reject("BAD_REQUEST", f"unknown request kind {kind!r}")
             return
-        # Liveness requests bypass the queue: they touch only
-        # attributes and the registry snapshot, never the kernel, and
-        # must answer even when the backlog is jammed.
+        # Liveness requests bypass the queues: they touch only
+        # attributes and registry snapshots, never a kernel, and must
+        # answer even when the backlog is jammed.
         if kind in ("ping", "health", "stats"):
-            conn.send(self._inline_answer(kind, request_id, health))
+            conn.send(self._inline_answer(kind, request_id))
             return
         if self._draining.is_set():
             reject(
@@ -476,20 +829,11 @@ class ServeDaemon:
                 self.config.retry_after_ms,
             )
             return
-        if health is SystemHealth.FAILED:
-            reject(
-                "FAILED",
-                "recovery did not converge; the system is failed",
-            )
+        try:
+            involved = [self._shards[k] for k in self._route(request, kind)]
+        except protocol.ProtocolError as exc:
+            reject("BAD_REQUEST", str(exc))
             return
-        if health is SystemHealth.DEGRADED and kind in WRITE_KINDS:
-            reject(
-                "DEGRADED",
-                "system is in degraded read-only mode (lost objects: "
-                f"{sorted(map(str, self.system.lost_objects))})",
-            )
-            return
-        # HEALTHY admits; RECOVERING queues against the bounded backlog.
         now = time.monotonic()
         budget_ms = request.get("deadline_ms")
         if budget_ms is None:
@@ -499,322 +843,199 @@ class ServeDaemon:
         except (TypeError, ValueError):
             reject("BAD_REQUEST", f"bad deadline_ms: {budget_ms!r}")
             return
+        # Per-shard health gates, checked for every involved shard.
+        # HEALTHY admits; RECOVERING queues against the bounded backlog.
+        for shard in involved:
+            health = shard.system.health
+            if shard.killed:
+                reject(
+                    "UNAVAILABLE",
+                    f"shard {shard.index} worker is down",
+                    self.config.retry_after_ms,
+                    shard=shard,
+                )
+                return
+            if health is SystemHealth.FAILED:
+                reject(
+                    "FAILED",
+                    f"shard {shard.index}: recovery did not converge; "
+                    "the system is failed",
+                    shard=shard,
+                )
+                return
+            if health is SystemHealth.DEGRADED and kind in WRITE_KINDS:
+                reject(
+                    "DEGRADED",
+                    f"shard {shard.index} is in degraded read-only mode "
+                    "(lost objects: "
+                    f"{sorted(map(str, shard.system.lost_objects))})",
+                    shard=shard,
+                )
+                return
         work = _Work(
             request=request,
             conn=conn,
             deadline=now + budget_ms / 1000.0,
             enqueued=now,
-            trace=protocol.request_trace(request) if obs.enabled else None,
+            trace=protocol.request_trace(request),
         )
-        try:
-            self._queue.put_nowait(work)
-        except queue.Full:
+        if len(involved) == 1:
+            full = self._enqueue(work, involved)
+        else:
+            # The cross lock guarantees all participants see cross jobs
+            # in the same relative order; a full participant queue
+            # cancels the whole job (tokens already enqueued become
+            # no-ops).
+            work.cross = _CrossJob(tuple(s.index for s in involved))
+            with self._cross_lock:
+                full = self._enqueue(work, involved)
+            if full is None:
+                self.obs.count("serve.cross_shard_requests")
+        if full is not None:
             reject(
                 "BACKPRESSURE",
-                f"admission queue full ({self.config.max_queue} waiting)",
+                f"shard {full.index} admission queue full "
+                f"({self.config.max_queue} waiting)",
                 self.config.retry_after_ms,
+                shard=full,
             )
-            return
-        if obs.enabled:
-            obs.gauge("serve.queue_depth", self._queue.qsize())
 
-    def _inline_answer(
-        self, kind: str, request_id: Any, health: SystemHealth
-    ) -> Dict[str, Any]:
+    def _enqueue(
+        self, work: _Work, involved: List[_Shard]
+    ) -> Optional[_Shard]:
+        """Queue ``work`` on every involved shard; the full one, if any."""
+        for shard in involved:
+            try:
+                shard.queue.put_nowait(work)
+            except queue.Full:
+                if work.cross is not None:
+                    work.cross.cancel()
+                return shard
+            self._note_depth(shard)
+        return None
+
+    def _note_depth(self, shard: _Shard) -> None:
+        self.obs.gauge(
+            f"serve.shard.{shard.index}.queue_depth", shard.queue.qsize()
+        )
+        self.obs.gauge("serve.queue_depth", self._queue_depth())
+
+    def _queue_depth(self) -> int:
+        return sum(shard.queue.qsize() for shard in self._shards)
+
+    def _route(self, request: Dict[str, Any], kind: str) -> Tuple[int, ...]:
+        """The shards a request must visit, in rendezvous order.
+
+        Object verbs go to the owner shard; ``apply`` goes to the full
+        footprint of its read/write sets; anything without a footprint
+        (``promote``) is shard 0's.
+        """
+        router = self.sharded.router
+        if kind in ("get", "put", "delete"):
+            obj = request.get("obj")
+            if not isinstance(obj, str) or not obj:
+                raise protocol.ProtocolError("request requires an 'obj' string")
+            return (router.shard_of(obj),)
+        if kind == "apply":
+            reads = request.get("reads") or []
+            writes = request.get("writes") or []
+            if not writes:
+                raise protocol.ProtocolError("apply requires a writeset")
+            return tuple(sorted(router.shards_of([*reads, *writes])))
+        return (0,)
+
+    # ------------------------------------------------------------------
+    # inline answers + health
+    # ------------------------------------------------------------------
+    def _lost_objects(self) -> List[str]:
+        return sorted(
+            str(obj)
+            for shard in self._shards
+            for obj in shard.system.lost_objects
+        )
+
+    def _inline_answer(self, kind: str, request_id: Any) -> Dict[str, Any]:
+        health = self.aggregate_health().value
         if kind == "ping":
             from repro import __version__
 
             return protocol.ok_response(
-                request_id, health.value, version=__version__
+                request_id,
+                health,
+                version=__version__,
+                shards=len(self._shards),
             )
         if kind == "health":
             return protocol.ok_response(
                 request_id,
-                health.value,
-                lost_objects=sorted(map(str, self.system.lost_objects)),
-                queue_depth=self._queue.qsize(),
-                restarts=self.watchdog.restarts,
+                health,
+                lost_objects=self._lost_objects(),
+                queue_depth=self._queue_depth(),
+                restarts=self.restarts(),
                 draining=self._draining.is_set(),
+                shards={
+                    str(shard.index): {
+                        "health": shard.system.health.value,
+                        "killed": shard.killed,
+                        "queue_depth": shard.queue.qsize(),
+                        "restarts": shard.watchdog.restarts,
+                        "lost_objects": sorted(
+                            map(str, shard.system.lost_objects)
+                        ),
+                    }
+                    for shard in self._shards
+                },
             )
         # stats: the counter/gauge ledger, JSON-safe by construction.
-        snapshot: Dict[str, Any] = {"counters": {}, "gauges": {}}
-        if self.system.obs.enabled:
-            snap = self.system.obs.snapshot()
-            snapshot["counters"] = snap.get("counters", {})
-            snapshot["gauges"] = snap.get("gauges", {})
-        return protocol.ok_response(request_id, health.value, stats=snapshot)
-
-    # ------------------------------------------------------------------
-    # apply side (the only thread that touches the kernel)
-    # ------------------------------------------------------------------
-    def _apply_loop(self) -> None:
-        while True:
-            try:
-                work = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self._stopping.is_set():
-                    return
-                continue
-            self._apply_idle.clear()
-            try:
-                self._apply_one(work)
-            finally:
-                self._apply_idle.set()
-                if self.system.obs.enabled:
-                    self.system.obs.gauge(
-                        "serve.queue_depth", self._queue.qsize()
-                    )
-
-    def _apply_one(self, work: _Work) -> None:
-        obs = self.system.obs
-        request = work.request
-        request_id = request.get("id")
-        health = self.system.health
-        now = time.monotonic()
-        if now > work.deadline:
-            if obs.enabled:
-                obs.count("serve.rejected.deadline")
-            work.conn.send(
-                protocol.error_response(
-                    request_id,
-                    "DEADLINE",
-                    f"deadline expired after {now - work.enqueued:.3f}s "
-                    "in queue",
-                    health.value,
-                )
-            )
-            return
-        # Health may have moved while the request sat in the backlog
-        # (a watchdog restart ran): re-gate before touching the kernel.
-        if health is SystemHealth.FAILED:
-            work.conn.send(
-                protocol.error_response(
-                    request_id,
-                    "FAILED",
-                    "recovery did not converge; the system is failed",
-                    health.value,
-                )
-            )
-            return
-        if obs.enabled:
-            tags = work.trace.child().tags() if work.trace else {}
-            obs.record_span(
-                "ack.queue_ms", now - work.enqueued, kind=request.get("kind"),
-                **tags
-            )
-        self._deadline_in_flight = work.deadline
-        self._trace_in_flight = work.trace
-        try:
-            response = self._dispatch(request, request_id)
-        except FencedError as exc:
-            response = protocol.error_response(
-                request_id, "FENCED", str(exc), self.system.health.value
-            )
-        except ServerUnavailableError as exc:
-            # Replication could not confirm the witness's durable
-            # receipt: the write executed locally but was NOT acked —
-            # at-least-once retries are safe, acks are never produced
-            # without the receipt.
-            response = protocol.error_response(
-                request_id,
-                "UNAVAILABLE",
-                str(exc),
-                self.system.health.value,
-                exc.retry_after_ms or self.config.retry_after_ms,
-            )
-        except DegradedModeError as exc:
-            response = protocol.error_response(
-                request_id, "DEGRADED", str(exc), self.system.health.value
-            )
-        except (SimulatedCrash, CorruptObjectError, TransientStorageError) as exc:
-            # Mid-serve crash: the request's durability is whatever the
-            # WAL made of it (never acked here), and the watchdog owns
-            # getting the system back.  Answer retryable first so the
-            # client is not stuck waiting out the whole recovery.
-            work.conn.send(
-                protocol.error_response(
-                    request_id,
-                    "UNAVAILABLE",
-                    f"serving crash ({type(exc).__name__}: {exc}); "
-                    "recovery in progress",
-                    SystemHealth.RECOVERING.value,
-                    self.config.retry_after_ms,
-                )
-            )
-            self.watchdog.handle_serving_crash(exc, trace=work.trace)
-            return
-        except ReproError as exc:
-            response = protocol.error_response(
-                request_id,
-                "BAD_REQUEST",
-                f"{type(exc).__name__}: {exc}",
-                self.system.health.value,
-            )
-        except Exception as exc:  # noqa: BLE001 - the loop must survive
-            response = protocol.error_response(
-                request_id,
-                "INTERNAL",
-                f"{type(exc).__name__}: {exc}",
-                self.system.health.value,
-            )
-        if obs.enabled:
-            obs.observe("serve.request_seconds", time.monotonic() - now)
-        work.conn.send(response)
-
-    def _dispatch(
-        self, request: Dict[str, Any], request_id: Any
-    ) -> Dict[str, Any]:
-        kind = request["kind"]
-        system = self.system
-        health = system.health.value
-        if kind == "get":
-            obj = self._require_obj(request)
-            value = system.read(obj)
-            return protocol.ok_response(
-                request_id,
-                health,
-                value=protocol.encode_value(value),
-                vsi=system.cache.vsi_of(obj),
-            )
-        if kind == "put":
-            obj = self._require_obj(request)
-            value = protocol.decode_value(request.get("value"))
-            self._op_counter += 1
-            op = Operation(
-                f"serve.put({obj})#{self._op_counter}",
-                OpKind.PHYSICAL,
-                reads=frozenset(),
-                writes=frozenset({obj}),
-                payload={obj: value},
-            )
-            return self._execute_durably(op, request_id)
-        if kind == "delete":
-            obj = self._require_obj(request)
-            return self._execute_durably(delete_object(obj), request_id)
-        if kind == "apply":
-            fn = request.get("fn")
-            reads = request.get("reads") or []
-            writes = request.get("writes") or []
-            if not isinstance(fn, str) or not fn:
-                raise protocol.ProtocolError("apply requires a function name")
-            if not writes:
-                raise protocol.ProtocolError("apply requires a writeset")
-            params = [
-                protocol.decode_value(param)
-                for param in (request.get("params") or [])
-            ]
-            self._op_counter += 1
-            op = Operation(
-                request.get("name")
-                or f"serve.apply({fn})#{self._op_counter}",
-                OpKind.LOGICAL,
-                reads=frozenset(reads),
-                writes=frozenset(writes),
-                fn=fn,
-                params=tuple(params),
-            )
-            return self._execute_durably(op, request_id, include_writes=True)
-        if kind == "promote":
-            raise protocol.ProtocolError(
-                "this server is not a witness; there is nothing to promote"
-            )
-        raise protocol.ProtocolError(f"unhandled request kind {kind!r}")
-
-    def _execute_durably(
-        self,
-        op: Operation,
-        request_id: Any,
-        include_writes: bool = False,
-    ) -> Dict[str, Any]:
-        """Execute, then force the WAL through the op before acking.
-
-        The force is the acknowledgment contract: a response with
-        ``ok: true`` means the operation's record is on the stable log,
-        so no crash — SIGKILL included — can take it back.  With
-        replication enabled the contract widens: the ack additionally
-        waits for the witness's durable receipt of the record
-        (semi-synchronous shipping), so the acked write survives the
-        loss of either machine; if the receipt cannot be confirmed the
-        client gets a retryable ``UNAVAILABLE`` and no ack.
-        """
-        system = self.system
-        obs = system.obs
-        trace = self._trace_in_flight
-        if self.replication is not None and self.replication.fenced:
-            raise FencedError(
-                f"primary epoch {self.replication.epoch} is fenced; a "
-                "promoted witness is serving"
-            )
-        # The ack pipeline, one ``ack.*_ms`` stage span per phase.  Each
-        # stage is a direct child of the client's root span; the
-        # replication wait additionally hands its context to the sender
-        # so the shipped batch (and the witness's spans) nest under it.
-        with obs.span("ack.apply_ms",
-                      **(trace.child().tags() if trace else {})):
-            writes = system.execute(op)
-        with obs.span("ack.force_ms",
-                      **(trace.child().tags() if trace else {})):
-            system.log.force_through(op.lsi)
-        if self.replication is not None:
-            wait_ctx = trace.child() if trace else None
-            with obs.span("ack.repl_wait_ms",
-                          **(wait_ctx.tags() if wait_ctx else {})):
-                self.replication.replicate(
-                    op.lsi, self._deadline_in_flight, trace=wait_ctx
-                )
-        if obs.enabled:
-            obs.count("serve.acked_writes")
-        fields: Dict[str, Any] = {"lsi": op.lsi}
-        epoch = self.current_epoch()
-        if epoch is not None:
-            fields["epoch"] = epoch
-        if include_writes:
-            fields["writes"] = {
-                str(obj): protocol.encode_value(value)
-                for obj, value in writes.items()
-            }
+        snapshot = self._combined_snapshot()
         return protocol.ok_response(
-            request_id, system.health.value, **fields
+            request_id,
+            health,
+            stats={
+                "counters": snapshot["counters"],
+                "gauges": snapshot["gauges"],
+            },
         )
 
-    def current_epoch(self) -> Optional[int]:
-        """This server's replication epoch (None when standalone)."""
-        if self.replication is not None:
-            return self.replication.epoch
-        return None
-
-    @staticmethod
-    def _require_obj(request: Dict[str, Any]) -> str:
-        obj = request.get("obj")
-        if not isinstance(obj, str) or not obj:
-            raise protocol.ProtocolError("request requires an 'obj' string")
-        return obj
-
-    # ------------------------------------------------------------------
-    # HTTP endpoint providers
-    # ------------------------------------------------------------------
-    def _metrics_source(self) -> Optional[Any]:
-        return self.system.obs if self.system.obs.enabled else None
+    def _combined_snapshot(self) -> Dict[str, Any]:
+        """The daemon's registry plus every separate kernel registry,
+        shard-prefixed (none to add when the kernel's *is* the
+        daemon's)."""
+        merged = self.obs.snapshot()
+        for prefix, registry in self._kernel_registries:
+            snap = registry.snapshot()
+            for section in ("counters", "gauges", "histograms", "info"):
+                base = merged.setdefault(section, {})
+                for name, value in snap.get(section, {}).items():
+                    base[prefix + name] = value
+        return merged
 
     def _health_payload(self) -> Tuple[int, Dict[str, Any]]:
         """Liveness: 200 while the process can make progress.
 
-        RECOVERING and DEGRADED are *live* states (the watchdog or an
+        RECOVERING and DEGRADED are *live* states (a watchdog or an
         operator is working the problem; restarting the process would
-        only repeat the ladder) — only FAILED, which explicitly needs
-        an operator, answers 503.  Load balancers and rolling deploys
-        should poll readiness (``/healthz?ready=1``) instead, which
-        additionally requires HEALTHY, not-draining, and a caught-up
-        replication pair.
+        only repeat the ladder) — only a terminally FAILED shard, which
+        explicitly needs an operator, answers 503.  Load balancers and
+        rolling deploys should poll readiness (``/healthz?ready=1``)
+        instead, which additionally requires every shard HEALTHY and
+        alive, not-draining, and a caught-up replication pair.
         """
-        health = self.system.health
+        health = self.aggregate_health()
         payload = {
             "health": health.value,
             "role": self.role,
-            "lost_objects": sorted(map(str, self.system.lost_objects)),
-            "queue_depth": self._queue.qsize(),
-            "restarts": self.watchdog.restarts,
+            "lost_objects": self._lost_objects(),
+            "queue_depth": self._queue_depth(),
+            "restarts": self.restarts(),
             "draining": self._draining.is_set(),
+            "shards": {
+                str(shard.index): shard.system.health.value
+                for shard in self._shards
+            },
+            "killed": [
+                shard.index for shard in self._shards if shard.killed
+            ],
         }
         if self.replication is not None:
             payload.update(self.replication.status())
@@ -824,16 +1045,21 @@ class ServeDaemon:
     def _ready_payload(self) -> Tuple[int, Dict[str, Any]]:
         """Readiness: 200 only when this server should receive traffic.
 
-        Requires HEALTHY (not RECOVERING/DEGRADED/FAILED), not
-        draining, and — when replication is enabled — an attached,
-        unfenced witness (writes cannot be acked without its receipt).
-        The witness daemon overrides this with its own caught-up rule.
+        Requires every shard HEALTHY (not RECOVERING/DEGRADED/FAILED)
+        and alive, not draining, and — when replication is enabled — an
+        attached, unfenced witness (writes cannot be acked without its
+        receipt).  A load balancer should steer around a
+        partially-degraded node while clients with shard affinity may
+        still use its healthy shards.  The witness daemon overrides
+        this with its own caught-up rule.
         """
         _status, payload = self._health_payload()
         reasons = []
-        health = self.system.health
+        health = self.aggregate_health()
         if health is not SystemHealth.HEALTHY:
             reasons.append(f"health is {health.value}")
+        for index in payload["killed"]:
+            reasons.append(f"shard {index} worker is down")
         if self._draining.is_set():
             reasons.append("draining for shutdown")
         if self.replication is not None:
@@ -846,3 +1072,359 @@ class ServeDaemon:
         payload["ready"] = not reasons
         payload["not_ready_reasons"] = reasons
         return (200 if not reasons else 503), payload
+
+    # ------------------------------------------------------------------
+    # apply side: one worker per shard, the only thread on its kernel
+    # ------------------------------------------------------------------
+    def _shard_loop(self, shard: _Shard) -> None:
+        while True:
+            try:
+                work = shard.queue.get(timeout=0.05)
+            except queue.Empty:
+                if shard.stop.is_set():
+                    return
+                continue
+            shard.idle.clear()
+            try:
+                self._apply_one(shard, work)
+            finally:
+                shard.idle.set()
+                self._note_depth(shard)
+
+    def _apply_one(self, shard: _Shard, work: _Work) -> None:
+        """Gate one dequeued work item, then run it.
+
+        Every item — a cross-shard token included — passes the same
+        two gates before any kernel is touched: its deadline, and the
+        health its shard moved to while it sat in the backlog (a
+        watchdog restart may have run).
+        """
+        job = work.cross
+        if job is not None and job.cancelled:
+            return
+        now = time.monotonic()
+        refusal = None
+        if now > work.deadline:
+            refusal = (
+                "DEADLINE",
+                f"deadline expired after {now - work.enqueued:.3f}s "
+                "in queue",
+            )
+        elif shard.system.health is SystemHealth.FAILED:
+            refusal = (
+                "FAILED",
+                f"shard {shard.index}: recovery did not converge; "
+                "the system is failed",
+            )
+        if refusal is not None:
+            if job is None or job.cancel():
+                self.obs.count(f"serve.rejected.{refusal[0].lower()}")
+                work.conn.send(
+                    protocol.error_response(
+                        work.request.get("id"),
+                        *refusal,
+                        shard.system.health.value,
+                        shard=shard.index,
+                    )
+                )
+            return
+        if job is not None:
+            self._participate(shard, work)
+            return
+        # Queue wait attributed before the kernel touches the request;
+        # _ms spans feed the ms-bucket histogram and, when the request
+        # carried a trace, join its tree as a child span.
+        self.obs.record_span(
+            "ack.queue_ms",
+            now - work.enqueued,
+            kind=work.request.get("kind"),
+            shard=shard.index,
+            **_span_tags(work.trace),
+        )
+        self._answer(work, (shard,), lambda: self._dispatch(shard, work))
+
+    def _answer(
+        self,
+        work: _Work,
+        involved: Tuple[_Shard, ...],
+        run: Callable[[], Dict[str, Any]],
+    ) -> None:
+        """Run one admitted request's kernel work and answer it.
+
+        Shared by the single-shard apply and the cross-shard
+        coordinator.  ``ok: true`` only ever comes out of ``run``
+        returning, i.e. after the force; anything it raises is answered
+        from the one table in :meth:`_refusal`, and a storage crash is
+        then handed to the watchdog of every involved shard.
+        """
+        started = time.monotonic()
+        crashed = None
+        try:
+            response = run()
+        except Exception as exc:  # noqa: BLE001 - the loop must survive
+            response = self._refusal(work, involved, exc)
+            if isinstance(exc, _SERVING_CRASHES):
+                crashed = exc
+        # Answer first: a crashed request's client should retry, not
+        # wait out the whole recovery.
+        work.conn.send(response)
+        self.obs.observe("serve.request_seconds", time.monotonic() - started)
+        if crashed is None:
+            return
+        if len(involved) > 1:
+            self.obs.count("serve.cross_shard_crashes")
+        for shard in involved:
+            if shard.killed:
+                continue
+            # Each participant recovers independently: acked state is
+            # forced, so supervised recovery loses none of it.
+            self.obs.count(f"serve.shard.{shard.index}.crashes")
+            shard.watchdog.handle_serving_crash(crashed, trace=work.trace)
+
+    def _refusal(
+        self, work: _Work, involved: Tuple[_Shard, ...], exc: Exception
+    ) -> Dict[str, Any]:
+        """The one exception → response table (DESIGN.md §4b)."""
+        single = involved[0] if len(involved) == 1 else None
+        health = (
+            single.system.health if single is not None
+            else self.aggregate_health()
+        )
+        retry_after_ms = None
+        if isinstance(exc, FencedError):
+            code, message = "FENCED", str(exc)
+        elif isinstance(exc, (ServerUnavailableError, CrossShardError)):
+            # Replication could not confirm the witness's durable
+            # receipt (the write executed locally but was NOT acked —
+            # at-least-once retries are safe, acks are never produced
+            # without the receipt), or a cross-shard participant was
+            # not HEALTHY at pre-flight (nothing was mutated).
+            code, message = "UNAVAILABLE", str(exc)
+            retry_after_ms = (
+                getattr(exc, "retry_after_ms", None)
+                or self.config.retry_after_ms
+            )
+        elif isinstance(exc, DegradedModeError):
+            code, message = "DEGRADED", str(exc)
+        elif isinstance(exc, _SERVING_CRASHES):
+            # Mid-serve crash: the request's durability is whatever the
+            # WAL made of it (never acked here; a partial cross-shard
+            # fence is, by construction, unacked), and the watchdogs
+            # own getting the involved shards back.
+            code = "UNAVAILABLE"
+            message = (
+                f"serving crash ({type(exc).__name__}: {exc}); "
+                "recovery in progress"
+            )
+            retry_after_ms = self.config.retry_after_ms
+            health = SystemHealth.RECOVERING
+        elif isinstance(exc, ReproError):
+            code, message = "BAD_REQUEST", f"{type(exc).__name__}: {exc}"
+        else:
+            code, message = "INTERNAL", f"{type(exc).__name__}: {exc}"
+        return protocol.error_response(
+            work.request.get("id"),
+            code,
+            message,
+            health.value,
+            retry_after_ms,
+            shard=single.index if single is not None else None,
+        )
+
+    def _dispatch(self, shard: _Shard, work: _Work) -> Dict[str, Any]:
+        request = work.request
+        request_id = request.get("id")
+        kind = request["kind"]
+        system = shard.system
+        if kind == "get":
+            obj = request["obj"]
+            value = system.read(obj)
+            return protocol.ok_response(
+                request_id,
+                system.health.value,
+                value=protocol.encode_value(value),
+                vsi=system.cache.vsi_of(obj),
+                shard=shard.index,
+            )
+        if kind == "put":
+            obj = request["obj"]
+            value = protocol.decode_value(request.get("value"))
+            op = Operation(
+                f"serve.put({obj})#{next(self._op_ids)}",
+                OpKind.PHYSICAL,
+                reads=frozenset(),
+                writes=frozenset({obj}),
+                payload={obj: value},
+            )
+            return self._execute_durably(shard, op, work)
+        if kind == "delete":
+            return self._execute_durably(
+                shard, delete_object(request["obj"]), work
+            )
+        if kind == "apply":
+            return self._execute_durably(
+                shard, self._apply_operation(request), work,
+                include_writes=True,
+            )
+        if kind == "promote":
+            raise protocol.ProtocolError(
+                "this server is not a witness; there is nothing to promote"
+            )
+        raise protocol.ProtocolError(f"unhandled request kind {kind!r}")
+
+    def _apply_operation(self, request: Dict[str, Any]) -> Operation:
+        fn = request.get("fn")
+        if not isinstance(fn, str) or not fn:
+            raise protocol.ProtocolError("apply requires a function name")
+        params = [
+            protocol.decode_value(param)
+            for param in (request.get("params") or [])
+        ]
+        serial = next(self._op_ids)
+        return Operation(
+            request.get("name") or f"serve.apply({fn})#{serial}",
+            OpKind.LOGICAL,
+            reads=frozenset(request.get("reads") or []),
+            writes=frozenset(request.get("writes") or []),
+            fn=fn,
+            params=tuple(params),
+        )
+
+    def _execute_durably(
+        self,
+        shard: _Shard,
+        op: Operation,
+        work: _Work,
+        include_writes: bool = False,
+    ) -> Dict[str, Any]:
+        """Execute, then force the WAL through the op before acking.
+
+        The force is the acknowledgment contract: a response with
+        ``ok: true`` means the operation's record is on the stable log,
+        so no crash — SIGKILL included — can take it back.  On a shard
+        with replication attached the contract widens: the ack
+        additionally waits for the witness's durable receipt of the
+        record (semi-synchronous shipping), so the acked write survives
+        the loss of either machine; if the receipt cannot be confirmed
+        the client gets a retryable ``UNAVAILABLE`` and no ack.
+        """
+        system = shard.system
+        obs = self.obs
+        trace = work.trace
+        sender = shard.replication
+        if sender is not None and sender.fenced:
+            raise FencedError(
+                f"primary epoch {sender.epoch} is fenced; a "
+                "promoted witness is serving"
+            )
+        # The ack pipeline, one ``ack.*_ms`` stage span per phase.  Each
+        # stage is a direct child of the client's root span; the
+        # replication wait additionally hands its context to the sender
+        # so the shipped batch (and the witness's spans) nest under it.
+        with obs.span("ack.apply_ms", shard=shard.index, **_span_tags(trace)):
+            writes = system.execute(op)
+        with obs.span("ack.force_ms", shard=shard.index, **_span_tags(trace)):
+            system.log.force_through(op.lsi)
+        if sender is not None:
+            wait_ctx = trace.child() if trace is not None else None
+            with obs.span(
+                "ack.repl_wait_ms",
+                shard=shard.index,
+                **(wait_ctx.tags() if wait_ctx is not None else {}),
+            ):
+                sender.replicate(op.lsi, work.deadline, trace=wait_ctx)
+        obs.count("serve.acked_writes")
+        obs.count(f"serve.shard.{shard.index}.acked_writes")
+        fields: Dict[str, Any] = {"lsi": op.lsi, "shard": shard.index}
+        epoch = self.current_epoch()
+        if epoch is not None:
+            fields["epoch"] = epoch
+        if include_writes:
+            fields["writes"] = {
+                str(obj): protocol.encode_value(value)
+                for obj, value in writes.items()
+            }
+        return protocol.ok_response(
+            work.request.get("id"), system.health.value, **fields
+        )
+
+    # ------------------------------------------------------------------
+    # cross-shard rendezvous
+    # ------------------------------------------------------------------
+    def _participate(self, shard: _Shard, work: _Work) -> None:
+        job = work.cross
+        job.arrive(shard.index)
+        if shard.index != job.coordinator:
+            # Park: the coordinator borrows this shard's kernel turn.
+            # done is set in the coordinator's finally (or at cancel),
+            # so the park cannot outlive the job; stop breaks the park
+            # when this worker is being killed.
+            while not job.done.wait(0.05):
+                if shard.stop.is_set():
+                    return
+            return
+        start = time.monotonic()
+        try:
+            while not job.all_arrived.wait(0.05):
+                if shard.stop.is_set() or job.cancelled:
+                    return
+                if time.monotonic() > work.deadline:
+                    if job.cancel():
+                        self.obs.count("serve.rejected.cross_rendezvous")
+                        work.conn.send(
+                            protocol.error_response(
+                                work.request.get("id"),
+                                "UNAVAILABLE",
+                                "cross-shard rendezvous timed out on "
+                                f"shards {list(job.participants)} (a "
+                                "participant is down or jammed)",
+                                self.aggregate_health().value,
+                                self.config.retry_after_ms,
+                            )
+                        )
+                    return
+            # All participants parked: this thread owns every kernel.
+            # Rendezvous latency (time for every participant queue to
+            # reach this job) is the sharding tax on the write.
+            self.obs.record_span(
+                "ack.rendezvous_ms",
+                time.monotonic() - start,
+                shards=len(job.participants),
+                **_span_tags(work.trace),
+            )
+            involved = tuple(self._shards[k] for k in job.participants)
+            self._answer(
+                work, involved, lambda: self._execute_cross(work, start)
+            )
+        finally:
+            job.done.set()
+
+    def _execute_cross(self, work: _Work, start: float) -> Dict[str, Any]:
+        """The fence protocol under the rendezvous, then the ack."""
+        job = work.cross
+        op = self._apply_operation(work.request)
+        with self.obs.span(
+            "ack.apply_ms",
+            cross=True,
+            shards=len(job.participants),
+            **_span_tags(work.trace),
+        ):
+            # execute_cross forces every participant's fence itself.
+            writes = self.sharded.execute_cross(op, set(job.participants))
+        self.obs.count("serve.acked_writes")
+        self.obs.count("serve.cross_shard_acked")
+        for index in job.participants:
+            self.obs.count(f"serve.shard.{index}.acked_writes")
+        self.obs.observe(
+            "serve.cross_shard_seconds", time.monotonic() - start
+        )
+        return protocol.ok_response(
+            work.request.get("id"),
+            self.aggregate_health().value,
+            shards=list(job.participants),
+            cross=True,
+            writes={
+                str(obj): protocol.encode_value(value)
+                for obj, value in writes.items()
+            },
+        )

@@ -342,28 +342,3 @@ class FaultModel:
         """Raise :class:`FaultCrash` when the (applied) spec asks for it."""
         if spec is not None and spec.crash:
             raise FaultCrash(f"crash demanded by {spec.describe()}")
-
-
-
-
-# ----------------------------------------------------------------------
-# compatibility: the fault-injecting stores moved to
-# repro.storage.faultwrap (one store-agnostic wrapper for every
-# backend).  Lazy re-export avoids a module cycle: faultwrap imports
-# the model machinery from here.
-# ----------------------------------------------------------------------
-_MOVED = {
-    "FaultyStore": "FaultyStore",
-    "_checksum": "version_checksum",
-    "_damaged_value": "damaged_value",
-}
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        from repro.storage import faultwrap
-
-        return getattr(faultwrap, _MOVED[name])
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

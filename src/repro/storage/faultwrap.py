@@ -1,8 +1,8 @@
 """The store-agnostic fault wrapper: one choreography, every backend.
 
 Historically the fault-injecting stores duplicated their core logic:
-:class:`FaultyStore` (in :mod:`repro.storage.faults`) and
-``FaultyFileStore`` (in ``repro.persist.faulty``) each hand-rolled the
+the in-memory :class:`FaultyStore` and the file-backed
+``FaultyFileStore`` each hand-rolled the
 same *fire → branch on damage kind → maybe crash* dance against a
 :class:`~repro.storage.faults.FaultModel`.  Adding a third backend
 would have meant a third copy.  This module folds the choreography into
@@ -32,8 +32,8 @@ The concrete wrappers all live here:
 * :class:`FaultyLogStructuredStore` — the log-structured store (damage
   lands on real segment bytes: torn appends, rotted record frames).
 
-``repro.storage.faults`` and ``repro.persist.faulty`` re-export the
-first two for compatibility.
+:mod:`repro.storage` re-exports all three; :mod:`repro.persist`
+re-exports the file-backed one.
 """
 
 from __future__ import annotations

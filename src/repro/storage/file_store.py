@@ -23,9 +23,8 @@ and unlink here is followed by :func:`~repro.storage.framing.fsync_dir`.
 Object ids are percent-encoded into file names (ids contain ``:`` and
 may contain ``/``).
 
-This is the canonical home of :class:`FileStableStore`; it historically
-lived at ``repro.persist.file_store``, which remains as a deprecation
-shim.
+This is the canonical home of :class:`FileStableStore`
+(:mod:`repro.persist` re-exports the name).
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 from hypothesis import settings
@@ -39,6 +40,23 @@ from repro import (
 )
 from repro.storage import FlushTransaction, ShadowInstall
 from repro.workloads import register_workload_functions
+
+
+class StalledExecute:
+    """Blocks a kernel's apply thread inside ``system.execute`` until
+    released (serving-daemon tests: make a shard busy on demand)."""
+
+    def __init__(self, system) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        original = system.execute
+
+        def stalled(op):
+            self.entered.set()
+            assert self.release.wait(timeout=10.0)
+            return original(op)
+
+        system.execute = stalled
 
 
 def physical(obj: str, data: bytes, name: str = "") -> Operation:

@@ -16,9 +16,9 @@ from repro.storage.faults import (
     FaultKind,
     FaultModel,
     FaultSpec,
-    FaultyStore,
     FuzzRates,
 )
+from repro.storage.faultwrap import FaultyStore
 from repro.storage.stats import IOStats
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads import register_workload_functions

@@ -19,7 +19,8 @@ from repro import (
 )
 from repro.analysis import Tracer, obs_summary
 from repro.domains import RecoverableFileSystem
-from repro.storage.faults import FaultKind, FaultModel, FaultSpec, FaultyStore
+from repro.storage.faults import FaultKind, FaultModel, FaultSpec
+from repro.storage.faultwrap import FaultyStore
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads import register_workload_functions
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import importlib
 import re
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -40,7 +39,6 @@ class TestTopLevel:
         # The sharded-serving surface (PR 7) is part of the package API.
         for name in (
             "ShardRouter", "ShardedSystem", "CrossShardError", "FenceAudit",
-            "ShardedDaemonConfig", "ShardedServeDaemon",
             "ShardLiveFireConfig", "ShardLiveFireHarness",
         ):
             assert name in repro.__all__, name
@@ -92,52 +90,61 @@ class TestStorageModule:
         assert storage.store_backends() == ["file", "logstore", "memory"]
 
 
-class TestDeprecatedPaths:
-    """Old import paths still work, warn, and have no internal callers."""
+# Spelled in pieces so that a repo-wide grep for the removed names
+# finds only migration notes, never this audit.
+REMOVED_MODULES = [
+    "repro.persist." + "file_store",
+    "repro.persist." + "faulty",
+    "repro.serve." + "sharded",
+]
+REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"]
 
-    @pytest.mark.parametrize(
-        "module, names",
-        [
-            ("repro.persist.file_store", ["FileStableStore"]),
-            ("repro.persist.faulty", ["FaultyFileStore", "FaultyFileLog"]),
-        ],
-    )
-    def test_shim_warns_and_reexports(self, module, names):
+
+class TestRemovedPaths:
+    """The 2.x compatibility paths are gone in 3.0.0, not aliased."""
+
+    @pytest.mark.parametrize("module", REMOVED_MODULES)
+    def test_module_is_gone(self, module):
         saved = sys.modules.pop(module, None)
         try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                shim = importlib.import_module(module)
-            assert any(
-                issubclass(w.category, DeprecationWarning) for w in caught
-            ), f"{module} did not warn"
-            for name in names:
-                canonical = getattr(repro.persist, name)
-                assert getattr(shim, name) is canonical, name
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
         finally:
             if saved is not None:
                 sys.modules[module] = saved
 
-    def test_no_internal_callers(self):
-        # The shims exist for external code only: nothing inside the
-        # package may import through them (importing one would fire a
-        # DeprecationWarning at the user from our own internals).
+    @pytest.mark.parametrize(
+        "name", ["FaultyStore", "_checksum", "_damaged_value", "_MOVED"]
+    )
+    def test_faults_no_longer_forwards_moved_names(self, name):
+        from repro.storage import faults
+
+        assert not hasattr(faults, name), name
+
+    @pytest.mark.parametrize("name", REMOVED_NAMES)
+    def test_sharded_daemon_names_are_gone(self, name):
+        assert name not in repro.__all__ and not hasattr(repro, name)
+        assert name not in serve.__all__ and not hasattr(serve, name)
+
+    def test_canonical_homes_still_export(self):
+        assert repro.persist.FileStableStore is storage.FileStableStore
+        assert repro.persist.FaultyFileStore is storage.FaultyFileStore
+        assert storage.FaultyStore is not None
+
+    def test_no_internal_references(self):
         package_root = Path(repro.__file__).parent
-        deprecated = re.compile(
-            r"^\s*(from|import)\s+repro\.persist\.(faulty|file_store)\b"
+        gone = re.compile(
+            "|".join(
+                re.escape(name) + r"\b"
+                for name in REMOVED_MODULES + REMOVED_NAMES
+            )
         )
-        shims = {
-            package_root / "persist" / "faulty.py",
-            package_root / "persist" / "file_store.py",
-        }
         offenders = []
         for path in package_root.rglob("*.py"):
-            if path in shims:
-                continue
             for lineno, line in enumerate(
                 path.read_text().splitlines(), start=1
             ):
-                if deprecated.search(line):
+                if gone.search(line):
                     offenders.append(f"{path}:{lineno}: {line.strip()}")
         assert not offenders, "\n".join(offenders)
 

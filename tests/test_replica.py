@@ -365,6 +365,49 @@ class TestPair:
             witness.stop(graceful=False)
             primary.kill()
 
+    def test_promotion_watermark_covers_acks_after_a_redo_cycle(self):
+        # redo_every_records=1: every adopted batch is followed by a
+        # redo cycle whose materialize step truncates the adopted log,
+        # so at promotion time the witness's stable log is empty.  The
+        # promotion watermark must still cover everything it durably
+        # adopted — it is what fencing compares old-epoch acks against.
+        primary, witness = _start_pair(redo_every_records=1)
+        try:
+            client = _client(primary.port)
+            acked = [
+                client.request("put", obj="wm:x", value=f"v{index}")["lsi"]
+                for index in range(3)
+            ]
+            client.close()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                if witness.replication_status()[
+                    "materialized_through"
+                ] >= max(acked):
+                    break
+                time.sleep(0.01)
+            # The condition that collapsed the watermark to 0 before.
+            assert witness.system.log.stable_end_lsi() == NULL_SI
+            primary.kill()
+            pclient = _client(witness.port, attempts=10)
+            first = pclient.request("promote")
+            second = pclient.request("promote")
+            pclient.close()
+            assert first["watermark"] >= max(acked)
+            assert second["already_promoted"]
+            assert second["watermark"] == first["watermark"]
+            notes = [
+                record.note
+                for record in witness.system.log.stable_records()
+                if isinstance(record, EpochRecord)
+            ]
+            assert notes == [
+                f"promoted from witness at watermark {first['watermark']}"
+            ]
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
     def test_zombie_primary_is_fenced(self):
         primary, witness = _start_pair()
         try:

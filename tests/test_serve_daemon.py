@@ -1,8 +1,16 @@
 """The serving daemon: admission gating, deadlines, shutdown, watchdog.
 
 Every test runs a real daemon on an ephemeral port and talks to it
-over real sockets; the system underneath is the in-memory kernel, so
+over real sockets; the systems underneath are in-memory kernels, so
 crashes and recoveries are driven deterministically.
+
+This is the serving core's contract suite, and the core is one class:
+every test here runs against both topologies — one kernel, and a
+two-shard :class:`~repro.shard.ShardedSystem` — with its keys routed
+to the *last* shard, so on two shards the contract is checked on a
+shard other than the default one.  What only exists with N > 1
+(routing labels, cross-shard fences, chaos) is in
+``test_sharded_daemon.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import pytest
 
 from repro.common.errors import DegradedModeError, SimulatedCrash
 from repro.kernel.system import RecoverableSystem, SystemHealth
+from repro.shard import ShardedSystem
 from repro.serve import (
     BackpressureError,
     BadRequestError,
@@ -29,18 +38,33 @@ from repro.serve import (
     ShuttingDownError,
 )
 from repro.workloads import register_workload_functions
+from tests.conftest import StalledExecute
 
 ONE_SHOT = RetryPolicy(attempts=1)
 
 
-@pytest.fixture
-def served():
-    """A started daemon over a fresh system, torn down after the test."""
-    system = RecoverableSystem()
+@pytest.fixture(params=[1, 2], ids=["1-shard", "2-shards"])
+def shards(request):
+    """The topology under test: one kernel, or a two-shard group."""
+    return request.param
+
+
+def start_daemon(shards: int, **config_kw) -> ServeDaemon:
+    """A started daemon over fresh in-memory kernel(s)."""
+    if shards == 1:
+        system = RecoverableSystem()
+    else:
+        system = ShardedSystem.build(shards)
     register_workload_functions(system.registry)
-    daemon = ServeDaemon(
-        system, DaemonConfig(port=0, http_port=None, max_queue=4)
-    ).start()
+    config_kw.setdefault("port", 0)
+    config_kw.setdefault("http_port", None)
+    return ServeDaemon(system, DaemonConfig(**config_kw)).start()
+
+
+@pytest.fixture
+def served(shards):
+    """A started daemon over fresh system(s), torn down after the test."""
+    daemon = start_daemon(shards, max_queue=4)
     try:
         yield daemon
     finally:
@@ -50,6 +74,20 @@ def served():
 def client_for(daemon, **kw):
     kw.setdefault("policy", RetryPolicy(attempts=1))
     return DaemonClient("127.0.0.1", daemon.port, **kw)
+
+
+def key(daemon, tag: str) -> str:
+    """An object id owned by the daemon's last shard."""
+    router = daemon.sharded.router
+    probe = 0
+    while router.shard_of(f"{tag}:{probe}") != daemon.shards - 1:
+        probe += 1
+    return f"{tag}:{probe}"
+
+
+def target(daemon) -> RecoverableSystem:
+    """The kernel every ``key(daemon, ...)`` object lives on."""
+    return daemon.sharded.systems[-1]
 
 
 def nodelay(sock) -> bool:
@@ -72,27 +110,51 @@ class TestNagleIsOff:
         client.close()
 
 
+class TestConnectionBookkeeping:
+    def test_closed_connections_are_forgotten(self, served):
+        # A long-lived daemon must not grow with the connections it
+        # ever accepted: each reader drops its own entry on exit.
+        keeper = client_for(served)
+        keeper.ping()
+        for _ in range(300):
+            client = client_for(served)
+            client.ping()
+            client.close()
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with served._conns_lock:
+                if len(served._conns) == 1:
+                    break
+            time.sleep(0.01)
+        with served._conns_lock:
+            readers = list(served._conns.values())
+        assert len(readers) == 1 and readers[0].is_alive()
+        assert keeper.ping()["ok"]
+        keeper.close()
+
+
 class TestRoundTrips:
     def test_put_get_delete(self, served):
         client = client_for(served)
-        lsi = client.put("user:1", b"alice")
-        assert client.get("user:1") == (b"alice", lsi)
-        del_lsi = client.delete("user:1")
+        user = key(served, "user")
+        lsi = client.put(user, b"alice")
+        assert client.get(user) == (b"alice", lsi)
+        del_lsi = client.delete(user)
         assert del_lsi > lsi
-        value, _vsi = client.get("user:1")
+        value, _vsi = client.get(user)
         assert value is None
         client.close()
 
     def test_apply_logical_operation(self, served):
         client = client_for(served)
-        client.put("src", b"payload")
+        src, dst = key(served, "src"), key(served, "dst")
+        client.put(src, b"payload")
         response = client.apply(
-            "wl_derive", reads=["src"], writes=["dst"],
-            params=["src", "dst"],
+            "wl_derive", reads=[src], writes=[dst], params=[src, dst],
         )
         assert response["ok"]
-        written = response["writes"]["dst"]
-        value, vsi = client.get("dst")
+        written = response["writes"][dst]
+        value, vsi = client.get(dst)
         assert value == __import__("base64").b64decode(
             written["__bytes__"]
         )
@@ -101,9 +163,15 @@ class TestRoundTrips:
 
     def test_acks_are_forced(self, served):
         client = client_for(served)
-        lsi = client.put("x", b"v")
-        assert served.system.log.is_stable(lsi)
-        assert served.system.log.buffered_lsis() == []
+        lsi = client.put(key(served, "x"), b"v")
+        assert target(served).log.is_stable(lsi)
+        assert target(served).log.buffered_lsis() == []
+        client.close()
+
+    def test_answers_name_the_owning_shard(self, served):
+        client = client_for(served)
+        response = client.request("put", obj=key(served, "x"), value="v")
+        assert response["shard"] == served.shards - 1
         client.close()
 
     def test_ping_reports_version_and_health(self, served):
@@ -113,11 +181,12 @@ class TestRoundTrips:
 
         assert response["version"] == __version__
         assert response["health"] == "healthy"
+        assert response["shards"] == served.shards
         client.close()
 
     def test_stats_exposes_serve_counters(self, served):
         client = client_for(served)
-        client.put("x", b"v")
+        client.put(key(served, "x"), b"v")
         stats = client.stats()
         assert stats["counters"]["serve.acked_writes"] >= 1
         client.close()
@@ -141,72 +210,98 @@ class TestRoundTrips:
             client.request("get")
         client.close()
 
+    def test_promote_is_refused_by_a_non_witness(self, served):
+        client = client_for(served)
+        with pytest.raises(BadRequestError):
+            client.request("promote")
+        client.close()
+
 
 class TestHealthGating:
     def test_degraded_rejects_writes_serves_reads(self, served):
         client = client_for(served)
-        client.put("keep", b"safe")
-        served.system.enter_degraded({"gone"})
+        keep, gone = key(served, "keep"), key(served, "gone")
+        client.put(keep, b"safe")
+        target(served).enter_degraded({gone})
         with pytest.raises(DegradedModeError):
-            client.put("keep", b"more")
-        value, _vsi = client.get("keep")
+            client.put(keep, b"more")
+        value, _vsi = client.get(keep)
         assert value == b"safe"
         # Reads of the lost object raise the same structured condition.
         with pytest.raises(DegradedModeError):
-            client.get("gone")
+            client.get(gone)
+        health = client.health()
+        assert health["health"] == "degraded"
+        assert health["lost_objects"] == [gone]
         client.close()
 
     def test_failed_refuses_everything(self, served):
         client = client_for(served)
-        served.system.mark_failed()
+        target(served).mark_failed()
         with pytest.raises(ServerFailedError):
-            client.put("x", b"v")
+            client.put(key(served, "x"), b"v")
         with pytest.raises(ServerFailedError):
-            client.get("x")
+            client.get(key(served, "x"))
         # Liveness requests still answer (bypass the kernel).
         assert client.ping()["health"] == "failed"
         assert client.health()["health"] == "failed"
         client.close()
 
+    def test_failed_while_queued_is_refused_at_the_apply_gate(self, served):
+        # Health moved to FAILED while the request sat in the backlog:
+        # the apply step re-gates before touching the kernel.
+        stall = StalledExecute(target(served))
+        blocked, doomed = client_for(served), client_for(served)
+        errors = []
+        # (The stalled put resumes on a FAILED kernel; whatever it is
+        # answered is not this test's subject.)
+        worker = threading.Thread(
+            target=lambda: pytest.raises(
+                Exception, blocked.put, key(served, "a"), b"1"
+            )
+        )
+        worker.start()
+        assert stall.entered.wait(timeout=5.0)
+        doomed_worker = threading.Thread(
+            target=lambda: errors.append(
+                pytest.raises(
+                    ServerFailedError, doomed.get, key(served, "b")
+                )
+            )
+        )
+        doomed_worker.start()
+        backlog = served._shards[-1].queue
+        deadline = time.monotonic() + 5.0
+        while backlog.empty() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        target(served).mark_failed()
+        stall.release.set()
+        worker.join(timeout=10.0)
+        doomed_worker.join(timeout=10.0)
+        assert errors
+        blocked.close()
+        doomed.close()
+
     def test_draining_rejects_new_work(self, served):
         served._draining.set()
         client = client_for(served)
         with pytest.raises(ShuttingDownError):
-            client.put("x", b"v")
+            client.put(key(served, "x"), b"v")
         # Liveness stays answerable mid-drain.
         assert client.ping()["ok"]
         client.close()
 
 
-class _StalledApply:
-    """Blocks the apply loop inside system.execute until released."""
-
-    def __init__(self, system):
-        self.entered = threading.Event()
-        self.release = threading.Event()
-        self._original = system.execute
-        system.execute = self._stalled
-
-    def _stalled(self, op):
-        self.entered.set()
-        assert self.release.wait(timeout=10.0)
-        return self._original(op)
-
-
 class TestBackpressureAndDeadlines:
-    def test_full_queue_answers_backpressure(self):
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=None, max_queue=1,
-                                 retry_after_ms=7)
-        ).start()
-        stall = _StalledApply(system)
+    def test_full_queue_answers_backpressure(self, shards):
+        daemon = start_daemon(shards, max_queue=1, retry_after_ms=7)
+        stall = StalledExecute(target(daemon))
         try:
             blocked = client_for(daemon)
             result = {}
             worker = threading.Thread(
                 target=lambda: result.update(
-                    lsi=blocked.put("a", b"1")
+                    lsi=blocked.put(key(daemon, "a"), b"1")
                 )
             )
             worker.start()
@@ -216,19 +311,26 @@ class TestBackpressureAndDeadlines:
             queued_result = {}
             queued_worker = threading.Thread(
                 target=lambda: queued_result.update(
-                    lsi=queued.put("b", b"2")
+                    lsi=queued.put(key(daemon, "b"), b"2")
                 )
             )
             queued_worker.start()
+            backlog = daemon._shards[-1].queue
             deadline = time.monotonic() + 5.0
-            while daemon._queue.empty() and time.monotonic() < deadline:
+            while backlog.empty() and time.monotonic() < deadline:
                 time.sleep(0.005)
-            # ...and the next arrival bounces with the configured hint.
+            # ...and the next arrival bounces with the configured hint,
+            # naming the jammed shard.
             overflow = client_for(daemon)
             with pytest.raises(BackpressureError) as excinfo:
-                overflow.put("c", b"3")
+                overflow.put(key(daemon, "c"), b"3")
             assert excinfo.value.retry_after_ms == 7
             assert excinfo.value.retryable
+            response = overflow._round_trip(
+                {"id": 99, "kind": "get", "obj": key(daemon, "c")}
+            )
+            assert response["error"]["code"] == "BACKPRESSURE"
+            assert response["shard"] == daemon.shards - 1
             stall.release.set()
             worker.join(timeout=10.0)
             queued_worker.join(timeout=10.0)
@@ -239,16 +341,14 @@ class TestBackpressureAndDeadlines:
             stall.release.set()
             daemon.stop(graceful=False)
 
-    def test_deadline_expires_in_queue(self):
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=None, max_queue=4)
-        ).start()
-        stall = _StalledApply(system)
+    def test_deadline_expires_in_queue(self, shards):
+        daemon = start_daemon(shards, max_queue=4)
+        system = target(daemon)
+        stall = StalledExecute(system)
         try:
             blocked = client_for(daemon)
             worker = threading.Thread(
-                target=lambda: blocked.put("a", b"1")
+                target=lambda: blocked.put(key(daemon, "a"), b"1")
             )
             worker.start()
             assert stall.entered.wait(timeout=5.0)
@@ -258,7 +358,7 @@ class TestBackpressureAndDeadlines:
                 target=lambda: doomed_error.append(
                     pytest.raises(
                         DeadlineExceededError,
-                        doomed.put, "b", b"2", deadline_ms=1,
+                        doomed.put, key(daemon, "b"), b"2", deadline_ms=1,
                     )
                 )
             )
@@ -269,7 +369,7 @@ class TestBackpressureAndDeadlines:
             doomed_worker.join(timeout=10.0)
             assert doomed_error  # DEADLINE came back, mapped and raised
             # The expired request never touched the kernel.
-            assert system.cache.vsi_of("b") == 0
+            assert system.cache.vsi_of(key(daemon, "b")) == 0
             blocked.close()
             doomed.close()
         finally:
@@ -280,13 +380,13 @@ class TestBackpressureAndDeadlines:
         # A huge client deadline is clamped server-side; the request
         # still succeeds (the cap is a ceiling, not a rejection).
         client = client_for(served)
-        assert client.put("x", b"v", deadline_ms=10_000_000) > 0
+        assert client.put(key(served, "x"), b"v", deadline_ms=10_000_000) > 0
         client.close()
 
 
 class TestWatchdog:
     def test_mid_serve_crash_restarts_and_serves_again(self, served):
-        system = served.system
+        system = target(served)
         original = system.log.force_through
         fired = []
 
@@ -301,30 +401,28 @@ class TestWatchdog:
             served,
             policy=RetryPolicy(attempts=4, base_delay=0.001),
         )
-        lsi = client.put("x", b"precious")
+        x = key(served, "x")
+        lsi = client.put(x, b"precious")
         # First attempt crashed serving (never acked), the watchdog
         # recovered, the retry succeeded — and the ack is stable.
         assert fired
-        assert served.watchdog.restarts == 1
+        assert served.restarts() == 1
         assert system.health is SystemHealth.HEALTHY
-        assert client.get("x") == (b"precious", lsi)
+        assert client.get(x) == (b"precious", lsi)
         assert system.log.is_stable(lsi)
         client.close()
 
-    def test_restart_budget_exhaustion_fails_the_system(self):
+    def test_restart_budget_exhaustion_fails_the_system(self, shards):
         from repro.kernel.supervisor import SupervisorConfig
         from repro.serve import WatchdogConfig
 
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system,
-            DaemonConfig(
-                port=0, http_port=None,
-                watchdog=WatchdogConfig(
-                    supervisor=SupervisorConfig(), max_restarts=0
-                ),
+        daemon = start_daemon(
+            shards,
+            watchdog=WatchdogConfig(
+                supervisor=SupervisorConfig(), max_restarts=0
             ),
-        ).start()
+        )
+        system = target(daemon)
         try:
             system.log.force_through = lambda lsi: (_ for _ in ()).throw(
                 SimulatedCrash("always")
@@ -333,7 +431,7 @@ class TestWatchdog:
             with pytest.raises(
                 (ServerFailedError, DeadlineExceededError, Exception)
             ):
-                client.put("x", b"v")
+                client.put(key(daemon, "x"), b"v")
             # The crash is answered to the client *before* the watchdog
             # runs, so give the apply thread a moment to mark FAILED.
             deadline = time.monotonic() + 5.0
@@ -344,20 +442,18 @@ class TestWatchdog:
                 time.sleep(0.005)
             assert system.health is SystemHealth.FAILED
             with pytest.raises(ServerFailedError):
-                client.get("x")
+                client.get(key(daemon, "x"))
             client.close()
         finally:
             daemon.stop(graceful=False)
 
 
 class TestShutdown:
-    def test_graceful_stop_forces_and_checkpoints(self):
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=None)
-        ).start()
+    def test_graceful_stop_forces_and_checkpoints(self, shards):
+        daemon = start_daemon(shards)
+        system = target(daemon)
         client = client_for(daemon)
-        lsi = client.put("x", b"v")
+        lsi = client.put(key(daemon, "x"), b"v")
         client.close()
         assert daemon.stop(graceful=True) == 0
         assert system.log.buffered_lsis() == []
@@ -368,20 +464,19 @@ class TestShutdown:
         assert served.stop() == 0
         assert served.stop() == 0
 
-    def test_kill_preserves_acked_writes(self):
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=None)
-        ).start()
+    def test_kill_preserves_acked_writes(self, shards):
+        daemon = start_daemon(shards)
+        system = target(daemon)
         client = client_for(daemon)
-        lsi = client.put("x", b"survives")
+        x = key(daemon, "x")
+        lsi = client.put(x, b"survives")
         client.close()
         daemon.kill()
         # The harness completes the SIGKILL simulation.
         system.crash()
         system.recover()
-        assert system.read("x") == b"survives"
-        assert system.cache.vsi_of("x") >= lsi
+        assert system.read(x) == b"survives"
+        assert system.cache.vsi_of(x) >= lsi
 
     def test_connection_refused_after_stop(self, served):
         served.stop()
@@ -392,11 +487,8 @@ class TestShutdown:
 
 
 class TestHTTPEndpoint:
-    def test_healthz_and_metrics(self):
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=0)
-        ).start()
+    def test_healthz_and_metrics(self, shards):
+        daemon = start_daemon(shards, http_port=0)
         try:
             base = f"http://127.0.0.1:{daemon.http_port}"
             with urllib.request.urlopen(f"{base}/healthz", timeout=5) as r:
@@ -404,6 +496,8 @@ class TestHTTPEndpoint:
                 body = json.loads(r.read().decode())
             assert body["health"] == "healthy"
             assert body["restarts"] == 0
+            assert body["killed"] == []
+            assert len(body["shards"]) == shards
             with urllib.request.urlopen(f"{base}/metrics", timeout=5) as r:
                 assert r.status == 200
                 text = r.read().decode()
@@ -414,17 +508,14 @@ class TestHTTPEndpoint:
         finally:
             daemon.stop(graceful=False)
 
-    def test_liveness_vs_readiness_when_degraded(self):
+    def test_liveness_vs_readiness_when_degraded(self, shards):
         # The split: DEGRADED is *live* (restarting the process would
         # only repeat the escalation ladder) but not *ready* (it should
         # not receive fresh traffic).  Plain /healthz answers 200 with
         # the degraded body; /healthz?ready=1 answers 503.
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=0)
-        ).start()
+        daemon = start_daemon(shards, http_port=0)
         try:
-            system.enter_degraded({"gone"})
+            target(daemon).enter_degraded({"gone"})
             base = f"http://127.0.0.1:{daemon.http_port}/healthz"
             with urllib.request.urlopen(base, timeout=5) as r:
                 assert r.status == 200
@@ -440,11 +531,8 @@ class TestHTTPEndpoint:
         finally:
             daemon.stop(graceful=False)
 
-    def test_readiness_200_when_healthy(self):
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=0)
-        ).start()
+    def test_readiness_200_when_healthy(self, shards):
+        daemon = start_daemon(shards, http_port=0)
         try:
             url = f"http://127.0.0.1:{daemon.http_port}/healthz?ready=1"
             with urllib.request.urlopen(url, timeout=5) as r:
@@ -454,13 +542,10 @@ class TestHTTPEndpoint:
         finally:
             daemon.stop(graceful=False)
 
-    def test_liveness_503_only_when_failed(self):
-        system = RecoverableSystem()
-        daemon = ServeDaemon(
-            system, DaemonConfig(port=0, http_port=0)
-        ).start()
+    def test_liveness_503_only_when_failed(self, shards):
+        daemon = start_daemon(shards, http_port=0)
         try:
-            system.mark_failed()
+            target(daemon).mark_failed()
             url = f"http://127.0.0.1:{daemon.http_port}/healthz"
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(url, timeout=5)
@@ -469,3 +554,35 @@ class TestHTTPEndpoint:
             assert body["health"] == "failed"
         finally:
             daemon.stop(graceful=False)
+
+
+class TestTopologyComesFromTheSystem:
+    def test_config_has_no_shard_count(self):
+        assert "shards" not in DaemonConfig.__dataclass_fields__
+
+    def test_one_shard_group_is_the_single_kernel_server(self):
+        # A ShardedSystem of one and a bare kernel are the same daemon:
+        # the kernel's own registry carries the serve series.
+        daemon = start_daemon(1)
+        try:
+            assert daemon.shards == 1
+            assert daemon.obs is daemon.system.obs
+        finally:
+            daemon.stop(graceful=False)
+        wrapped = ShardedSystem.build(1)
+        daemon = ServeDaemon(wrapped, DaemonConfig(http_port=None)).start()
+        try:
+            assert daemon.system is wrapped.systems[0]
+            assert daemon.obs is wrapped.systems[0].obs
+        finally:
+            daemon.stop(graceful=False)
+
+    def test_replication_refuses_more_than_one_domain(self):
+        from repro.replica import ReplicationConfig
+
+        with pytest.raises(ValueError, match="exactly one"):
+            ServeDaemon(
+                ShardedSystem.build(2),
+                DaemonConfig(http_port=None),
+                replication=ReplicationConfig(),
+            )

@@ -1,45 +1,49 @@
-"""The sharded daemon: routing, per-shard gates, rendezvous, chaos.
+"""The serving daemon over N > 1 shards: what only sharding has.
 
-Every test runs a real 2-shard (or 3-shard) daemon on an ephemeral
-port and talks to it over real sockets.  What these pin down is the
-partial-outage contract: responses carry the shard they came from,
-admission gates per shard, one killed shard answers UNAVAILABLE with
-its index while the others keep acking, and cross-shard applies run
-the fence protocol under the rendezvous.
+The serving contract itself (health gating, backpressure, deadlines,
+watchdog, shutdown, HTTP) is ``test_serve_daemon.py``, which runs
+against one and two shards alike.  Kept here is what exists only with
+more than one recovery domain: routing labels, per-shard health, the
+cross-shard fence under the rendezvous, chaos kill/revive, and the
+merged metrics view.  Every test runs a real 2-shard daemon on an
+ephemeral port and talks to it over real sockets.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.kernel.system import SystemHealth
 from repro.serve import (
     BadRequestError,
     DaemonClient,
+    DaemonConfig,
+    DeadlineExceededError,
     RetryPolicy,
+    ServeDaemon,
     ServerUnavailableError,
 )
-from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
 from repro.shard import ShardedSystem
+from repro.wal.records import FenceRecord
 from repro.workloads import register_workload_functions
+from tests.conftest import StalledExecute
 
 ONE_SHOT = RetryPolicy(attempts=1)
 
 
-def _daemon(shards: int = 2, **config_kw) -> ShardedServeDaemon:
+def _daemon(shards: int = 2, **config_kw) -> ServeDaemon:
     sharded = ShardedSystem.build(shards)
     register_workload_functions(sharded.registry)
     config_kw.setdefault("port", 0)
     config_kw.setdefault("http_port", None)
     config_kw.setdefault("max_queue", 8)
-    return ShardedServeDaemon(
-        sharded, ShardedDaemonConfig(**config_kw)
-    ).start()
+    return ServeDaemon(sharded, DaemonConfig(**config_kw)).start()
 
 
 @pytest.fixture
@@ -75,20 +79,6 @@ def key_on(daemon, shard: int, tag: str = "k") -> str:
         probe += 1
 
 
-class TestNagleIsOff:
-    def test_accepted_sockets_set_tcp_nodelay(self, served):
-        import socket
-
-        client = client_for(served)
-        client.ping()
-        with served._conns_lock:
-            accepted = [conn.sock for conn in served._conns]
-        assert accepted
-        for sock in accepted:
-            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-        client.close()
-
-
 class TestRoutingAndLabels:
     def test_put_and_get_carry_the_owning_shard(self, served):
         with client_for(served) as client:
@@ -111,12 +101,6 @@ class TestRoutingAndLabels:
             system = served.sharded.systems[shard]
             assert system.read(key) == value
             assert system.log.is_stable(lsi_a)
-
-    def test_ping_reports_shard_count(self, served):
-        with client_for(served) as client:
-            response = client.ping()
-        assert response["shards"] == 2
-        assert response["health"] == "healthy"
 
     def test_health_is_per_shard(self, served):
         with client_for(served) as client:
@@ -181,6 +165,136 @@ class TestCrossShard:
         assert served.sharded.read(dst) == protocol.decode_value(expected)
 
 
+class TestCrossShardDeadline:
+    def test_cross_apply_expired_in_queue_answers_deadline(self, served):
+        # Both participants are busy past the cross job's budget.  When
+        # they get to it every participant is already there, so only
+        # the apply gate — not the rendezvous wait — can refuse it.
+        systems = served.sharded.systems
+        stalls = [StalledExecute(system) for system in systems]
+        blockers = [client_for(served) for _ in systems]
+        workers = [
+            threading.Thread(
+                target=lambda c=client, k=key_on(served, shard, "busy"):
+                c.put(k, b"1")
+            )
+            for shard, client in enumerate(blockers)
+        ]
+        try:
+            for worker in workers:
+                worker.start()
+            for stall in stalls:
+                assert stall.entered.wait(timeout=5.0)
+            src, dst = key_on(served, 0, "s"), key_on(served, 1, "d")
+            doomed = client_for(served)
+            outcome = []
+            doomed_worker = threading.Thread(
+                target=lambda: outcome.append(
+                    pytest.raises(
+                        DeadlineExceededError,
+                        doomed.apply, "wl_derive", reads=[src],
+                        writes=[dst], params=[src, dst], deadline_ms=20,
+                    )
+                )
+            )
+            doomed_worker.start()
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline and any(
+                shard.queue.empty() for shard in served._shards
+            ):
+                time.sleep(0.005)
+            time.sleep(0.1)  # let the 20ms budget expire in both queues
+        finally:
+            for stall in stalls:
+                stall.release.set()
+        for worker in (*workers, doomed_worker):
+            worker.join(timeout=10.0)
+        assert outcome  # DEADLINE came back, exactly once, and raised
+        # No kernel was touched: nothing written, and no fence record
+        # appended — neither forced nor still in a log buffer.
+        for system in systems:
+            assert system.cache.vsi_of(dst) == 0
+            assert system.log.buffered_lsis() == []
+            assert not [
+                record for record in system.log.stable_records()
+                if isinstance(record, FenceRecord)
+            ]
+        # The workers moved on: both shards still serve.
+        with client_for(served) as client:
+            assert client.put(src, b"after") > 0
+            assert client.put(dst, b"after") > 0
+        for client in (*blockers, doomed):
+            client.close()
+
+
+class TestEveryRequestIsAnsweredOnce:
+    def test_expiring_cross_applies_under_contention(self, served):
+        # A cross job can be refused from several places — either
+        # participant's apply gate, the coordinator's rendezvous wait —
+        # racing each other.  Whatever wins, the client must read
+        # exactly one frame per request: a second answer would surface
+        # as a mismatched id on the next request of that connection.
+        import socket
+        import sys
+
+        from repro.serve import protocol
+
+        a, b = key_on(served, 0, "a"), key_on(served, 1, "b")
+        with client_for(served) as seed:
+            seed.put(a, b"1")
+        port = served.port
+        mismatches, codes = [], set()
+
+        def hammer(worker: int) -> None:
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.settimeout(10.0)
+                for index in range(60):
+                    request_id = worker * 1000 + index
+                    if index % 3:
+                        request = {
+                            "kind": "apply", "fn": "wl_derive",
+                            "reads": [a], "writes": [b], "params": [a, b],
+                            "deadline_ms": index % 2,
+                        }
+                    else:
+                        request = {
+                            "kind": "put", "obj": (a, b)[worker % 2],
+                            "value": index,
+                        }
+                    protocol.send_frame(sock, {"id": request_id, **request})
+                    response = protocol.recv_frame(sock)
+                    if response is None or response.get("id") != request_id:
+                        mismatches.append((request_id, response))
+                        return
+                    if not response["ok"]:
+                        codes.add(response["error"]["code"])
+                # Nothing may be left unread behind the last answer.
+                sock.settimeout(0.2)
+                try:
+                    extra = sock.recv(1)
+                except socket.timeout:
+                    extra = b""
+                if extra:
+                    mismatches.append(("trailing bytes", extra))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(n,)) for n in range(8)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert not mismatches, mismatches
+        assert codes <= {"DEADLINE", "UNAVAILABLE", "BACKPRESSURE"}, codes
+        assert served.sharded.fence_audit().ok
+
+
 class TestChaos:
     def test_chaos_disabled_by_default(self, served):
         with client_for(served) as client:
@@ -241,10 +355,6 @@ class TestShutdown:
         assert daemon.stop(graceful=True) == 0
         for shard, lsi in enumerate(lsis):
             assert daemon.sharded.systems[shard].log.is_stable(lsi)
-
-    def test_stop_is_idempotent(self, served):
-        assert served.stop(graceful=True) == 0
-        assert served.stop(graceful=True) == 0
 
 
 class TestObservability:

@@ -32,7 +32,7 @@ from repro.obs.tracetree import (
 from repro.obs.tracing import TraceContext
 from repro.serve import BadRequestError, DaemonClient, RetryPolicy
 from repro.serve import protocol
-from repro.serve.sharded import ShardedDaemonConfig, ShardedServeDaemon
+from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.shard import ShardedSystem
 from repro.workloads import register_workload_functions
 
@@ -84,8 +84,8 @@ class TestTraceContext:
     def test_server_tolerates_malformed_trace_from_old_clients(self):
         sharded = ShardedSystem.build(2)
         register_workload_functions(sharded.registry)
-        daemon = ShardedServeDaemon(
-            sharded, ShardedDaemonConfig(port=0, http_port=None)
+        daemon = ServeDaemon(
+            sharded, DaemonConfig(port=0, http_port=None)
         ).start()
         try:
             import socket
@@ -125,8 +125,8 @@ class TestFanOutSpansUnderExceptions:
     def test_cross_shard_failure_closes_span_with_error_outcome(self):
         sharded = ShardedSystem.build(2)
         register_workload_functions(sharded.registry)
-        daemon = ShardedServeDaemon(
-            sharded, ShardedDaemonConfig(port=0, http_port=None)
+        daemon = ServeDaemon(
+            sharded, DaemonConfig(port=0, http_port=None)
         ).start()
         try:
             a, b = _cross_keys(daemon)
@@ -163,8 +163,8 @@ class TestFanOutSpansUnderExceptions:
     def test_cross_shard_success_records_rendezvous_and_apply(self):
         sharded = ShardedSystem.build(2)
         register_workload_functions(sharded.registry)
-        daemon = ShardedServeDaemon(
-            sharded, ShardedDaemonConfig(port=0, http_port=None)
+        daemon = ServeDaemon(
+            sharded, DaemonConfig(port=0, http_port=None)
         ).start()
         try:
             a, b = _cross_keys(daemon)
@@ -516,9 +516,9 @@ class TestTelemetryNameAudit:
         # Scenario 3: sharded daemon with chaos + a cross-shard apply.
         sharded = ShardedSystem.build(2)
         register_workload_functions(sharded.registry)
-        daemon = ShardedServeDaemon(
+        daemon = ServeDaemon(
             sharded,
-            ShardedDaemonConfig(port=0, http_port=None, allow_chaos=True),
+            DaemonConfig(port=0, http_port=None, allow_chaos=True),
         ).start()
         try:
             a, b = _cross_keys(daemon)
