@@ -406,11 +406,7 @@ def _store_and_log(args: argparse.Namespace, index: int):
 
 
 def serve_daemon(args: argparse.Namespace) -> int:
-    system_config = SystemConfig(
-        cache=recommended_cache_config(args.store),
-        group_commit=args.group_commit,
-        group_commit_interval_ms=args.group_commit_interval_ms,
-    )
+    system_config = SystemConfig(cache=recommended_cache_config(args.store))
     if args.shards > 1 and (args.witness_of or args.replicate):
         print(
             "replication serves one recovery domain per daemon; "
@@ -711,12 +707,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission backlog bound (default 64)")
     serve.add_argument("--default-deadline-ms", type=int, default=5000,
                        help="deadline for requests that carry none")
-    serve.add_argument("--group-commit", action="store_true",
-                       help="enable group-commit WAL forcing")
-    serve.add_argument("--group-commit-interval-ms", type=float,
-                       default=None, metavar="MS",
-                       help="also force the WAL on a timer every MS "
-                       "milliseconds (implies --group-commit)")
     serve.add_argument("--shards", type=int, default=1,
                        help="recovery domains; > 1 serves a sharded "
                        "topology with per-shard WALs under "

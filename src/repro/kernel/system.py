@@ -87,11 +87,6 @@ class SystemConfig:
     #: to the whole log buffer so adjacent force requests in an install
     #: batch share one stable-log write (see LogManager.force_through).
     group_commit: bool = False
-    #: Timer-driven group commit: force the log buffer every this many
-    #: milliseconds as well as on piggyback requests, coalescing forces
-    #: *across* install batches.  Implies :attr:`group_commit`.  The
-    #: timer thread starts with the system and stops at :meth:`close`.
-    group_commit_interval_ms: Optional[float] = None
     #: Stable-store backend built when no explicit ``store`` is passed
     #: to the system, resolved through :func:`repro.storage.make_store`
     #: (``"memory"``, ``"file"``, ``"logstore"``).  None keeps the
@@ -146,13 +141,6 @@ class RecoverableSystem:
         self.log = log if log is not None else LogManager(self.stats)
         if self.config.group_commit:
             self.log.group_commit = True
-        if self.config.group_commit_interval_ms is not None:
-            # A timer force always takes the whole buffer, so the widened
-            # group-commit accounting is the accurate one.
-            self.log.group_commit = True
-            self.log.start_group_commit_timer(
-                self.config.group_commit_interval_ms / 1000.0
-            )
         self.cache = CacheManager(
             self.store, self.log, self.registry, self.config.cache, self.stats
         )
@@ -505,13 +493,13 @@ class RecoverableSystem:
         self.health = SystemHealth.FAILED
 
     def close(self) -> None:
-        """Release background resources: the group-commit timer and
-        the file log's append descriptor.
+        """Release what the system holds open: the file log's append
+        descriptor.
 
-        Idempotent; the system remains usable afterwards (forces fall
-        back to the piggyback path and reopen the log file).
-        Long-lived owners — the serving daemon, benchmark harnesses —
-        call this on shutdown so neither outlives its system.
+        Idempotent; the system remains usable afterwards (the next
+        force reopens the log file).  Long-lived owners — the serving
+        daemon, benchmark harnesses — call this on shutdown so the
+        descriptor does not outlive its system.
         """
         self.log.close()
 

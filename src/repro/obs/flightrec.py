@@ -7,10 +7,13 @@ structured events (health transitions, watchdog restarts, epoch
 changes, fault points, shard kills) in a lock-cheap in-memory ring and
 persists them two ways:
 
-- **continuous append** — every event is written and flushed to
-  ``flightrec.jsonl`` as it happens, so even a ``SIGKILL`` leaves a
+- **continuous append** — events are appended and flushed to
+  ``flightrec.jsonl`` as they happen, so even a ``SIGKILL`` leaves a
   parseable file whose last lines are the daemon's final moments (a
-  torn final line is tolerated by :func:`load_flightrec`);
+  torn final line is tolerated by :func:`load_flightrec`).  Only the
+  kernel's per-operation events (:data:`BATCHED_KINDS`) wait, in the
+  ring, for the next :meth:`FlightRecorder.flush` — the daemon's
+  committer calls it once per commit batch, before the acks leave;
 - **atomic dump** — on FAILED, SIGTERM drain, or on demand via the
   ``/debug/flightrec`` endpoint, the ring is rewritten to the same
   path via ``os.replace`` so the file is exactly the ring, bounded
@@ -33,9 +36,16 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 __all__ = [
+    "BATCHED_KINDS",
     "FlightRecorder",
     "load_flightrec",
 ]
+
+#: Per-operation kernel events: on file at the next ``flush()`` (or
+#: other event, ``dump()``, ``close()``), at the latest once
+#: ``_BATCH_MAX`` lines wait (a bare kernel's recorder has no flusher).
+BATCHED_KINDS = frozenset({"execute", "install", "evict", "identity-write"})
+_BATCH_MAX = 256
 
 #: Rewrite the live file once the append-only tail grows past this many
 #: lines beyond the ring capacity, so the on-disk file stays bounded
@@ -52,6 +62,8 @@ class FlightRecorder:
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._handle = None
+        #: Events in the ring whose lines are not yet on file.
+        self._unwritten: List[Dict[str, Any]] = []
         self._appended = 0
         self._closed = False
         if path is not None:
@@ -108,11 +120,21 @@ class FlightRecorder:
             self._ring.append(event)
             if self._handle is None or self._closed:
                 return
+            self._unwritten.append(event)
+            if kind in BATCHED_KINDS and len(self._unwritten) < _BATCH_MAX:
+                return
+        self.flush()
+
+    def flush(self) -> None:
+        """Write the waiting lines, in ring order, with one ``write``."""
+        with self._lock:
+            events, self._unwritten = self._unwritten, []
+            if not events or self._handle is None or self._closed:
+                return
             try:
-                json.dump(event, self._handle, sort_keys=True)
-                self._handle.write("\n")
+                self._handle.write(_lines(events))
                 self._handle.flush()
-                self._appended += 1
+                self._appended += len(events)
             except (OSError, ValueError):
                 return
         if self._appended > self.capacity * _COMPACT_SLACK:
@@ -140,12 +162,11 @@ class FlightRecorder:
                 return None
             events = list(self._ring)
             self._ring.append(trailer)
+            self._unwritten.clear()  # the ring holds them all
             tmp = self.path + ".tmp"
             try:
                 with open(tmp, "w", encoding="utf-8") as handle:
-                    for event in events + [trailer]:
-                        json.dump(event, handle, sort_keys=True)
-                        handle.write("\n")
+                    handle.write(_lines(events + [trailer]))
                     handle.flush()
                     os.fsync(handle.fileno())
                 if self._handle is not None:
@@ -168,6 +189,12 @@ class FlightRecorder:
                 except OSError:
                     pass
                 self._handle = None
+
+
+def _lines(events: List[Dict[str, Any]]) -> str:
+    return "".join(
+        json.dumps(event, sort_keys=True) + "\n" for event in events
+    )
 
 
 def load_flightrec(path: str) -> List[Dict[str, Any]]:

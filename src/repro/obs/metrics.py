@@ -23,6 +23,7 @@ check when no registry is attached.
 
 from __future__ import annotations
 
+import threading
 import time
 from bisect import bisect_left
 from collections import deque
@@ -225,9 +226,15 @@ class MetricsRegistry:
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.spans: Deque[Dict[str, Any]] = deque(maxlen=max_span_events)
-        self._span_stack: List[Span] = []
+        self._span_local = threading.local()
         self._sinks: List[Any] = []
         self._collectors: List[Tuple[str, Callable[[], Mapping[str, Any]]]] = []
+
+    @property
+    def _span_stack(self) -> List[Span]:
+        """The calling thread's open spans: nesting is per thread (the
+        apply thread and the committer both open spans on one registry)."""
+        return self._span_local.__dict__.setdefault("stack", [])
 
     # -- primitives ---------------------------------------------------
 

@@ -55,8 +55,10 @@ class FaultyFileLog(FileLogManager):
         raise FaultCrash(f"machine lost mid-force ({spec.describe()})")
 
     def crash(self) -> None:
-        super().crash()
-        # A machine restart reopens the file and repairs the torn tail;
-        # the in-process equivalent is cutting the file back to the end
-        # of the good frames the in-memory stable log kept.
-        self._repair_tail()
+        with self._force_mutex:
+            super().crash()
+            # A machine restart reopens the file and repairs the torn
+            # tail; the in-process equivalent is cutting the file back
+            # to the end of the good frames the in-memory stable log
+            # kept.
+            self._repair_tail()

@@ -166,7 +166,9 @@ class FileLogManager(LogManager):
     def _write_stable(self, pending: List[LogRecord]) -> None:
         # File first, memory second: a transient failure before any
         # bytes land leaves both sides untouched, so the base class's
-        # bounded retry can safely re-drive the whole append.
+        # bounded retry can safely re-drive the whole append.  The
+        # write + fsync run under the force mutex only; ``_lock`` is
+        # taken for the publish, so appends land during the fsync.
         # Adopted (shipped) records bypass append and are framed here.
         frames = [
             self._frames.get(record.lsi) or self._frame(record)
@@ -188,26 +190,26 @@ class FileLogManager(LogManager):
                 except OSError:
                     pass
                 raise
-        for record, frame in zip(pending, frames):
-            self._offsets.append(self._end)
-            self._end += len(frame)
-            self._frames.pop(record.lsi, None)
-        super()._write_stable(pending)
+        with self._lock:
+            for record, frame in zip(pending, frames):
+                self._offsets.append(self._end)
+                self._end += len(frame)
+                self._frames.pop(record.lsi, None)
+            super()._write_stable(pending)
 
     def close(self) -> None:
-        """Release the append descriptor as well as the timer.
+        """Release the append descriptor.
 
         The log stays usable: the next force reopens the file.
         """
-        super().close()
-        with self._lock:
+        with self._force_mutex:
             self._close_fd()
 
     # ------------------------------------------------------------------
     # truncation
     # ------------------------------------------------------------------
     def truncate_before(self, lsi: StateId, redo_start: StateId) -> int:
-        with self._lock:
+        with self._force_mutex, self._lock:
             dropped = super().truncate_before(lsi, redo_start)
             if dropped:
                 del self._offsets[:dropped]
@@ -228,6 +230,6 @@ class FileLogManager(LogManager):
         self._tail_suspect = False  # only [base, _end) was carried over
 
     def crash(self) -> None:
-        with self._lock:
+        with self._force_mutex, self._lock:
             super().crash()
             self._frames.clear()

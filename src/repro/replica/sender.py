@@ -8,14 +8,15 @@ primary half of the protocol in :mod:`repro.replica.wire`:
 * a witness's ``repl_subscribe`` registers its connection (and durable
   watermark) here; the reply carries the primary's epoch and stable
   end, and a catch-up batch follows immediately;
-* after every client write's WAL force, the apply loop calls
-  :meth:`replicate`, which ships the new stable records and **blocks
-  until the witness's durable watermark covers the operation's lSI**
-  (or the request deadline runs out).  Replication is
-  semi-synchronous: with no witness attached, or a witness too slow,
-  the write is answered ``UNAVAILABLE`` and *not* acknowledged —
-  consistency over availability, so the acked-write oracle holds
-  across failover;
+* after every commit batch's WAL force, the shard's committer calls
+  :meth:`replicate` once, which ships the new stable records and
+  **blocks until the witness's durable watermark covers the batch's
+  highest lSI** (or the deadline runs out); the daemon releases a
+  reply only when :attr:`watermark` covers the lSI it waits for.
+  Replication is semi-synchronous: with no witness attached, or a
+  witness too slow, the batch is answered ``UNAVAILABLE`` and *not*
+  acknowledged — consistency over availability, so the acked-write
+  oracle holds across failover;
 * the shipped-but-unacked window is pinned against checkpoint
   truncation with a log protection
   (:meth:`~repro.wal.log_manager.LogManager.add_protection`), advanced
@@ -241,7 +242,7 @@ class ReplicationSender:
         obs.emit("epoch.fenced", old=self.epoch, new=peer_epoch)
 
     # ------------------------------------------------------------------
-    # shipping (apply thread)
+    # shipping (the shard's committer thread)
     # ------------------------------------------------------------------
     def replicate(
         self,
@@ -251,14 +252,14 @@ class ReplicationSender:
     ) -> None:
         """Block until the witness durably holds ``lsi``; raise otherwise.
 
-        Called by the apply loop after the local WAL force, before the
-        client ack.  Raises :class:`FencedError` if this primary has
+        Called by the committer after the local WAL force, before the
+        batch's acks.  Raises :class:`FencedError` if this primary has
         been fenced, :class:`ServerUnavailableError` (retryable) when
         no witness is attached or the receipt does not arrive in time.
 
-        ``trace`` is the acking request's trace context: the batch that
-        ships this lSI carries it on the wire, so the witness's adopt
-        and durable-ack spans join the request's tree.
+        ``trace`` is the trace context of one request the wait serves:
+        the batch that ships this lSI carries it on the wire, so the
+        witness's adopt and durable-ack spans join that request's tree.
         """
         timeout_at = time.monotonic() + self.config.ack_timeout_s
         if deadline is not None:

@@ -24,15 +24,21 @@ long-running process:
   back off that shard only;
 * **one apply thread per shard** — the kernel is not thread-safe, so
   shard k's kernel is touched only by shard k's worker; reader threads
-  only frame, validate, gate and enqueue.  N single-shard operations
-  proceed genuinely in parallel (N WAL forces overlap; the force
-  latency, not the GIL, is the serial resource);
-* **the ack pipeline** — ``ack.queue_ms → ack.apply_ms → ack.force_ms
-  → [ack.repl_wait_ms]``.  Every acknowledgment is sent *after* the
-  operation's log record is forced stable (and, on a replicated shard,
-  after the witness's durable receipt), so an acked write is durable
-  by construction — the exactly-once visibility invariant the
-  live-fire torture lanes assert;
+  only frame, validate, gate and enqueue.  The worker executes, appends
+  and *parks* the reply: a write touches no device or socket on it;
+* **one committer per shard** — the second stage of the ack pipeline
+  (``ack.queue_ms → ack.apply_ms → ack.force_ms →
+  [ack.repl_wait_ms]``, DESIGN.md §4b) loops *one ``log.force()`` of
+  the buffered prefix → with a sender attached, one witness wait →
+  send every parked reply the stable end (and witness watermark) now
+  covers*: a write waits for its lSI, a ``get`` for the vSI it read
+  (answered inline when already covered).  No timer, no batch size: a
+  lone request is forced at once, its company is whatever was parked
+  during the previous force, and an acked write is durable by
+  construction — the exactly-once visibility invariant the live-fire
+  torture lanes assert.  A failed force or witness wait answers the
+  parked batch from :meth:`ServeDaemon._refusal`, acks none, and (a
+  storage failure) hands the shard to its watchdog once;
 * **deadlines and backpressure** — every request carries a deadline
   budget (``deadline_ms``, defaulted and capped by config); a request
   that expires while queued — a cross-shard one included — is answered
@@ -42,9 +48,9 @@ long-running process:
 * **mid-serve crash watchdog, per shard** — a storage failure
   surfacing inside an apply discards that shard's volatile state and
   re-runs its supervisor ladder while admission keeps queueing and the
-  other shards serve on; the in-flight request gets a retryable
-  ``UNAVAILABLE`` answer (its durability is decided by the WAL, and
-  the daemon only ever acks after a force);
+  other shards serve on; the in-flight request and every parked reply
+  get a retryable ``UNAVAILABLE`` answer (their durability is decided
+  by the WAL, and the daemon only ever acks after a force);
 * **cross-shard operations** — an ``apply`` whose footprint spans
   shards is executed under a rendezvous: the operation is enqueued to
   every participant, the lowest-numbered participant coordinates, the
@@ -52,10 +58,11 @@ long-running process:
   the coordinator borrows), and the
   :meth:`~repro.shard.ShardedSystem.execute_cross` fence protocol
   runs — local physical ops, fence records on every participant, all
-  participant WALs forced, then the ack.  Rendezvous tokens are
-  enqueued under one daemon-wide lock so their relative order is the
-  same in every participant queue — two cross-shard operations can
-  never deadlock waiting for each other's participants;
+  participant WALs forced inline (not pipelined), then the ack.
+  Rendezvous tokens are enqueued under one daemon-wide lock so their
+  relative order is the same in every participant queue — two
+  cross-shard operations can never deadlock waiting for each other's
+  participants;
 * **chaos endpoints** — with ``allow_chaos`` the protocol kinds
   ``kill_shard`` / ``revive_shard`` let harnesses and the CI smoke job
   kill one shard worker in place (its volatile state is lost, exactly
@@ -84,10 +91,12 @@ import queue
 import socket
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
+    Deque,
     Dict,
     List,
     Optional,
@@ -100,6 +109,7 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.replica.sender import ReplicationConfig, ReplicationSender
 
+from repro.common.identifiers import NULL_SI, StateId
 from repro.common.errors import (
     CorruptObjectError,
     DegradedModeError,
@@ -254,7 +264,7 @@ class _CrossJob:
         return first
 
 
-@dataclass
+@dataclass(eq=False)  # identity: one item is parked, taken, answered once
 class _Work:
     """One admitted request waiting in a shard's queue."""
 
@@ -267,6 +277,13 @@ class _Work:
     #: Rendezvous state when the footprint spans shards: the same work
     #: item then sits in every participant's queue.
     cross: Optional[_CrossJob] = None
+    #: Set by the apply: the lSI the stable end must cover before
+    #: ``response`` leaves (a write's own, a get's observed vSI), and
+    #: when the apply started / parked it (monotonic).
+    lsi: StateId = NULL_SI
+    started: float = 0.0
+    parked: float = 0.0
+    response: Optional[Dict[str, Any]] = None
 
 
 class _Shard:
@@ -291,12 +308,24 @@ class _Shard:
             maxsize=max(1, max_queue)
         )
         self.thread: Optional[threading.Thread] = None
+        #: Replies parked behind the committer, in apply order, guarded
+        #: by ``commit`` (which the apply thread signals on each park).
+        self.parked: Deque[_Work] = deque()
+        self.commit = threading.Condition()
+        self.committer: Optional[threading.Thread] = None
+        #: A force failure the committer hit, until the apply thread —
+        #: the only one on the kernel — has run the watchdog for it.
+        self.crash: Optional[BaseException] = None
         self.stop = threading.Event()
         self.idle = threading.Event()
         self.idle.set()
-        #: True between kill_shard and revive_shard: the worker is dead
-        #: and the shard's volatile state is gone.
+        #: True between kill_shard and revive_shard: the workers are
+        #: dead and the shard's volatile state is gone.
         self.killed = False
+
+    def depth(self) -> int:
+        """Admitted work not yet answered: queued plus parked."""
+        return self.queue.qsize() + len(self.parked)
 
 
 #: Storage failures that surface inside an apply: the shard's volatile
@@ -376,6 +405,11 @@ class ServeDaemon:
             self.obs = MetricsRegistry()
             for index, kernel in enumerate(systems):
                 kernel.obs.subscribe(_ShardEventSink(self.flightrec, index))
+                # The kernels' ledgers (log_forces, ...) ride the
+                # daemon's own snapshot and ``--metrics-out`` too.
+                self.obs.add_collector(
+                    f"shard{index}.io", kernel.stats.snapshot
+                )
                 self._kernel_registries.append(
                     (f"shard{index}.", kernel.obs)
                 )
@@ -513,18 +547,27 @@ class ServeDaemon:
 
     def _start_worker(self, shard: _Shard) -> None:
         shard.stop = threading.Event()
+        shard.crash = None
         shard.thread = threading.Thread(
             target=self._shard_loop,
             args=(shard,),
             name=f"repro-serve-apply-{shard.index}",
             daemon=True,
         )
+        shard.committer = threading.Thread(
+            target=self._commit_loop,
+            args=(shard,),
+            name=f"repro-serve-commit-{shard.index}",
+            daemon=True,
+        )
         shard.thread.start()
+        shard.committer.start()
 
     def stop(self, graceful: bool = True) -> int:
         """Shut down; the SIGTERM path when ``graceful``.
 
-        Graceful order: stop admitting → drain the backlogs (bounded by
+        Graceful order: stop admitting → drain the backlogs, parked
+        replies included (bounded by
         ``drain_deadline_s``; stragglers get SHUTTING_DOWN) → force
         every WAL → checkpoint (HEALTHY shards only) → close.  Returns
         the process exit status (0 on a clean drain).
@@ -536,7 +579,7 @@ class ServeDaemon:
             deadline = time.monotonic() + self.config.drain_deadline_s
             while time.monotonic() < deadline:
                 if all(
-                    shard.queue.empty() and shard.idle.is_set()
+                    shard.idle.is_set() and shard.depth() == 0
                     for shard in self._shards
                     if not shard.killed
                 ):
@@ -588,9 +631,10 @@ class ServeDaemon:
         """Abrupt stop (the SIGKILL model for in-process harnesses).
 
         No drain, no force, no checkpoint: connections die mid-frame
-        and whatever sat in the volatile log buffers is lost.  The
-        harness completes the simulation by calling ``crash()`` on the
-        system(s) before handing the storage to a restarted daemon.
+        (parked replies unsent) and whatever sat in the volatile log
+        buffers is lost.  The harness completes the simulation by
+        calling ``crash()`` on the system(s) before handing the storage
+        to a restarted daemon.
         """
         if not self._started:
             return
@@ -605,6 +649,7 @@ class ServeDaemon:
         for shard in self._shards:
             shard.stop.set()
         threads = [shard.thread for shard in self._shards]
+        threads += [shard.committer for shard in self._shards]
         for thread in (*threads, self._accept_thread):
             if thread is not None:
                 thread.join(timeout=5.0)
@@ -632,12 +677,17 @@ class ServeDaemon:
     def _flush_queue(
         self, shard: _Shard, code: Optional[str], message: Optional[str]
     ) -> None:
-        """Answer (or drop, when ``code`` is None) any leftover work."""
+        """Answer (or drop, when ``code`` is None) any leftover work,
+        parked replies first — never with an ack."""
+        with shard.commit:
+            leftovers = list(shard.parked)
+            shard.parked.clear()
         while True:
             try:
-                work = shard.queue.get_nowait()
+                leftovers.append(shard.queue.get_nowait())
             except queue.Empty:
-                return
+                break
+        for work in leftovers:
             if work.cross is not None and not work.cross.cancel():
                 continue  # another participant's flush already answered
             if code is not None:
@@ -657,9 +707,10 @@ class ServeDaemon:
     def kill_shard(self, index: int) -> None:
         """Kill shard ``index``'s worker in place (SIGKILL model).
 
-        The worker thread is stopped and joined, the shard's volatile
-        state (cache + unforced WAL buffer) is discarded, and its
-        queued requests are answered ``UNAVAILABLE``.  Every other
+        Both worker threads are stopped and joined (nothing is released
+        after the stop flag), the shard's volatile state (cache +
+        unforced WAL buffer) is discarded, and its queued and parked
+        requests are answered ``UNAVAILABLE``.  Every other
         shard keeps serving; cross-shard requests naming the victim
         time out at the rendezvous and answer ``UNAVAILABLE`` too.
         """
@@ -669,8 +720,9 @@ class ServeDaemon:
                 return
             shard.killed = True
             shard.stop.set()
-            if shard.thread is not None:
-                shard.thread.join(timeout=10.0)
+            for thread in (shard.thread, shard.committer):
+                if thread is not None:
+                    thread.join(timeout=10.0)
             if not shard.system._crashed:
                 shard.system.crash()
             self.obs.count(f"serve.shard.{index}.kills")
@@ -747,8 +799,10 @@ class ServeDaemon:
                 daemon=True,
             )
             with self._conns_lock:
+                # Started under the lock: whoever finds the thread in
+                # the table (a kill joining the readers) may join it.
                 self._conns[conn] = thread
-            thread.start()
+                thread.start()
 
     def _reader_loop(self, conn: _Connection) -> None:
         try:
@@ -906,6 +960,8 @@ class ServeDaemon:
         """Queue ``work`` on every involved shard; the full one, if any."""
         for shard in involved:
             try:
+                if shard.depth() >= shard.queue.maxsize:
+                    raise queue.Full  # parked replies count too
                 shard.queue.put_nowait(work)
             except queue.Full:
                 if work.cross is not None:
@@ -916,12 +972,12 @@ class ServeDaemon:
 
     def _note_depth(self, shard: _Shard) -> None:
         self.obs.gauge(
-            f"serve.shard.{shard.index}.queue_depth", shard.queue.qsize()
+            f"serve.shard.{shard.index}.queue_depth", shard.depth()
         )
         self.obs.gauge("serve.queue_depth", self._queue_depth())
 
     def _queue_depth(self) -> int:
-        return sum(shard.queue.qsize() for shard in self._shards)
+        return sum(shard.depth() for shard in self._shards)
 
     def _route(self, request: Dict[str, Any], kind: str) -> Tuple[int, ...]:
         """The shards a request must visit, in rendezvous order.
@@ -977,7 +1033,7 @@ class ServeDaemon:
                     str(shard.index): {
                         "health": shard.system.health.value,
                         "killed": shard.killed,
-                        "queue_depth": shard.queue.qsize(),
+                        "queue_depth": shard.depth(),
                         "restarts": shard.watchdog.restarts,
                         "lost_objects": sorted(
                             map(str, shard.system.lost_objects)
@@ -1081,6 +1137,13 @@ class ServeDaemon:
             try:
                 work = shard.queue.get(timeout=0.05)
             except queue.Empty:
+                work = None
+            if shard.crash is not None:
+                self._crashed(shard, shard.crash)
+                with shard.commit:
+                    shard.crash = None
+                    shard.commit.notify()
+            if work is None:
                 if shard.stop.is_set():
                     return
                 continue
@@ -1152,34 +1215,55 @@ class ServeDaemon:
         """Run one admitted request's kernel work and answer it.
 
         Shared by the single-shard apply and the cross-shard
-        coordinator.  ``ok: true`` only ever comes out of ``run``
-        returning, i.e. after the force; anything it raises is answered
-        from the one table in :meth:`_refusal`, and a storage crash is
-        then handed to the watchdog of every involved shard.
+        coordinator.  ``ok: true`` only leaves once the stable end
+        covers ``work.lsi``: a single-shard write is parked for the
+        committer, a ``get`` only when it read an unforced version, and
+        a cross-shard apply forced its fences inside ``run``.  Anything
+        ``run`` raises is answered from the one table in
+        :meth:`_refusal`, and a storage crash is then handed to the
+        watchdog of every involved shard.
         """
-        started = time.monotonic()
-        crashed = None
+        work.started = time.monotonic()
         try:
             response = run()
         except Exception as exc:  # noqa: BLE001 - the loop must survive
-            response = self._refusal(work, involved, exc)
+            # Answer first: a crashed request's client should retry,
+            # not wait out the whole recovery.
+            work.conn.send(self._refusal(work, involved, exc))
+            self._observe_request(work)
             if isinstance(exc, _SERVING_CRASHES):
-                crashed = exc
-        # Answer first: a crashed request's client should retry, not
-        # wait out the whole recovery.
-        work.conn.send(response)
-        self.obs.observe("serve.request_seconds", time.monotonic() - started)
-        if crashed is None:
+                if len(involved) > 1:
+                    self.obs.count("serve.cross_shard_crashes")
+                for shard in involved:
+                    if not shard.killed:
+                        self._crashed(shard, exc, trace=work.trace)
             return
-        if len(involved) > 1:
-            self.obs.count("serve.cross_shard_crashes")
-        for shard in involved:
-            if shard.killed:
-                continue
-            # Each participant recovers independently: acked state is
-            # forced, so supervised recovery loses none of it.
-            self.obs.count(f"serve.shard.{shard.index}.crashes")
-            shard.watchdog.handle_serving_crash(crashed, trace=work.trace)
+        shard = involved[0]
+        if len(involved) == 1 and (
+            work.request["kind"] in WRITE_KINDS
+            or not self._covered(shard, work.lsi)
+        ):
+            work.response = response
+            work.parked = time.monotonic()
+            with shard.commit:
+                shard.parked.append(work)
+                shard.commit.notify()
+            return
+        work.conn.send(response)
+        self._observe_request(work)
+
+    def _observe_request(self, work: _Work) -> None:
+        self.obs.observe(
+            "serve.request_seconds", time.monotonic() - work.started
+        )
+
+    def _crashed(self, shard: _Shard, exc: BaseException, trace=None) -> None:
+        """Refuse what is parked, then recover — in that order: a reply
+        whose record dies with the log buffer must never meet a later,
+        higher stable end.  Runs on the kernel's own (apply) thread."""
+        self._refuse_parked(shard, exc)
+        self.obs.count(f"serve.shard.{shard.index}.crashes")
+        shard.watchdog.handle_serving_crash(exc, trace=trace)
 
     def _refusal(
         self, work: _Work, involved: Tuple[_Shard, ...], exc: Exception
@@ -1239,11 +1323,13 @@ class ServeDaemon:
         if kind == "get":
             obj = request["obj"]
             value = system.read(obj)
+            # Held in ``_answer`` while this version's record is unforced.
+            work.lsi = system.cache.vsi_of(obj)
             return protocol.ok_response(
                 request_id,
                 system.health.value,
                 value=protocol.encode_value(value),
-                vsi=system.cache.vsi_of(obj),
+                vsi=work.lsi,
                 shard=shard.index,
             )
         if kind == "put":
@@ -1256,13 +1342,13 @@ class ServeDaemon:
                 writes=frozenset({obj}),
                 payload={obj: value},
             )
-            return self._execute_durably(shard, op, work)
+            return self._execute_write(shard, op, work)
         if kind == "delete":
-            return self._execute_durably(
+            return self._execute_write(
                 shard, delete_object(request["obj"]), work
             )
         if kind == "apply":
-            return self._execute_durably(
+            return self._execute_write(
                 shard, self._apply_operation(request), work,
                 include_writes=True,
             )
@@ -1290,51 +1376,32 @@ class ServeDaemon:
             params=tuple(params),
         )
 
-    def _execute_durably(
+    def _execute_write(
         self,
         shard: _Shard,
         op: Operation,
         work: _Work,
         include_writes: bool = False,
     ) -> Dict[str, Any]:
-        """Execute, then force the WAL through the op before acking.
+        """Execute and append; the ack it returns is parked, not sent.
 
-        The force is the acknowledgment contract: a response with
-        ``ok: true`` means the operation's record is on the stable log,
-        so no crash — SIGKILL included — can take it back.  On a shard
-        with replication attached the contract widens: the ack
-        additionally waits for the witness's durable receipt of the
-        record (semi-synchronous shipping), so the acked write survives
-        the loss of either machine; if the receipt cannot be confirmed
-        the client gets a retryable ``UNAVAILABLE`` and no ack.
+        ``ok: true`` means the operation's record is on the stable log
+        (and, replicated, durably on the witness), so no crash can take
+        it back.  Honoring that is the committer's half: this thread
+        only names the lSI the reply waits for.
         """
         system = shard.system
-        obs = self.obs
-        trace = work.trace
         sender = shard.replication
         if sender is not None and sender.fenced:
             raise FencedError(
                 f"primary epoch {sender.epoch} is fenced; a "
                 "promoted witness is serving"
             )
-        # The ack pipeline, one ``ack.*_ms`` stage span per phase.  Each
-        # stage is a direct child of the client's root span; the
-        # replication wait additionally hands its context to the sender
-        # so the shipped batch (and the witness's spans) nest under it.
-        with obs.span("ack.apply_ms", shard=shard.index, **_span_tags(trace)):
+        with self.obs.span(
+            "ack.apply_ms", shard=shard.index, **_span_tags(work.trace)
+        ):
             writes = system.execute(op)
-        with obs.span("ack.force_ms", shard=shard.index, **_span_tags(trace)):
-            system.log.force_through(op.lsi)
-        if sender is not None:
-            wait_ctx = trace.child() if trace is not None else None
-            with obs.span(
-                "ack.repl_wait_ms",
-                shard=shard.index,
-                **(wait_ctx.tags() if wait_ctx is not None else {}),
-            ):
-                sender.replicate(op.lsi, work.deadline, trace=wait_ctx)
-        obs.count("serve.acked_writes")
-        obs.count(f"serve.shard.{shard.index}.acked_writes")
+        work.lsi = op.lsi
         fields: Dict[str, Any] = {"lsi": op.lsi, "shard": shard.index}
         epoch = self.current_epoch()
         if epoch is not None:
@@ -1347,6 +1414,128 @@ class ServeDaemon:
         return protocol.ok_response(
             work.request.get("id"), system.health.value, **fields
         )
+
+    # ------------------------------------------------------------------
+    # commit side: one committer per shard (DESIGN.md §4b)
+    # ------------------------------------------------------------------
+    def _covered(self, shard: _Shard, lsi: StateId) -> bool:
+        """The release rule: the record is stable — replicated, durably
+        on the witness (only forced records ship, so that implies it)."""
+        sender = shard.replication
+        if sender is not None:
+            return sender.watermark >= lsi
+        return shard.system.log.is_stable(lsi)
+
+    def _unpark(
+        self, shard: _Shard, want: Callable[[_Work], bool]
+    ) -> List[_Work]:
+        """Remove and return the parked replies ``want`` admits.  Whoever
+        removes a reply answers it, so each is answered exactly once."""
+        with shard.commit:
+            taken: List[_Work] = []
+            kept: Deque[_Work] = deque()
+            for work in shard.parked:
+                (taken if want(work) else kept).append(work)
+            shard.parked = kept
+        return taken
+
+    def _refuse_parked(
+        self, shard: _Shard, exc: BaseException, only: Any = None
+    ) -> None:
+        """The failure rule: every parked reply (or those of ``only``
+        still parked) is answered from the refusal table, never acked."""
+        for work in self._unpark(
+            shard, lambda work: only is None or work in only
+        ):
+            work.conn.send(self._refusal(work, (shard,), exc))
+            self._observe_request(work)
+        self._note_depth(shard)
+
+    def _commit_loop(self, shard: _Shard) -> None:
+        """Commit whenever something is parked: a lone request is
+        forced at once, and a batch is whatever the apply thread parked
+        during the previous force."""
+        while True:
+            with shard.commit:
+                while not shard.stop.is_set() and (
+                    not shard.parked or shard.crash is not None
+                ):
+                    shard.commit.wait(0.05)
+                if shard.stop.is_set():
+                    return  # whoever set it owns what is still parked
+            try:
+                shard.system.log.force()  # the whole buffer, one write
+            except Exception as exc:  # noqa: BLE001 - any device verdict
+                # The volatile state is suspect: refuse everything, and
+                # the apply thread (the kernel's owner) recovers.
+                if not isinstance(exc, _SERVING_CRASHES):
+                    exc = TransientStorageError(f"WAL force failed: {exc!r}")
+                self._refuse_parked(shard, exc)
+                shard.crash = exc
+                continue
+            try:
+                self.flightrec.flush()  # events on file before their acks
+                self._release(shard, time.monotonic())
+            except Exception as exc:  # noqa: BLE001 - the loop must survive
+                self._refuse_parked(shard, exc)
+
+    def _release(self, shard: _Shard, forced: float) -> None:
+        """After a force: wait for the witness when replicated, then
+        send every parked reply the release rule now admits."""
+        obs = self.obs
+        sender = shard.replication
+        witnessed = forced
+        lead = wait_ctx = None
+        if sender is not None:
+            log = shard.system.log
+            with shard.commit:
+                batch = [w for w in shard.parked if log.is_stable(w.lsi)]
+            if not batch:
+                return  # a crash on the apply side refused them first
+            # The first traced request lends the shipped batch its trace
+            # context: the witness's spans nest under that wait.
+            lead = next((w for w in batch if w.trace is not None), None)
+            wait_ctx = lead.trace.child() if lead is not None else None
+            try:
+                sender.replicate(
+                    max(work.lsi for work in batch),
+                    min(work.deadline for work in batch),
+                    trace=wait_ctx,
+                )
+            except Exception as exc:  # noqa: BLE001 - fenced, detached, late
+                # Each request is refused at its own deadline; when none
+                # has passed, the wait itself failed the whole batch.
+                now = time.monotonic()
+                late = [work for work in batch if work.deadline <= now]
+                self._refuse_parked(shard, exc, late or batch)
+                return
+            witnessed = time.monotonic()
+        if shard.stop.is_set():
+            return  # killed mid-batch: no ack leaves after the kill
+        wall = time.time() - time.monotonic()  # span start stamps
+
+        def stage(name: str, start: float, end: float, tags: Dict) -> None:
+            obs.record_span(
+                name, max(0.0, end - start), ts=wall + start,
+                shard=shard.index, **tags,
+            )
+
+        for work in self._unpark(
+            shard, lambda work: self._covered(shard, work.lsi)
+        ):
+            tags = _span_tags(work.trace)
+            stage("ack.force_ms", work.parked, forced, tags)
+            if sender is not None:
+                stage(
+                    "ack.repl_wait_ms", max(forced, work.parked), witnessed,
+                    wait_ctx.tags() if work is lead else tags,
+                )
+            if work.request["kind"] in WRITE_KINDS:
+                obs.count("serve.acked_writes")
+                obs.count(f"serve.shard.{shard.index}.acked_writes")
+            work.conn.send(work.response)
+            self._observe_request(work)
+        self._note_depth(shard)
 
     # ------------------------------------------------------------------
     # cross-shard rendezvous

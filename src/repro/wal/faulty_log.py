@@ -87,13 +87,16 @@ class FaultyLog(LogManager):
         return super().stable_records(from_lsi)
 
     def truncate_before(self, lsi, redo_start) -> int:
-        dropped = super().truncate_before(lsi, redo_start)
-        # Truncation rewrites the stable log in place; model the rewrite
-        # as durable (the interesting lie is on the force path).
-        self._durable_len = len(self._stable)
-        return dropped
+        with self._force_mutex:
+            dropped = super().truncate_before(lsi, redo_start)
+            # Truncation rewrites the stable log in place; model the
+            # rewrite as durable (the interesting lie is on the force
+            # path).
+            self._durable_len = len(self._stable)
+            return dropped
 
     def crash(self) -> None:
         """Lose the buffer *and* any lied-about stable suffix."""
-        del self._stable[self._durable_len :]
-        super().crash()
+        with self._force_mutex:
+            del self._stable[self._durable_len :]
+            super().crash()

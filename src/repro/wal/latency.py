@@ -47,6 +47,6 @@ class LatencyLog(LogManager):
         if self.force_latency_s > 0:
             # time.sleep releases the GIL, like a real fsync: forces on
             # *different* LatencyLogs overlap, forces on the same log
-            # serialize under the log lock.
+            # serialize on its force mutex while appends keep landing.
             time.sleep(self.force_latency_s)
         super()._write_stable(pending)

@@ -34,6 +34,19 @@ from repro.wal.records import (
 )
 
 
+def _first_index(records: List[LogRecord], lsi: StateId) -> int:
+    """Index of the first record with lSI >= ``lsi`` in an lSI-ascending
+    (possibly gapped) list; ``len(records)`` when there is none."""
+    lo, hi = 0, len(records)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if records[mid].lsi < lsi:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 class LogManager:
     """Append-ordered log with a volatile buffer and a stable tail."""
 
@@ -67,77 +80,19 @@ class LogManager:
         #: append timestamps by lSI, kept only while a registry is
         #: attached, to measure the append→stable coalescing latency.
         self._append_times: Dict[StateId, float] = {}
-        #: Serializes buffer/stable mutation between the caller's thread
-        #: and the (optional) group-commit timer thread.  Reentrant so
+        #: Guards the in-memory state; never held across a device
+        #: write, so ``append`` never waits for an fsync.  Reentrant so
         #: append_flush_transaction's two appends stay atomic.
         self._lock = threading.RLock()
-        self._timer_stop: Optional[threading.Event] = None
-        self._timer_thread: Optional[threading.Thread] = None
-        #: Forces initiated by the timer (device touches only — an empty
-        #: buffer at the tick is a free no-op, not a force).
-        self.timer_forces = 0
-        #: Timer ticks whose force raised (e.g. a transient budget ran
-        #: out); the error is swallowed — the next piggyback force will
-        #: surface it on the caller's thread where it can be handled.
-        self.timer_force_errors = 0
-
-    # ------------------------------------------------------------------
-    # timer-driven group commit
-    # ------------------------------------------------------------------
-    def start_group_commit_timer(self, interval_s: float) -> None:
-        """Force the buffer on a timer as well as on piggyback requests.
-
-        Every ``interval_s`` seconds a daemon thread forces whatever sits
-        in the volatile buffer, coalescing forces *across* install
-        batches (piggyback group commit only coalesces requests that
-        arrive while records already sit buffered).  Idempotent: a second
-        call restarts the timer at the new interval.
-        """
-        if interval_s <= 0:
-            raise ValueError(f"interval must be positive, got {interval_s}")
-        self.stop_group_commit_timer()
-        stop = threading.Event()
-
-        def tick() -> None:
-            while not stop.wait(interval_s):
-                with self._lock:
-                    if stop.is_set() or not self._buffer:
-                        continue
-                    try:
-                        self.force()
-                        self.timer_forces += 1
-                        self.stats.bump("log_timer_forces")
-                    except Exception:
-                        self.timer_force_errors += 1
-                        self.stats.bump("log_timer_force_errors")
-
-        self._timer_stop = stop
-        self._timer_thread = threading.Thread(
-            target=tick, name="wal-group-commit", daemon=True
-        )
-        self._timer_thread.start()
-
-    def stop_group_commit_timer(self) -> None:
-        """Cancel the timer and join its thread (safe to call twice).
-
-        The stop flag is re-checked under the log lock inside the tick,
-        so once this returns no further timer force can start — a force
-        already in flight is waited out by the join.
-        """
-        stop, thread = self._timer_stop, self._timer_thread
-        self._timer_stop = self._timer_thread = None
-        if stop is not None:
-            stop.set()
-        if thread is not None and thread is not threading.current_thread():
-            thread.join()
+        #: Serializes what touches the device or reshapes the stable
+        #: log: one forcer at a time snapshots a buffer prefix under
+        #: ``_lock``, writes it unlocked, publishes it under ``_lock``.
+        #: Always taken *before* ``_lock``.
+        self._force_mutex = threading.RLock()
 
     def close(self) -> None:
-        """Release what the log holds open (here: the timer thread).
-
-        Idempotent, and the log stays usable afterwards; file-backed
-        logs also release their descriptor.
-        """
-        self.stop_group_commit_timer()
+        """Release what the log holds open (file-backed logs: their
+        descriptor).  Idempotent; the log stays usable afterwards."""
 
     # ------------------------------------------------------------------
     # appending
@@ -217,7 +172,9 @@ class LogManager:
         never calls :meth:`append` before promotion, and after
         promotion it never adopts.
         """
-        with self._lock:
+        # Both locks across the device write: a witness has no appender
+        # to keep waiting (it refuses buffered local appends just below).
+        with self._force_mutex, self._lock:
             if self._buffer:
                 raise WALViolationError(
                     "cannot adopt shipped records into a log with "
@@ -243,7 +200,7 @@ class LogManager:
                 self.stats.log_records += 1
                 self.stats.log_bytes += record.record_size()
                 self.stats.log_value_bytes += record.value_bytes()
-            self._force_records(len(fresh))
+            self._force_pending(fresh)
             return len(fresh)
 
     # ------------------------------------------------------------------
@@ -251,12 +208,14 @@ class LogManager:
     # ------------------------------------------------------------------
     def force(self) -> None:
         """Force the whole volatile buffer to the stable log."""
-        with self._lock:
-            if self._buffer:
-                self._requested_high = max(
-                    self._requested_high, self._buffer[-1].lsi
-                )
-            self._force_records(len(self._buffer))
+        with self._force_mutex:
+            with self._lock:
+                pending = list(self._buffer)
+                if pending:
+                    self._requested_high = max(
+                        self._requested_high, pending[-1].lsi
+                    )
+            self._force_pending(pending)
 
     def force_through(self, lsi: StateId) -> None:
         """Force the buffer prefix up to and including ``lsi``.
@@ -270,60 +229,52 @@ class LogManager:
         next requested the force has already happened and
         ``log_force_saves`` counts it.
         """
-        with self._lock:
-            if not self._buffer or self._buffer[0].lsi > lsi:
-                if (
-                    self.group_commit
-                    and lsi > self._requested_high
-                    and self.is_stable(lsi)
-                ):
-                    # First request for a prefix that an earlier widened
-                    # force already made stable: one device force saved.
-                    self.stats.log_force_saves += 1
-                    self._requested_high = lsi
-                return
-            # The buffer is lsi-ordered, so the prefix cut is a bisect.
-            lo, hi = 0, len(self._buffer)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._buffer[mid].lsi <= lsi:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            self._requested_high = max(self._requested_high, lsi)
-            self._force_records(
-                len(self._buffer) if self.group_commit else lo
-            )
+        with self._force_mutex:
+            with self._lock:
+                if not self._buffer or self._buffer[0].lsi > lsi:
+                    if (
+                        self.group_commit
+                        and lsi > self._requested_high
+                        and self.is_stable(lsi)
+                    ):
+                        # An earlier widened force already made this
+                        # prefix stable: one device force saved.
+                        self.stats.log_force_saves += 1
+                        self._requested_high = lsi
+                    return
+                self._requested_high = max(self._requested_high, lsi)
+                # The buffer is lsi-ordered, so the prefix cut is a bisect.
+                count = (
+                    len(self._buffer)
+                    if self.group_commit
+                    else _first_index(self._buffer, lsi + 1)
+                )
+                pending = self._buffer[:count]
+            self._force_pending(pending)
 
-    def _force_records(self, count: int) -> None:
-        """Move the first ``count`` buffered records to the stable log.
+    def _force_pending(self, pending: List[LogRecord]) -> None:
+        """Move ``pending`` (a buffer prefix) to the stable log.
 
-        The device touch itself is :meth:`_write_stable`, which fault
-        models and file backends override; a transiently failing force
-        (an fsync that returns an error) is retried here with a bounded
-        budget rather than escalated — the retry is what the paper's
-        "stable log" abstraction quietly assumes.
+        Called with ``_force_mutex`` held and (adoption aside) ``_lock``
+        released: appends keep landing behind the prefix while the
+        device touch, :meth:`_write_stable`, runs.  A transiently
+        failing force (an fsync that returns an error) is retried here
+        with a bounded budget rather than escalated — the retry is what
+        the paper's "stable log" abstraction quietly assumes.
         """
-        if count <= 0:
+        if not pending:
             return
-        pending = self._buffer[:count]
         obs = self.obs
-        if not obs.enabled:
-            retry_transient(
-                lambda: self._write_stable(pending),
-                stats=self.stats,
-                what="log force",
-            )
-            self.stats.log_forces += 1
-            return
         start = time.perf_counter()
         retry_transient(
             lambda: self._write_stable(pending),
             stats=self.stats,
             what="log force",
         )
-        done = time.perf_counter()
         self.stats.log_forces += 1
+        if not obs.enabled:
+            return
+        done = time.perf_counter()
         obs.observe("wal.force", done - start)
         obs.observe("wal.force_batch_records", len(pending), COUNT_BUCKETS)
         for record in pending:
@@ -338,12 +289,14 @@ class LogManager:
 
         Overridden by the file backend (append + fsync frames first) and
         by the fault-injecting log (which may fail transiently, tear the
-        append, or lie about durability).  Must either complete fully or
-        leave buffer/stable untouched before raising a transient error,
-        so a retry is safe.
+        append, or lie about durability); each does its device work
+        unlocked and ends here, publishing under ``_lock``.  Must either
+        complete fully or leave buffer/stable untouched before raising
+        a transient error, so a retry is safe.
         """
-        self._stable.extend(pending)
-        del self._buffer[: len(pending)]
+        with self._lock:
+            self._stable.extend(pending)
+            del self._buffer[: len(pending)]
 
     def assert_stable(self, lsi: StateId) -> None:
         """Raise WALViolationError unless ``lsi`` is on the stable log."""
@@ -368,10 +321,13 @@ class LogManager:
     def stable_records(
         self, from_lsi: StateId = NULL_SI
     ) -> Iterator[LogRecord]:
-        """Stable records with lSI >= ``from_lsi``, in log order."""
-        for record in self._stable:
-            if record.lsi >= from_lsi:
-                yield record
+        """Stable records with lSI >= ``from_lsi``, in log order (found
+        by bisect: lSIs ascend, with gaps on a witness)."""
+        stable = self._stable
+        index = _first_index(stable, from_lsi)
+        while index < len(stable):
+            yield stable[index]
+            index += 1
 
     def stable_end_lsi(self) -> StateId:
         """lSI of the last stable record (NULL_SI when empty)."""
@@ -425,19 +381,19 @@ class LogManager:
                 f"cannot truncate before lSI {lsi}: redo scan start point "
                 f"is {redo_start}"
             )
-        with self._lock:
+        with self._force_mutex, self._lock:
             protected = self.min_protected_lsi()
             if protected is not None:
                 lsi = min(lsi, protected)
-            kept = [r for r in self._stable if r.lsi >= lsi]
-            dropped = len(self._stable) - len(kept)
-            self._stable = kept
+            dropped = _first_index(self._stable, lsi)
+            self._stable = self._stable[dropped:]
             self._truncated_before = max(self._truncated_before, lsi)
             return dropped
 
     def crash(self) -> None:
-        """Discard the volatile buffer (the stable log survives)."""
-        with self._lock:
+        """Discard the volatile buffer (the stable log survives, a
+        force in flight included: it is waited out)."""
+        with self._force_mutex, self._lock:
             self._buffer.clear()
             self._append_times.clear()
 

@@ -59,6 +59,100 @@ class StalledExecute:
         system.execute = stalled
 
 
+class StalledForce:
+    """Blocks a log's device write (``_write_stable``, the one override
+    point every backend's force goes through) until released, while
+    appends keep landing behind it.  Set ``fail`` to an exception and
+    the stalled force — every retry of it included — raises it instead
+    of reaching the device; every other force passes through once
+    released."""
+
+    def __init__(self, log) -> None:
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.fail = None
+        self._stalled_lsi = None
+        original = log._write_stable
+
+        def stalled(pending):
+            if not self.entered.is_set():
+                self._stalled_lsi = pending[0].lsi
+            self.entered.set()
+            assert self.release.wait(timeout=10.0)
+            if self.fail is not None and pending[0].lsi == self._stalled_lsi:
+                raise self.fail
+            return original(pending)
+
+        log._write_stable = stalled
+
+
+class SendSpy:
+    """Records every frame a daemon writes to a client socket, each
+    with ``log``'s stable end at that instant."""
+
+    def __init__(self, monkeypatch, log) -> None:
+        from repro.serve.server import _Connection
+
+        self.frames = []
+        original = _Connection.send
+
+        def send(conn, message):
+            self.frames.append((message, log.stable_end_lsi()))
+            return original(conn, message)
+
+        monkeypatch.setattr(_Connection, "send", send)
+
+    def acks(self):
+        """The ``(frame, stable end)`` pairs that acknowledged a write."""
+        return [
+            (frame, end) for frame, end in self.frames
+            if frame.get("ok") and "lsi" in frame
+        ]
+
+    def error_codes(self):
+        return [
+            frame["error"]["code"] for frame, _end in self.frames
+            if not frame.get("ok")
+        ]
+
+
+def wait_until(predicate, timeout: float = 5.0) -> bool:
+    """Poll ``predicate`` until it holds or ``timeout`` passes."""
+    import time
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.002)
+    return bool(predicate())
+
+
+def concurrent_puts(port: int, keys):
+    """One one-shot client and thread per key, one put each.  Returns
+    ``(threads, outcomes)``; ``outcomes[key]`` becomes the acked lSI or
+    the exception the put raised."""
+    from repro.serve import DaemonClient, RetryPolicy
+
+    outcomes = {}
+
+    def put(key):
+        client = DaemonClient(
+            "127.0.0.1", port, policy=RetryPolicy(attempts=1)
+        )
+        try:
+            outcomes[key] = client.put(key, key.encode())
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            outcomes[key] = exc
+        finally:
+            client.close()
+
+    threads = [threading.Thread(target=put, args=(key,)) for key in keys]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
 def physical(obj: str, data: bytes, name: str = "") -> Operation:
     """A blind physical write of ``data`` to ``obj``."""
     return Operation(

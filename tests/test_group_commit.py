@@ -245,147 +245,6 @@ class TestShutdownRacesGroupCommit:
         assert system.read("late") is None
 
 
-class TestGroupCommitTimer:
-    """Timer-driven group commit: ticks, empty-buffer no-ops, shutdown.
-
-    The timer thread forces whatever sits in the volatile buffer every
-    interval, coalescing forces *across* install batches.  The races
-    worth pinning: a tick that finds the buffer empty must be a free
-    no-op (not a device force), and shutdown must leave no window in
-    which a late tick can still touch the device.
-    """
-
-    INTERVAL = 0.005
-
-    def _wait(self, predicate, timeout: float = 2.0) -> bool:
-        import time
-
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            time.sleep(0.001)
-        return predicate()
-
-    def test_timer_forces_buffered_records(self):
-        log = LogManager(group_commit=True)
-        try:
-            log.start_group_commit_timer(self.INTERVAL)
-            lsi = log.append_operation(physical("x", b"v", name="op"))
-            assert self._wait(lambda: log.is_stable(lsi))
-            assert log.timer_forces >= 1
-            assert log.stats.extra.get("log_timer_forces") == log.timer_forces
-            assert log.buffered_lsis() == []
-        finally:
-            log.stop_group_commit_timer()
-
-    def test_empty_buffer_tick_is_a_noop(self):
-        import time
-
-        log = LogManager(group_commit=True)
-        try:
-            log.start_group_commit_timer(self.INTERVAL)
-            # Many ticks pass with nothing buffered; none may count as
-            # a force (device touch) or a timer force.
-            time.sleep(self.INTERVAL * 20)
-            assert log.timer_forces == 0
-            assert log.stats.log_forces == 0
-            assert log.stats.extra.get("log_timer_forces", 0) == 0
-        finally:
-            log.stop_group_commit_timer()
-
-    def test_shutdown_cancels_timer(self):
-        log = LogManager(group_commit=True)
-        log.start_group_commit_timer(self.INTERVAL)
-        log.stop_group_commit_timer()
-        # The stop joined the thread: a record appended after shutdown
-        # can never be timer-forced, no matter how long we wait.
-        lsi = log.append_operation(physical("x", b"v", name="late"))
-        assert not self._wait(
-            lambda: log.is_stable(lsi), timeout=self.INTERVAL * 20
-        )
-        assert log.timer_forces == 0
-        # Idempotent: stopping again (and with no timer at all) is safe.
-        log.stop_group_commit_timer()
-        LogManager().stop_group_commit_timer()
-
-    def test_shutdown_races_buffered_records(self):
-        # Stop while records sit buffered: whatever the last tick did,
-        # after the join the buffer state is frozen — no late force.
-        log = LogManager(group_commit=True)
-        log.start_group_commit_timer(self.INTERVAL)
-        log.append_operation(physical("x", b"v", name="op"))
-        log.stop_group_commit_timer()
-        forces = log.stats.log_forces
-        import time
-
-        time.sleep(self.INTERVAL * 10)
-        assert log.stats.log_forces == forces
-
-    def test_restart_is_idempotent(self):
-        log = LogManager(group_commit=True)
-        try:
-            log.start_group_commit_timer(1000.0)  # would never tick
-            log.start_group_commit_timer(self.INTERVAL)  # restart, fast
-            lsi = log.append_operation(physical("x", b"v", name="op"))
-            assert self._wait(lambda: log.is_stable(lsi))
-        finally:
-            log.stop_group_commit_timer()
-
-    def test_rejects_non_positive_interval(self):
-        log = LogManager()
-        with pytest.raises(ValueError):
-            log.start_group_commit_timer(0.0)
-        with pytest.raises(ValueError):
-            log.start_group_commit_timer(-1.0)
-
-    def test_timer_force_error_is_swallowed_and_counted(self):
-        class Exploding(LogManager):
-            def _write_stable(self, pending):
-                raise RuntimeError("device on fire")
-
-        log = Exploding(group_commit=True)
-        try:
-            log.start_group_commit_timer(self.INTERVAL)
-            log.append_operation(physical("x", b"v", name="op"))
-            assert self._wait(lambda: log.timer_force_errors >= 1)
-            assert log.stats.extra.get("log_timer_force_errors", 0) >= 1
-            # The failed tick neither crashed the thread nor counted a
-            # success; the record is still buffered for the caller's
-            # piggyback force to surface the error synchronously.
-            assert log.timer_forces == 0
-            assert log.buffered_lsis() != []
-        finally:
-            log.stop_group_commit_timer()
-
-    def test_config_interval_wires_timer_and_close_stops_it(self):
-        system = RecoverableSystem(
-            SystemConfig(group_commit_interval_ms=self.INTERVAL * 1000)
-        )
-        try:
-            # The interval implies widened (group-commit) accounting.
-            assert system.log.group_commit is True
-            assert system.log._timer_thread is not None
-            op = physical("x", b"v", name="op")
-            system.execute(op)
-            assert self._wait(lambda: system.log.is_stable(op.lsi))
-        finally:
-            system.close()
-        assert system.log._timer_thread is None
-        # close() is idempotent and leaves the system usable: forces
-        # fall back to the piggyback path.
-        system.close()
-        late = physical("y", b"v", name="late")
-        system.execute(late)
-        system.log.force_through(late.lsi)
-        assert system.log.is_stable(late.lsi)
-
-    def test_default_config_starts_no_timer(self):
-        system = RecoverableSystem(SystemConfig(group_commit=True))
-        assert system.log._timer_thread is None
-        system.close()
-
-
 def _e8a_system(group_commit: bool, seed: int) -> RecoverableSystem:
     rng = random.Random(seed)
     system = RecoverableSystem(SystemConfig(group_commit=group_commit))

@@ -8,6 +8,7 @@ epoch fence against a zombie primary.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -49,6 +50,7 @@ from repro.wal.records import (
     OperationRecord,
 )
 from repro.workloads import register_workload_functions
+from tests.conftest import SendSpy, StalledForce, concurrent_puts, wait_until
 
 
 def _op_record(lsi: int, obj: str = "x", value: bytes = b"v") -> OperationRecord:
@@ -455,6 +457,126 @@ class TestPair:
             response = client.request("put", obj="fo:x", value="moved")
             assert response["ok"]
             assert response["epoch"] == INITIAL_EPOCH + 1
+            client.close()
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def _parked_on_the_primary(self, primary, count=4):
+        """``count`` concurrent puts executed and parked on the primary
+        while its first force hangs in the device."""
+        stall = StalledForce(primary.system.log)
+        keys = [f"batch:{index}" for index in range(count)]
+        threads, outcomes = concurrent_puts(primary.port, keys)
+        assert stall.entered.wait(timeout=5.0)
+        assert wait_until(lambda: len(primary._shards[0].parked) == count)
+        return stall, keys, threads, outcomes
+
+    def test_witness_detached_mid_batch_refuses_the_whole_batch(
+        self, monkeypatch
+    ):
+        primary, witness = _start_pair()
+        spy = SendSpy(monkeypatch, primary.system.log)
+        try:
+            stall, keys, threads, outcomes = self._parked_on_the_primary(
+                primary
+            )
+            # The stream drops while the batch is in the device.
+            witness.stop(graceful=False)
+            assert wait_until(lambda: not primary.replication.attached)
+            stall.release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            # Forced locally, never witnessed: one UNAVAILABLE per
+            # parked request, not one ack.
+            assert spy.acks() == []
+            assert spy.error_codes() == ["UNAVAILABLE"] * len(keys)
+            assert all(
+                isinstance(outcomes[k], ServerUnavailableError) for k in keys
+            )
+            assert primary.restarts() == 0  # not a storage failure
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def test_fenced_mid_batch_answers_fenced_never_an_old_epoch_ack(
+        self, monkeypatch
+    ):
+        primary, witness = _start_pair()
+        spy = SendSpy(monkeypatch, primary.system.log)
+        try:
+            stall, keys, threads, outcomes = self._parked_on_the_primary(
+                primary
+            )
+            # A promotion lands while the batch is in the device: the
+            # fence ack deposes the primary before its force returns.
+            pclient = _client(witness.port, attempts=10)
+            pclient.request("promote")
+            pclient.close()
+            assert wait_until(lambda: primary.replication.fenced)
+            stall.release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert spy.acks() == []
+            assert spy.error_codes() == ["FENCED"] * len(keys)
+            assert all(isinstance(outcomes[k], FencedError) for k in keys)
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def test_slow_witness_refuses_each_request_at_its_own_deadline(
+        self, monkeypatch
+    ):
+        primary, witness = _start_pair()
+        spy = SendSpy(monkeypatch, primary.system.log)
+        try:
+            # The witness's durable adopt hangs: no receipt comes back.
+            stall = StalledForce(witness.system.log)
+            outcomes = {}
+
+            def put(key, deadline_ms):
+                client = _client(primary.port, attempts=1)
+                try:
+                    outcomes[key] = client.request(
+                        "put", obj=key, value=key, deadline_ms=deadline_ms
+                    )
+                except Exception as exc:  # noqa: BLE001 - under test
+                    outcomes[key] = exc
+                finally:
+                    client.close()
+
+            threads = [
+                threading.Thread(target=put, args=("dl:short", 300)),
+                threading.Thread(target=put, args=("dl:long", 1800)),
+            ]
+            for thread in threads:
+                thread.start()
+            # The short request is refused at its deadline, alone: the
+            # long one stays parked (not refused early, not acked).
+            threads[0].join(timeout=5.0)
+            assert isinstance(outcomes["dl:short"], ServerUnavailableError)
+            assert "dl:long" not in outcomes
+            assert [w.request["obj"] for w in primary._shards[0].parked] == [
+                "dl:long"
+            ]
+            stall.release.set()
+            threads[1].join(timeout=5.0)
+            assert outcomes["dl:long"]["ok"] is True
+            assert len(spy.acks()) == 1  # the long one, after the receipt
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+
+    def test_a_read_waits_for_the_witness_watermark_too(self):
+        # On a replicated primary the release rule reads the witness
+        # watermark for gets as well: a version the witness does not
+        # hold could vanish at failover.
+        primary, witness = _start_pair()
+        try:
+            client = _client(primary.port, attempts=1)
+            response = client.request("put", obj="rw:x", value="seen")
+            assert client.get("rw:x") == ("seen", response["lsi"])
+            assert primary.replication.watermark >= response["lsi"]
             client.close()
         finally:
             witness.stop(graceful=False)

@@ -23,7 +23,11 @@ import urllib.request
 
 import pytest
 
-from repro.common.errors import DegradedModeError, SimulatedCrash
+from repro.common.errors import (
+    DegradedModeError,
+    SimulatedCrash,
+    TransientStorageError,
+)
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.shard import ShardedSystem
 from repro.serve import (
@@ -35,10 +39,17 @@ from repro.serve import (
     RetryPolicy,
     ServeDaemon,
     ServerFailedError,
+    ServerUnavailableError,
     ShuttingDownError,
 )
 from repro.workloads import register_workload_functions
-from tests.conftest import StalledExecute
+from tests.conftest import (
+    SendSpy,
+    StalledExecute,
+    StalledForce,
+    concurrent_puts,
+    wait_until,
+)
 
 ONE_SHOT = RetryPolicy(attempts=1)
 
@@ -387,16 +398,16 @@ class TestBackpressureAndDeadlines:
 class TestWatchdog:
     def test_mid_serve_crash_restarts_and_serves_again(self, served):
         system = target(served)
-        original = system.log.force_through
+        original = system.log.force
         fired = []
 
-        def flaky(lsi):
+        def flaky():
             if not fired:
-                fired.append(lsi)
+                fired.append(system.log.buffered_lsis())
                 raise SimulatedCrash("device lost mid-force")
-            return original(lsi)
+            return original()
 
-        system.log.force_through = flaky
+        system.log.force = flaky
         client = client_for(
             served,
             policy=RetryPolicy(attempts=4, base_delay=0.001),
@@ -424,7 +435,7 @@ class TestWatchdog:
         )
         system = target(daemon)
         try:
-            system.log.force_through = lambda lsi: (_ for _ in ()).throw(
+            system.log.force = lambda: (_ for _ in ()).throw(
                 SimulatedCrash("always")
             )
             client = client_for(daemon)
@@ -446,6 +457,289 @@ class TestWatchdog:
             client.close()
         finally:
             daemon.stop(graceful=False)
+
+
+class TestCommitter:
+    """The second stage of the ack path: the apply thread parks each
+    reply, the shard's committer forces the buffered prefix once and
+    releases what the stable end covers (DESIGN.md §4b)."""
+
+    def _parked_behind_a_stalled_force(self, daemon, count):
+        """``count`` concurrent puts, all executed and parked while the
+        first force hangs in the device."""
+        log = target(daemon).log
+        stall = StalledForce(log)
+        keys = [key(daemon, f"w{i}") for i in range(count)]
+        threads, outcomes = concurrent_puts(daemon.port, keys)
+        assert stall.entered.wait(timeout=5.0)
+        shard = daemon._shards[-1]
+        assert wait_until(lambda: len(shard.parked) == count)
+        return stall, keys, threads, outcomes
+
+    def test_no_ack_leaves_before_its_record_is_stable(
+        self, shards, monkeypatch
+    ):
+        daemon = start_daemon(shards, max_queue=32)
+        system = target(daemon)
+        spy = SendSpy(monkeypatch, system.log)
+        try:
+            stall, keys, threads, outcomes = (
+                self._parked_behind_a_stalled_force(daemon, 16)
+            )
+            # Every write executed and appended; none stable, none
+            # answered — and all of them count as in flight.
+            assert len(system.log.buffered_lsis()) == 16
+            assert spy.frames == []
+            assert daemon._queue_depth() == 16
+            stall.release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            lsis = sorted(outcomes[k] for k in keys)
+            assert lsis == list(range(lsis[0], lsis[0] + 16))
+            acks = spy.acks()
+            assert len(acks) == 16
+            for frame, stable_end in acks:
+                assert stable_end >= frame["lsi"]
+            # The stalled force took what was buffered when it started;
+            # everything that arrived meanwhile shared the next one.
+            assert system.stats.log_forces < 16
+            assert daemon._queue_depth() == 0
+        finally:
+            daemon.stop(graceful=False)
+
+    def test_sustained_concurrent_writers_every_ack_is_stable(
+        self, shards, monkeypatch
+    ):
+        import sys
+
+        daemon = start_daemon(shards, max_queue=64)
+        system = target(daemon)
+        spy = SendSpy(monkeypatch, system.log)
+        keys = [key(daemon, f"s{i}") for i in range(8)]
+        last = {}
+
+        def writer(k):
+            client = client_for(daemon)
+            for index in range(40):
+                last[k] = (b"%d" % index, client.put(k, b"%d" % index))
+            client.close()
+
+        threads = [threading.Thread(target=writer, args=(k,)) for k in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        try:
+            assert not any(thread.is_alive() for thread in threads)
+            acks = spy.acks()
+            assert len(acks) == 8 * 40
+            assert len({frame["lsi"] for frame, _end in acks}) == 8 * 40
+            assert all(end >= frame["lsi"] for frame, end in acks)
+            assert daemon._queue_depth() == 0
+            client = client_for(daemon)
+            for k in keys:
+                assert client.get(k) == last[k]
+            client.close()
+        finally:
+            daemon.stop(graceful=False)
+
+    def test_a_lone_write_is_forced_at_once(self, served):
+        # No timer, no batch size: one request, one force, no waiting
+        # for company.
+        system = target(served)
+        client = client_for(served)
+        before = system.stats.log_forces
+        for index in range(5):
+            client.put(key(served, "solo"), b"v%d" % index)
+        assert system.stats.log_forces == before + 5
+        client.close()
+
+    def test_an_event_is_on_file_no_later_than_its_ack(
+        self, shards, tmp_path
+    ):
+        from repro.obs.flightrec import load_flightrec
+
+        path = str(tmp_path / "flightrec.jsonl")
+        daemon = start_daemon(shards, flightrec_path=path)
+        client = client_for(daemon)
+        try:
+            for index in range(3):
+                lsi = client.put(key(daemon, "fr"), b"v%d" % index)
+                # The apply thread only queued the line; the committer
+                # wrote it before this ack left.
+                executed = [
+                    event["lsi"] for event in load_flightrec(path)
+                    if event["kind"] == "execute"
+                ]
+                assert executed[-1] == lsi
+        finally:
+            client.close()
+            daemon.stop(graceful=False)
+
+    def test_get_of_an_unforced_version_is_held_until_it_is_stable(
+        self, shards
+    ):
+        daemon = start_daemon(shards)
+        log = target(daemon).log
+        old, new = key(daemon, "old"), key(daemon, "new")
+        client = client_for(daemon)
+        try:
+            old_lsi = client.put(old, b"stable")
+            stall = StalledForce(log)
+            threads, outcomes = concurrent_puts(daemon.port, [new])
+            assert stall.entered.wait(timeout=5.0)
+            held = {}
+            reader = client_for(daemon)
+            holder = threading.Thread(
+                target=lambda: held.update(answer=reader.get(new))
+            )
+            holder.start()
+            # The read saw the unforced write: it parks behind it...
+            shard = daemon._shards[-1]
+            assert wait_until(lambda: len(shard.parked) == 2)
+            # ...while a stable version is answered during the stall.
+            assert client.get(old) == (b"stable", old_lsi)
+            assert not held and not log.is_stable(log.buffered_lsis()[0])
+            stall.release.set()
+            holder.join(timeout=10.0)
+            threads[0].join(timeout=10.0)
+            assert held["answer"] == (new.encode(), outcomes[new])
+            assert log.is_stable(outcomes[new])
+            reader.close()
+        finally:
+            client.close()
+            daemon.stop(graceful=False)
+
+    @pytest.mark.parametrize(
+        "failure",
+        [OSError(5, "Input/output error"), TransientStorageError("fsync")],
+        ids=["oserror", "transient"],
+    )
+    def test_a_failed_force_refuses_the_batch_and_restarts_once(
+        self, shards, failure, monkeypatch
+    ):
+        daemon = start_daemon(shards, max_queue=32)
+        system = target(daemon)
+        spy = SendSpy(monkeypatch, system.log)
+        try:
+            stall, keys, threads, outcomes = (
+                self._parked_behind_a_stalled_force(daemon, 4)
+            )
+            stall.fail = failure
+            stall.release.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+            # Each parked request answered exactly once, none acked.
+            assert spy.error_codes() == ["UNAVAILABLE"] * 4
+            assert spy.acks() == []
+            assert all(
+                isinstance(outcomes[k], ServerUnavailableError) for k in keys
+            )
+            # One hand-off to the watchdog, on the apply thread.
+            assert wait_until(
+                lambda: daemon.restarts() == 1
+                and system.health is SystemHealth.HEALTHY
+            )
+            client = client_for(daemon)
+            for k in keys:
+                assert client.get(k) == (None, 0)
+            # Retried, the write goes through on the recovered shard.
+            lsi = client.put(keys[0], b"retried")
+            assert client.get(keys[0]) == (b"retried", lsi)
+            assert daemon.restarts() == 1
+            client.close()
+        finally:
+            daemon.stop(graceful=False)
+
+    @pytest.mark.parametrize("how", ["kill", "kill_shard"])
+    def test_kill_with_replies_parked_sends_no_ack(
+        self, shards, how, monkeypatch
+    ):
+        daemon = start_daemon(shards, max_queue=32, allow_chaos=True)
+        system = target(daemon)
+        victim = daemon._shards[-1]
+        client = client_for(daemon)
+        kept = key(daemon, "kept")
+        kept_lsi = client.put(kept, b"acked")
+        client.close()
+        spy = SendSpy(monkeypatch, system.log)
+        revived = False
+        try:
+            stall, keys, threads, outcomes = (
+                self._parked_behind_a_stalled_force(daemon, 4)
+            )
+            appended = system.log.buffered_lsis()
+            killer = threading.Thread(
+                target=daemon.kill if how == "kill"
+                else lambda: daemon.kill_shard(victim.index)
+            )
+            killer.start()
+            # The kill waits out the force in flight, then owns what is
+            # parked: the committer finds the stop flag and releases
+            # nothing, stable or not.
+            assert wait_until(victim.stop.is_set)
+            stall.release.set()
+            killer.join(timeout=10.0)
+            for thread in threads:
+                thread.join(timeout=10.0)
+            assert spy.acks() == []
+            assert not any(isinstance(outcomes[k], int) for k in keys)
+            if how == "kill":
+                system.crash()
+                system.recover()
+            else:
+                assert spy.error_codes() == ["UNAVAILABLE"] * 4
+                daemon.revive_shard(victim.index)
+                revived = True
+            # What survives is a prefix of what was appended: the acked
+            # write, then exactly the records the stalled force carried.
+            assert system.read(kept) == b"acked"
+            assert system.cache.vsi_of(kept) == kept_lsi
+            survivors = sorted(
+                system.cache.vsi_of(k) for k in keys
+                if system.read(k) is not None
+            )
+            assert survivors  # the stalled force carried at least one
+            assert survivors == appended[: len(survivors)]
+        finally:
+            if how == "kill_shard" and revived:
+                daemon.stop(graceful=False)
+
+    def test_graceful_stop_releases_parked_replies_first(
+        self, shards, monkeypatch
+    ):
+        daemon = start_daemon(shards, max_queue=32)
+        system = target(daemon)
+        spy = SendSpy(monkeypatch, system.log)
+        stall, keys, threads, outcomes = (
+            self._parked_behind_a_stalled_force(daemon, 4)
+        )
+        status = {}
+        stopper = threading.Thread(
+            target=lambda: status.update(code=daemon.stop(graceful=True))
+        )
+        stopper.start()
+        assert wait_until(daemon._draining.is_set)
+        time.sleep(0.05)
+        assert stopper.is_alive() and spy.frames == []  # drain waits
+        stall.release.set()
+        stopper.join(timeout=15.0)
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert status == {"code": 0}
+        assert all(isinstance(outcomes[k], int) for k in keys)
+        acks = spy.acks()
+        assert len(acks) == 4
+        # Every ack left before the shutdown's own force + checkpoint
+        # moved the stable end past the last client write.
+        assert system.log.buffered_lsis() == []
+        final_end = system.log.stable_end_lsi()
+        assert all(end < final_end for _frame, end in acks)
 
 
 class TestShutdown:

@@ -217,6 +217,64 @@ class TestFlightRecorder:
         events = load_flightrec(path)
         assert [e["kind"] for e in events] == ["one", "two"]
 
+    def test_per_operation_kinds_wait_for_a_flush(self, tmp_path):
+        from repro.obs.flightrec import BATCHED_KINDS
+
+        path = str(tmp_path / "flightrec.jsonl")
+        recorder = FlightRecorder(path, capacity=16)
+        assert "execute" in BATCHED_KINDS
+        recorder.emit("execute", op="a", lsi=1)
+        recorder.emit("install", ops=("a",))
+        # In the ring at once (the /debug endpoint sees them)...
+        assert [e["kind"] for e in recorder.events()] == [
+            "execute", "install",
+        ]
+        # ...on file only once flushed, in one write, in ring order.
+        assert load_flightrec(path) == []
+        recorder.flush()
+        assert load_flightrec(path) == recorder.events()
+        recorder.flush()  # nothing waiting: a no-op
+        assert len(load_flightrec(path)) == 2
+
+    def test_an_unbatched_event_writes_the_waiting_lines_first(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "flightrec.jsonl")
+        recorder = FlightRecorder(path, capacity=16)
+        recorder.emit("execute", op="a", lsi=1)
+        recorder.emit("watchdog.crash", cause="SimulatedCrash")
+        # The rare kind is written at once — behind the line that was
+        # waiting, so the file reads in the order things happened.
+        assert [e["kind"] for e in load_flightrec(path)] == [
+            "execute", "watchdog.crash",
+        ]
+
+    def test_an_unflushed_batch_is_bounded(self, tmp_path):
+        from repro.obs import flightrec
+
+        path = str(tmp_path / "flightrec.jsonl")
+        recorder = FlightRecorder(path, capacity=4096)
+        for index in range(flightrec._BATCH_MAX - 1):
+            recorder.emit("execute", lsi=index)
+        assert load_flightrec(path) == []
+        recorder.emit("execute", lsi=-1)  # nobody flushed: written inline
+        assert len(load_flightrec(path)) == flightrec._BATCH_MAX
+
+    def test_dump_and_close_cover_waiting_lines(self, tmp_path):
+        path = str(tmp_path / "flightrec.jsonl")
+        recorder = FlightRecorder(path, capacity=8)
+        recorder.emit("execute", lsi=1)
+        recorder.dump("testing")
+        assert [e["kind"] for e in load_flightrec(path)] == [
+            "execute", "flightrec.dump",
+        ]
+        recorder.emit("execute", lsi=2)
+        recorder.close()
+        kinds = [e["kind"] for e in load_flightrec(path)]
+        # The dumped ring holds it once; the waiting copy was dropped.
+        assert kinds.count("execute") == 2
+        assert kinds[-1] == "flightrec.dump"
+
     def test_dump_rewrites_with_reason_trailer(self, tmp_path):
         path = str(tmp_path / "flightrec.jsonl")
         recorder = FlightRecorder(path, capacity=8)
