@@ -16,7 +16,7 @@ and never a value no client sent):
   watchdog's restarts and the fault ledger reported;
 * **subprocess lanes** — the same contract against a real
   ``python -m repro serve`` process: one SIGKILL run (abrupt death,
-  restart, ``/healthz`` goes green, audit) and one SIGTERM run (the
+  restart, HEALTHY on the wire, audit) and one SIGTERM run (the
   drain must exit 0 and lose nothing);
 * **clean-path throughput** — acked writes/second through the daemon
   with no faults armed, so the serving overhead has a number and a
@@ -39,12 +39,11 @@ import pytest
 
 from repro.analysis import Table
 from repro.kernel.system import RecoverableSystem
+from repro.livefire import SCENARIOS, LiveFireHarness
 from repro.obs import MetricsRegistry
 from repro.serve import (
     DaemonClient,
     DaemonConfig,
-    LiveFireConfig,
-    LiveFireHarness,
     RetryPolicy,
     ServeDaemon,
 )
@@ -77,7 +76,7 @@ def _record(section: str, payload) -> None:
 # ----------------------------------------------------------------------
 def _campaign() -> Dict:
     registry = MetricsRegistry()
-    harness = LiveFireHarness(LiveFireConfig(), metrics=registry)
+    harness = LiveFireHarness("v3", metrics=registry)
     t0 = time.perf_counter()
     report = harness.campaign(RUNS, seed=0)
     elapsed = time.perf_counter() - t0
@@ -135,7 +134,7 @@ def test_e12_live_fire_campaign(benchmark):
 # ----------------------------------------------------------------------
 def _subprocess_lanes() -> Dict[str, Dict]:
     harness = LiveFireHarness(
-        LiveFireConfig(clients=2, requests_per_client=10)
+        "v3", SCENARIOS["v3"].config(clients=2, requests_per_client=10)
     )
     out: Dict[str, Dict] = {}
     for label, graceful, fault_seed in (

@@ -43,9 +43,8 @@ import pytest
 
 from repro.analysis import Table
 from repro.kernel.system import RecoverableSystem
+from repro.livefire import LiveFireHarness
 from repro.replica import (
-    ReplicaLiveFireConfig,
-    ReplicaLiveFireHarness,
     ReplicationConfig,
     WitnessConfig,
     WitnessDaemon,
@@ -129,7 +128,7 @@ def _start_pair(max_queue: int = 64):
 # lane 1: the failover campaign (torture v5)
 # ----------------------------------------------------------------------
 def _campaign() -> Dict:
-    harness = ReplicaLiveFireHarness(ReplicaLiveFireConfig())
+    harness = LiveFireHarness("v5")
     t0 = time.perf_counter()
     report = harness.campaign(RUNS, seed=0)
     elapsed = time.perf_counter() - t0

@@ -92,8 +92,6 @@ from repro.kernel import (
 )
 from repro.replica import (
     EpochStore,
-    ReplicaLiveFireConfig,
-    ReplicaLiveFireHarness,
     ReplicationConfig,
     ReplicationSender,
     WitnessConfig,
@@ -106,16 +104,12 @@ from repro.serve import (
     DaemonConfig,
     DeadlineExceededError,
     FencedError,
-    LiveFireConfig,
-    LiveFireHarness,
     RetryPolicy,
     ServeDaemon,
     ServeError,
     ServerFailedError,
     ServerUnavailableError,
     ServingWatchdog,
-    ShardLiveFireConfig,
-    ShardLiveFireHarness,
     ShuttingDownError,
     WatchdogConfig,
 )
@@ -125,8 +119,9 @@ from repro.shard import (
     ShardRouter,
     ShardedSystem,
 )
+from repro.livefire import SCENARIOS, LiveFireConfig, LiveFireHarness
 
-__version__ = "3.1.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "ObjectId",
@@ -200,19 +195,16 @@ __all__ = [
     "DeadlineExceededError",
     "LiveFireConfig",
     "LiveFireHarness",
+    "SCENARIOS",
     "RetryPolicy",
     "ServeDaemon",
     "ServeError",
     "ServerFailedError",
     "ServerUnavailableError",
     "ServingWatchdog",
-    "ShardLiveFireConfig",
-    "ShardLiveFireHarness",
     "ShardRouter",
     "EpochStore",
     "FencedError",
-    "ReplicaLiveFireConfig",
-    "ReplicaLiveFireHarness",
     "ReplicationConfig",
     "ReplicationSender",
     "WitnessConfig",

@@ -13,24 +13,17 @@
   during restarted recoveries), then fuzz schedules spanning both
   phases, all driven through the supervisor's escalation ladder.  A
   failing run prints its structured recovery supervision report.
-* ``torture v3`` — the live-fire campaign: concurrent clients drive a
-  real served workload over sockets while the storage misbehaves, the
-  daemon is killed (in-process SIGKILL model, plus real SIGKILL/SIGTERM
-  subprocess lanes), restarted over the debris, and every
-  client-acknowledged write is audited for durability.
-* ``torture v4`` — the sharded live-fire campaign: one shard worker of
-  a multi-shard daemon is killed mid-serve; surviving shards must keep
-  acknowledging writes during the outage, the victim is revived through
-  supervised recovery, and every acked write of the whole run (the
-  victim's included) is audited for durability.  ``--store`` tortures
-  a durable per-shard backend (e.g. ``logstore``) instead of the
-  in-memory simulated store.
-* ``torture v5`` — the replication campaign: a primary/witness pair
-  over real sockets; the primary is killed (or left a zombie) at a
-  seeded ack count, the witness is promoted, clients fail over, and
-  every acked write is audited against the promoted witness — plus the
-  fencing invariant that a deposed primary never acks past the
-  promotion watermark.
+* ``torture v3|v4|v5`` — the live-fire campaigns, three rows of one
+  scenario table over one harness (:mod:`repro.livefire`): concurrent
+  clients drive a served workload over sockets while the storage
+  misbehaves, a seeded fault lands at a seeded ack count, the topology
+  is healed, and every client-acknowledged write is audited for
+  durability.  ``v3`` kills the daemon and restarts it over the debris
+  (plus real SIGKILL/SIGTERM subprocess lanes); ``v4`` kills one shard
+  worker while the survivors must keep acking; ``v5`` kills (or leaves
+  a zombie) the primary of a primary/witness pair and promotes the
+  witness.  ``--store`` tortures a durable backend (e.g. ``logstore``).
+  A failing run prints the command that replays it.
 * ``serve --data-dir PATH`` — run the long-lived daemon itself:
   supervised recovery over whatever the directory contains, then
   health-gated serving with deadlines, backpressure, a ``/metrics`` +
@@ -75,7 +68,7 @@ import signal
 import sys
 import tempfile
 import threading
-from typing import List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro import RecoverableSystem, verify_recovered
 from repro.analysis import (
@@ -90,39 +83,30 @@ from repro.domains import (
     RecoverableBTree,
     RecoverableFileSystem,
 )
-from repro.kernel.system import SystemConfig
 from repro.kernel.torture import TortureConfig, TortureHarness, TortureReport
-from repro.obs import MetricsRegistry, dump_jsonl, load_jsonl, render_prometheus
-from repro.persist.faulty_log import FaultyFileLog
-from repro.persist.file_log import FileLogManager
-from repro.replica import (
-    ReplicaLiveFireConfig,
-    ReplicaLiveFireHarness,
-    ReplicationConfig,
-    WitnessConfig,
-    WitnessDaemon,
+from repro.livefire import (
+    SCENARIOS,
+    Fault,
+    LiveFireHarness,
+    LiveFireReport,
+    Scenario,
 )
+from repro.obs import MetricsRegistry, dump_jsonl, load_jsonl, render_prometheus
+from repro.replica import ReplicationConfig, WitnessConfig
 from repro.serve import (
     DaemonClient,
     DaemonConfig,
-    LiveFireConfig,
-    LiveFireHarness,
-    LiveFireReport,
     RetryPolicy,
     ServeDaemon,
     ServeError,
-    ShardLiveFireConfig,
-    ShardLiveFireHarness,
 )
-from repro.shard import ShardedSystem
 from repro.storage.faults import FaultModel, FuzzRates
 from repro.storage.registry import (
-    make_store,
     recommended_cache_config,
     resolve_backend,
     store_backends,
 )
-from repro.workloads import register_workload_functions
+from repro.topology import build_daemon, build_systems
 
 
 def demo() -> int:
@@ -263,88 +247,119 @@ def torture_v2(args: argparse.Namespace) -> int:
     return status
 
 
-def _report_livefire(report) -> int:
-    """Print one live-fire campaign's verdict (v3, v4 and v5 reports
-    share the summary/failures/losses shape); 1 when any run failed."""
+def _bounded(kind: type, low: float, high: float = float("inf")) -> Callable:
+    """An argparse type: a ``kind`` in [low, high] (else usage, exit 2)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            bound = f"[{low}, {high}]" if high < float("inf") else f">= {low}"
+            raise argparse.ArgumentTypeError(
+                f"expected {kind.__name__} {bound}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+positive_int = _bounded(int, 1)
+
+
+def _shape_flags(scenario: Scenario) -> Iterator[tuple]:
+    """The live-fire shape flags a scenario takes: flag, the
+    :class:`LiveFireConfig` field it sets (its argparse dest too),
+    argparse type, help.  Defaults come from the scenario's config."""
+    yield "--clients", "clients", positive_int, "concurrent clients per run"
+    yield "--requests", "requests_per_client", positive_int, "requests each"
+    yield "--store", "store_backend", str, "stable-store backend under torture"
+    if scenario.fault is Fault.KILL_SHARD:
+        # Partial availability has nothing to show with one shard.
+        yield "--shards", "shards", _bounded(int, 2), "recovery domains"
+    if scenario.replicated:
+        yield ("--zombie-ratio", "zombie_ratio", _bounded(float, 0, 1),
+               "share of runs that leave the primary alive through promotion")
+
+
+def _add_livefire_arguments(
+    p: argparse.ArgumentParser, scenario: Scenario
+) -> None:
+    """The one argument helper of ``torture v3|v4|v5``."""
+    defaults = scenario.config()
+    p.add_argument("--runs", type=positive_int, default=25,
+                   help="seeded in-process runs (default 25)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="base run seed (run i uses seed+i)")
+    for flag, field, kind, text in _shape_flags(scenario):
+        default = getattr(defaults, field)
+        p.add_argument(
+            flag, dest=field, type=kind, default=default,
+            choices=store_backends() if field == "store_backend" else None,
+            help=f"{text} (default {default})",
+        )
+    if scenario.subprocess_lane:
+        p.add_argument("--no-subprocess", action="store_true",
+                       help="skip the real-SIGKILL/SIGTERM subprocess lanes")
+    p.add_argument("--metrics-out", default=None, metavar="PATH",
+                   help="write campaign telemetry (JSONL) to PATH")
+    p.set_defaults(fn=torture_livefire, scenario=scenario)
+
+
+def _report_livefire(report: LiveFireReport, args: argparse.Namespace) -> int:
+    """Print one live-fire campaign's verdict, and for every failing run
+    the command that replays exactly its seed and shape; 1 if any."""
     print(report.summary())
     if report.ok:
         return 0
+    scenario, defaults = report.scenario, report.scenario.config()
+    shape = "".join(
+        f" {flag} {getattr(args, field)}"
+        for flag, field, _kind, _text in _shape_flags(scenario)
+        if getattr(args, field) != getattr(defaults, field)
+    )
+    if scenario.subprocess_lane and report.mode != "subprocess":
+        shape += " --no-subprocess"
     print("\nfailing runs:")
     for outcome in report.failures():
         print(f"  {outcome.description}: {outcome.error}")
+        print(
+            f"    (reproduce: python -m repro torture {scenario.name} "
+            f"--runs 1 --seed {outcome.seed}{shape})"
+        )
         for loss in outcome.losses:
             print(f"    lost: {loss}")
     return 1
 
 
-def torture_v3(args: argparse.Namespace) -> int:
+def torture_livefire(args: argparse.Namespace) -> int:
+    scenario = args.scenario
     metrics = MetricsRegistry() if args.metrics_out else None
-    harness = LiveFireHarness(
-        LiveFireConfig(
-            clients=args.clients,
-            requests_per_client=args.requests,
-        ),
-        metrics=metrics,
+    fields = [field for _flag, field, _kind, _text in _shape_flags(scenario)]
+    config = scenario.config(**{name: getattr(args, name) for name in fields})
+    harness = LiveFireHarness(scenario, config, metrics=metrics)
+    shape = f"{config.shards} shards, " if config.shards > 1 else ""
+    shape += (
+        f"{config.clients} clients x {config.requests_per_client} requests, "
+        f"store {config.store_backend}"
     )
+    if scenario.replicated:
+        shape += f", zombie ratio {config.zombie_ratio}"
     print(
-        f"torture v3: {args.runs} in-process live-fire runs from seed "
-        f"{args.seed} ({args.clients} clients x {args.requests} requests)"
+        f"torture {scenario.name}: {args.runs} {scenario.label} runs from "
+        f"seed {args.seed} ({shape})"
     )
-    status = _report_livefire(harness.campaign(args.runs, args.seed))
-    if not args.no_subprocess:
+    status = _report_livefire(harness.campaign(args.runs, args.seed), args)
+    if scenario.subprocess_lane and not args.no_subprocess:
         print("\nsubprocess lanes: real SIGKILL, then SIGTERM drain")
-        sub = LiveFireReport(mode="subprocess")
+        sub = LiveFireReport(scenario, "subprocess")
         for graceful in (False, True):
             with tempfile.TemporaryDirectory(prefix="repro-v3-") as workdir:
                 sub.outcomes.append(
-                    harness.subprocess_run(
-                        workdir,
-                        seed=args.seed + int(graceful),
-                        graceful=graceful,
-                    )
+                    harness.subprocess_run(workdir, args.seed, graceful)
                 )
-        status = _report_livefire(sub) or status
-    _dump_campaign_metrics(metrics, args)
-    return status
-
-
-def torture_v4(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry() if args.metrics_out else None
-    harness = ShardLiveFireHarness(
-        ShardLiveFireConfig(
-            shards=args.shards,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            store_backend=args.store,
-        ),
-        metrics=metrics,
-    )
-    print(
-        f"torture v4: {args.runs} shard-kill runs from seed {args.seed} "
-        f"({args.shards} shards, {args.clients} clients x "
-        f"{args.requests} requests, store {args.store})"
-    )
-    status = _report_livefire(harness.campaign(args.runs, args.seed))
-    _dump_campaign_metrics(metrics, args)
-    return status
-
-
-def torture_v5(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry() if args.metrics_out else None
-    harness = ReplicaLiveFireHarness(
-        ReplicaLiveFireConfig(
-            clients=args.clients,
-            requests_per_client=args.requests,
-            zombie_ratio=args.zombie_ratio,
-        ),
-        metrics=metrics,
-    )
-    print(
-        f"torture v5: {args.runs} primary-kill/promote runs from seed "
-        f"{args.seed} ({args.clients} clients x {args.requests} requests, "
-        f"zombie ratio {args.zombie_ratio})"
-    )
-    status = _report_livefire(harness.campaign(args.runs, args.seed))
+        status = _report_livefire(sub, args) or status
     _dump_campaign_metrics(metrics, args)
     return status
 
@@ -381,32 +396,7 @@ def _parse_primary(spec: str) -> tuple:
     return (host or "127.0.0.1", int(port))
 
 
-def _store_and_log(args: argparse.Namespace, index: int):
-    """Store + log of recovery domain ``index``.
-
-    One domain lives at the root of the data directory (``wal.log``
-    right under it); N > 1 live under ``data-dir/shard-<index>``, each
-    its own WAL stream.  A ``--fault-seed`` arms one seeded fuzz model
-    per domain over both devices.
-    """
-    root = args.data_dir
-    if args.shards > 1:
-        root = os.path.join(root, f"shard-{index}")
-    if args.fault_seed is None:
-        return make_store(args.store, root), FileLogManager(root)
-    model = FaultModel.fuzz(
-        args.fault_seed + index,
-        FuzzRates(
-            transient=args.p_transient,
-            torn=args.p_torn,
-            corrupt=args.p_corrupt,
-        ),
-    )
-    return make_store(args.store, root, model=model), FaultyFileLog(root, model)
-
-
 def serve_daemon(args: argparse.Namespace) -> int:
-    system_config = SystemConfig(cache=recommended_cache_config(args.store))
     if args.shards > 1 and (args.witness_of or args.replicate):
         print(
             "replication serves one recovery domain per daemon; "
@@ -414,52 +404,56 @@ def serve_daemon(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    # A ``--fault-seed`` arms one seeded fuzz model per recovery domain
+    # over both of its devices.
+    models = [] if args.fault_seed is None else [
+        FaultModel.fuzz(
+            args.fault_seed + index,
+            FuzzRates(
+                transient=args.p_transient,
+                torn=args.p_torn,
+                corrupt=args.p_corrupt,
+            ),
+        )
+        for index in range(args.shards)
+    ]
     # Each recovery domain recovers its own directory (its own WAL
     # stream) independently; the daemon gates admission and supervises
     # per domain.
-    stores_logs = [_store_and_log(args, index) for index in range(args.shards)]
-    sharded = ShardedSystem.build(
-        args.shards,
-        config_factory=lambda index: system_config,
-        store_factory=lambda index: stores_logs[index][0],
-        log_factory=lambda index: stores_logs[index][1],
+    sharded = build_systems(
+        args.shards, args.store, args.data_dir, file_log=True, models=models
     )
-    register_workload_functions(sharded.registry)
     # Cold start: whatever the directory contains — a clean shutdown,
     # SIGKILL debris — the daemon's supervised startup must recover it
     # before the listener opens.  Entering the crashed state makes the
     # watchdog run the full escalation ladder.
     sharded.crash_all()
-    daemon_config = DaemonConfig(
-        host=args.host,
-        port=args.port,
-        http_port=None if args.no_http else args.http_port,
-        max_queue=args.max_queue,
-        default_deadline_ms=args.default_deadline_ms,
-        allow_chaos=args.allow_chaos,
-        flightrec_path=os.path.join(args.data_dir, "flightrec.jsonl"),
-    )
+    witness = None
     if args.witness_of:
         primary_host, primary_port = _parse_primary(args.witness_of)
-        daemon = WitnessDaemon(
-            sharded.systems[0],
-            daemon_config,
-            witness=WitnessConfig(
-                primary_host=primary_host,
-                primary_port=primary_port,
-                epoch_root=args.data_dir,
-            ),
+        witness = WitnessConfig(
+            primary_host=primary_host,
+            primary_port=primary_port,
+            epoch_root=args.data_dir,
         )
-    else:
-        daemon = ServeDaemon(
-            sharded,
-            daemon_config,
-            replication=(
-                ReplicationConfig(epoch_root=args.data_dir)
-                if args.replicate
-                else None
-            ),
-        )
+    daemon = build_daemon(
+        sharded,
+        DaemonConfig(
+            host=args.host,
+            port=args.port,
+            http_port=None if args.no_http else args.http_port,
+            max_queue=args.max_queue,
+            default_deadline_ms=args.default_deadline_ms,
+            allow_chaos=args.allow_chaos,
+            flightrec_path=os.path.join(args.data_dir, "flightrec.jsonl"),
+        ),
+        replication=(
+            ReplicationConfig(epoch_root=args.data_dir)
+            if args.replicate
+            else None
+        ),
+        witness=witness,
+    )
     daemon.start()
     topology = f"{args.shards} shards, " if args.shards > 1 else ""
     role = f", role: {daemon.role}" if daemon.role != "primary" else ""
@@ -620,67 +614,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="per-point clean-crash rate")
     v2.set_defaults(fn=torture_v2)
 
-    v3 = tsub.add_parser(
-        "v3", help="live fire: client workloads over sockets at a "
-        "served daemon under faults and kills; every acked write "
-        "audited for durability after recovery"
-    )
-    v3.add_argument("--runs", type=int, default=25,
-                    help="in-process seeded runs (default 25)")
-    v3.add_argument("--seed", type=int, default=0,
-                    help="base run seed (run i uses seed+i)")
-    v3.add_argument("--clients", type=int, default=3,
-                    help="concurrent client threads per run (default 3)")
-    v3.add_argument("--requests", type=int, default=12,
-                    help="put requests per client (default 12)")
-    v3.add_argument("--no-subprocess", action="store_true",
-                    help="skip the real-SIGKILL/SIGTERM subprocess lanes")
-    v3.add_argument("--metrics-out", default=None, metavar="PATH",
-                    help="write campaign telemetry (JSONL) to PATH")
-    v3.set_defaults(fn=torture_v3)
-
-    v4 = tsub.add_parser(
-        "v4", help="sharded live fire: kill one shard worker mid-serve; "
-        "surviving shards must keep acking, and every acked write "
-        "(the victim's included) must survive its recovery"
-    )
-    v4.add_argument("--runs", type=int, default=25,
-                    help="seeded runs (default 25)")
-    v4.add_argument("--seed", type=int, default=0,
-                    help="base run seed (run i uses seed+i)")
-    v4.add_argument("--shards", type=int, default=2,
-                    help="recovery domains per run (default 2)")
-    v4.add_argument("--clients", type=int, default=3,
-                    help="concurrent client threads per run (default 3)")
-    v4.add_argument("--requests", type=int, default=14,
-                    help="requests per client (default 14)")
-    v4.add_argument("--store", default="memory", choices=backend_names,
-                    help="per-shard stable-store backend under torture "
-                    "(default memory)")
-    v4.add_argument("--metrics-out", default=None, metavar="PATH",
-                    help="write campaign telemetry (JSONL) to PATH")
-    v4.set_defaults(fn=torture_v4)
-
-    v5 = tsub.add_parser(
-        "v5", help="replication live fire: kill (or zombie) the primary "
-        "of a primary/witness pair mid-serve, promote the witness, fail "
-        "clients over, and audit every acked write against the promoted "
-        "witness plus the epoch-fencing invariant"
-    )
-    v5.add_argument("--runs", type=int, default=25,
-                    help="seeded runs (default 25)")
-    v5.add_argument("--seed", type=int, default=0,
-                    help="base run seed (run i uses seed+i)")
-    v5.add_argument("--clients", type=int, default=3,
-                    help="concurrent client threads per run (default 3)")
-    v5.add_argument("--requests", type=int, default=10,
-                    help="put requests per client (default 10)")
-    v5.add_argument("--zombie-ratio", type=float, default=0.2,
-                    help="fraction of runs that leave the primary alive "
-                    "through the promotion (default 0.2)")
-    v5.add_argument("--metrics-out", default=None, metavar="PATH",
-                    help="write campaign telemetry (JSONL) to PATH")
-    v5.set_defaults(fn=torture_v5)
+    for scenario in SCENARIOS.values():
+        _add_livefire_arguments(
+            tsub.add_parser(scenario.name, help=scenario.help), scenario
+        )
 
     serve = sub.add_parser(
         "serve", help="run the serving daemon over a database directory"
@@ -707,7 +644,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="admission backlog bound (default 64)")
     serve.add_argument("--default-deadline-ms", type=int, default=5000,
                        help="deadline for requests that carry none")
-    serve.add_argument("--shards", type=int, default=1,
+    serve.add_argument("--shards", type=positive_int, default=1,
                        help="recovery domains; > 1 serves a sharded "
                        "topology with per-shard WALs under "
                        "data-dir/shard-K (default 1)")

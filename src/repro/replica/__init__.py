@@ -22,19 +22,14 @@ Layout:
   truncation protection, the ack-gated ``replicate`` call);
 * :mod:`repro.replica.witness` — :class:`WitnessDaemon`, a ServeDaemon
   subclass that subscribes, adopts, redoes, answers probes, and
-  promotes to primary on operator request;
-* :mod:`repro.replica.livefire` — torture v5: seeded primary kills and
-  zombie-primary lanes over a real TCP pair, audited with the
-  exactly-once acked-write oracle.
+  promotes to primary on operator request.
+
+Torture v5 — seeded primary kills and zombie-primary lanes over a real
+TCP pair, audited with the exactly-once acked-write oracle — is the
+replicated row of :data:`repro.livefire.SCENARIOS`.
 """
 
 from repro.replica.epoch import INITIAL_EPOCH, EpochStore
-from repro.replica.livefire import (
-    ReplicaLiveFireConfig,
-    ReplicaLiveFireHarness,
-    ReplicaLiveFireOutcome,
-    ReplicaLiveFireReport,
-)
 from repro.replica.sender import ReplicationConfig, ReplicationSender
 from repro.replica.witness import WitnessConfig, WitnessDaemon
 
@@ -45,8 +40,4 @@ __all__ = [
     "ReplicationSender",
     "WitnessConfig",
     "WitnessDaemon",
-    "ReplicaLiveFireConfig",
-    "ReplicaLiveFireHarness",
-    "ReplicaLiveFireOutcome",
-    "ReplicaLiveFireReport",
 ]

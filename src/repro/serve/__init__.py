@@ -20,17 +20,11 @@ long-running process with an operator's contract:
 * :mod:`repro.serve.protocol` — the length-prefixed JSON framing;
 * :mod:`repro.serve.errors` — the typed rejections clients catch.
 
-The live-fire torture lane (:mod:`repro.serve.livefire`, surfaced as
-``python -m repro torture v3``) drives a client workload at a real
-daemon under storage faults and kills, asserting every acknowledged
-write survives recovery.
-
 Sharded serving (``python -m repro serve --shards N``) fronts N
 independent recovery domains with one apply thread, WAL stream, health
 gate and watchdog per shard, a fence-protocol rendezvous for
-cross-shard operations, and chaos endpoints used by the torture v4
-lane (:mod:`repro.serve.livefire_shard`) to kill one shard and prove
-the others keep serving.
+cross-shard operations, and chaos endpoints that kill and revive one
+shard while the others keep serving.
 
 Replication (:mod:`repro.replica`, ``--replicate`` /
 ``--witness-of``) pairs a primary with a witness that adopts and
@@ -38,15 +32,13 @@ continuously redoes its shipped WAL; client acks wait for the
 witness's durable receipt, promotion is epoch-fenced and
 operator-driven, and :class:`DaemonClient` takes ``failover`` targets
 so applications ride through the switch.
+
+The live-fire torture harness that kills all of the above under client
+load and audits every acknowledged write lives above this package, in
+:mod:`repro.livefire` (``python -m repro torture v3|v4|v5``).
 """
 
 from repro.serve.client import RETRYABLE_CODES, DaemonClient, RetryPolicy
-from repro.serve.livefire import (
-    LiveFireConfig,
-    LiveFireHarness,
-    LiveFireOutcome,
-    LiveFireReport,
-)
 from repro.serve.errors import (
     BackpressureError,
     BadRequestError,
@@ -58,12 +50,6 @@ from repro.serve.errors import (
     ServerUnavailableError,
     ShuttingDownError,
 )
-from repro.serve.livefire_shard import (
-    ShardLiveFireConfig,
-    ShardLiveFireHarness,
-    ShardLiveFireOutcome,
-    ShardLiveFireReport,
-)
 from repro.serve.server import WRITE_KINDS, DaemonConfig, ServeDaemon
 from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
 
@@ -74,10 +60,6 @@ __all__ = [
     "DaemonConfig",
     "DeadlineExceededError",
     "FencedError",
-    "LiveFireConfig",
-    "LiveFireHarness",
-    "LiveFireOutcome",
-    "LiveFireReport",
     "ProtocolError",
     "RETRYABLE_CODES",
     "RetryPolicy",
@@ -86,10 +68,6 @@ __all__ = [
     "ServerFailedError",
     "ServerUnavailableError",
     "ServingWatchdog",
-    "ShardLiveFireConfig",
-    "ShardLiveFireHarness",
-    "ShardLiveFireOutcome",
-    "ShardLiveFireReport",
     "ShuttingDownError",
     "WRITE_KINDS",
     "WatchdogConfig",

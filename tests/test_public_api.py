@@ -27,7 +27,7 @@ class TestTopLevel:
         for name in (
             "ServeDaemon", "DaemonClient", "DaemonConfig", "RetryPolicy",
             "ServingWatchdog", "WatchdogConfig",
-            "LiveFireConfig", "LiveFireHarness",
+            "LiveFireConfig", "LiveFireHarness", "SCENARIOS",
             "ServeError", "BackpressureError", "DeadlineExceededError",
             "ServerUnavailableError", "ShuttingDownError",
             "ServerFailedError", "BadRequestError",
@@ -39,7 +39,6 @@ class TestTopLevel:
         # The sharded-serving surface (PR 7) is part of the package API.
         for name in (
             "ShardRouter", "ShardedSystem", "CrossShardError", "FenceAudit",
-            "ShardLiveFireConfig", "ShardLiveFireHarness",
         ):
             assert name in repro.__all__, name
 
@@ -71,12 +70,11 @@ class TestTopLevel:
             assert name in repro.__all__, name
 
     def test_replication_surface_exported(self):
-        # The primary/witness surface (PR 9): the epoch sidecar, the
-        # sender/witness pair, and the torture v5 harness.
+        # The primary/witness surface (PR 9): the epoch sidecar and the
+        # sender/witness pair (torture v5 is a row of SCENARIOS).
         for name in (
             "EpochStore", "FencedError", "ReplicationConfig",
             "ReplicationSender", "WitnessConfig", "WitnessDaemon",
-            "ReplicaLiveFireConfig", "ReplicaLiveFireHarness",
         ):
             assert name in repro.__all__, name
 
@@ -96,12 +94,20 @@ REMOVED_MODULES = [
     "repro.persist." + "file_store",
     "repro.persist." + "faulty",
     "repro.serve." + "sharded",
+    # 4.0.0: the three live-fire harnesses are one, repro.livefire.
+    "repro.serve." + "livefire",
+    "repro.serve." + "livefire_shard",
+    "repro.replica." + "livefire",
 ]
-REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"]
+REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
+    prefix + "LiveFire" + suffix
+    for prefix in ("Shard", "Replica")
+    for suffix in ("Config", "Harness", "Outcome", "Report")
+]
 
 
 class TestRemovedPaths:
-    """The 2.x compatibility paths are gone in 3.0.0, not aliased."""
+    """Removed modules and names (3.0.0, 4.0.0) are gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):
@@ -122,9 +128,15 @@ class TestRemovedPaths:
         assert not hasattr(faults, name), name
 
     @pytest.mark.parametrize("name", REMOVED_NAMES)
-    def test_sharded_daemon_names_are_gone(self, name):
-        assert name not in repro.__all__ and not hasattr(repro, name)
-        assert name not in serve.__all__ and not hasattr(serve, name)
+    def test_removed_names_are_gone(self, name):
+        for package in (repro, serve, repro.replica, repro.livefire):
+            assert name not in getattr(package, "__all__", ())
+            assert not hasattr(package, name)
+
+    def test_no_package_init_imports_the_harness(self):
+        # The harness sits above serve and replica; neither depends on it.
+        for package in (serve, repro.replica):
+            assert not hasattr(package, "LiveFireHarness")
 
     def test_canonical_homes_still_export(self):
         assert repro.persist.FileStableStore is storage.FileStableStore
