@@ -493,15 +493,16 @@ class RecoverableSystem:
         self.health = SystemHealth.FAILED
 
     def close(self) -> None:
-        """Release what the system holds open: the file log's append
-        descriptor.
+        """Release what the system holds open: the append descriptors
+        of the file log and of the logstore's active segment.
 
         Idempotent; the system remains usable afterwards (the next
-        force reopens the log file).  Long-lived owners — the serving
-        daemon, benchmark harnesses — call this on shutdown so the
-        descriptor does not outlive its system.
+        force or store write reopens its file).  Long-lived owners —
+        the serving daemon, benchmark harnesses — call this on shutdown
+        so the descriptors do not outlive their system.
         """
         self.log.close()
+        self.store.close()
 
     # ------------------------------------------------------------------
     # verification support

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from repro.persist.file_log import FileLogManager
 from repro.storage.faults import FaultCrash, FaultKind, FaultModel
+from repro.storage.faultwrap import torn_prefix
 from repro.storage.stats import IOStats
 from repro.wal.records import LogRecord
 
@@ -50,8 +51,10 @@ class FaultyFileLog(FileLogManager):
         landed = pending[: len(pending) - 1]
         super()._write_stable(landed)
         if pending:
-            frame = self._frame(pending[-1])
-            self._append_bytes(frame[: max(1, len(frame) // 2)])
+            good = self._file.end
+            self._file.append(torn_prefix(self._frame(pending[-1])))
+            # The device took those bytes; no frame owns them.
+            self._file.end, self._file.torn = good, True
         raise FaultCrash(f"machine lost mid-force ({spec.describe()})")
 
     def crash(self) -> None:
@@ -61,4 +64,4 @@ class FaultyFileLog(FileLogManager):
             # tail; the in-process equivalent is cutting the file back
             # to the end of the good frames the in-memory stable log
             # kept.
-            self._repair_tail()
+            self._file.repair()

@@ -11,8 +11,9 @@ because checkpoint truncation legitimately drops old records
 sidecar is the durable one).
 
 ``EpochStore`` keeps the number in ``epoch.json`` under the daemon's
-data directory, written with the tmp-write → rename → directory-fsync
-dance the file log uses, so a crash mid-update leaves either the old
+data directory, written through
+:func:`~repro.storage.framing.write_file_durably` (temp file → fsync →
+rename → directory fsync), so a crash mid-update leaves either the old
 number or the new one, never garbage.  A store built with ``root=None``
 (the in-process harnesses) keeps the number in memory with the same
 interface.
@@ -23,6 +24,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Optional
+
+from repro.storage.framing import write_file_durably
 
 #: Epoch of a pair that has never failed over.
 INITIAL_EPOCH = 1
@@ -69,15 +72,7 @@ class EpochStore:
         if self.root is None:
             self._memory = epoch
             return epoch
-        tmp = self.path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"epoch": epoch}, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        directory = os.open(self.root, os.O_RDONLY)
-        try:
-            os.fsync(directory)
-        finally:
-            os.close(directory)
+        write_file_durably(
+            self.path, json.dumps({"epoch": epoch}).encode("utf-8")
+        )
         return epoch

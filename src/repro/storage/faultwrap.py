@@ -47,7 +47,7 @@ from repro.common.errors import CorruptObjectError
 from repro.common.identifiers import ObjectId, StateId
 from repro.storage.faults import FaultKind, FaultModel, FaultSpec
 from repro.storage.file_store import FileStableStore, _encode
-from repro.storage.framing import HEADER, MAGIC
+from repro.storage.framing import OVERHEAD, FramedFile
 from repro.storage.logstore import LogStructuredStableStore
 from repro.storage.stable_store import StableStore, StoredVersion
 from repro.storage.stats import IOStats
@@ -342,10 +342,9 @@ class FaultyFileStore(DeviceFaultInjector, FileStableStore):
             # The write completed, then the medium rotted: flip one
             # payload bit of the stored frame, checksum left stale.
             intact()
-            prefix = len(MAGIC) + HEADER.size
             size = os.path.getsize(path)
             flip_byte_in_file(
-                path, prefix + spec.point % max(1, size - prefix)
+                path, OVERHEAD + spec.point % max(1, size - OVERHEAD)
             )
 
         self._faulted_device_write(obj, intact=intact, torn=torn, rot=rot)
@@ -379,23 +378,24 @@ class FaultyLogStructuredStore(DeviceFaultInjector, LogStructuredStableStore):
         self.model = model
         super().__init__(root, stats, **kwargs)
 
-    def _append_device(self, path: str, data: bytes, offset: int) -> None:
-        def intact() -> None:
-            LogStructuredStableStore._append_device(self, path, data, offset)
+    def _append_device(self, file: FramedFile, data: bytes) -> int:
+        offset = 0
 
-        def torn(spec: FaultSpec) -> None:
-            LogStructuredStableStore._append_device(
-                self, path, torn_prefix(data), offset
-            )
+        def land(written: bytes) -> None:
+            nonlocal offset
+            offset = file.append(written)
 
         def rot(spec: FaultSpec) -> None:
-            intact()
-            prefix = len(MAGIC) + HEADER.size
+            land(data)
             flip_byte_in_file(
-                path,
-                offset + prefix + spec.point % max(1, len(data) - prefix),
+                file.path,
+                offset + OVERHEAD + spec.point % max(1, len(data) - OVERHEAD),
             )
 
         self._faulted_device_write(
-            os.path.basename(path), intact=intact, torn=torn, rot=rot
+            os.path.basename(file.path),
+            intact=lambda: land(data),
+            torn=lambda spec: land(torn_prefix(data)),
+            rot=rot,
         )
+        return offset

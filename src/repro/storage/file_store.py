@@ -42,16 +42,6 @@ from repro.storage.stable_store import StableStore, StoredVersion
 from repro.storage.stats import IOStats
 
 _SUFFIX = ".obj"
-# Compatibility aliases: the frame format moved to repro.storage.framing
-# (it is shared with the log-structured backend); older code imported
-# these names from this module.
-_MAGIC = framing.MAGIC
-_HEADER = framing.HEADER
-_MARKER_NAME = framing.MARKER_NAME
-_MARKER_TAG = framing.MARKER_TAG
-_frame = framing.frame
-_unframe = framing.unframe
-_fsync_dir = framing.fsync_dir
 
 
 def _encode(obj: ObjectId) -> str:

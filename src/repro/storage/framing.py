@@ -14,7 +14,13 @@ damage and replay it from the log.  A frame written by another codec
 version is not damage: it is refused
 (:class:`~repro.common.codec.UnknownVersionError`), never quarantined.
 
-The module also provides the **restore-pending marker** shared by the
+The module is also the one place bytes are made durable
+(:class:`FramedFile` for append-only files of frames — the WAL's
+``wal.log`` and the logstore's segments — and :func:`write_file_durably`
+for whole-file replacement): nothing else under ``src/repro`` calls
+``fsync``, ``replace`` or ``truncate`` on stable state (DESIGN.md §4a).
+
+It also provides the **restore-pending marker** shared by the
 durable backends (:class:`DurableMediaMarker`): the redo-scan start a
 media restore committed to, persisted as a marker file so it survives a
 cold process restart — a recovery that crashed between its media
@@ -29,7 +35,7 @@ import os
 import struct
 import tempfile
 import zlib
-from typing import Any, Optional, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 from repro.common.codec import (
     CodecError,
@@ -43,6 +49,8 @@ from repro.common.retry import retry_transient
 
 MAGIC = b"ROBJ1\n"
 HEADER = struct.Struct("<II")  # payload length, crc32
+#: Bytes a stored-version frame adds in front of its payload.
+OVERHEAD = len(MAGIC) + HEADER.size
 
 MARKER_NAME = "media_redo_pending.marker"
 #: Value field stored in the marker frame (the vSI slot carries the
@@ -70,32 +78,58 @@ def fsync_dir(path: str) -> None:
         os.close(fd)
 
 
-def frame(value: Any, vsi: StateId) -> bytes:
-    """Serialize one ``(value, vSI)`` pair as a checksummed frame."""
-    payload = encode_stored_version(value, vsi)
-    return MAGIC + HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+def pack_frame(payload: bytes, magic: bytes = b"") -> bytes:
+    """``magic || [length][crc32] || payload``."""
+    return magic + HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def unframe(data: bytes, origin: str) -> Tuple[Any, StateId]:
-    """Parse a frame, raising :class:`CorruptObjectError` on any damage
-    (and ``UnknownVersionError`` for another codec version's frame)."""
-    if not data.startswith(MAGIC):
+def payload_at(
+    data: bytes, offset: int, magic: bytes = b"", origin: str = "frame"
+) -> bytes:
+    """The frame test: the payload of the frame at ``offset`` in ``data``.
+
+    Raises :class:`CorruptObjectError` for anything a torn or rotted
+    write leaves behind — a missing magic, an incomplete header, a
+    payload shorter than its declared length, a checksum mismatch, or
+    the empty frame of an all-zero header (no writer frames nothing).
+    """
+    start = offset + len(magic) + HEADER.size
+    if not data.startswith(magic, offset):
         raise CorruptObjectError(f"{origin}: bad magic (torn or foreign file)")
-    body = data[len(MAGIC) :]
-    if len(body) < HEADER.size:
+    if start > len(data):
         raise CorruptObjectError(f"{origin}: truncated header")
-    length, checksum = HEADER.unpack_from(body, 0)
-    payload = body[HEADER.size : HEADER.size + length]
+    length, checksum = HEADER.unpack_from(data, start - HEADER.size)
+    payload = data[start : start + length]
     if len(payload) < length:
         raise CorruptObjectError(f"{origin}: truncated payload (torn write)")
-    if zlib.crc32(payload) != checksum:
+    if length == 0 or zlib.crc32(payload) != checksum:
         raise CorruptObjectError(f"{origin}: checksum mismatch (bit rot)")
+    return payload
+
+
+def frame(value: Any, vsi: StateId) -> bytes:
+    """Serialize one ``(value, vSI)`` pair as a checksummed frame."""
+    return pack_frame(encode_stored_version(value, vsi), MAGIC)
+
+
+def decode_payload(payload: bytes, origin: str) -> Tuple[Any, StateId]:
+    """Decode a stored-version payload that passed the frame test.
+
+    Undecodable bytes are damage (:class:`CorruptObjectError`); another
+    codec version's frame is refused (``UnknownVersionError``).
+    """
     try:
         return decode_stored_version(payload)
     except UnknownVersionError as exc:
         raise UnknownVersionError(f"{origin}: {exc}") from None
     except CodecError as exc:
         raise CorruptObjectError(f"{origin}: undecodable payload: {exc}")
+
+
+def unframe(data: bytes, origin: str) -> Tuple[Any, StateId]:
+    """Parse a frame, raising :class:`CorruptObjectError` on any damage
+    (and ``UnknownVersionError`` for another codec version's frame)."""
+    return decode_payload(payload_at(data, 0, MAGIC, origin), origin)
 
 
 def write_file_durably(path: str, data: bytes) -> None:
@@ -118,6 +152,159 @@ def write_file_durably(path: str, data: bytes) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+class FramedFile:
+    """An append-only file of checksummed frames.
+
+    The one durable-file mechanism under the WAL (``wal.log``, no magic:
+    ``[len][crc][payload]``) and the logstore (one instance per segment,
+    ``MAGIC[len][crc][payload]``).  It owns everything that touches the
+    device: the held ``O_APPEND`` descriptor, write-all + ``fsync``, the
+    forward scan with its frame test, tail repair, the cut-back after a
+    failed append, the positioned re-read, and the prefix drop.  Callers
+    keep policy only (what a payload means, what damage implies).
+
+    ``end`` is the end of the bytes this object vouches for — where the
+    last scan stopped or the last append ended; ``torn`` says the file
+    may hold bytes past ``end`` that no frame owns.  Not thread-safe:
+    the owner serializes calls (the WAL under its force mutex).
+    """
+
+    def __init__(self, path: str, magic: bytes = b"") -> None:
+        self.path = path
+        self.magic = magic
+        self.end = 0
+        self.torn = False
+        #: Bad spots the last scan met (the torn tail included).
+        self.damage = 0
+        #: The append descriptor, opened by the first append and kept
+        #: until :meth:`close` (or a repair/replace that invalidates it).
+        self._fd: Optional[int] = None
+
+    # ------------------------------------------------------------------
+    # reading
+    # ------------------------------------------------------------------
+    def scan(self) -> Iterator[Tuple[int, bytes]]:
+        """Yield ``(offset, payload)`` of every frame that passes the
+        frame test, front to back (a missing file holds none).
+
+        A frame that fails is skipped by resynchronizing at the next
+        magic; with none ahead — always, in a file without magic — the
+        rest is a **torn tail** and the scan stops.  Once the iterator
+        is exhausted ``end``, ``torn`` and ``damage`` describe the file.
+        """
+        try:
+            with open(self.path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
+        self.damage = 0
+        offset = 0
+        while offset < len(data):
+            try:
+                payload = payload_at(data, offset, self.magic)
+            except CorruptObjectError:
+                self.damage += 1
+                resync = data.find(self.magic, offset + 1) if self.magic else -1
+                if resync == -1:
+                    break
+                offset = resync
+                continue
+            yield offset, payload
+            offset += len(self.magic) + HEADER.size + len(payload)
+        self.end = offset
+        self.torn = offset < len(data)
+
+    def read_frame(self, offset: int, length: int) -> bytes:
+        """Re-read the ``length``-byte frame at ``offset`` from the
+        device (scrub); :class:`CorruptObjectError` if it fails the
+        frame test or the file is gone."""
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(offset)
+                data = handle.read(length)
+        except FileNotFoundError:
+            data = b""
+        return payload_at(data, 0, self.magic)
+
+    # ------------------------------------------------------------------
+    # writing
+    # ------------------------------------------------------------------
+    def append(self, data: bytes) -> int:
+        """The device touchpoint: append ``data`` (whole frames) and
+        fsync; return the offset it landed at.
+
+        The offset comes from the descriptor, so it is true whatever
+        landed before.  An append that creates the file fsyncs the
+        directory.  One that fails part-way (``ENOSPC`` after a short
+        write, ``EIO`` from fsync) cuts the file back to the last
+        acknowledged byte — ``O_APPEND`` would otherwise keep the partial
+        bytes ahead of the next frame; if even that fails, ``torn`` makes
+        the next append do it first.
+        """
+        if self.torn:
+            self.repair()
+        try:
+            if self._fd is None:
+                created = not os.path.exists(self.path)
+                self._fd = os.open(
+                    self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644
+                )
+                if created:
+                    fsync_dir(os.path.dirname(self.path))
+            self.end = os.fstat(self._fd).st_size
+            view = memoryview(data)
+            while view:
+                view = view[os.write(self._fd, view):]
+            os.fsync(self._fd)
+        except OSError:
+            self.torn = True
+            try:
+                self.repair()
+            except OSError:
+                pass
+            raise
+        self.end += len(data)
+        return self.end - len(data)
+
+    def repair(self) -> None:
+        """Drop whatever follows ``end`` (idempotent)."""
+        self.close()
+        if os.path.exists(self.path):
+            with open(self.path, "r+b") as handle:
+                handle.truncate(self.end)
+                os.fsync(handle.fileno())
+        self.torn = False
+
+    def drop_prefix(self, base: int) -> None:
+        """Replace the file with its bytes ``[base, end)``, atomically."""
+        with open(self.path, "rb") as source:
+            source.seek(base)
+            retained = source.read(self.end - base)
+        write_file_durably(self.path, retained)
+        # The held descriptor names the replaced inode.
+        self.close()
+        self.end -= base
+        self.torn = False  # only [base, end) was carried over
+
+    def remove(self) -> None:
+        """Release the descriptor and unlink the file (the caller
+        fsyncs the directory, once per batch of removals)."""
+        self.close()
+        if os.path.exists(self.path):
+            os.unlink(self.path)
+
+    def close(self) -> None:
+        """Release the append descriptor; the next append reopens it."""
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def __del__(self) -> None:
+        # Safety net for owners dropped without close() (harnesses build
+        # one per run): a raw descriptor is not reclaimed by the GC.
+        self.close()
 
 
 class DurableMediaMarker:

@@ -35,6 +35,12 @@ files.  Compaction is crash-safe by segment-id ordering alone:
 3. new appends after compaction go to a segment numbered after the
    copy, so they always win over it.
 
+Each segment is one :class:`~repro.storage.framing.FramedFile` — the
+mechanism the WAL's ``wal.log`` runs on too — which owns the append
+descriptor, the scan and frame test, tail repair and the cut-back after
+a failed append; this module is index, accounting, compaction and the
+damage policy.
+
 Damage handling mirrors the other durable backend
 (:class:`~repro.storage.file_store.FileStableStore`): every record is
 CRC-framed, :meth:`scrub` re-reads each indexed record from the device
@@ -60,7 +66,7 @@ from repro.common.errors import CorruptObjectError
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
 from repro.common.retry import retry_transient
 from repro.storage import framing
-from repro.storage.framing import DurableMediaMarker, fsync_dir
+from repro.storage.framing import DurableMediaMarker, FramedFile, fsync_dir
 from repro.storage.stable_store import StableStore, StoredVersion
 from repro.storage.stats import IOStats
 
@@ -91,9 +97,12 @@ class _Loc:
 @dataclass
 class _Segment:
     seg_id: int
-    path: str
-    #: Bytes appended so far (intended size; re-read from the device
-    #: where it matters, so fault-torn appends cannot corrupt it).
+    #: The segment's bytes.  Only the active segment (and a compaction
+    #: copy while it is being written) holds a descriptor.
+    file: FramedFile
+    #: Bytes appended so far (intended size: accounting only — landing
+    #: offsets come from the descriptor, so fault-torn appends cannot
+    #: skew them).
     size: int = 0
     #: Bytes belonging to currently-authoritative records.
     live: int = 0
@@ -182,64 +191,41 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
                 self._active = active
         return damaged
 
+    def _new_segment(self, seg_id: int) -> _Segment:
+        path = os.path.join(self._dir, _segment_name(seg_id))
+        segment = _Segment(seg_id, FramedFile(path, framing.MAGIC))
+        self._segments[seg_id] = segment
+        return segment
+
     def _scan_segment(self, seg_id: int, repair_tail: bool) -> bool:
         """Replay one segment into the index; return True on damage.
 
         A bad frame at the very tail of the *last* segment is the
         ordinary crash-mid-append case and is truncated away (like the
         WAL's torn-tail repair).  A bad frame anywhere else is real
-        damage: the scan resynchronizes at the next frame magic and
-        keeps going, salvaging everything that still parses.
+        damage: the scan resynchronized at the next frame magic and
+        kept going, salvaging everything that still parses — and so is
+        a frame that passes its checksum but does not decode.
         """
-        path = os.path.join(self._dir, _segment_name(seg_id))
-        with open(path, "rb") as handle:
-            data = handle.read()
-        segment = _Segment(seg_id, path, size=len(data))
-        self._segments[seg_id] = segment
-        damaged = False
-        offset = 0
-        while offset < len(data):
+        segment = self._new_segment(seg_id)
+        undecodable = 0
+        for offset, payload in segment.file.scan():
             try:
-                frame_len, payload, vsi = self._parse_frame_at(data, offset)
+                record, vsi = framing.decode_payload(payload, "segment record")
             except CorruptObjectError:
-                self.stats.checksum_failures += 1
-                resync = data.find(framing.MAGIC, offset + 1)
-                if resync == -1:
-                    if repair_tail:
-                        # Torn tail: truncate the partial frame away so
-                        # future appends start at a clean boundary.
-                        with open(path, "r+b") as handle:
-                            handle.truncate(offset)
-                            handle.flush()
-                            os.fsync(handle.fileno())
-                        segment.size = offset
-                    damaged = True
-                    break
-                damaged = True
-                offset = resync
+                undecodable += 1
                 continue
-            self._replay_record(seg_id, offset, frame_len, payload, vsi)
-            offset += frame_len
-        return damaged
-
-    @staticmethod
-    def _parse_frame_at(
-        data: bytes, offset: int
-    ) -> Tuple[int, Any, StateId]:
-        """Parse one frame starting at ``offset``; return its length."""
-        header_end = offset + len(framing.MAGIC) + framing.HEADER.size
-        if header_end > len(data):
-            raise CorruptObjectError("segment: truncated frame header")
-        if not data.startswith(framing.MAGIC, offset):
-            raise CorruptObjectError("segment: bad frame magic")
-        length = framing.HEADER.unpack_from(
-            data, offset + len(framing.MAGIC)
-        )[0]
-        frame_len = len(framing.MAGIC) + framing.HEADER.size + length
-        payload, vsi = framing.unframe(
-            data[offset : offset + frame_len], "segment record"
-        )
-        return frame_len, payload, vsi
+            self._replay_record(
+                seg_id, offset, framing.OVERHEAD + len(payload), record, vsi
+            )
+        if segment.file.torn and repair_tail:
+            # Torn tail: truncate the partial frame away so future
+            # appends start at a clean boundary.
+            segment.file.repair()
+        segment.size = segment.file.end
+        damage = segment.file.damage + undecodable
+        self.stats.checksum_failures += damage
+        return damage > 0
 
     def _replay_record(
         self,
@@ -304,50 +290,33 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
     # ------------------------------------------------------------------
     def _active_segment(self) -> _Segment:
         if self._active is None or self._active.size >= self.segment_bytes:
-            seg_id = self._next_id
+            if self._active is not None:
+                self._active.file.close()  # sealed segments hold none
+            self._active = self._new_segment(self._next_id)
             self._next_id += 1
-            segment = _Segment(
-                seg_id, os.path.join(self._dir, _segment_name(seg_id))
-            )
-            self._segments[seg_id] = segment
-            self._active = segment
         return self._active
+
+    def _append_frame(self, segment: _Segment, frame: bytes, what: str) -> int:
+        """Durably append one frame to ``segment``; return its offset."""
+        offset = retry_transient(
+            lambda: self._append_device(segment.file, frame),
+            stats=self.stats,
+            what=what,
+        )
+        segment.size = offset + len(frame)
+        return offset
+
+    def _append_device(self, file: FramedFile, data: bytes) -> int:
+        """The device touchpoint (overridden by the fault-injecting
+        subclass): append raw bytes; return where they landed."""
+        return file.append(data)
 
     def _append_payload(self, payload: Any, vsi: StateId) -> Tuple[int, int, int]:
         """Durably append one record; return ``(seg_id, offset, length)``."""
         frame = framing.frame(payload, vsi)
-        return retry_transient(
-            lambda: self._append_once(frame),
-            stats=self.stats,
-            what="append segment record",
-        )
-
-    def _append_once(self, frame: bytes) -> Tuple[int, int, int]:
         segment = self._active_segment()
-        # Re-read the real size so a previously-torn append (fault
-        # injection) cannot skew subsequent offsets.
-        offset = (
-            os.path.getsize(segment.path)
-            if os.path.exists(segment.path)
-            else 0
-        )
-        self._append_device(segment.path, frame, offset)
-        segment.size = offset + len(frame)
+        offset = self._append_frame(segment, frame, "append segment record")
         return segment.seg_id, offset, len(frame)
-
-    def _append_device(self, path: str, data: bytes, offset: int) -> None:
-        """The device touchpoint: append raw bytes and fsync.
-
-        Overridden by the fault-injecting subclass; ``offset`` is where
-        the bytes are expected to land (for damage positioning).
-        """
-        existed = os.path.exists(path)
-        with open(path, "ab") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if not existed:
-            fsync_dir(self._dir)
 
     def _append_put(self, obj: ObjectId, version: StoredVersion) -> None:
         seg_id, offset, length = self._append_payload(
@@ -441,32 +410,21 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         # compaction always win over copied records.
         copy_id = self._next_id
         self._next_id += 1
-        copy_seg = _Segment(
-            copy_id, os.path.join(self._dir, _segment_name(copy_id))
-        )
-        self._segments[copy_id] = copy_seg
+        copy_seg = self._new_segment(copy_id)
         self._active = None  # next append allocates a fresh segment
         new_locs: Dict[ObjectId, _Loc] = {}
         copied = 0
         for obj in sorted(self._index):
             version = self._versions[obj]
             frame = framing.frame((_PUT, obj, version.value), version.vsi)
-            offset = copy_seg.size
-            retry_transient(
-                lambda f=frame, o=offset: self._append_device(
-                    copy_seg.path, f, o
-                ),
-                stats=self.stats,
-                what="compaction copy",
-            )
-            copy_seg.size = offset + len(frame)
+            offset = self._append_frame(copy_seg, frame, "compaction copy")
             new_locs[obj] = _Loc(copy_id, offset, len(frame), len(frame))
             copied += 1
             self.stats.compaction_copies += 1
+        copy_seg.file.close()
         if copied == 0:
-            # Nothing live: every old segment is pure dead weight.
-            if os.path.exists(copy_seg.path):
-                os.unlink(copy_seg.path)
+            # Nothing live: every old segment is pure dead weight (and
+            # the copy, never appended to, was never created).
             self._segments.pop(copy_id, None)
         self._hook("copied")
         # Index swap: from here on, reads of the device (scrub) go to
@@ -479,8 +437,7 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         self._hook("indexed")
         for seg_id, segment in old_segments.items():
             self._segments.pop(seg_id, None)
-            if os.path.exists(segment.path):
-                os.unlink(segment.path)
+            segment.file.remove()
         fsync_dir(self._dir)
         self.stats.bump("compactions")
         self._hook("retired")
@@ -517,13 +474,13 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
 
     def _verify_record(self, loc: _Loc) -> bool:
         segment = self._segments.get(loc.seg_id)
-        if segment is None or not os.path.exists(segment.path):
+        if segment is None:
             return False
-        with open(segment.path, "rb") as handle:
-            handle.seek(loc.offset)
-            data = handle.read(loc.length)
         try:
-            framing.unframe(data, "segment record")
+            framing.decode_payload(
+                segment.file.read_frame(loc.offset, loc.length),
+                "segment record",
+            )
         except CorruptObjectError:
             return False
         return True
@@ -549,6 +506,7 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         self, versions: Mapping[ObjectId, StoredVersion]
     ) -> None:
         """Media-recovery restore: replace the whole log."""
+        self.close()
         for seg_id in self._segment_ids_on_disk():
             os.unlink(os.path.join(self._dir, _segment_name(seg_id)))
         fsync_dir(self._dir)
@@ -558,3 +516,11 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         StableStore.restore_versions(self, versions)
         for obj in sorted(versions):
             self._append_put(obj, versions[obj])
+
+    def close(self) -> None:
+        """Release every held segment descriptor (idempotent).
+
+        The store stays usable: the next append reopens its segment.
+        """
+        for segment in self._segments.values():
+            segment.file.close()

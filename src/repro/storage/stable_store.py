@@ -184,6 +184,12 @@ class StableStore:
         """Replace the entire contents (media recovery restore path)."""
         self._versions = dict(versions)
 
+    def close(self) -> None:
+        """Release what the store holds open (here: nothing).
+
+        Idempotent, and the store stays usable afterwards.
+        """
+
     def items(self) -> Iterable[Tuple[ObjectId, StoredVersion]]:
         """Iterate over ``(object id, stored version)`` pairs."""
         return self._versions.items()

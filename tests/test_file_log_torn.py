@@ -1,19 +1,22 @@
 """Torn-tail handling of the file-backed WAL (repro.persist.file_log).
 
 These tests damage ``wal.log`` directly — byte surgery, not the fault
-model — and assert the open-time repair: replay stops at the first bad
-frame and the file is truncated back to the last good one.
+model — and assert the WAL's own policy on top of the shared frame
+mechanism: replay stops at the first bad frame, everything behind it is
+dropped, and the file is truncated back to the last good one.  The
+torn-tail shapes themselves (split header, short payload, zero header,
+idempotent repair) are asserted once, for both on-disk layouts, in
+``tests/test_framed_file.py``.
 """
 
 import os
-import struct
-import zlib
 
 import pytest
 
 from repro.kernel.system import RecoverableSystem, SystemConfig
-from repro.persist.file_log import _HEADER, FileLogManager
+from repro.persist.file_log import FileLogManager
 from repro.persist.faulty_log import FaultyFileLog
+from repro.storage.framing import HEADER as _HEADER
 from repro.storage.faults import FaultCrash, FaultKind, FaultModel, FaultSpec
 from repro.wal.records import OperationRecord
 from repro.workloads import register_workload_functions
@@ -56,19 +59,6 @@ def _op_names(log):
 
 
 class TestTornTail:
-    def test_header_split_across_final_partial_write(self, tmp_path):
-        root = str(tmp_path)
-        _write_records(root, ["x", "y"])
-        log_file = os.path.join(root, "wal.log")
-        # Append half a header: the classic power-cut mid-write tail.
-        with open(log_file, "ab") as handle:
-            handle.write(struct.pack("<I", 12345)[:2])
-        size_before = sum(length for _, length in _frames(log_file))
-        log = FileLogManager(root)
-        assert _op_names(log) == ["wp(x)", "wp(y)"]
-        # The repair truncated the file back to the good frames.
-        assert os.path.getsize(log_file) == size_before
-
     def test_crc_mismatch_in_middle_frame_stops_replay_there(self, tmp_path):
         root = str(tmp_path)
         _write_records(root, ["x", "y", "z"])
@@ -89,32 +79,6 @@ class TestTornTail:
         # prefix-valid structure, not a hole-tolerant one.
         assert _op_names(log) == ["wp(x)"]
         assert os.path.getsize(log_file) == frames[0][1]
-
-    def test_zero_length_payload_frame_treated_as_torn(self, tmp_path):
-        root = str(tmp_path)
-        _write_records(root, ["x"])
-        log_file = os.path.join(root, "wal.log")
-        good_size = os.path.getsize(log_file)
-        # A full header claiming an empty payload with a matching CRC:
-        # checksum passes (crc32(b"") == 0) but there is no record to
-        # decode — the load must treat it as a torn tail, not crash.
-        with open(log_file, "ab") as handle:
-            handle.write(_HEADER.pack(0, zlib.crc32(b"")))
-        log = FileLogManager(root)
-        assert _op_names(log) == ["wp(x)"]
-        assert os.path.getsize(log_file) == good_size
-
-    def test_repair_is_idempotent(self, tmp_path):
-        root = str(tmp_path)
-        _write_records(root, ["x", "y"])
-        log_file = os.path.join(root, "wal.log")
-        with open(log_file, "ab") as handle:
-            handle.write(b"\x01")
-        FileLogManager(root)
-        size_after_first = os.path.getsize(log_file)
-        log = FileLogManager(root)
-        assert os.path.getsize(log_file) == size_after_first
-        assert _op_names(log) == ["wp(x)", "wp(y)"]
 
 
 class TestFaultyFileLog:

@@ -9,12 +9,9 @@ from repro.kernel.system import RecoverableSystem, SystemConfig
 from repro.kernel.verify import verify_recovered
 from repro.persist.file_log import FileLogManager
 from repro.storage.faultwrap import FaultyFileStore
-from repro.storage.file_store import (
-    _HEADER,
-    _MAGIC,
-    _encode,
-    FileStableStore,
-)
+from repro.storage.file_store import FileStableStore, _encode
+from repro.storage.framing import HEADER as _HEADER
+from repro.storage.framing import MAGIC as _MAGIC
 from repro.storage.faults import FaultCrash, FaultKind, FaultModel, FaultSpec
 from repro.workloads import register_workload_functions
 from tests.conftest import physical

@@ -137,26 +137,26 @@ class TestFileLogManager:
         log = FileLogManager(dbdir)
         from repro.wal.records import CheckpointRecord
 
-        assert log._fd is None  # a log that never forces holds nothing
+        assert log._file._fd is None  # a log that never forces holds nothing
         lsis = [log.append(CheckpointRecord({}))]
         log.force()
-        held = log._fd
+        held = log._file._fd
         assert held is not None
         for _ in range(2):
             lsis.append(log.append(CheckpointRecord({})))
             log.force()
-            assert log._fd == held
+            assert log._file._fd == held
         assert os.fstat(held).st_ino == os.stat(log.path).st_ino
         # The rename in truncation orphans the held inode: the next
         # force must land in the file that now carries the name.
         log.truncate_before(lsis[1], redo_start=lsis[1])
         log.append(CheckpointRecord({}))
         log.force()
-        assert os.fstat(log._fd).st_ino == os.stat(log.path).st_ino
+        assert os.fstat(log._file._fd).st_ino == os.stat(log.path).st_ino
         assert len(FileLogManager(dbdir)) == 3
         # close() releases it; the log stays usable and reopens lazily.
         log.close()
-        assert log._fd is None
+        assert log._file._fd is None
         with pytest.raises(OSError):
             os.fstat(held)
         log.close()  # idempotent
@@ -174,7 +174,7 @@ class TestFileLogManager:
         log = FileLogManager(dbdir)
         log.append(CheckpointRecord({}))
         log.force()
-        held = log._fd
+        held = log._file._fd
         del log
         gc.collect()
         with pytest.raises(OSError):
@@ -184,9 +184,9 @@ class TestFileLogManager:
         system = _open(dbdir)
         RecoverableFileSystem(system).write_file("a", b"1")
         system.log.force()
-        assert system.log._fd is not None
+        assert system.log._file._fd is not None
         system.close()
-        assert system.log._fd is None
+        assert system.log._file._fd is None
 
 
 class TestPersistentSystem:

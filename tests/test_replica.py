@@ -8,6 +8,7 @@ epoch fence against a zombie primary.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -93,6 +94,24 @@ class TestEpochStore:
         EpochStore(root).save(5)
         assert EpochStore(root).save(4) == 5
         assert EpochStore(root).load() == 5
+
+    def test_a_save_that_fails_before_the_rename_changes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        root = str(tmp_path / "epoch")
+        store = EpochStore(root)
+        store.save(4)
+
+        def no_rename(source, target):
+            raise OSError("injected: rename refused")
+
+        monkeypatch.setattr("repro.storage.framing.os.replace", no_rename)
+        with pytest.raises(OSError):
+            store.save(5)
+        monkeypatch.undo()
+        assert EpochStore(root).load() == 4
+        assert os.listdir(root) == ["epoch.json"]  # no stray temp file
+        assert store.save(5) == 5
 
     def test_corrupt_sidecar_degrades_to_initial(self, tmp_path):
         root = str(tmp_path / "epoch")
