@@ -2,12 +2,11 @@
 
 (a) **WAL force bound at installation** — with `wal_force_notx_writers`
     the install of a node with unexposed objects forces the log through
-    the blind writers justifying Notx(n).  Because the log forces in
-    strict lSI order, the flag turns out to be *redundant for
-    correctness* (an installation record can only become durable
-    together with the blind-writer records it references); the ablation
-    measures its only real effect, earlier/larger log forces, and
-    verifies recoverability both ways.
+    the blind writers justifying Notx(n).  The ablation measures its
+    effect on force timing (earlier/larger log forces) and verifies
+    recoverability both ways *on this workload*; the flag is not
+    redundant in general — DESIGN.md §5 gives a four-operation schedule
+    that loses an update with it off.
 
 (b) **Installation logging** — without installation records the
     analysis pass cannot advance rSIs; recovery re-scans and re-executes
@@ -21,6 +20,14 @@
 (d) **Write-write edge policy** — the repeat-history strategy (the
     paper's choice) versus conservative write-write installation edges:
     edge counts and the resulting W-node sizes.
+
+(f) **Zero-I/O installs while serving, W vs rW** — an overwrite-heavy
+    stream, every record forced and ``install_unexposed`` called after
+    each operation (what the serving daemon does): how many nodes are
+    installed with no flush at all, and what the graph still holds at
+    the end.  C2 stated as a serving-time number: W never has an
+    unexposed object, so it installs nothing without I/O and keeps
+    every operation.
 """
 
 from __future__ import annotations
@@ -239,8 +246,54 @@ def _ablation_victim_policy() -> Dict[str, Dict[str, int]]:
     return out
 
 
+OVERWRITE_MIX = dict(w_physical=0.8, w_touch=0.1, w_combine=0.0, w_derive=0.1)
+
+
+def _ablation_serving_installs() -> Dict[str, Dict[str, int]]:
+    from repro import GraphMode, MultiObjectStrategy
+
+    out = {}
+    for label, cache in (
+        ("rW (this paper)", CacheConfig()),
+        ("W of [8]", CacheConfig(
+            graph_mode=GraphMode.W,
+            multi_object_strategy=MultiObjectStrategy.ATOMIC,
+        )),
+    ):
+        system = RecoverableSystem(SystemConfig(cache=cache))
+        register_workload_functions(system.registry)
+        workload = LogicalWorkload(
+            LogicalWorkloadConfig(
+                objects=16, operations=600, object_size=64, **OVERWRITE_MIX
+            ),
+            seed=7,
+        )
+        installed = 0
+        peak = 0
+        for op in workload.operations():
+            system.execute(op)
+            system.log.force()
+            installed += system.cache.install_unexposed()
+            peak = max(peak, len(system.cache.uninstalled_operations()))
+        snapshot = system.stats.snapshot()
+        out[label] = {
+            "operations": len(system.history),
+            "zero_flush_installs": installed,
+            "live_nodes": len(system.engine),
+            "uninstalled_ops": len(system.cache.uninstalled_operations()),
+            "peak_uninstalled_ops": peak,
+            "flushes": snapshot["flushes"],
+            "object_writes": snapshot["object_writes"],
+        }
+        system.crash()
+        system.recover()
+        verify_recovered(system)
+    return out
+
+
 def _run_all():
     return {
+        "serving_installs": _ablation_serving_installs(),
         "wal_force": _ablation_wal_force(),
         "install_logging": _ablation_install_logging(),
         "cycles": _ablation_cycles(),
@@ -304,6 +357,33 @@ def test_e8_ablations(benchmark):
             row["stable reads"],
         )
     table_e.print()
+
+    table_f = Table(
+        "E8f: zero-I/O installs while serving (600 ops, 16 objects, 80% "
+        "blind overwrites; every record forced, no flush ever)",
+        ["write graph", "nodes installed, 0 flushes", "live nodes at end",
+         "uninstalled ops at end", "peak uninstalled ops", "store writes"],
+    )
+    for label, row in results["serving_installs"].items():
+        table_f.add_row(
+            label, row["zero_flush_installs"], row["live_nodes"],
+            row["uninstalled_ops"], row["peak_uninstalled_ops"],
+            row["object_writes"],
+        )
+    table_f.print()
+
+    # (f) W keeps every operation — nothing of its is ever unexposed —
+    # while rW's graph tracks the live objects; neither touched the
+    # store.
+    served_rw = results["serving_installs"]["rW (this paper)"]
+    served_w = results["serving_installs"]["W of [8]"]
+    assert served_w["zero_flush_installs"] == 0
+    assert served_w["uninstalled_ops"] == served_w["operations"] == 600
+    assert served_rw["zero_flush_installs"] > 400
+    assert served_rw["live_nodes"] <= 2 * 16
+    assert served_rw["peak_uninstalled_ops"] < 600 // 4
+    assert served_rw["flushes"] == served_w["flushes"] == 0
+    assert served_rw["object_writes"] == served_w["object_writes"] == 0
 
     # (a) both settings recovered (verified inside); the flag only
     # affects force timing, not counts of installs.

@@ -13,13 +13,14 @@
   during restarted recoveries), then fuzz schedules spanning both
   phases, all driven through the supervisor's escalation ladder.  A
   failing run prints its structured recovery supervision report.
-* ``torture v3|v4|v5`` — the live-fire campaigns, three rows of one
+* ``torture v3|v3-rewrite|v4|v5`` — the live-fire campaigns, rows of one
   scenario table over one harness (:mod:`repro.livefire`): concurrent
   clients drive a served workload over sockets while the storage
   misbehaves, a seeded fault lands at a seeded ack count, the topology
   is healed, and every client-acknowledged write is audited for
   durability.  ``v3`` kills the daemon and restarts it over the debris
-  (plus real SIGKILL/SIGTERM subprocess lanes); ``v4`` kills one shard
+  (plus real SIGKILL/SIGTERM subprocess lanes), ``v3-rewrite`` does so
+  over a few keys rewritten many times; ``v4`` kills one shard
   worker while the survivors must keep acking; ``v5`` kills (or leaves
   a zombie) the primary of a primary/witness pair and promotes the
   witness.  ``--store`` tortures a durable backend (e.g. ``logstore``).

@@ -32,14 +32,31 @@ Installation (PurgeCache, Figure 4, generalized for rW):
 5. log an installation record carrying the new rSIs (lazily — it need
    not be forced; a lost installation record only costs extra redos);
 6. remove n from the graph.
+
+A node whose flush set a later blind update has emptied needs none of
+the I/O above: :meth:`CacheManager.install_unexposed` installs such
+nodes once the records they depend on are *already* stable — steps 3-5
+become a check, nothing, and nothing — through the same plan and
+bookkeeping as PurgeCache.  The serving daemon calls it after every
+write; the embedded kernel's ``purge``/``flush_all`` never do.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Any,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
+from repro.common.codec import CodecError, check_value
 from repro.common.errors import CacheError
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
 from repro.common.retry import retry_transient
@@ -48,6 +65,7 @@ from repro.cache.policies import LRUEviction
 from repro.core.engine import WriteGraphEngine, make_engine
 from repro.core.functions import FunctionRegistry
 from repro.core.operation import (
+    OpKind,
     Operation,
     TOMBSTONE,
     execute_transform,
@@ -55,11 +73,16 @@ from repro.core.operation import (
 )
 from repro.core.refined_write_graph import RWNode
 from repro.core.state_identifiers import DirtyObjectTable, UninstalledWriters
-from repro.obs.metrics import NULL_OBS
+from repro.obs.metrics import COUNT_BUCKETS, NULL_OBS
 from repro.storage.stable_store import StableStore, StoredVersion
 from repro.storage.stats import IOStats
 from repro.wal.log_manager import LogManager
 from repro.wal.records import CheckpointRecord, FlushRecord, InstallationRecord
+
+#: Most nodes one ``install_unexposed`` call installs.  A backlog — a
+#: recovery re-adds every redone operation at once — is worked off over
+#: the following calls instead of landing on the first one.
+UNEXPOSED_INSTALLS_PER_CALL = 16
 
 
 @dataclass
@@ -126,6 +149,18 @@ class CacheManager:
                 f"{op!r} produced writes {sorted(writes)} but declared "
                 f"writeset {sorted(op.writes)}"
             )
+        if op.kind not in (OpKind.PHYSICAL, OpKind.IDENTITY):
+            # A logged payload is checked by the append that encodes
+            # it; a computed value meets the codec only when its object
+            # is flushed, long after the operation was acknowledged.
+            for obj, value in writes.items():
+                try:
+                    check_value(value)
+                except (TypeError, CodecError) as exc:
+                    raise CacheError(
+                        f"{op!r} produced a value for {obj!r} that "
+                        f"cannot be stored: {exc}"
+                    ) from None
         self.log.append_operation(op)
         self._emit(
             "execute", op=op.name, op_kind=op.kind.value, lsi=op.lsi,
@@ -218,10 +253,9 @@ class CacheManager:
             is MultiObjectStrategy.IDENTITY_WRITES
         )
         for _attempt in range(len(graph) + 8):
-            minimal = graph.minimal_nodes()
-            if not minimal:  # pragma: no cover - graphs stay acyclic
+            node = graph.least_minimal()
+            if node is None:  # pragma: no cover - graphs stay acyclic
                 raise CacheError("write graph has no minimal node")
-            node = min(minimal, key=lambda n: (len(n.vars), n.node_id))
             if len(node.vars) > 1 and use_identity:
                 node = self._dissolve_flush_set(node)
                 if graph.predecessors(node):
@@ -384,27 +418,15 @@ class CacheManager:
     ) -> None:
         if graph.predecessors(node):  # pragma: no cover - defensive
             raise CacheError(f"{node!r} is not minimal")
-        ops = sorted(node.ops, key=lambda o: o.lsi)
         vars_ = set(node.vars)
-        notx = set(node.notx)
-
-        # Discharge the installed writes, then read off the new rSIs.
-        for op in ops:
-            for obj in op.writes:
-                self._writers.discharge(obj, op.lsi)
-        new_rsis: Dict[ObjectId, Optional[StateId]] = {}
-        for obj in vars_ | notx:
-            new_rsis[obj] = self._writers.first(obj)
+        ops, new_rsis, wal_bound = self._installation_plan(node)
+        notx = set(new_rsis) - vars_
 
         # WAL: the node's own records, plus the blind writers that
         # justify not flushing Notx(n), must be stable before we flush.
-        force_lsi = node.max_lsi()
-        if self.config.wal_force_notx_writers:
-            for obj in notx:
-                rsi = new_rsis[obj]
-                if rsi is not None:
-                    force_lsi = max(force_lsi, rsi)
-        self.log.force_through(force_lsi)
+        if not self.config.wal_force_notx_writers:
+            wal_bound = ops[-1].lsi
+        self.log.force_through(wal_bound)
         for op in ops:
             self.log.assert_stable(op.lsi)
 
@@ -443,33 +465,113 @@ class CacheManager:
                     )
                 )
 
-        # Dirty-table and cache-entry bookkeeping.
-        for obj in vars_:
-            if new_rsis[obj] is None:
-                self.dirty_table.remove(obj)
+        self._retire(node, ops, vars_, new_rsis)
+
+    def _installation_plan(
+        self, node: RWNode
+    ) -> Tuple[List[Operation], Dict[ObjectId, Optional[StateId]], StateId]:
+        """What installing ``node`` will change, read off without
+        changing it.
+
+        Returns the node's operations in lSI order; the new rSI of every
+        object of ``Writes(n)`` — the lSI of its first writer that stays
+        uninstalled, None when the object comes clean; and the WAL
+        bound: the highest lSI that must be stable first, over the
+        node's own records and the blind writers that justify leaving
+        ``Notx(n)`` unflushed.
+        """
+        ops = sorted(node.ops, key=lambda o: o.lsi)
+        written: Dict[ObjectId, List[StateId]] = {}
+        for op in ops:
+            for obj in op.writes:
+                written.setdefault(obj, []).append(op.lsi)
+        first_after = self._writers.first_after
+        wal_bound = ops[-1].lsi
+        flushed = node.vars
+        new_rsis: Dict[ObjectId, Optional[StateId]] = {}
+        for obj, lsis in written.items():
+            rsi = new_rsis[obj] = first_after(obj, lsis)
+            if rsi is not None and rsi > wal_bound and obj not in flushed:
+                wal_bound = rsi
+        return ops, new_rsis, wal_bound
+
+    def _retire(
+        self,
+        node: RWNode,
+        ops: List[Operation],
+        flushed: AbstractSet[ObjectId],
+        new_rsis: Mapping[ObjectId, Optional[StateId]],
+    ) -> None:
+        """Carry out an installation plan: the bookkeeping both install
+        paths share once their WAL (and flush) obligations are met.
+
+        Discharges the installed writes, advances every written
+        object's rSI (or drops it from the dirty object table), marks
+        the ``flushed`` objects that came clean, and removes the node.
+        """
+        discharge = self._writers.discharge
+        for op in ops:
+            for obj in op.writes:
+                discharge(obj, op.lsi)
+            del self._uninstalled[op.lsi]
+        for obj, rsi in new_rsis.items():
+            if rsi is not None:
+                # Unexposed: stays dirty, recoverable from rsi onwards.
+                # (A flushed object never keeps a writer — the node
+                # holds its last one.)
+                self.dirty_table.advance(obj, rsi)
+                continue
+            self.dirty_table.remove(obj)
+            if obj in flushed:
                 entry = self._entries.get(obj)
                 if entry is not None:
                     if entry.value is TOMBSTONE:
                         del self._entries[obj]
                     else:
                         entry.dirty = False
-            else:
-                # A flushed object with a remaining uninstalled writer
-                # cannot occur for vars (the node holds the last
-                # writer); defensive only.
-                self.dirty_table.advance(obj, new_rsis[obj])
-        for obj in notx:
-            rsi = new_rsis[obj]
-            if rsi is None:
-                # Possible when the node also flushed the object via
-                # vars in a merged node; treat as clean.
-                self.dirty_table.remove(obj)
-            else:
-                self.dirty_table.advance(obj, rsi)
+        self._engine.remove_node(node)
 
-        for op in ops:
-            del self._uninstalled[op.lsi]
-        graph.remove_node(node)
+    def install_unexposed(self) -> int:
+        """Install minimal nodes whose flush set is empty, at zero I/O.
+
+        A later blind update left every object such a node wrote
+        unexposed, so the paper installs it by flushing ``vars(n) = ∅``:
+        nothing.  What remains of PurgeCache is the WAL rule and the
+        bookkeeping, and this verb does only those — it installs a node
+        only when the records it depends on (its WAL bound) are
+        *already* stable, never forces, never touches the store, and
+        logs no installation record: a lost one "only costs extra
+        redos", and with nothing flushed that redo is the one a system
+        that never installed would run.  The advanced rSIs live in the
+        dirty object table until the next checkpoint record carries
+        them.  Returns the number of nodes installed, at most
+        :data:`UNEXPOSED_INSTALLS_PER_CALL`; a call with nothing to
+        install costs one look at the frontier.
+        """
+        obs = self.obs
+        started = time.perf_counter() if obs.enabled else 0.0
+        graph = self._engine
+        is_stable = self.log.is_stable
+        installed = 0
+        while installed < UNEXPOSED_INSTALLS_PER_CALL:
+            node = graph.least_minimal()
+            if node is None or node.vars:
+                break
+            ops, new_rsis, wal_bound = self._installation_plan(node)
+            if not is_stable(wal_bound):
+                break  # its turn comes once the committer catches up
+            self._retire(node, ops, frozenset(), new_rsis)
+            installed += 1
+        if obs.enabled:
+            obs.observe(
+                "cache.install_unexposed", time.perf_counter() - started
+            )
+            obs.observe(
+                "cache.unexposed_installs_per_call", installed, COUNT_BUCKETS
+            )
+            if installed:
+                obs.count("cache.unexposed_installs", installed)
+        return installed
 
     def _flush_objects(self, objs: Set[ObjectId]) -> None:
         """Write the current cached versions of ``objs`` to the store.

@@ -11,7 +11,7 @@ The configuration axes are exactly the paper's comparison axes:
   advance rSIs (Section 5), and whether the WAL force at installation
   extends through the blind writers that justify leaving ``Notx(n)``
   unflushed (a protocol refinement implied by the paper's WAL
-  assumption; ablation E8 shows what breaks without it).
+  assumption; DESIGN.md §5 shows what breaks without it).
 """
 
 from __future__ import annotations
@@ -57,9 +57,9 @@ class CacheConfig:
     #: advancement during the analysis pass (Section 5).
     log_installations: bool = True
     #: Extend the WAL force at installation through the lSIs of the
-    #: blind writers that un-exposed Notx(n).  Provably redundant for
-    #: correctness given prefix-ordered forcing (see DESIGN.md §5);
-    #: kept as an ablation knob — it only shifts force timing.
+    #: blind writers that un-exposed Notx(n).  Needed for correctness
+    #: (DESIGN.md §5 has the four-operation schedule that loses an
+    #: update without it); off only in the E8a ablation.
     wal_force_notx_writers: bool = True
     #: Maximum number of cached objects; None = unbounded.  When the
     #: cache exceeds capacity, clean objects are evicted (STEAL), after

@@ -223,6 +223,30 @@ def put_value(out: bytearray, value: Any, depth: int = 0) -> None:
         raise TypeError(f"no codec for values of type {kind.__name__}")
 
 
+_LEAF_TYPES = frozenset({bytes, str, int, type(None), bool, float})
+
+
+def check_value(value: Any, depth: int = 0) -> None:
+    """Raise what :func:`put_value` would (``TypeError`` outside the
+    universe, :class:`CodecError` past :data:`MAX_DEPTH`) without
+    writing a byte: the same walk over types only, so a large ``bytes``
+    costs nothing."""
+    kind = type(value)
+    if kind in _LEAF_TYPES or value is TOMBSTONE:
+        return
+    if kind is tuple or kind is list or kind is set or kind is frozenset:
+        _check_depth(depth)
+        for item in value:
+            check_value(item, depth + 1)
+    elif kind is dict:
+        _check_depth(depth)
+        for key, item in value.items():
+            check_value(key, depth + 1)
+            check_value(item, depth + 1)
+    else:
+        raise TypeError(f"no codec for values of type {kind.__name__}")
+
+
 def _check_depth(depth: int) -> None:
     if depth >= MAX_DEPTH:
         raise CodecError(f"containers nested deeper than {MAX_DEPTH}")

@@ -165,6 +165,14 @@ class ReferenceWriteGraph:
         """Nodes with no predecessors — installable by flushing vars(n)."""
         return [n for n in self.nodes if not self._pred[n]]
 
+    def least_minimal(self) -> Optional[RWNode]:
+        """The minimal node with the smallest ``(|vars|, node_id)``."""
+        return min(
+            self.minimal_nodes(),
+            key=lambda n: (len(n.vars), n.node_id),
+            default=None,
+        )
+
     def remove_node(self, node: RWNode) -> Tuple[Set[ObjectId], Set[ObjectId]]:
         """Remove an installed node; returns ``(vars, Notx)`` at removal."""
         if self._pred[node]:

@@ -8,8 +8,9 @@ flush order.  The paper compares two such graphs — the write graph
 module gives them one shared surface:
 
 * :class:`WriteGraphEngine` — the structural protocol every engine
-  implements: ``add_operation`` / ``minimal_nodes`` / ``remove_node``
-  for the execution and PurgeCache paths, ``node_of`` / ``holder_of`` /
+  implements: ``add_operation`` / ``least_minimal`` / ``remove_node``
+  for the execution and install paths, ``minimal_nodes`` for tests and
+  oracles, ``node_of`` / ``holder_of`` /
   ``successors`` / ``predecessors`` / ``edges`` for queries,
   ``flush_set_sizes`` for the E4 metric, and a ``stats()`` hook whose
   counters let callers assert hot-path properties (most importantly
@@ -84,6 +85,12 @@ class WriteGraphEngine(Protocol):
 
     def minimal_nodes(self) -> List[Any]:
         """Nodes with no predecessors — the installable frontier."""
+        ...
+
+    def least_minimal(self) -> Optional[Any]:
+        """The frontier's cheapest node: the minimal node with the
+        smallest ``(|vars|, node_id)``, None when the graph is empty.
+        An empty flush set there means installable with no flush."""
         ...
 
     def remove_node(self, node: Any) -> Tuple[Set[ObjectId], Set[ObjectId]]:

@@ -100,6 +100,8 @@ class IncrementalWriteGraph(RefinedWriteGraph):
             self._last_write_node[obj] = m
             m._lw_objs.add(obj)
 
+        if m in self._ready:
+            self._key_ready(m)
         self._repair_order()
         self._logging = False
         if obs.enabled:

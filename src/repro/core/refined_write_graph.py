@@ -27,9 +27,11 @@ objects the operation touches, not to the graph:
   bounded region repair whose restricted Tarjan pass finds exactly the
   graph's non-trivial SCCs, so cycle collapses are counted identically
   to the batch construction;
-* nodes live in an insertion-ordered dict and a ready set tracks the
-  predecessor-free nodes, so ``minimal_nodes`` and ``remove_node`` do
-  no graph rescans.
+* nodes live in an insertion-ordered dict, a ready set tracks the
+  predecessor-free nodes and a heap keys them by ``(|vars|, node_id)``,
+  so ``least_minimal`` and ``remove_node`` do no graph rescans: the
+  next node to install costs O(log n), and a minimal node whose flush
+  set has emptied (installable at zero I/O) is found at the top.
 
 ``repro.core._reference.ReferenceWriteGraph`` preserves the original
 scan-everything construction; the differential property tests hold this
@@ -52,6 +54,10 @@ from repro.common.identifiers import ObjectId
 from repro.core.graph_utils import strongly_connected_components
 from repro.core.operation import Operation
 from repro.obs.metrics import COUNT_BUCKETS, NULL_OBS
+
+#: Stale frontier entries tolerated beyond twice the ready set before
+#: the heap is rebuilt from it.
+_FRONTIER_SLACK = 64
 
 
 class RWNode:
@@ -144,6 +150,12 @@ class RefinedWriteGraph:
         self._node_of_op: Dict[Operation, RWNode] = {}
         #: Predecessor-free nodes (the installable frontier).
         self._ready: Set[RWNode] = set()
+        #: The frontier keyed by flush-set size: a lazy-deletion heap of
+        #: ``(|vars|, node_id, node)``.  Every ready node has an entry
+        #: under its current key; an entry whose node has left the ready
+        #: set or changed its key since is dead and is dropped when it
+        #: surfaces (or by the rebuild that bounds the heap).
+        self._frontier: List[Tuple[int, int, RWNode]] = []
         #: Incremental topological order: node -> integer rank.
         #: Invariant between inserts: every edge (u, v) has
         #: ``_topo[u] < _topo[v]``.
@@ -201,6 +213,20 @@ class RefinedWriteGraph:
         if self._logging:
             self._edge_log.append((src, dst))
 
+    def _key_ready(self, node: RWNode) -> None:
+        """Enter ready ``node`` in the frontier under its current key.
+
+        Called wherever a node joins the ready set or a ready node's
+        flush set changes size.  Leaving the ready set needs no call:
+        the entry dies in place.
+        """
+        heap = self._frontier
+        if len(heap) > 2 * len(self._ready) + _FRONTIER_SLACK:
+            heap[:] = [(len(n.vars), n.node_id, n) for n in self._ready]
+            heapq.heapify(heap)
+            return
+        heapq.heappush(heap, (len(node.vars), node.node_id, node))
+
     def _drop_node(self, node: RWNode) -> None:
         """Forget a node's membership bookkeeping (not its edges)."""
         del self._nodes[node]
@@ -255,6 +281,7 @@ class RefinedWriteGraph:
             self._ready.discard(target)
         else:
             self._ready.add(target)
+            self._key_ready(target)
         return target
 
     # ------------------------------------------------------------------
@@ -480,6 +507,8 @@ class RefinedWriteGraph:
                     for q in self._readers_since_write.get(obj, ()):
                         if q is not p:
                             self._add_edge(q, p)
+                if p in self._ready:
+                    self._key_ready(p)
 
         # Bookkeeping: op's reads happen against current values (before
         # its writes replace them), so an exposed write's own read is
@@ -495,6 +524,8 @@ class RefinedWriteGraph:
             m._lw_objs.add(obj)
             self._readers_since_write[obj] = set()
 
+        if m in self._ready:
+            self._key_ready(m)
         self._repair_order()
         self._logging = False
         if obs.enabled:
@@ -507,8 +538,26 @@ class RefinedWriteGraph:
     # installation
     # ------------------------------------------------------------------
     def minimal_nodes(self) -> List[RWNode]:
-        """Nodes with no predecessors — installable by flushing vars(n)."""
+        """Nodes with no predecessors — installable by flushing vars(n).
+
+        Sorts the ready set: for tests and the reference-graph oracle.
+        The install paths take :meth:`least_minimal`.
+        """
         return sorted(self._ready, key=lambda n: n.node_id)
+
+    def least_minimal(self) -> Optional[RWNode]:
+        """The minimal node with the smallest flush set (lowest node_id
+        among equals), or None when the graph is empty — what
+        ``min(minimal_nodes(), key=(|vars|, node_id))`` picks, off the
+        top of the frontier heap.  The node stays in the graph."""
+        heap = self._frontier
+        ready = self._ready
+        while heap:
+            size, _, node = heap[0]
+            if node in ready and len(node.vars) == size:
+                return node
+            heapq.heappop(heap)
+        return None
 
     def remove_node(self, node: RWNode) -> Tuple[Set[ObjectId], Set[ObjectId]]:
         """Remove an installed node; returns ``(vars, Notx)`` at removal.
@@ -520,12 +569,15 @@ class RefinedWriteGraph:
         if self._pred[node]:
             raise ValueError(f"{node!r} has uninstalled predecessors")
         self._removals += 1
-        flushed, unexposed = set(node.vars), set(node.notx)
+        flushed = set(node.vars)
+        unexposed = node.writes
+        unexposed -= flushed
         for succ in self._succ.pop(node):
             preds = self._pred[succ]
             preds.discard(node)
             if not preds:
                 self._ready.add(succ)
+                self._key_ready(succ)
         del self._pred[node]
         self._drop_node(node)
         for op in node.ops:

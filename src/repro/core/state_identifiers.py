@@ -17,7 +17,17 @@ object with no remaining uninstalled writer leaves the table entirely.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from collections import deque
+from typing import (
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
 
@@ -94,24 +104,39 @@ class UninstalledWriters:
     Supports the installation-time rSI rule: after removing the lSIs of
     the operations just installed, an object's new rSI is the smallest
     remaining writer lSI (or the object is clean when none remain).
+
+    Installation runs in write-graph order, and a minimal node's writes
+    of an object are that object's *earliest* uninstalled writers (every
+    earlier writer sits in the same node or in a predecessor), so the
+    writers leave from the head: a deque makes that O(1) where a list
+    paid O(uninstalled writers of the object) per installed write.
     """
 
     def __init__(self) -> None:
-        self._writers: Dict[ObjectId, List[StateId]] = {}
+        self._writers: Dict[ObjectId, Deque[StateId]] = {}
 
     def note(self, obj: ObjectId, lsi: StateId) -> None:
         """Record an uninstalled write of ``obj`` at ``lsi``.
 
-        Writes arrive in lSI order, so append keeps the list sorted.
+        Writes arrive in lSI order, so append keeps the deque sorted.
         """
-        self._writers.setdefault(obj, []).append(lsi)
+        writers = self._writers.get(obj)
+        if writers is None:
+            self._writers[obj] = deque((lsi,))
+        else:
+            writers.append(lsi)
 
     def discharge(self, obj: ObjectId, lsi: StateId) -> None:
         """Remove one recorded write (its operation was installed)."""
         writers = self._writers.get(obj)
-        if not writers or lsi not in writers:
+        if writers and writers[0] == lsi:
+            writers.popleft()
+        elif not writers or lsi not in writers:
             raise KeyError(f"no uninstalled write of {obj!r} at lSI {lsi}")
-        writers.remove(lsi)
+        else:
+            # Out of head order: never a minimal node's write, kept for
+            # callers that discharge in another order.
+            writers.remove(lsi)
         if not writers:
             del self._writers[obj]
 
@@ -119,6 +144,22 @@ class UninstalledWriters:
         """The lSI of the first remaining uninstalled writer, if any."""
         writers = self._writers.get(obj)
         return writers[0] if writers else None
+
+    def first_after(
+        self, obj: ObjectId, lsis: Sequence[StateId]
+    ) -> Optional[StateId]:
+        """What :meth:`first` will answer once ``lsis`` (ascending
+        recorded writes of ``obj``) are discharged; changes nothing."""
+        writers = self._writers.get(obj)
+        if not writers:
+            return None
+        count = len(lsis)
+        # Both sequences ascend without repeats, so agreeing at the last
+        # position means ``lsis`` is exactly the head of the deque.
+        if len(writers) >= count and writers[count - 1] == lsis[-1]:
+            return writers[count] if len(writers) > count else None
+        leaving = set(lsis)
+        return next((w for w in writers if w not in leaving), None)
 
     def has_writers(self, obj: ObjectId) -> bool:
         """True while some uninstalled operation writes ``obj``."""

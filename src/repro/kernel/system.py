@@ -178,8 +178,9 @@ class RecoverableSystem:
 
         The registry absorbs the existing counter ledgers as collectors
         (``io.*`` from :class:`~repro.storage.stats.IOStats`,
-        ``engine.*`` from the live write-graph engine's ``stats()``) and
-        is wired into the log manager, cache manager and engine so hot
+        ``engine.*`` from the live write-graph engine's ``stats()``,
+        ``cache.dirty_objects`` from the dirty object table) and is
+        wired into the log manager, cache manager and engine so hot
         paths record latencies into it.  Survives crash/recover.
         """
         if registry is None:
@@ -187,6 +188,9 @@ class RecoverableSystem:
         self.obs = registry
         registry.add_collector("io", self.stats.snapshot)
         registry.add_collector("engine", lambda: dict(self.engine.stats()))
+        registry.add_collector(
+            "cache", lambda: {"dirty_objects": len(self.cache.dirty_table)}
+        )
         self._wire_obs()
         return registry
 

@@ -32,6 +32,11 @@ replicated), a fault, and the checks that judge it.
   -m repro serve`` process (:meth:`LiveFireHarness.subprocess_run`):
   real ``SIGKILL`` or ``SIGTERM`` (which must drain and exit 0) over a
   real directory, restarted with honest devices for the audit.
+  **v3-rewrite** is the same row over two objects per client rewritten
+  twenty times each: the write graph's zero-I/O installs
+  (``CacheManager.install_unexposed``) run between the acks, so kills
+  land after them and the drain's truncating checkpoint runs over the
+  rSIs they advanced.
 * **v4** — shards are independent recovery domains.  One seeded victim
   shard's worker is killed in place (its cache and unforced WAL tail are
   gone); while it is down, sentinel puts routed to every *surviving*
@@ -481,6 +486,26 @@ SCENARIOS: Dict[str, Scenario] = {
             client_stream="livefire-client",
             obj="lf{cid}:{index}",
             value="run{seed}:c{cid}:s{seq}",
+        ),
+        Scenario(
+            name="v3-rewrite",
+            label="rewrite",
+            help="v3 over a small key set rewritten many times: the kill "
+            "lands after the daemon installed what the overwrites left "
+            "unexposed, and a SIGTERM drain checkpoints over advanced rSIs",
+            fault=Fault.KILL_DAEMON,
+            replicated=False,
+            checks=(acked_writes,),
+            defaults=dict(
+                requests_per_client=40,
+                objects_per_client=2,
+                p_get=0.1,
+                rates=FuzzRates(transient=0.01, torn=0.004, corrupt=0.004),
+            ),
+            kill_stream="rewrite-kill",
+            client_stream="rewrite-client",
+            obj="rw{cid}:{index}",
+            value="rw{seed}:c{cid}:s{seq}",
         ),
         Scenario(
             name="v4",

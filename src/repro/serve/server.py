@@ -1215,7 +1215,8 @@ class ServeDaemon:
         """Run one admitted request's kernel work and answer it.
 
         Shared by the single-shard apply and the cross-shard
-        coordinator.  ``ok: true`` only leaves once the stable end
+        coordinator; either way this thread holds the turn of every
+        involved kernel.  ``ok: true`` only leaves once the stable end
         covers ``work.lsi``: a single-shard write is parked for the
         committer, a ``get`` only when it read an unforced version, and
         a cross-shard apply forced its fences inside ``run``.  Anything
@@ -1239,18 +1240,41 @@ class ServeDaemon:
                         self._crashed(shard, exc, trace=work.trace)
             return
         shard = involved[0]
+        wrote = work.request["kind"] in WRITE_KINDS
         if len(involved) == 1 and (
-            work.request["kind"] in WRITE_KINDS
-            or not self._covered(shard, work.lsi)
+            wrote or not self._covered(shard, work.lsi)
         ):
             work.response = response
             work.parked = time.monotonic()
             with shard.commit:
                 shard.parked.append(work)
                 shard.commit.notify()
-            return
-        work.conn.send(response)
-        self._observe_request(work)
+        else:
+            work.conn.send(response)
+            self._observe_request(work)
+        if wrote:
+            self._install_unexposed(work, involved)
+
+    def _install_unexposed(
+        self, work: _Work, involved: Tuple[_Shard, ...]
+    ) -> None:
+        """After a write, with its reply on its way: install — at zero
+        I/O — what its blind updates left unexposed, so the write graph
+        holds live objects and the in-flight window, not every
+        operation served (DESIGN.md §4)."""
+        try:
+            for shard in involved:
+                shard.system.cache.install_unexposed()
+        except Exception as exc:  # noqa: BLE001 - the loop must survive
+            # The bookkeeping failed, not the request: the volatile
+            # state is suspect, and recovery rebuilds all of it from
+            # the stable log (parked replies are refused retryably).
+            crash = TransientStorageError(
+                f"write-graph bookkeeping failed: {exc!r}"
+            )
+            for shard in involved:
+                if not shard.killed:
+                    self._crashed(shard, crash, trace=work.trace)
 
     def _observe_request(self, work: _Work) -> None:
         self.obs.observe(

@@ -70,6 +70,27 @@ class TestExecute:
         with pytest.raises(CacheError, match="declared writeset"):
             cm.execute(op)
 
+    @pytest.mark.parametrize(
+        "produced", [bytearray(b"v"), type("Vault", (dict,), {})(a=1), [1j]]
+    )
+    def test_computed_value_outside_the_codec_universe_leaves_no_record(
+        self, produced
+    ):
+        """A transform *returning* what no store can hold fails at
+        execute — not at the flush, long after the acknowledgement."""
+        cm, store, log, stats = _cm()
+        cm.registry.register("alien", lambda reads: {"x": produced})
+        cm.execute(_physical("y", b"fine"))
+        op = Operation(
+            "alien", OpKind.LOGICAL, reads=set(), writes={"x"}, fn="alien"
+        )
+        with pytest.raises(CacheError, match="cannot be stored"):
+            cm.execute(op)
+        assert op.lsi == 0 and stats.log_records == 1
+        assert cm.dirty_objects() == ["y"] and len(cm.engine) == 1
+        assert cm.read_object("x") is None
+        assert cm.flush_all() == 1
+
     def test_dirty_table_tracks_first_writer(self):
         cm, store, log, stats = _cm()
         first = _physical("x", b"1")

@@ -31,6 +31,7 @@ from repro.common.codec import (
     VERSION,
     CodecError,
     UnknownVersionError,
+    check_value,
     decode_stored_version,
     decode_value,
     encode_stored_version,
@@ -254,6 +255,37 @@ class TestValueRoundTrip:
                 encode_value(alien)
             with pytest.raises(TypeError):
                 encode_value({"nested": [alien]})
+
+    def test_check_value_is_the_encoder_without_the_bytes(self):
+        """``check_value`` accepts exactly what ``encode_value`` does —
+        same universe, same depth bound — and reads no content."""
+
+        class Point:
+            pass
+
+        class Vault(dict):
+            pass
+
+        deep = None
+        for _ in range(MAX_DEPTH):
+            deep = [deep]
+        samples = [
+            None, True, 7, -(1 << 80), 2.5, b"raw", "text", TOMBSTONE,
+            (1, [2, {"k": {3, frozenset({4})}}]), deep, [deep],
+            Point(), bytearray(b"x"), 1j, range(3), Vault(a=1),
+            {"nested": [bytearray(b"x")]}, {Point(): 1}, [(Vault(),)],
+        ]
+        for sample in samples:
+            try:
+                encode_value(sample)
+                verdict = None
+            except (TypeError, CodecError) as exc:
+                verdict = type(exc)
+            if verdict is None:
+                check_value(sample)
+            else:
+                with pytest.raises(verdict):
+                    check_value(sample)
 
     def test_nesting_is_bounded_on_both_sides(self):
         value = None

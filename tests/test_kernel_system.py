@@ -30,6 +30,27 @@ class TestLifecycle:
         system.recover()
         system.execute(physical("y", b"w"))  # works again
 
+    def test_unstorable_transform_output_fails_the_execute(self, tmp_path):
+        """On a database directory too: the operation is refused whole
+        — no record, no history entry — and the flush that used to trip
+        over its value goes through."""
+        from repro.common.errors import CacheError
+        from repro.persist import PersistentSystem
+
+        system = PersistentSystem.open(str(tmp_path))
+        system.registry.register(
+            "alien", lambda reads: {"x": {"k": bytearray(b"v")}}
+        )
+        system.execute(physical("y", b"fine"))
+        with pytest.raises(CacheError, match="cannot be stored"):
+            system.execute(logical("alien", "alien", set(), {"x"}))
+        assert len(system.history) == 1 and len(system.log) == 1
+        assert system.flush_all() == 1
+        system.close()
+        reopened = PersistentSystem.open(str(tmp_path))
+        assert reopened.peek("y") == b"fine" and reopened.peek("x") is None
+        reopened.close()
+
     def test_peek_works_while_crashed(self, system):
         system.execute(physical("x", b"v"))
         system.flush_all()

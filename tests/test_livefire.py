@@ -21,6 +21,7 @@ from repro import livefire
 from repro.__main__ import _build_parser, _report_livefire, main
 from repro.common.rng import make_rng
 from repro.livefire import (
+    DAEMON,
     DERIVED,
     SCENARIOS,
     Ack,
@@ -36,6 +37,7 @@ from repro.livefire import (
     promoted_serves,
     survivors_acked,
 )
+from repro.persist.file_log import FileLogManager
 from repro.serve import DaemonClient
 from repro.shard import FenceAudit
 from repro.shard.group import FenceStatus
@@ -215,6 +217,24 @@ class TestSubprocessLane:
         assert outcome.losses == []
         assert outcome.acked == outcome.sent == 16
 
+    def test_rewrite_row_drains_over_advanced_rsis(self, tmp_path):
+        """SIGTERM after 120 writes over 6 keys: the daemon installed
+        what the overwrites left unexposed, so the drain's checkpoint
+        truncates the log to about the live keys' last writers (it kept
+        every record before), and the restart still reads every ack."""
+        outcome = LiveFireHarness("v3-rewrite").subprocess_run(
+            str(tmp_path / "term"), seed=4, graceful=True
+        )
+        assert outcome.ok, outcome.error
+        assert outcome.losses == []
+        assert outcome.acked == outcome.sent == 120
+        wal = FileLogManager(str(tmp_path / "term" / "data"))
+        try:
+            operations = len(wal.stable_operations())
+        finally:
+            wal.close()
+        assert operations <= 6 + DAEMON.max_queue < outcome.acked
+
     @pytest.mark.parametrize("name", ["v4", "v5"])
     def test_only_the_daemon_kill_scenario_has_one(self, name, tmp_path):
         with pytest.raises(ValueError):
@@ -231,6 +251,9 @@ GOLDEN = {
     ("v3", 0): (14, None, "kill", (0,), "lf0:0", "run0:c0:s0", 0.430947418792),
     ("v3", 1): (15, None, "kill", (1,), "lf0:0", "run1:c0:s0", 0.995600769345),
     ("v3", 7): (21, None, "kill", (7,), "lf0:0", "run7:c0:s0", 0.443014816798),
+    ("v3-rewrite", 0): (74, None, "kill", (0,), "rw0:0", "rw0:c0:s0", 0.13781235671),
+    ("v3-rewrite", 1): (45, None, "kill", (1,), "rw0:0", "rw1:c0:s0", 0.514672268745),
+    ("v3-rewrite", 7): (44, None, "kill", (7,), "rw0:0", "rw7:c0:s0", 0.818843851464),
     ("v4", 0): (37, 0, "kill", (0, 1), "v4c0:0", "v4:0:c0:s0", 0.623025166432),
     ("v4", 1): (35, 0, "kill", (2, 3), "v4c0:0", "v4:1:c0:s0", 0.205065515522),
     ("v4", 7): (3, 0, "kill", (14, 15), "v4c0:0", "v4:7:c0:s0", 0.014829333205),

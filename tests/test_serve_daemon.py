@@ -172,6 +172,28 @@ class TestRoundTrips:
         assert vsi == response["lsi"]
         client.close()
 
+    def test_apply_producing_an_unstorable_value_is_a_bad_request(
+        self, served
+    ):
+        """The transform runs, its output is outside the codec's type
+        universe: BAD_REQUEST, no record, and the shard keeps serving
+        (it used to be acked and then fail whoever flushed it)."""
+        system = target(served)
+        system.registry.register(
+            "alien", lambda reads, dst: {dst: bytearray(b"not bytes")}
+        )
+        client = client_for(served)
+        dst = key(served, "dst")
+        before = len(system.log)
+        with pytest.raises(BadRequestError, match="cannot be stored"):
+            client.apply("alien", reads=[], writes=[dst], params=[dst])
+        assert len(system.log) == before
+        assert client.get(dst)[0] is None
+        lsi = client.put(dst, b"fine")
+        assert client.get(dst) == (b"fine", lsi)
+        assert system.flush_all() == 1
+        client.close()
+
     def test_acks_are_forced(self, served):
         client = client_for(served)
         lsi = client.put(key(served, "x"), b"v")
