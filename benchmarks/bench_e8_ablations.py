@@ -1,12 +1,12 @@
 """E8 — ablations of the design choices DESIGN.md calls out.
 
-(a) **WAL force bound at installation** — with `wal_force_notx_writers`
-    the install of a node with unexposed objects forces the log through
-    the blind writers justifying Notx(n).  The ablation measures its
-    effect on force timing (earlier/larger log forces) and verifies
-    recoverability both ways *on this workload*; the flag is not
-    redundant in general — DESIGN.md §5 gives a four-operation schedule
-    that loses an update with it off.
+(a) **WAL force bound at installation** — the install of a node with
+    unexposed objects forces the log through the blind writers
+    justifying Notx(n), not just through the node's own records
+    (DESIGN.md §5 gives the four-operation schedule that loses an update
+    otherwise, so there is no mode without it to compare against).  The
+    lane counts what the rule costs: how many installs had their bound
+    extended past their own last record, and by how many records.
 
 (b) **Installation logging** — without installation records the
     analysis pass cannot advance rSIs; recovery re-scans and re-executes
@@ -46,6 +46,7 @@ from repro import (
     verify_recovered,
 )
 from repro.analysis import Table
+from repro.cache.cache_manager import CacheManager
 from repro.core.history import History
 from repro.core.installation_graph import InstallationGraph, WriteWritePolicy
 from repro.core.refined_write_graph import RefinedWriteGraph
@@ -61,9 +62,24 @@ from benchmarks.conftest import once
 HEAVY_MIX = dict(w_physical=0.1, w_touch=0.15, w_combine=0.45, w_derive=0.3)
 
 
-def _driven_system(cache: CacheConfig, seed: int) -> Dict[str, int]:
+class _BoundTally(CacheManager):
+    """Records, per installation plan, the node's own last lSI and the
+    WAL bound the plan asks for."""
+
+    def _installation_plan(self, node):
+        ops, new_rsis, wal_bound = super()._installation_plan(node)
+        self.bounds.append((ops[-1].lsi, wal_bound))
+        return ops, new_rsis, wal_bound
+
+
+def _driven_system(seed: int) -> Dict[str, int]:
     rng = random.Random(seed)
-    system = RecoverableSystem(SystemConfig(cache=cache))
+    system = RecoverableSystem()
+    system.cache = _BoundTally(
+        system.store, system.log, system.registry, system.config.cache,
+        system.stats,
+    )
+    bounds = system.cache.bounds = []
     register_workload_functions(system.registry)
     workload = LogicalWorkload(
         LogicalWorkloadConfig(
@@ -79,21 +95,21 @@ def _driven_system(cache: CacheConfig, seed: int) -> Dict[str, int]:
     system.crash()
     system.recover()
     verify_recovered(system)
-    return system.stats.snapshot()
+    extended = [bound - own for own, bound in bounds if bound > own]
+    return {
+        **system.stats.snapshot(),
+        "installs": len(bounds),
+        "extended": len(extended),
+        "extra_records": sum(extended),
+    }
 
 
-def _ablation_wal_force() -> Dict[str, Dict[str, float]]:
-    out = {}
-    for label, flag in (("on (default)", True), ("off", False)):
-        snaps = [
-            _driven_system(CacheConfig(wal_force_notx_writers=flag), seed)
-            for seed in range(4)
-        ]
-        out[label] = {
-            "log_forces": mean(s["log_forces"] for s in snaps),
-            "flushes": mean(s["flushes"] for s in snaps),
-        }
-    return out
+def _ablation_wal_force() -> Dict[str, float]:
+    runs = [_driven_system(seed) for seed in range(4)]
+    return {
+        key: mean(run[key] for run in runs)
+        for key in ("installs", "extended", "extra_records", "log_forces")
+    }
 
 
 def _ablation_install_logging() -> Dict[str, Dict[str, int]]:
@@ -145,7 +161,7 @@ def _ablation_cycles() -> Dict[str, float]:
             sum(1 for node in w.nodes if len(node.ops) > 1)
         )
         # Identity writes injected when actually draining a CM.
-        stats = _driven_system(CacheConfig(), seed)
+        stats = _driven_system(seed)
         identity_writes.append(stats["identity_writes"])
     return {
         "rw_cycle_collapses": mean(rw_collapses),
@@ -306,12 +322,16 @@ def _run_all():
 def test_e8_ablations(benchmark):
     results = once(benchmark, _run_all)
 
+    bound = results["wal_force"]
     table_a = Table(
-        "E8a: WAL force bound at installation (both recover correctly)",
-        ["wal_force_notx_writers", "mean log forces", "mean installs"],
+        "E8a: WAL force bound at installation (mean/run, all recover)",
+        ["installs", "bound extended past own records", "by records",
+         "log forces"],
     )
-    for label, row in results["wal_force"].items():
-        table_a.add_row(label, f"{row['log_forces']:.1f}", f"{row['flushes']:.1f}")
+    table_a.add_row(
+        f"{bound['installs']:.1f}", f"{bound['extended']:.1f}",
+        f"{bound['extra_records']:.1f}", f"{bound['log_forces']:.1f}",
+    )
     table_a.print()
 
     table_b = Table(
@@ -385,11 +405,10 @@ def test_e8_ablations(benchmark):
     assert served_rw["flushes"] == served_w["flushes"] == 0
     assert served_rw["object_writes"] == served_w["object_writes"] == 0
 
-    # (a) both settings recovered (verified inside); the flag only
-    # affects force timing, not counts of installs.
-    on = results["wal_force"]["on (default)"]
-    off = results["wal_force"]["off"]
-    assert on["flushes"] == off["flushes"]
+    # (a) every run recovered (verified inside); the Notx half of the
+    # bound is exercised on this workload, and not by every install.
+    assert 0 < bound["extended"] < bound["installs"]
+    assert bound["extra_records"] >= bound["extended"]
 
     # (b) without installation records, recovery rescans and re-runs.
     with_records = results["install_logging"]["on (paper)"]

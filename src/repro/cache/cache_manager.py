@@ -424,8 +424,6 @@ class CacheManager:
 
         # WAL: the node's own records, plus the blind writers that
         # justify not flushing Notx(n), must be stable before we flush.
-        if not self.config.wal_force_notx_writers:
-            wal_bound = ops[-1].lsi
         self.log.force_through(wal_bound)
         for op in ops:
             self.log.assert_stable(op.lsi)

@@ -8,10 +8,12 @@ The configuration axes are exactly the paper's comparison axes:
   mechanism — shadow install or flush transaction — versus
   cache-manager identity writes that dissolve the set);
 * whether node installations are logged so the analysis pass can
-  advance rSIs (Section 5), and whether the WAL force at installation
-  extends through the blind writers that justify leaving ``Notx(n)``
-  unflushed (a protocol refinement implied by the paper's WAL
-  assumption; DESIGN.md §5 shows what breaks without it).
+  advance rSIs (Section 5).
+
+Not an axis: the WAL force at installation always extends through the
+blind writers that justify leaving ``Notx(n)`` unflushed (a protocol
+refinement implied by the paper's WAL assumption; DESIGN.md §5 has the
+four-operation schedule that loses an update without it).
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ class CacheConfig:
     #: Log an installation record per installed node, enabling rSI
     #: advancement during the analysis pass (Section 5).
     log_installations: bool = True
-    #: Extend the WAL force at installation through the lSIs of the
-    #: blind writers that un-exposed Notx(n).  Needed for correctness
-    #: (DESIGN.md §5 has the four-operation schedule that loses an
-    #: update without it); off only in the E8a ablation.
-    wal_force_notx_writers: bool = True
     #: Maximum number of cached objects; None = unbounded.  When the
     #: cache exceeds capacity, clean objects are evicted (STEAL), after
     #: installing write-graph nodes if nothing is clean.

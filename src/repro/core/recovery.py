@@ -94,26 +94,6 @@ class RecoveryOutcome:
     volatile: Dict[ObjectId, Tuple[Any, StateId]]
     #: Redone (still uninstalled) operations in log order.
     redone_ops: List[Operation] = field(default_factory=list)
-    #: Stable history: operations whose records survived on the log,
-    #: in log order (the post-crash H for verification).
-    stable_ops: List[Operation] = field(default_factory=list)
-
-
-def _all_dirty_from(
-    stable_ops: List[Operation], start: StateId
-) -> DirtyObjectTable:
-    """Media-recovery dirty table: every object written at or after the
-    backup-start point is potentially stale in the restored image."""
-    table = DirtyObjectTable()
-    for op in stable_ops:
-        if op.lsi >= start:
-            for obj in op.writes:
-                table.note_write(obj, op.lsi)
-    if not len(table):
-        # Nothing logged since the backup: force an (empty) scan window
-        # by leaving the table empty — min_rsi() None means no redo.
-        return table
-    return table
 
 
 class RecoveryManager:
@@ -151,9 +131,7 @@ class RecoveryManager:
         the companion paper [10]; see DESIGN.md for scope).
         """
         report = RecoveryReport()
-        dirty, stable_ops = self._analysis_pass(report)
-        if media_redo_start is not None:
-            dirty = _all_dirty_from(stable_ops, media_redo_start)
+        dirty = self._analysis_pass(report, media_redo_start)
         volatile, redone = self._redo_pass(
             report,
             dirty,
@@ -164,48 +142,40 @@ class RecoveryManager:
             dirty=dirty,
             volatile=volatile,
             redone_ops=redone,
-            stable_ops=stable_ops,
         )
 
     # ------------------------------------------------------------------
     # analysis pass
     # ------------------------------------------------------------------
     def _analysis_pass(
-        self, report: RecoveryReport
-    ) -> Tuple[DirtyObjectTable, List[Operation]]:
-        checkpoint: Optional[CheckpointRecord] = None
-        for record in self.log.stable_records():
-            if isinstance(record, CheckpointRecord):
-                if record.is_intact():
-                    checkpoint = record
-                else:
-                    # Damaged dirty-object table: trusting it could skip
-                    # redo work.  Fall back to the previous intact
-                    # checkpoint (or, if none, the log start) — strictly
-                    # more conservative, never less correct.
-                    report.checkpoints_rejected += 1
-        if checkpoint is not None:
-            dirty = DirtyObjectTable(checkpoint.dirty_objects)
-            report.checkpoint_lsi = checkpoint.lsi
-            scan_from = checkpoint.lsi
-        else:
-            dirty = DirtyObjectTable()
-            scan_from = NULL_SI
+        self,
+        report: RecoveryReport,
+        media_redo_start: Optional[StateId] = None,
+    ) -> DirtyObjectTable:
+        """One scan of the stable log, restarted in place at every
+        intact checkpoint it meets: what it has gathered so far is what
+        the checkpoint summarizes, so only the table built since the
+        latest one — and the flush transactions committed since — count.
 
-        stable_ops: List[Operation] = []
+        In media mode the table returned is instead the widened one:
+        every object written at or after ``media_redo_start`` is
+        potentially stale in the restored image.
+        """
+        dirty = DirtyObjectTable()
+        widened = DirtyObjectTable()
         pending_txn_values: Dict[int, FlushTxnValuesRecord] = {}
-        # Operation records before the checkpoint still matter for the
-        # stable history (verification) even though their dirty-table
-        # effect is summarized by the checkpoint.
+        committed: List[FlushTxnValuesRecord] = []
         for record in self.log.stable_records():
-            if isinstance(record, OperationRecord):
-                stable_ops.append(record.op)
-            if record.lsi < scan_from:
-                continue
             report.analysis_records += 1
             if isinstance(record, OperationRecord):
+                stale = (
+                    media_redo_start is not None
+                    and record.lsi >= media_redo_start
+                )
                 for obj in record.op.writes:
                     dirty.note_write(obj, record.lsi)
+                    if stale:
+                        widened.note_write(obj, record.lsi)
             elif isinstance(record, InstallationRecord):
                 self._apply_installation(dirty, record)
             elif isinstance(record, FlushRecord):
@@ -215,9 +185,26 @@ class RecoveryManager:
             elif isinstance(record, FlushTxnCommitRecord):
                 values = pending_txn_values.pop(record.txn_id, None)
                 if values is not None:
-                    self._reapply_flush_txn(values)
-                    report.flush_txns_reapplied += 1
-        return dirty, stable_ops
+                    committed.append(values)
+            elif isinstance(record, CheckpointRecord):
+                if not record.is_intact():
+                    # Damaged dirty-object table: trusting it could skip
+                    # redo work.  Keep what the previous intact
+                    # checkpoint (or, if none, the log start) gave us —
+                    # strictly more conservative, never less correct.
+                    report.checkpoints_rejected += 1
+                    continue
+                dirty = DirtyObjectTable(record.dirty_objects)
+                report.checkpoint_lsi = record.lsi
+                report.analysis_records = 1
+                pending_txn_values.clear()
+                committed.clear()
+        # Re-applied only now, in log order: which commits follow the
+        # latest checkpoint is known once the scan ends.
+        for values in committed:
+            self._reapply_flush_txn(values)
+            report.flush_txns_reapplied += 1
+        return widened if media_redo_start is not None else dirty
 
     @staticmethod
     def _apply_installation(

@@ -19,11 +19,16 @@ recovery supervisor (:mod:`repro.kernel.supervisor`) may instead land
 the system in degraded read-only mode or declare it failed when its
 escalation budgets run out.
 
-The system also maintains the submitted history so verifiers can
-compare recovered state with the oracle over the *stable* history (the
-operations whose records survived on the stable log — operations whose
-records were still in the volatile buffer at the crash never happened,
-durably speaking).
+A system built for verification also carries the submitted
+:class:`~repro.core.history.History`, so verifiers can compare recovered
+state with the oracle over the *stable* history (the operations whose
+records survived on the stable log — operations whose records were
+still in the volatile buffer at the crash never happened, durably
+speaking).  It is the verifier's attachment, not the kernel's ledger:
+execute / crash / recover keep it current and decide nothing by it, and
+a long-lived owner (the serving daemon, ``PersistentSystem.open``)
+calls :meth:`RecoverableSystem.release_history` so that an installed
+operation is nobody's business but the log's.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from repro.storage.backup import FuzzyBackup
 from repro.storage.stable_store import StableStore
 from repro.storage.stats import IOStats
 from repro.wal.log_manager import LogManager
+from repro.wal.records import OperationRecord
 
 
 class SystemHealth(enum.Enum):
@@ -144,9 +150,10 @@ class RecoverableSystem:
         self.cache = CacheManager(
             self.store, self.log, self.registry, self.config.cache, self.stats
         )
-        self.history = History()
+        #: Every operation submitted and not lost, in conflict order,
+        #: for the verifiers; None once :meth:`release_history` ran.
+        self.history: Optional[History] = History()
         self._crashed = False
-        self._lost_lsis: set = set()
         self.last_report: Optional[RecoveryReport] = None
         #: The supervisor's structured verdict from the most recent
         #: supervised recovery (set by callers that drive one, e.g.
@@ -179,7 +186,8 @@ class RecoverableSystem:
         The registry absorbs the existing counter ledgers as collectors
         (``io.*`` from :class:`~repro.storage.stats.IOStats`,
         ``engine.*`` from the live write-graph engine's ``stats()``,
-        ``cache.dirty_objects`` from the dirty object table) and is
+        ``cache.dirty_objects`` from the dirty object table, ``wal.*``
+        from the log's ``footprint()``) and is
         wired into the log manager, cache manager and engine so hot
         paths record latencies into it.  Survives crash/recover.
         """
@@ -191,6 +199,7 @@ class RecoverableSystem:
         registry.add_collector(
             "cache", lambda: {"dirty_objects": len(self.cache.dirty_table)}
         )
+        registry.add_collector("wal", lambda: self.log.footprint())
         self._wire_obs()
         return registry
 
@@ -262,10 +271,11 @@ class RecoverableSystem:
             # been forced by that flush's WAL step, so the operation's
             # durability is decided at crash() like any other — it must
             # be on the history for the verifier's oracle to agree.
-            if op.lsi > NULL_SI:
+            if op.lsi > NULL_SI and self.history is not None:
                 self.history.append(op)
             raise
-        self.history.append(op)
+        if self.history is not None:
+            self.history.append(op)
         self._maybe_auto_checkpoint()
         return writes
 
@@ -326,13 +336,24 @@ class RecoverableSystem:
         """Lose all volatile state; returns the durably-lost operations.
 
         The cache and the volatile log buffer are discarded.  Operations
-        whose records had not reached the stable log are removed from
-        the history — durably, they never happened.
+        whose records had not reached the stable log — read off the
+        buffer itself — are removed from the history when one is kept:
+        durably, they never happened.
         """
-        lost_lsis = set(self.log.buffered_lsis())
+        lost = [
+            record.op
+            for record in self.log.buffered_records()
+            if isinstance(record, OperationRecord)
+        ]
         self.log.crash()
-        lost = [op for op in self.history if op.lsi in lost_lsis]
-        self._lost_lsis = lost_lsis
+        if lost and self.history is not None:
+            # The surviving history deliberately includes operations
+            # truncated off the log: they are installed, and the
+            # verification oracle needs them to compute expected values.
+            lost_lsis = {op.lsi for op in lost}
+            self.history = History(
+                op for op in self.history if op.lsi not in lost_lsis
+            )
         self.cache = CacheManager(
             self.store,
             self.log,
@@ -407,22 +428,10 @@ class RecoverableSystem:
         ) as redo_span:
             outcome = manager.run(media_redo_start=media_redo_start)
             redo_span.tag(redone=len(outcome.redone_ops))
-        # Drop the operations whose records died in the volatile log
-        # buffer — durably, they never happened.  The surviving history
-        # deliberately includes operations truncated off the log: they
-        # are installed, and the verification oracle needs them to
-        # compute expected values.  On a *cold open* (no in-process
-        # history, e.g. a persistent database directory) the stable log
-        # is all we have.
-        if len(self.history) == 0 and outcome.stable_ops:
-            survivors = list(outcome.stable_ops)
-        else:
-            survivors = [
-                op for op in self.history if op.lsi not in self._lost_lsis
-            ]
-        self.history = History()
-        for op in survivors:
-            self.history.append(op)
+        if self.history is not None and len(self.history) == 0:
+            # A verifier's *cold open* (no in-process history, e.g. a
+            # database directory): the stable log is all there is.
+            self.history = History(self.log.stable_operations())
         with self.obs.span("recovery.adopt", phase="recovery"):
             self.cache = CacheManager(
                 self.store,
@@ -511,6 +520,16 @@ class RecoverableSystem:
     # ------------------------------------------------------------------
     # verification support
     # ------------------------------------------------------------------
+    def release_history(self) -> None:
+        """Stop keeping the submitted history.
+
+        For owners that outlive any verifier: from here on ``execute``
+        / ``crash`` / ``recover`` touch no per-operation list, so memory
+        tracks the live objects rather than the operations ever
+        submitted.  ``verify_recovered`` refuses such a system.
+        """
+        self.history = None
+
     def oracle(self, initial: Optional[Dict[ObjectId, Any]] = None) -> Oracle:
         """An oracle bound to this system's function registry."""
         return Oracle(self.registry, initial)

@@ -31,6 +31,14 @@ def verify_recovered(
     """Check the recovered system against the oracle; returns the
     oracle's final state on success, raises VerificationError otherwise.
     """
+    if system.history is None:
+        raise RuntimeError(
+            "this system released its History (a serving daemon or a "
+            "PersistentSystem does, so memory does not grow with acked "
+            "writes); verify_recovered needs the submitted operations — "
+            "build the RecoverableSystem directly, or assert expected "
+            "values"
+        )
     oracle = system.oracle(initial)
     final = oracle.replay(list(system.history))
     mismatches: List[str] = []

@@ -39,6 +39,7 @@ from repro.obs.metrics import (
     NULL_OBS,
     NullRegistry,
     Span,
+    process_memory,
 )
 from repro.obs.export import (
     dump_jsonl,
@@ -64,5 +65,6 @@ __all__ = [
     "dump_jsonl",
     "load_flightrec",
     "load_jsonl",
+    "process_memory",
     "render_prometheus",
 ]

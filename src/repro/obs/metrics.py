@@ -38,6 +38,7 @@ __all__ = [
     "NULL_OBS",
     "NullRegistry",
     "Span",
+    "process_memory",
 ]
 
 #: Default histogram boundaries for durations, in seconds.  Exponential
@@ -69,6 +70,23 @@ MS_BUCKETS: Tuple[float, ...] = (
     100.0, 250.0, 500.0,
     1000.0, 2500.0, 5000.0, 10000.0,
 )
+
+
+def process_memory() -> Dict[str, float]:
+    """This process's resident set, now and at its peak, in MiB — the
+    ``process`` collector (``rss_mb`` / ``peak_rss_mb``), read from
+    ``/proc/self/status``; empty where there is no ``/proc``."""
+    fields = {"VmRSS:": "rss_mb", "VmHWM:": "peak_rss_mb"}
+    memory: Dict[str, float] = {}
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                parts = line.split()
+                if parts and parts[0] in fields:
+                    memory[fields[parts[0]]] = int(parts[1]) / 1024
+    except (OSError, ValueError, IndexError):
+        return {}
+    return memory
 
 
 class Histogram:

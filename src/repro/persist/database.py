@@ -31,10 +31,11 @@ the system comes up in DEGRADED read-only mode rather than not at all.
 The supervisor's :class:`FailureReport` for the open is retained on
 ``system.last_failure_report``.
 
-Note on verification: after a cold open the in-process history is
-rebuilt from the stable log, so the oracle-based ``verify_recovered``
-is only meaningful if the log was never truncated; tests assert
-expected values directly instead.
+Note on verification: an opened system keeps no
+:class:`~repro.core.history.History` (it is released before recovery
+runs, so memory tracks the live objects, not the operations ever
+executed), and the oracle-based ``verify_recovered`` refuses it; tests
+assert expected values directly instead.
 """
 
 from __future__ import annotations
@@ -94,6 +95,7 @@ class PersistentSystem:
         system = RecoverableSystem(
             config=config, registry=registry, store=store, log=log
         )
+        system.release_history()
         if metrics is not None:
             system.attach_metrics(metrics)
         if supervisor_config is not None:

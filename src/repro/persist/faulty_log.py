@@ -7,7 +7,11 @@ frame checksum rather than the in-memory model:
 * transient force errors (retried by the hardened force path);
 * torn log appends — the final record of a force lands half-written;
   reopening (or the in-process ``crash()`` that simulates it) repairs
-  the tail.
+  the tail;
+* failing scans — on a file log ``stable_records`` is a device read, so
+  it is the same ``log.scan`` fault point the in-memory faulty log
+  fires: a transient read error or a crash mid-scan kills the recovery
+  attempt, and the supervisor retries or restarts it.
 
 The fault-injecting *stores* live in :mod:`repro.storage.faultwrap`;
 only the WAL-side wrapper lives here because the file log itself is a
@@ -16,8 +20,9 @@ only the WAL-side wrapper lives here because the file log itself is a
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
+from repro.common.identifiers import NULL_SI, StateId
 from repro.persist.file_log import FileLogManager
 from repro.storage.faults import FaultCrash, FaultKind, FaultModel
 from repro.storage.faultwrap import torn_prefix
@@ -34,7 +39,7 @@ class FaultyFileLog(FileLogManager):
         self.model = model
         super().__init__(root, stats)
 
-    def _write_stable(self, pending: List[LogRecord]) -> None:
+    def _write_device(self, pending: List[LogRecord]) -> None:
         spec = self.model.fire(
             "log.force",
             f"{len(pending)} records",
@@ -42,14 +47,14 @@ class FaultyFileLog(FileLogManager):
             stats=self.stats,
         )
         if spec is None:
-            super()._write_stable(pending)
+            super()._write_device(pending)
             return
         # Torn force: every record but the last lands whole, the last
         # lands as half a frame, and the machine dies mid-force — a torn
         # log write is only ever *observed* because of a crash; had the
         # process lived, the force would have completed or errored.
         landed = pending[: len(pending) - 1]
-        super()._write_stable(landed)
+        super()._write_device(landed)
         if pending:
             good = self._file.end
             self._file.append(torn_prefix(self._frame(pending[-1])))
@@ -57,11 +62,17 @@ class FaultyFileLog(FileLogManager):
             self._file.end, self._file.torn = good, True
         raise FaultCrash(f"machine lost mid-force ({spec.describe()})")
 
+    def stable_records(
+        self, from_lsi: StateId = NULL_SI
+    ) -> Iterator[LogRecord]:
+        # One point per scan, not per record (see FaultyLog).
+        self.model.fire("log.scan", f"from {from_lsi}", stats=self.stats)
+        return super().stable_records(from_lsi)
+
     def crash(self) -> None:
         with self._force_mutex:
             super().crash()
             # A machine restart reopens the file and repairs the torn
             # tail; the in-process equivalent is cutting the file back
-            # to the end of the good frames the in-memory stable log
-            # kept.
+            # to the end of the good frames the index describes.
             self._file.repair()

@@ -1,4 +1,4 @@
-"""File-backed WAL: an append-only record file with torn-tail repair.
+"""File-backed WAL: ``wal.log`` is the stable log, RAM holds an index.
 
 Stable records are appended to ``root/wal.log`` as
 ``[length u32][crc32 u32][payload]`` frames whose payload is the
@@ -9,11 +9,21 @@ buffered frames to the log's one
 :class:`~repro.storage.framing.FramedFile`, which owns every byte that
 touches the device: the held append descriptor, write + fsync, the
 cut-back to the last acknowledged frame when a force fails part-way
-(so the recorded frame offsets always describe the file), the open-time
-scan with its **torn-tail test** and repair, and truncation's suffix
-copy.  A torn tail is a crash mid-force: cutting it off is exactly the
-"a crash loses a suffix of unforced records" model the in-memory log
-simulates.
+(so the recorded frame offsets always describe the file), the scan with
+its **torn-tail test** and repair, and truncation's suffix copy.  A
+torn tail is a crash mid-force: cutting it off is exactly the "a crash
+loses a suffix of unforced records" model the in-memory log simulates.
+
+Once forced, a record lives in the file only.  What stays in memory is
+16 bytes of index per stable record — its lSI and its frame's offset, in
+two packed arrays — which answers every question about *which* records
+are stable; a reader (recovery, replication catch-up, the fence audit)
+gets the records themselves by reading frames back from the offset the
+index names (DESIGN.md §4a has the reader / force / truncate ordering).
+The one exception is the **open snapshot**: opening decodes every record
+once, to refuse a log it cannot read, and those records are served to
+readers until the log first changes, so a restart's recovery does not
+decode them a second time.
 
 What this module keeps is policy.  A frame whose checksum *passes* but
 whose payload does not decode is not a torn tail — it was written
@@ -25,36 +35,43 @@ and the file left untouched.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+import time
+from array import array
+from bisect import bisect_left
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.common.codec import CodecError
-from repro.common.identifiers import StateId
+from repro.common.errors import CorruptObjectError
+from repro.common.identifiers import NULL_SI, StateId
 from repro.storage.framing import FramedFile, pack_frame
 from repro.storage.stats import IOStats
 from repro.wal.codec import decode_record, encode_record
 from repro.wal.log_manager import LogManager
-from repro.wal.records import LogRecord, OperationRecord
+from repro.wal.records import LogRecord
 
 
 class FileLogManager(LogManager):
-    """A LogManager whose stable tail lives in ``root/wal.log``."""
+    """A LogManager whose stable log is the file ``root/wal.log``."""
 
     def __init__(self, root: str, stats: Optional[IOStats] = None) -> None:
-        super().__init__(stats)
         os.makedirs(root, exist_ok=True)
         self.path = os.path.join(root, "wal.log")
-        self._file = FramedFile(self.path)
-        #: File offset of each stable record's frame (parallel to
-        #: ``_stable``).
-        self._offsets: List[int] = []
-        #: Frames of the buffered records, by lSI, encoded at append.
-        self._frames: Dict[StateId, bytes] = {}
-        self._load()
+        super().__init__(stats)
 
     # ------------------------------------------------------------------
     # opening
     # ------------------------------------------------------------------
-    def _load(self) -> None:
+    def _open_device(self) -> None:
+        self._file = FramedFile(self.path)
+        #: The index: lSI and frame offset of each stable record, in log
+        #: order (lSIs ascend, with gaps on a witness).
+        self._lsis = array("q")
+        self._offsets = array("q")
+        #: Frames of the buffered records, by lSI, encoded at append.
+        self._frames: Dict[StateId, bytes] = {}
+        #: The records decoded by the open, parallel to the index, until
+        #: the first force / adoption / truncation drops them.
+        self._snapshot: Optional[List[LogRecord]] = []
         for offset, payload in self._file.scan():
             try:
                 record = decode_record(payload)
@@ -64,22 +81,14 @@ class FileLogManager(LogManager):
                     f"checksum but does not decode ({exc}); refusing to "
                     "open rather than truncate the records behind it"
                 ) from None
-            self._stable.append(record)
+            self._snapshot.append(record)
+            self._lsis.append(record.lsi)
             self._offsets.append(offset)
         if self._file.torn:
             self._file.repair()
-        if self._stable:
-            self._next_lsi = self._stable[-1].lsi + 1
-            self._truncated_before = self._stable[0].lsi
-
-    def stable_operations(self) -> List:
-        """The operations on the stable log, in order (used to rebuild
-        a durable history when opening a database directory)."""
-        return [
-            record.op
-            for record in self._stable
-            if isinstance(record, OperationRecord)
-        ]
+        if self._lsis:
+            self._next_lsi = self._lsis[-1] + 1
+            self._truncated_before = self._lsis[0]
 
     # ------------------------------------------------------------------
     # durable force path
@@ -99,8 +108,8 @@ class FileLogManager(LogManager):
     def _frame(record: LogRecord) -> bytes:
         return pack_frame(encode_record(record))
 
-    def _write_stable(self, pending: List[LogRecord]) -> None:
-        # File first, memory second: a transient failure before any
+    def _write_device(self, pending: List[LogRecord]) -> None:
+        # File first, index second: a transient failure before any
         # bytes land leaves both sides untouched, so the base class's
         # bounded retry can safely re-drive the whole append.  The
         # write + fsync run under the force mutex only; ``_lock`` is
@@ -112,11 +121,13 @@ class FileLogManager(LogManager):
         ]
         offset = self._file.append(b"".join(frames)) if frames else 0
         with self._lock:
+            self._snapshot = None
             for record, frame in zip(pending, frames):
+                self._lsis.append(record.lsi)
                 self._offsets.append(offset)
                 offset += len(frame)
                 self._frames.pop(record.lsi, None)
-            super()._write_stable(pending)
+            del self._buffer[: len(pending)]
 
     def close(self) -> None:
         """Release the append descriptor.
@@ -127,18 +138,88 @@ class FileLogManager(LogManager):
             self._file.close()
 
     # ------------------------------------------------------------------
+    # reading: the index answers which, the file answers what
+    # ------------------------------------------------------------------
+    def stable_records(
+        self, from_lsi: StateId = NULL_SI
+    ) -> Iterator[LogRecord]:
+        """A device read: the frames of the records published at this
+        call, from the first with lSI >= ``from_lsi``, decoded one at a
+        time as the iterator is drawn.
+
+        The index is consulted and the file opened under ``_lock``, so
+        the offset and the inode belong together: a force in flight has
+        not published (its bytes lie past the last frame this reader
+        will take) and a truncation that replaces the file afterwards
+        leaves this reader on the inode it opened.
+        """
+        with self._lock:
+            first = bisect_left(self._lsis, from_lsi)
+            if self._snapshot is not None:
+                return iter(self._snapshot[first:])
+            count = len(self._lsis) - first
+            if not count:
+                return iter(())
+            frames = FramedFile(self.path).scan(self._offsets[first])
+        return self._decoded(frames, count)
+
+    def _decoded(
+        self, frames: Iterator[Tuple[int, bytes]], count: int
+    ) -> Iterator[LogRecord]:
+        spent = 0.0  # reading + decoding, not what the caller does between
+        try:
+            for missing in range(count, 0, -1):
+                started = time.perf_counter()
+                frame = next(frames, None)
+                if frame is None:
+                    raise CorruptObjectError(
+                        f"{self.path}: {missing} records the log "
+                        "acknowledged no longer pass the frame test"
+                    )
+                record = decode_record(frame[1])
+                spent += time.perf_counter() - started
+                yield record
+        finally:
+            frames.close()
+            self.obs.observe("wal.scan", spent)
+
+    def stable_end_lsi(self) -> StateId:
+        lsis = self._lsis
+        return lsis[-1] if lsis else NULL_SI
+
+    def stable_start_lsi(self) -> StateId:
+        lsis = self._lsis
+        return lsis[0] if lsis else self._truncated_before
+
+    def __len__(self) -> int:
+        return len(self._lsis) + len(self._buffer)
+
+    def footprint(self) -> Dict[str, int]:
+        """``stable_bytes`` is the file's; RAM holds the buffer (and the
+        open snapshot while it lives), not the stable log."""
+        snapshot = self._snapshot
+        return {
+            "stable_records": len(self._lsis),
+            "stable_bytes": self._file.end,
+            "resident_records": len(self._buffer) + len(snapshot or ()),
+        }
+
+    # ------------------------------------------------------------------
     # truncation
     # ------------------------------------------------------------------
-    def truncate_before(self, lsi: StateId, redo_start: StateId) -> int:
-        with self._force_mutex, self._lock:
-            dropped = super().truncate_before(lsi, redo_start)
-            if dropped:
-                # Copy the retained byte suffix; no record is re-encoded.
-                del self._offsets[:dropped]
-                base = self._offsets[0] if self._offsets else self._file.end
-                self._file.drop_prefix(base)
-                self._offsets = [offset - base for offset in self._offsets]
-            return dropped
+    def _drop_before(self, lsi: StateId) -> int:
+        dropped = bisect_left(self._lsis, lsi)
+        if dropped:
+            # Copy the retained byte suffix; no record is re-encoded.
+            # File first: a failed rewrite leaves the index describing
+            # the file it still is.
+            kept = self._offsets[dropped:]
+            base = kept[0] if kept else self._file.end
+            self._file.drop_prefix(base)
+            self._snapshot = None
+            self._lsis = self._lsis[dropped:]
+            self._offsets = array("q", (offset - base for offset in kept))
+        return dropped
 
     def crash(self) -> None:
         with self._force_mutex, self._lock:

@@ -121,7 +121,7 @@ from repro.core.operation import Operation, OpKind, delete_object
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.http import ObsHTTPServer
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, process_memory
 from repro.obs.tracing import TraceContext
 from repro.serve import protocol
 from repro.serve.errors import FencedError, ServerUnavailableError
@@ -360,6 +360,9 @@ class ServeDaemon:
         self.config = config if config is not None else DaemonConfig()
         systems = self.sharded.systems
         for kernel in systems:
+            # A daemon outlives any verifier: what it has acked is the
+            # log's to remember, not a list's.
+            kernel.release_history()
             if not kernel.obs.enabled:
                 kernel.attach_metrics(MetricsRegistry())
         backups = (
@@ -414,6 +417,8 @@ class ServeDaemon:
                     (f"shard{index}.", kernel.obs)
                 )
         self.obs.subscribe(self.flightrec)
+        # Process-wide, so on the daemon's registry, not per shard.
+        self.obs.add_collector("process", process_memory)
         self.role = "primary"
         self._listener: Optional[socket.socket] = None
         self._http: Optional[ObsHTTPServer] = None

@@ -31,6 +31,7 @@ version (see ``StableStore.media_redo_pending``).
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import tempfile
@@ -51,6 +52,8 @@ MAGIC = b"ROBJ1\n"
 HEADER = struct.Struct("<II")  # payload length, crc32
 #: Bytes a stored-version frame adds in front of its payload.
 OVERHEAD = len(MAGIC) + HEADER.size
+#: Most a :meth:`FramedFile.scan` asks of the device in one read.
+SCAN_CHUNK = 256 * 1024
 
 MARKER_NAME = "media_redo_pending.marker"
 #: Value field stored in the marker frame (the vSI slot carries the
@@ -185,36 +188,108 @@ class FramedFile:
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def scan(self) -> Iterator[Tuple[int, bytes]]:
-        """Yield ``(offset, payload)`` of every frame that passes the
-        frame test, front to back (a missing file holds none).
+    def scan(self, start: int = 0) -> Iterator[Tuple[int, bytes]]:
+        """Yield ``(offset, payload)`` of every frame from ``start`` on
+        that passes the frame test, front to back (a missing file holds
+        none).
 
         A frame that fails is skipped by resynchronizing at the next
         magic; with none ahead — always, in a file without magic — the
         rest is a **torn tail** and the scan stops.  Once the iterator
         is exhausted ``end``, ``torn`` and ``damage`` describe the file.
+
+        The file is opened, and its size taken, by this call rather
+        than by the first ``next``: the frames come from the inode that
+        held the name at the call and stop at the bytes it had then,
+        whatever is appended or renamed over it while the iterator
+        lives.  It is read :data:`SCAN_CHUNK` bytes at a time, so a scan
+        holds a chunk and the frame it is on, never the file.
         """
         try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
+            handle = open(self.path, "rb", buffering=0)
         except FileNotFoundError:
-            data = b""
-        self.damage = 0
-        offset = 0
-        while offset < len(data):
-            try:
-                payload = payload_at(data, offset, self.magic)
-            except CorruptObjectError:
-                self.damage += 1
-                resync = data.find(self.magic, offset + 1) if self.magic else -1
-                if resync == -1:
+            return self._frames(None, start, start)
+        try:
+            size = os.fstat(handle.fileno()).st_size
+        except BaseException:
+            handle.close()
+            raise
+        return self._frames(handle, start, max(size, start))
+
+    def _frames(
+        self, handle: Optional[io.FileIO], offset: int, size: int
+    ) -> Iterator[Tuple[int, bytes]]:
+        magic = self.magic
+        overhead = len(magic) + HEADER.size
+        #: The window: file bytes ``[base, base + len(data))``.
+        data, base = b"", offset
+
+        def window(low: int, high: int) -> None:
+            """Slide to cover ``[low, min(high, size))``, a chunk at a
+            time; a file that shrank under the scan ends there."""
+            nonlocal data, base, size
+            parts = [data[low - base:]]
+            base, have = low, len(parts[0])
+            while low + have < min(high, size):
+                # Positioned and sized to the file: no seek, no probe
+                # past the end (each syscall is a GIL hand-off in a
+                # threaded daemon).
+                chunk = os.pread(
+                    handle.fileno(),
+                    min(SCAN_CHUNK, size - low - have),
+                    low + have,
+                )
+                if not chunk:
+                    size = low + have
                     break
-                offset = resync
-                continue
-            yield offset, payload
-            offset += len(self.magic) + HEADER.size + len(payload)
+                parts.append(chunk)
+                have += len(chunk)
+            data = b"".join(parts)
+
+        def next_magic() -> int:
+            """Offset of the first magic after ``offset``; -1 if none."""
+            low = offset + 1
+            while magic:
+                found = data.find(magic, low - base)
+                if found != -1:
+                    return base + found
+                if base + len(data) >= size:
+                    break
+                # Keep the tail a straddling magic could start in.
+                low = max(low, base + len(data) - len(magic) + 1)
+                window(low, base + len(data) + SCAN_CHUNK)
+            return -1
+
+        self.damage = 0
+        try:
+            while offset < size:
+                if base + len(data) < min(offset + overhead, size):
+                    window(offset, offset + overhead)
+                at = offset - base
+                if len(data) - at >= overhead:
+                    (length, _crc) = HEADER.unpack_from(data, at + len(magic))
+                    frame_end = offset + overhead + length
+                    # A frame running past the file is torn whatever its
+                    # bytes say: no need to read them.
+                    if base + len(data) < frame_end <= size:
+                        window(offset, frame_end)
+                        at = 0
+                try:
+                    payload = payload_at(data, at, magic)
+                except CorruptObjectError:
+                    self.damage += 1
+                    resync = next_magic()
+                    if resync == -1:
+                        break
+                    offset = resync
+                    continue
+                yield offset, payload
+                offset += overhead + len(payload)
+        finally:
+            if handle is not None:
+                handle.close()
         self.end = offset
-        self.torn = offset < len(data)
+        self.torn = offset < size
 
     def read_frame(self, offset: int, length: int) -> bytes:
         """Re-read the ``length``-byte frame at ``offset`` from the

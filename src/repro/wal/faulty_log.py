@@ -45,7 +45,7 @@ class FaultyLog(LogManager):
         #: lying fsync appends records beyond it without advancing it.
         self._durable_len = 0
 
-    def _write_stable(self, pending: List[LogRecord]) -> None:
+    def _write_device(self, pending: List[LogRecord]) -> None:
         spec = self.model.fire(
             "log.force",
             f"{len(pending)} records",
@@ -53,7 +53,7 @@ class FaultyLog(LogManager):
             stats=self.stats,
         )
         if spec is None:
-            super()._write_stable(pending)
+            super()._write_device(pending)
             self._durable_len = len(self._stable)
             return
         if spec.kind is FaultKind.TORN:
@@ -62,11 +62,11 @@ class FaultyLog(LogManager):
             # (a torn force is only observable if the machine goes down
             # before a successful re-force).
             landed = pending[: len(pending) - 1]
-            super()._write_stable(landed)
+            super()._write_device(landed)
             self._durable_len = len(self._stable)
             raise FaultCrash(f"log force torn at {spec.describe()}")
         # FSYNC_LIE: everything "succeeds" but durability is a lie.
-        super()._write_stable(pending)
+        super()._write_device(pending)
 
     def stable_records(
         self, from_lsi: StateId = NULL_SI

@@ -43,10 +43,10 @@ class LatencyLog(LogManager):
         #: a commodity SSD fsync including the kernel round trip.
         self.force_latency_s = force_latency_s
 
-    def _write_stable(self, pending: List[LogRecord]) -> None:
+    def _write_device(self, pending: List[LogRecord]) -> None:
         if self.force_latency_s > 0:
             # time.sleep releases the GIL, like a real fsync: forces on
             # *different* LatencyLogs overlap, forces on the same log
             # serialize on its force mutex while appends keep landing.
             time.sleep(self.force_latency_s)
-        super()._write_stable(pending)
+        super()._write_device(pending)

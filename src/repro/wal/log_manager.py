@@ -62,7 +62,6 @@ class LogManager:
         #: exact prefix semantics are what PurgeCache literally states,
         #: and some tests depend on them.
         self.group_commit = group_commit
-        self._stable: List[LogRecord] = []
         self._buffer: List[LogRecord] = []
         self._next_lsi: StateId = NULL_SI + 1
         self._truncated_before: StateId = NULL_SI + 1
@@ -89,6 +88,48 @@ class LogManager:
         #: ``_lock``, writes it unlocked, publishes it under ``_lock``.
         #: Always taken *before* ``_lock``.
         self._force_mutex = threading.RLock()
+        self._open_device()
+
+    # ------------------------------------------------------------------
+    # the stable device
+    # ------------------------------------------------------------------
+    # Here a list: in this class, and in the fault-injecting and latency
+    # logs built on it, the list *is* the device.  A backend with a real
+    # one overrides these and the readers below (``stable_records``,
+    # ``stable_end_lsi``, ``stable_start_lsi``, ``__len__``).
+    def _open_device(self) -> None:
+        """Attach the stable device (the last step of construction)."""
+        self._stable: List[LogRecord] = []
+
+    def _write_device(self, pending: List[LogRecord]) -> None:
+        """Append ``pending`` (a buffer prefix) to the stable log.
+
+        Overridden by the file backend (append + fsync frames first) and
+        by the fault-injecting log (which may fail transiently, tear the
+        append, or lie about durability); each does its device work
+        unlocked and ends by publishing under ``_lock``.  Must either
+        complete fully or leave buffer/stable untouched before raising
+        a transient error, so a retry is safe.
+        """
+        with self._lock:
+            self._stable.extend(pending)
+            del self._buffer[: len(pending)]
+
+    def _drop_before(self, lsi: StateId) -> int:
+        """Discard the stable records below ``lsi`` (both locks held);
+        returns how many went."""
+        dropped = _first_index(self._stable, lsi)
+        self._stable = self._stable[dropped:]
+        return dropped
+
+    def footprint(self) -> Dict[str, int]:
+        """What the log holds, for the ``wal`` metrics collector:
+        ``stable_records`` on the device and ``resident_records``, the
+        decoded records pinned in RAM — here all of them."""
+        return {
+            "stable_records": len(self._stable),
+            "resident_records": len(self),
+        }
 
     def close(self) -> None:
         """Release what the log holds open (file-backed logs: their
@@ -162,7 +203,7 @@ class LogManager:
         duplicates from a re-ship after reconnect and are skipped
         (adoption is idempotent); the remainder must be strictly
         ascending.  Adoption goes straight through the forced path
-        (:meth:`_write_stable` via the transient-retry wrapper), so a
+        (:meth:`_write_device` via the transient-retry wrapper), so a
         file-backed witness has the records on disk before this
         returns — the receipt ack a witness sends upstream is a
         durability promise.
@@ -257,7 +298,7 @@ class LogManager:
 
         Called with ``_force_mutex`` held and (adoption aside) ``_lock``
         released: appends keep landing behind the prefix while the
-        device touch, :meth:`_write_stable`, runs.  A transiently
+        device touch, :meth:`_write_device`, runs.  A transiently
         failing force (an fsync that returns an error) is retried here
         with a bounded budget rather than escalated — the retry is what
         the paper's "stable log" abstraction quietly assumes.
@@ -267,7 +308,7 @@ class LogManager:
         obs = self.obs
         start = time.perf_counter()
         retry_transient(
-            lambda: self._write_stable(pending),
+            lambda: self._write_device(pending),
             stats=self.stats,
             what="log force",
         )
@@ -284,20 +325,6 @@ class LogManager:
                 # sat in the volatile buffer before going stable.
                 obs.observe("wal.coalesce_wait", done - appended)
 
-    def _write_stable(self, pending: List[LogRecord]) -> None:
-        """Append ``pending`` (a buffer prefix) to the stable log.
-
-        Overridden by the file backend (append + fsync frames first) and
-        by the fault-injecting log (which may fail transiently, tear the
-        append, or lie about durability); each does its device work
-        unlocked and ends here, publishing under ``_lock``.  Must either
-        complete fully or leave buffer/stable untouched before raising
-        a transient error, so a retry is safe.
-        """
-        with self._lock:
-            self._stable.extend(pending)
-            del self._buffer[: len(pending)]
-
     def assert_stable(self, lsi: StateId) -> None:
         """Raise WALViolationError unless ``lsi`` is on the stable log."""
         if lsi == NULL_SI:
@@ -311,9 +338,7 @@ class LogManager:
     def is_stable(self, lsi: StateId) -> bool:
         """True when the record with ``lsi`` reached the stable log
         (or was legitimately truncated away)."""
-        if lsi < self._truncated_before:
-            return True
-        return bool(self._stable) and self._stable[-1].lsi >= lsi
+        return lsi < self._truncated_before or self.stable_end_lsi() >= lsi
 
     # ------------------------------------------------------------------
     # reading (recovery)
@@ -336,6 +361,20 @@ class LogManager:
     def stable_start_lsi(self) -> StateId:
         """lSI of the first retained stable record."""
         return self._stable[0].lsi if self._stable else self._truncated_before
+
+    def stable_operations(self) -> List[Operation]:
+        """The operations on the stable log, in order (what a verifier
+        seeds its history with after a cold open)."""
+        return [
+            record.op
+            for record in self.stable_records()
+            if isinstance(record, OperationRecord)
+        ]
+
+    def buffered_records(self) -> List[LogRecord]:
+        """Records still only in the volatile buffer (lost at crash)."""
+        with self._lock:
+            return list(self._buffer)
 
     def buffered_lsis(self) -> List[StateId]:
         """lSIs still only in the volatile buffer (lost at crash)."""
@@ -385,8 +424,7 @@ class LogManager:
             protected = self.min_protected_lsi()
             if protected is not None:
                 lsi = min(lsi, protected)
-            dropped = _first_index(self._stable, lsi)
-            self._stable = self._stable[dropped:]
+            dropped = self._drop_before(lsi)
             self._truncated_before = max(self._truncated_before, lsi)
             return dropped
 

@@ -60,7 +60,7 @@ class StalledExecute:
 
 
 class StalledForce:
-    """Blocks a log's device write (``_write_stable``, the one override
+    """Blocks a log's device write (``_write_device``, the one override
     point every backend's force goes through) until released, while
     appends keep landing behind it.  Set ``fail`` to an exception and
     the stalled force — every retry of it included — raises it instead
@@ -72,7 +72,7 @@ class StalledForce:
         self.release = threading.Event()
         self.fail = None
         self._stalled_lsi = None
-        original = log._write_stable
+        original = log._write_device
 
         def stalled(pending):
             if not self.entered.is_set():
@@ -83,7 +83,7 @@ class StalledForce:
                 raise self.fail
             return original(pending)
 
-        log._write_stable = stalled
+        log._write_device = stalled
 
 
 class SendSpy:

@@ -252,6 +252,107 @@ class TestInteriorDamage:
 
 
 # ----------------------------------------------------------------------
+# the scan streams: a start offset, bounded reads, the same answers
+# ----------------------------------------------------------------------
+def _whole_file_scan(path, magic):
+    """The reference: the scan as it was when it read the file in one
+    piece.  Returns ``(frames, end, torn, damage)``."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    frames, damage, offset = [], 0, 0
+    while offset < len(data):
+        try:
+            payload = framing.payload_at(data, offset, magic)
+        except CorruptObjectError:
+            damage += 1
+            resync = data.find(magic, offset + 1) if magic else -1
+            if resync == -1:
+                break
+            offset = resync
+            continue
+        frames.append((offset, payload))
+        offset += len(magic) + HEADER.size + len(payload)
+    return frames, offset, offset < len(data), damage
+
+
+def _debris(rng, magic):
+    """Frames, torn frames, rotted frames, noise and stray magics."""
+    parts = []
+    for _ in range(rng.randrange(0, 9)):
+        payload = bytes(rng.randrange(256) for _ in range(rng.randrange(1, 40)))
+        whole = pack_frame(payload, magic)
+        kind = rng.random()
+        if kind < 0.6:
+            parts.append(whole)
+        elif kind < 0.7:
+            parts.append(whole[: rng.randrange(len(whole))])
+        elif kind < 0.8:
+            rotted = bytearray(whole)
+            rotted[rng.randrange(len(rotted))] ^= 0xFF
+            parts.append(bytes(rotted))
+        elif kind < 0.9:
+            parts.append(bytes(rng.randrange(256) for _ in range(rng.randrange(30))))
+        else:
+            parts.append(magic[: rng.randrange(len(magic) + 1)] + b"\0" * 12)
+    return b"".join(parts)
+
+
+class TestStreamingScan:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 16, 1 << 18])
+    def test_any_chunk_size_reads_what_the_whole_file_read_did(
+        self, path, magic, chunk, monkeypatch
+    ):
+        import random
+
+        monkeypatch.setattr(framing, "SCAN_CHUNK", chunk)
+        rng = random.Random(chunk)
+        for _ in range(150):
+            with open(path, "wb") as handle:
+                handle.write(_debris(rng, magic))
+            frames, end, torn, damage = _whole_file_scan(path, magic)
+            file = FramedFile(path, magic)
+            assert list(file.scan()) == frames
+            assert (file.end, file.torn, file.damage) == (end, torn, damage)
+            for index, (offset, _payload) in enumerate(frames):
+                tail = FramedFile(path, magic)
+                assert list(tail.scan(offset)) == frames[index:]
+                assert (tail.end, tail.torn) == (end, torn)
+
+    def test_no_read_asks_for_more_than_a_chunk(self, path, magic, monkeypatch):
+        payload = bytes(range(256)) * 16  # 4 KiB
+        count = (4 << 20) // len(payload)
+        file = FramedFile(path, magic)
+        file.append(pack_frame(payload, magic) * count)
+        file.close()
+        sizes = []
+        real = os.pread
+
+        def pread(fd, size, offset):
+            sizes.append(size)
+            return real(fd, size, offset)
+
+        monkeypatch.setattr("repro.storage.framing.os.pread", pread)
+        assert sum(1 for _ in FramedFile(path, magic).scan()) == count
+        assert 0 < max(sizes) <= framing.SCAN_CHUNK
+        assert len(sizes) >= (4 << 20) // framing.SCAN_CHUNK
+
+    def test_a_frame_larger_than_a_chunk_is_read_whole(self, path, magic):
+        big = bytes(range(256)) * 4096  # 1 MiB: four chunks
+        _written(path, magic, [b"before", big, b"after"])
+        assert _scan(path, magic)[1] == [b"before", big, b"after"]
+
+    def test_the_file_is_the_one_named_when_the_scan_was_asked_for(
+        self, path, magic
+    ):
+        _written(path, magic)
+        frames = FramedFile(path, magic).scan()  # not yet drawn from
+        os.replace(path, path + ".old")
+        _written(path, magic, [b"another file"])
+        _append_raw(path + ".old", pack_frame(b"appended later", magic))
+        assert [payload for _, payload in frames] == PAYLOADS
+
+
+# ----------------------------------------------------------------------
 # what the callers gain from sharing it
 # ----------------------------------------------------------------------
 def _put(obj, value):

@@ -18,6 +18,7 @@ Three layers, bottom up:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import threading
@@ -26,8 +27,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import (
+    CacheConfig,
     GeneralizedRedoTest,
     GraphMode,
+    Operation,
     RecoverableSystem,
     SystemConfig,
     VsiRedoTest,
@@ -45,7 +48,7 @@ from repro.core.oracle import Oracle
 from repro.core.refined_write_graph import _FRONTIER_SLACK, RefinedWriteGraph
 from repro.persist import PersistentSystem
 from repro.serve import DaemonClient, DaemonConfig, RetryPolicy, ServeDaemon
-from repro.wal.records import FlushRecord, InstallationRecord
+from repro.wal.records import FlushRecord, InstallationRecord, LogRecord
 from repro.workloads import (
     LogicalWorkload,
     LogicalWorkloadConfig,
@@ -490,18 +493,26 @@ def test_not_retired_while_a_needed_record_is_volatile():
 def test_the_justifying_writer_bound_is_what_keeps_this_recoverable(
     force_notx_writers,
 ):
-    """Why the verb waits for the blind writer: the purge path with that
-    half of the WAL bound switched off (the E8a ablation) loses an
-    update on ``put c``, ``b := copy(c)``, ``put c'``, ``put b`` —
-    installing the copy frees ``put c'`` to be flushed under a force
-    that stops short of ``put b``; the crash then leaves the redone
-    copy's result, computed over ``c'``, as the last word on ``b``."""
-    from repro import CacheConfig
+    """Why the verb waits for the blind writer, and why no configuration
+    turns that half of the WAL bound off: a cache manager narrowed to
+    force only a node's own records loses an update on ``put c``,
+    ``b := copy(c)``, ``put c'``, ``put b`` — installing the copy frees
+    ``put c'`` to be flushed under a force that stops short of
+    ``put b``; the crash then leaves the redone copy's result, computed
+    over ``c'``, as the last word on ``b``."""
     from repro.kernel.verify import VerificationError
 
-    system = RecoverableSystem(SystemConfig(
-        cache=CacheConfig(wal_force_notx_writers=force_notx_writers)
-    ))
+    class OwnRecordsOnly(cache_manager_module.CacheManager):
+        def _installation_plan(self, node):
+            ops, new_rsis, _wal_bound = super()._installation_plan(node)
+            return ops, new_rsis, ops[-1].lsi
+
+    system = RecoverableSystem()
+    if not force_notx_writers:
+        system.cache = OwnRecordsOnly(
+            system.store, system.log, system.registry, system.config.cache,
+            system.stats,
+        )
     system.execute(physical("c", b"c-old"))
     system.execute(logical("cp", "copy", {"c"}, {"b"}, ("c", "b")))
     system.execute(physical("c", b"c-new"))
@@ -592,19 +603,47 @@ def _put_rounds(port: int, count: int, offset: int) -> None:
     assert not failures, failures[:3]
 
 
+def _live(*types) -> int:
+    """Instances of ``types`` alive in this process right now."""
+    gc.collect()
+    return sum(isinstance(obj, types) for obj in gc.get_objects())
+
+
+#: Operations and log records a quiesced process may still hold beyond
+#: its live objects: what other tests left reachable is subtracted as a
+#: baseline, so this only covers frames still unwinding in the workers.
+SLACK = 16
+
+
+def _ceiling(live: int) -> int:
+    """Most operations ``live`` uninstalled ones can keep alive: each
+    sits in its node, and the engine's lazy-deletion frontier may still
+    hold the dead entries of up to ``2 * ready + _FRONTIER_SLACK``
+    retired nodes before it rebuilds."""
+    return 3 * live + _FRONTIER_SLACK + SLACK
+
+
 def test_served_graph_tracks_live_objects_not_operations(tmp_path):
     config = DaemonConfig(port=0, http_port=None)
     bound = KEYS + config.max_queue
+    baseline = _live(Operation, LogRecord)
     system = PersistentSystem.open(str(tmp_path / "db"))
     daemon = ServeDaemon(system, config).start()
     try:
         _put_rounds(daemon.port, N, 0)
         assert len(system.engine) <= bound
         assert len(system.cache._uninstalled) <= bound
+        # No mirror, no history: what was acked and installed is in the
+        # file and nowhere else.
+        assert system.history is None
+        assert _live(Operation, LogRecord) - baseline <= _ceiling(bound)
         _put_rounds(daemon.port, 4 * N, N)
         assert len(system.engine) <= bound
+        assert _live(Operation, LogRecord) - baseline <= _ceiling(bound)
         with DaemonClient("127.0.0.1", daemon.port) as client:
             counters = client.stats()["counters"]
+        assert counters["wal.stable_records"] >= 5 * N
+        assert counters["wal.resident_records"] <= config.max_queue
         assert counters["engine.live_nodes"] <= bound
         assert counters["cache.dirty_objects"] == KEYS
         assert counters["cache.unexposed_installs"] >= 5 * N - bound
@@ -625,6 +664,39 @@ def test_served_graph_tracks_live_objects_not_operations(tmp_path):
             assert reopened.peek(f"k{index}") is not None
     finally:
         reopened.close()
+
+
+def test_an_embedded_system_holds_live_objects_not_operations(tmp_path):
+    """The same bound without a daemon: a ``PersistentSystem`` whose
+    cache is smaller than its key set installs as it evicts, and the
+    1 MiB auto-checkpoint truncates the file behind it."""
+    capacity = KEYS // 2
+    baseline = _live(Operation, LogRecord)
+    system = PersistentSystem.open(
+        str(tmp_path / "db"),
+        config=SystemConfig(
+            cache=CacheConfig(capacity=capacity),
+            checkpoint_every_bytes=1 << 20,
+        ),
+        store_backend="logstore",
+    )
+    try:
+        counts = []
+        for rounds in (N, 4 * N):
+            for i in range(rounds):
+                system.execute(physical(f"k{i % KEYS}", b"v%d" % i))
+                if i % 16 == 0:
+                    system.log.force()
+            counts.append(_live(Operation, LogRecord) - baseline)
+        assert system.history is None
+        assert max(counts) <= _ceiling(KEYS), counts
+        footprint = system.log.footprint()
+        assert footprint["resident_records"] <= capacity
+        # Truncated behind the checkpoints: the index is short too.
+        assert footprint["stable_records"] < system.stats.log_records // 2
+        assert footprint["stable_bytes"] < 2 * (1 << 20)
+    finally:
+        system.close()
 
 
 def test_a_failing_install_restarts_the_shard_not_the_thread():

@@ -31,9 +31,9 @@ class TestLifecycle:
         system.execute(physical("y", b"w"))  # works again
 
     def test_unstorable_transform_output_fails_the_execute(self, tmp_path):
-        """On a database directory too: the operation is refused whole
-        — no record, no history entry — and the flush that used to trip
-        over its value goes through."""
+        """On a database directory too (which keeps no history): the
+        operation is refused whole — no record — and the flush that
+        used to trip over its value goes through."""
         from repro.common.errors import CacheError
         from repro.persist import PersistentSystem
 
@@ -44,7 +44,7 @@ class TestLifecycle:
         system.execute(physical("y", b"fine"))
         with pytest.raises(CacheError, match="cannot be stored"):
             system.execute(logical("alien", "alien", set(), {"x"}))
-        assert len(system.history) == 1 and len(system.log) == 1
+        assert system.history is None and len(system.log) == 1
         assert system.flush_all() == 1
         system.close()
         reopened = PersistentSystem.open(str(tmp_path))
@@ -168,3 +168,92 @@ class TestVerifier:
         verify_recovered(system)
         assert system.read("y") == b"hello"
         assert system.read("x") == b"world"
+
+
+class TestReleasedHistory:
+    """A long-lived owner releases the History: the kernel keeps no
+    per-operation list, and nothing it decides ever depended on one."""
+
+    def test_crash_returns_exactly_the_unforced_operations(self, system):
+        system.release_history()
+        kept = physical("x", b"kept")
+        system.execute(kept)
+        system.log.force()
+        lost = [physical("y", b"lost"), physical("x", b"lost too")]
+        for op in lost:
+            system.execute(op)
+        assert system.crash() == lost
+        system.recover()
+        assert system.history is None
+        assert system.read("x") == b"kept" and system.read("y") is None
+        assert system.crash() == []
+
+    def test_a_kept_history_loses_the_same_operations(self, system):
+        kept, lost = physical("x", b"kept"), physical("y", b"lost")
+        system.execute(kept)
+        system.log.force()
+        system.execute(lost)
+        assert system.crash() == [lost]
+        assert list(system.history) == [kept]
+        system.recover()
+        assert list(system.history) == [kept]
+        verify_recovered(system)
+
+    def test_media_restore_still_widens_the_redo_scan(self, system):
+        """Media mode's dirty table comes out of the analysis scan
+        itself: every object written at or after the backup start is
+        redone over the restored image, checkpoint or not."""
+        from repro.storage import FuzzyBackup
+
+        system.release_history()
+        system.execute(physical("x", b"base-x"))
+        system.execute(physical("y", b"base-y"))
+        system.flush_all()
+        backup = FuzzyBackup(start_lsi=system.log.stable_end_lsi() + 1)
+        backup.copy_all(system.store)
+        backup.finish()
+        system.execute(logical("cp", "copy", {"x"}, {"y"}, ("x", "y")))
+        system.execute(physical("x", b"new-x"))
+        system.flush_all()
+        system.checkpoint()  # summarizes everything above as installed
+        system.log.force()
+        backup.restore_into(system.store)
+        system.crash()
+        report = system.recover(media_redo_start=backup.start_lsi)
+        # From the first operation logged since the backup began, though
+        # the later checkpoint's own table is empty.
+        assert backup.start_lsi <= report.redo_start_lsi < report.checkpoint_lsi
+        assert report.ops_redone == 2
+        assert system.read("x") == b"new-x" and system.read("y") == b"base-x"
+
+    def test_verify_recovered_says_why_it_cannot(self, system):
+        system.release_history()
+        system.execute(physical("x", b"v"))
+        system.flush_all()
+        system.crash()
+        system.recover()
+        with pytest.raises(RuntimeError, match="released its History"):
+            verify_recovered(system)
+
+    def test_a_cold_open_verifier_asks_the_log(self, tmp_path):
+        """A system built for verification over a directory seeds its
+        history from the log's operations, as before."""
+        from repro.persist import FileLogManager
+        from repro.storage import make_store
+
+        def build():
+            return RecoverableSystem(
+                store=make_store("file", str(tmp_path)),
+                log=FileLogManager(str(tmp_path)),
+            )
+
+        first = build()
+        first.execute(physical("x", b"1"))
+        first.execute(logical("cp", "copy", {"x"}, {"y"}, ("x", "y")))
+        first.log.force()
+        first.close()
+        reopened = build()
+        reopened.recover()
+        assert [op.name for op in reopened.history] == ["wp(x)", "cp"]
+        verify_recovered(reopened)
+        reopened.close()

@@ -242,7 +242,7 @@ class TestAppendDuringForce:
         forcer = threading.Thread(target=log.force)
         forcer.start()
         assert stall.entered.wait(timeout=5.0)
-        # The forcer is inside _write_stable: an append must not wait.
+        # The forcer is inside _write_device: an append must not wait.
         appended = []
         appender = threading.Thread(
             target=lambda: appended.append(
