@@ -8,8 +8,11 @@ plus the Figure 6 incremental graph maintenance):
 2. append the operation's record to the volatile log (assigning its
    lSI);
 3. apply the transform, updating cached entries (dirty, vSI = lSI);
-4. register the operation in the write-graph engine and the
-   dirty-object / uninstalled-writer tables.
+4. register the operation's *footprint* — name, lSI, readset, writeset
+   — in the write-graph engine and the dirty-object /
+   uninstalled-writer tables.  The values it wrote have two homes, its
+   log record and the cache entries of step 3; the graph is not a
+   third.
 
 The manager holds exactly **one live write-graph engine** (a
 :class:`~repro.core.engine.WriteGraphEngine`), selected by
@@ -65,6 +68,7 @@ from repro.cache.policies import LRUEviction
 from repro.core.engine import WriteGraphEngine, make_engine
 from repro.core.functions import FunctionRegistry
 from repro.core.operation import (
+    OpFootprint,
     OpKind,
     Operation,
     TOMBSTONE,
@@ -113,7 +117,7 @@ class CacheManager:
         self._entries: Dict[ObjectId, CacheEntry] = {}
         self.dirty_table = DirtyObjectTable()
         self._writers = UninstalledWriters()
-        self._uninstalled: Dict[StateId, Operation] = {}
+        self._uninstalled: Dict[StateId, OpFootprint] = {}
         self._engine: WriteGraphEngine = make_engine(self.config.graph_mode)
         #: Access-recency tracker feeding the hot-object victim policy;
         #: maintained regardless of the configured eviction policy.
@@ -221,18 +225,28 @@ class CacheManager:
         self.config.eviction.touch(obj)
 
     def _register(self, op: Operation) -> None:
-        for obj in op.writes:
-            self.dirty_table.note_write(obj, op.lsi)
-            self._writers.note(obj, op.lsi)
-        self._uninstalled[op.lsi] = op
-        self._engine.add_operation(op)
+        """Enter logged ``op`` in the tables and the graph — by its
+        footprint, so none of them keeps the operation or its values."""
+        held = op.footprint()
+        for obj in held.writes:
+            self.dirty_table.note_write(obj, held.lsi)
+            self._writers.note(obj, held.lsi)
+        self._uninstalled[held.lsi] = held
+        self._engine.add_operation(held)
 
     # ------------------------------------------------------------------
     # graph access
     # ------------------------------------------------------------------
-    def uninstalled_operations(self) -> List[Operation]:
-        """Uninstalled operations in conflict (log) order."""
+    def uninstalled_operations(self) -> List[OpFootprint]:
+        """Footprints of the uninstalled operations in conflict (log)
+        order — the objects ``engine.node_of`` knows; pair one with an
+        executed :class:`Operation` by ``lsi``."""
         return [self._uninstalled[lsi] for lsi in sorted(self._uninstalled)]
+
+    def uninstalled(self, lsi: StateId) -> Optional[OpFootprint]:
+        """The footprint held for the operation logged at ``lsi``, None
+        once it is installed (or if it never ran here)."""
+        return self._uninstalled.get(lsi)
 
     @property
     def engine(self) -> WriteGraphEngine:
@@ -467,7 +481,7 @@ class CacheManager:
 
     def _installation_plan(
         self, node: RWNode
-    ) -> Tuple[List[Operation], Dict[ObjectId, Optional[StateId]], StateId]:
+    ) -> Tuple[List[OpFootprint], Dict[ObjectId, Optional[StateId]], StateId]:
         """What installing ``node`` will change, read off without
         changing it.
 
@@ -496,7 +510,7 @@ class CacheManager:
     def _retire(
         self,
         node: RWNode,
-        ops: List[Operation],
+        ops: List[OpFootprint],
         flushed: AbstractSet[ObjectId],
         new_rsis: Mapping[ObjectId, Optional[StateId]],
     ) -> None:
@@ -663,18 +677,15 @@ class CacheManager:
         The redone operations are uninstalled again (their records are
         already on the stable log, so nothing is re-logged); the write
         graph, dirty object table and writer index are rebuilt from them
-        in log order.
+        in log order, through the registration ``execute`` uses — the
+        list itself is not kept.
         """
         if self._uninstalled:
             raise CacheError("adopt_recovery requires an empty cache manager")
         for obj, (value, vsi) in volatile.items():
             self._entries[obj] = CacheEntry(value, vsi, dirty=True)
         for op in sorted(redone_ops, key=lambda o: o.lsi):
-            for obj in op.writes:
-                self.dirty_table.note_write(obj, op.lsi)
-                self._writers.note(obj, op.lsi)
-            self._uninstalled[op.lsi] = op
-            self._engine.add_operation(op)
+            self._register(op)
 
     # ------------------------------------------------------------------
     # introspection

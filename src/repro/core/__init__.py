@@ -29,7 +29,13 @@ This package contains the executable form of the framework in Sections
   invariant Inv(I) and state explainability.
 """
 
-from repro.core.operation import OpKind, Operation, TOMBSTONE, identity_write
+from repro.core.operation import (
+    OpFootprint,
+    OpKind,
+    Operation,
+    TOMBSTONE,
+    identity_write,
+)
 from repro.core.functions import FunctionRegistry, default_registry
 from repro.core.history import History
 from repro.core.installation_graph import (
@@ -42,7 +48,12 @@ from repro.core.explain import (
     explains,
     find_explanation,
 )
-from repro.core.engine import GraphMode, WriteGraphEngine, make_engine
+from repro.core.engine import (
+    GraphMode,
+    GraphOp,
+    WriteGraphEngine,
+    make_engine,
+)
 from repro.core.write_graph import BatchWriteGraph, WriteGraphNode
 from repro.core.incremental_write_graph import IncrementalWriteGraph
 from repro.core.refined_write_graph import RefinedWriteGraph, RWNode
@@ -56,6 +67,7 @@ from repro.core.redo import (
 from repro.core.recovery import RecoveryManager, RecoveryReport
 
 __all__ = [
+    "OpFootprint",
     "OpKind",
     "Operation",
     "TOMBSTONE",
@@ -70,6 +82,7 @@ __all__ = [
     "explains",
     "find_explanation",
     "GraphMode",
+    "GraphOp",
     "WriteGraphEngine",
     "make_engine",
     "BatchWriteGraph",

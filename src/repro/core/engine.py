@@ -52,8 +52,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.common.identifiers import ObjectId
-from repro.core.operation import Operation
+from repro.common.identifiers import ObjectId, StateId
 
 
 class GraphMode(enum.Enum):
@@ -63,6 +62,32 @@ class GraphMode(enum.Enum):
     RW = "rW"
     #: The write graph W of [8] (Figure 3), maintained incrementally.
     W = "W"
+
+
+class GraphOp(Protocol):
+    """What an engine reads of an operation: Table 1's characterization
+    and nothing else.  :class:`~repro.core.operation.Operation` has this
+    shape, and so does its
+    :class:`~repro.core.operation.OpFootprint` — which is what the cache
+    manager feeds a live engine, so a graph pins no logged value.  An
+    engine hands back, in ``node.ops`` and ``uninstalled_operations()``,
+    the very objects it was given, held by identity.
+    """
+
+    name: str
+    lsi: StateId
+    reads: frozenset
+    writes: frozenset
+
+    @property
+    def exp(self) -> frozenset:
+        """``writes ∩ reads``."""
+        ...
+
+    @property
+    def notexp(self) -> frozenset:
+        """``writes − reads``."""
+        ...
 
 
 @runtime_checkable
@@ -79,7 +104,7 @@ class WriteGraphEngine(Protocol):
     #: Count of node merges forced by cycle collapse (E8 metric).
     cycle_collapses: int
 
-    def add_operation(self, op: Operation) -> Any:
+    def add_operation(self, op: GraphOp) -> Any:
         """Insert ``op`` (presented in conflict order); return its node."""
         ...
 
@@ -97,7 +122,7 @@ class WriteGraphEngine(Protocol):
         """Remove an installed minimal node; returns ``(vars, notx)``."""
         ...
 
-    def node_of(self, op: Operation) -> Optional[Any]:
+    def node_of(self, op: GraphOp) -> Optional[Any]:
         """The node containing ``op``, or None if op was installed."""
         ...
 
@@ -121,7 +146,7 @@ class WriteGraphEngine(Protocol):
         """True when no non-trivial SCC exists."""
         ...
 
-    def uninstalled_operations(self) -> Set[Operation]:
+    def uninstalled_operations(self) -> Set[GraphOp]:
         """All operations currently held by the graph."""
         ...
 

@@ -22,10 +22,11 @@ objects whose stable values cannot be explained.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Set
+from typing import Any, Dict, Iterable, Mapping, Set
 
 from repro.common.errors import UnrecoverableStateError
 from repro.common.identifiers import ObjectId
+from repro.core.engine import GraphOp
 from repro.core.explain import (
     exposed_objects,
     explains,
@@ -39,15 +40,21 @@ from repro.core.oracle import Oracle
 
 
 def leading_edge_installed(
-    history: History, uninstalled: Set[Operation]
+    history: History, uninstalled: Iterable[GraphOp]
 ) -> Set[Operation]:
-    """The cache manager's leading-edge I: everything not in the cache."""
-    return {op for op in history if op not in uninstalled}
+    """The cache manager's leading-edge I: everything not in the cache.
+
+    ``uninstalled`` is what the cache manager holds — footprints, not
+    the history's operations — so the two are paired by lSI, which the
+    log assigns once per surviving operation.
+    """
+    held = {op.lsi for op in uninstalled}
+    return {op for op in history if op.lsi not in held}
 
 
 def check_explainable(
     history: History,
-    uninstalled: Set[Operation],
+    uninstalled: Iterable[GraphOp],
     stable_values: Mapping[ObjectId, Any],
     oracle: Oracle,
     search_on_failure: bool = True,
@@ -106,13 +113,16 @@ def _unexplained_objects(
 
 def check_inv_parts(
     history: History,
-    uninstalled: Set[Operation],
+    uninstalled: Iterable[GraphOp],
     policy: WriteWritePolicy = WriteWritePolicy.REPEAT_HISTORY,
 ) -> None:
     """Assert parts 1-2 of Inv(I) for the leading-edge explanation."""
     installed = leading_edge_installed(history, uninstalled)
+    cached = set(history) - installed
     graph = InstallationGraph(list(history), policy)
-    for op in uninstalled:
+    for op in history:
+        if op not in cached:
+            continue
         # Part 1: no write-write edges from a cached op into I.  Under
         # the repeat-history policy the graph has none at all; under the
         # conservative policy an edge op -> P with P installed would
@@ -129,7 +139,7 @@ def check_inv_parts(
             if earlier.op_id >= op.op_id:
                 break
             if earlier.conflicts_with(op):
-                if earlier not in installed and earlier not in uninstalled:
+                if earlier not in installed and earlier not in cached:
                     raise UnrecoverableStateError(
                         f"conflict predecessor {earlier!r} of cached "
                         f"{op!r} is neither installed nor cached"

@@ -22,7 +22,10 @@ distinction is *what the log record must carry*:
 
 ``exp(Op) = writeset ∩ readset`` and ``notexp(Op) = writeset − readset``
 are exactly the paper's exposed/not-exposed partition of the writeset,
-the pivot of the refined write graph.
+the pivot of the refined write graph.  That characterization — without
+the "enough information to re-execute" part, which the log record
+carries — is the operation's :class:`OpFootprint`, and it is all the
+write graph is given to hold.
 """
 
 from __future__ import annotations
@@ -48,6 +51,43 @@ class OpKind(enum.Enum):
     PHYSIOLOGICAL = "physiological"
     PHYSICAL = "physical"
     IDENTITY = "identity"
+
+
+class OpFootprint:
+    """What the write graph keeps of a logged operation.
+
+    ``W`` / ``rW`` characterize an operation by its readset, its
+    writeset and its log position (Table 1, Figure 6) — never by the
+    values it wrote, which live in its log record and in the cache's
+    current versions.  The cache manager therefore registers this, not
+    the caller's :class:`Operation`: an operation pinned in the graph
+    pins two small frozensets and a name, not a payload.  Footprints
+    hash and compare by identity, like operations; the verifiers pair
+    one with its operation by ``lsi``.
+    """
+
+    __slots__ = ("name", "lsi", "reads", "writes")
+
+    def __init__(
+        self, name: str, lsi: StateId, reads: frozenset, writes: frozenset
+    ) -> None:
+        self.name = name
+        self.lsi = lsi
+        self.reads = reads
+        self.writes = writes
+
+    @property
+    def exp(self) -> frozenset:
+        """Exposed objects: ``writeset(Op) ∩ readset(Op)``."""
+        return self.writes & self.reads
+
+    @property
+    def notexp(self) -> frozenset:
+        """Not-exposed (blindly written) objects: ``writeset − readset``."""
+        return self.writes - self.reads
+
+    def __repr__(self) -> str:
+        return f"<Footprint {self.name} lsi={self.lsi}>"
 
 
 @dataclass
@@ -130,6 +170,11 @@ class Operation:
     def is_blind(self) -> bool:
         """True when the operation reads nothing (a pure blind write)."""
         return not self.reads
+
+    def footprint(self) -> OpFootprint:
+        """The :class:`OpFootprint` of this operation at its current
+        ``lsi`` — taken once the append has assigned it."""
+        return OpFootprint(self.name, self.lsi, self.reads, self.writes)
 
     def conflicts_with(self, other: "Operation") -> bool:
         """True when the two operations access a common object and at

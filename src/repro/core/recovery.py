@@ -92,7 +92,10 @@ class RecoveryOutcome:
     dirty: DirtyObjectTable
     #: Volatile values produced by redo: obj -> (value, vSI).
     volatile: Dict[ObjectId, Tuple[Any, StateId]]
-    #: Redone (still uninstalled) operations in log order.
+    #: Redone (still uninstalled) operations in log order, as decoded
+    #: off the log.  The kernel hands them to ``adopt_recovery``, which
+    #: registers each one's footprint; nothing keeps the list, or the
+    #: operations, once the outcome is adopted.
     redone_ops: List[Operation] = field(default_factory=list)
 
 

@@ -633,11 +633,24 @@ class RefinedWriteGraph:
         return [len(n.vars) for n in self._nodes]
 
     def stats(self) -> Dict[str, object]:
-        """Engine counters (the WriteGraphEngine ``stats()`` hook)."""
+        """Engine counters (the WriteGraphEngine ``stats()`` hook).
+
+        ``live_nodes`` alone hides a collapsed graph — a few hundred
+        nodes, one of them holding thousands of operations behind a
+        flush set no zero-I/O install can retire — so the shape is
+        reported too: ``live_ops``, ``largest_node_ops`` and
+        ``largest_flush_set``.  They cost one pass over the nodes here,
+        when somebody asks, and nothing per insert; the node list is
+        copied first because the asker may be another thread.
+        """
+        nodes = list(self._nodes)
         return {
             "engine": self.engine_name,
             "operations_added": self._ops_added,
-            "live_nodes": len(self._nodes),
+            "live_nodes": len(nodes),
+            "live_ops": len(self._node_of_op),
+            "largest_node_ops": max((len(n.ops) for n in nodes), default=0),
+            "largest_flush_set": max((len(n.vars) for n in nodes), default=0),
             "merges": self._merges,
             "cycle_collapses": self.cycle_collapses,
             "removals": self._removals,

@@ -273,7 +273,7 @@ class TortureHarness:
             verify_recovered(system)
             check_explainable(
                 system.history,
-                set(system.cache.uninstalled_operations()),
+                system.cache.uninstalled_operations(),
                 stable_values_of(system.store),
                 system.oracle(),
             )
@@ -414,7 +414,7 @@ class TortureHarness:
             verify_recovered(system)
             check_explainable(
                 system.history,
-                set(system.cache.uninstalled_operations()),
+                system.cache.uninstalled_operations(),
                 stable_values_of(system.store),
                 system.oracle(),
             )

@@ -47,8 +47,19 @@ from repro.obs.export import (
     render_prometheus,
 )
 from repro.obs.flightrec import FlightRecorder, load_flightrec
-from repro.obs.http import ObsHTTPServer
 from repro.obs.tracing import TraceContext
+
+
+def __getattr__(name: str):
+    # ``ObsHTTPServer`` loads on first use: importing ``http.server``
+    # (and email, ssl, ... behind it) is ~3 MiB no process without the
+    # endpoint should pay for importing ``repro.obs``.
+    if name == "ObsHTTPServer":
+        from repro.obs.http import ObsHTTPServer
+
+        return ObsHTTPServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "COUNT_BUCKETS",

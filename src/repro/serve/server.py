@@ -89,6 +89,7 @@ from __future__ import annotations
 import itertools
 import queue
 import socket
+import sys
 import threading
 import time
 from collections import deque
@@ -107,6 +108,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.http import ObsHTTPServer
     from repro.replica.sender import ReplicationConfig, ReplicationSender
 
 from repro.common.identifiers import NULL_SI, StateId
@@ -120,7 +122,6 @@ from repro.common.errors import (
 from repro.core.operation import Operation, OpKind, delete_object
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.flightrec import FlightRecorder
-from repro.obs.http import ObsHTTPServer
 from repro.obs.metrics import MetricsRegistry, process_memory
 from repro.obs.tracing import TraceContext
 from repro.serve import protocol
@@ -520,6 +521,11 @@ class ServeDaemon:
         for shard in self._shards:
             shard.watchdog.supervised_startup()
         if self.config.http_port is not None:
+            # Imported where the endpoint starts: ``http.server`` and
+            # what it drags in (email, ssl, ...) cost ~3 MiB that a
+            # daemon, witness or child without the endpoint never pays.
+            from repro.obs.http import ObsHTTPServer
+
             self._http = ObsHTTPServer(
                 self._combined_snapshot,
                 self._health_payload,
@@ -996,14 +1002,33 @@ class ServeDaemon:
             obj = request.get("obj")
             if not isinstance(obj, str) or not obj:
                 raise protocol.ProtocolError("request requires an 'obj' string")
+            obj = request["obj"] = sys.intern(obj)
             return (router.shard_of(obj),)
         if kind == "apply":
-            reads = request.get("reads") or []
-            writes = request.get("writes") or []
+            reads = self._object_ids(request, "reads")
+            writes = self._object_ids(request, "writes")
             if not writes:
                 raise protocol.ProtocolError("apply requires a writeset")
             return tuple(sorted(router.shards_of([*reads, *writes])))
         return (0,)
+
+    @staticmethod
+    def _object_ids(request: Dict[str, Any], field: str) -> List[str]:
+        """The object ids an ``apply`` names under ``field``, each held
+        to the rule ``obj`` is held to, and interned in place: every
+        request decodes fresh ``str`` copies of the same few ids, and
+        the write graph's footprints would keep each one."""
+        ids = request.get(field)
+        if ids is None:
+            ids = []
+        if not isinstance(ids, list) or not all(
+            isinstance(obj, str) and obj for obj in ids
+        ):
+            raise protocol.ProtocolError(
+                f"apply {field!r} must be a list of non-empty strings"
+            )
+        request[field] = ids = [sys.intern(obj) for obj in ids]
+        return ids
 
     # ------------------------------------------------------------------
     # inline answers + health

@@ -239,13 +239,11 @@ def test_install_sequence_and_counts_equal_the_parents(case):
 # ----------------------------------------------------------------------
 # (b) install_unexposed changes nothing observable
 # ----------------------------------------------------------------------
-def _uninstalled(system) -> set:
-    """The cached operations of the history (a purge's identity writes
-    are the cache manager's own and change no value)."""
-    submitted = set(system.history)
-    return {
-        op for op in system.cache.uninstalled_operations() if op in submitted
-    }
+def _uninstalled(system) -> list:
+    """What the cache manager holds.  The checks pair these footprints
+    with the history by lSI, so a purge's identity writes — the cache
+    manager's own, changing no value — drop out."""
+    return system.cache.uninstalled_operations()
 
 
 def _check_invariants(system, oracle) -> None:
@@ -434,7 +432,7 @@ def test_retired_reader_is_redone_over_a_newer_input(flush_record_survives):
     ))
     system.log.force()
     assert cache.install_unexposed() == 1            # the copy: vars = {}
-    assert system.engine.node_of(copy) is None
+    assert cache.uninstalled(copy.lsi) is None
     system.execute(physical("c", b"c-new"))
     system.log.force()
     assert cache.install_unexposed() == 1            # the old put c
@@ -478,10 +476,10 @@ def test_not_retired_while_a_needed_record_is_volatile():
     system.log.force_through(first.lsi)
     assert not system.log.is_stable(second.lsi)
     assert cache.install_unexposed() == 0
-    assert system.engine.node_of(first) is not None
+    assert system.engine.node_of(cache.uninstalled(first.lsi)) is not None
     system.log.force()
     assert cache.install_unexposed() == 1
-    assert system.engine.node_of(first) is None
+    assert cache.uninstalled(first.lsi) is None
     assert cache.dirty_table.rsi_of("k") == second.lsi
     # The verb itself never forced, flushed or logged.
     assert system.stats.log_forces == forces + 2
@@ -577,17 +575,20 @@ N = 5_000
 CLIENTS = 8
 
 
-def _put_rounds(port: int, count: int, offset: int) -> None:
-    """``count`` acked puts over ``KEYS`` keys from ``CLIENTS`` clients."""
+def _client_rounds(port: int, count: int, step) -> None:
+    """``count`` acked requests from ``CLIENTS`` clients: client
+    ``index`` issues ``step(client, rng, i)`` for ``i = index,
+    index + CLIENTS, ...`` with its own seeded ``rng``."""
     failures = []
 
     def worker(index: int) -> None:
+        rng = random.Random(index)
         try:
             with DaemonClient(
                 "127.0.0.1", port, policy=RetryPolicy(attempts=3)
             ) as client:
                 for i in range(index, count, CLIENTS):
-                    client.put(f"k{(offset + i) % KEYS}", b"v%d" % i)
+                    step(client, rng, i)
         except Exception as exc:  # noqa: BLE001 - reported below
             failures.append(exc)
 
@@ -601,6 +602,16 @@ def _put_rounds(port: int, count: int, offset: int) -> None:
         thread.join(timeout=120.0)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures[:3]
+
+
+def _put_rounds(port: int, count: int, offset: int) -> None:
+    """``count`` acked puts over ``KEYS`` keys from ``CLIENTS`` clients."""
+    _client_rounds(
+        port, count,
+        lambda client, rng, i: client.put(
+            f"k{(offset + i) % KEYS}", b"v%d" % i
+        ),
+    )
 
 
 def _live(*types) -> int:
@@ -697,6 +708,136 @@ def test_an_embedded_system_holds_live_objects_not_operations(tmp_path):
         assert footprint["stable_bytes"] < 2 * (1 << 20)
     finally:
         system.close()
+
+
+# ----------------------------------------------------------------------
+# (f) pinned operations cost a footprint, not a value
+# ----------------------------------------------------------------------
+HOT_KEYS = 32
+MIXED_OPS = 3_000
+VALUE = 4096
+
+
+def _mixed_rounds(port: int, count: int) -> None:
+    """``count`` acked writes over ``HOT_KEYS`` keys: even steps a
+    4 KiB put, odd steps a ``wl_combine`` into one of the last
+    ``HOT_KEYS // 4`` keys (or, one in four, a ``wl_derive`` out of
+    one).  Those keys are only ever written as ``dst := f(src, dst)``,
+    so their nodes keep a flush set no zero-I/O install can retire, and
+    every put whose value they read — and every overwrite of it after —
+    queues behind them."""
+    sources = HOT_KEYS - HOT_KEYS // 4
+
+    def step(client, rng, i: int) -> None:
+        src = f"h{rng.randrange(sources)}"
+        acc = f"h{rng.randrange(sources, HOT_KEYS)}"
+        if i % 2 == 0:
+            client.put(src, rng.randbytes(VALUE))
+        elif i % 8 == 1:
+            client.apply("wl_derive", [acc], [src], [acc, src])
+        else:
+            client.apply("wl_combine", [src, acc], [acc], [src, acc])
+
+    _client_rounds(port, count, step)
+
+
+def _hot_values(client) -> dict:
+    return {f"h{k}": client.get(f"h{k}")[0] for k in range(HOT_KEYS)}
+
+
+def _live_values() -> int:
+    """Distinct ``bytes`` objects of at least ``VALUE`` bytes that
+    something in this process still references.  ``bytes`` are not
+    gc-tracked, and neither is a dict or tuple holding only such atoms
+    (an operation's ``payload`` is one), so each tracked object's
+    referents are followed through untracked containers."""
+    gc.collect()
+    found = set()
+    for holder in gc.get_objects():
+        pending = gc.get_referents(holder)
+        while pending:
+            held = pending.pop()
+            if type(held) is bytes:
+                if len(held) >= VALUE:
+                    found.add(id(held))
+            elif type(held) in (dict, tuple) and not gc.is_tracked(held):
+                pending.extend(gc.get_referents(held))
+    return len(found)
+
+
+def _engine_counters(port: int) -> dict:
+    with DaemonClient("127.0.0.1", port) as client:
+        counters = client.stats()["counters"]
+    return {
+        name.split(".", 1)[1]: value
+        for name, value in counters.items()
+        if name.startswith("engine.")
+    }
+
+
+def test_pinned_operations_keep_footprints_not_values(tmp_path):
+    """Over a file log a value has two homes — its frame in ``wal.log``
+    and the cache's current version — so thousands of operations pinned
+    in the graph hold no payload and no ``Operation``; the same once the
+    shard has been killed and recovered from the file."""
+    config = DaemonConfig(port=0, http_port=None, allow_chaos=True)
+    value_bound = HOT_KEYS + config.max_queue + SLACK
+    op_bound = config.max_queue + SLACK
+    values, ops = _live_values(), _live(Operation, LogRecord)
+    system = PersistentSystem.open(
+        str(tmp_path / "db"), domains=[register_workload_functions]
+    )
+    daemon = ServeDaemon(system, config).start()
+    try:
+        _mixed_rounds(daemon.port, MIXED_OPS)
+        shape = _engine_counters(daemon.port)
+        # The operations *are* pinned: it is what each one costs, not
+        # retirement, that bounds memory here.
+        assert shape["live_ops"] >= 1_000, shape
+        assert shape["largest_node_ops"] <= shape["live_ops"]
+        assert 1 <= shape["largest_flush_set"] <= HOT_KEYS
+        assert shape["live_nodes"] < shape["live_ops"]
+        assert _live_values() - values <= value_bound
+        assert _live(Operation, LogRecord) - ops <= op_bound
+
+        with DaemonClient("127.0.0.1", daemon.port) as client:
+            before = _hot_values(client)
+            client.request("kill_shard", shard=0)
+            client.request("revive_shard", shard=0)
+            client.put("forced", b"one write through the committer")
+            after = _hot_values(client)
+        assert after == before
+        del before, after
+        # Redo re-adopted every record on the log; none of them stayed.
+        shape = _engine_counters(daemon.port)
+        assert shape["live_ops"] >= 1_000, shape
+        assert _live_values() - values <= value_bound
+        assert _live(Operation, LogRecord) - ops <= op_bound
+    finally:
+        daemon.stop(graceful=False)
+
+
+def test_an_in_memory_log_keeps_the_payloads_recovery_needs():
+    """The counter-case: an in-memory ``LogManager``'s record list *is*
+    its device, so its records keep their operations — the graph's
+    footprints took nothing redo reads."""
+    system = RecoverableSystem()
+    register_workload_functions(system.registry)
+    config = DaemonConfig(port=0, http_port=None, allow_chaos=True)
+    daemon = ServeDaemon(system, config).start()
+    try:
+        _mixed_rounds(daemon.port, MIXED_OPS // 4)
+        assert system.history is None
+        with DaemonClient("127.0.0.1", daemon.port) as client:
+            before = _hot_values(client)
+            assert sum(len(v or b"") == VALUE for v in before.values()) > 0
+            client.request("kill_shard", shard=0)
+            client.request("revive_shard", shard=0)
+            after = _hot_values(client)
+        assert after == before
+        assert system.last_report.ops_redone == MIXED_OPS // 4
+    finally:
+        daemon.stop(graceful=False)
 
 
 def test_a_failing_install_restarts_the_shard_not_the_thread():

@@ -16,7 +16,9 @@ from tests.conftest import logical, physical
 
 
 def _uninstalled(system):
-    return set(system.cache.uninstalled_operations())
+    """What the cache manager holds: footprints, paired with the
+    history's operations by lSI."""
+    return system.cache.uninstalled_operations()
 
 
 class TestLeadingEdge:
@@ -28,8 +30,8 @@ class TestLeadingEdge:
         system.purge()
         uninstalled = _uninstalled(system)
         installed = leading_edge_installed(system.history, uninstalled)
-        assert installed | uninstalled == set(system.history)
-        assert installed & uninstalled == set()
+        assert installed == {a}
+        assert [held.lsi for held in uninstalled] == [b.lsi]
 
 
 class TestExplainabilityInvariant:

@@ -42,9 +42,11 @@ def _durable_history(system) -> History:
     return history
 
 
-def _uninstalled_in(system, durable: History) -> set:
-    uninstalled = set(system.cache.uninstalled_operations())
-    return {op for op in durable if op in uninstalled}
+def _uninstalled_in(system, durable: History) -> list:
+    held = {op.lsi for op in durable}
+    return [
+        op for op in system.cache.uninstalled_operations() if op.lsi in held
+    ]
 
 
 @given(

@@ -17,6 +17,11 @@ Two oracles, one per graph mode:
 
 Nodes are compared by their operation-name sets: the engines mint
 their own node instances, but a node *is* its set of operations.
+
+What a cache manager feeds its engine is not the operation but its
+:class:`~repro.core.operation.OpFootprint`; the ``*_fed_footprints``
+tests run the same comparisons with the live engine fed footprints and
+the oracle fed the operations.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from repro.core._reference import ReferenceWriteGraph
 from repro.core.history import History
 from repro.core.incremental_write_graph import IncrementalWriteGraph
 from repro.core.installation_graph import InstallationGraph
+from repro.core.operation import Operation
 from repro.core.refined_write_graph import RefinedWriteGraph
 from repro.core.write_graph import BatchWriteGraph
 from repro.workloads import LogicalWorkload, LogicalWorkloadConfig
@@ -86,28 +92,51 @@ def _assert_same(ref: ReferenceWriteGraph, idx: RefinedWriteGraph) -> None:
     assert idx.is_acyclic()
 
 
-@pytest.mark.parametrize("mix_name,mix", MIXES)
-@pytest.mark.parametrize("seed", range(4))
-def test_insertion_stream_matches(mix_name, mix, seed):
-    ops = _stream(mix, seed)
+def _itself(op: Operation) -> Operation:
+    return op
+
+
+def _check_insertion_stream(ops, feed) -> None:
     ref, idx = ReferenceWriteGraph(), RefinedWriteGraph()
     for op in ops:
         node_ref = ref.add_operation(op)
-        node_idx = idx.add_operation(op)
+        node_idx = idx.add_operation(feed(op))
         assert _key(node_ref) == _key(node_idx), op.name
     _assert_same(ref, idx)
+
+
+@pytest.mark.parametrize("mix_name,mix", MIXES)
+@pytest.mark.parametrize("seed", range(4))
+def test_insertion_stream_matches(mix_name, mix, seed):
+    _check_insertion_stream(_stream(mix, seed), _itself)
+
+
+@pytest.mark.parametrize("mix_name,mix", MIXES)
+@pytest.mark.parametrize("seed", range(4))
+def test_insertion_stream_matches_fed_footprints(mix_name, mix, seed):
+    _check_insertion_stream(_stream(mix, seed), Operation.footprint)
 
 
 @pytest.mark.parametrize("mix_name,mix", MIXES)
 @pytest.mark.parametrize("seed", range(3))
 def test_interleaved_installation_matches(mix_name, mix, seed):
     """Install minimal nodes mid-stream; orders and results must track."""
+    _check_interleaved_installation(mix, seed, _itself)
+
+
+@pytest.mark.parametrize("mix_name,mix", MIXES)
+@pytest.mark.parametrize("seed", range(3))
+def test_interleaved_installation_matches_fed_footprints(mix_name, mix, seed):
+    _check_interleaved_installation(mix, seed, Operation.footprint)
+
+
+def _check_interleaved_installation(mix, seed, feed) -> None:
     rng = random.Random(seed * 7919 + 13)
     ops = _stream(mix, seed + 100)
     ref, idx = ReferenceWriteGraph(), RefinedWriteGraph()
     for op in ops:
         ref.add_operation(op)
-        idx.add_operation(op)
+        idx.add_operation(feed(op))
         if rng.random() < 0.25 and ref.nodes:
             minimal_ref = ref.minimal_nodes()
             minimal_idx = idx.minimal_nodes()
@@ -228,27 +257,44 @@ def test_w_insertion_stream_matches_batch(mix_name, mix, seed):
 def test_w_interleaved_installation_matches_batch(mix_name, mix, seed):
     """Install minimal W nodes mid-stream; the surviving graph must
     equal a batch rebuild of the surviving operations."""
+    _check_w_interleaved_installation(mix, seed, _itself)
+
+
+@pytest.mark.parametrize("mix_name,mix", MIXES)
+@pytest.mark.parametrize("seed", range(3))
+def test_w_interleaved_installation_matches_batch_fed_footprints(
+    mix_name, mix, seed
+):
+    _check_w_interleaved_installation(mix, seed, Operation.footprint)
+
+
+def _check_w_interleaved_installation(mix, seed, feed) -> None:
     rng = random.Random(seed * 6007 + 29)
     live = []
     incremental = IncrementalWriteGraph()
+
+    def survivors(node):
+        # The engine holds what it was fed; the batch oracle rebuilds
+        # from the operations — paired by lSI.
+        installed = {held.lsi for held in node.ops}
+        return [o for o in live if o.lsi not in installed]
+
     for op in _stream(mix, seed + 200):
-        incremental.add_operation(op)
+        incremental.add_operation(feed(op))
         live.append(op)
         if rng.random() < 0.2 and incremental.nodes:
             node = min(incremental.minimal_nodes(), key=_key)
             flushed, notx = incremental.remove_node(node)
             assert notx == set()
             assert flushed == {o for op_ in node.ops for o in op_.writes}
-            installed = set(node.ops)
-            live = [o for o in live if o not in installed]
+            live = survivors(node)
             _assert_w_same(live, incremental)
     _assert_w_same(live, incremental)
     # Drain fully; every removal must stay consistent with a rebuild.
     while len(incremental):
         node = min(incremental.minimal_nodes(), key=_key)
         incremental.remove_node(node)
-        installed = set(node.ops)
-        live = [o for o in live if o not in installed]
+        live = survivors(node)
         _assert_w_same(live, incremental)
     assert live == []
     assert incremental.uninstalled_operations() == set()

@@ -16,6 +16,9 @@ shard other than the default one.  What only exists with N > 1
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
@@ -823,6 +826,43 @@ class TestHTTPEndpoint:
             assert excinfo.value.code == 404
         finally:
             daemon.stop(graceful=False)
+
+    def test_http_stack_loads_only_with_the_endpoint(self):
+        """A daemon, witness or embedded child started without the
+        endpoint never imports ``http.server`` and what it drags in; one
+        that asks for it still serves ``/healthz``."""
+        script = """
+import sys
+import repro.serve.server, repro.topology
+loaded = {name.split(".")[0] for name in sys.modules}
+assert not loaded & {"http", "email", "ssl", "socketserver"}, loaded
+from repro import RecoverableSystem
+from repro.serve import DaemonConfig, ServeDaemon
+quiet = ServeDaemon(
+    RecoverableSystem(), DaemonConfig(port=0, http_port=None)
+).start()
+quiet.stop(graceful=False)
+assert "http.server" not in sys.modules
+daemon = ServeDaemon(
+    RecoverableSystem(), DaemonConfig(port=0, http_port=0)
+).start()
+try:
+    assert "http.server" in sys.modules
+    import urllib.request
+    url = f"http://127.0.0.1:{daemon.http_port}/healthz"
+    with urllib.request.urlopen(url, timeout=5) as reply:
+        assert reply.status == 200
+finally:
+    daemon.stop(graceful=False)
+from repro.obs import ObsHTTPServer
+assert ObsHTTPServer is sys.modules["repro.obs.http"].ObsHTTPServer
+"""
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_liveness_vs_readiness_when_degraded(self, shards):
         # The split: DEGRADED is *live* (restarting the process would

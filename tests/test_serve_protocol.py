@@ -178,3 +178,80 @@ class TestResponses:
             errors.ServerFailedError,
         ):
             assert cls.code in protocol.ERROR_CODES
+
+
+class TestObjectIdAdmission:
+    """Every object id a request names is held to one rule at
+    admission — a non-empty string — whichever verb carries it."""
+
+    @pytest.fixture()
+    def daemon(self):
+        from repro import RecoverableSystem
+        from repro.serve import DaemonConfig, ServeDaemon
+        from repro.workloads import register_workload_functions
+
+        system = RecoverableSystem()
+        register_workload_functions(system.registry)
+        daemon = ServeDaemon(
+            system, DaemonConfig(port=0, http_port=None)
+        ).start()
+        yield daemon
+        daemon.stop(graceful=False)
+
+    @staticmethod
+    def _ask(daemon, **request):
+        with socket.create_connection(("127.0.0.1", daemon.port), 5.0) as sock:
+            protocol.send_frame(sock, {"id": 1, **request})
+            return protocol.recv_frame(sock)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"reads": [], "writes": [""]},
+            {"reads": [""], "writes": ["d"]},
+            {"reads": [["x"]], "writes": ["d"]},
+            {"reads": [7], "writes": ["d"]},
+            {"reads": ["x"], "writes": [{"k": 1}]},
+            {"reads": "x", "writes": ["d"]},
+            {"reads": ["x"], "writes": "d"},
+            {"reads": ["x"], "writes": []},
+            {"reads": ["x"]},
+        ],
+    )
+    def test_apply_with_a_malformed_id_is_a_bad_request(self, daemon, fields):
+        response = self._ask(
+            daemon, kind="apply", fn="wl_derive", params=["x", "d"], **fields
+        )
+        assert response["ok"] is False
+        assert response["error"]["code"] == "BAD_REQUEST"
+        counters = daemon.obs.snapshot()["counters"]
+        assert counters["serve.rejected.bad_request"] == 1
+        # Refused at admission: nothing ran, nothing was logged.
+        assert daemon.system.stats.log_records == 0
+
+    @pytest.mark.parametrize("kind", ["get", "put", "delete"])
+    @pytest.mark.parametrize("obj", ["", None, 7, ["x"]])
+    def test_object_verbs_refuse_the_same_ids(self, daemon, kind, obj):
+        response = self._ask(
+            daemon, kind=kind, obj=obj, value=protocol.encode_value(b"v")
+        )
+        assert response["error"]["code"] == "BAD_REQUEST"
+
+    def test_admitted_ids_are_interned(self, daemon):
+        """Each request decodes fresh ``str`` copies of its ids; what
+        the kernel — and the write graph's footprints — keep is one
+        object per id."""
+        assert self._ask(
+            daemon, kind="put", obj="src", value=protocol.encode_value(b"v")
+        )["ok"]
+        for _ in range(2):
+            response = self._ask(
+                daemon, kind="apply", fn="wl_derive",
+                reads=["src"], writes=["dst"], params=["src", "dst"],
+            )
+            assert response["ok"], response
+        held = daemon.system.cache.uninstalled_operations()
+        reads = [obj for op in held for obj in op.reads]
+        writes = [obj for op in held for obj in op.writes if obj == "dst"]
+        assert len(reads) == 2 and reads[0] is reads[1]
+        assert len(writes) == 2 and writes[0] is writes[1]
