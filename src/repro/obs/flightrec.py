@@ -10,10 +10,7 @@ persists them two ways:
 - **continuous append** — events are appended and flushed to
   ``flightrec.jsonl`` as they happen, so even a ``SIGKILL`` leaves a
   parseable file whose last lines are the daemon's final moments (a
-  torn final line is tolerated by :func:`load_flightrec`).  Only the
-  kernel's per-operation events (:data:`BATCHED_KINDS`) wait, in the
-  ring, for the next :meth:`FlightRecorder.flush` — the daemon's
-  committer calls it once per commit batch, before the acks leave;
+  torn final line is tolerated by :func:`load_flightrec`);
 - **atomic dump** — on FAILED, SIGTERM drain, or on demand via the
   ``/debug/flightrec`` endpoint, the ring is rewritten to the same
   path via ``os.replace`` so the file is exactly the ring, bounded
@@ -24,6 +21,9 @@ event sink (``emit(kind, **details)``), so subscribing it taps the
 event stream every instrumented component already produces; it also
 watches for ``health.transition`` events into ``failed`` and dumps
 itself — the daemon does not need to be alive enough to ask.
+It keeps no per-operation event (:data:`PER_OPERATION_KINDS`): the WAL
+is that record, so the ring spans the daemon's life, not its last
+half-second of traffic.
 """
 
 from __future__ import annotations
@@ -36,16 +36,16 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 __all__ = [
-    "BATCHED_KINDS",
     "FlightRecorder",
+    "PER_OPERATION_KINDS",
     "load_flightrec",
 ]
 
-#: Per-operation kernel events: on file at the next ``flush()`` (or
-#: other event, ``dump()``, ``close()``), at the latest once
-#: ``_BATCH_MAX`` lines wait (a bare kernel's recorder has no flusher).
-BATCHED_KINDS = frozenset({"execute", "install", "evict", "identity-write"})
-_BATCH_MAX = 256
+#: The kernel's per-operation events, which :meth:`FlightRecorder.emit`
+#: drops: every field of one is already in the operation's WAL record.
+PER_OPERATION_KINDS = frozenset(
+    {"execute", "install", "evict", "identity-write"}
+)
 
 #: Rewrite the live file once the append-only tail grows past this many
 #: lines beyond the ring capacity, so the on-disk file stays bounded
@@ -62,8 +62,6 @@ class FlightRecorder:
         self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         self._lock = threading.Lock()
         self._handle = None
-        #: Events in the ring whose lines are not yet on file.
-        self._unwritten: List[Dict[str, Any]] = []
         self._appended = 0
         self._closed = False
         if path is not None:
@@ -81,27 +79,20 @@ class FlightRecorder:
         malformed *interior* line that :func:`load_flightrec` rejects.
         """
         try:
-            if not os.path.exists(path) or os.path.getsize(path) == 0:
-                return
-            with open(path, "rb") as existing:
+            with open(path, "rb+") as existing:
                 data = existing.read()
-            if data.endswith(b"\n"):
-                return
-            keep = data[: data.rfind(b"\n") + 1] if b"\n" in data else b""
-            tmp = path + ".tmp"
-            with open(tmp, "wb") as handle:
-                handle.write(keep)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, path)
+                if data and not data.endswith(b"\n"):
+                    existing.truncate(data.rfind(b"\n") + 1)
         except OSError:
-            return
+            return  # no file yet, or not ours to repair
 
     # -- sink interface ------------------------------------------------
 
     def emit(self, kind: str, **details: Any) -> None:
-        """Registry-sink entry point: record the event, and self-dump
-        when the system transitions into FAILED."""
+        """Registry-sink entry point: record the event unless it is a
+        per-operation kind; self-dump on a transition into FAILED."""
+        if kind in PER_OPERATION_KINDS:
+            return
         self.record(kind, details)
         if kind == "health.transition" and details.get("to") == "failed":
             self.dump("failed")
@@ -109,32 +100,19 @@ class FlightRecorder:
     # -- recording -----------------------------------------------------
 
     def record(self, kind: str, details: Optional[Dict[str, Any]] = None) -> None:
+        """Append one event; it is on file when this returns."""
         event = {"ts": time.time(), "kind": kind}
         if details:
             for key, value in details.items():
-                if isinstance(value, (str, int, float, bool)) or value is None:
-                    event[key] = value
-                else:
-                    event[key] = str(value)
+                event[key] = _jsonable(value)
         with self._lock:
             self._ring.append(event)
             if self._handle is None or self._closed:
                 return
-            self._unwritten.append(event)
-            if kind in BATCHED_KINDS and len(self._unwritten) < _BATCH_MAX:
-                return
-        self.flush()
-
-    def flush(self) -> None:
-        """Write the waiting lines, in ring order, with one ``write``."""
-        with self._lock:
-            events, self._unwritten = self._unwritten, []
-            if not events or self._handle is None or self._closed:
-                return
             try:
-                self._handle.write(_lines(events))
+                self._handle.write(_lines([event]))
                 self._handle.flush()
-                self._appended += len(events)
+                self._appended += 1
             except (OSError, ValueError):
                 return
         if self._appended > self.capacity * _COMPACT_SLACK:
@@ -143,6 +121,15 @@ class FlightRecorder:
     def events(self) -> List[Dict[str, Any]]:
         with self._lock:
             return list(self._ring)
+
+    def footprint(self) -> Dict[str, int]:
+        """What the recorder holds, for the polled ``flightrec.*``
+        gauges: ring length (≤ ``capacity``) and bytes on file."""
+        try:
+            file_bytes = os.path.getsize(self.path) if self.path else 0
+        except OSError:
+            file_bytes = 0
+        return {"events": len(self._ring), "file_bytes": file_bytes}
 
     # -- persistence ---------------------------------------------------
 
@@ -162,7 +149,6 @@ class FlightRecorder:
                 return None
             events = list(self._ring)
             self._ring.append(trailer)
-            self._unwritten.clear()  # the ring holds them all
             tmp = self.path + ".tmp"
             try:
                 with open(tmp, "w", encoding="utf-8") as handle:
@@ -189,6 +175,19 @@ class FlightRecorder:
                 except OSError:
                     pass
                 self._handle = None
+
+
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _jsonable(value: Any) -> Any:
+    """Scalars as themselves, a flat sequence of scalars as a JSON
+    array, anything else as its ``str``."""
+    if isinstance(value, (tuple, list)) and all(
+        isinstance(item, _SCALARS) for item in value
+    ):
+        return list(value)
+    return value if isinstance(value, _SCALARS) else str(value)
 
 
 def _lines(events: List[Dict[str, Any]]) -> str:

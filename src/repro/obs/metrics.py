@@ -12,7 +12,8 @@ One :class:`MetricsRegistry` per :class:`~repro.kernel.system.RecoverableSystem`
   a bounded deque for export,
 - **collectors** — callables polled at snapshot time that absorb the
   pre-existing counter ledgers (``IOStats.snapshot()``, engine
-  ``stats()``) under a prefix, and
+  ``stats()``) under a prefix — or, registered as gauges, supply point
+  samples (queue depth, ring lengths) nobody pushes per request, and
 - **sinks** — subscribers (e.g. ``Tracer``) receiving the ``emit()``
   event stream that previously went through ``CacheManager.tracer``.
 
@@ -246,7 +247,10 @@ class MetricsRegistry:
         self.spans: Deque[Dict[str, Any]] = deque(maxlen=max_span_events)
         self._span_local = threading.local()
         self._sinks: List[Any] = []
-        self._collectors: List[Tuple[str, Callable[[], Mapping[str, Any]]]] = []
+        #: ``(prefix, fn, gauges)`` — see :meth:`add_collector`.
+        self._collectors: List[
+            Tuple[str, Callable[[], Mapping[str, Any]], bool]
+        ] = []
 
     @property
     def _span_stack(self) -> List[Span]:
@@ -338,21 +342,23 @@ class MetricsRegistry:
     # -- collectors (compatibility with existing counter ledgers) -----
 
     def add_collector(self, prefix: str,
-                      fn: Callable[[], Mapping[str, Any]]) -> None:
+                      fn: Callable[[], Mapping[str, Any]],
+                      gauges: bool = False) -> None:
         """Poll ``fn()`` at snapshot time, exposing its numeric items as
-        ``<prefix>.<key>`` counters.  Re-adding a prefix replaces the
-        previous collector, so re-attaching across crash/rebuild cycles
-        does not accumulate stale sources.
+        ``<prefix>.<key>`` counters — or, with ``gauges``, as gauges:
+        point samples nobody has to push per request.  Re-adding a
+        prefix replaces the previous collector, so re-attaching across
+        crash/rebuild cycles does not accumulate stale sources.
         """
-        self._collectors = [(p, f) for (p, f) in self._collectors if p != prefix]
-        self._collectors.append((prefix, fn))
+        self._collectors = [c for c in self._collectors if c[0] != prefix]
+        self._collectors.append((prefix, fn, gauges))
 
     def counter_value(self, name: str) -> float:
         """Compatibility accessor: registry counters first, then
         collector-backed values addressed as ``<prefix>.<key>``."""
         if name in self.counters:
             return self.counters[name]
-        for prefix, fn in self._collectors:
+        for prefix, fn, _gauges in self._collectors:
             head = prefix + "."
             if name.startswith(head):
                 value = fn().get(name[len(head):])
@@ -364,19 +370,21 @@ class MetricsRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         counters = dict(self.counters)
+        gauges = dict(self.gauges)
         info: Dict[str, str] = {}
-        for prefix, fn in self._collectors:
+        for prefix, fn, as_gauges in self._collectors:
+            numbers = gauges if as_gauges else counters
             for key, value in fn().items():
                 full = f"{prefix}.{key}"
                 if isinstance(value, bool):
-                    counters[full] = int(value)
+                    numbers[full] = int(value)
                 elif isinstance(value, (int, float)):
-                    counters[full] = value
+                    numbers[full] = value
                 else:
                     info[full] = str(value)
         return {
             "counters": counters,
-            "gauges": dict(self.gauges),
+            "gauges": gauges,
             "histograms": {
                 name: hist.snapshot()
                 for name, hist in sorted(self.histograms.items())
@@ -435,7 +443,8 @@ class NullRegistry:
         pass
 
     def add_collector(self, prefix: str,
-                      fn: Callable[[], Mapping[str, Any]]) -> None:
+                      fn: Callable[[], Mapping[str, Any]],
+                      gauges: bool = False) -> None:
         pass
 
     def counter_value(self, name: str) -> float:

@@ -14,6 +14,11 @@ Design constraints, in order:
 
 - **Zero cost when off.**  Nothing here runs unless a real registry is
   attached; ids are only minted for traced requests.
+- **Request telemetry is an aggregate unless the request is traced.**
+  A stage of a request that carries no trace (:func:`stage`,
+  :func:`record_stage`) observes its ``*_ms`` histogram and appends
+  nothing: the span ring holds traced requests and lifecycle phases
+  (``recovery.*``), not the last few thousand writes.
 - **Tolerant of old peers.**  ``from_wire`` never raises: absent,
   malformed, or wrong-typed trace fields from old clients (or hand-rolled
   ones) parse to ``None`` and the request proceeds untraced.
@@ -25,14 +30,19 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+import time
 import uuid
 from typing import Any, Dict, Optional
+
+from repro.obs.metrics import MS_BUCKETS
 
 __all__ = [
     "TRACE_FIELD",
     "TraceContext",
     "new_span_id",
     "new_trace_id",
+    "record_stage",
+    "stage",
 ]
 
 #: Wire-frame key carrying trace context: ``{"id": ..., "span": ...}``.
@@ -112,3 +122,48 @@ class TraceContext:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TraceContext(trace_id={self.trace_id!r}, "
                 f"span_id={self.span_id!r}, parent_span={self.parent_span!r})")
+
+
+class _UntracedStage:
+    """Times a ``with`` block into the ``*_ms`` histogram; no event."""
+
+    __slots__ = ("obs", "name", "_start")
+
+    def __init__(self, obs: Any, name: str) -> None:
+        self.obs = obs
+        self.name = name
+
+    def __enter__(self) -> "_UntracedStage":
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.obs.observe(
+            self.name,
+            (time.perf_counter() - self._start) * 1000.0,
+            MS_BUCKETS,
+        )
+
+
+def stage(obs: Any, name: str, ctx: Optional[TraceContext], **tags: Any):
+    """Time one ``*_ms`` stage of a request as a context manager.
+
+    ``ctx`` is the stage's own context (``request_trace.child()``):
+    with one, this is ``obs.span(name, ...)`` carrying its ids — the
+    event joins the request's tree; with ``None`` only the histogram of
+    the same name is observed and ``tags`` are dropped.
+    """
+    if ctx is None:
+        return _UntracedStage(obs, name)
+    return obs.span(name, **tags, **ctx.tags())
+
+
+def record_stage(obs: Any, name: str, seconds: float,
+                 ctx: Optional[TraceContext],
+                 ts: Optional[float] = None, **tags: Any) -> None:
+    """:func:`stage` for an externally measured duration (the
+    ``record_span`` form)."""
+    if ctx is None:
+        obs.observe(name, seconds * 1000.0, MS_BUCKETS)
+    else:
+        obs.record_span(name, seconds, ts=ts, **tags, **ctx.tags())

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, TYPE_CHECKING
 
 from repro.common.identifiers import NULL_SI, StateId
-from repro.obs.tracing import TraceContext
+from repro.obs.tracing import TraceContext, stage
 from repro.replica import wire
 from repro.replica.epoch import EpochStore
 from repro.serve import protocol
@@ -317,8 +317,7 @@ class ReplicationSender:
         obs = self.system.obs
         ship_ctx = trace.child() if trace is not None else None
         wire_trace = ship_ctx.to_wire() if ship_ctx is not None else None
-        with obs.span("repl.ship_ms",
-                      **(ship_ctx.tags() if ship_ctx is not None else {})):
+        with stage(obs, "repl.ship_ms", ship_ctx):
             limit = max(1, self.config.max_batch_records)
             while len(records) > limit:
                 chunk, records = records[:limit], records[limit:]

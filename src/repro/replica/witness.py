@@ -44,6 +44,7 @@ from repro.common.identifiers import NULL_SI, StateId
 from repro.core.operation import TOMBSTONE
 from repro.kernel.supervisor import RecoverySupervisor
 from repro.kernel.system import RecoverableSystem, SystemHealth
+from repro.obs.tracing import stage
 from repro.replica import wire
 from repro.replica.epoch import INITIAL_EPOCH, EpochStore
 from repro.serve import protocol
@@ -353,9 +354,7 @@ class WitnessDaemon(ServeDaemon):
                 self._set_epoch_locked(epoch)
             # The durable-adopt stage: decode + adopt_records (which
             # forces) is what the witness's receipt promise costs.
-            with obs.span("witness.adopt_ms",
-                          **(adopt_ctx.tags() if adopt_ctx is not None
-                             else {})):
+            with stage(obs, "witness.adopt_ms", adopt_ctx):
                 records = wire.decode_records(frame.get("records") or [])
                 self.system.log.adopt_records(records)
             self._adopted_through = max(
@@ -374,8 +373,7 @@ class WitnessDaemon(ServeDaemon):
         # catch-up work, not part of the durability contract).  It
         # echoes the batch's trace back at the primary.
         ack_ctx = adopt_ctx.child() if adopt_ctx is not None else None
-        with obs.span("witness.ack_ms",
-                      **(ack_ctx.tags() if ack_ctx is not None else {})):
+        with stage(obs, "witness.ack_ms", ack_ctx):
             self._send_to_primary(
                 sock,
                 wire.ack_frame(

@@ -123,7 +123,7 @@ from repro.core.operation import Operation, OpKind, delete_object
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, process_memory
-from repro.obs.tracing import TraceContext
+from repro.obs.tracing import TraceContext, record_stage, stage
 from repro.serve import protocol
 from repro.serve.errors import FencedError, ServerUnavailableError
 from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
@@ -298,6 +298,8 @@ class _Shard:
         max_queue: int,
     ) -> None:
         self.index = index
+        #: Per-ack counter name, built once rather than per ack.
+        self.acked_writes = f"serve.shard.{index}.acked_writes"
         self.system = system
         self.watchdog = watchdog
         #: Primary-side replication of this shard's WAL (None =
@@ -334,9 +336,9 @@ class _Shard:
 _SERVING_CRASHES = (SimulatedCrash, CorruptObjectError, TransientStorageError)
 
 
-def _span_tags(trace: Optional[TraceContext]) -> Dict[str, Any]:
-    """Tags making a stage span a direct child of the client's root."""
-    return trace.child().tags() if trace is not None else {}
+def _stage_ctx(trace: Optional[TraceContext]) -> Optional[TraceContext]:
+    """A stage's own context: a direct child of the client's root."""
+    return trace.child() if trace is not None else None
 
 
 class ServeDaemon:
@@ -420,6 +422,13 @@ class ServeDaemon:
         self.obs.subscribe(self.flightrec)
         # Process-wide, so on the daemon's registry, not per shard.
         self.obs.add_collector("process", process_memory)
+        # Polled when a snapshot is read; nothing is pushed per request.
+        for prefix, poll in (
+            ("serve", self._depth_gauges),
+            ("flightrec", self.flightrec.footprint),
+            ("obs", lambda: {"span_events": len(self.obs.spans)}),
+        ):
+            self.obs.add_collector(prefix, poll, gauges=True)
         self.role = "primary"
         self._listener: Optional[socket.socket] = None
         self._http: Optional[ObsHTTPServer] = None
@@ -978,17 +987,18 @@ class ServeDaemon:
                 if work.cross is not None:
                     work.cross.cancel()
                 return shard
-            self._note_depth(shard)
         return None
-
-    def _note_depth(self, shard: _Shard) -> None:
-        self.obs.gauge(
-            f"serve.shard.{shard.index}.queue_depth", shard.depth()
-        )
-        self.obs.gauge("serve.queue_depth", self._queue_depth())
 
     def _queue_depth(self) -> int:
         return sum(shard.depth() for shard in self._shards)
+
+    def _depth_gauges(self) -> Dict[str, int]:
+        """``serve.queue_depth`` and ``serve.shard.<k>.queue_depth``."""
+        depths = {
+            f"shard.{shard.index}.queue_depth": shard.depth()
+            for shard in self._shards
+        }
+        return {"queue_depth": sum(depths.values()), **depths}
 
     def _route(self, request: Dict[str, Any], kind: str) -> Tuple[int, ...]:
         """The shards a request must visit, in rendezvous order.
@@ -1182,7 +1192,6 @@ class ServeDaemon:
                 self._apply_one(shard, work)
             finally:
                 shard.idle.set()
-                self._note_depth(shard)
 
     def _apply_one(self, shard: _Shard, work: _Work) -> None:
         """Gate one dequeued work item, then run it.
@@ -1224,15 +1233,12 @@ class ServeDaemon:
         if job is not None:
             self._participate(shard, work)
             return
-        # Queue wait attributed before the kernel touches the request;
-        # _ms spans feed the ms-bucket histogram and, when the request
-        # carried a trace, join its tree as a child span.
-        self.obs.record_span(
-            "ack.queue_ms",
-            now - work.enqueued,
-            kind=work.request.get("kind"),
-            shard=shard.index,
-            **_span_tags(work.trace),
+        # Queue wait, attributed before the kernel touches the request
+        # (a span in its tree too, when the request carried a trace).
+        record_stage(
+            self.obs, "ack.queue_ms", now - work.enqueued,
+            _stage_ctx(work.trace),
+            kind=work.request.get("kind"), shard=shard.index,
         )
         self._answer(work, (shard,), lambda: self._dispatch(shard, work))
 
@@ -1451,8 +1457,9 @@ class ServeDaemon:
                 f"primary epoch {sender.epoch} is fenced; a "
                 "promoted witness is serving"
             )
-        with self.obs.span(
-            "ack.apply_ms", shard=shard.index, **_span_tags(work.trace)
+        with stage(
+            self.obs, "ack.apply_ms", _stage_ctx(work.trace),
+            shard=shard.index,
         ):
             writes = system.execute(op)
         work.lsi = op.lsi
@@ -1503,7 +1510,6 @@ class ServeDaemon:
         ):
             work.conn.send(self._refusal(work, (shard,), exc))
             self._observe_request(work)
-        self._note_depth(shard)
 
     def _commit_loop(self, shard: _Shard) -> None:
         """Commit whenever something is parked: a lone request is
@@ -1528,7 +1534,6 @@ class ServeDaemon:
                 shard.crash = exc
                 continue
             try:
-                self.flightrec.flush()  # events on file before their acks
                 self._release(shard, time.monotonic())
             except Exception as exc:  # noqa: BLE001 - the loop must survive
                 self._refuse_parked(shard, exc)
@@ -1568,28 +1573,27 @@ class ServeDaemon:
             return  # killed mid-batch: no ack leaves after the kill
         wall = time.time() - time.monotonic()  # span start stamps
 
-        def stage(name: str, start: float, end: float, tags: Dict) -> None:
-            obs.record_span(
-                name, max(0.0, end - start), ts=wall + start,
-                shard=shard.index, **tags,
+        def waited(name: str, start: float, end: float, ctx) -> None:
+            record_stage(
+                obs, name, max(0.0, end - start), ctx, ts=wall + start,
+                shard=shard.index,
             )
 
         for work in self._unpark(
             shard, lambda work: self._covered(shard, work.lsi)
         ):
-            tags = _span_tags(work.trace)
-            stage("ack.force_ms", work.parked, forced, tags)
+            ctx = _stage_ctx(work.trace)
+            waited("ack.force_ms", work.parked, forced, ctx)
             if sender is not None:
-                stage(
+                waited(
                     "ack.repl_wait_ms", max(forced, work.parked), witnessed,
-                    wait_ctx.tags() if work is lead else tags,
+                    wait_ctx if work is lead else ctx,
                 )
             if work.request["kind"] in WRITE_KINDS:
                 obs.count("serve.acked_writes")
-                obs.count(f"serve.shard.{shard.index}.acked_writes")
+                obs.count(shard.acked_writes)
             work.conn.send(work.response)
             self._observe_request(work)
-        self._note_depth(shard)
 
     # ------------------------------------------------------------------
     # cross-shard rendezvous
@@ -1629,11 +1633,9 @@ class ServeDaemon:
             # All participants parked: this thread owns every kernel.
             # Rendezvous latency (time for every participant queue to
             # reach this job) is the sharding tax on the write.
-            self.obs.record_span(
-                "ack.rendezvous_ms",
-                time.monotonic() - start,
-                shards=len(job.participants),
-                **_span_tags(work.trace),
+            record_stage(
+                self.obs, "ack.rendezvous_ms", time.monotonic() - start,
+                _stage_ctx(work.trace), shards=len(job.participants),
             )
             involved = tuple(self._shards[k] for k in job.participants)
             self._answer(
@@ -1646,18 +1648,16 @@ class ServeDaemon:
         """The fence protocol under the rendezvous, then the ack."""
         job = work.cross
         op = self._apply_operation(work.request)
-        with self.obs.span(
-            "ack.apply_ms",
-            cross=True,
-            shards=len(job.participants),
-            **_span_tags(work.trace),
+        with stage(
+            self.obs, "ack.apply_ms", _stage_ctx(work.trace),
+            cross=True, shards=len(job.participants),
         ):
             # execute_cross forces every participant's fence itself.
             writes = self.sharded.execute_cross(op, set(job.participants))
         self.obs.count("serve.acked_writes")
         self.obs.count("serve.cross_shard_acked")
         for index in job.participants:
-            self.obs.count(f"serve.shard.{index}.acked_writes")
+            self.obs.count(self._shards[index].acked_writes)
         self.obs.observe(
             "serve.cross_shard_seconds", time.monotonic() - start
         )

@@ -153,6 +153,79 @@ def concurrent_puts(port: int, keys):
     return threads, outcomes
 
 
+#: Concurrent clients :func:`client_rounds` drives.
+CLIENTS = 8
+
+
+def client_rounds(port: int, count: int, step) -> None:
+    """``count`` acked requests from ``CLIENTS`` clients: client
+    ``index`` issues ``step(client, rng, i)`` for ``i = index,
+    index + CLIENTS, ...`` with its own seeded ``rng``.  The clients
+    carry no registry, so no request is traced."""
+    import random
+
+    from repro.serve import DaemonClient, RetryPolicy
+
+    failures = []
+
+    def worker(index: int) -> None:
+        rng = random.Random(index)
+        try:
+            with DaemonClient(
+                "127.0.0.1", port, policy=RetryPolicy(attempts=3)
+            ) as client:
+                for i in range(index, count, CLIENTS):
+                    step(client, rng, i)
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=worker, args=(index,))
+        for index in range(CLIENTS)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:3]
+
+
+def start_pair(redo_every_records: int = 8):
+    """A started in-memory primary + attached witness."""
+    import time
+
+    from repro.replica import ReplicationConfig, WitnessConfig, WitnessDaemon
+    from repro.serve import DaemonConfig, ServeDaemon
+    from repro.workloads import register_workload_functions
+
+    primary_system = RecoverableSystem()
+    register_workload_functions(primary_system.registry)
+    primary = ServeDaemon(
+        primary_system,
+        DaemonConfig(port=0, http_port=None, retry_after_ms=5),
+        replication=ReplicationConfig(ack_timeout_s=2.0, retry_after_ms=5),
+    ).start()
+    witness_system = RecoverableSystem()
+    register_workload_functions(witness_system.registry)
+    witness = WitnessDaemon(
+        witness_system,
+        DaemonConfig(port=0, http_port=None, retry_after_ms=5),
+        witness=WitnessConfig(
+            primary_port=primary.port,
+            redo_every_records=redo_every_records,
+            reconnect_delay_s=0.02,
+        ),
+    ).start()
+    if wait_until(
+        lambda: witness.attached and primary.replication.attached, 10.0
+    ):
+        return primary, witness
+    witness.stop(graceful=False)
+    primary.kill()
+    raise AssertionError("witness never attached")
+
+
 def physical(obj: str, data: bytes, name: str = "") -> Operation:
     """A blind physical write of ``data`` to ``obj``."""
     return Operation(

@@ -21,7 +21,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
-import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,7 +53,13 @@ from repro.workloads import (
     LogicalWorkloadConfig,
     register_workload_functions,
 )
-from tests.conftest import CACHE_CONFIGS, examples, logical, physical
+from tests.conftest import (
+    CACHE_CONFIGS,
+    client_rounds as _client_rounds,
+    examples,
+    logical,
+    physical,
+)
 
 
 def _selection_key(node):
@@ -572,36 +577,6 @@ def test_metrics_count_calls_and_installs():
 # ----------------------------------------------------------------------
 KEYS = 64
 N = 5_000
-CLIENTS = 8
-
-
-def _client_rounds(port: int, count: int, step) -> None:
-    """``count`` acked requests from ``CLIENTS`` clients: client
-    ``index`` issues ``step(client, rng, i)`` for ``i = index,
-    index + CLIENTS, ...`` with its own seeded ``rng``."""
-    failures = []
-
-    def worker(index: int) -> None:
-        rng = random.Random(index)
-        try:
-            with DaemonClient(
-                "127.0.0.1", port, policy=RetryPolicy(attempts=3)
-            ) as client:
-                for i in range(index, count, CLIENTS):
-                    step(client, rng, i)
-        except Exception as exc:  # noqa: BLE001 - reported below
-            failures.append(exc)
-
-    threads = [
-        threading.Thread(target=worker, args=(index,))
-        for index in range(CLIENTS)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120.0)
-    assert not any(thread.is_alive() for thread in threads)
-    assert not failures, failures[:3]
 
 
 def _put_rounds(port: int, count: int, offset: int) -> None:

@@ -158,6 +158,20 @@ class TestCollectorsAndSinks:
         assert snap["counters"]["io.reads"] == 7
         assert snap["info"]["io.mode"] == "rw"
 
+    def test_gauge_collector_is_polled_into_the_gauges(self):
+        reg = MetricsRegistry()
+        depth = [3]
+        reg.gauge("pushed", 1)
+        reg.add_collector("serve", lambda: {"queue_depth": depth[0]},
+                          gauges=True)
+        snap = reg.snapshot()
+        assert snap["gauges"] == {"pushed": 1, "serve.queue_depth": 3}
+        assert "serve.queue_depth" not in snap["counters"]
+        # Polled at every read, stored nowhere in between.
+        depth[0] = 0
+        assert reg.snapshot()["gauges"]["serve.queue_depth"] == 0
+        assert reg.gauges == {"pushed": 1}
+
     def test_counter_value_compat_accessor(self):
         reg = MetricsRegistry()
         reg.count("direct", 2)

@@ -22,8 +22,6 @@ from repro.replica import (
     INITIAL_EPOCH,
     EpochStore,
     ReplicationConfig,
-    WitnessConfig,
-    WitnessDaemon,
 )
 from repro.replica.wire import (
     batch_frame,
@@ -51,7 +49,13 @@ from repro.wal.records import (
     OperationRecord,
 )
 from repro.workloads import register_workload_functions
-from tests.conftest import SendSpy, StalledForce, concurrent_puts, wait_until
+from tests.conftest import (
+    SendSpy,
+    StalledForce,
+    concurrent_puts,
+    start_pair as _start_pair,
+    wait_until,
+)
 
 
 def _op_record(lsi: int, obj: str = "x", value: bytes = b"v") -> OperationRecord:
@@ -234,35 +238,6 @@ class TestAdoptRecords:
 # ----------------------------------------------------------------------
 # live pairs
 # ----------------------------------------------------------------------
-def _start_pair(redo_every_records: int = 8):
-    primary_system = RecoverableSystem()
-    register_workload_functions(primary_system.registry)
-    primary = ServeDaemon(
-        primary_system,
-        DaemonConfig(port=0, http_port=None, retry_after_ms=5),
-        replication=ReplicationConfig(ack_timeout_s=2.0, retry_after_ms=5),
-    ).start()
-    witness_system = RecoverableSystem()
-    register_workload_functions(witness_system.registry)
-    witness = WitnessDaemon(
-        witness_system,
-        DaemonConfig(port=0, http_port=None, retry_after_ms=5),
-        witness=WitnessConfig(
-            primary_port=primary.port,
-            redo_every_records=redo_every_records,
-            reconnect_delay_s=0.02,
-        ),
-    ).start()
-    deadline = time.monotonic() + 10.0
-    while time.monotonic() < deadline:
-        if witness.attached and primary.replication.attached:
-            return primary, witness
-        time.sleep(0.01)
-    witness.stop(graceful=False)
-    primary.kill()
-    raise AssertionError("witness never attached")
-
-
 def _client(port: int, attempts: int = 5) -> DaemonClient:
     return DaemonClient(
         "127.0.0.1", port,

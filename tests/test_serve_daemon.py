@@ -584,24 +584,30 @@ class TestCommitter:
         assert system.stats.log_forces == before + 5
         client.close()
 
-    def test_an_event_is_on_file_no_later_than_its_ack(
+    def test_a_lifecycle_event_is_on_file_before_the_next_ack(
         self, shards, tmp_path
     ):
         from repro.obs.flightrec import load_flightrec
 
         path = str(tmp_path / "flightrec.jsonl")
-        daemon = start_daemon(shards, flightrec_path=path)
+        daemon = start_daemon(shards, flightrec_path=path, allow_chaos=True)
         client = client_for(daemon)
+        victim = daemon.shards - 1
+
+        def kinds():
+            return [event["kind"] for event in load_flightrec(path)]
+
         try:
-            for index in range(3):
-                lsi = client.put(key(daemon, "fr"), b"v%d" % index)
-                # The apply thread only queued the line; the committer
-                # wrote it before this ack left.
-                executed = [
-                    event["lsi"] for event in load_flightrec(path)
-                    if event["kind"] == "execute"
-                ]
-                assert executed[-1] == lsi
+            client.put(key(daemon, "fr"), b"before")
+            client.request("kill_shard", shard=victim)
+            # Recorded inline: no committer has to flush it out.
+            assert kinds()[-1] == "shard.kill"
+            client.request("revive_shard", shard=victim)
+            client.put(key(daemon, "fr"), b"after")
+            assert "shard.revive" in kinds()
+            # The acked writes themselves left no line: the WAL has them.
+            assert not {"execute", "install"} & set(kinds())
+            assert daemon.obs.counter_value("serve.acked_writes") == 2
         finally:
             client.close()
             daemon.stop(graceful=False)

@@ -217,63 +217,92 @@ class TestFlightRecorder:
         events = load_flightrec(path)
         assert [e["kind"] for e in events] == ["one", "two"]
 
-    def test_per_operation_kinds_wait_for_a_flush(self, tmp_path):
-        from repro.obs.flightrec import BATCHED_KINDS
+    def test_per_operation_kinds_reach_every_sink_but_the_recorder(
+        self, tmp_path
+    ):
+        from repro.analysis.trace import Tracer
+        from repro.obs.flightrec import PER_OPERATION_KINDS
 
         path = str(tmp_path / "flightrec.jsonl")
         recorder = FlightRecorder(path, capacity=16)
-        assert "execute" in BATCHED_KINDS
-        recorder.emit("execute", op="a", lsi=1)
-        recorder.emit("install", ops=("a",))
-        # In the ring at once (the /debug endpoint sees them)...
-        assert [e["kind"] for e in recorder.events()] == [
-            "execute", "install",
+        tracer = Tracer()
+        registry = MetricsRegistry()
+        registry.subscribe(recorder)
+        registry.subscribe(tracer)
+        for kind in sorted(PER_OPERATION_KINDS):
+            registry.emit(kind, obj="a")
+        registry.emit("checkpoint", lsi=7)
+        # The other sink and the counters saw all of them...
+        assert [e.kind for e in tracer.events] == [
+            *sorted(PER_OPERATION_KINDS), "checkpoint",
         ]
-        # ...on file only once flushed, in one write, in ring order.
-        assert load_flightrec(path) == []
-        recorder.flush()
+        assert registry.counters["events.execute"] == 1
+        assert registry.counters["events.install"] == 1
+        # ...the recorder, in ring and on file, only the rare one: the
+        # WAL is the per-operation record.
+        assert [e["kind"] for e in recorder.events()] == ["checkpoint"]
         assert load_flightrec(path) == recorder.events()
-        recorder.flush()  # nothing waiting: a no-op
-        assert len(load_flightrec(path)) == 2
 
-    def test_an_unbatched_event_writes_the_waiting_lines_first(
+    def test_every_recorded_event_is_on_file_when_record_returns(
         self, tmp_path
     ):
         path = str(tmp_path / "flightrec.jsonl")
         recorder = FlightRecorder(path, capacity=16)
-        recorder.emit("execute", op="a", lsi=1)
+        # One path, no waiting lines: whatever the kind, and whether it
+        # came through ``emit`` or ``record``, the file has it at once,
+        # in the order things happened.
+        recorder.record("execute", {"lsi": 1})
+        assert [e["kind"] for e in load_flightrec(path)] == ["execute"]
         recorder.emit("watchdog.crash", cause="SimulatedCrash")
-        # The rare kind is written at once — behind the line that was
-        # waiting, so the file reads in the order things happened.
         assert [e["kind"] for e in load_flightrec(path)] == [
             "execute", "watchdog.crash",
         ]
+        assert load_flightrec(path) == recorder.events()
 
-    def test_an_unflushed_batch_is_bounded(self, tmp_path):
+    def test_the_file_is_bounded_by_compaction(self, tmp_path):
         from repro.obs import flightrec
 
         path = str(tmp_path / "flightrec.jsonl")
-        recorder = FlightRecorder(path, capacity=4096)
-        for index in range(flightrec._BATCH_MAX - 1):
-            recorder.emit("execute", lsi=index)
-        assert load_flightrec(path) == []
-        recorder.emit("execute", lsi=-1)  # nobody flushed: written inline
-        assert len(load_flightrec(path)) == flightrec._BATCH_MAX
+        recorder = FlightRecorder(path, capacity=4)
+        bound = (1 + flightrec._COMPACT_SLACK) * recorder.capacity + 1
+        for index in range(10 * bound):
+            recorder.record("tick", {"n": index})
+            assert len(load_flightrec(path)) <= bound
+        # A compaction rewrote the file to the ring; the newest event
+        # is always its last line.
+        assert load_flightrec(path)[-1]["n"] == 10 * bound - 1
+        assert any(
+            e["kind"] == "flightrec.dump" and e["reason"] == "compact"
+            for e in load_flightrec(path)
+        )
 
-    def test_dump_and_close_cover_waiting_lines(self, tmp_path):
+    def test_dump_and_close_write_each_event_once(self, tmp_path):
         path = str(tmp_path / "flightrec.jsonl")
         recorder = FlightRecorder(path, capacity=8)
-        recorder.emit("execute", lsi=1)
+        recorder.record("tick", {"n": 1})
         recorder.dump("testing")
         assert [e["kind"] for e in load_flightrec(path)] == [
-            "execute", "flightrec.dump",
+            "tick", "flightrec.dump",
         ]
-        recorder.emit("execute", lsi=2)
+        recorder.record("tick", {"n": 2})
         recorder.close()
-        kinds = [e["kind"] for e in load_flightrec(path)]
-        # The dumped ring holds it once; the waiting copy was dropped.
-        assert kinds.count("execute") == 2
-        assert kinds[-1] == "flightrec.dump"
+        events = load_flightrec(path)
+        assert [e["n"] for e in events if e["kind"] == "tick"] == [1, 2]
+        assert events[-1]["kind"] == "flightrec.dump"
+
+    def test_flat_sequences_are_json_arrays(self, tmp_path):
+        path = str(tmp_path / "flightrec.jsonl")
+        recorder = FlightRecorder(path, capacity=8)
+        recorder.record("probe", {
+            "writes": ("k0295",), "mixed": [1, "a", None],
+            "nested": ((1, 2),), "odd": {"a": 1},
+        })
+        (event,) = load_flightrec(path)
+        assert event["writes"] == ["k0295"]
+        assert event["mixed"] == [1, "a", None]
+        # Anything deeper is still stringified, never a JSON failure.
+        assert event["nested"] == "((1, 2),)"
+        assert event["odd"] == "{'a': 1}"
 
     def test_dump_rewrites_with_reason_trailer(self, tmp_path):
         path = str(tmp_path / "flightrec.jsonl")
