@@ -3,8 +3,9 @@
 Normal-execution flow for one operation (Section 2's WAL assumptions
 plus the Figure 6 incremental graph maintenance):
 
-1. read the operation's inputs through the cache (reading from the
-   stable store on a miss);
+1. read the operation's inputs through the cache; a miss is a
+   verified read of the stable store's device (no backend keeps a
+   second copy in RAM), so it can raise ``CorruptObjectError``;
 2. append the operation's record to the volatile log (assigning its
    lSI);
 3. apply the transform, updating cached entries (dirty, vSI = lSI);
@@ -180,7 +181,9 @@ class CacheManager:
         """Current value of ``obj``, reading through to the store.
 
         Deleted objects (TOMBSTONE) and never-written objects read as
-        None, which domains treat as "does not exist".
+        None, which domains treat as "does not exist".  The entry made
+        by a miss is the value's one home in RAM; a stored frame that
+        fails its test raises ``CorruptObjectError`` from here.
         """
         entry = self._entries.get(obj)
         if entry is None:
@@ -335,10 +338,13 @@ class CacheManager:
             return
         self._enforcing = True
         try:
-            guard = 0
+            # Sized once: reads do not enforce the capacity, so a scan
+            # can leave the cache many times over it, and a bound that
+            # shrank with every eviction would trip before the job ends.
+            guard, limit = 0, 4 * len(self._entries) + 16
             while len(self._entries) > capacity:
                 guard += 1
-                if guard > 4 * len(self._entries) + 16:
+                if guard > limit:
                     raise CacheError("capacity enforcement did not converge")
                 clean = [
                     obj

@@ -268,7 +268,7 @@ class RecoveryManager:
             if obj not in probed:
                 # The paper: the vSI check comes "at the additional
                 # cost of reading a page".  Charge the first probe of
-                # each stable object.
+                # each stable object (the store answers from its index).
                 probed.add(obj)
                 self.stats.object_reads += 1
             return self.store.vsi_of(obj)
@@ -276,6 +276,8 @@ class RecoveryManager:
         def value_of(obj: ObjectId) -> Any:
             if obj in volatile:
                 return volatile[obj][0]
+            # One index probe; then, only for an object the store has,
+            # one device read (which may find the frame damaged).
             if self.store.contains(obj):
                 return retry_transient(
                     lambda obj=obj: self.store.read(obj),

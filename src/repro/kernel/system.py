@@ -187,7 +187,8 @@ class RecoverableSystem:
         (``io.*`` from :class:`~repro.storage.stats.IOStats`,
         ``engine.*`` from the live write-graph engine's ``stats()``,
         ``cache.dirty_objects`` from the dirty object table, ``wal.*``
-        from the log's ``footprint()``) and is
+        from the log's ``footprint()``, the ``store.*`` gauges from the
+        store's) and is
         wired into the log manager, cache manager and engine so hot
         paths record latencies into it.  Survives crash/recover.
         """
@@ -200,12 +201,16 @@ class RecoverableSystem:
             "cache", lambda: {"dirty_objects": len(self.cache.dirty_table)}
         )
         registry.add_collector("wal", lambda: self.log.footprint())
+        registry.add_collector(
+            "store", lambda: self.store.footprint(), gauges=True
+        )
         self._wire_obs()
         return registry
 
     def _wire_obs(self) -> None:
         """Point the current component set at the system registry."""
         self.log.obs = self.obs
+        self.store.obs = self.obs
         self.cache.set_obs(self.obs)
 
     def attach_tracer(self, tracer=None):

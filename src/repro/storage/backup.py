@@ -49,7 +49,13 @@ class FuzzyBackup:
         return self._finished
 
     def copy_object(self, store: StableStore, obj: ObjectId) -> None:
-        """Copy one object's current stable version into the backup."""
+        """Copy one object's current stable version into the backup.
+
+        On a durable backend that is a verified read of the device —
+        the store keeps no copy in RAM to back up instead — so a frame
+        that fails its test raises ``CorruptObjectError`` here rather
+        than entering the image.
+        """
         if self._finished:
             raise ValueError("backup already finished")
         if store.contains(obj):

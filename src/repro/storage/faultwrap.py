@@ -311,10 +311,10 @@ class FaultyStore(DeviceFaultInjector, StableStore):
 class FaultyFileStore(DeviceFaultInjector, FileStableStore):
     """A FileStableStore whose device obeys a :class:`FaultModel`.
 
-    Damage lands on *real file bytes* while the in-memory map keeps the
-    intended version, exactly like a page cache over a failing device:
-    the damage is invisible until something re-reads the platter, which
-    is what :meth:`FileStableStore.scrub` does.
+    Damage lands on *real file bytes*, and the file is the only copy:
+    the index keeps the intended vSI, so the next ``read`` / ``peek`` of
+    the object — a cache miss, a verifier, :meth:`FileStableStore.scrub`
+    — fails the frame test and raises :class:`CorruptObjectError`.
     """
 
     WRITE_SITE = "file-store.write"
@@ -349,20 +349,21 @@ class FaultyFileStore(DeviceFaultInjector, FileStableStore):
 
         self._faulted_device_write(obj, intact=intact, torn=torn, rot=rot)
 
-    def _unlink(self, obj: ObjectId) -> None:
+    def _drop(self, obj: ObjectId) -> None:
         self._faulted_device_delete(obj)
-        super()._unlink(obj)
+        super()._drop(obj)
 
 
 class FaultyLogStructuredStore(DeviceFaultInjector, LogStructuredStableStore):
     """A LogStructuredStableStore whose device obeys a :class:`FaultModel`.
 
-    Damage lands on *real segment bytes*: a torn append leaves half a
-    record frame at the segment tail (detected by the CRC scan on
-    rebuild and by :meth:`scrub`), and bit rot flips a payload byte of
-    the record that was just appended.  The in-memory index and version
-    cache keep the intended state — damage surfaces only when the
-    segment bytes are re-read.
+    Damage lands on *real segment bytes*: a torn append leaves half of
+    what was appended at the segment tail (a record frame; for a
+    compaction chunk, whole copied frames then half a frame), and bit
+    rot flips a payload byte of it.  The index keeps the intended
+    location and vSI, so the damage is found by whatever reads those
+    bytes next: a ``read`` / ``peek`` (:class:`CorruptObjectError`),
+    :meth:`scrub`, the copy of a later compaction, the rebuild scan.
     """
 
     WRITE_SITE = "log-store.append"

@@ -165,7 +165,8 @@ class FramedFile:
     ``MAGIC[len][crc][payload]``).  It owns everything that touches the
     device: the held ``O_APPEND`` descriptor, write-all + ``fsync``, the
     forward scan with its frame test, tail repair, the cut-back after a
-    failed append, the positioned re-read, and the prefix drop.  Callers
+    failed append, the verified read of one indexed frame on a held
+    read-only descriptor, and the prefix drop.  Callers
     keep policy only (what a payload means, what damage implies).
 
     ``end`` is the end of the bytes this object vouches for — where the
@@ -184,6 +185,8 @@ class FramedFile:
         #: The append descriptor, opened by the first append and kept
         #: until :meth:`close` (or a repair/replace that invalidates it).
         self._fd: Optional[int] = None
+        #: The positioned-read descriptor (see :meth:`read_frame`).
+        self._read_fd: Optional[int] = None
 
     # ------------------------------------------------------------------
     # reading
@@ -292,16 +295,34 @@ class FramedFile:
         self.torn = offset < size
 
     def read_frame(self, offset: int, length: int) -> bytes:
-        """Re-read the ``length``-byte frame at ``offset`` from the
-        device (scrub); :class:`CorruptObjectError` if it fails the
-        frame test or the file is gone."""
+        """The payload of the ``length``-byte frame at ``offset``: one
+        ``pread`` of exactly those bytes plus the frame test, on a
+        read-only descriptor opened by the first call and held until
+        :meth:`release_reader` / :meth:`close` / :meth:`remove` (the
+        owner bounds how many of its files hold one).
+        :class:`CorruptObjectError` if the frame fails its test or the
+        file is gone."""
+        if self._read_fd is None:
+            try:
+                self._read_fd = os.open(self.path, os.O_RDONLY)
+            except FileNotFoundError:
+                raise CorruptObjectError(
+                    f"{self.path}: the file is gone"
+                ) from None
         try:
-            with open(self.path, "rb") as handle:
-                handle.seek(offset)
-                data = handle.read(length)
-        except FileNotFoundError:
-            data = b""
-        return payload_at(data, 0, self.magic)
+            return payload_at(
+                os.pread(self._read_fd, length, offset), 0, self.magic
+            )
+        except CorruptObjectError as exc:  # say where, but only then
+            raise CorruptObjectError(
+                f"{os.path.basename(self.path)}@{offset}: {exc}"
+            ) from None
+
+    def release_reader(self) -> None:
+        """Close the read descriptor; the next read reopens it."""
+        if self._read_fd is not None:
+            os.close(self._read_fd)
+            self._read_fd = None
 
     # ------------------------------------------------------------------
     # writing
@@ -371,10 +392,12 @@ class FramedFile:
             os.unlink(self.path)
 
     def close(self) -> None:
-        """Release the append descriptor; the next append reopens it."""
+        """Release both descriptors; the next append or read reopens
+        its own."""
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
+        self.release_reader()
 
     def __del__(self) -> None:
         # Safety net for owners dropped without close() (harnesses build

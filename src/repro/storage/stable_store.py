@@ -10,20 +10,21 @@ object").
 Crash semantics
 ---------------
 A crash never damages the store itself; whatever versions were written
-before the crash remain.  What a crash *can* do is interrupt a
-multi-object write issued without an atomicity mechanism, leaving only a
-prefix of the set written — a torn flush.  The store supports that
-through :meth:`StableStore.write_many` with ``atomic=False`` plus a
-crash hook, which experiment E7 uses to demonstrate why write graphs and
-atomic-flush machinery exist at all.
+before it remain.  What a crash *can* do is interrupt a multi-object
+write issued without an atomicity mechanism, leaving a prefix of the set
+written — a torn flush: :meth:`StableStore.write_many` with
+``atomic=False`` plus a crash hook, which experiment E7 uses to show why
+write graphs and atomic-flush machinery exist at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
+from repro.obs.metrics import NULL_OBS
+from repro.obs.tracing import stage
 from repro.storage.stats import IOStats
 
 
@@ -35,35 +36,35 @@ class StoredVersion:
     vsi: StateId
 
 
+ABSENT = StoredVersion(None, NULL_SI)  # what a never-written object reads as
+
+
 class StableStore:
     """Crash-surviving map from object id to :class:`StoredVersion`.
 
-    Parameters
-    ----------
-    stats:
-        Shared I/O ledger; every read and write is counted there.
+    Both the contract and its in-memory backend: here the ``_versions``
+    dict *is* the device.  A durable backend keeps no value in RAM — an
+    index entry per object, the value wherever the device put it.
+    ``stats`` is the shared I/O ledger every read and write is counted in.
     """
 
     #: Restore-pending marker: the redo-scan start a media restore
-    #: committed to, kept on the *stable* side so it survives the
-    #: crash of the recovery that performed the restore.  A
-    #: backup-restored version is old; until one recovery completes
-    #: its widened redo over it, every recovery attempt must widen
-    #: again — otherwise a narrow restart would read the stale
-    #: version and derive garbage.  Set by the quarantine scrub,
-    #: cleared when recovery adopts its outcome.  A class-level default
-    #: (rather than an ``__init__`` assignment) so file-backed
-    #: subclasses can shadow it with a property that persists the
-    #: marker on disk for true cold restarts.
+    #: committed to, kept on the *stable* side so it survives the crash
+    #: of the recovery that performed the restore — a restored version
+    #: is old, and until one recovery completes its widened redo over
+    #: it every attempt must widen again.  Set by the quarantine scrub,
+    #: cleared when recovery adopts its outcome; a class-level default
+    #: so durable subclasses can shadow it with a persisted property.
     media_redo_pending: Optional[StateId] = None
+    #: Called between the writes of a non-atomic multi-object write; a
+    #: crash-injection harness raises from here to tear the flush.
+    mid_write_hook: Optional[Callable[[ObjectId], None]] = None
+    #: Where ``store.read_ms`` is observed (the owning system's hub).
+    obs = NULL_OBS
 
     def __init__(self, stats: Optional[IOStats] = None) -> None:
         self.stats = stats if stats is not None else IOStats()
         self._versions: Dict[ObjectId, StoredVersion] = {}
-        #: Called between the individual writes of a non-atomic
-        #: multi-object write; a crash-injection harness raises from
-        #: here to tear the flush.
-        self.mid_write_hook: Optional[Callable[[ObjectId], None]] = None
 
     # ------------------------------------------------------------------
     # reads
@@ -75,20 +76,25 @@ class StableStore:
     def read(self, obj: ObjectId) -> StoredVersion:
         """Read ``obj`` from the store, counting one device read.
 
-        Objects never written read as an absent value with ``NULL_SI``;
-        recoverable domains treat "absent" as a legal initial state (a
-        file that does not exist yet, an unformatted page).
+        Objects never written read as an absent value with ``NULL_SI``
+        (a legal initial state: a file that does not exist yet).  On a
+        durable backend this is a verified read of the device: a frame
+        that fails its test raises ``CorruptObjectError`` and counts a
+        ``checksum_failures`` — from :meth:`peek` and :meth:`items` too.
         """
         self.stats.object_reads += 1
-        return self._versions.get(obj, StoredVersion(None, NULL_SI))
+        if not self.obs.enabled:
+            return self.peek(obj)
+        with stage(self.obs, "store.read_ms", None):  # histogram only
+            return self.peek(obj)
 
     def peek(self, obj: ObjectId) -> StoredVersion:
         """Read without cost accounting (used by verifiers, not systems)."""
-        return self._versions.get(obj, StoredVersion(None, NULL_SI))
+        return self._versions.get(obj, ABSENT)
 
     def vsi_of(self, obj: ObjectId) -> StateId:
         """Return the stored vSI of ``obj`` (``NULL_SI`` if absent)."""
-        return self._versions.get(obj, StoredVersion(None, NULL_SI)).vsi
+        return self._versions.get(obj, ABSENT).vsi
 
     def object_ids(self) -> List[ObjectId]:
         """All object ids currently present in the store."""
@@ -97,10 +103,14 @@ class StableStore:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
+    def _put(self, obj: ObjectId, version: StoredVersion) -> None:
+        """Land one version on the device (no accounting)."""
+        self._versions[obj] = version
+
     def write(self, obj: ObjectId, value: Any, vsi: StateId) -> None:
         """Write one object version in place (one device write)."""
         self.stats.object_writes += 1
-        self._versions[obj] = StoredVersion(value, vsi)
+        self._put(obj, StoredVersion(value, vsi))
 
     def write_many(
         self,
@@ -111,33 +121,29 @@ class StableStore:
         """Write several objects.
 
         With ``atomic=True`` the whole set lands or none of it — the
-        caller is asserting it used a real atomicity mechanism (the
-        mechanisms in :mod:`repro.storage.atomic` call this).  With
-        ``atomic=False`` the writes are issued one at a time and the
-        ``mid_write_hook`` runs between them, so a crash injected there
-        tears the set.
-
-        ``count=False`` suppresses per-object I/O accounting for
-        mechanisms that already charged the data transfer elsewhere
-        (shadow paging counts shadow writes + the pointer swing; the
-        logical placement is free).
+        caller asserts it used a real atomicity mechanism (those in
+        :mod:`repro.storage.atomic` call this).  With ``atomic=False``
+        the writes go one at a time with ``mid_write_hook`` between
+        them, so a crash injected there tears the set.  ``count=False``:
+        the mechanism charged the transfer elsewhere (shadow writes).
         """
-        if atomic:
-            for obj, version in versions.items():
+        if atomic and count:
+            self.stats.object_writes += len(versions)
+        for obj, version in versions.items():
+            if not atomic:
+                if self.mid_write_hook is not None:
+                    self.mid_write_hook(obj)
                 if count:
                     self.stats.object_writes += 1
-                self._versions[obj] = version
-            return
-        for obj, version in versions.items():
-            if self.mid_write_hook is not None:
-                self.mid_write_hook(obj)
-            if count:
-                self.stats.object_writes += 1
-            self._versions[obj] = version
+            self._put(obj, version)
+
+    def _drop(self, obj: ObjectId) -> None:
+        """Take ``obj`` off the device, if it is there."""
+        self._versions.pop(obj, None)
 
     def delete(self, obj: ObjectId) -> None:
         """Remove an object from the store (a reclaimed file or page)."""
-        self._versions.pop(obj, None)
+        self._drop(obj)
 
     # ------------------------------------------------------------------
     # integrity
@@ -145,20 +151,18 @@ class StableStore:
     def scrub(self) -> List[ObjectId]:
         """Verify stored versions; return the objects that failed.
 
-        The in-memory base store has no independent integrity record, so
-        nothing can be detected here — subclasses that carry per-object
-        checksums (the fault-injecting store, the file store's CRC32
-        framing) override this.  Recovery calls it before the redo pass
-        so corruption is quarantined rather than replayed over.
+        The in-memory store has no independent integrity record, so
+        nothing is detected here; backends with checksums override
+        this.  Recovery calls it before the redo pass so corruption is
+        quarantined rather than replayed over.
         """
         return []
 
     def quarantine(self, obj: ObjectId) -> None:
         """Take a failed version out of service (no I/O accounting).
 
-        The version is removed so readers see "absent" rather than
-        garbage; media-style recovery then reinstates the object from a
-        backup image and/or log replay.
+        Readers then see "absent" rather than garbage; media-style
+        recovery reinstates the object from a backup and/or the log.
         """
         self._versions.pop(obj, None)
 
@@ -167,16 +171,21 @@ class StableStore:
     ) -> None:
         """Media-recovery restore of one object (``None`` removes it)."""
         if version is None:
-            self._versions.pop(obj, None)
+            self._drop(obj)
         else:
-            self._versions[obj] = version
+            self._put(obj, version)
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
+    def items(self) -> Iterator[Tuple[ObjectId, StoredVersion]]:
+        """``(object id, stored version)`` of every object present when
+        called, each read as it is yielded (a device read, when durable)."""
+        return ((obj, self.peek(obj)) for obj in self.object_ids())
+
     def copy_versions(self) -> Dict[ObjectId, StoredVersion]:
         """Snapshot of all versions (used by fuzzy backup and verifiers)."""
-        return dict(self._versions)
+        return dict(self.items())
 
     def restore_versions(
         self, versions: Mapping[ObjectId, StoredVersion]
@@ -184,15 +193,13 @@ class StableStore:
         """Replace the entire contents (media recovery restore path)."""
         self._versions = dict(versions)
 
+    def footprint(self) -> Dict[str, float]:
+        """Point gauges (``store.*``), computed when a snapshot is read."""
+        return {"objects": len(self)}
+
     def close(self) -> None:
-        """Release what the store holds open (here: nothing).
-
-        Idempotent, and the store stays usable afterwards.
-        """
-
-    def items(self) -> Iterable[Tuple[ObjectId, StoredVersion]]:
-        """Iterate over ``(object id, stored version)`` pairs."""
-        return self._versions.items()
+        """Release what is held open (nothing here); idempotent, and
+        the store stays usable afterwards."""
 
     def __len__(self) -> int:
         return len(self._versions)
