@@ -43,7 +43,7 @@ from repro.kernel.system import (
     SystemConfig,
     SystemHealth,
 )
-from repro.kernel.torture import TortureConfig, TortureHarness
+from repro.kernel.torture import RECOVERY, TortureConfig, TortureHarness
 from repro.analysis import Table, fault_summary
 from repro.storage.faults import (
     RECOVERY_PHASE,
@@ -93,7 +93,7 @@ def _harness() -> TortureHarness:
 def _sweep_campaign() -> Dict:
     harness = _harness()
     t0 = time.perf_counter()
-    report = harness.sweep_recovery()
+    report = harness.sweep(RECOVERY)
     elapsed = time.perf_counter() - t0
     return {
         "points": report.points,
@@ -148,7 +148,7 @@ def _ladder_campaign() -> Dict[str, Dict]:
         harness = _harness()
         rates = FuzzRates(torn=0.005, corrupt=0.005, crash=rate)
         t0 = time.perf_counter()
-        report = harness.fuzz_recovery(RUNS, seed=0, rates=rates)
+        report = harness.fuzz(RUNS, seed=0, rates=rates, phase=RECOVERY)
         elapsed = time.perf_counter() - t0
         attempts = [o.attempts for o in report.outcomes]
         out[f"{rate:g}"] = {
@@ -220,7 +220,7 @@ def _telemetry_campaign() -> Dict:
     )
     rates = FuzzRates(torn=0.005, corrupt=0.005, crash=0.05)
     t0 = time.perf_counter()
-    report = harness.fuzz_recovery(TELEMETRY_RUNS, seed=0, rates=rates)
+    report = harness.fuzz(TELEMETRY_RUNS, seed=0, rates=rates, phase=RECOVERY)
     elapsed = time.perf_counter() - t0
     dump_jsonl(registry, METRICS_PATH)
     attempts = sum(o.attempts for o in report.outcomes)

@@ -80,12 +80,12 @@ def _campaign() -> Dict:
     t0 = time.perf_counter()
     report = harness.campaign(RUNS, seed=0)
     elapsed = time.perf_counter() - t0
-    acked = report.total_acked
+    acked = report.total("acked")
     return {
         "runs": len(report.outcomes),
         "failed": len(report.failures()),
         "acked_writes": acked,
-        "acked_losses": report.total_losses,
+        "acked_losses": report.total("losses"),
         "sent": sum(o.sent for o in report.outcomes),
         "restarts": sum(o.restarts for o in report.outcomes),
         "faults_injected": sum(o.faults_injected for o in report.outcomes),

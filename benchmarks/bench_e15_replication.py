@@ -142,9 +142,9 @@ def _campaign() -> Dict:
         "failed": len(report.failures()),
         "kill_runs": sum(1 for o in report.outcomes if o.lane == "kill"),
         "zombie_runs": sum(1 for o in report.outcomes if o.lane == "zombie"),
-        "acked_writes": report.total_acked,
-        "acked_losses": report.total_losses,
-        "old_epoch_acks": report.total_old_epoch_acks,
+        "acked_writes": report.total("acked"),
+        "acked_losses": report.total("losses"),
+        "old_epoch_acks": report.total("old_epoch_acks"),
         "promoted": sum(1 for o in report.outcomes if o.promoted),
         "redo_cycles": sum(o.redo_cycles for o in report.outcomes),
         "seconds_per_failover_p50": _percentile(kill_failovers, 0.50),

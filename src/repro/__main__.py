@@ -3,28 +3,20 @@
 * no command / ``demo`` — a compact end-to-end scenario (logical
   operations across three domains, a crash, recovery, verification) and
   the I/O and logging ledger.  A smoke check that an installation works.
-* ``torture sweep`` — enumerate every numbered I/O point of a seeded
-  workload and crash-recover it under every must-survive fault kind.
-* ``torture fuzz`` — N seeded random fault schedules; any failure
-  prints the seed that reproduces it exactly
-  (``python -m repro torture fuzz --runs 1 --seed <that seed>``).
-* ``torture v2`` — the recovery-resilience campaign: crash/tear/flip
-  every numbered *recovery-phase* I/O point (including nested crashes
-  during restarted recoveries), then fuzz schedules spanning both
-  phases, all driven through the supervisor's escalation ladder.  A
-  failing run prints its structured recovery supervision report.
-* ``torture v3|v3-rewrite|v4|v5`` — the live-fire campaigns, rows of one
-  scenario table over one harness (:mod:`repro.livefire`): concurrent
-  clients drive a served workload over sockets while the storage
-  misbehaves, a seeded fault lands at a seeded ack count, the topology
-  is healed, and every client-acknowledged write is audited for
-  durability.  ``v3`` kills the daemon and restarts it over the debris
-  (plus real SIGKILL/SIGTERM subprocess lanes), ``v3-rewrite`` does so
-  over a few keys rewritten many times; ``v4`` kills one shard
-  worker while the survivors must keep acking; ``v5`` kills (or leaves
-  a zombie) the primary of a primary/witness pair and promotes the
-  witness.  ``--store`` tortures a durable backend (e.g. ``logstore``).
-  A failing run prints the command that replays it.
+* ``torture <mode>`` — fault-injection campaigns, one table of modes
+  (``TORTURE_MODES``).  ``sweep`` crash-recovers every numbered I/O
+  point of a seeded workload under every must-survive fault kind,
+  ``fuzz`` runs N seeded random fault schedules, and ``v2`` does both to
+  recovery's own I/O (nested crashes included) through the supervisor's
+  escalation ladder.  ``v3|v3-rewrite|v4|v5`` are the live-fire rows of
+  :mod:`repro.livefire`: concurrent clients drive a served workload over
+  sockets while the storage misbehaves, the daemon (``v3``, over
+  rewritten keys ``v3-rewrite``), one shard worker (``v4``) or the
+  primary of a replicated pair (``v5``) is killed at a seeded ack count,
+  the topology is healed, and every acknowledged write is audited.
+  ``--store`` tortures a durable backend, ``--metrics-out PATH`` writes
+  the campaign's shared registry as JSONL, and a failing run prints the
+  command that replays exactly it.
 * ``serve --data-dir PATH`` — run the long-lived daemon itself:
   supervised recovery over whatever the directory contains, then
   health-gated serving with deadlines, backpressure, a ``/metrics`` +
@@ -53,11 +45,6 @@
   ``--list`` enumerates the trace ids present; ``--trace-id`` renders
   one; ``--expect a,b,c`` exits non-zero unless some complete tree
   contains all the named stages (the CI trace-smoke assertion).
-
-Every torture mode accepts ``--metrics-out PATH``: the campaign runs
-with a shared :class:`~repro.obs.metrics.MetricsRegistry` attached to
-every system it builds, and the registry (spans included) is written
-to PATH as JSONL when the campaign finishes.
 """
 
 from __future__ import annotations
@@ -67,31 +54,21 @@ import json
 import os
 import signal
 import sys
-import tempfile
+import textwrap
 import threading
-from typing import Callable, Iterator, List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from repro import RecoverableSystem, verify_recovered
-from repro.analysis import (
-    Table,
-    failure_summary,
-    fault_summary,
-    format_bytes,
-    obs_summary,
-)
+from repro.analysis import Table, fault_summary, format_bytes, obs_summary
 from repro.domains import (
     ApplicationRuntime,
     RecoverableBTree,
     RecoverableFileSystem,
 )
-from repro.kernel.torture import TortureConfig, TortureHarness, TortureReport
-from repro.livefire import (
-    SCENARIOS,
-    Fault,
-    LiveFireHarness,
-    LiveFireReport,
-    Scenario,
+from repro.kernel.torture import (
+    RECOVERY, TortureConfig, TortureHarness, TortureReport,
 )
+from repro.livefire import SCENARIOS, Fault, LiveFireHarness, Scenario
 from repro.obs import MetricsRegistry, dump_jsonl, load_jsonl, render_prometheus
 from repro.replica import ReplicationConfig, WitnessConfig
 from repro.serve import (
@@ -154,100 +131,6 @@ def demo() -> int:
     return 0
 
 
-def _torture_config(args: argparse.Namespace) -> TortureConfig:
-    backend = getattr(args, "store", "memory")
-    return TortureConfig(
-        objects=args.objects,
-        operations=args.ops,
-        workload_seed=args.workload_seed,
-        store_backend=backend,
-        cache_factory=lambda: recommended_cache_config(backend),
-    )
-
-
-def _harness(args: argparse.Namespace) -> TortureHarness:
-    metrics = MetricsRegistry() if args.metrics_out else None
-    return TortureHarness(_torture_config(args), metrics=metrics)
-
-
-def _dump_campaign_metrics(
-    metrics: Optional[MetricsRegistry], args: argparse.Namespace
-) -> None:
-    if metrics is not None:
-        dump_jsonl(metrics, args.metrics_out)
-        print(f"telemetry written to {args.metrics_out}")
-
-
-def _report_torture(report: TortureReport) -> int:
-    print(report.summary())
-    fault_summary(report.totals).print()
-    if report.ok:
-        return 0
-    print("\nfailing schedules:")
-    for outcome in report.failures():
-        repro_hint = (
-            f"  (reproduce: --runs 1 --seed {outcome.seed})"
-            if outcome.seed is not None
-            else ""
-        )
-        print(f"  {outcome.description}: {outcome.error}{repro_hint}")
-        if outcome.trace:
-            print(f"    faults applied: {', '.join(outcome.trace)}")
-        if outcome.failure_report is not None:
-            print(failure_summary(outcome.failure_report).render())
-    return 1
-
-
-def torture_sweep(args: argparse.Namespace) -> int:
-    harness = _harness(args)
-    print(
-        f"sweeping {harness.count_points()} I/O points "
-        f"(workload seed {args.workload_seed}, {args.ops} operations)"
-    )
-    status = _report_torture(harness.sweep())
-    _dump_campaign_metrics(harness.obs, args)
-    return status
-
-
-def torture_fuzz(args: argparse.Namespace) -> int:
-    harness = _harness(args)
-    rates = FuzzRates(
-        transient=args.p_transient,
-        torn=args.p_torn,
-        corrupt=args.p_corrupt,
-    )
-    print(
-        f"fuzzing {args.runs} schedules from seed {args.seed} "
-        f"(workload seed {args.workload_seed})"
-    )
-    status = _report_torture(harness.fuzz(args.runs, args.seed, rates))
-    _dump_campaign_metrics(harness.obs, args)
-    return status
-
-
-def torture_v2(args: argparse.Namespace) -> int:
-    harness = _harness(args)
-    points = harness.recovery_points()
-    print(
-        f"torture v2: sweeping {points} recovery-phase I/O points "
-        f"(workload seed {args.workload_seed}, {args.ops} operations)"
-    )
-    sweep = harness.sweep_recovery()
-    status = _report_torture(sweep)
-    if args.fuzz_runs > 0:
-        print(
-            f"\nfuzzing {args.fuzz_runs} two-phase schedules "
-            f"from seed {args.seed}"
-        )
-        rates = FuzzRates(
-            torn=args.p_torn, corrupt=args.p_corrupt, crash=args.p_crash
-        )
-        fuzz = harness.fuzz_recovery(args.fuzz_runs, args.seed, rates)
-        status = _report_torture(fuzz) or status
-    _dump_campaign_metrics(harness.obs, args)
-    return status
-
-
 def _bounded(kind: type, low: float, high: float = float("inf")) -> Callable:
     """An argparse type: a ``kind`` in [low, high] (else usage, exit 2)."""
 
@@ -269,76 +152,107 @@ def _bounded(kind: type, low: float, high: float = float("inf")) -> Callable:
 positive_int = _bounded(int, 1)
 
 
-def _shape_flags(scenario: Scenario) -> Iterator[tuple]:
-    """The live-fire shape flags a scenario takes: flag, the
-    :class:`LiveFireConfig` field it sets (its argparse dest too),
-    argparse type, help.  Defaults come from the scenario's config."""
-    yield "--clients", "clients", positive_int, "concurrent clients per run"
-    yield "--requests", "requests_per_client", positive_int, "requests each"
-    yield "--store", "store_backend", str, "stable-store backend under torture"
-    if scenario.fault is Fault.KILL_SHARD:
-        # Partial availability has nothing to show with one shard.
-        yield "--shards", "shards", _bounded(int, 2), "recovery domains"
-    if scenario.replicated:
-        yield ("--zombie-ratio", "zombie_ratio", _bounded(float, 0, 1),
-               "share of runs that leave the primary alive through promotion")
+class Flag(NamedTuple):
+    """One ``torture`` option.  A *shape* flag is repeated by the replay
+    command of a failing run when it is off its default; the others (how
+    many runs, from which seed) are what a replay command replaces."""
+
+    flag: str
+    dest: str
+    kind: Callable
+    default: Any
+    help: str
+    shape: bool = True
 
 
-def _add_livefire_arguments(
-    p: argparse.ArgumentParser, scenario: Scenario
-) -> None:
-    """The one argument helper of ``torture v3|v4|v5``."""
-    defaults = scenario.config()
-    p.add_argument("--runs", type=positive_int, default=25,
-                   help="seeded in-process runs (default 25)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="base run seed (run i uses seed+i)")
-    for flag, field, kind, text in _shape_flags(scenario):
-        default = getattr(defaults, field)
-        p.add_argument(
-            flag, dest=field, type=kind, default=default,
-            choices=store_backends() if field == "store_backend" else None,
-            help=f"{text} (default {default})",
-        )
-    if scenario.subprocess_lane:
-        p.add_argument("--no-subprocess", action="store_true",
-                       help="skip the real-SIGKILL/SIGTERM subprocess lanes")
-    p.add_argument("--metrics-out", default=None, metavar="PATH",
-                   help="write campaign telemetry (JSONL) to PATH")
-    p.set_defaults(fn=torture_livefire, scenario=scenario)
+class Mode(NamedTuple):
+    """One ``torture`` sub-command: its flags, and what runs it —
+    ``run(args, registry or None)`` returns the exit status."""
+
+    name: str
+    help: str
+    flags: Tuple[Flag, ...]
+    run: Callable[[argparse.Namespace, Optional[MetricsRegistry]], int]
+    #: The flag counting seeded runs: a replay sets it to 1 for a seeded
+    #: run and to 0 for a seedless sweep cell ahead of them.
+    runs_flag: Optional[str] = None
+    scenario: Optional[Scenario] = None
 
 
-def _report_livefire(report: LiveFireReport, args: argparse.Namespace) -> int:
-    """Print one live-fire campaign's verdict, and for every failing run
-    the command that replays exactly its seed and shape; 1 if any."""
-    print(report.summary())
-    if report.ok:
-        return 0
-    scenario, defaults = report.scenario, report.scenario.config()
-    shape = "".join(
-        f" {flag} {getattr(args, field)}"
-        for flag, field, _kind, _text in _shape_flags(scenario)
-        if getattr(args, field) != getattr(defaults, field)
+STORE = Flag("--store", "store_backend", str, "memory",
+             "stable-store backend under torture")
+SEED = Flag("--seed", "seed", int, 0, "base seed; run i uses seed+i",
+            shape=False)
+WORKLOAD = (
+    Flag("--ops", "ops", int, 20, "workload operations"),
+    Flag("--objects", "objects", int, 5, "object population"),
+    Flag("--workload-seed", "workload_seed", int, 0,
+         "workload/interleave seed"),
+    STORE,
+)
+
+
+def _harness(
+    args: argparse.Namespace, metrics: Optional[MetricsRegistry]
+) -> TortureHarness:
+    backend = args.store_backend
+    config = TortureConfig(
+        objects=args.objects,
+        operations=args.ops,
+        workload_seed=args.workload_seed,
+        store_backend=backend,
+        cache_factory=lambda: recommended_cache_config(backend),
     )
-    if scenario.subprocess_lane and report.mode != "subprocess":
-        shape += " --no-subprocess"
-    print("\nfailing runs:")
-    for outcome in report.failures():
-        print(f"  {outcome.description}: {outcome.error}")
+    return TortureHarness(config, metrics=metrics)
+
+
+def torture_sweep(args: argparse.Namespace, metrics) -> int:
+    harness = _harness(args, metrics)
+    print(
+        f"sweeping {harness.points()} I/O points "
+        f"(workload seed {args.workload_seed}, {args.ops} operations)"
+    )
+    return _report(harness.sweep(), args)
+
+
+def torture_fuzz(args: argparse.Namespace, metrics) -> int:
+    harness = _harness(args, metrics)
+    rates = FuzzRates(
+        transient=args.p_transient, torn=args.p_torn, corrupt=args.p_corrupt
+    )
+    print(
+        f"fuzzing {args.runs} schedules from seed {args.seed} "
+        f"(workload seed {args.workload_seed})"
+    )
+    return _report(harness.fuzz(args.runs, args.seed, rates), args)
+
+
+def torture_v2(args: argparse.Namespace, metrics) -> int:
+    harness = _harness(args, metrics)
+    print(
+        f"torture v2: sweeping {harness.points(RECOVERY)} recovery-phase "
+        f"I/O points (workload seed {args.workload_seed}, {args.ops} "
+        "operations)"
+    )
+    status = _report(harness.sweep(RECOVERY), args)
+    if args.fuzz_runs > 0:
         print(
-            f"    (reproduce: python -m repro torture {scenario.name} "
-            f"--runs 1 --seed {outcome.seed}{shape})"
+            f"\nfuzzing {args.fuzz_runs} two-phase schedules "
+            f"from seed {args.seed}"
         )
-        for loss in outcome.losses:
-            print(f"    lost: {loss}")
-    return 1
+        rates = FuzzRates(
+            torn=args.p_torn, corrupt=args.p_corrupt, crash=args.p_crash
+        )
+        fuzz = harness.fuzz(args.fuzz_runs, args.seed, rates, RECOVERY)
+        status = _report(fuzz, args) or status
+    return status
 
 
-def torture_livefire(args: argparse.Namespace) -> int:
-    scenario = args.scenario
-    metrics = MetricsRegistry() if args.metrics_out else None
-    fields = [field for _flag, field, _kind, _text in _shape_flags(scenario)]
-    config = scenario.config(**{name: getattr(args, name) for name in fields})
+def torture_livefire(args: argparse.Namespace, metrics) -> int:
+    scenario = args.row.scenario
+    config = scenario.config(
+        **{f.dest: getattr(args, f.dest) for f in args.row.flags if f.shape}
+    )
     harness = LiveFireHarness(scenario, config, metrics=metrics)
     shape = f"{config.shards} shards, " if config.shards > 1 else ""
     shape += (
@@ -351,17 +265,112 @@ def torture_livefire(args: argparse.Namespace) -> int:
         f"torture {scenario.name}: {args.runs} {scenario.label} runs from "
         f"seed {args.seed} ({shape})"
     )
-    status = _report_livefire(harness.campaign(args.runs, args.seed), args)
+    lane = " --no-subprocess" if scenario.subprocess_lane else ""
+    status = _report(harness.campaign(args.runs, args.seed), args, lane)
     if scenario.subprocess_lane and not args.no_subprocess:
         print("\nsubprocess lanes: real SIGKILL, then SIGTERM drain")
-        sub = LiveFireReport(scenario, "subprocess")
-        for graceful in (False, True):
-            with tempfile.TemporaryDirectory(prefix="repro-v3-") as workdir:
-                sub.outcomes.append(
-                    harness.subprocess_run(workdir, args.seed, graceful)
-                )
-        status = _report_livefire(sub, args) or status
-    _dump_campaign_metrics(metrics, args)
+        status = _report(harness.subprocess_lanes(args.seed), args) or status
+    return status
+
+
+def _livefire_mode(scenario: Scenario) -> Mode:
+    """A live-fire row's sub-command: shape flags only where the row's
+    topology has the axis, defaults from its config."""
+    defaults = scenario.config()
+    flags = [
+        Flag("--runs", "runs", positive_int, 25, "seeded in-process runs",
+             shape=False),
+        SEED,
+        Flag("--clients", "clients", positive_int, defaults.clients,
+             "concurrent clients per run"),
+        Flag("--requests", "requests_per_client", positive_int,
+             defaults.requests_per_client, "requests each"),
+        STORE._replace(default=defaults.store_backend),
+    ]
+    if scenario.fault is Fault.KILL_SHARD:
+        # Partial availability has nothing to show with one shard.
+        flags.append(Flag("--shards", "shards", _bounded(int, 2),
+                          defaults.shards, "recovery domains"))
+    if scenario.replicated:
+        flags.append(Flag("--zombie-ratio", "zombie_ratio",
+                          _bounded(float, 0, 1), defaults.zombie_ratio,
+                          "share of runs that leave the primary alive "
+                          "through promotion"))
+    if scenario.subprocess_lane:
+        flags.append(Flag("--no-subprocess", "no_subprocess", bool, False,
+                          "skip the real-SIGKILL/SIGTERM subprocess lanes",
+                          shape=False))
+    return Mode(scenario.name, scenario.help, tuple(flags), torture_livefire,
+                "--runs", scenario)
+
+
+#: Every ``torture`` sub-command, in ``--help`` order.
+TORTURE_MODES: Tuple[Mode, ...] = (
+    Mode("sweep", "every I/O point x every must-survive fault kind",
+         WORKLOAD, torture_sweep),
+    Mode("fuzz", "seeded random fault schedules", WORKLOAD + (
+        Flag("--runs", "runs", int, 500, "number of schedules", shape=False),
+        SEED,
+        Flag("--p-transient", "p_transient", float, 0.02,
+             "per-point transient-fault rate"),
+        Flag("--p-torn", "p_torn", float, 0.01, "per-point torn-write rate"),
+        Flag("--p-corrupt", "p_corrupt", float, 0.01,
+             "per-point corruption rate"),
+    ), torture_fuzz, "--runs"),
+    Mode("v2", "crash recovery itself: recovery-point sweep (incl. nested "
+         "crashes) + two-phase fuzz via the supervisor", WORKLOAD + (
+        Flag("--fuzz-runs", "fuzz_runs", int, 200, "two-phase fuzz "
+             "schedules after the sweep; 0 skips the fuzz stage",
+             shape=False),
+        SEED,
+        Flag("--p-torn", "p_torn", float, 0.005, "per-point torn-write rate"),
+        Flag("--p-corrupt", "p_corrupt", float, 0.005,
+             "per-point corruption rate"),
+        Flag("--p-crash", "p_crash", float, 0.01,
+             "per-point clean-crash rate"),
+    ), torture_v2, "--fuzz-runs"),
+) + tuple(_livefire_mode(scenario) for scenario in SCENARIOS.values())
+
+
+def _report(report: TortureReport, args: argparse.Namespace,
+            lane: str = "") -> int:
+    """Print a campaign's verdict (and a library campaign's fault
+    ledger); for every failing run, its error, the command that replays
+    exactly its seed and shape, and its details.  1 if any failed."""
+    print(report.summary())
+    if report.totals:
+        fault_summary(report.totals).print()
+    if report.ok:
+        return 0
+    row = args.row
+    shape = "".join(
+        f" {f.flag} {getattr(args, f.dest)}"
+        for f in row.flags
+        if f.shape and getattr(args, f.dest) != f.default
+    )
+    print("\nfailing runs:")
+    for outcome in report.failures():
+        if outcome.seed is not None:
+            runs = f" {row.runs_flag} 1 --seed {outcome.seed}"
+        else:
+            runs = f" {row.runs_flag} 0" if row.runs_flag else ""
+        print(f"  {outcome.description}: {outcome.error}")
+        print(
+            f"    (reproduce: python -m repro torture {row.name}"
+            f"{runs}{shape}{lane})"
+        )
+        for detail in outcome.details():
+            print(textwrap.indent(detail, "    "))
+    return 1
+
+
+def torture_campaign(args: argparse.Namespace) -> int:
+    """Run one ``torture`` mode with its campaign registry, if asked."""
+    metrics = MetricsRegistry() if args.metrics_out else None
+    status = args.row.run(args, metrics)
+    if metrics is not None:
+        dump_jsonl(metrics, args.metrics_out)
+        print(f"telemetry written to {args.metrics_out}")
     return status
 
 
@@ -557,68 +566,25 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("demo", help="run the self-demo (the default)")
 
-    torture = sub.add_parser(
+    torture_parser = sub.add_parser(
         "torture", help="fault-injection recovery torture"
     )
-    tsub = torture.add_subparsers(dest="mode", required=True)
-
-    backend_names = store_backends()
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--ops", type=int, default=20,
-                       help="workload operations (default 20)")
-        p.add_argument("--objects", type=int, default=5,
-                       help="object population (default 5)")
-        p.add_argument("--workload-seed", type=int, default=0,
-                       help="workload/interleave seed (default 0)")
-        p.add_argument("--store", default="memory", choices=backend_names,
-                       help="stable-store backend under torture "
-                       "(default memory)")
+    tsub = torture_parser.add_subparsers(dest="mode", required=True)
+    for row in TORTURE_MODES:
+        p = tsub.add_parser(row.name, help=row.help)
+        for f in row.flags:
+            if f.kind is bool:
+                p.add_argument(f.flag, dest=f.dest, action="store_true",
+                               help=f.help)
+                continue
+            choices = store_backends() if f.dest == "store_backend" else None
+            p.add_argument(
+                f.flag, dest=f.dest, type=f.kind, default=f.default,
+                choices=choices, help=f"{f.help} (default {f.default})",
+            )
         p.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="write campaign telemetry (JSONL) to PATH")
-
-    sweep = tsub.add_parser(
-        "sweep", help="every I/O point x every must-survive fault kind"
-    )
-    common(sweep)
-    sweep.set_defaults(fn=torture_sweep)
-
-    fuzz = tsub.add_parser("fuzz", help="seeded random fault schedules")
-    common(fuzz)
-    fuzz.add_argument("--runs", type=int, default=500,
-                      help="number of schedules (default 500)")
-    fuzz.add_argument("--seed", type=int, default=0,
-                      help="base schedule seed (run i uses seed+i)")
-    fuzz.add_argument("--p-transient", type=float, default=0.02,
-                      help="per-point transient-fault rate")
-    fuzz.add_argument("--p-torn", type=float, default=0.01,
-                      help="per-point torn-write rate")
-    fuzz.add_argument("--p-corrupt", type=float, default=0.01,
-                      help="per-point corruption rate")
-    fuzz.set_defaults(fn=torture_fuzz)
-
-    v2 = tsub.add_parser(
-        "v2", help="crash recovery itself: recovery-point sweep "
-        "(incl. nested crashes) + two-phase fuzz via the supervisor"
-    )
-    common(v2)
-    v2.add_argument("--fuzz-runs", type=int, default=200,
-                    help="two-phase fuzz schedules after the sweep "
-                    "(default 200; 0 skips the fuzz stage)")
-    v2.add_argument("--seed", type=int, default=0,
-                    help="base schedule seed (run i uses seed+i)")
-    v2.add_argument("--p-torn", type=float, default=0.005,
-                    help="per-point torn-write rate")
-    v2.add_argument("--p-corrupt", type=float, default=0.005,
-                    help="per-point corruption rate")
-    v2.add_argument("--p-crash", type=float, default=0.01,
-                    help="per-point clean-crash rate")
-    v2.set_defaults(fn=torture_v2)
-
-    for scenario in SCENARIOS.values():
-        _add_livefire_arguments(
-            tsub.add_parser(scenario.name, help=scenario.help), scenario
-        )
+        p.set_defaults(fn=torture_campaign, row=row)
 
     serve = sub.add_parser(
         "serve", help="run the serving daemon over a database directory"

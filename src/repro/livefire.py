@@ -1,12 +1,12 @@
 """Live-fire torture (v3, v4, v5): client workloads against real daemons.
 
-Torture v1/v2 (:mod:`repro.kernel.torture`) crash a *library* — the
-harness owns the system object and calls ``crash()``/``recover()``
-itself.  Live fire tortures the **daemon**: concurrent clients drive
-requests over real sockets at a :class:`~repro.serve.server.ServeDaemon`
-while seeded fault models misfire the storage underneath; at a seeded
-ack count the scenario's fault is injected; the topology is healed; and
-the run is judged against the serving layer's one promise:
+The library campaigns (:mod:`repro.kernel.torture`) crash a system
+object the harness owns.  Live fire tortures the **daemon**: concurrent
+clients drive requests over real sockets at a
+:class:`~repro.serve.server.ServeDaemon` while seeded fault models
+misfire the storage underneath; at a seeded ack count the scenario's
+fault is injected; the topology is healed; and the run is judged
+against the serving layer's one promise:
 
     **every client-acknowledged write is durable, exactly once** — after
     recovery each object's vSI is at least the highest lSI any daemon
@@ -14,69 +14,47 @@ the run is judged against the serving layer's one promise:
     and the recovered value is the last acked one or one the client sent
     after it (the unacked tail, which at-least-once delivery may land).
 
-This is exactly-once *visibility*: retries make delivery at-least-once
-on the wire, but ``put`` is a physical write of a specific value and the
-daemon acks only after the WAL force (**force-before-ack**), so replayed
-duplicates are idempotent and an ack can never be rolled back.
+Retries make delivery at-least-once, but ``put`` writes a specific value
+and the daemon acks only after the WAL force (**force-before-ack**), so
+replayed duplicates are idempotent and an ack is never rolled back.
 
-There is one driver (:class:`LiveFireHarness`), one client log
-(:class:`ClientLog` of :class:`Ack` records), one client worker and one
-set of checks — plain functions over an :class:`Evidence`.  A scenario
-is a row of :data:`SCENARIOS`: a topology (shards × store backend ×
-replicated), a fault, and the checks that judge it.
+One harness (:class:`LiveFireHarness`), one client log (:class:`ClientLog`
+of :class:`Ack` records), one client worker, and checks that are plain
+functions over an :class:`Evidence`; a scenario is a row of
+:data:`SCENARIOS` — a topology (shards × store backend × replicated), a
+fault, and the checks that judge it:
 
-* **v3** — one daemon.  It is killed mid-workload (``kill()`` models
-  SIGKILL; connections die mid-frame), a fresh daemon is started over
-  the debris and audited.  Mid-serve faults exercise the watchdog's
-  restart ladder live.  The same scenario runs against a real ``python
-  -m repro serve`` process (:meth:`LiveFireHarness.subprocess_run`):
-  real ``SIGKILL`` or ``SIGTERM`` (which must drain and exit 0) over a
-  real directory, restarted with honest devices for the audit.
-  **v3-rewrite** is the same row over two objects per client rewritten
-  twenty times each: the write graph's zero-I/O installs
-  (``CacheManager.install_unexposed``) run between the acks, so kills
-  land after them and the drain's truncating checkpoint runs over the
-  rSIs they advanced.
-* **v4** — shards are independent recovery domains.  One seeded victim
-  shard's worker is killed in place (its cache and unforced WAL tail are
-  gone); while it is down, sentinel puts routed to every *surviving*
-  shard must be acked — a partial outage must not become a total one;
-  the victim is revived through supervised recovery and every ack of the
-  whole run is audited, the victim's pre-kill acks included.  Seeded
-  cross-shard derives ride along; the fence audit must show no
-  conflicting fence.  **Partial fences are legal**: the ack force covers
-  every participant, so a fence on a strict subset of its participants
-  is exactly a never-acked remainder, and each shard's local physical
-  operations replay independently.
-* **v5** — a primary/witness pair; clients carry the witness as their
-  failover target.  The primary is killed (*kill* lane) or left alive
-  (*zombie* lane) while the witness is promoted.  The audit runs against
-  the **promoted witness** and holds across the failover because
-  shipping is **semi-synchronous**: the primary acks only after the
-  witness's durable receipt, so no ack names state the witness lacks.
-  Promotion must complete and serve, and no ack may carry the deposed
-  epoch above the promotion watermark — the in-band fence (a
-  ``repl_ack`` carrying ``epoch + 1``) makes a zombie refuse with
-  ``FENCED`` (or ``UNAVAILABLE`` if the fence frame was lost with the
-  socket; either refusal is correct, an *ack* is split brain).  An
-  old-epoch ack at or below the watermark is a benign race: its write
-  was adopted before promotion and is part of the promoted state.
+* **v3** kills one daemon mid-workload (``kill()`` models SIGKILL) and
+  audits a fresh one started over the debris; the same row also runs at
+  a real ``python -m repro serve`` process killed by a real ``SIGKILL``
+  or drained by ``SIGTERM`` (:meth:`LiveFireHarness.subprocess_run`).
+  **v3-rewrite** rewrites two objects per client twenty times, so kills
+  and the drain's checkpoint land after zero-I/O installs.
+* **v4** kills one seeded shard's worker in place; sentinel puts to
+  every *surviving* shard must be acked during the outage, then the
+  victim is revived and every ack audited.  The fence audit must show no
+  conflicting fence; **partial fences are legal** (the ack force covers
+  every participant, so a strict-subset fence is a never-acked remainder).
+* **v5** kills (or, in the *zombie* lane, leaves alive) the primary of a
+  primary/witness pair and promotes the witness, where the audit runs:
+  shipping is **semi-synchronous**, so no ack names state the witness
+  lacks.  No ack may carry the deposed epoch above the promotion
+  watermark — the in-band fence makes a zombie refuse (``FENCED`` or
+  ``UNAVAILABLE``; an *ack* is split brain).
 
 **The verdict is never faulted**: every fault model is disarmed before
-the healing recovery and the read-back, as in torture v1/v2.  A live
-read-your-writes violation (each object has one writer) fails a run in
-every scenario.  :func:`plan` is the pure, seed-determined part of a run,
-so a failing seed replays the same scenario shape.
+the healing recovery and the read-back.  A live read-your-writes
+violation (each object has one writer) fails a run in every scenario.
+:func:`plan` is the pure, seed-determined part of a run, so a failing
+seed replays the same scenario shape.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import itertools
 import json
 import os
-import shutil
 import signal
 import subprocess
 import sys
@@ -84,13 +62,14 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Mapping, NamedTuple
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.common.errors import DegradedModeError
 from repro.common.rng import make_rng
 from repro.kernel.backup_manager import BackupManager
 from repro.kernel.supervisor import SupervisorConfig
+from repro.kernel.torture import Outcome, TortureReport, scratch_root
 from repro.obs.metrics import MetricsRegistry
 from repro.replica.sender import ReplicationConfig
 from repro.replica.witness import WitnessConfig
@@ -227,13 +206,9 @@ class ClientLog:
 
 
 @dataclass
-class LiveFireOutcome:
+class LiveFireOutcome(Outcome):
     """One fault-heal-verify run against a live topology."""
 
-    description: str
-    ok: bool = True
-    error: str = ""
-    seed: Optional[int] = None
     #: "kill" or "zombie" (replicated); "sigkill"/"sigterm" (subprocess).
     lane: str = "kill"
     victim: Optional[int] = None
@@ -264,53 +239,8 @@ class LiveFireOutcome:
     #: point of a campaign is that this list stays empty.
     losses: List[str] = field(default_factory=list)
 
-    def fail(self, error: str) -> None:
-        """Record a failure; the first one names the run's error."""
-        if self.ok:
-            self.ok, self.error = False, error
-
-
-@dataclass
-class LiveFireReport:
-    """Aggregate verdict of a live-fire campaign."""
-
-    scenario: "Scenario"
-    mode: str
-    outcomes: List[LiveFireOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(outcome.ok for outcome in self.outcomes)
-
-    @property
-    def total_acked(self) -> int:
-        return sum(outcome.acked for outcome in self.outcomes)
-
-    @property
-    def total_losses(self) -> int:
-        return sum(len(outcome.losses) for outcome in self.outcomes)
-
-    @property
-    def total_old_epoch_acks(self) -> int:
-        return sum(outcome.old_epoch_acks for outcome in self.outcomes)
-
-    def failures(self) -> List[LiveFireOutcome]:
-        return [outcome for outcome in self.outcomes if not outcome.ok]
-
-    def summary(self) -> str:
-        parts = [f"{self.total_acked} acked writes"]
-        if survivors_acked in self.scenario.checks:
-            acks = sum(o.survivor_acks_during_outage for o in self.outcomes)
-            parts.append(f"{acks} survivor acks during outages")
-        parts.append(f"{self.total_losses} acked losses")
-        if epoch_audit in self.scenario.checks:
-            parts.append(f"{self.total_old_epoch_acks} old-epoch acks")
-        failed = len(self.failures())
-        return (
-            f"torture {self.scenario.name} ({self.mode}): "
-            f"{len(self.outcomes)} runs, {', '.join(parts)} — "
-            + ("OK" if failed == 0 else f"{failed} FAILED")
-        )
+    def details(self) -> List[str]:
+        return [f"lost: {loss}" for loss in self.losses]
 
 
 # ----------------------------------------------------------------------
@@ -466,6 +396,18 @@ class Scenario:
     def subprocess_lane(self) -> bool:
         """Can the run also be driven at a real ``serve`` process?"""
         return self.fault is Fault.KILL_DAEMON and not self.replicated
+
+    def report(self, lane: str) -> TortureReport:
+        """An empty report whose summary sums what this row's checks
+        count: acks, then survivor acks, losses and old-epoch acks."""
+        tallies = [("acked writes", "acked")]
+        if survivors_acked in self.checks:
+            tallies.append(("survivor acks during outages",
+                            "survivor_acks_during_outage"))
+        tallies.append(("acked losses", "losses"))
+        if epoch_audit in self.checks:
+            tallies.append(("old-epoch acks", "old_epoch_acks"))
+        return TortureReport(f"{self.name} ({lane})", tallies=tuple(tallies))
 
 
 SCENARIOS: Dict[str, Scenario] = {
@@ -905,8 +847,7 @@ class LiveFireHarness:
             SCENARIOS[scenario] if isinstance(scenario, str) else scenario
         )
         self.config = config if config is not None else self.scenario.config()
-        #: A durable backend needs a directory (unknown ones fail here).
-        self.durable = resolve_backend(self.config.store_backend).requires_root
+        resolve_backend(self.config.store_backend)  # unknown ones fail here
         #: Optional shared registry attached to every system built.
         self.obs = metrics
 
@@ -921,15 +862,27 @@ class LiveFireHarness:
         outcome = LiveFireOutcome(
             description, seed=seed, lane=run_plan.lane, victim=run_plan.victim
         )
-        with self._store_root(seed) as root:
+        cfg = self.config
+        with scratch_root(cfg.store_backend, f"{self.scenario.name}-store-",
+                          cfg.store_root, f"run{seed}") as root:
             target = _InProcess(self, run_plan, root)
             return self._drive(target, run_plan, outcome)
 
-    def campaign(self, runs: int, seed: int = 0) -> LiveFireReport:
+    def campaign(self, runs: int, seed: int = 0) -> TortureReport:
         """``runs`` seeded in-process runs; run ``i`` uses ``seed + i``."""
-        report = LiveFireReport(self.scenario, self.scenario.label)
+        report = self.scenario.report(self.scenario.label)
         for index in range(runs):
             report.outcomes.append(self.run(seed + index))
+        return report
+
+    def subprocess_lanes(self, seed: int = 0) -> TortureReport:
+        """Run ``seed`` at a real process twice: SIGKILL, then SIGTERM."""
+        report = self.scenario.report("subprocess")
+        for graceful in (False, True):
+            with tempfile.TemporaryDirectory(prefix="repro-v3-") as workdir:
+                report.outcomes.append(
+                    self.subprocess_run(workdir, seed, graceful)
+                )
         return report
 
     def subprocess_run(
@@ -978,22 +931,6 @@ class LiveFireHarness:
         )
         target = _Subprocess(workdir, graceful, fault_seed)
         return lane._drive(target, run_plan, outcome)
-
-    @contextlib.contextmanager
-    def _store_root(self, seed: int) -> Iterator[Optional[str]]:
-        """A per-run directory for a durable backend, removed after."""
-        if not self.durable:
-            yield None
-            return
-        created = None
-        if self.config.store_root is None:
-            created = tempfile.mkdtemp(prefix=f"{self.scenario.name}-store-")
-        parent = created or self.config.store_root
-        run_root = os.path.join(parent, f"run{seed}")
-        try:
-            yield run_root
-        finally:
-            shutil.rmtree(created or run_root, ignore_errors=True)
 
     def _drive(
         self,

@@ -68,6 +68,12 @@ class FlightRecorder:
             directory = os.path.dirname(os.path.abspath(path))
             os.makedirs(directory, exist_ok=True)
             self._repair_torn_tail(path)
+            # A restarted daemon's ring starts with its predecessor's
+            # lifecycle, so its next dump keeps it.
+            try:
+                self._ring.extend(load_flightrec(path))
+            except (OSError, ValueError):
+                pass  # no file yet, or one that is not ours to read
             self._handle = open(path, "a", encoding="utf-8")
 
     @staticmethod

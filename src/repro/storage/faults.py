@@ -1,33 +1,23 @@
 """Faulty-storage simulation: seeded fault schedules over numbered I/O.
 
-The crash harness (:mod:`repro.kernel.crash`) models *clean* crashes:
-volatile state vanishes at an op or flush boundary and stable storage is
-pristine.  Real storage misbehaves in richer ways — a write fails once
-and then succeeds, a write tears inside one object, a page bit-rots
+Real storage misbehaves in richer ways than a clean crash — a write
+fails once and then succeeds, tears inside one object, bit-rots
 silently, an fsync fails or (worse) lies — and recovery has to stay
-correct in exactly that regime.  This module provides the adversary:
+correct in exactly that regime.  This module is the adversary:
 
-* every device touchpoint (object read/write/delete, log force, file
-  persist) is a **numbered I/O point** — the store and log wrappers call
-  :meth:`FaultModel.fire` at each one;
+* every device touchpoint (object read/write/delete, log force and
+  scan) is a **numbered I/O point**: each faulty device — three stores,
+  two WALs — calls :meth:`FaultModel.fire` there through the one
+  injector of :mod:`repro.storage.faultwrap`;
 * a :class:`FaultModel` decides, from an explicit schedule (sweep mode)
   or a seeded per-point draw (fuzz mode), whether that point faults and
   how;
 * points are numbered within a **phase family**: the workload's own I/O
-  is the ``"forward"`` phase, and the I/O recovery performs (redo-pass
-  reads, flush-transaction re-applies) is the ``"recovery"`` phase —
-  :meth:`FaultModel.enter_phase` switches families, so a schedule can
-  target "the k-th I/O *of recovery itself*" independently of how the
-  forward run died.  Recovery-phase numbering is continuous across
-  restarted recovery attempts: a spec at recovery point *k* fires in
-  whichever attempt reaches it, exactly once;
-* :class:`~repro.storage.faultwrap.FaultyStore` wraps the in-memory
-  stable store with the model, damaging stored versions for
-  torn/corrupt faults and verifying a per-object CRC32 on every read so
-  the damage is *detected*, never silently returned.  It lives in
-  :mod:`repro.storage.faultwrap` with the other fault-injecting
-  backends (one store-agnostic choreography for all of them) and is
-  re-exported here for compatibility.
+  is ``"forward"``, the I/O recovery performs is ``"recovery"``
+  (:meth:`FaultModel.enter_phase`), so a schedule can target "the k-th
+  I/O *of recovery itself*" however the forward run died.  Recovery
+  numbering is continuous across restarted attempts: a spec at recovery
+  point *k* fires in whichever attempt reaches it, exactly once.
 
 Fault vocabulary (the classic storage-fault taxonomy):
 
@@ -58,19 +48,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.common.errors import (
-    SimulatedCrash,
-    TransientStorageError,
-)
+from repro.common.errors import SimulatedCrash, TransientStorageError
 from repro.common.rng import make_rng
 from repro.storage.stats import IOStats
 
@@ -93,6 +73,10 @@ class FaultKind(enum.Enum):
 
 #: Kinds that raise a retryable error instead of damaging state.
 _TRANSIENT_KINDS = frozenset({FaultKind.TRANSIENT, FaultKind.FSYNC_FAIL})
+#: Kinds meaningful at every I/O point (the rest only where ``can``).
+_EVERYWHERE_KINDS = _TRANSIENT_KINDS | {FaultKind.CRASH, FaultKind.SLOW}
+#: Kinds that damage what lands (and may crash right after).
+_DAMAGE_KINDS = frozenset({FaultKind.TORN, FaultKind.CORRUPT})
 
 
 #: The phase family a spec (or a model) numbers its points in.
@@ -257,78 +241,56 @@ class FaultModel:
             )
         point = self._next_points.get(self.phase, 0)
         self._next_points[self.phase] = point + 1
-        spec = self._decide(point, site)
-        if spec is None:
-            return None
-        if spec.kind is FaultKind.CRASH:
-            # A clean machine death at this I/O point: nothing lands,
-            # nothing is damaged — the process is simply gone.
-            self.fired.append(spec)
-            if stats is not None:
-                stats.faults_injected += 1
-            raise FaultCrash(
-                f"injected {spec.describe()} at {site} {detail}"
-            )
-        if spec.kind in _TRANSIENT_KINDS:
-            self._transient_remaining = spec.times - 1
-            self.fired.append(spec)
-            if stats is not None:
-                stats.faults_injected += 1
-            raise TransientStorageError(
-                f"injected {spec.describe()} at {site} {detail}"
-            )
-        if spec.kind is FaultKind.SLOW:
-            # Slow I/O is accounted, not slept: the simulator has no
-            # clock, and the interesting property is that slowness is
-            # *harmless* to correctness.
-            self.fired.append(spec)
-            if stats is not None:
-                stats.faults_injected += 1
-                stats.bump("slow_ios")
-            return None
-        if spec.kind not in can:
+        spec = self._decide(point)
+        if spec is None or (
+            spec.kind not in can and spec.kind not in _EVERYWHERE_KINDS
+        ):
             return None
         self.fired.append(spec)
         if stats is not None:
             stats.faults_injected += 1
+        message = f"injected {spec.describe()} at {site} {detail}"
+        if spec.kind is FaultKind.CRASH:
+            # A clean machine death at this I/O point: nothing lands,
+            # nothing is damaged — the process is simply gone.
+            raise FaultCrash(message)
+        if spec.kind in _TRANSIENT_KINDS:
+            self._transient_remaining = spec.times - 1
+            raise TransientStorageError(message)
+        if spec.kind is FaultKind.SLOW:
+            # Slow I/O is accounted, not slept: the simulator has no
+            # clock, and the interesting property is that slowness is
+            # *harmless* to correctness.
+            if stats is not None:
+                stats.bump("slow_ios")
+            return None
         return spec
 
-    def _decide(self, point: int, site: str) -> Optional[FaultSpec]:
-        if self._rates is not None:
-            return self._draw(point)
-        return self._specs.get((self.phase, point))
-
-    def _draw(self, point: int) -> Optional[FaultSpec]:
-        rates = self._rates
-        rng = self._rng
-        roll = rng.random()
-        edge = rates.transient
-        if roll < edge:
-            return FaultSpec(
-                point,
-                FaultKind.TRANSIENT,
-                times=rng.randint(1, max(1, rates.max_times)),
-                phase=self.phase,
-            )
-        edge += rates.torn
-        if roll < edge:
-            crash = rng.random() < rates.crash_given_fault
-            return FaultSpec(
-                point, FaultKind.TORN, crash=crash, phase=self.phase
-            )
-        edge += rates.corrupt
-        if roll < edge:
-            crash = rng.random() < rates.crash_given_fault
-            return FaultSpec(
-                point, FaultKind.CORRUPT, crash=crash, phase=self.phase
-            )
-        edge += rates.fsync_lie
-        if roll < edge:
-            return FaultSpec(point, FaultKind.FSYNC_LIE, phase=self.phase)
-        edge += rates.crash
-        if roll < edge:
-            return FaultSpec(point, FaultKind.CRASH, phase=self.phase)
-        return None
+    def _decide(self, point: int) -> Optional[FaultSpec]:
+        if self._rates is None:
+            return self._specs.get((self.phase, point))
+        rates, rng = self._rates, self._rng
+        roll, edge = rng.random(), 0.0
+        for kind, rate in (
+            (FaultKind.TRANSIENT, rates.transient),
+            (FaultKind.TORN, rates.torn),
+            (FaultKind.CORRUPT, rates.corrupt),
+            (FaultKind.FSYNC_LIE, rates.fsync_lie),
+            (FaultKind.CRASH, rates.crash),
+        ):
+            edge += rate
+            if roll < edge:
+                break
+        else:
+            return None
+        if kind is FaultKind.TRANSIENT:
+            times = rng.randint(1, max(1, rates.max_times))
+            return FaultSpec(point, kind, times=times, phase=self.phase)
+        # Damage may take the machine down with it.
+        crash = (
+            kind in _DAMAGE_KINDS and rng.random() < rates.crash_given_fault
+        )
+        return FaultSpec(point, kind, crash=crash, phase=self.phase)
 
     # ------------------------------------------------------------------
     # introspection
@@ -336,9 +298,3 @@ class FaultModel:
     def trace(self) -> List[str]:
         """The applied faults in schedule notation."""
         return [spec.describe() for spec in self.fired]
-
-    @staticmethod
-    def crash_if_demanded(spec: Optional[FaultSpec]) -> None:
-        """Raise :class:`FaultCrash` when the (applied) spec asks for it."""
-        if spec is not None and spec.crash:
-            raise FaultCrash(f"crash demanded by {spec.describe()}")

@@ -1,61 +1,37 @@
-"""The store-agnostic fault wrapper: one choreography, every backend.
+"""The fault layer: one injector, every faulty device.
 
-Historically the fault-injecting stores duplicated their core logic:
-the in-memory :class:`FaultyStore` and the file-backed
-``FaultyFileStore`` each hand-rolled the
-same *fire → branch on damage kind → maybe crash* dance against a
-:class:`~repro.storage.faults.FaultModel`.  Adding a third backend
-would have meant a third copy.  This module folds the choreography into
-:class:`DeviceFaultInjector`, a mixin over any
-:class:`~repro.storage.stable_store.StableStore` subclass:
+Every fault-injecting device — the three stable stores and the two
+WALs — consults its :class:`~repro.storage.faults.FaultModel` through
+:class:`DeviceFaultInjector`, a mixin over the honest class.  The mixin
+owns the protocol: one fire per device write, the returned spec handed
+to the damage this device can suffer (else the write lands intact), the
+spec's post-damage crash demand honoured.  The device owns the physics
+— a damaged in-memory value, half an object file, half a segment
+append, a torn prefix of forced records, half a log frame, a lying
+fsync.  :class:`LogFaultInjector` adds the log side: a stable scan is
+one more faultable read.  Points are numbered by fire order within a
+phase, whichever device fires.
 
-* the mixin owns the protocol — consult the model exactly once per
-  device mutation, translate the returned spec into one of three
-  outcomes (``intact`` / ``torn`` / ``rot``), honour the spec's
-  post-damage crash demand;
-* the backend owns the physics — *how* a torn or rotted write lands is
-  the only thing each faulty store implements (damaged in-memory value,
-  half an object file, half a segment append).
-
-Because the mixin consults the model through the same
-:meth:`~repro.storage.faults.FaultModel.fire` calls the hand-rolled
-versions made, fault-point **numbering is preserved exactly**: a
-schedule recorded against the old classes fires at the same points
-against these.
-
-The concrete wrappers all live here:
-
-* :class:`FaultyStore` — the in-memory store (damaged versions, CRC
-  side map, detection on read);
-* :class:`FaultyFileStore` — the one-file-per-object store (damage
-  lands on real file bytes);
-* :class:`FaultyLogStructuredStore` — the log-structured store (damage
-  lands on real segment bytes: torn appends, rotted record frames).
-
-:mod:`repro.storage` re-exports all three; :mod:`repro.persist`
-re-exports the file-backed one.
+The stores live here (re-exported by :mod:`repro.storage`); the logs
+beside their honest classes (:class:`~repro.wal.faulty_log.FaultyLog`,
+:class:`~repro.persist.faulty_log.FaultyFileLog`).
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.common.codec import encode_stored_version, encode_value
 from repro.common.errors import CorruptObjectError
-from repro.common.identifiers import ObjectId, StateId
-from repro.storage.faults import FaultKind, FaultModel, FaultSpec
+from repro.common.identifiers import NULL_SI, ObjectId, StateId
+from repro.storage.faults import FaultCrash, FaultKind, FaultModel, FaultSpec
 from repro.storage.file_store import FileStableStore, _encode
 from repro.storage.framing import OVERHEAD, FramedFile
 from repro.storage.logstore import LogStructuredStableStore
 from repro.storage.stable_store import StableStore, StoredVersion
 from repro.storage.stats import IOStats
-
-#: Damage kinds meaningful at a device write site (a read cannot tear).
-WRITE_DAMAGE: FrozenSet[FaultKind] = frozenset(
-    {FaultKind.TORN, FaultKind.CORRUPT}
-)
 
 
 # ----------------------------------------------------------------------
@@ -109,16 +85,13 @@ def flip_byte_in_file(path: str, offset: int) -> None:
 
 
 class DeviceFaultInjector:
-    """Mixin: the fault choreography every faulty backend shares.
+    """Mixin: the fault choreography every faulty device shares.
 
-    The host class must provide ``self.model`` (a :class:`FaultModel`)
-    and ``self.stats`` (an :class:`~repro.storage.stats.IOStats`), and
-    set the site names its points are labelled with.  Site strings do
-    not affect fault-point numbering (points are numbered by fire
-    order within a phase), only trace readability.
+    The host provides ``self.model`` (a :class:`FaultModel`) and
+    ``self.stats`` (an :class:`~repro.storage.stats.IOStats`).
     """
 
-    #: Site labels for the model's fault trace.
+    #: Site labels for fault messages (they do not affect numbering).
     WRITE_SITE = "store.write"
     DELETE_SITE = "store.delete"
 
@@ -128,41 +101,49 @@ class DeviceFaultInjector:
     def _faulted_device_write(
         self,
         detail: str,
-        *,
         intact: Callable[[], None],
-        torn: Callable[[FaultSpec], None],
-        rot: Callable[[FaultSpec], None],
+        damage: Mapping[FaultKind, Callable[[FaultSpec], None]],
         after_fire: Optional[Callable[[], None]] = None,
-    ) -> Optional[FaultSpec]:
-        """One device write under the model.
-
-        Fires exactly one I/O point, then applies the outcome:
-        ``intact()`` when no damage is scheduled, ``torn(spec)`` when
-        the write lands partially, ``rot(spec)`` when it lands whole
-        and the medium then corrupts it.  ``after_fire`` runs after a
-        non-raising fire in every branch — accounting that must happen
-        iff the I/O was actually attempted (transient faults and clean
-        crashes raise from the fire itself).  Ends by honouring the
-        spec's post-damage crash demand.
-        """
+    ) -> None:
+        """One device write: fire one I/O point whose meaningful damage
+        kinds are ``damage``'s keys, then land the write — ``intact()``,
+        or ``damage[spec.kind](spec)`` (a torn write lands partially, a
+        rotted one whole and then corrupted), then crash if the spec
+        demands it.  ``after_fire`` runs iff the fire did not raise: the
+        I/O was attempted (transients and clean crashes raise from it)."""
         spec = self.model.fire(
-            self.WRITE_SITE, detail, can=WRITE_DAMAGE, stats=self.stats
+            self.WRITE_SITE, detail, can=frozenset(damage), stats=self.stats
         )
         if after_fire is not None:
             after_fire()
         if spec is None:
             intact()
-            return None
-        if spec.kind is FaultKind.TORN:
-            torn(spec)
-        else:
-            rot(spec)
-        self.model.crash_if_demanded(spec)
-        return spec
+            return
+        damage[spec.kind](spec)
+        if spec.crash:
+            raise FaultCrash(f"crash demanded by {spec.describe()}")
 
     def _faulted_device_delete(self, detail: str) -> None:
         """Fire the delete point (transient/crash only — no damage)."""
         self.model.fire(self.DELETE_SITE, detail, stats=self.stats)
+
+
+class LogFaultInjector(DeviceFaultInjector):
+    """Mixin over a log manager: a force is one device write, a stable
+    scan one device read.  A torn force is only ever *observed* because
+    the machine died mid-force, so each log's torn damage ends in
+    :class:`FaultCrash`."""
+
+    WRITE_SITE = "log.force"
+    SCAN_SITE = "log.scan"
+
+    def stable_records(self, from_lsi: StateId = NULL_SI) -> Iterator[Any]:
+        """One point per scan, not per record: the sequential read is
+        the unit of device I/O.  Scans are recovery's (and replication
+        catch-up's), so a failing or crashing scan kills the attempt and
+        the supervisor retries or restarts it."""
+        self.model.fire(self.SCAN_SITE, f"from {from_lsi}", stats=self.stats)
+        return super().stable_records(from_lsi)
 
 
 class FaultyStore(DeviceFaultInjector, StableStore):
@@ -262,9 +243,8 @@ class FaultyStore(DeviceFaultInjector, StableStore):
 
         self._faulted_device_write(
             obj,
-            intact=put_intact,
-            torn=put_damaged,
-            rot=put_damaged,
+            put_intact,
+            dict.fromkeys((FaultKind.TORN, FaultKind.CORRUPT), put_damaged),
             after_fire=bump,
         )
 
@@ -347,7 +327,9 @@ class FaultyFileStore(DeviceFaultInjector, FileStableStore):
                 path, OVERHEAD + spec.point % max(1, size - OVERHEAD)
             )
 
-        self._faulted_device_write(obj, intact=intact, torn=torn, rot=rot)
+        self._faulted_device_write(
+            obj, intact, {FaultKind.TORN: torn, FaultKind.CORRUPT: rot}
+        )
 
     def _drop(self, obj: ObjectId) -> None:
         self._faulted_device_delete(obj)
@@ -395,8 +377,10 @@ class FaultyLogStructuredStore(DeviceFaultInjector, LogStructuredStableStore):
 
         self._faulted_device_write(
             os.path.basename(file.path),
-            intact=lambda: land(data),
-            torn=lambda spec: land(torn_prefix(data)),
-            rot=rot,
+            lambda: land(data),
+            {
+                FaultKind.TORN: lambda spec: land(torn_prefix(data)),
+                FaultKind.CORRUPT: rot,
+            },
         )
         return offset

@@ -122,7 +122,11 @@ class FileStableStore(DurableMediaMarker, StableStore):
 
     def footprint(self) -> Dict[str, float]:
         sizes = 0
-        for name in self._object_files():
+        try:
+            names = self._object_files()
+        except FileNotFoundError:  # the directory was removed: a dead run
+            names = []
+        for name in names:
             try:
                 sizes += os.path.getsize(os.path.join(self._dir, name))
             except FileNotFoundError:  # removed under the poll

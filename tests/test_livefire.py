@@ -18,7 +18,7 @@ import shlex
 import pytest
 
 from repro import livefire
-from repro.__main__ import _build_parser, _report_livefire, main
+from repro.__main__ import _build_parser, _report, main
 from repro.common.rng import make_rng
 from repro.livefire import (
     DAEMON,
@@ -29,7 +29,6 @@ from repro.livefire import (
     Evidence,
     LiveFireHarness,
     LiveFireOutcome,
-    LiveFireReport,
     acked_writes,
     epoch_audit,
     fence_audit,
@@ -67,8 +66,8 @@ class TestEveryScenario:
         assert report.ok, report.summary()
         assert report.failures() == []
         assert len(report.outcomes) == 3
-        assert report.total_acked > 0
-        assert report.total_losses == 0
+        assert report.total("acked") > 0
+        assert report.total("losses") == 0
         summary = report.summary()
         assert f"torture {name}" in summary and "OK" in summary
         assert "3 runs" in summary and "0 acked losses" in summary
@@ -83,7 +82,7 @@ class TestEveryScenario:
         )
         report = harness.campaign(runs=2, seed=5)
         assert report.failures() == []
-        assert report.total_acked > 0
+        assert report.total("acked") > 0
         assert os.listdir(str(root)) == []
 
     def test_unknown_store_backend_fails_fast(self, name):
@@ -189,7 +188,7 @@ class TestReplica:
     def test_campaign_counts_epochs(self):
         report = quick("v5", zombie_ratio=0.3).campaign(3, seed=20)
         assert report.ok, report.summary()
-        assert report.total_old_epoch_acks == 0
+        assert report.total("old_epoch_acks") == 0
         assert all(outcome.promoted for outcome in report.outcomes)
         assert "0 old-epoch acks" in report.summary()
 
@@ -509,9 +508,11 @@ class TestCLI:
     def test_failing_run_prints_the_command_that_replays_it(self, capsys):
         argv = ["torture", "v4", "--runs", "40", "--shards", "3",
                 "--clients", "2", "--store", "logstore"]
-        failed = LiveFireOutcome("v4 seed=17", ok=False, error="boom", seed=17)
-        report = LiveFireReport(SCENARIOS["v4"], "shard-kill", [failed])
-        assert _report_livefire(report, _build_parser().parse_args(argv)) == 1
+        report = SCENARIOS["v4"].report("shard-kill")
+        report.outcomes.append(
+            LiveFireOutcome("v4 seed=17", ok=False, error="boom", seed=17)
+        )
+        assert _report(report, _build_parser().parse_args(argv)) == 1
         out = capsys.readouterr().out
         command = re.search(r"\(reproduce: (python -m repro .*)\)", out).group(1)
         assert command == (
@@ -525,11 +526,22 @@ class TestCLI:
             "requests, store logstore)"
         ) in capsys.readouterr().out
 
-    def test_replay_command_keeps_the_lane(self, capsys):
-        args = _build_parser().parse_args(["torture", "v3", "--seed", "4"])
-        failed = LiveFireOutcome("v3 seed=4", ok=False, error="boom", seed=4)
-        for mode, suffix in (("in-process", " --no-subprocess"), ("subprocess", "")):
-            _report_livefire(LiveFireReport(SCENARIOS["v3"], mode, [failed]), args)
-            assert (
-                f"(reproduce: python -m repro torture v3 --runs 1 --seed 4{suffix})"
-            ) in capsys.readouterr().out
+    def test_replay_command_keeps_the_lane(self, capsys, monkeypatch):
+        def failing(lane):
+            def campaign(harness, *args):
+                report = harness.scenario.report(lane)
+                report.outcomes.append(LiveFireOutcome(
+                    "v3 seed=4", ok=False, error="boom", seed=4
+                ))
+                return report
+            return campaign
+
+        monkeypatch.setattr(LiveFireHarness, "campaign", failing("in-process"))
+        monkeypatch.setattr(
+            LiveFireHarness, "subprocess_lanes", failing("subprocess")
+        )
+        assert main(["torture", "v3", "--seed", "4"]) == 1
+        out = capsys.readouterr().out
+        replay = "(reproduce: python -m repro torture v3 --runs 1 --seed 4"
+        assert f"{replay} --no-subprocess)" in out  # the in-process run
+        assert f"{replay})" in out  # the subprocess lanes

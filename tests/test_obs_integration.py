@@ -19,6 +19,7 @@ from repro import (
 )
 from repro.analysis import Tracer, obs_summary
 from repro.domains import RecoverableFileSystem
+from repro.kernel.torture import RECOVERY
 from repro.storage.faults import FaultKind, FaultModel, FaultSpec
 from repro.storage.faultwrap import FaultyStore
 from repro.wal.faulty_log import FaultyLog
@@ -184,7 +185,7 @@ class TestTortureHarnessRegistry:
         harness = TortureHarness(
             TortureConfig(objects=3, operations=8), metrics=reg
         )
-        report = harness.fuzz_recovery(runs=2, seed=0)
+        report = harness.fuzz(runs=2, seed=0, phase=RECOVERY)
         assert report.ok
         attempts = reg.span_events("recovery.attempt")
         total_attempts = sum(o.attempts for o in report.outcomes)

@@ -103,11 +103,29 @@ REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     prefix + "LiveFire" + suffix
     for prefix in ("Shard", "Replica")
     for suffix in ("Config", "Harness", "Outcome", "Report")
+] + [
+    # 4.7.0: both harnesses report through TortureReport.
+    "LiveFire" + "Report",
+]
+# 4.7.0: one run path, one point counter, one sweep, one fuzz; the
+# injector raises the post-damage crash.  (module, attribute path)
+REMOVED_ATTRIBUTES = [
+    ("repro.kernel.torture", "TortureHarness." + name)
+    for name in ("count_points", "recovery_points", "sweep_recovery",
+                 "fuzz_recovery", "_one_run", "_one_recovery_run")
+] + [
+    ("repro.kernel.torture", "SWEEP_KINDS"),
+    ("repro.kernel.torture", "RECOVERY_SWEEP_KINDS"),
+    ("repro.storage.faults", "FaultModel.crash_if_demanded"),
+    ("repro.storage.faultwrap", "WRITE_DAMAGE"),
+    ("repro.__main__", "_report_livefire"),
+    ("repro.__main__", "_report_torture"),
 ]
 
 
 class TestRemovedPaths:
-    """Removed modules and names (3.0.0, 4.0.0) are gone, not aliased."""
+    """Removed modules and names (3.0.0, 4.0.0, 4.7.0) are gone, not
+    aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):
@@ -132,6 +150,14 @@ class TestRemovedPaths:
         for package in (repro, serve, repro.replica, repro.livefire):
             assert name not in getattr(package, "__all__", ())
             assert not hasattr(package, name)
+
+    @pytest.mark.parametrize("module, path", REMOVED_ATTRIBUTES)
+    def test_removed_attributes_are_gone(self, module, path):
+        *owners, name = path.split(".")
+        target = importlib.import_module(module)
+        for owner in owners:
+            target = getattr(target, owner)
+        assert not hasattr(target, name), f"{module}.{path}"
 
     def test_no_package_init_imports_the_harness(self):
         # The harness sits above serve and replica; neither depends on it.

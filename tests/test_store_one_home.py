@@ -165,12 +165,11 @@ class TestDamageIsFoundByTheRead:
         )
         spec = FaultSpec(5, FaultKind.CORRUPT)
         # Found during the drive — before any crash, scrub or restart.
-        system = harness._build_system(FaultModel([spec]))
-        harness._drive(system)
-        assert system.stats.checksum_failures == 1
-        assert system.stats.quarantines == 0
-        harness._reclaim_scratch()
-        outcome = harness._one_run(FaultModel([spec]), spec.describe())
+        with harness._system(FaultModel([spec])) as (system, _backup):
+            harness._drive(system)
+            assert system.stats.checksum_failures == 1
+            assert system.stats.quarantines == 0
+        outcome = harness.run(FaultModel([spec]), spec.describe())
         assert outcome.ok, outcome.error
         assert outcome.trace == ["corrupt@5"]
 

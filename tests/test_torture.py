@@ -3,7 +3,7 @@
 from repro.cache.config import CacheConfig
 from repro.cache.policies import PeelHottest
 from repro.kernel.torture import (
-    SWEEP_KINDS,
+    FORWARD,
     TortureConfig,
     TortureHarness,
     TortureOutcome,
@@ -21,8 +21,8 @@ class TestSweep:
         harness = TortureHarness(_small())
         report = harness.sweep()
         assert report.ok, [f.error for f in report.failures()]
-        assert report.points == harness.count_points()
-        assert len(report.outcomes) == report.points * len(SWEEP_KINDS)
+        assert report.points == harness.points()
+        assert len(report.outcomes) == report.points * len(FORWARD.kinds)
 
     def test_sweep_actually_injects(self):
         report = TortureHarness(_small()).sweep()
@@ -31,7 +31,7 @@ class TestSweep:
 
     def test_point_numbering_stable_across_runs(self):
         harness = TortureHarness(_small())
-        assert harness.count_points() == harness.count_points()
+        assert harness.points() == harness.points()
 
     def test_sweep_under_capacity_pressure(self):
         """A tiny cache forces store reads and constant eviction, so the
@@ -48,8 +48,8 @@ class TestSweep:
         assert report.ok, [f.error for f in report.failures()]
 
     def test_must_survive_envelope_excludes_fsync_lie(self):
-        assert FaultKind.FSYNC_LIE not in SWEEP_KINDS
-        assert set(SWEEP_KINDS) == {
+        assert FaultKind.FSYNC_LIE not in FORWARD.kinds
+        assert set(FORWARD.kinds) == {
             FaultKind.TORN,
             FaultKind.TRANSIENT,
             FaultKind.CORRUPT,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.kernel.torture import TortureConfig, TortureHarness
+from repro.kernel.torture import RECOVERY, TortureConfig, TortureHarness
 from repro.storage.faults import FuzzRates
 from repro.storage.registry import recommended_cache_config
 
@@ -40,8 +40,11 @@ def test_forward_fuzz_survives(backend):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_recovery_fuzz_converges(backend):
     harness = TortureHarness(_config(backend))
-    report = harness.fuzz_recovery(
-        runs=4, seed=0, rates=FuzzRates(torn=0.02, corrupt=0.02, crash=0.03)
+    report = harness.fuzz(
+        runs=4,
+        seed=0,
+        rates=FuzzRates(torn=0.02, corrupt=0.02, crash=0.03),
+        phase=RECOVERY,
     )
     assert report.ok, report.summary() + "".join(
         f"\n  {o.description}: {o.error}" for o in report.failures()
@@ -54,9 +57,7 @@ def test_durable_backends_have_faultable_device_points(backend):
     in-memory model (their device writes fire too) — otherwise the
     per-backend sweep silently degenerates to the memory campaign."""
     harness = TortureHarness(_config(backend))
-    assert harness.count_points() >= TortureHarness(
-        _config("memory")
-    ).count_points()
+    assert harness.points() >= TortureHarness(_config("memory")).points()
 
 
 def test_scratch_directories_are_reclaimed(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ the harness mechanics: recovery-point discovery, the sweep grid
 from __future__ import annotations
 
 from repro.kernel.torture import (
-    RECOVERY_SWEEP_KINDS,
+    RECOVERY,
     TortureConfig,
     TortureHarness,
 )
@@ -19,7 +19,7 @@ SMALL = TortureConfig(objects=4, operations=12, supervisor_attempts=24)
 
 
 def test_recovery_sweep_kinds_cover_the_v2_taxonomy():
-    assert set(RECOVERY_SWEEP_KINDS) == {
+    assert set(RECOVERY.kinds) == {
         FaultKind.CRASH,
         FaultKind.TORN,
         FaultKind.TRANSIENT,
@@ -32,18 +32,18 @@ def test_recovery_has_faultable_points():
     reads, re-apply writes.  If this ever hits zero the v2 sweep is
     vacuously green — fail loudly instead.  (The floor is the analysis
     pass's one scan plus the redo pass's.)"""
-    assert TortureHarness(SMALL).recovery_points() >= 2
+    assert TortureHarness(SMALL).points(RECOVERY) >= 2
 
 
 def test_sweep_recovery_survives_every_point_and_kind():
     harness = TortureHarness(SMALL)
-    report = harness.sweep_recovery()
+    report = harness.sweep(RECOVERY)
     assert report.ok, report.summary() + "".join(
         f"\n  {o.description}: {o.error}" for o in report.failures()
     )
     # point x kind grid plus the nested-crash schedules.
     points = report.points
-    assert len(report.outcomes) == points * len(RECOVERY_SWEEP_KINDS) + min(
+    assert len(report.outcomes) == points * len(RECOVERY.kinds) + min(
         points, 3
     )
     assert report.totals["recovery_restarts"] > 0
@@ -53,7 +53,7 @@ def test_sweep_recovery_includes_nested_crash_schedules():
     """Schedules that crash ≥2 successive recovery attempts in one run
     must be present and converge (the restartability acceptance)."""
     harness = TortureHarness(SMALL)
-    report = harness.sweep_recovery()
+    report = harness.sweep(RECOVERY)
     nested = [
         o for o in report.outcomes if o.description.startswith("nested:")
     ]
@@ -67,10 +67,11 @@ def test_sweep_recovery_includes_nested_crash_schedules():
 
 def test_fuzz_recovery_two_phase_schedules_converge():
     harness = TortureHarness(SMALL)
-    report = harness.fuzz_recovery(
+    report = harness.fuzz(
         runs=15,
         seed=0,
         rates=FuzzRates(torn=0.01, corrupt=0.01, crash=0.02),
+        phase=RECOVERY,
     )
     assert report.ok, report.summary() + "".join(
         f"\n  {o.description}: {o.error}" for o in report.failures()
@@ -83,7 +84,7 @@ def test_fuzz_recovery_two_phase_schedules_converge():
 
 def test_fuzz_recovery_is_reproducible_from_its_seed():
     harness = TortureHarness(SMALL)
-    first = harness.fuzz_recovery(runs=1, seed=5)
-    again = harness.fuzz_recovery(runs=1, seed=5)
+    first = harness.fuzz(runs=1, seed=5, phase=RECOVERY)
+    again = harness.fuzz(runs=1, seed=5, phase=RECOVERY)
     assert first.outcomes[0].trace == again.outcomes[0].trace
     assert first.outcomes[0].attempts == again.outcomes[0].attempts

@@ -346,6 +346,28 @@ class TestFlightRecorder:
         recorder.close()
         assert load_flightrec(path)[-1]["kind"] == "flightrec.dump"
 
+    def test_restart_keeps_the_previous_lifecycle_across_a_dump(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "flightrec.jsonl")
+        killed = FlightRecorder(path, capacity=8)
+        killed.record("daemon.start", {"pid": 1})
+        killed.record("daemon.serving", {})
+        del killed  # SIGKILL: no close(), no dump
+        restarted = FlightRecorder(path, capacity=8)
+        restarted.record("daemon.start", {"pid": 2})
+        restarted.dump("testing")
+        events = load_flightrec(path)
+        assert [(e["kind"], e.get("pid")) for e in events] == [
+            ("daemon.start", 1), ("daemon.serving", None),
+            ("daemon.start", 2), ("flightrec.dump", None),
+        ]
+        # The ring is bounded as ever: the oldest of the seeded events
+        # make room for the new ones.
+        for index in range(8):
+            restarted.record("tick", {"n": index})
+        assert len(restarted.events()) == 8
+
     def test_self_dump_on_failed_health_transition(self, tmp_path):
         path = str(tmp_path / "flightrec.jsonl")
         recorder = FlightRecorder(path, capacity=8)
@@ -525,6 +547,10 @@ def _documented_patterns():
     assert match, "API.md lost its '## Telemetry names' section"
     patterns = []
     for token in re.findall(r"`([^`]+)`", match.group(0)):
+        if not re.sub(r"<[^>]*>|\W", "", token):
+            # All placeholder (the intro's `<...>`): it names nothing,
+            # and as a pattern it would match every name.
+            continue
         # Placeholders like <kind> / <k> match any non-empty segment(s).
         escaped = re.escape(token)
         # re.escape may or may not escape <> depending on the Python
@@ -622,6 +648,18 @@ class TestTelemetryNameAudit:
                 names |= _registered_names(shard_system.obs)
         finally:
             daemon.stop(graceful=False)
+
+        # Scenario 4: a one-run supervised torture campaign over a
+        # durable store (covers torture.* and the last run's ledgers).
+        from repro.kernel.torture import (
+            RECOVERY, TortureConfig, TortureHarness,
+        )
+        registry = MetricsRegistry()
+        TortureHarness(
+            TortureConfig(objects=3, operations=8, store_backend="logstore"),
+            metrics=registry,
+        ).fuzz(1, seed=0, phase=RECOVERY)
+        names |= _registered_names(registry)
 
         patterns = _documented_patterns()
         undocumented = sorted(
