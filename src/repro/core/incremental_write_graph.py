@@ -68,37 +68,16 @@ class IncrementalWriteGraph(RefinedWriteGraph):
             holder = self._last_write_node.get(obj)
             if holder is not None and holder not in overlapping:
                 overlapping.append(holder)
-        if overlapping:
-            m = self._merge(sorted(overlapping, key=lambda n: n.node_id))
-            # A sink can take a fresh top rank for free, so the edges
-            # about to point at it cannot land against the topological
-            # order — the repair pass then usually has nothing to do.
-            if not self._succ[m]:
-                self._topo[m] = self._next_rank
-                self._next_rank += 1
-        else:
-            m = self._new_node()
-        m.ops.add(op)
-        # W's inflexibility, by construction: every written object is
-        # in the atomic flush set, forever (|vars| only accretes).
-        m.vars |= op.writes
-        m._read_objs |= op.reads
-        self._node_of_op[op] = m
-        for obj in op.reads:
-            self._reader_nodes.setdefault(obj, set()).add(m)
-
-        # Read-write installation edges, collapsed: any node that read
-        # an object op now overwrites must install first.
-        for obj in op.writes:
-            for p in self._reader_nodes.get(obj, ()):
-                if p is not m:
-                    self._add_edge(p, m)
+        # Read-write installation edges come collapsed: any node that
+        # read an object op now overwrites must install first.  W's
+        # inflexibility is by construction: every written object is in
+        # the atomic flush set, forever (|vars| only accretes).
+        m = self._place(overlapping, op)
 
         # Last-writer index: op's node is now every written object's
         # holder (the previous holders were merged into m above).
         for obj in op.writes:
             self._last_write_node[obj] = m
-            m._lw_objs.add(obj)
 
         if m in self._ready:
             self._key_ready(m)

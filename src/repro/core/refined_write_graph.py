@@ -59,9 +59,38 @@ from repro.obs.metrics import COUNT_BUCKETS, NULL_OBS
 #: the heap is rebuilt from it.
 _FRONTIER_SLACK = 64
 
+#: What an index answers for a key it has no entry for.
+_NONE: frozenset = frozenset()
+
+
+def _index_add(index: Dict, key, member) -> None:
+    """Add ``member`` to ``index[key]``, allocating the set on first use."""
+    members = index.get(key)
+    if members is None:
+        index[key] = {member}
+    else:
+        members.add(member)
+
+
+def _index_discard(index: Dict, key, member) -> None:
+    """Drop ``member`` from ``index[key]``, and the entry once it empties."""
+    members = index.get(key)
+    if members is not None:
+        members.discard(member)
+        if not members:
+            del index[key]
+
 
 class RWNode:
-    """A node of rW: operations, their flush set vars, and Notx."""
+    """A node of rW: operations, their flush set vars, and Notx.
+
+    A pinned single-put node is the commonest thing a serving graph
+    holds, so a node is three slots and two sets — no ``__dict__`` and
+    no reverse index of its own: the graph finds the objects a node read
+    or last wrote by walking ``ops``.
+    """
+
+    __slots__ = ("node_id", "ops", "vars")
 
     _ids = itertools.count()
 
@@ -69,13 +98,6 @@ class RWNode:
         self.node_id = next(RWNode._ids)
         self.ops: Set[Operation] = set()
         self.vars: Set[ObjectId] = set()
-        #: Maintained by RefinedWriteGraph only (ReferenceWriteGraph
-        #: recomputes everything from ``ops``): the union of readsets of
-        #: ops — the reverse of the graph's reader indexes — and the
-        #: objects whose last uninstalled writer this node holds — the
-        #: reverse of ``_last_write_node``.
-        self._read_objs: Set[ObjectId] = set()
-        self._lw_objs: Set[ObjectId] = set()
 
     @property
     def writes(self) -> Set[ObjectId]:
@@ -134,6 +156,10 @@ class RefinedWriteGraph:
         #: iteration order is node_id-ascending — the same order the
         #: original list-based implementation exposed.
         self._nodes: Dict[RWNode, None] = {}
+        #: Flush-order edges, both ways.  Like every index below, they
+        #: hold non-empty sets only: a node without successors
+        #: (predecessors) has no entry, so a lone pinned write costs
+        #: none, and an emptied graph holds nothing.
         self._succ: Dict[RWNode, Set[RWNode]] = {}
         self._pred: Dict[RWNode, Set[RWNode]] = {}
         #: Node holding X's last uninstalled writer (the vars/Notx
@@ -142,7 +168,8 @@ class RefinedWriteGraph:
         self._last_write_node: Dict[ObjectId, RWNode] = {}
         #: Nodes containing an operation that read X's *current* value,
         #: i.e. read X since its most recent write.  Feeds the inverse
-        #: write-read edges.
+        #: write-read edges, which are only drawn towards X's holder —
+        #: so only objects that have one are entered here.
         self._readers_since_write: Dict[ObjectId, Set[RWNode]] = {}
         #: Every live node with X in Reads(n) — the read-write edge scan.
         self._reader_nodes: Dict[ObjectId, Set[RWNode]] = {}
@@ -194,21 +221,16 @@ class RefinedWriteGraph:
     def _new_node(self) -> RWNode:
         node = RWNode()
         self._nodes[node] = None
-        self._succ[node] = set()
-        self._pred[node] = set()
         self._ready.add(node)
         self._topo[node] = self._next_rank
         self._next_rank += 1
         return node
 
     def _add_edge(self, src: RWNode, dst: RWNode) -> None:
-        if src is dst:
+        if src is dst or dst in self._succ.get(src, _NONE):
             return
-        succs = self._succ[src]
-        if dst in succs:
-            return
-        succs.add(dst)
-        self._pred[dst].add(src)
+        _index_add(self._succ, src, dst)
+        _index_add(self._pred, dst, src)
         self._ready.discard(dst)
         if self._logging:
             self._edge_log.append((src, dst))
@@ -248,41 +270,69 @@ class RefinedWriteGraph:
         for node in rest:
             target.ops |= node.ops
             target.vars |= node.vars
-            target._read_objs |= node._read_objs
-            target._lw_objs |= node._lw_objs
             for op in node.ops:
                 self._node_of_op[op] = target
         # Re-point edges, dropping those internal to the merged set.
+        last_writer = self._last_write_node
         for node in rest:
-            for succ in self._succ.pop(node):
-                self._pred[succ].discard(node)
+            for succ in self._succ.pop(node, _NONE):
+                _index_discard(self._pred, succ, node)
                 if succ not in members:
                     self._add_edge(target, succ)
-            for pred in self._pred.pop(node):
-                self._succ[pred].discard(node)
+            for pred in self._pred.pop(node, _NONE):
+                _index_discard(self._succ, pred, node)
                 if pred not in members:
                     self._add_edge(pred, target)
             self._drop_node(node)
-            # Rewrite the per-object indexes through the reverse sets.
-            for obj in node._lw_objs:
-                self._last_write_node[obj] = target
-            node._lw_objs = set()
-            for obj in node._read_objs:
-                readers = self._reader_nodes.get(obj)
-                if readers is not None:
+            # Re-point the per-object indexes at what the node's
+            # operations wrote and read.
+            for op in node.ops:
+                for obj in op.writes:
+                    if last_writer.get(obj) is node:
+                        last_writer[obj] = target
+                for obj in op.reads:
+                    readers = self._reader_nodes[obj]
                     readers.discard(node)
                     readers.add(target)
-                since = self._readers_since_write.get(obj)
-                if since is not None and node in since:
-                    since.discard(node)
-                    since.add(target)
+                    since = self._readers_since_write.get(obj)
+                    if since is not None and node in since:
+                        since.discard(node)
+                        since.add(target)
         # Internal edges vanished: the target may have become minimal.
-        if self._pred[target]:
+        if target in self._pred:
             self._ready.discard(target)
         else:
             self._ready.add(target)
             self._key_ready(target)
         return target
+
+    def _place(self, overlapping: List[RWNode], op: Operation) -> RWNode:
+        """Put ``op`` in a node — the ``overlapping`` nodes merged, or a
+        new one when there are none — and draw its read-write edges."""
+        if overlapping:
+            m = self._merge(sorted(overlapping, key=lambda n: n.node_id))
+            # A sink can take a fresh top rank for free, so the edges
+            # about to point at it cannot land against the topological
+            # order — the repair pass then usually has nothing to do.
+            if m not in self._succ:
+                self._topo[m] = self._next_rank
+                self._next_rank += 1
+        else:
+            m = self._new_node()
+        m.ops.add(op)
+        m.vars |= op.writes
+        self._node_of_op[op] = m
+        readers = self._reader_nodes
+        for obj in op.reads:
+            _index_add(readers, obj, m)
+        # Any node that read an object op now overwrites must install
+        # first, else replaying its operations after a crash would see
+        # the wrong input.
+        for obj in op.writes:
+            for p in readers.get(obj, _NONE):
+                if p is not m:
+                    self._add_edge(p, m)
+        return m
 
     # ------------------------------------------------------------------
     # incremental cycle collapse
@@ -348,7 +398,7 @@ class RefinedWriteGraph:
             if node not in fwd:
                 fwd.add(node)
                 fwd_stack.extend(
-                    s for s in self._succ[node] if s not in fwd
+                    s for s in self._succ.get(node, _NONE) if s not in fwd
                 )
             if not fwd_stack:
                 closure, moving_down = fwd, True
@@ -357,7 +407,7 @@ class RefinedWriteGraph:
             if node not in bwd:
                 bwd.add(node)
                 bwd_stack.extend(
-                    p for p in self._pred[node] if p not in bwd
+                    p for p in self._pred.get(node, _NONE) if p not in bwd
                 )
             if not bwd_stack:
                 closure, moving_down = bwd, False
@@ -410,7 +460,7 @@ class RefinedWriteGraph:
             (self._pred, self._succ)
         )
         indegree = {
-            n: len(backward[n] & survivor_set) for n in survivors
+            n: len(backward.get(n, _NONE) & survivor_set) for n in survivors
         }
         frontier = [(n.node_id, n) for n in survivors if indegree[n] == 0]
         heapq.heapify(frontier)
@@ -424,7 +474,7 @@ class RefinedWriteGraph:
                 self._min_rank -= 1
                 self._topo[node] = self._min_rank
             placed += 1
-            for neighbor in forward[node]:
+            for neighbor in forward.get(node, _NONE):
                 if neighbor in survivor_set:
                     indegree[neighbor] -= 1
                     if indegree[neighbor] == 0:
@@ -459,30 +509,7 @@ class RefinedWriteGraph:
                 and holder not in overlapping
             ):
                 overlapping.append(holder)
-        if overlapping:
-            m = self._merge(sorted(overlapping, key=lambda n: n.node_id))
-            # A sink can take a fresh top rank for free, so the edges
-            # about to point at it cannot land against the topological
-            # order — the repair pass then usually has nothing to do.
-            if not self._succ[m]:
-                self._topo[m] = self._next_rank
-                self._next_rank += 1
-        else:
-            m = self._new_node()
-        m.ops.add(op)
-        m.vars |= op.writes
-        m._read_objs |= op.reads
-        self._node_of_op[op] = m
-        for obj in op.reads:
-            self._reader_nodes.setdefault(obj, set()).add(m)
-
-        # New read-write edges: any node that read an object op now
-        # overwrites must install first, else replaying its operations
-        # after a crash would see the wrong input.
-        for obj in op.writes:
-            for p in self._reader_nodes.get(obj, ()):
-                if p is not m:
-                    self._add_edge(p, m)
+        m = self._place(overlapping, op)
 
         # Blind updates un-expose objects held in other nodes' flush
         # sets: remove them there, record the write-write ordering, and
@@ -513,16 +540,16 @@ class RefinedWriteGraph:
         # Bookkeeping: op's reads happen against current values (before
         # its writes replace them), so an exposed write's own read is
         # against the value it replaces and the new value starts with no
-        # readers.
+        # readers.  A value with no uninstalled writer is nobody's to
+        # protect: its readers are not entered.
+        last_writer = self._last_write_node
+        since = self._readers_since_write
         for obj in op.reads - op.writes:
-            self._readers_since_write.setdefault(obj, set()).add(m)
+            if obj in last_writer:
+                _index_add(since, obj, m)
         for obj in op.writes:
-            prev = self._last_write_node.get(obj)
-            if prev is not None and prev is not m:
-                prev._lw_objs.discard(obj)
-            self._last_write_node[obj] = m
-            m._lw_objs.add(obj)
-            self._readers_since_write[obj] = set()
+            last_writer[obj] = m
+            since.pop(obj, None)
 
         if m in self._ready:
             self._key_ready(m)
@@ -566,32 +593,31 @@ class RefinedWriteGraph:
         flushed ``vars`` atomically, and should advance the rSIs of all
         of ``Writes(n) = vars ∪ Notx``.
         """
-        if self._pred[node]:
+        if node in self._pred:
             raise ValueError(f"{node!r} has uninstalled predecessors")
         self._removals += 1
         flushed = set(node.vars)
         unexposed = node.writes
         unexposed -= flushed
-        for succ in self._succ.pop(node):
-            preds = self._pred[succ]
-            preds.discard(node)
-            if not preds:
+        for succ in self._succ.pop(node, _NONE):
+            _index_discard(self._pred, succ, node)
+            if succ not in self._pred:
                 self._ready.add(succ)
                 self._key_ready(succ)
-        del self._pred[node]
         self._drop_node(node)
+        last_writer = self._last_write_node
+        since = self._readers_since_write
         for op in node.ops:
             del self._node_of_op[op]
-        for obj in node._lw_objs:
-            del self._last_write_node[obj]
-        node._lw_objs = set()
-        for obj in node._read_objs:
-            readers = self._reader_nodes.get(obj)
-            if readers is not None:
-                readers.discard(node)
-            since = self._readers_since_write.get(obj)
-            if since is not None:
-                since.discard(node)
+            for obj in op.writes:
+                if last_writer.get(obj) is node:
+                    # X's value is installed: no writer, nothing to
+                    # protect, so its readers go too.
+                    del last_writer[obj]
+                    since.pop(obj, None)
+            for obj in op.reads:
+                _index_discard(self._reader_nodes, obj, node)
+                _index_discard(since, obj, node)
         return flushed, unexposed
 
     # ------------------------------------------------------------------
@@ -607,11 +633,11 @@ class RefinedWriteGraph:
 
     def successors(self, node: RWNode) -> Set[RWNode]:
         """Nodes that must install after ``node``."""
-        return set(self._succ[node])
+        return set(self._succ.get(node, _NONE))
 
     def predecessors(self, node: RWNode) -> Set[RWNode]:
         """Nodes that must install before ``node``."""
-        return set(self._pred[node])
+        return set(self._pred.get(node, _NONE))
 
     def edges(self) -> Iterable[Tuple[RWNode, RWNode]]:
         """All flush-order edges."""

@@ -27,6 +27,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
@@ -110,10 +111,15 @@ class UninstalledWriters:
     earlier writer sits in the same node or in a predecessor), so the
     writers leave from the head: a deque makes that O(1) where a list
     paid O(uninstalled writers of the object) per installed write.
+
+    Most objects have exactly one uninstalled writer — a served key's
+    last put stays pinned until a flush installs it — so one writer is
+    stored as its bare lSI: the deque appears at the second writer and
+    goes again when one is left.
     """
 
     def __init__(self) -> None:
-        self._writers: Dict[ObjectId, Deque[StateId]] = {}
+        self._writers: Dict[ObjectId, Union[StateId, Deque[StateId]]] = {}
 
     def note(self, obj: ObjectId, lsi: StateId) -> None:
         """Record an uninstalled write of ``obj`` at ``lsi``.
@@ -122,28 +128,35 @@ class UninstalledWriters:
         """
         writers = self._writers.get(obj)
         if writers is None:
-            self._writers[obj] = deque((lsi,))
-        else:
+            self._writers[obj] = lsi
+        elif isinstance(writers, deque):
             writers.append(lsi)
+        else:
+            self._writers[obj] = deque((writers, lsi))
 
     def discharge(self, obj: ObjectId, lsi: StateId) -> None:
         """Remove one recorded write (its operation was installed)."""
         writers = self._writers.get(obj)
-        if writers and writers[0] == lsi:
+        if not isinstance(writers, deque):
+            if writers is None or writers != lsi:
+                raise KeyError(f"no uninstalled write of {obj!r} at lSI {lsi}")
+            del self._writers[obj]
+            return
+        if writers[0] == lsi:
             writers.popleft()
-        elif not writers or lsi not in writers:
-            raise KeyError(f"no uninstalled write of {obj!r} at lSI {lsi}")
-        else:
+        elif lsi in writers:
             # Out of head order: never a minimal node's write, kept for
             # callers that discharge in another order.
             writers.remove(lsi)
-        if not writers:
-            del self._writers[obj]
+        else:
+            raise KeyError(f"no uninstalled write of {obj!r} at lSI {lsi}")
+        if len(writers) == 1:
+            self._writers[obj] = writers[0]
 
     def first(self, obj: ObjectId) -> Optional[StateId]:
         """The lSI of the first remaining uninstalled writer, if any."""
         writers = self._writers.get(obj)
-        return writers[0] if writers else None
+        return writers[0] if isinstance(writers, deque) else writers
 
     def first_after(
         self, obj: ObjectId, lsis: Sequence[StateId]
@@ -151,8 +164,8 @@ class UninstalledWriters:
         """What :meth:`first` will answer once ``lsis`` (ascending
         recorded writes of ``obj``) are discharged; changes nothing."""
         writers = self._writers.get(obj)
-        if not writers:
-            return None
+        if not isinstance(writers, deque):
+            return None if writers is None or writers in lsis else writers
         count = len(lsis)
         # Both sequences ascend without repeats, so agreeing at the last
         # position means ``lsis`` is exactly the head of the deque.

@@ -28,7 +28,6 @@ per-application *program* (a named deterministic bytes transform from
 from __future__ import annotations
 
 import enum
-import hashlib
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.common.identifiers import ObjectId
@@ -44,6 +43,9 @@ INITIAL_STATE: AppState = (0, b"", None, None)
 
 
 def _digest(accum: bytes, data: bytes) -> bytes:
+    # Imported where it hashes, so a daemon that never does skips OpenSSL.
+    import hashlib
+
     return hashlib.sha256(accum + data).digest()[:16]
 
 
@@ -60,6 +62,8 @@ def _prog_sort(data: bytes) -> bytes:
 
 
 def _prog_checksum(data: bytes) -> bytes:
+    import hashlib
+
     return hashlib.sha256(data).hexdigest().encode("ascii")
 
 

@@ -8,9 +8,6 @@ produced by the preceding execute.
 
 from __future__ import annotations
 
-import hashlib
-
-
 from repro.common.rng import SeedLike, make_rng
 from repro.domains.application import AppLoggingMode, ApplicationRuntime
 from repro.domains.btree import RecoverableBTree, SplitLoggingMode
@@ -20,6 +17,8 @@ from repro.kernel.system import RecoverableSystem
 
 
 def _data(tag: str, size: int) -> bytes:
+    import hashlib
+
     seed = hashlib.sha256(tag.encode()).digest()
     return (seed * (size // len(seed) + 1))[:size]
 

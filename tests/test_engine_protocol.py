@@ -35,6 +35,7 @@ from repro import (
 from repro.core._reference import ReferenceWriteGraph
 from repro.core.history import History
 from repro.core.installation_graph import InstallationGraph
+from repro.core.operation import Operation, OpKind
 from repro.workloads import (
     LogicalWorkload,
     LogicalWorkloadConfig,
@@ -115,6 +116,58 @@ class TestProtocol:
             ):
                 assert key in stats, (mode, key)
             assert stats["full_rebuilds"] == 0
+
+
+def _drain(engine) -> None:
+    """Remove minimal nodes, smallest flush set first, until none is
+    left — installation order, without a cache manager."""
+    while (node := engine.least_minimal()) is not None:
+        engine.remove_node(node)
+    assert len(engine) == 0
+
+
+def _assert_holds_nothing(engine) -> None:
+    """Every per-node and per-object index of an emptied engine is
+    empty: none outlives the nodes that put entries in it."""
+    for name in (
+        "_nodes", "_succ", "_pred", "_last_write_node",
+        "_readers_since_write", "_reader_nodes", "_node_of_op", "_ready",
+        "_topo", "_frontier",
+    ):
+        assert not getattr(engine, name), (name, len(getattr(engine, name)))
+
+
+class TestEmptiedGraph:
+    """Memory follows the live graph, not every key ever touched."""
+
+    @pytest.mark.parametrize("engine_cls", [
+        RefinedWriteGraph, IncrementalWriteGraph,
+    ])
+    def test_logical_copies_leave_no_index_entries(self, engine_cls):
+        engine = engine_cls()
+        for i in range(1000):
+            op = Operation(
+                f"cp(src{i},k{i})", OpKind.LOGICAL, reads={f"src{i}"},
+                writes={f"k{i}"}, fn="copy", params=(f"src{i}", f"k{i}"),
+            )
+            op.lsi = i + 1
+            engine.add_operation(op)
+        _drain(engine)
+        _assert_holds_nothing(engine)
+
+    @pytest.mark.parametrize("engine_cls", [
+        RefinedWriteGraph, IncrementalWriteGraph,
+    ])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_merged_and_collapsed_nodes_leave_no_index_entries(
+        self, engine_cls, seed
+    ):
+        engine = engine_cls()
+        for op in _ops(operations=300, objects=12, seed=seed):
+            engine.add_operation(op)
+        assert engine.stats()["merges"] > 0
+        _drain(engine)
+        _assert_holds_nothing(engine)
 
 
 class TestCacheManagerEngine:

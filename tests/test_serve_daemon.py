@@ -836,14 +836,32 @@ class TestHTTPEndpoint:
     def test_http_stack_loads_only_with_the_endpoint(self):
         """A daemon, witness or embedded child started without the
         endpoint never imports ``http.server`` and what it drags in; one
-        that asks for it still serves ``/healthz``."""
+        that asks for it still serves ``/healthz``.  Likewise a daemon
+        that only serves puts never imports ``hashlib`` (OpenSSL): the
+        first ``wl_*`` apply does, and digests exactly as before."""
         script = """
 import sys
-import repro.serve.server, repro.topology
+import repro.__main__, repro.serve.server, repro.topology
 loaded = {name.split(".")[0] for name in sys.modules}
 assert not loaded & {"http", "email", "ssl", "socketserver"}, loaded
 from repro import RecoverableSystem
-from repro.serve import DaemonConfig, ServeDaemon
+from repro.serve import DaemonClient, DaemonConfig, ServeDaemon
+from repro.topology import build_daemon, build_systems
+served = build_daemon(
+    build_systems(), DaemonConfig(port=0, http_port=None)
+).start()
+try:
+    client = DaemonClient("127.0.0.1", served.port)
+    client.put("left", b"L")
+    client.put("right", b"R")
+    assert not {"hashlib", "_hashlib"} & set(sys.modules)
+    client.apply("wl_combine", ["left", "right"], ["right"], ["left", "right"])
+    assert "hashlib" in sys.modules
+    import hashlib
+    assert client.get("right")[0] == hashlib.sha256(b"L" + b"R").digest()
+    client.close()
+finally:
+    served.stop(graceful=False)
 quiet = ServeDaemon(
     RecoverableSystem(), DaemonConfig(port=0, http_port=None)
 ).start()
