@@ -8,11 +8,12 @@
   point of a seeded workload under every must-survive fault kind,
   ``fuzz`` runs N seeded random fault schedules, and ``v2`` does both to
   recovery's own I/O (nested crashes included) through the supervisor's
-  escalation ladder.  ``v3|v3-rewrite|v4|v5`` are the live-fire rows of
-  :mod:`repro.livefire`: concurrent clients drive a served workload over
-  sockets while the storage misbehaves, the daemon (``v3``, over
-  rewritten keys ``v3-rewrite``), one shard worker (``v4``) or the
-  primary of a replicated pair (``v5``) is killed at a seeded ack count,
+  escalation ladder.  ``v3|v3-rewrite|v3-checkpoint|v4|v5`` are the
+  live-fire rows of :mod:`repro.livefire`: concurrent clients drive a
+  served workload over sockets while the storage misbehaves, the daemon
+  (``v3``, over rewritten keys ``v3-rewrite``, inside an online
+  checkpoint ``v3-checkpoint``), one shard worker (``v4``) or the
+  primary of a replicated pair (``v5``) is killed at a seeded point,
   the topology is healed, and every acknowledged write is audited.
   ``--store`` tortures a durable backend, ``--metrics-out PATH`` writes
   the campaign's shared registry as JSONL, and a failing run prints the

@@ -43,12 +43,20 @@ nodes once the records they depend on are *already* stable — steps 3-5
 become a check, nothing, and nothing — through the same plan and
 bookkeeping as PurgeCache.  The serving daemon calls it after every
 write; the embedded kernel's ``purge``/``flush_all`` never do.
+
+What makes the log truncatable is the third install path,
+:meth:`CacheManager.install_before`: it installs, oldest rSI first,
+every node holding an operation logged below a given lSI, so a
+checkpoint taken afterwards can drop that prefix.  The online
+checkpoint (:meth:`CacheManager.checkpoint` with ``install_below``)
+runs it with the previous checkpoint's lSI.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from typing import (
     AbstractSet,
     Any,
@@ -64,6 +72,7 @@ from repro.common.codec import CodecError, check_value
 from repro.common.errors import CacheError
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
 from repro.common.retry import retry_transient
+from repro.common.sizes import size_of
 from repro.cache.config import CacheConfig, GraphMode, MultiObjectStrategy
 from repro.cache.policies import LRUEviction
 from repro.core.engine import WriteGraphEngine, make_engine
@@ -88,6 +97,12 @@ from repro.wal.records import CheckpointRecord, FlushRecord, InstallationRecord
 #: recovery re-adds every redone operation at once — is worked off over
 #: the following calls instead of landing on the first one.
 UNEXPOSED_INSTALLS_PER_CALL = 16
+
+#: Histogram boundaries for the bytes one checkpoint flushes: powers of
+#: two from 1 KiB to 1 GiB.
+_BYTE_BUCKETS = tuple(float(1 << n) for n in range(10, 31))
+
+_node_id = attrgetter("node_id")
 
 
 @dataclass
@@ -120,6 +135,9 @@ class CacheManager:
         self._writers = UninstalledWriters()
         self._uninstalled: Dict[StateId, OpFootprint] = {}
         self._engine: WriteGraphEngine = make_engine(self.config.graph_mode)
+        #: Modelled value bytes every flush so far wrote to the store
+        #: (the checkpoint telemetry reports its own share).
+        self._flushed_bytes = 0
         #: Access-recency tracker feeding the hot-object victim policy;
         #: maintained regardless of the configured eviction policy.
         self.heat = LRUEviction()
@@ -264,24 +282,79 @@ class CacheManager:
         graph = self._engine
         if not len(graph):
             return False
-        use_identity = (
-            self.config.graph_mode is GraphMode.RW
-            and self.config.multi_object_strategy
-            is MultiObjectStrategy.IDENTITY_WRITES
-        )
         for _attempt in range(len(graph) + 8):
             node = graph.least_minimal()
             if node is None:  # pragma: no cover - graphs stay acyclic
                 raise CacheError("write graph has no minimal node")
-            if len(node.vars) > 1 and use_identity:
-                node = self._dissolve_flush_set(node)
-                if graph.predecessors(node):
-                    # Injection added inverse write-read edges; some
-                    # reader node must install first — pick again.
-                    continue
-            self._install_node(node, graph)
-            return True
+            if self._install_minimal(node):
+                return True
         raise CacheError("purge failed to converge")  # pragma: no cover
+
+    def _install_minimal(self, node: RWNode) -> bool:
+        """Install the minimal ``node``; False when it could not be.
+
+        Under the identity-write strategy a flush set of several objects
+        is first dissolved (Section 4).  The injections can add inverse
+        write-read edges — some reader node must install first — and
+        then nothing is installed: the caller picks again.
+        """
+        graph = self._engine
+        if (
+            len(node.vars) > 1
+            and self.config.graph_mode is GraphMode.RW
+            and self.config.multi_object_strategy
+            is MultiObjectStrategy.IDENTITY_WRITES
+        ):
+            node = self._dissolve_flush_set(node)
+            if graph.predecessors(node):
+                return False
+        self._install_node(node, graph)
+        return True
+
+    def install_before(self, lsi: StateId) -> int:
+        """Install every node holding an operation logged below ``lsi``.
+
+        Afterwards no dirty object's rSI is below ``lsi``, so neither
+        the redo scan nor the retained log has to reach below it.  The
+        log's tail is pinned by the oldest rSIs, so the dirty entries
+        below ``lsi`` are ordered once and worked off oldest first:
+        each names its object's first uninstalled writer, whose node is
+        installed after its predecessors (walked up to a minimal one)
+        through :meth:`_install_minimal` — PurgeCache's WAL rule,
+        identity writes and atomic flushes.  :meth:`purge` would instead
+        take the cheapest minimal node anywhere, flushing every recent
+        one-key node before the old node that pins the log.
+
+        The buffer is forced once up front, so the WAL bound of every
+        node below is already stable when it installs.  Returns the
+        number of nodes installed.
+        """
+        pinning = sorted(
+            ((obj, rsi) for obj, rsi in self.dirty_table.items() if rsi < lsi),
+            key=itemgetter(1),
+        )
+        if not pinning:
+            return 0
+        self.log.force()
+        graph = self._engine
+        rsi_of = self.dirty_table.rsi_of
+        installed = stalls = 0
+        for obj, _ in pinning:
+            rsi = rsi_of(obj)
+            while rsi is not None and rsi < lsi:
+                node = graph.node_of(self._uninstalled[rsi])
+                predecessors = graph.predecessors(node)
+                while predecessors:
+                    node = min(predecessors, key=_node_id)
+                    predecessors = graph.predecessors(node)
+                if self._install_minimal(node):
+                    installed += 1
+                else:
+                    stalls += 1
+                    if stalls > len(graph) + 8:  # pragma: no cover
+                        raise CacheError("install_before failed to converge")
+                rsi = rsi_of(obj)
+        return installed
 
     def flush_all(self) -> int:
         """Drain the cache: install nodes until none remain."""
@@ -621,6 +694,7 @@ class CacheManager:
                 deletions.append(obj)
             else:
                 versions[obj] = StoredVersion(entry.value, entry.vsi)
+                self._flushed_bytes += size_of(entry.value)
         if len(versions) > 1:
             retry_transient(
                 lambda: self.config.mechanism.flush(
@@ -650,24 +724,45 @@ class CacheManager:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def checkpoint(self, truncate: bool = False) -> StateId:
+    def checkpoint(
+        self, truncate: bool = False, install_below: Optional[StateId] = None
+    ) -> StateId:
         """Log a checkpoint record (the dirty object table) and force.
 
+        With ``install_below`` — the online checkpoint passes the
+        previous checkpoint's lSI — every node holding an operation
+        logged below it is installed first (:meth:`install_before`).
         With ``truncate=True`` the stable log is truncated up to the
         redo scan start point, which only installed records precede.
+        The ``cache.checkpoint`` histogram times the whole call;
+        ``cache.checkpoint_installs`` and
+        ``cache.checkpoint_flushed_bytes`` say what its installs cost.
         """
+        obs = self.obs
+        started = time.perf_counter() if obs.enabled else 0.0
+        installs, before = 0, self._flushed_bytes
+        if install_below is not None:
+            installs = self.install_before(install_below)
+        flushed = self._flushed_bytes - before
         record = CheckpointRecord(self.dirty_table.snapshot())
         lsi = self.log.append(record)
         self.log.force()
+        self.stats.checkpoints += 1
         self._emit(
             "checkpoint", lsi=lsi, dirty=len(record.dirty_objects),
-            truncate=truncate,
+            truncate=truncate, installs=installs, flushed_bytes=flushed,
         )
         if truncate:
             start = self.dirty_table.min_rsi()
             redo_start = start if start is not None else lsi
             cut = min(redo_start, lsi)
             self.log.truncate_before(cut, redo_start=cut)
+        if obs.enabled:
+            obs.observe("cache.checkpoint", time.perf_counter() - started)
+            obs.observe("cache.checkpoint_installs", installs, COUNT_BUCKETS)
+            obs.observe(
+                "cache.checkpoint_flushed_bytes", flushed, _BYTE_BUCKETS
+            )
         return lsi
 
     # ------------------------------------------------------------------

@@ -83,9 +83,11 @@ class SystemConfig:
 
     cache: CacheConfig = field(default_factory=CacheConfig)
     redo_test: RedoTest = field(default_factory=GeneralizedRedoTest)
-    #: Automatic checkpointing: write a checkpoint record (and truncate
-    #: the installed log prefix) whenever this many log bytes have
-    #: accumulated since the last checkpoint.  None = manual only.
+    #: Automatic checkpointing: once this many log bytes have been
+    #: appended since the last checkpoint, take the online checkpoint
+    #: (:meth:`RecoverableSystem.checkpoint_if_due`) — install what the
+    #: previous checkpoint left older than itself, write a checkpoint
+    #: record, and truncate the installed log prefix.  None = manual only.
     checkpoint_every_bytes: Optional[int] = None
     #: Whether automatic checkpoints truncate the log.
     truncate_on_checkpoint: bool = True
@@ -164,7 +166,10 @@ class RecoverableSystem:
         #: object) until :meth:`attach_metrics` installs a registry;
         #: re-wired into every fresh cache manager across crash/recover.
         self.obs = NULL_OBS
+        #: ``stats.log_bytes`` at the last checkpoint, and that
+        #: checkpoint's lSI (None before the first in this process).
         self._checkpoint_marker = 0
+        self._last_checkpoint: Optional[StateId] = None
         #: Escalation-ladder position (see :class:`SystemHealth`).
         #: Writes go through the ``health`` property so every transition
         #: is emitted (and lands in an attached flight recorder).
@@ -285,13 +290,27 @@ class RecoverableSystem:
         return writes
 
     def _maybe_auto_checkpoint(self) -> None:
-        threshold = self.config.checkpoint_every_bytes
-        if threshold is None:
-            return
-        accumulated = self.stats.log_bytes - self._checkpoint_marker
-        if accumulated >= threshold:
-            self.checkpoint(truncate=self.config.truncate_on_checkpoint)
-            self._checkpoint_marker = self.stats.log_bytes
+        every = self.config.checkpoint_every_bytes
+        if every is not None:
+            self.checkpoint_if_due(every, self.config.truncate_on_checkpoint)
+
+    def checkpoint_if_due(self, every_bytes: int, truncate: bool = True) -> bool:
+        """The online checkpoint, once ``every_bytes`` of log have been
+        appended since the last checkpoint; True when it ran.
+
+        It installs every node holding a record older than the
+        *previous* checkpoint, then checkpoints and (with ``truncate``)
+        drops the log below the new minimum rSI — so the log holds
+        about two intervals, plus whatever a protection pins.  Waiting
+        one interval before installing gives a blind overwrite the
+        chance to leave a node unexposed, so most installs flush
+        nothing.  The embedded ``checkpoint_every_bytes`` path and the
+        serving daemon both take this one.
+        """
+        if self.stats.log_bytes - self._checkpoint_marker < every_bytes:
+            return False
+        self.checkpoint(truncate=truncate, install_below=self._last_checkpoint)
+        return True
 
     def read(self, obj: ObjectId) -> Any:
         """Read the current value of ``obj`` (through the cache).
@@ -330,9 +349,18 @@ class RecoverableSystem:
         """Install every uninstalled operation."""
         return self.cache.flush_all()
 
-    def checkpoint(self, truncate: bool = False) -> StateId:
-        """Write a checkpoint record; optionally truncate the log."""
-        return self.cache.checkpoint(truncate=truncate)
+    def checkpoint(
+        self, truncate: bool = False, install_below: Optional[StateId] = None
+    ) -> StateId:
+        """Write a checkpoint record; optionally install the nodes
+        holding records below ``install_below`` first
+        (:meth:`CacheManager.install_before`) and truncate the log."""
+        lsi = self.cache.checkpoint(
+            truncate=truncate, install_below=install_below
+        )
+        self._last_checkpoint = lsi
+        self._checkpoint_marker = self.stats.log_bytes
+        return lsi
 
     # ------------------------------------------------------------------
     # crash and recovery

@@ -30,6 +30,11 @@ fault, and the checks that judge it:
   or drained by ``SIGTERM`` (:meth:`LiveFireHarness.subprocess_run`).
   **v3-rewrite** rewrites two objects per client twenty times, so kills
   and the drain's checkpoint land after zero-I/O installs.
+  **v3-checkpoint** puts 8 KiB values on honest devices, so the daemon
+  crosses online checkpoints that really truncate its log; a seeded
+  crash lands at a seeded device step *inside* one (between its
+  installs' store writes, or just before its truncation), the daemon
+  recovers from what that left and is then killed and restarted.
 * **v4** kills one seeded shard's worker in place; sentinel puts to
   every *surviving* shard must be acked during the outage, then the
   victim is revived and every ack audited.  The fence audit must show no
@@ -66,6 +71,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.common.errors import DegradedModeError
+from repro.common.identifiers import NULL_SI
 from repro.common.rng import make_rng
 from repro.kernel.backup_manager import BackupManager
 from repro.kernel.supervisor import SupervisorConfig
@@ -80,7 +86,7 @@ from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.serve.watchdog import WatchdogConfig
 from repro.shard.group import FenceAudit
 from repro.shard.router import ShardRouter
-from repro.storage.faults import FaultModel, FuzzRates
+from repro.storage.faults import FaultCrash, FaultModel, FuzzRates
 from repro.storage.registry import resolve_backend
 from repro.topology import build_daemon, build_systems
 
@@ -97,6 +103,7 @@ SENTINELS_PER_SURVIVOR = 2  # outage puts per surviving shard
 ATTACH_TIMEOUT_S = 10.0  # cap on the witness's first subscription
 ZOMBIE_PROBE_WRITES = 3  # writes driven at a deposed, living primary
 PROCESS_TIMEOUT_S = 30.0  # a real process coming up / going down
+TRUNCATION_STEP = 3  # kill steps 0-2 are store writes, this one truncation
 #: Every in-process daemon: a small admission bound (backpressure should
 #: fire) and a generous ladder budget for watchdog recoveries.
 DAEMON = DaemonConfig(
@@ -121,6 +128,9 @@ class Fault(enum.Enum):
     KILL_DAEMON = "kill daemon"
     #: One seeded shard's worker, in place; it is revived afterwards.
     KILL_SHARD = "kill one shard"
+    #: The daemon, once a seeded device step inside a seeded online
+    #: checkpoint has crashed it; it is restarted over its debris.
+    KILL_IN_CHECKPOINT = "kill inside an online checkpoint"
 
 
 @dataclass
@@ -262,6 +272,9 @@ class Evidence:
     watermark: int = 0
     promote_time: float = 0.0
     seed: int = 0
+    #: Where the killed log started when a kill landed inside an online
+    #: checkpoint (None: no kill did).
+    log_start_at_kill: Optional[int] = None
 
 
 #: A check fills its counters on the outcome and fails it on a breach.
@@ -351,6 +364,16 @@ def survivors_acked(evidence: Evidence, outcome: LiveFireOutcome) -> None:
         )
 
 
+def killed_in_checkpoint(evidence: Evidence, outcome: LiveFireOutcome) -> None:
+    """The kill landed inside an online checkpoint, over a log an
+    earlier one had already truncated (a pinned log proves nothing)."""
+    start = evidence.log_start_at_kill
+    if start is None:
+        outcome.fail("the seeded kill never landed inside a checkpoint")
+    elif start <= NULL_SI + 1:
+        outcome.fail("no online checkpoint truncated the log before the kill")
+
+
 def promoted_serves(evidence: Evidence, outcome: LiveFireOutcome) -> None:
     """The promoted witness serves: one write-read trip at its epoch."""
     obj = f"postfailover:{evidence.seed}"
@@ -388,9 +411,16 @@ class Scenario:
     client_stream: str
     obj: str
     value: str
+    #: Values are padded to this many characters (0: as formatted).
+    value_bytes: int = 0
 
     def config(self, **overrides: Any) -> LiveFireConfig:
         return LiveFireConfig(**{**self.defaults, **overrides})
+
+    def value_of(self, seed: int, cid: int, seq: int) -> str:
+        """Client ``cid``'s ``seq``-th value."""
+        value = self.value.format(seed=seed, cid=cid, seq=seq)
+        return value.ljust(self.value_bytes, ".")
 
     @property
     def subprocess_lane(self) -> bool:
@@ -450,6 +480,26 @@ SCENARIOS: Dict[str, Scenario] = {
             value="rw{seed}:c{cid}:s{seq}",
         ),
         Scenario(
+            name="v3-checkpoint",
+            label="checkpoint-kill",
+            help="v3 with 8 KiB puts on honest devices: the daemon crosses "
+            "online checkpoints that truncate its log, and a seeded crash "
+            "lands at a seeded device step inside one before the kill",
+            fault=Fault.KILL_IN_CHECKPOINT,
+            replicated=False,
+            checks=(acked_writes, killed_in_checkpoint),
+            # Puts only: a logical op over an object a checkpoint
+            # installed is the media-redo case these runs do not cover.
+            # No fault rates, so no time-zero backup pins the log.
+            defaults=dict(requests_per_client=100, objects_per_client=32,
+                          p_get=0.1),
+            kill_stream="checkpoint-kill",
+            client_stream="checkpoint-client",
+            obj="ck{cid}:{index}",
+            value="ck{seed}:c{cid}:s{seq}:",
+            value_bytes=8192,
+        ),
+        Scenario(
             name="v4",
             label="shard-kill",
             help="sharded live fire: kill one shard worker mid-serve; the "
@@ -502,6 +552,13 @@ class Plan:
     client_streams: Tuple[str, ...]
     #: Each client's first ``(obj, value)``.
     first_puts: Tuple[Tuple[str, str], ...]
+    #: A kill inside a checkpoint: which online checkpoint (1-based)
+    #: and which of its device steps — one of its first store writes
+    #: (0-based), or :data:`TRUNCATION_STEP`, its truncation (where a
+    #: checkpoint with fewer store writes is killed too).  Zero for the
+    #: other faults.
+    kill_checkpoint: int = 0
+    kill_step: int = 0
 
 
 def client_objects(
@@ -533,6 +590,13 @@ def plan(scenario: Scenario, config: LiveFireConfig, seed: int) -> Plan:
     if scenario.fault is Fault.KILL_SHARD:
         victim = rng.randrange(config.shards)
     kill_after = rng.randint(1, config.clients * config.requests_per_client)
+    kill_checkpoint = kill_step = 0
+    if scenario.fault is Fault.KILL_IN_CHECKPOINT:
+        # The third at the earliest: the first has nothing older than a
+        # previous checkpoint to install, and only from the second on
+        # does the log's start have to move.
+        kill_checkpoint = rng.randint(3, 4)
+        kill_step = rng.randint(0, TRUNCATION_STEP)
     zombie = (
         scenario.replicated
         and make_rng(f"replica-lane:{seed}").random() < config.zombie_ratio
@@ -555,16 +619,79 @@ def plan(scenario: Scenario, config: LiveFireConfig, seed: int) -> Plan:
         first_puts=tuple(
             (
                 client_objects(scenario, config, seed, cid)[0],
-                scenario.value.format(seed=seed, cid=cid, seq=0),
+                scenario.value_of(seed, cid, 0),
             )
             for cid in clients
         ),
+        kill_checkpoint=kill_checkpoint,
+        kill_step=kill_step,
     )
 
 
 # ----------------------------------------------------------------------
 # topologies under fire
 # ----------------------------------------------------------------------
+class _CheckpointKill:
+    """A crash at a seeded device step inside a seeded online checkpoint.
+
+    Wraps one system's ``checkpoint`` (to know when the seeded one runs)
+    and its devices' steps: the store writes of the checkpoint's
+    installs, then its truncation.  The seeded step raises
+    :class:`~repro.storage.faults.FaultCrash` instead of touching the
+    device, so the stable state is what a kill at that instant leaves —
+    some installs flushed, their installation records and the
+    checkpoint record perhaps unforced, the log untruncated — and the
+    daemon's watchdog recovers from exactly that.
+    """
+
+    def __init__(self, system: Any, checkpoint: int, step: int) -> None:
+        self.system, self.checkpoint, self.step = system, checkpoint, step
+        self.fired = threading.Event()
+        #: The log's stable start at the kill.
+        self.log_start: Optional[int] = None
+        self._seen = 0
+        #: Device steps taken inside the seeded checkpoint (None outside).
+        self._steps: Optional[int] = None
+        self._wrap(system, "checkpoint", self._checkpointing)
+        for name in ("write", "write_many", "delete"):
+            self._wrap(system.store, name, self._device_step)
+        self._wrap(system.log, "truncate_before", self._truncating)
+
+    @staticmethod
+    def _wrap(owner: Any, name: str, hook: Callable) -> None:
+        inner = getattr(owner, name)
+        setattr(owner, name, lambda *args, **kwargs: hook(inner, args, kwargs))
+
+    def _checkpointing(self, inner: Callable, args: tuple, kwargs: dict):
+        self._seen += 1
+        if self._seen == self.checkpoint:
+            self._steps = 0
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            self._steps = None
+
+    def _device_step(self, inner: Callable, args: tuple, kwargs: dict):
+        if self._steps is not None:
+            if self.step < TRUNCATION_STEP and self._steps == self.step:
+                self._kill(f"store write {self.step}")
+            self._steps += 1
+        return inner(*args, **kwargs)
+
+    def _truncating(self, inner: Callable, args: tuple, kwargs: dict):
+        if self._steps is not None:
+            self._kill("its truncation")
+        return inner(*args, **kwargs)
+
+    def _kill(self, where: str) -> None:
+        self._steps = None
+        self.log_start = self.system.log.stable_start_lsi()
+        self.fired.set()
+        raise FaultCrash(
+            f"killed inside online checkpoint {self.checkpoint}, at {where}"
+        )
+
+
 class _InProcess:
     """The scenario's topology from in-memory parts, in this process."""
 
@@ -578,6 +705,13 @@ class _InProcess:
             for seed in run_plan.fault_seeds
         ]
         self.sharded = self._systems("primary", self.models)
+        self.kill_point: Optional[_CheckpointKill] = None
+        if self.scenario.fault is Fault.KILL_IN_CHECKPOINT:
+            self.kill_point = _CheckpointKill(
+                self.sharded.systems[0],
+                run_plan.kill_checkpoint,
+                run_plan.kill_step,
+            )
         # Backups at time zero pin the log and back the quarantine path,
         # so mid-serve media restores can reinstate corrupt objects
         # instead of escalating to DEGRADED.
@@ -732,6 +866,7 @@ class _Subprocess:
     killed with a real signal and restarted with honest devices."""
 
     failover: Sequence[Tuple[str, int]] = ()
+    kill_point: Optional[_CheckpointKill] = None
 
     def __init__(
         self, workdir: str, graceful: bool, fault_seed: Optional[int]
@@ -859,6 +994,11 @@ class LiveFireHarness:
             description += f" victim=shard{run_plan.victim}"
         if self.scenario.replicated:
             description += f" lane={run_plan.lane}"
+        if run_plan.kill_checkpoint:
+            description += (
+                f" checkpoint={run_plan.kill_checkpoint}"
+                f" step={run_plan.kill_step}"
+            )
         outcome = LiveFireOutcome(
             description, seed=seed, lane=run_plan.lane, victim=run_plan.victim
         )
@@ -956,8 +1096,15 @@ class LiveFireHarness:
             for worker in workers:
                 worker.start()
             deadline = time.monotonic() + KILL_WAIT_S
+            kill_point = target.kill_point
+
+            def due() -> bool:
+                if kill_point is not None:
+                    return kill_point.fired.is_set()
+                return sum(len(log.acks) for log in logs) >= run_plan.kill_after
+
             while (
-                sum(len(log.acks) for log in logs) < run_plan.kill_after
+                not due()
                 and any(worker.is_alive() for worker in workers)
                 and time.monotonic() < deadline
             ):
@@ -997,7 +1144,12 @@ class LiveFireHarness:
                     raise AssertionError(f"the healed topology is {health}")
                 evidence = Evidence(
                     logs, reader.get, reader.put, fences,
-                    seed=run_plan.seed, **promotion,
+                    seed=run_plan.seed,
+                    log_start_at_kill=(
+                        kill_point.log_start if kill_point is not None
+                        else None
+                    ),
+                    **promotion,
                 )
                 for check in scenario.checks:
                     check(evidence, outcome)
@@ -1060,7 +1212,7 @@ class LiveFireHarness:
                     ))
                     continue
                 obj = objs[seq % len(objs)]
-                value = scenario.value.format(seed=seed, cid=cid, seq=seq)
+                value = scenario.value_of(seed, cid, seq)
                 if not log.put(client, obj, value) or stop.is_set():
                     continue
                 if rng.random() < cfg.p_get:

@@ -72,6 +72,9 @@ class FileLogManager(LogManager):
         #: The records decoded by the open, parallel to the index, until
         #: the first force / adoption / truncation drops them.
         self._snapshot: Optional[List[LogRecord]] = []
+        #: Bytes this process's forces and adoptions gave ``wal.log``;
+        #: truncation never lowers it (``wal.appended_bytes``).
+        self.appended_bytes = 0
         for offset, payload in self._file.scan():
             try:
                 record = decode_record(payload)
@@ -119,8 +122,10 @@ class FileLogManager(LogManager):
             self._frames.get(record.lsi) or self._frame(record)
             for record in pending
         ]
-        offset = self._file.append(b"".join(frames)) if frames else 0
+        data = b"".join(frames)
+        offset = self._file.append(data) if frames else 0
         with self._lock:
+            self.appended_bytes += len(data)
             self._snapshot = None
             for record, frame in zip(pending, frames):
                 self._lsis.append(record.lsi)
@@ -195,12 +200,15 @@ class FileLogManager(LogManager):
         return len(self._lsis) + len(self._buffer)
 
     def footprint(self) -> Dict[str, int]:
-        """``stable_bytes`` is the file's; RAM holds the buffer (and the
-        open snapshot while it lives), not the stable log."""
+        """``stable_bytes`` is the file's now and ``appended_bytes`` all
+        it was ever given (truncation lowers the one, never the other);
+        RAM holds the buffer (and the open snapshot while it lives), not
+        the stable log."""
         snapshot = self._snapshot
         return {
             "stable_records": len(self._lsis),
             "stable_bytes": self._file.end,
+            "appended_bytes": self.appended_bytes,
             "resident_records": len(self._buffer) + len(snapshot or ()),
         }
 

@@ -19,9 +19,10 @@ primary half of the protocol in :mod:`repro.replica.wire`:
   oracle holds across failover;
 * the shipped-but-unacked window is pinned against checkpoint
   truncation with a log protection
-  (:meth:`~repro.wal.log_manager.LogManager.add_protection`), advanced
-  as acks arrive — a reconnecting witness can always be caught up from
-  the primary's own log;
+  (:meth:`~repro.wal.log_manager.LogManager.add_protection`), held at
+  the log's start from construction until the first subscribe and
+  advanced as acks arrive — a reconnecting witness can always be caught
+  up from the primary's own log;
 * epoch fencing: a subscribe or ack carrying a *larger* epoch proves a
   promotion happened elsewhere — the sender marks itself fenced and
   every subsequent write is refused with ``FENCED`` (an ack from the
@@ -87,7 +88,15 @@ class ReplicationSender:
         self._watermark: StateId = NULL_SI
         #: Stable end already announced to the witness (``through``).
         self._shipped_through: StateId = NULL_SI
-        self._protection: Optional[int] = None
+        #: The truncation pin.  Until a witness says what it holds, that
+        #: may be anything from the log's start: writes executed with no
+        #: witness attached are logged (only their acks are refused),
+        #: and an online checkpoint must not cut them off before the
+        #: witness has them.
+        log = system.log
+        self._protection: Optional[int] = log.add_protection(
+            log.stable_start_lsi()
+        )
 
     # ------------------------------------------------------------------
     # status

@@ -294,16 +294,31 @@ class ShardedSystem:
           is simply absent;
         * **conflicting** — copies disagree on participants or vector:
           log corruption, never a legal outcome of the protocol.
+
+        A checkpoint may have truncated a fence off a participant's log
+        after installing its local op.  A writing participant whose
+        retained log starts above its entry in the fence's vector counts
+        as present: its copy was appended in the same turn, right behind
+        that op, and a checkpoint forces the buffer before it truncates.
+        (A read-only participant has no vector entry, so only its
+        retained log speaks for it.)
         """
         seen: Dict[str, Dict[int, FenceRecord]] = {}
+        starts: Dict[int, StateId] = {}
         for index, system in enumerate(self.systems):
+            starts[index] = system.log.stable_start_lsi()
             for record in system.log.stable_records():
                 if isinstance(record, FenceRecord):
                     seen.setdefault(record.fence_id, {})[index] = record
         audit = FenceAudit()
         for fence_id, copies in sorted(seen.items()):
             reference = next(iter(copies.values()))
-            present = tuple(sorted(copies))
+            truncated = {
+                shard
+                for shard, lsi in reference.vector.items()
+                if shard not in copies and starts.get(shard, lsi) > lsi
+            }
+            present = tuple(sorted(set(copies) | truncated))
             agreeing = all(
                 copy.participants == reference.participants
                 and copy.vector == reference.vector

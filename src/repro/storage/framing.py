@@ -31,12 +31,13 @@ version (see ``StableStore.media_redo_pending``).
 
 from __future__ import annotations
 
+import errno
 import io
 import os
 import struct
 import tempfile
 import zlib
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Iterator, Optional, Tuple, Union
 
 from repro.common.codec import (
     CodecError,
@@ -54,6 +55,11 @@ HEADER = struct.Struct("<II")  # payload length, crc32
 OVERHEAD = len(MAGIC) + HEADER.size
 #: Most a :meth:`FramedFile.scan` asks of the device in one read.
 SCAN_CHUNK = 256 * 1024
+#: ``copy_file_range`` errors that mean "not here": copy through a
+#: buffer instead.
+_NO_KERNEL_COPY = frozenset(
+    {errno.ENOSYS, errno.EXDEV, errno.EINVAL, errno.EOPNOTSUPP}
+)
 
 MARKER_NAME = "media_redo_pending.marker"
 #: Value field stored in the marker frame (the vSI slot carries the
@@ -135,18 +141,25 @@ def unframe(data: bytes, origin: str) -> Tuple[Any, StateId]:
     return decode_payload(payload_at(data, 0, MAGIC, origin), origin)
 
 
-def write_file_durably(path: str, data: bytes) -> None:
+def write_file_durably(
+    path: str, data: Union[bytes, Callable[[BinaryIO], None]]
+) -> None:
     """Write ``data`` to ``path`` via temp-file + fsync + atomic rename.
 
     The classic dance: either the full new contents land under ``path``
     or the previous contents survive — never a torn mixture.  The
     containing directory is fsynced so the rename itself is durable.
+    ``data`` may instead be a callable that writes the contents to the
+    temp file's handle.
     """
     directory = os.path.dirname(path)
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            if isinstance(data, bytes):
+                handle.write(data)
+            else:
+                data(handle)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -374,15 +387,48 @@ class FramedFile:
         self.torn = False
 
     def drop_prefix(self, base: int) -> None:
-        """Replace the file with its bytes ``[base, end)``, atomically."""
-        with open(self.path, "rb") as source:
-            source.seek(base)
-            retained = source.read(self.end - base)
-        write_file_durably(self.path, retained)
+        """Replace the file with its bytes ``[base, end)``, atomically.
+
+        The suffix is copied by the kernel where the platform can
+        (``copy_file_range``), else :data:`SCAN_CHUNK` bytes at a time:
+        a long retained log costs no memory, or a chunk of it, never its
+        length.  A source that ends short of ``end`` fails the copy
+        before the rename: the old file stays.
+        """
+        with open(self.path, "rb", buffering=0) as source:
+            write_file_durably(
+                self.path,
+                lambda target: self._copy(source.fileno(), target, base),
+            )
         # The held descriptor names the replaced inode.
         self.close()
         self.end -= base
         self.torn = False  # only [base, end) was carried over
+
+    def _copy(self, source: int, target: BinaryIO, offset: int) -> None:
+        """Copy the bytes ``[offset, end)`` of ``source`` to ``target``."""
+        in_kernel = hasattr(os, "copy_file_range")
+        while offset < self.end:
+            count = self.end - offset
+            if in_kernel:
+                try:
+                    copied = os.copy_file_range(
+                        source, target.fileno(), count, offset
+                    )
+                except OSError as exc:
+                    if exc.errno not in _NO_KERNEL_COPY:
+                        raise
+                    in_kernel = False  # this file system cannot
+                    continue
+            else:
+                piece = os.pread(source, min(SCAN_CHUNK, count), offset)
+                target.write(piece)
+                copied = len(piece)
+            if not copied:
+                raise CorruptObjectError(
+                    f"{self.path}: ends at {offset}, short of {self.end}"
+                )
+            offset += copied
 
     def remove(self) -> None:
         """Release the descriptor and unlink the file (the caller

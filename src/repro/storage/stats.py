@@ -59,6 +59,8 @@ class IOStats:
         Cache-manager-initiated identity write operations injected.
     flushes:
         Node installations performed by the cache manager.
+    checkpoints:
+        Checkpoint records written (manual, automatic and online).
     redo_executed / redo_skipped / redo_voided:
         Recovery-pass outcome counters.
     log_records_scanned:
@@ -102,6 +104,7 @@ class IOStats:
     atomic_flushes: int = 0
     identity_writes: int = 0
     flushes: int = 0
+    checkpoints: int = 0
     redo_executed: int = 0
     redo_skipped: int = 0
     redo_voided: int = 0

@@ -229,6 +229,97 @@ class TestTornTailContract:
         assert os.listdir(os.path.dirname(path)) == ["frames"]  # no temp left
 
 
+@pytest.fixture(params=["kernel", "chunks"])
+def copy_path(request, monkeypatch):
+    """Truncation's two copies: ``copy_file_range`` where the platform
+    has it, else a buffer a chunk at a time (forced here by making the
+    kernel refuse)."""
+    if request.param == "chunks":
+        def refuse(*_args):
+            raise OSError(errno.ENOSYS, "no copy_file_range here")
+
+        monkeypatch.setattr(
+            "repro.storage.framing.os.copy_file_range", refuse, raising=False
+        )
+    elif not hasattr(os, "copy_file_range"):
+        pytest.skip("the platform has no copy_file_range")
+    return request.param
+
+
+class TestDropPrefix:
+    """Truncation runs on the serving path: it copies the retained
+    suffix without holding it, and a copy that fails leaves the old
+    file."""
+
+    def test_the_copy_holds_a_chunk_not_the_suffix(self, tmp_path, copy_path):
+        import tracemalloc
+
+        path = str(tmp_path / "wal.log")
+        payload = b"p" * (64 * 1024 - HEADER.size)
+        file = FramedFile(path)
+        file.append(pack_frame(payload) * 256)  # 16 MiB of frames
+        tracemalloc.start()
+        try:
+            file.drop_prefix(16 * len(pack_frame(payload)))  # 1 MiB
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert os.path.getsize(path) == file.end == 15 << 20
+        assert len(_scan(path, b"")[1]) == 240
+
+    def _written_past_a_frame(self, path, magic, monkeypatch):
+        """A file whose suffix past its first frame takes several
+        copies."""
+        monkeypatch.setattr(framing, "SCAN_CHUNK", 8)
+        _written(path, magic)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        file = FramedFile(path, magic)
+        offsets = [offset for offset, _ in file.scan()]
+        return file, offsets[1], before
+
+    def _unchanged(self, path, file, before, magic):
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+        assert file.end == len(before)
+        assert os.listdir(os.path.dirname(path)) == ["frames"]  # no temp left
+        assert file.append(pack_frame(b"after", magic)) == len(before)
+        assert _scan(path, magic)[1] == PAYLOADS + [b"after"]
+
+    def test_a_copy_that_dies_midway_leaves_the_old_file(
+        self, path, magic, copy_path, monkeypatch
+    ):
+        file, base, before = self._written_past_a_frame(path, magic, monkeypatch)
+        name = "copy_file_range" if copy_path == "kernel" else "pread"
+        real, calls = getattr(os, name), []
+
+        def dies_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError(errno.EIO, "injected: copy failed midway")
+            if name == "copy_file_range":
+                source, target, count, offset = args
+                return real(source, target, min(count, 8), offset)
+            return real(*args)
+
+        monkeypatch.setattr(f"repro.storage.framing.os.{name}", dies_second)
+        with pytest.raises(OSError, match="midway"):
+            file.drop_prefix(base)
+        monkeypatch.undo()
+        self._unchanged(path, file, before, magic)
+
+    def test_a_source_torn_short_of_its_end_is_not_carried_over(
+        self, path, magic, copy_path, monkeypatch
+    ):
+        file, base, before = self._written_past_a_frame(path, magic, monkeypatch)
+        file.end += 5  # bytes the object vouches for that are not there
+        with pytest.raises(CorruptObjectError, match="short of"):
+            file.drop_prefix(base)
+        file.end -= 5
+        self._unchanged(path, file, before, magic)
+
+
 class TestInteriorDamage:
     """Where the layouts differ: only a magic lets a scan resynchronize."""
 

@@ -24,14 +24,17 @@ from repro.livefire import (
     DAEMON,
     DERIVED,
     SCENARIOS,
+    TRUNCATION_STEP,
     Ack,
     ClientLog,
     Evidence,
+    Fault,
     LiveFireHarness,
     LiveFireOutcome,
     acked_writes,
     epoch_audit,
     fence_audit,
+    killed_in_checkpoint,
     plan,
     promoted_serves,
     survivors_acked,
@@ -44,8 +47,26 @@ from repro.shard.group import FenceStatus
 QUICK = dict(clients=2, requests_per_client=6)
 
 
+def _quick_shape(name: str) -> dict:
+    """A small run's shape — the row's own where a smaller one would
+    not reach what the row is about (a kill inside the third online
+    checkpoint needs over 1.5 MiB of puts)."""
+    if SCENARIOS[name].fault is Fault.KILL_IN_CHECKPOINT:
+        return {}
+    return QUICK
+
+
 def quick(name: str, **overrides) -> LiveFireHarness:
-    return LiveFireHarness(name, SCENARIOS[name].config(**{**QUICK, **overrides}))
+    return LiveFireHarness(
+        name, SCENARIOS[name].config(**{**_quick_shape(name), **overrides})
+    )
+
+
+def quick_argv(name: str) -> list:
+    """The CLI flags of :func:`quick`'s shape."""
+    if not _quick_shape(name):
+        return []
+    return ["--clients", "2", "--requests", "6"]
 
 
 # ----------------------------------------------------------------------
@@ -118,7 +139,7 @@ class TestEveryScenario:
 
     def test_cli(self, name, capsys):
         argv = ["torture", name, "--runs", "2", "--seed", "9",
-                "--clients", "2", "--requests", "6"]
+                *quick_argv(name)]
         if SCENARIOS[name].subprocess_lane:
             argv.append("--no-subprocess")
         assert main(argv) == 0
@@ -128,8 +149,7 @@ class TestEveryScenario:
     def test_cli_metrics_out(self, name, tmp_path, capsys):
         path = tmp_path / f"{name}.jsonl"
         argv = ["torture", name, "--runs", "1", "--seed", "2",
-                "--clients", "2", "--requests", "6",
-                "--metrics-out", str(path)]
+                *quick_argv(name), "--metrics-out", str(path)]
         if SCENARIOS[name].subprocess_lane:
             argv.append("--no-subprocess")
         assert main(argv) == 0
@@ -196,6 +216,39 @@ class TestReplica:
         # shards x replication waits for ROADMAP item 3c.
         with pytest.raises(ValueError):
             quick("v5", shards=2).run(0)
+
+
+class TestCheckpointKill:
+    def test_the_kill_lands_at_the_seeded_step(self, monkeypatch):
+        landed = []
+        kill = livefire._CheckpointKill._kill
+
+        def spy(self, where):
+            landed.append((self.checkpoint, where))
+            kill(self, where)
+
+        monkeypatch.setattr(livefire._CheckpointKill, "_kill", spy)
+        harness = LiveFireHarness("v3-checkpoint")
+        for seed in (1, 4):  # checkpoint 3 at store write 2; at truncation
+            run_plan = plan(harness.scenario, harness.config, seed)
+            outcome = harness.run(seed)
+            assert outcome.ok, outcome.error
+            # The crash was recovered in place, then the daemon killed.
+            assert outcome.restarts == 1 and outcome.acked > 150
+        assert landed == [(3, "store write 2"), (3, "its truncation")]
+        assert [run_plan.kill_checkpoint, run_plan.kill_step] == [
+            3, TRUNCATION_STEP
+        ]
+
+    def test_the_other_rows_plan_no_such_kill(self):
+        for name, scenario in SCENARIOS.items():
+            run_plan = plan(scenario, scenario.config(), 0)
+            inside = scenario.fault is Fault.KILL_IN_CHECKPOINT
+            assert (run_plan.kill_checkpoint > 0) == inside, name
+        value = plan(
+            SCENARIOS["v3-checkpoint"], SCENARIOS["v3-checkpoint"].config(), 0
+        ).first_puts[0][1]
+        assert value.startswith("ck0:c0:s0:") and len(value) == 8192
 
 
 class TestSubprocessLane:
@@ -445,6 +498,14 @@ class TestOtherChecks:
         asked = LiveFireOutcome("fabricated", survivor_acks_during_outage=2)
         survivors_acked(Evidence([], lambda obj: (None, None)), asked)
         assert asked.ok
+
+    def test_a_kill_inside_a_checkpoint_must_have_landed_on_a_cut_log(self):
+        error, _ = judge(killed_in_checkpoint, ClientLog())
+        assert "never landed inside a checkpoint" in error
+        error, _ = judge(killed_in_checkpoint, ClientLog(), log_start_at_kill=1)
+        assert "no online checkpoint truncated the log" in error
+        error, _ = judge(killed_in_checkpoint, ClientLog(), log_start_at_kill=90)
+        assert error is None
 
     def test_promoted_witness_must_serve_what_it_wrote(self):
         stored = {}

@@ -543,8 +543,13 @@ class TestPair:
                 threading.Thread(target=put, args=("dl:short", 300)),
                 threading.Thread(target=put, args=("dl:long", 1800)),
             ]
-            for thread in threads:
-                thread.start()
+            # The short request is parked first, so the witness wait it
+            # heads ends at its deadline whether or not the long one
+            # rode in the same batch.  (Parked second, alone in its own
+            # batch, the short one would wait out the long one's.)
+            threads[0].start()
+            assert wait_until(lambda: len(primary._shards[0].parked) == 1)
+            threads[1].start()
             # The short request is refused at its deadline, alone: the
             # long one stays parked (not refused early, not acked).
             threads[0].join(timeout=5.0)
@@ -589,6 +594,76 @@ class TestPair:
             client.close()
         finally:
             daemon.kill()
+
+    def test_a_restarted_primary_keeps_what_no_witness_has_seen(self):
+        # A restarted primary logs the writes it executes while no
+        # witness is attached (only their acks are refused).  Its online
+        # checkpoints must not truncate them before a witness subscribes:
+        # the witness adopts gap-tolerantly, so a hole would go unseen
+        # until a logical redo over it diverged.
+        from repro.replica import WitnessConfig, WitnessDaemon
+        from repro.serve.server import ONLINE_CHECKPOINT_BYTES
+
+        primary, witness = _start_pair(redo_every_records=1 << 30)
+        primary_system, witness_system = primary.system, witness.system
+        try:
+            with _client(primary.port) as client:
+                client.request("put", obj="gap:seed", value="acked")
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+        watermark = witness_system.log.stable_end_lsi()
+        executed, adopted = [], []
+        append, adopt = (
+            primary_system.log.append_operation,
+            witness_system.log.adopt_records,
+        )
+
+        def append_operation(op):
+            executed.append(append(op))
+            return executed[-1]
+
+        def adopt_records(records):
+            adopted.extend(
+                r.lsi for r in records if isinstance(r, OperationRecord)
+            )
+            return adopt(records)
+
+        primary_system.log.append_operation = append_operation
+        witness_system.log.adopt_records = adopt_records
+        primary_system.crash()
+        primary = ServeDaemon(
+            primary_system,
+            DaemonConfig(port=0, http_port=None, retry_after_ms=5),
+            replication=ReplicationConfig(ack_timeout_s=0.05),
+        ).start()
+        witness = None
+        try:
+            value = "x" * 8192
+            with _client(primary.port, attempts=1) as client:
+                for index in range(2 * ONLINE_CHECKPOINT_BYTES // 8192 + 32):
+                    with pytest.raises(ServerUnavailableError):
+                        client.request("put", obj=f"gap:{index}", value=value)
+            assert primary_system.stats.checkpoints >= 2
+            witness = WitnessDaemon(
+                witness_system,
+                DaemonConfig(port=0, http_port=None, retry_after_ms=5),
+                witness=WitnessConfig(
+                    primary_port=primary.port,
+                    redo_every_records=1 << 30,
+                    reconnect_delay_s=0.02,
+                ),
+            ).start()
+            end = primary_system.log.stable_end_lsi()
+            assert wait_until(
+                lambda: witness.replication_status()["adopted_through"] >= end,
+                10.0,
+            )
+            assert adopted == [lsi for lsi in executed if lsi > watermark]
+        finally:
+            if witness is not None:
+                witness.stop(graceful=False)
+            primary.kill()
 
     def test_replicated_primary_without_witness_refuses_acks(self):
         # CP choice: rather than ack a write the witness never saw,

@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from repro.core.operation import Operation, OpKind
 from repro.kernel.system import SystemHealth
 from repro.shard import CrossShardError, ShardedSystem
 from repro.wal.records import FenceRecord
@@ -242,6 +243,30 @@ class TestFenceAudit:
         sharded.systems[0].log.append(self._agreeing())  # never forced
         audit = sharded.fence_audit()
         assert not audit.complete and not audit.partial
+
+    def test_a_fence_truncated_off_a_writing_participant_is_complete(self):
+        # Each shard checkpoints on its own: a participant that installed
+        # its local op and truncated the log past it (and its fence copy)
+        # still took part in every acked cross-shard apply.
+        sharded = _sharded(2)
+        src, dst = _key_on(sharded, 0, "s"), _key_on(sharded, 1, "d")
+        sharded.execute(physical(src, b"x"))
+        sharded.execute(_cross_derive(src, dst, name="xd"))
+        sharded.execute(
+            Operation(
+                "xp", OpKind.PHYSICAL, reads=set(), writes={src, dst},
+                payload={src: b"both", dst: b"sides"},
+            )
+        )
+        one = sharded.systems[1]
+        for index in range(8):
+            one.execute(physical(_key_on(sharded, 1, f"more{index}"), b"m"))
+        one.flush_all()
+        one.checkpoint(truncate=True)
+        assert _fences(sharded, 1) == [] and len(_fences(sharded, 0)) == 2
+        audit = sharded.fence_audit()
+        assert audit.ok and not audit.partial
+        assert [status.present_on for status in audit.complete] == [(0, 1)] * 2
 
     def test_mixed_traffic_audit(self):
         sharded = _sharded(2)
