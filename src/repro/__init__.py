@@ -121,7 +121,7 @@ from repro.shard import (
 )
 from repro.livefire import SCENARIOS, LiveFireConfig, LiveFireHarness
 
-__version__ = "4.9.0"
+__version__ = "4.10.0"
 
 __all__ = [
     "ObjectId",

@@ -48,14 +48,14 @@ from repro.obs.tracing import stage
 from repro.replica import wire
 from repro.replica.epoch import INITIAL_EPOCH, EpochStore
 from repro.serve import protocol
-from repro.serve.server import (
-    DaemonConfig,
-    ServeDaemon,
-    _Connection,
-    _Shard,
-    _Work,
-)
+from repro.serve.server import DaemonConfig, ServeDaemon, _Connection
+from repro.serve.worker import _Shard, _Work
 from repro.storage.backup import FuzzyBackup
+
+#: How long one dial of the primary may take before the subscriber
+#: backs off and redials: a live primary on a reachable host accepts in
+#: well under this, and a longer wait only delays noticing a dead one.
+CONNECT_TIMEOUT_S = 2.0
 
 
 @dataclass
@@ -69,7 +69,6 @@ class WitnessConfig:
     redo_every_records: int = 64
     #: Backoff between subscribe attempts while the primary is away.
     reconnect_delay_s: float = 0.2
-    connect_timeout_s: float = 2.0
     #: Directory for the durable epoch sidecar (None = in-memory).
     epoch_root: Optional[str] = None
 
@@ -147,14 +146,7 @@ class WitnessDaemon(ServeDaemon):
         with self._sock_lock:
             sock, self._subscriber_sock = self._subscriber_sock, None
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            protocol.close_socket(sock)
 
     # ------------------------------------------------------------------
     # status
@@ -200,17 +192,13 @@ class WitnessDaemon(ServeDaemon):
     # ------------------------------------------------------------------
     def _admit(self, conn: _Connection, request: Dict[str, Any]) -> None:
         kind = request.get("kind")
-        request_id = request.get("id")
-        if not self._promoted.is_set():
+        # A kind that is no string is the core's to refuse.
+        if isinstance(kind, str) and not self._promoted.is_set():
             if kind in protocol.REPLICATION_KINDS:
-                conn.send(
-                    protocol.error_response(
-                        request_id,
-                        "BAD_REQUEST",
-                        "this server is a witness; it does not accept "
-                        "replication subscriptions",
-                        self.system.health.value,
-                    )
+                self._refuse(
+                    conn, request, "BAD_REQUEST",
+                    "this server is a witness; it does not accept "
+                    "replication subscriptions",
                 )
                 return
             if kind in ("get", "put", "delete", "apply"):
@@ -218,15 +206,11 @@ class WitnessDaemon(ServeDaemon):
                     f"{self.witness_config.primary_host}:"
                     f"{self.witness_config.primary_port}"
                 )
-                conn.send(
-                    protocol.error_response(
-                        request_id,
-                        "UNAVAILABLE",
-                        f"this server is a witness of {target} (epoch "
-                        f"{self.epoch}); not serving until promoted",
-                        self.system.health.value,
-                        self.config.retry_after_ms,
-                    )
+                self._refuse(
+                    conn, request, "UNAVAILABLE",
+                    f"this server is a witness of {target} (epoch "
+                    f"{self.epoch}); not serving until promoted",
+                    retry_after_ms=self.config.retry_after_ms,
                 )
                 return
         super()._admit(conn, request)
@@ -251,7 +235,7 @@ class WitnessDaemon(ServeDaemon):
             try:
                 sock = socket.create_connection(
                     (cfg.primary_host, cfg.primary_port),
-                    timeout=cfg.connect_timeout_s,
+                    timeout=CONNECT_TIMEOUT_S,
                 )
             except OSError:
                 self._attached.clear()
@@ -570,8 +554,7 @@ class WitnessDaemon(ServeDaemon):
     def _ready_payload(self) -> Tuple[int, Dict[str, Any]]:
         if self._promoted.is_set():
             return super()._ready_payload()
-        _status, payload = super()._health_payload()
-        payload.update(self.replication_status())
+        _status, payload = self._health_payload()
         reasons = []
         if not self.attached:
             reasons.append("not subscribed to a primary")

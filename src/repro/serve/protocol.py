@@ -44,6 +44,7 @@ lives above it.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import socket
 import struct
@@ -65,6 +66,9 @@ MAX_FRAME = 16 * 1024 * 1024
 REQUEST_KINDS = frozenset(
     {"ping", "get", "put", "delete", "apply", "health", "stats", "promote"}
 )
+
+#: Request kinds that mutate state (gated in DEGRADED health).
+WRITE_KINDS = frozenset({"put", "delete", "apply"})
 
 #: Chaos-engineering kinds the *sharded* daemon accepts when started
 #: with ``--allow-chaos`` (harness/CI use only): kill one shard worker
@@ -119,6 +123,11 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+def encode_writes(writes: Dict[Any, Any]) -> Dict[str, Any]:
+    """An ``apply`` answer's ``writes`` field: object id → value."""
+    return {str(obj): encode_value(value) for obj, value in writes.items()}
+
+
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
@@ -132,6 +141,15 @@ def disable_nagle(sock: socket.socket) -> None:
     or accepted.
     """
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def close_socket(sock: socket.socket) -> None:
+    """Shut a stream down both ways, waking a thread blocked in ``recv``
+    on it, and close it; a peer that is already gone is no error."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):
+        sock.close()
 
 
 def send_frame(sock: socket.socket, message: Dict[str, Any]) -> None:

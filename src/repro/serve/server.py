@@ -4,144 +4,82 @@
 :mod:`repro.serve.protocol` in front of one
 :class:`~repro.kernel.system.RecoverableSystem` — or of the N kernels
 of a :class:`~repro.shard.ShardedSystem`; the single-kernel server *is*
-the one-shard case of the same class (trivial router, rendezvous never
-taken) — and turns the escalation-ladder machinery into an *operable*
-long-running process:
+the one-shard case of the same class.  The daemon owns lifecycle,
+accept/read/admit/route, health and readiness, chaos, and the verb →
+operation dispatch.  Each shard's apply loop and committer are its
+worker's (:mod:`repro.serve.worker`); cross-shard applies meet in
+:mod:`repro.serve.cross`.
 
 * **supervised startup** — the listener does not open until every
   shard's :class:`~repro.serve.watchdog.ServingWatchdog` has driven
   recovery to a terminal state, so a daemon restarted over SIGKILL
   debris serves its first request from verified state.  A shard that
-  lands DEGRADED or FAILED does not block the others — admission gates
-  per shard, which is the partial-outage point;
+  lands DEGRADED or FAILED does not block the others;
 * **health-gated admission, per shard** — each shard has its own
   bounded queue and health gate: requests are admitted when HEALTHY,
   queued (bounded backlog) while RECOVERING, answered read-only while
-  DEGRADED (writes get a structured ``DEGRADED`` rejection), refused
-  outright when FAILED.  One shard DEGRADED answers *its* writes with
-  ``DEGRADED`` while the other shards keep acking; one shard's full
-  queue answers ``BACKPRESSURE`` **with the shard index**, so clients
-  back off that shard only;
-* **one apply thread per shard** — the kernel is not thread-safe, so
-  shard k's kernel is touched only by shard k's worker; reader threads
-  only frame, validate, gate and enqueue.  The worker executes, appends
-  and *parks* the reply: a write touches no device or socket on it;
-* **one committer per shard** — the second stage of the ack pipeline
-  (``ack.queue_ms → ack.apply_ms → ack.force_ms →
-  [ack.repl_wait_ms]``, DESIGN.md §4b) loops *one ``log.force()`` of
-  the buffered prefix → with a sender attached, one witness wait →
-  send every parked reply the stable end (and witness watermark) now
-  covers*: a write waits for its lSI, a ``get`` for the vSI it read
-  (answered inline when already covered).  No timer, no batch size: a
-  lone request is forced at once, its company is whatever was parked
-  during the previous force, and an acked write is durable by
-  construction — the exactly-once visibility invariant the live-fire
-  torture lanes assert.  A failed force or witness wait answers the
-  parked batch from :meth:`ServeDaemon._refusal`, acks none, and (a
-  storage failure) hands the shard to its watchdog once;
-* **deadlines and backpressure** — every request carries a deadline
-  budget (``deadline_ms``, defaulted and capped by config); a request
-  that expires while queued — a cross-shard one included — is answered
-  ``DEADLINE`` without touching a kernel, and a full queue answers
-  ``BACKPRESSURE`` with a ``retry_after_ms`` hint the client's backoff
-  honors;
-* **mid-serve crash watchdog, per shard** — a storage failure
-  surfacing inside an apply discards that shard's volatile state and
-  re-runs its supervisor ladder while admission keeps queueing and the
-  other shards serve on; the in-flight request and every parked reply
-  get a retryable ``UNAVAILABLE`` answer (their durability is decided
-  by the WAL, and the daemon only ever acks after a force);
-* **cross-shard operations** — an ``apply`` whose footprint spans
-  shards is executed under a rendezvous: the operation is enqueued to
-  every participant, the lowest-numbered participant coordinates, the
-  other participants park their worker (their kernel's "turn" is what
-  the coordinator borrows), and the
-  :meth:`~repro.shard.ShardedSystem.execute_cross` fence protocol
-  runs — local physical ops, fence records on every participant, all
-  participant WALs forced inline (not pipelined), then the ack.
-  Rendezvous tokens are enqueued under one daemon-wide lock so their
-  relative order is the same in every participant queue — two
-  cross-shard operations can never deadlock waiting for each other's
-  participants;
-* **chaos endpoints** — with ``allow_chaos`` the protocol kinds
-  ``kill_shard`` / ``revive_shard`` let harnesses and the CI smoke job
-  kill one shard worker in place (its volatile state is lost, exactly
-  the SIGKILL model) and later revive it through supervised recovery,
-  proving partial-outage behavior against a real process;
+  DEGRADED, refused outright when FAILED.  A full queue answers
+  ``BACKPRESSURE`` **with the shard index** and a ``retry_after_ms``
+  hint, so clients back off that shard only.  Every request carries a
+  deadline budget (``deadline_ms``, capped at :data:`MAX_DEADLINE_MS`);
+  one that expires while queued is answered ``DEADLINE`` without
+  touching a kernel.  Every refusal leaves through
+  :meth:`ServeDaemon._refuse`;
+* **chaos endpoints** — with ``allow_chaos``, ``kill_shard`` /
+  ``revive_shard`` kill one shard worker in place (the SIGKILL model)
+  and revive it through supervised recovery;
 * **graceful shutdown** — ``stop()`` (the SIGTERM path) stops
   admitting, drains the queues, forces every WAL, checkpoints, and
-  closes; ``kill()`` models SIGKILL for harnesses: everything stops
-  now and whatever the WALs did not force never happened.
+  closes; ``kill()`` models SIGKILL for harnesses.
 
 Metrics: a one-shard daemon reports ``serve.*`` / ``ack.*`` into its
 kernel's own registry.  With N > 1 every kernel keeps its own registry
 (the io/engine collector prefixes would collide on a shared one), the
 daemon keeps a separate one for ``serve.*``, and ``/metrics`` renders
-the merged view with ``shard<k>.`` prefixes.  That wiring, done once
-in the constructor, is the only place the daemon looks at N.  The
-``/metrics`` + ``/healthz`` HTTP endpoint
-(:class:`~repro.obs.http.ObsHTTPServer`) runs alongside the socket
-listener so the registry is scrapeable while faults fire.
+the merged view with ``shard<k>.`` prefixes — wired once, in the
+constructor, the only place the daemon looks at N.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import socket
 import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import (
-    Any,
-    Callable,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-    TYPE_CHECKING,
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.http import ObsHTTPServer
     from repro.replica.sender import ReplicationConfig, ReplicationSender
 
-from repro.common.identifiers import NULL_SI, StateId
-from repro.common.errors import (
-    CorruptObjectError,
-    DegradedModeError,
-    ReproError,
-    SimulatedCrash,
-    TransientStorageError,
-)
+from repro.common.errors import ReproError, SimulatedCrash
 from repro.core.operation import Operation, OpKind, delete_object
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, process_memory
-from repro.obs.tracing import TraceContext, record_stage, stage
+from repro.obs.tracing import stage
 from repro.serve import protocol
-from repro.serve.errors import FencedError, ServerUnavailableError
+from repro.serve.cross import Rendezvous
+from repro.serve.errors import FencedError
+from repro.serve.protocol import WRITE_KINDS
 from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
-from repro.shard.group import CrossShardError, ShardedSystem
+from repro.serve.worker import _Shard, _stage_ctx, _Work, enqueue
+from repro.shard.group import ShardedSystem
 from repro.storage.backup import FuzzyBackup
 
-#: Request kinds that mutate state (gated in DEGRADED health).
-WRITE_KINDS = frozenset({"put", "delete", "apply"})
+#: Ceiling on client-supplied deadlines (ms): a client may ask for less
+#: than a minute of queueing, never for a request that outlives the
+#: operator's patience with a jammed shard.
+MAX_DEADLINE_MS = 60_000
 
-#: Log bytes appended between a shard's online checkpoints.  Each one
-#: installs what is older than the previous one, so a key that is
-#: rewritten within an interval never costs a store write: per put, the
-#: chance of a flush is about e^(-interval / (keys x record bytes)) —
-#: ~7% for uniform puts over 1 024 keys of 128 B.  Half the interval
-#: flushes a quarter of those puts, on the apply thread, for a log half
-#: as long; twice it doubles the log (and a killed daemon's redo) to
-#: save flushes this interval already mostly avoids.
-ONLINE_CHECKPOINT_BYTES = 512 * 1024
+#: Graceful shutdown: how long to drain the queues before answering the
+#: stragglers SHUTTING_DOWN.  Well inside a supervisor's SIGTERM →
+#: SIGKILL grace period, so the drain, not the kill, ends the process.
+DRAIN_DEADLINE_S = 10.0
 
 #: Health severity order for the aggregate health string.
 _HEALTH_RANK = {
@@ -167,23 +105,14 @@ class DaemonConfig:
     max_queue: int = 64
     #: Deadline budget applied to requests that carry none.
     default_deadline_ms: int = 5_000
-    #: Ceiling on client-supplied deadlines.
-    max_deadline_ms: int = 60_000
     #: Backoff hint returned with BACKPRESSURE / UNAVAILABLE answers.
     retry_after_ms: int = 50
-    #: Graceful shutdown: how long to drain the queues before answering
-    #: the stragglers SHUTTING_DOWN.
-    drain_deadline_s: float = 10.0
-    #: Write a checkpoint during graceful shutdown (HEALTHY only).
-    checkpoint_on_shutdown: bool = True
     #: Watchdog/supervisor policy (ladder budgets, restart cap).
     watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
     #: Flight-recorder persistence path (``flightrec.jsonl`` under the
     #: data dir when run via the CLI; None = in-memory ring only, still
     #: served by ``/debug/flightrec``).
     flightrec_path: Optional[str] = None
-    #: Flight-recorder ring capacity (recent events kept).
-    flightrec_capacity: int = 2048
     #: Accept ``kill_shard`` / ``revive_shard`` chaos requests.  Off by
     #: default: only harnesses and CI smoke jobs should ever enable it.
     allow_chaos: bool = False
@@ -214,14 +143,7 @@ class _Connection:
     def close(self) -> None:
         with self.lock:
             self.alive = False
-            try:
-                self.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self.sock.close()
-            except OSError:
-                pass
+            protocol.close_socket(self.sock)
 
 
 class _ShardEventSink:
@@ -240,115 +162,6 @@ class _ShardEventSink:
     def emit(self, kind: str, **details: Any) -> None:
         details.setdefault("shard", self._index)
         self._recorder.emit(kind, **details)
-
-
-class _CrossJob:
-    """One cross-shard request's rendezvous state."""
-
-    def __init__(self, participants: Tuple[int, ...]) -> None:
-        self.participants = participants
-        self.coordinator = participants[0]
-        self._lock = threading.Lock()
-        self._arrived: set = set()
-        self.all_arrived = threading.Event()
-        #: Set exactly once, after the coordinator answered (or the job
-        #: was cancelled); parked participants resume on it.
-        self.done = threading.Event()
-        self.cancelled = False
-
-    def arrive(self, shard: int) -> None:
-        with self._lock:
-            self._arrived.add(shard)
-            if self._arrived >= set(self.participants):
-                self.all_arrived.set()
-
-    def cancel(self) -> bool:
-        """Call the job off and release every parked participant.
-
-        Tokens still queued become no-ops.  True for exactly one
-        caller: the one that owes the client the refusal.
-        """
-        with self._lock:
-            first = not self.cancelled
-            self.cancelled = True
-        self.done.set()
-        return first
-
-
-@dataclass(eq=False)  # identity: one item is parked, taken, answered once
-class _Work:
-    """One admitted request waiting in a shard's queue."""
-
-    request: Dict[str, Any]
-    conn: _Connection
-    deadline: float
-    enqueued: float
-    #: Distributed-trace context minted by the client (None untraced).
-    trace: Optional[TraceContext] = None
-    #: Rendezvous state when the footprint spans shards: the same work
-    #: item then sits in every participant's queue.
-    cross: Optional[_CrossJob] = None
-    #: Set by the apply: the lSI the stable end must cover before
-    #: ``response`` leaves (a write's own, a get's observed vSI), and
-    #: when the apply started / parked it (monotonic).
-    lsi: StateId = NULL_SI
-    started: float = 0.0
-    parked: float = 0.0
-    response: Optional[Dict[str, Any]] = None
-
-
-class _Shard:
-    """One recovery domain's serving-side state."""
-
-    def __init__(
-        self,
-        index: int,
-        system: RecoverableSystem,
-        watchdog: ServingWatchdog,
-        max_queue: int,
-    ) -> None:
-        self.index = index
-        #: Per-ack counter name, built once rather than per ack.
-        self.acked_writes = f"serve.shard.{index}.acked_writes"
-        self.system = system
-        self.watchdog = watchdog
-        #: Primary-side replication of this shard's WAL (None =
-        #: standalone).  With a sender attached, every write's ack
-        #: additionally waits for the witness's durable receipt — see
-        #: :mod:`repro.replica.sender`.
-        self.replication: Optional["ReplicationSender"] = None
-        self.queue: "queue.Queue[_Work]" = queue.Queue(
-            maxsize=max(1, max_queue)
-        )
-        self.thread: Optional[threading.Thread] = None
-        #: Replies parked behind the committer, in apply order, guarded
-        #: by ``commit`` (which the apply thread signals on each park).
-        self.parked: Deque[_Work] = deque()
-        self.commit = threading.Condition()
-        self.committer: Optional[threading.Thread] = None
-        #: A force failure the committer hit, until the apply thread —
-        #: the only one on the kernel — has run the watchdog for it.
-        self.crash: Optional[BaseException] = None
-        self.stop = threading.Event()
-        self.idle = threading.Event()
-        self.idle.set()
-        #: True between kill_shard and revive_shard: the workers are
-        #: dead and the shard's volatile state is gone.
-        self.killed = False
-
-    def depth(self) -> int:
-        """Admitted work not yet answered: queued plus parked."""
-        return self.queue.qsize() + len(self.parked)
-
-
-#: Storage failures that surface inside an apply: the shard's volatile
-#: state is suspect, so its watchdog re-runs the ladder.
-_SERVING_CRASHES = (SimulatedCrash, CorruptObjectError, TransientStorageError)
-
-
-def _stage_ctx(trace: Optional[TraceContext]) -> Optional[TraceContext]:
-    """A stage's own context: a direct child of the client's root."""
-    return trace.child() if trace is not None else None
 
 
 class ServeDaemon:
@@ -384,15 +197,16 @@ class ServeDaemon:
         backups += [None] * (len(systems) - len(backups))
         self._shards: List[_Shard] = [
             _Shard(
+                self,
                 index,
                 kernel,
                 ServingWatchdog(
                     kernel, backup=backups[index], config=self.config.watchdog
                 ),
-                self.config.max_queue,
             )
             for index, kernel in enumerate(systems)
         ]
+        self._rendezvous = Rendezvous(self)
         if replication is not None:
             from repro.replica.sender import ReplicationSender
 
@@ -404,10 +218,9 @@ class ServeDaemon:
         #: (health transitions, watchdog restarts, epoch changes, chaos)
         #: into one bounded ring persisted at ``flightrec_path``, so a
         #: dump interleaves all N domains' transitions on one timeline.
-        self.flightrec = FlightRecorder(
-            self.config.flightrec_path,
-            capacity=self.config.flightrec_capacity,
-        )
+        #: Its default 2 048-event ring holds lifecycle events only, so
+        #: it spans restarts and chaos, not a burst of traffic.
+        self.flightrec = FlightRecorder(self.config.flightrec_path)
         #: ``(prefix, registry)`` of every kernel registry that is *not*
         #: the daemon's own; the merged ``/metrics`` view prefixes them.
         self._kernel_registries: List[Tuple[str, Any]] = []
@@ -448,10 +261,6 @@ class ServeDaemon:
         #: connections currently open, not by those ever accepted.
         self._conns: Dict[_Connection, threading.Thread] = {}
         self._conns_lock = threading.Lock()
-        #: Serializes cross-job enqueues: tokens of different cross jobs
-        #: appear in the same relative order in every participant queue,
-        #: which is the no-deadlock argument for the rendezvous.
-        self._cross_lock = threading.Lock()
         #: Serializes chaos operations (kill/revive) with each other.
         self._control_lock = threading.Lock()
         self._draining = threading.Event()
@@ -568,45 +377,27 @@ class ServeDaemon:
             },
         )
         for shard in self._shards:
-            self._start_worker(shard)
+            shard.start()
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-serve-accept", daemon=True
         )
         self._accept_thread.start()
         return self
 
-    def _start_worker(self, shard: _Shard) -> None:
-        shard.stop = threading.Event()
-        shard.crash = None
-        shard.thread = threading.Thread(
-            target=self._shard_loop,
-            args=(shard,),
-            name=f"repro-serve-apply-{shard.index}",
-            daemon=True,
-        )
-        shard.committer = threading.Thread(
-            target=self._commit_loop,
-            args=(shard,),
-            name=f"repro-serve-commit-{shard.index}",
-            daemon=True,
-        )
-        shard.thread.start()
-        shard.committer.start()
-
     def stop(self, graceful: bool = True) -> int:
         """Shut down; the SIGTERM path when ``graceful``.
 
         Graceful order: stop admitting → drain the backlogs, parked
-        replies included (bounded by
-        ``drain_deadline_s``; stragglers get SHUTTING_DOWN) → force
-        every WAL → checkpoint (HEALTHY shards only) → close.  Returns
-        the process exit status (0 on a clean drain).
+        replies included (bounded by :data:`DRAIN_DEADLINE_S`;
+        stragglers get SHUTTING_DOWN) → force every WAL → checkpoint
+        (HEALTHY shards only) → close.  Returns the process exit status
+        (0 on a clean drain).
         """
         if not self._started:
             return 0
         self._draining.set()
         if graceful:
-            deadline = time.monotonic() + self.config.drain_deadline_s
+            deadline = time.monotonic() + DRAIN_DEADLINE_S
             while time.monotonic() < deadline:
                 if all(
                     shard.idle.is_set() and shard.depth() == 0
@@ -617,9 +408,9 @@ class ServeDaemon:
                 time.sleep(0.01)
         # Workers and the accept loop poll their stop flag; join them
         # before touching the kernels so the final force races nothing.
-        self._join_workers()
+        self._halt_workers()
         for shard in self._shards:
-            self._flush_queue(shard, "SHUTTING_DOWN", "server is shutting down")
+            shard.flush("SHUTTING_DOWN", "server is shutting down")
         status = 0
         if graceful:
             for shard in self._shards:
@@ -627,10 +418,9 @@ class ServeDaemon:
                     continue
                 try:
                     shard.system.log.force()
-                    if (
-                        self.config.checkpoint_on_shutdown
-                        and shard.system.health is SystemHealth.HEALTHY
-                    ):
+                    # The restart's analysis starts at this checkpoint,
+                    # and the log keeps only what is still uninstalled.
+                    if shard.system.health is SystemHealth.HEALTHY:
                         shard.system.checkpoint(truncate=True)
                     if shard.replication is not None:
                         # Nudge the witness to materialize what it
@@ -670,19 +460,18 @@ class ServeDaemon:
             return
         self._draining.set()
         self._close_everything()
-        self._join_workers()
+        self._halt_workers()
         for shard in self._shards:
-            self._flush_queue(shard, None, None)
+            shard.flush(None)
 
-    def _join_workers(self) -> None:
+    def _halt_workers(self) -> None:
         self._stopping.set()
         for shard in self._shards:
-            shard.stop.set()
-        threads = [shard.thread for shard in self._shards]
-        threads += [shard.committer for shard in self._shards]
-        for thread in (*threads, self._accept_thread):
-            if thread is not None:
-                thread.join(timeout=5.0)
+            shard.stop.set()  # all at once: none releases while one joins
+        for shard in self._shards:
+            shard.halt(timeout=5.0)
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
 
     def _close_everything(self) -> None:
         """Close listener, connections and HTTP; join the readers."""
@@ -704,33 +493,6 @@ class ServeDaemon:
         for thread in conns.values():
             thread.join(timeout=5.0)
 
-    def _flush_queue(
-        self, shard: _Shard, code: Optional[str], message: Optional[str]
-    ) -> None:
-        """Answer (or drop, when ``code`` is None) any leftover work,
-        parked replies first — never with an ack."""
-        with shard.commit:
-            leftovers = list(shard.parked)
-            shard.parked.clear()
-        while True:
-            try:
-                leftovers.append(shard.queue.get_nowait())
-            except queue.Empty:
-                break
-        for work in leftovers:
-            if work.cross is not None and not work.cross.cancel():
-                continue  # another participant's flush already answered
-            if code is not None:
-                work.conn.send(
-                    protocol.error_response(
-                        work.request.get("id"),
-                        code,
-                        message or "",
-                        shard.system.health.value,
-                        shard=shard.index,
-                    )
-                )
-
     # ------------------------------------------------------------------
     # chaos: kill and revive one shard
     # ------------------------------------------------------------------
@@ -749,17 +511,12 @@ class ServeDaemon:
             if shard.killed:
                 return
             shard.killed = True
-            shard.stop.set()
-            for thread in (shard.thread, shard.committer):
-                if thread is not None:
-                    thread.join(timeout=10.0)
+            shard.halt(timeout=10.0)
             if not shard.system._crashed:
                 shard.system.crash()
             self.obs.count(f"serve.shard.{index}.kills")
             self.obs.emit("shard.kill", shard=index)
-            self._flush_queue(
-                shard, "UNAVAILABLE", f"shard {index} worker was killed"
-            )
+            shard.flush("UNAVAILABLE", f"shard {index} worker was killed")
 
     def revive_shard(self, index: int) -> None:
         """Recover a killed shard and put a fresh worker on it."""
@@ -768,7 +525,7 @@ class ServeDaemon:
             if not shard.killed:
                 raise ValueError(f"shard {index} is not killed")
             shard.watchdog.supervised_startup()
-            self._start_worker(shard)
+            shard.start()
             shard.killed = False
             self.obs.count(f"serve.shard.{index}.revives")
             self.obs.emit(
@@ -787,7 +544,8 @@ class ServeDaemon:
             )
             return
         raw = request.get("shard")
-        if not isinstance(raw, int) or not 0 <= raw < len(self._shards):
+        # ``type``, not ``isinstance``: JSON ``true`` is no shard index.
+        if type(raw) is not int or not 0 <= raw < len(self._shards):
             reject("BAD_REQUEST", f"bad shard index {raw!r}")
             return
         try:
@@ -852,44 +610,58 @@ class ServeDaemon:
                 self._conns.pop(conn, None)
 
     # ------------------------------------------------------------------
+    # refusals: every ``ok: false`` the daemon sends is built here
+    # ------------------------------------------------------------------
+    def _refuse(
+        self, conn: _Connection, request: Dict[str, Any], code: str,
+        message: str, shard: Optional[_Shard] = None,
+        retry_after_ms: Optional[int] = None,
+        health: Optional[SystemHealth] = None, counter: Optional[str] = None,
+    ) -> None:
+        """Answer ``request`` with a structured refusal.
+
+        The answer names ``shard`` and reports its health when the
+        refusal is one shard's (otherwise the aggregate), unless
+        ``health`` overrides it; ``counter`` is the
+        ``serve.rejected.<counter>`` it moves, if any.  What raised
+        exceptions map to is the worker's table
+        (:meth:`~repro.serve.worker._Shard._refuse_raised`).
+        """
+        if counter is not None:
+            self.obs.count(f"serve.rejected.{counter}")
+        if health is None:
+            health = (
+                shard.system.health if shard else self.aggregate_health()
+            )
+        conn.send(protocol.error_response(
+            request.get("id"), code, message, health.value, retry_after_ms,
+            shard=shard.index if shard else None,
+        ))
+
+    # ------------------------------------------------------------------
     # admission (reader threads): validate, route, health-gate, enqueue
     # ------------------------------------------------------------------
     def _admit(self, conn: _Connection, request: Dict[str, Any]) -> None:
-        request_id = request.get("id")
         kind = request.get("kind")
         self.obs.count("serve.requests")
 
-        def reject(
-            code: str,
-            message: str,
-            retry_after_ms: Optional[int] = None,
-            shard: Optional[_Shard] = None,
-        ) -> None:
-            self.obs.count(f"serve.rejected.{code.lower()}")
-            health = (
-                shard.system.health
-                if shard is not None
-                else self.aggregate_health()
-            )
-            conn.send(
-                protocol.error_response(
-                    request_id,
-                    code,
-                    message,
-                    health.value,
-                    retry_after_ms,
-                    shard=shard.index if shard is not None else None,
-                )
+        def reject(code: str, message: str, retry_after_ms=None, shard=None):
+            self._refuse(
+                conn, request, code, message, shard, retry_after_ms,
+                counter=code.lower(),
             )
 
+        if not isinstance(kind, str):
+            # Checked first: a list or object ``kind`` is unhashable.
+            reject("BAD_REQUEST", f"unknown request kind {kind!r}")
+            return
         if kind in protocol.REPLICATION_KINDS:
             # Replication frames route around the admission queue: the
             # subscribe/ack stream must flow while the backlog is
             # jammed, and the sender owns its own locking.
             if self.replication is None:
                 reject(
-                    "BAD_REQUEST",
-                    "replication is not enabled on this server",
+                    "BAD_REQUEST", "replication is not enabled on this server"
                 )
                 return
             self.replication.handle_frame(conn, request)
@@ -904,12 +676,11 @@ class ServeDaemon:
         # attributes and registry snapshots, never a kernel, and must
         # answer even when the backlog is jammed.
         if kind in ("ping", "health", "stats"):
-            conn.send(self._inline_answer(kind, request_id))
+            conn.send(self._inline_answer(kind, request.get("id")))
             return
         if self._draining.is_set():
             reject(
-                "SHUTTING_DOWN",
-                "server is draining for shutdown",
+                "SHUTTING_DOWN", "server is draining for shutdown",
                 self.config.retry_after_ms,
             )
             return
@@ -923,7 +694,7 @@ class ServeDaemon:
         if budget_ms is None:
             budget_ms = self.config.default_deadline_ms
         try:
-            budget_ms = min(int(budget_ms), self.config.max_deadline_ms)
+            budget_ms = min(int(budget_ms), MAX_DEADLINE_MS)
         except (TypeError, ValueError):
             reject("BAD_REQUEST", f"bad deadline_ms: {budget_ms!r}")
             return
@@ -933,29 +704,20 @@ class ServeDaemon:
             health = shard.system.health
             if shard.killed:
                 reject(
-                    "UNAVAILABLE",
-                    f"shard {shard.index} worker is down",
-                    self.config.retry_after_ms,
-                    shard=shard,
+                    "UNAVAILABLE", f"shard {shard.index} worker is down",
+                    self.config.retry_after_ms, shard,
                 )
-                return
-            if health is SystemHealth.FAILED:
+            elif health is SystemHealth.FAILED:
+                reject("FAILED", shard.failed_message(), shard=shard)
+            elif health is SystemHealth.DEGRADED and kind in WRITE_KINDS:
+                lost = sorted(map(str, shard.system.lost_objects))
                 reject(
-                    "FAILED",
-                    f"shard {shard.index}: recovery did not converge; "
-                    "the system is failed",
-                    shard=shard,
+                    "DEGRADED", f"shard {shard.index} is in degraded "
+                    f"read-only mode (lost objects: {lost})", shard=shard,
                 )
-                return
-            if health is SystemHealth.DEGRADED and kind in WRITE_KINDS:
-                reject(
-                    "DEGRADED",
-                    f"shard {shard.index} is in degraded read-only mode "
-                    "(lost objects: "
-                    f"{sorted(map(str, shard.system.lost_objects))})",
-                    shard=shard,
-                )
-                return
+            else:
+                continue
+            return
         work = _Work(
             request=request,
             conn=conn,
@@ -964,40 +726,15 @@ class ServeDaemon:
             trace=protocol.request_trace(request),
         )
         if len(involved) == 1:
-            full = self._enqueue(work, involved)
+            full = enqueue(work, involved)
         else:
-            # The cross lock guarantees all participants see cross jobs
-            # in the same relative order; a full participant queue
-            # cancels the whole job (tokens already enqueued become
-            # no-ops).
-            work.cross = _CrossJob(tuple(s.index for s in involved))
-            with self._cross_lock:
-                full = self._enqueue(work, involved)
-            if full is None:
-                self.obs.count("serve.cross_shard_requests")
+            full = self._rendezvous.enqueue(work, involved)
         if full is not None:
             reject(
-                "BACKPRESSURE",
-                f"shard {full.index} admission queue full "
+                "BACKPRESSURE", f"shard {full.index} admission queue full "
                 f"({self.config.max_queue} waiting)",
-                self.config.retry_after_ms,
-                shard=full,
+                self.config.retry_after_ms, full,
             )
-
-    def _enqueue(
-        self, work: _Work, involved: List[_Shard]
-    ) -> Optional[_Shard]:
-        """Queue ``work`` on every involved shard; the full one, if any."""
-        for shard in involved:
-            try:
-                if shard.depth() >= shard.queue.maxsize:
-                    raise queue.Full  # parked replies count too
-                shard.queue.put_nowait(work)
-            except queue.Full:
-                if work.cross is not None:
-                    work.cross.cancel()
-                return shard
-        return None
 
     def _queue_depth(self) -> int:
         return sum(shard.depth() for shard in self._shards)
@@ -1053,12 +790,29 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # inline answers + health
     # ------------------------------------------------------------------
-    def _lost_objects(self) -> List[str]:
-        return sorted(
-            str(obj)
+    def _health_report(self) -> Dict[str, Any]:
+        """What both health answers report, computed once: the totals
+        and, under ``shards``, each shard's own."""
+        shards = {
+            str(shard.index): {
+                "health": shard.system.health.value,
+                "killed": shard.killed,
+                "queue_depth": shard.depth(),
+                "restarts": shard.watchdog.restarts,
+                "lost_objects": sorted(map(str, shard.system.lost_objects)),
+            }
             for shard in self._shards
-            for obj in shard.system.lost_objects
-        )
+        }
+        each = shards.values()
+        return {
+            "lost_objects": sorted(
+                obj for one in each for obj in one["lost_objects"]
+            ),
+            "queue_depth": sum(one["queue_depth"] for one in each),
+            "restarts": sum(one["restarts"] for one in each),
+            "draining": self._draining.is_set(),
+            "shards": shards,
+        }
 
     def _inline_answer(self, kind: str, request_id: Any) -> Dict[str, Any]:
         health = self.aggregate_health().value
@@ -1073,24 +827,7 @@ class ServeDaemon:
             )
         if kind == "health":
             return protocol.ok_response(
-                request_id,
-                health,
-                lost_objects=self._lost_objects(),
-                queue_depth=self._queue_depth(),
-                restarts=self.restarts(),
-                draining=self._draining.is_set(),
-                shards={
-                    str(shard.index): {
-                        "health": shard.system.health.value,
-                        "killed": shard.killed,
-                        "queue_depth": shard.depth(),
-                        "restarts": shard.watchdog.restarts,
-                        "lost_objects": sorted(
-                            map(str, shard.system.lost_objects)
-                        ),
-                    }
-                    for shard in self._shards
-                },
+                request_id, health, **self._health_report()
             )
         # stats: the counter/gauge ledger, JSON-safe by construction.
         snapshot = self._combined_snapshot()
@@ -1128,19 +865,15 @@ class ServeDaemon:
         alive, not-draining, and a caught-up replication pair.
         """
         health = self.aggregate_health()
+        report = self._health_report()
+        shards = report.pop("shards")
         payload = {
             "health": health.value,
             "role": self.role,
-            "lost_objects": self._lost_objects(),
-            "queue_depth": self._queue_depth(),
-            "restarts": self.restarts(),
-            "draining": self._draining.is_set(),
-            "shards": {
-                str(shard.index): shard.system.health.value
-                for shard in self._shards
-            },
+            **report,
+            "shards": {index: one["health"] for index, one in shards.items()},
             "killed": [
-                shard.index for shard in self._shards if shard.killed
+                int(index) for index, one in shards.items() if one["killed"]
             ],
         }
         if self.replication is not None:
@@ -1161,9 +894,8 @@ class ServeDaemon:
         """
         _status, payload = self._health_payload()
         reasons = []
-        health = self.aggregate_health()
-        if health is not SystemHealth.HEALTHY:
-            reasons.append(f"health is {health.value}")
+        if payload["health"] != SystemHealth.HEALTHY.value:
+            reasons.append(f"health is {payload['health']}")
         for index in payload["killed"]:
             reasons.append(f"shard {index} worker is down")
         if self._draining.is_set():
@@ -1180,227 +912,27 @@ class ServeDaemon:
         return (200 if not reasons else 503), payload
 
     # ------------------------------------------------------------------
-    # apply side: one worker per shard, the only thread on its kernel
+    # verb → operation (called by the shard's apply thread)
     # ------------------------------------------------------------------
-    def _shard_loop(self, shard: _Shard) -> None:
-        while True:
-            try:
-                work = shard.queue.get(timeout=0.05)
-            except queue.Empty:
-                work = None
-            if shard.crash is not None:
-                self._crashed(shard, shard.crash)
-                with shard.commit:
-                    shard.crash = None
-                    shard.commit.notify()
-            if work is None:
-                if shard.stop.is_set():
-                    return
-                continue
-            shard.idle.clear()
-            try:
-                self._apply_one(shard, work)
-            finally:
-                shard.idle.set()
-
-    def _apply_one(self, shard: _Shard, work: _Work) -> None:
-        """Gate one dequeued work item, then run it.
-
-        Every item — a cross-shard token included — passes the same
-        two gates before any kernel is touched: its deadline, and the
-        health its shard moved to while it sat in the backlog (a
-        watchdog restart may have run).
-        """
-        job = work.cross
-        if job is not None and job.cancelled:
-            return
-        now = time.monotonic()
-        refusal = None
-        if now > work.deadline:
-            refusal = (
-                "DEADLINE",
-                f"deadline expired after {now - work.enqueued:.3f}s "
-                "in queue",
-            )
-        elif shard.system.health is SystemHealth.FAILED:
-            refusal = (
-                "FAILED",
-                f"shard {shard.index}: recovery did not converge; "
-                "the system is failed",
-            )
-        if refusal is not None:
-            if job is None or job.cancel():
-                self.obs.count(f"serve.rejected.{refusal[0].lower()}")
-                work.conn.send(
-                    protocol.error_response(
-                        work.request.get("id"),
-                        *refusal,
-                        shard.system.health.value,
-                        shard=shard.index,
-                    )
-                )
-            return
-        if job is not None:
-            self._participate(shard, work)
-            return
-        # Queue wait, attributed before the kernel touches the request
-        # (a span in its tree too, when the request carried a trace).
-        record_stage(
-            self.obs, "ack.queue_ms", now - work.enqueued,
-            _stage_ctx(work.trace),
-            kind=work.request.get("kind"), shard=shard.index,
-        )
-        self._answer(work, (shard,), lambda: self._dispatch(shard, work))
-
-    def _answer(
-        self,
-        work: _Work,
-        involved: Tuple[_Shard, ...],
-        run: Callable[[], Dict[str, Any]],
-    ) -> None:
-        """Run one admitted request's kernel work and answer it.
-
-        Shared by the single-shard apply and the cross-shard
-        coordinator; either way this thread holds the turn of every
-        involved kernel.  ``ok: true`` only leaves once the stable end
-        covers ``work.lsi``: a single-shard write is parked for the
-        committer, a ``get`` only when it read an unforced version, and
-        a cross-shard apply forced its fences inside ``run``.  Anything
-        ``run`` raises is answered from the one table in
-        :meth:`_refusal`, and a storage crash is then handed to the
-        watchdog of every involved shard.
-        """
-        work.started = time.monotonic()
-        try:
-            response = run()
-        except Exception as exc:  # noqa: BLE001 - the loop must survive
-            # Answer first: a crashed request's client should retry,
-            # not wait out the whole recovery.
-            work.conn.send(self._refusal(work, involved, exc))
-            self._observe_request(work)
-            if isinstance(exc, _SERVING_CRASHES):
-                if len(involved) > 1:
-                    self.obs.count("serve.cross_shard_crashes")
-                for shard in involved:
-                    if not shard.killed:
-                        self._crashed(shard, exc, trace=work.trace)
-            return
-        shard = involved[0]
-        wrote = work.request["kind"] in WRITE_KINDS
-        if len(involved) == 1 and (
-            wrote or not self._covered(shard, work.lsi)
-        ):
-            work.response = response
-            work.parked = time.monotonic()
-            with shard.commit:
-                shard.parked.append(work)
-                shard.commit.notify()
-        else:
-            work.conn.send(response)
-            self._observe_request(work)
-        if wrote:
-            self._after_write(work, involved)
-
-    def _after_write(
-        self, work: _Work, involved: Tuple[_Shard, ...]
-    ) -> None:
-        """After a write, with its reply on its way: install — at zero
-        I/O — what its blind updates left unexposed, so the write graph
-        holds live objects and the in-flight window, not every
-        operation served; and every :data:`ONLINE_CHECKPOINT_BYTES` of
-        log, take the online checkpoint, so the log (and a restart's
-        redo) holds about two intervals, not every write served
-        (DESIGN.md §4)."""
-        try:
-            for shard in involved:
-                shard.system.cache.install_unexposed()
-                shard.system.checkpoint_if_due(ONLINE_CHECKPOINT_BYTES)
-        except Exception as exc:  # noqa: BLE001 - the loop must survive
-            # The bookkeeping failed, not the request: the volatile
-            # state is suspect, and recovery rebuilds all of it from
-            # the stable log (parked replies are refused retryably).
-            crash = TransientStorageError(
-                f"write-graph bookkeeping failed: {exc!r}"
-            )
-            for shard in involved:
-                if not shard.killed:
-                    self._crashed(shard, crash, trace=work.trace)
-
-    def _observe_request(self, work: _Work) -> None:
-        self.obs.observe(
-            "serve.request_seconds", time.monotonic() - work.started
-        )
-
-    def _crashed(self, shard: _Shard, exc: BaseException, trace=None) -> None:
-        """Refuse what is parked, then recover — in that order: a reply
-        whose record dies with the log buffer must never meet a later,
-        higher stable end.  Runs on the kernel's own (apply) thread."""
-        self._refuse_parked(shard, exc)
-        self.obs.count(f"serve.shard.{shard.index}.crashes")
-        shard.watchdog.handle_serving_crash(exc, trace=trace)
-
-    def _refusal(
-        self, work: _Work, involved: Tuple[_Shard, ...], exc: Exception
-    ) -> Dict[str, Any]:
-        """The one exception → response table (DESIGN.md §4b)."""
-        single = involved[0] if len(involved) == 1 else None
-        health = (
-            single.system.health if single is not None
-            else self.aggregate_health()
-        )
-        retry_after_ms = None
-        if isinstance(exc, FencedError):
-            code, message = "FENCED", str(exc)
-        elif isinstance(exc, (ServerUnavailableError, CrossShardError)):
-            # Replication could not confirm the witness's durable
-            # receipt (the write executed locally but was NOT acked —
-            # at-least-once retries are safe, acks are never produced
-            # without the receipt), or a cross-shard participant was
-            # not HEALTHY at pre-flight (nothing was mutated).
-            code, message = "UNAVAILABLE", str(exc)
-            retry_after_ms = (
-                getattr(exc, "retry_after_ms", None)
-                or self.config.retry_after_ms
-            )
-        elif isinstance(exc, DegradedModeError):
-            code, message = "DEGRADED", str(exc)
-        elif isinstance(exc, _SERVING_CRASHES):
-            # Mid-serve crash: the request's durability is whatever the
-            # WAL made of it (never acked here; a partial cross-shard
-            # fence is, by construction, unacked), and the watchdogs
-            # own getting the involved shards back.
-            code = "UNAVAILABLE"
-            message = (
-                f"serving crash ({type(exc).__name__}: {exc}); "
-                "recovery in progress"
-            )
-            retry_after_ms = self.config.retry_after_ms
-            health = SystemHealth.RECOVERING
-        elif isinstance(exc, ReproError):
-            code, message = "BAD_REQUEST", f"{type(exc).__name__}: {exc}"
-        else:
-            code, message = "INTERNAL", f"{type(exc).__name__}: {exc}"
-        return protocol.error_response(
-            work.request.get("id"),
-            code,
-            message,
-            health.value,
-            retry_after_ms,
-            shard=single.index if single is not None else None,
-        )
-
     def _dispatch(self, shard: _Shard, work: _Work) -> Dict[str, Any]:
+        """Run one verb on ``shard``'s kernel; a write's ack is parked,
+        not sent.
+
+        ``ok: true`` means the operation's record is on the stable log
+        (and, replicated, durably on the witness), so no crash can take
+        it back.  Honoring that is the committer's half: this thread
+        only names the lSI the reply waits for in ``work.lsi`` — a
+        write's own, or the vSI a ``get`` read.
+        """
         request = work.request
-        request_id = request.get("id")
         kind = request["kind"]
         system = shard.system
         if kind == "get":
             obj = request["obj"]
             value = system.read(obj)
-            # Held in ``_answer`` while this version's record is unforced.
             work.lsi = system.cache.vsi_of(obj)
             return protocol.ok_response(
-                request_id,
+                request.get("id"),
                 system.health.value,
                 value=protocol.encode_value(value),
                 vsi=work.lsi,
@@ -1416,21 +948,37 @@ class ServeDaemon:
                 writes=frozenset({obj}),
                 payload={obj: value},
             )
-            return self._execute_write(shard, op, work)
-        if kind == "delete":
-            return self._execute_write(
-                shard, delete_object(request["obj"]), work
-            )
-        if kind == "apply":
-            return self._execute_write(
-                shard, self._apply_operation(request), work,
-                include_writes=True,
-            )
-        if kind == "promote":
+        elif kind == "delete":
+            op = delete_object(request["obj"])
+        elif kind == "apply":
+            op = self._apply_operation(request)
+        elif kind == "promote":
             raise protocol.ProtocolError(
                 "this server is not a witness; there is nothing to promote"
             )
-        raise protocol.ProtocolError(f"unhandled request kind {kind!r}")
+        else:
+            raise protocol.ProtocolError(f"unhandled request kind {kind!r}")
+        sender = shard.replication
+        if sender is not None and sender.fenced:
+            raise FencedError(
+                f"primary epoch {sender.epoch} is fenced; a "
+                "promoted witness is serving"
+            )
+        with stage(
+            self.obs, "ack.apply_ms", _stage_ctx(work.trace),
+            shard=shard.index,
+        ):
+            writes = system.execute(op)
+        work.lsi = op.lsi
+        fields: Dict[str, Any] = {"lsi": op.lsi, "shard": shard.index}
+        epoch = self.current_epoch()
+        if epoch is not None:
+            fields["epoch"] = epoch
+        if kind == "apply":
+            fields["writes"] = protocol.encode_writes(writes)
+        return protocol.ok_response(
+            request.get("id"), system.health.value, **fields
+        )
 
     def _apply_operation(self, request: Dict[str, Any]) -> Operation:
         fn = request.get("fn")
@@ -1448,240 +996,4 @@ class ServeDaemon:
             writes=frozenset(request.get("writes") or []),
             fn=fn,
             params=tuple(params),
-        )
-
-    def _execute_write(
-        self,
-        shard: _Shard,
-        op: Operation,
-        work: _Work,
-        include_writes: bool = False,
-    ) -> Dict[str, Any]:
-        """Execute and append; the ack it returns is parked, not sent.
-
-        ``ok: true`` means the operation's record is on the stable log
-        (and, replicated, durably on the witness), so no crash can take
-        it back.  Honoring that is the committer's half: this thread
-        only names the lSI the reply waits for.
-        """
-        system = shard.system
-        sender = shard.replication
-        if sender is not None and sender.fenced:
-            raise FencedError(
-                f"primary epoch {sender.epoch} is fenced; a "
-                "promoted witness is serving"
-            )
-        with stage(
-            self.obs, "ack.apply_ms", _stage_ctx(work.trace),
-            shard=shard.index,
-        ):
-            writes = system.execute(op)
-        work.lsi = op.lsi
-        fields: Dict[str, Any] = {"lsi": op.lsi, "shard": shard.index}
-        epoch = self.current_epoch()
-        if epoch is not None:
-            fields["epoch"] = epoch
-        if include_writes:
-            fields["writes"] = {
-                str(obj): protocol.encode_value(value)
-                for obj, value in writes.items()
-            }
-        return protocol.ok_response(
-            work.request.get("id"), system.health.value, **fields
-        )
-
-    # ------------------------------------------------------------------
-    # commit side: one committer per shard (DESIGN.md §4b)
-    # ------------------------------------------------------------------
-    def _covered(self, shard: _Shard, lsi: StateId) -> bool:
-        """The release rule: the record is stable — replicated, durably
-        on the witness (only forced records ship, so that implies it)."""
-        sender = shard.replication
-        if sender is not None:
-            return sender.watermark >= lsi
-        return shard.system.log.is_stable(lsi)
-
-    def _unpark(
-        self, shard: _Shard, want: Callable[[_Work], bool]
-    ) -> List[_Work]:
-        """Remove and return the parked replies ``want`` admits.  Whoever
-        removes a reply answers it, so each is answered exactly once."""
-        with shard.commit:
-            taken: List[_Work] = []
-            kept: Deque[_Work] = deque()
-            for work in shard.parked:
-                (taken if want(work) else kept).append(work)
-            shard.parked = kept
-        return taken
-
-    def _refuse_parked(
-        self, shard: _Shard, exc: BaseException, only: Any = None
-    ) -> None:
-        """The failure rule: every parked reply (or those of ``only``
-        still parked) is answered from the refusal table, never acked."""
-        for work in self._unpark(
-            shard, lambda work: only is None or work in only
-        ):
-            work.conn.send(self._refusal(work, (shard,), exc))
-            self._observe_request(work)
-
-    def _commit_loop(self, shard: _Shard) -> None:
-        """Commit whenever something is parked: a lone request is
-        forced at once, and a batch is whatever the apply thread parked
-        during the previous force."""
-        while True:
-            with shard.commit:
-                while not shard.stop.is_set() and (
-                    not shard.parked or shard.crash is not None
-                ):
-                    shard.commit.wait(0.05)
-                if shard.stop.is_set():
-                    return  # whoever set it owns what is still parked
-            try:
-                shard.system.log.force()  # the whole buffer, one write
-            except Exception as exc:  # noqa: BLE001 - any device verdict
-                # The volatile state is suspect: refuse everything, and
-                # the apply thread (the kernel's owner) recovers.
-                if not isinstance(exc, _SERVING_CRASHES):
-                    exc = TransientStorageError(f"WAL force failed: {exc!r}")
-                self._refuse_parked(shard, exc)
-                shard.crash = exc
-                continue
-            try:
-                self._release(shard, time.monotonic())
-            except Exception as exc:  # noqa: BLE001 - the loop must survive
-                self._refuse_parked(shard, exc)
-
-    def _release(self, shard: _Shard, forced: float) -> None:
-        """After a force: wait for the witness when replicated, then
-        send every parked reply the release rule now admits."""
-        obs = self.obs
-        sender = shard.replication
-        witnessed = forced
-        lead = wait_ctx = None
-        if sender is not None:
-            log = shard.system.log
-            with shard.commit:
-                batch = [w for w in shard.parked if log.is_stable(w.lsi)]
-            if not batch:
-                return  # a crash on the apply side refused them first
-            # The first traced request lends the shipped batch its trace
-            # context: the witness's spans nest under that wait.
-            lead = next((w for w in batch if w.trace is not None), None)
-            wait_ctx = lead.trace.child() if lead is not None else None
-            try:
-                sender.replicate(
-                    max(work.lsi for work in batch),
-                    min(work.deadline for work in batch),
-                    trace=wait_ctx,
-                )
-            except Exception as exc:  # noqa: BLE001 - fenced, detached, late
-                # Each request is refused at its own deadline; when none
-                # has passed, the wait itself failed the whole batch.
-                now = time.monotonic()
-                late = [work for work in batch if work.deadline <= now]
-                self._refuse_parked(shard, exc, late or batch)
-                return
-            witnessed = time.monotonic()
-        if shard.stop.is_set():
-            return  # killed mid-batch: no ack leaves after the kill
-        wall = time.time() - time.monotonic()  # span start stamps
-
-        def waited(name: str, start: float, end: float, ctx) -> None:
-            record_stage(
-                obs, name, max(0.0, end - start), ctx, ts=wall + start,
-                shard=shard.index,
-            )
-
-        for work in self._unpark(
-            shard, lambda work: self._covered(shard, work.lsi)
-        ):
-            ctx = _stage_ctx(work.trace)
-            waited("ack.force_ms", work.parked, forced, ctx)
-            if sender is not None:
-                waited(
-                    "ack.repl_wait_ms", max(forced, work.parked), witnessed,
-                    wait_ctx if work is lead else ctx,
-                )
-            if work.request["kind"] in WRITE_KINDS:
-                obs.count("serve.acked_writes")
-                obs.count(shard.acked_writes)
-            work.conn.send(work.response)
-            self._observe_request(work)
-
-    # ------------------------------------------------------------------
-    # cross-shard rendezvous
-    # ------------------------------------------------------------------
-    def _participate(self, shard: _Shard, work: _Work) -> None:
-        job = work.cross
-        job.arrive(shard.index)
-        if shard.index != job.coordinator:
-            # Park: the coordinator borrows this shard's kernel turn.
-            # done is set in the coordinator's finally (or at cancel),
-            # so the park cannot outlive the job; stop breaks the park
-            # when this worker is being killed.
-            while not job.done.wait(0.05):
-                if shard.stop.is_set():
-                    return
-            return
-        start = time.monotonic()
-        try:
-            while not job.all_arrived.wait(0.05):
-                if shard.stop.is_set() or job.cancelled:
-                    return
-                if time.monotonic() > work.deadline:
-                    if job.cancel():
-                        self.obs.count("serve.rejected.cross_rendezvous")
-                        work.conn.send(
-                            protocol.error_response(
-                                work.request.get("id"),
-                                "UNAVAILABLE",
-                                "cross-shard rendezvous timed out on "
-                                f"shards {list(job.participants)} (a "
-                                "participant is down or jammed)",
-                                self.aggregate_health().value,
-                                self.config.retry_after_ms,
-                            )
-                        )
-                    return
-            # All participants parked: this thread owns every kernel.
-            # Rendezvous latency (time for every participant queue to
-            # reach this job) is the sharding tax on the write.
-            record_stage(
-                self.obs, "ack.rendezvous_ms", time.monotonic() - start,
-                _stage_ctx(work.trace), shards=len(job.participants),
-            )
-            involved = tuple(self._shards[k] for k in job.participants)
-            self._answer(
-                work, involved, lambda: self._execute_cross(work, start)
-            )
-        finally:
-            job.done.set()
-
-    def _execute_cross(self, work: _Work, start: float) -> Dict[str, Any]:
-        """The fence protocol under the rendezvous, then the ack."""
-        job = work.cross
-        op = self._apply_operation(work.request)
-        with stage(
-            self.obs, "ack.apply_ms", _stage_ctx(work.trace),
-            cross=True, shards=len(job.participants),
-        ):
-            # execute_cross forces every participant's fence itself.
-            writes = self.sharded.execute_cross(op, set(job.participants))
-        self.obs.count("serve.acked_writes")
-        self.obs.count("serve.cross_shard_acked")
-        for index in job.participants:
-            self.obs.count(self._shards[index].acked_writes)
-        self.obs.observe(
-            "serve.cross_shard_seconds", time.monotonic() - start
-        )
-        return protocol.ok_response(
-            work.request.get("id"),
-            self.aggregate_health().value,
-            shards=list(job.participants),
-            cross=True,
-            writes={
-                str(obj): protocol.encode_value(value)
-                for obj, value in writes.items()
-            },
         )

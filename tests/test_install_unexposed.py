@@ -47,7 +47,7 @@ from repro.core.oracle import Oracle
 from repro.core.refined_write_graph import _FRONTIER_SLACK, RefinedWriteGraph
 from repro.persist import PersistentSystem
 from repro.serve import DaemonClient, DaemonConfig, RetryPolicy, ServeDaemon
-from repro.serve import server as server_module
+from repro.serve import worker as worker_module
 from repro.wal.records import FlushRecord, InstallationRecord, LogRecord
 from repro.workloads import (
     LogicalWorkload,
@@ -758,7 +758,7 @@ def _engine_counters(port: int) -> dict:
 def no_online_checkpoint(monkeypatch):
     """Hold the daemon's online checkpoint off, so what it would install
     stays pinned — the subject here is what a pinned operation costs."""
-    monkeypatch.setattr(server_module, "ONLINE_CHECKPOINT_BYTES", 1 << 40)
+    monkeypatch.setattr(worker_module, "ONLINE_CHECKPOINT_BYTES", 1 << 40)
 
 
 def test_pinned_operations_keep_footprints_not_values(

@@ -19,7 +19,7 @@ import pytest
 from repro import RecoverableSystem, SystemConfig, verify_recovered
 from repro.persist.file_log import FileLogManager
 from repro.serve import DaemonClient, DaemonConfig
-from repro.serve.server import ONLINE_CHECKPOINT_BYTES
+from repro.serve.worker import ONLINE_CHECKPOINT_BYTES
 from repro.storage import make_store
 from repro.topology import build_daemon, build_systems
 from repro.workloads import register_workload_functions

@@ -602,7 +602,7 @@ class TestPair:
         # the witness adopts gap-tolerantly, so a hole would go unseen
         # until a logical redo over it diverged.
         from repro.replica import WitnessConfig, WitnessDaemon
-        from repro.serve.server import ONLINE_CHECKPOINT_BYTES
+        from repro.serve.worker import ONLINE_CHECKPOINT_BYTES
 
         primary, witness = _start_pair(redo_every_records=1 << 30)
         primary_system, witness_system = primary.system, witness.system
