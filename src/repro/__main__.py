@@ -51,44 +51,42 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
 import sys
 import textwrap
 import threading
-from typing import Any, Callable, List, NamedTuple, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, List, NamedTuple, Optional, Tuple,
+)
 
-from repro import RecoverableSystem, verify_recovered
-from repro.analysis import Table, fault_summary, format_bytes, obs_summary
-from repro.domains import (
-    ApplicationRuntime,
-    RecoverableBTree,
-    RecoverableFileSystem,
-)
-from repro.kernel.torture import (
-    RECOVERY, TortureConfig, TortureHarness, TortureReport,
-)
-from repro.livefire import SCENARIOS, Fault, LiveFireHarness, Scenario
 from repro.obs import MetricsRegistry, dump_jsonl, load_jsonl, render_prometheus
-from repro.replica import ReplicationConfig, WitnessConfig
-from repro.serve import (
-    DaemonClient,
-    DaemonConfig,
-    RetryPolicy,
-    ServeDaemon,
-    ServeError,
-)
 from repro.storage.faults import FaultModel, FuzzRates
 from repro.storage.registry import (
     recommended_cache_config,
     resolve_backend,
     store_backends,
 )
-from repro.topology import build_daemon, build_systems
+
+# Each sub-command imports what it runs where it runs it, so that a
+# ``serve`` process loads neither the demo's domains nor the harnesses.
+if TYPE_CHECKING:
+    from repro.kernel.torture import TortureHarness, TortureReport
+    from repro.livefire import Scenario
+    from repro.serve.server import ServeDaemon
 
 
 def demo() -> int:
+    from repro import RecoverableSystem, verify_recovered
+    from repro.analysis import Table, format_bytes
+    from repro.domains import (
+        ApplicationRuntime,
+        RecoverableBTree,
+        RecoverableFileSystem,
+    )
+
     print("repro — Lomet & Tuttle, SIGMOD 1999, self-demo\n")
     system = RecoverableSystem()
     fs = RecoverableFileSystem(system)
@@ -151,6 +149,8 @@ def _bounded(kind: type, low: float, high: float = float("inf")) -> Callable:
 
 
 positive_int = _bounded(int, 1)
+port_number = _bounded(int, 0, 65535)
+fraction = _bounded(float, 0, 1)
 
 
 class Flag(NamedTuple):
@@ -196,6 +196,8 @@ WORKLOAD = (
 def _harness(
     args: argparse.Namespace, metrics: Optional[MetricsRegistry]
 ) -> TortureHarness:
+    from repro.kernel.torture import TortureConfig, TortureHarness
+
     backend = args.store_backend
     config = TortureConfig(
         objects=args.objects,
@@ -229,6 +231,8 @@ def torture_fuzz(args: argparse.Namespace, metrics) -> int:
 
 
 def torture_v2(args: argparse.Namespace, metrics) -> int:
+    from repro.kernel.torture import RECOVERY
+
     harness = _harness(args, metrics)
     print(
         f"torture v2: sweeping {harness.points(RECOVERY)} recovery-phase "
@@ -250,6 +254,8 @@ def torture_v2(args: argparse.Namespace, metrics) -> int:
 
 
 def torture_livefire(args: argparse.Namespace, metrics) -> int:
+    from repro.livefire import LiveFireHarness
+
     scenario = args.row.scenario
     config = scenario.config(
         **{f.dest: getattr(args, f.dest) for f in args.row.flags if f.shape}
@@ -277,6 +283,8 @@ def torture_livefire(args: argparse.Namespace, metrics) -> int:
 def _livefire_mode(scenario: Scenario) -> Mode:
     """A live-fire row's sub-command: shape flags only where the row's
     topology has the axis, defaults from its config."""
+    from repro.livefire import Fault
+
     defaults = scenario.config()
     flags = [
         Flag("--runs", "runs", positive_int, 25, "seeded in-process runs",
@@ -294,7 +302,7 @@ def _livefire_mode(scenario: Scenario) -> Mode:
                           defaults.shards, "recovery domains"))
     if scenario.replicated:
         flags.append(Flag("--zombie-ratio", "zombie_ratio",
-                          _bounded(float, 0, 1), defaults.zombie_ratio,
+                          fraction, defaults.zombie_ratio,
                           "share of runs that leave the primary alive "
                           "through promotion"))
     if scenario.subprocess_lane:
@@ -305,17 +313,18 @@ def _livefire_mode(scenario: Scenario) -> Mode:
                 "--runs", scenario)
 
 
-#: Every ``torture`` sub-command, in ``--help`` order.
-TORTURE_MODES: Tuple[Mode, ...] = (
+#: The library campaigns' ``torture`` sub-commands.
+LIBRARY_MODES: Tuple[Mode, ...] = (
     Mode("sweep", "every I/O point x every must-survive fault kind",
          WORKLOAD, torture_sweep),
     Mode("fuzz", "seeded random fault schedules", WORKLOAD + (
         Flag("--runs", "runs", int, 500, "number of schedules", shape=False),
         SEED,
-        Flag("--p-transient", "p_transient", float, 0.02,
+        Flag("--p-transient", "p_transient", fraction, 0.02,
              "per-point transient-fault rate"),
-        Flag("--p-torn", "p_torn", float, 0.01, "per-point torn-write rate"),
-        Flag("--p-corrupt", "p_corrupt", float, 0.01,
+        Flag("--p-torn", "p_torn", fraction, 0.01,
+             "per-point torn-write rate"),
+        Flag("--p-corrupt", "p_corrupt", fraction, 0.01,
              "per-point corruption rate"),
     ), torture_fuzz, "--runs"),
     Mode("v2", "crash recovery itself: recovery-point sweep (incl. nested "
@@ -324,13 +333,33 @@ TORTURE_MODES: Tuple[Mode, ...] = (
              "schedules after the sweep; 0 skips the fuzz stage",
              shape=False),
         SEED,
-        Flag("--p-torn", "p_torn", float, 0.005, "per-point torn-write rate"),
-        Flag("--p-corrupt", "p_corrupt", float, 0.005,
+        Flag("--p-torn", "p_torn", fraction, 0.005,
+             "per-point torn-write rate"),
+        Flag("--p-corrupt", "p_corrupt", fraction, 0.005,
              "per-point corruption rate"),
-        Flag("--p-crash", "p_crash", float, 0.01,
+        Flag("--p-crash", "p_crash", fraction, 0.01,
              "per-point clean-crash rate"),
     ), torture_v2, "--fuzz-runs"),
-) + tuple(_livefire_mode(scenario) for scenario in SCENARIOS.values())
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _torture_modes() -> Tuple[Mode, ...]:
+    """Every ``torture`` sub-command, in ``--help`` order: the library
+    campaigns, then one row per live-fire scenario."""
+    from repro.livefire import SCENARIOS
+
+    return LIBRARY_MODES + tuple(
+        _livefire_mode(scenario) for scenario in SCENARIOS.values()
+    )
+
+
+def __getattr__(name: str) -> Any:
+    # ``TORTURE_MODES`` is built on first access: its live-fire rows
+    # come from the harness, which only a ``torture`` process imports.
+    if name == "TORTURE_MODES":
+        return _torture_modes()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _report(report: TortureReport, args: argparse.Namespace,
@@ -338,6 +367,8 @@ def _report(report: TortureReport, args: argparse.Namespace,
     """Print a campaign's verdict (and a library campaign's fault
     ledger); for every failing run, its error, the command that replays
     exactly its seed and shape, and its details.  1 if any failed."""
+    from repro.analysis import fault_summary
+
     print(report.summary())
     if report.totals:
         fault_summary(report.totals).print()
@@ -376,6 +407,9 @@ def torture_campaign(args: argparse.Namespace) -> int:
 
 
 def promote_witness(args: argparse.Namespace) -> int:
+    from repro.serve.client import DaemonClient, RetryPolicy
+    from repro.serve.errors import ServeError
+
     client = DaemonClient(
         args.host,
         args.port,
@@ -398,16 +432,19 @@ def promote_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_primary(spec: str) -> tuple:
+def _parse_primary(spec: str) -> Tuple[str, int]:
+    """``--witness-of``'s argparse type: ``HOST:PORT``, a port a
+    primary can listen on."""
     host, sep, port = spec.rpartition(":")
-    if not sep or not port.isdigit():
-        raise SystemExit(
-            f"--witness-of expects HOST:PORT, got {spec!r}"
-        )
-    return (host or "127.0.0.1", int(port))
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {spec!r}")
+    return (host or "127.0.0.1", _bounded(int, 1, 65535)(port))
 
 
 def serve_daemon(args: argparse.Namespace) -> int:
+    from repro.serve.server import DaemonConfig
+    from repro.topology import build_daemon, build_systems
+
     if args.shards > 1 and (args.witness_of or args.replicate):
         print(
             "replication serves one recovery domain per daemon; "
@@ -439,9 +476,15 @@ def serve_daemon(args: argparse.Namespace) -> int:
     # before the listener opens.  Entering the crashed state makes the
     # watchdog run the full escalation ladder.
     sharded.crash_all()
-    witness = None
+    replication = witness = None
+    if args.replicate:
+        from repro.replica.sender import ReplicationConfig
+
+        replication = ReplicationConfig(epoch_root=args.data_dir)
     if args.witness_of:
-        primary_host, primary_port = _parse_primary(args.witness_of)
+        from repro.replica.witness import WitnessConfig
+
+        primary_host, primary_port = args.witness_of
         witness = WitnessConfig(
             primary_host=primary_host,
             primary_port=primary_port,
@@ -458,11 +501,7 @@ def serve_daemon(args: argparse.Namespace) -> int:
             allow_chaos=args.allow_chaos,
             flightrec_path=os.path.join(args.data_dir, "flightrec.jsonl"),
         ),
-        replication=(
-            ReplicationConfig(epoch_root=args.data_dir)
-            if args.replicate
-            else None
-        ),
+        replication=replication,
         witness=witness,
     )
     daemon.start()
@@ -506,6 +545,8 @@ def _serve_wait(daemon: ServeDaemon, args: argparse.Namespace) -> int:
 
 
 def metrics_view(args: argparse.Namespace) -> int:
+    from repro.analysis import obs_summary
+
     try:
         loaded = load_jsonl(args.path)
         snapshot = loaded["snapshot"]
@@ -560,18 +601,26 @@ def trace_view(args: argparse.Namespace) -> int:
         return 1
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro", description=__doc__
-    )
-    sub = parser.add_subparsers(dest="command")
-    sub.add_parser("demo", help="run the self-demo (the default)")
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose ``fill(parser)``, when given, adds its
+    arguments on its first parse, so that building the ``torture``
+    parser does not import the harnesses its rows come from."""
 
-    torture_parser = sub.add_parser(
-        "torture", help="fault-injection recovery torture"
-    )
+    def __init__(self, *args: Any, fill: Optional[Callable] = None,
+                 **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self._fill = self._fill, None
+        if fill is not None:
+            fill(self)
+        return super().parse_known_args(args, namespace)
+
+
+def _add_torture_modes(torture_parser: argparse.ArgumentParser) -> None:
     tsub = torture_parser.add_subparsers(dest="mode", required=True)
-    for row in TORTURE_MODES:
+    for row in _torture_modes():
         p = tsub.add_parser(row.name, help=row.help)
         for f in row.flags:
             if f.kind is bool:
@@ -587,6 +636,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write campaign telemetry (JSONL) to PATH")
         p.set_defaults(fn=torture_campaign, row=row)
 
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="python -m repro", description=__doc__)
+    sub = parser.add_subparsers(dest="command")
+    sub.add_parser("demo", help="run the self-demo (the default)")
+    sub.add_parser("torture", help="fault-injection recovery torture",
+                   fill=_add_torture_modes)
+
     serve = sub.add_parser(
         "serve", help="run the serving daemon over a database directory"
     )
@@ -599,9 +656,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        "directory (default file; a directory must be "
                        "reopened with the backend that created it)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
+    serve.add_argument("--port", type=port_number, default=0,
                        help="request port (default 0 = ephemeral)")
-    serve.add_argument("--http-port", type=int, default=0,
+    serve.add_argument("--http-port", type=port_number, default=0,
                        help="/metrics + /healthz port (default ephemeral)")
     serve.add_argument("--no-http", action="store_true",
                        help="disable the HTTP scrape endpoint")
@@ -623,7 +680,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="accept a witness subscription and gate "
                        "every write ack on the witness's durable "
                        "receipt (semi-synchronous replication)")
-    serve.add_argument("--witness-of", default=None, metavar="HOST:PORT",
+    serve.add_argument("--witness-of", type=_parse_primary, default=None,
+                       metavar="HOST:PORT",
                        help="run as the witness of the primary at "
                        "HOST:PORT: subscribe, adopt and continuously "
                        "redo its shipped WAL; serve only after "
@@ -631,11 +689,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--fault-seed", type=int, default=None,
                        help="arm a seeded fuzz fault model over the "
                        "on-disk store and log (live-fire testing)")
-    serve.add_argument("--p-transient", type=float, default=0.01,
+    serve.add_argument("--p-transient", type=fraction, default=0.01,
                        help="per-point transient rate (with --fault-seed)")
-    serve.add_argument("--p-torn", type=float, default=0.002,
+    serve.add_argument("--p-torn", type=fraction, default=0.002,
                        help="per-point torn-write rate (with --fault-seed)")
-    serve.add_argument("--p-corrupt", type=float, default=0.002,
+    serve.add_argument("--p-corrupt", type=fraction, default=0.002,
                        help="per-point corruption rate (with --fault-seed)")
     serve.add_argument("--metrics-out", default=None, metavar="PATH",
                        help="dump telemetry JSONL at graceful shutdown")
@@ -646,7 +704,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the old epoch; an operator decision, never automatic)"
     )
     promote.add_argument("--host", default="127.0.0.1")
-    promote.add_argument("--port", type=int, required=True,
+    promote.add_argument("--port", type=port_number, required=True,
                          help="the witness daemon's request port")
     promote.add_argument("--attempts", type=int, default=5,
                          help="client retry attempts (default 5)")

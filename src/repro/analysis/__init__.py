@@ -1,26 +1,12 @@
 """Measurement, tracing and reporting helpers."""
 
-from repro.analysis.tables import Table, format_bytes, ratio
-from repro.analysis.trace import TraceEvent, Tracer
-from repro.analysis.logstats import (
-    LogBreakdown,
-    analyze_log,
-    engine_summary,
-    failure_summary,
-    fault_summary,
-    obs_summary,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Table",
-    "format_bytes",
-    "ratio",
-    "TraceEvent",
-    "Tracer",
-    "LogBreakdown",
-    "analyze_log",
-    "engine_summary",
-    "failure_summary",
-    "fault_summary",
-    "obs_summary",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".tables": ("Table", "format_bytes", "ratio"),
+    ".trace": ("TraceEvent", "Tracer"),
+    ".logstats": (
+        "LogBreakdown", "analyze_log", "engine_summary", "failure_summary",
+        "fault_summary", "obs_summary",
+    ),
+})

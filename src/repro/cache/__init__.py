@@ -11,27 +11,13 @@ cache-manager-initiated identity writes (Section 4) let it break up
 multi-object atomic flush sets without quiescing the system.
 """
 
-from repro.cache.config import CacheConfig, GraphMode, MultiObjectStrategy
-from repro.cache.cache_manager import CacheManager, CacheEntry
-from repro.cache.policies import (
-    EvictionPolicy,
-    LRUEviction,
-    FIFOEviction,
-    VictimPolicy,
-    PeelFirstSorted,
-    PeelHottest,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CacheConfig",
-    "GraphMode",
-    "MultiObjectStrategy",
-    "CacheManager",
-    "CacheEntry",
-    "EvictionPolicy",
-    "LRUEviction",
-    "FIFOEviction",
-    "VictimPolicy",
-    "PeelFirstSorted",
-    "PeelHottest",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".config": ("CacheConfig", "GraphMode", "MultiObjectStrategy"),
+    ".cache_manager": ("CacheManager", "CacheEntry"),
+    ".policies": (
+        "EvictionPolicy", "LRUEviction", "FIFOEviction", "VictimPolicy",
+        "PeelFirstSorted", "PeelHottest",
+    ),
+})

@@ -5,38 +5,16 @@ object identifiers, state identifiers, the size model used for log/I-O
 accounting, error types, and a deterministic RNG helper.
 """
 
-from repro.common.errors import (
-    ReproError,
-    WALViolationError,
-    TornWriteError,
-    UnrecoverableStateError,
-    RecoveryError,
-    UnknownFunctionError,
-    CacheError,
-    TransientStorageError,
-    CorruptObjectError,
-    SimulatedCrash,
-)
-from repro.common.identifiers import ObjectId, StateId, NULL_SI
-from repro.common.retry import retry_transient
-from repro.common.sizes import size_of, ID_SIZE, RECORD_HEADER_SIZE
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "WALViolationError",
-    "TornWriteError",
-    "UnrecoverableStateError",
-    "RecoveryError",
-    "UnknownFunctionError",
-    "CacheError",
-    "TransientStorageError",
-    "CorruptObjectError",
-    "SimulatedCrash",
-    "retry_transient",
-    "ObjectId",
-    "StateId",
-    "NULL_SI",
-    "size_of",
-    "ID_SIZE",
-    "RECORD_HEADER_SIZE",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".errors": (
+        "ReproError", "WALViolationError", "TornWriteError",
+        "UnrecoverableStateError", "RecoveryError", "UnknownFunctionError",
+        "CacheError", "TransientStorageError", "CorruptObjectError",
+        "SimulatedCrash",
+    ),
+    ".identifiers": ("ObjectId", "StateId", "NULL_SI"),
+    ".retry": ("retry_transient",),
+    ".sizes": ("size_of", "ID_SIZE", "RECORD_HEADER_SIZE"),
+})

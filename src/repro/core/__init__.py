@@ -29,72 +29,25 @@ This package contains the executable form of the framework in Sections
   invariant Inv(I) and state explainability.
 """
 
-from repro.core.operation import (
-    OpFootprint,
-    OpKind,
-    Operation,
-    TOMBSTONE,
-    identity_write,
-)
-from repro.core.functions import FunctionRegistry, default_registry
-from repro.core.history import History
-from repro.core.installation_graph import (
-    InstallationGraph,
-    WriteWritePolicy,
-)
-from repro.core.explain import (
-    exposed_objects,
-    is_prefix_set,
-    explains,
-    find_explanation,
-)
-from repro.core.engine import (
-    GraphMode,
-    GraphOp,
-    WriteGraphEngine,
-    make_engine,
-)
-from repro.core.write_graph import BatchWriteGraph, WriteGraphNode
-from repro.core.incremental_write_graph import IncrementalWriteGraph
-from repro.core.refined_write_graph import RefinedWriteGraph, RWNode
-from repro.core.redo import (
-    RedoDecision,
-    RedoTest,
-    RedoAll,
-    VsiRedoTest,
-    GeneralizedRedoTest,
-)
-from repro.core.recovery import RecoveryManager, RecoveryReport
+from repro._exports import lazy_exports
 
-__all__ = [
-    "OpFootprint",
-    "OpKind",
-    "Operation",
-    "TOMBSTONE",
-    "identity_write",
-    "FunctionRegistry",
-    "default_registry",
-    "History",
-    "InstallationGraph",
-    "WriteWritePolicy",
-    "exposed_objects",
-    "is_prefix_set",
-    "explains",
-    "find_explanation",
-    "GraphMode",
-    "GraphOp",
-    "WriteGraphEngine",
-    "make_engine",
-    "BatchWriteGraph",
-    "WriteGraphNode",
-    "IncrementalWriteGraph",
-    "RefinedWriteGraph",
-    "RWNode",
-    "RedoDecision",
-    "RedoTest",
-    "RedoAll",
-    "VsiRedoTest",
-    "GeneralizedRedoTest",
-    "RecoveryManager",
-    "RecoveryReport",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".operation": (
+        "OpFootprint", "OpKind", "Operation", "TOMBSTONE", "identity_write",
+    ),
+    ".functions": ("FunctionRegistry", "default_registry"),
+    ".history": ("History",),
+    ".installation_graph": ("InstallationGraph", "WriteWritePolicy"),
+    ".explain": (
+        "exposed_objects", "is_prefix_set", "explains", "find_explanation",
+    ),
+    ".engine": ("GraphMode", "GraphOp", "WriteGraphEngine", "make_engine"),
+    ".write_graph": ("BatchWriteGraph", "WriteGraphNode"),
+    ".incremental_write_graph": ("IncrementalWriteGraph",),
+    ".refined_write_graph": ("RefinedWriteGraph", "RWNode"),
+    ".redo": (
+        "RedoDecision", "RedoTest", "RedoAll", "VsiRedoTest",
+        "GeneralizedRedoTest",
+    ),
+    ".recovery": ("RecoveryManager", "RecoveryReport"),
+})

@@ -16,28 +16,13 @@ thin, fully-recoverable layer over :class:`~repro.kernel.RecoverableSystem`:
   only physiological operations: the classic-database baseline.
 """
 
-from repro.domains.application import (
-    ApplicationRuntime,
-    AppLoggingMode,
-    APP_PROGRAMS,
-)
-from repro.domains.filesystem import RecoverableFileSystem, FsLoggingMode
-from repro.domains.btree import RecoverableBTree, SplitLoggingMode
-from repro.domains.kvstore import KVPageStore
-from repro.domains.indexed_store import IndexedKVStore, IndexLoggingMode
-from repro.domains.relational import RelationalStore, CtasLoggingMode
+from repro._exports import lazy_exports
 
-__all__ = [
-    "IndexedKVStore",
-    "IndexLoggingMode",
-    "RelationalStore",
-    "CtasLoggingMode",
-    "ApplicationRuntime",
-    "AppLoggingMode",
-    "APP_PROGRAMS",
-    "RecoverableFileSystem",
-    "FsLoggingMode",
-    "RecoverableBTree",
-    "SplitLoggingMode",
-    "KVPageStore",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".application": ("ApplicationRuntime", "AppLoggingMode", "APP_PROGRAMS"),
+    ".filesystem": ("RecoverableFileSystem", "FsLoggingMode"),
+    ".btree": ("RecoverableBTree", "SplitLoggingMode"),
+    ".kvstore": ("KVPageStore",),
+    ".indexed_store": ("IndexedKVStore", "IndexLoggingMode"),
+    ".relational": ("RelationalStore", "CtasLoggingMode"),
+})

@@ -9,38 +9,18 @@ the restartable recovery supervisor with its escalation ladder
 (:mod:`~repro.kernel.supervisor`).
 """
 
-from repro.kernel.system import RecoverableSystem, SystemConfig, SystemHealth
-from repro.kernel.crash import CrashInjector, CrashNow
-from repro.kernel.verify import verify_recovered, VerificationError
-from repro.kernel.backup_manager import BackupManager
-from repro.kernel.supervisor import (
-    AttemptRecord,
-    FailureReport,
-    RecoverySupervisor,
-    SupervisorConfig,
-)
-from repro.kernel.torture import (
-    TortureConfig,
-    TortureHarness,
-    TortureOutcome,
-    TortureReport,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "RecoverableSystem",
-    "SystemConfig",
-    "SystemHealth",
-    "CrashInjector",
-    "CrashNow",
-    "verify_recovered",
-    "VerificationError",
-    "BackupManager",
-    "AttemptRecord",
-    "FailureReport",
-    "RecoverySupervisor",
-    "SupervisorConfig",
-    "TortureConfig",
-    "TortureHarness",
-    "TortureOutcome",
-    "TortureReport",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".system": ("RecoverableSystem", "SystemConfig", "SystemHealth"),
+    ".crash": ("CrashInjector", "CrashNow"),
+    ".verify": ("verify_recovered", "VerificationError"),
+    ".backup_manager": ("BackupManager",),
+    ".supervisor": (
+        "AttemptRecord", "FailureReport", "RecoverySupervisor",
+        "SupervisorConfig",
+    ),
+    ".torture": (
+        "TortureConfig", "TortureHarness", "TortureOutcome", "TortureReport",
+    ),
+})

@@ -30,52 +30,19 @@ JSONL exports of every process involved.  :class:`FlightRecorder`
 bounded ring persisted as ``flightrec.jsonl`` for crash post-mortems.
 """
 
-from repro.obs.metrics import (
-    COUNT_BUCKETS,
-    LATENCY_BUCKETS,
-    MS_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    NULL_OBS,
-    NullRegistry,
-    Span,
-    process_memory,
-)
-from repro.obs.export import (
-    dump_jsonl,
-    load_jsonl,
-    render_prometheus,
-)
-from repro.obs.flightrec import FlightRecorder, load_flightrec
-from repro.obs.tracing import TraceContext
+from repro._exports import lazy_exports
 
-
-def __getattr__(name: str):
-    # ``ObsHTTPServer`` loads on first use: importing ``http.server``
-    # (and email, ssl, ... behind it) is ~3 MiB no process without the
-    # endpoint should pay for importing ``repro.obs``.
-    if name == "ObsHTTPServer":
-        from repro.obs.http import ObsHTTPServer
-
-        return ObsHTTPServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "COUNT_BUCKETS",
-    "LATENCY_BUCKETS",
-    "MS_BUCKETS",
-    "FlightRecorder",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_OBS",
-    "NullRegistry",
-    "ObsHTTPServer",
-    "Span",
-    "TraceContext",
-    "dump_jsonl",
-    "load_flightrec",
-    "load_jsonl",
-    "process_memory",
-    "render_prometheus",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".metrics": (
+        "COUNT_BUCKETS", "LATENCY_BUCKETS", "MS_BUCKETS", "Histogram",
+        "MetricsRegistry", "NULL_OBS", "NullRegistry", "Span",
+        "process_memory",
+    ),
+    ".export": ("dump_jsonl", "load_jsonl", "render_prometheus"),
+    ".flightrec": ("FlightRecorder", "load_flightrec"),
+    # Loads ``http.server`` (and email, ssl, ... behind it): ~3 MiB that
+    # a process without the endpoint must not pay for, so nothing else
+    # in this package imports it.
+    ".http": ("ObsHTTPServer",),
+    ".tracing": ("TraceContext",),
+})

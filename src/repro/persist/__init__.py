@@ -27,16 +27,12 @@ nothing and bounds every length by the bytes present, and a directory
 written by another codec version is refused, not repaired.
 """
 
-from repro.storage.file_store import FileStableStore
-from repro.storage.faultwrap import FaultyFileStore
-from repro.persist.file_log import FileLogManager
-from repro.persist.faulty_log import FaultyFileLog
-from repro.persist.database import PersistentSystem
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultyFileLog",
-    "FaultyFileStore",
-    "FileStableStore",
-    "FileLogManager",
-    "PersistentSystem",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    "repro.storage.file_store": ("FileStableStore",),
+    "repro.storage.faultwrap": ("FaultyFileStore",),
+    ".file_log": ("FileLogManager",),
+    ".faulty_log": ("FaultyFileLog",),
+    ".database": ("PersistentSystem",),
+})

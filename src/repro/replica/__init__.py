@@ -29,15 +29,10 @@ TCP pair, audited with the exactly-once acked-write oracle — is the
 replicated row of :data:`repro.livefire.SCENARIOS`.
 """
 
-from repro.replica.epoch import INITIAL_EPOCH, EpochStore
-from repro.replica.sender import ReplicationConfig, ReplicationSender
-from repro.replica.witness import WitnessConfig, WitnessDaemon
+from repro._exports import lazy_exports
 
-__all__ = [
-    "INITIAL_EPOCH",
-    "EpochStore",
-    "ReplicationConfig",
-    "ReplicationSender",
-    "WitnessConfig",
-    "WitnessDaemon",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".epoch": ("INITIAL_EPOCH", "EpochStore"),
+    ".sender": ("ReplicationConfig", "ReplicationSender"),
+    ".witness": ("WitnessConfig", "WitnessDaemon"),
+})

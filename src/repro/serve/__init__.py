@@ -38,37 +38,15 @@ load and audits every acknowledged write lives above this package, in
 :mod:`repro.livefire` (``python -m repro torture v3|v4|v5``).
 """
 
-from repro.serve.client import RETRYABLE_CODES, DaemonClient, RetryPolicy
-from repro.serve.errors import (
-    BackpressureError,
-    BadRequestError,
-    DeadlineExceededError,
-    FencedError,
-    ProtocolError,
-    ServeError,
-    ServerFailedError,
-    ServerUnavailableError,
-    ShuttingDownError,
-)
-from repro.serve.server import WRITE_KINDS, DaemonConfig, ServeDaemon
-from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BackpressureError",
-    "BadRequestError",
-    "DaemonClient",
-    "DaemonConfig",
-    "DeadlineExceededError",
-    "FencedError",
-    "ProtocolError",
-    "RETRYABLE_CODES",
-    "RetryPolicy",
-    "ServeDaemon",
-    "ServeError",
-    "ServerFailedError",
-    "ServerUnavailableError",
-    "ServingWatchdog",
-    "ShuttingDownError",
-    "WRITE_KINDS",
-    "WatchdogConfig",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".client": ("RETRYABLE_CODES", "DaemonClient", "RetryPolicy"),
+    ".errors": (
+        "BackpressureError", "BadRequestError", "DeadlineExceededError",
+        "FencedError", "ProtocolError", "ServeError", "ServerFailedError",
+        "ServerUnavailableError", "ShuttingDownError",
+    ),
+    ".server": ("WRITE_KINDS", "DaemonConfig", "ServeDaemon"),
+    ".watchdog": ("ServingWatchdog", "WatchdogConfig"),
+})

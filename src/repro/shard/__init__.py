@@ -6,18 +6,11 @@ recoverability, and :mod:`repro.shard.router` for the stable
 object→shard assignment that per-shard WALs depend on across upgrades.
 """
 
-from repro.shard.group import (
-    CrossShardError,
-    FenceAudit,
-    FenceStatus,
-    ShardedSystem,
-)
-from repro.shard.router import ShardRouter
+from repro._exports import lazy_exports
 
-__all__ = [
-    "CrossShardError",
-    "FenceAudit",
-    "FenceStatus",
-    "ShardRouter",
-    "ShardedSystem",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".group": (
+        "CrossShardError", "FenceAudit", "FenceStatus", "ShardedSystem",
+    ),
+    ".router": ("ShardRouter",),
+})

@@ -29,65 +29,27 @@ All I/O is accounted in :class:`~repro.storage.stats.IOStats` so the
 benchmark harness can regenerate the paper's cost comparisons exactly.
 """
 
-from repro.storage.stats import IOStats
-from repro.storage.stable_store import StableStore, StoredVersion
-from repro.storage.atomic import (
-    AtomicFlushMechanism,
-    RawMultiWrite,
-    ShadowInstall,
-    FlushTransaction,
-    LogStructuredInstall,
-)
-from repro.storage.backup import FuzzyBackup
-from repro.storage.faults import (
-    FaultCrash,
-    FaultKind,
-    FaultModel,
-    FaultSpec,
-    FuzzRates,
-)
-from repro.storage.file_store import FileStableStore
-from repro.storage.logstore import LogStructuredStableStore
-from repro.storage.faultwrap import (
-    FaultyFileStore,
-    FaultyLogStructuredStore,
-    FaultyStore,
-)
-from repro.storage.registry import (
-    DEFAULT_BACKEND,
-    StoreBackend,
-    make_store,
-    recommended_cache_config,
-    register_store_backend,
-    resolve_backend,
-    store_backends,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "IOStats",
-    "StableStore",
-    "StoredVersion",
-    "AtomicFlushMechanism",
-    "RawMultiWrite",
-    "ShadowInstall",
-    "FlushTransaction",
-    "LogStructuredInstall",
-    "FuzzyBackup",
-    "FaultCrash",
-    "FaultKind",
-    "FaultModel",
-    "FaultSpec",
-    "FaultyStore",
-    "FaultyFileStore",
-    "FaultyLogStructuredStore",
-    "FuzzRates",
-    "FileStableStore",
-    "LogStructuredStableStore",
-    "DEFAULT_BACKEND",
-    "StoreBackend",
-    "make_store",
-    "recommended_cache_config",
-    "register_store_backend",
-    "resolve_backend",
-    "store_backends",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".stats": ("IOStats",),
+    ".stable_store": ("StableStore", "StoredVersion"),
+    ".atomic": (
+        "AtomicFlushMechanism", "RawMultiWrite", "ShadowInstall",
+        "FlushTransaction", "LogStructuredInstall",
+    ),
+    ".backup": ("FuzzyBackup",),
+    ".faults": (
+        "FaultCrash", "FaultKind", "FaultModel", "FaultSpec", "FuzzRates",
+    ),
+    ".file_store": ("FileStableStore",),
+    ".logstore": ("LogStructuredStableStore",),
+    ".faultwrap": (
+        "FaultyFileStore", "FaultyLogStructuredStore", "FaultyStore",
+    ),
+    ".registry": (
+        "DEFAULT_BACKEND", "StoreBackend", "make_store",
+        "recommended_cache_config", "register_store_backend",
+        "resolve_backend", "store_backends",
+    ),
+})

@@ -14,21 +14,23 @@ tortured is what is served.
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.kernel.system import SystemConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.persist.faulty_log import FaultyFileLog
 from repro.persist.file_log import FileLogManager
-from repro.replica.sender import ReplicationConfig
-from repro.replica.witness import WitnessConfig, WitnessDaemon
 from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.shard.group import ShardedSystem
 from repro.storage.backup import FuzzyBackup
 from repro.storage.faults import FaultModel
 from repro.storage.registry import make_store, recommended_cache_config
-from repro.wal.faulty_log import FaultyLog
 from repro.workloads.generator import register_workload_functions
+
+# Annotations only: the witness and the faulty logs are imported in the
+# branch that builds them, so a plain ``serve`` process loads neither.
+if TYPE_CHECKING:
+    from repro.replica.sender import ReplicationConfig
+    from repro.replica.witness import WitnessConfig
 
 
 def shard_root(root: str, shards: int, index: int) -> str:
@@ -70,8 +72,14 @@ def build_systems(
         if file_log:
             if faults is None:
                 return FileLogManager(directory(index))
+            from repro.persist.faulty_log import FaultyFileLog
+
             return FaultyFileLog(directory(index), faults)
-        return None if faults is None else FaultyLog(faults)
+        if faults is None:
+            return None
+        from repro.wal.faulty_log import FaultyLog
+
+        return FaultyLog(faults)
 
     sharded = ShardedSystem.build(
         shards,
@@ -113,6 +121,8 @@ def build_daemon(
         raise ValueError(
             f"a witness adopts one WAL stream; got {sharded.shards} shards"
         )
+    from repro.replica.witness import WitnessDaemon
+
     return WitnessDaemon(
         sharded.systems[0],
         config,

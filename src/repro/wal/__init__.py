@@ -8,26 +8,13 @@ of its effects are flushed — is enforced by the cache manager via
 :meth:`LogManager.force_through`.
 """
 
-from repro.wal.records import (
-    LogRecord,
-    OperationRecord,
-    InstallationRecord,
-    FlushRecord,
-    CheckpointRecord,
-    FlushTxnValuesRecord,
-    FlushTxnCommitRecord,
-)
-from repro.wal.log_manager import LogManager
-from repro.wal.faulty_log import FaultyLog
+from repro._exports import lazy_exports
 
-__all__ = [
-    "FaultyLog",
-    "LogRecord",
-    "OperationRecord",
-    "InstallationRecord",
-    "FlushRecord",
-    "CheckpointRecord",
-    "FlushTxnValuesRecord",
-    "FlushTxnCommitRecord",
-    "LogManager",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".records": (
+        "LogRecord", "OperationRecord", "InstallationRecord", "FlushRecord",
+        "CheckpointRecord", "FlushTxnValuesRecord", "FlushTxnCommitRecord",
+    ),
+    ".log_manager": ("LogManager",),
+    ".faulty_log": ("FaultyLog",),
+})

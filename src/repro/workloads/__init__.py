@@ -4,26 +4,15 @@ Every generator is seeded; identical seeds produce identical operation
 sequences, so experiment tables are stable run-to-run.
 """
 
-from repro.workloads.generator import (
-    LogicalWorkload,
-    LogicalWorkloadConfig,
-    register_workload_functions,
-)
-from repro.workloads.scenarios import (
-    app_pipeline_workload,
-    fs_batch_workload,
-    btree_insert_workload,
-    kv_update_workload,
-    transient_files_workload,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "LogicalWorkload",
-    "LogicalWorkloadConfig",
-    "register_workload_functions",
-    "app_pipeline_workload",
-    "fs_batch_workload",
-    "btree_insert_workload",
-    "kv_update_workload",
-    "transient_files_workload",
-]
+__all__, __getattr__ = lazy_exports(__name__, {
+    ".generator": (
+        "LogicalWorkload", "LogicalWorkloadConfig",
+        "register_workload_functions",
+    ),
+    ".scenarios": (
+        "app_pipeline_workload", "fs_batch_workload", "btree_insert_workload",
+        "kv_update_workload", "transient_files_workload",
+    ),
+})

@@ -213,7 +213,7 @@ class TestReplica:
         assert "0 old-epoch acks" in report.summary()
 
     def test_sharded_pair_is_still_refused(self):
-        # shards x replication waits for ROADMAP item 3c.
+        # shards x replication waits for ROADMAP item 8(c).
         with pytest.raises(ValueError):
             quick("v5", shards=2).run(0)
 
@@ -546,6 +546,29 @@ class TestCLI:
         assert raised.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--data-dir", "unused", "--port", "70000"],
+            ["serve", "--data-dir", "unused", "--http-port", "65536"],
+            ["promote", "--port", "99999"],
+            ["serve", "--data-dir", "unused", "--witness-of", "host:99999"],
+            ["serve", "--data-dir", "unused", "--witness-of", "host:0"],
+            ["serve", "--data-dir", "unused", "--witness-of", "localhost"],
+            ["serve", "--data-dir", "unused", "--p-transient", "7"],
+            ["serve", "--data-dir", "unused", "--p-torn", "1.5"],
+            ["serve", "--data-dir", "unused", "--p-corrupt", "-0.1"],
+            ["torture", "fuzz", "--p-transient", "7"],
+            ["torture", "v2", "--p-crash", "2"],
+        ],
+    )
+    def test_port_or_rate_out_of_range_is_a_usage_error(self, argv, capsys):
+        # Parsed, not run: a bad value must never reach a daemon.
+        with pytest.raises(SystemExit) as raised:
+            _build_parser().parse_args(argv)
+        assert raised.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_flag_names_and_defaults_did_not_move(self):
         parser = _build_parser()

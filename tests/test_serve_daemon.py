@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -811,6 +812,53 @@ class TestShutdown:
         client.close()
 
 
+#: What a put-only ``serve`` process must never import: the demo's
+#: domains, the harnesses, the client, and the witness (which only
+#: ``--witness-of`` builds).
+UNSERVED = (
+    "repro.domains", "repro.workloads.scenarios", "repro.replica.witness",
+    "repro.livefire", "repro.kernel.torture", "repro.serve.client",
+)
+
+
+def _serve_process_imports(tmp_path, env) -> set:
+    """Every module ``python -X importtime -m repro serve`` (file store,
+    one shard, no HTTP) imports by the time it has acked one put and
+    drained on SIGTERM."""
+    port_file = tmp_path / "port.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "importtime", "-m", "repro", "serve",
+         "--data-dir", str(tmp_path / "data"), "--store", "file",
+         "--shards", "1", "--no-http", "--port", "0",
+         "--port-file", str(port_file)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not port_file.exists():
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "no port file"
+            time.sleep(0.02)
+        client = DaemonClient(
+            "127.0.0.1", json.loads(port_file.read_text())["port"]
+        )
+        client.put("budget", b"one put")
+        client.close()
+        proc.send_signal(signal.SIGTERM)
+        _, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and "imported package" not in line
+    }
+
+
 class TestHTTPEndpoint:
     def test_healthz_and_metrics(self, shards):
         daemon = start_daemon(shards, http_port=0)
@@ -833,17 +881,21 @@ class TestHTTPEndpoint:
         finally:
             daemon.stop(graceful=False)
 
-    def test_http_stack_loads_only_with_the_endpoint(self):
+    def test_http_stack_loads_only_with_the_endpoint(self, tmp_path):
         """A daemon, witness or embedded child started without the
         endpoint never imports ``http.server`` and what it drags in; one
         that asks for it still serves ``/healthz``.  Likewise a daemon
         that only serves puts never imports ``hashlib`` (OpenSSL): the
-        first ``wl_*`` apply does, and digests exactly as before."""
+        first ``wl_*`` apply does, and digests exactly as before.  And a
+        real ``serve`` process never imports the demo's domains, the
+        harnesses, the client or the witness."""
         script = """
 import sys
 import repro.__main__, repro.serve.server, repro.topology
 loaded = {name.split(".")[0] for name in sys.modules}
 assert not loaded & {"http", "email", "ssl", "socketserver"}, loaded
+unserved = [name for name in sys.modules if name.startswith(UNSERVED)]
+assert not unserved, unserved
 from repro import RecoverableSystem
 from repro.serve import DaemonClient, DaemonConfig, ServeDaemon
 from repro.topology import build_daemon, build_systems
@@ -881,12 +933,16 @@ finally:
 from repro.obs import ObsHTTPServer
 assert ObsHTTPServer is sys.modules["repro.obs.http"].ObsHTTPServer
 """
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
         done = subprocess.run(
-            [sys.executable, "-c", script],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
-            capture_output=True, text=True, timeout=60,
+            [sys.executable, "-c", f"UNSERVED = {UNSERVED!r}\n" + script],
+            env=env, capture_output=True, text=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
+        loaded = _serve_process_imports(tmp_path, env)
+        assert {"repro.serve.server", "repro.persist.file_log"} <= loaded
+        unserved = sorted(name for name in loaded if name.startswith(UNSERVED))
+        assert not unserved, unserved
 
     def test_liveness_vs_readiness_when_degraded(self, shards):
         # The split: DEGRADED is *live* (restarting the process would

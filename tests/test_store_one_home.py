@@ -232,7 +232,7 @@ class TestTheBound:
             assert system.read(f"obj:{index:04d}") == _value(index)
         assert system.stats.object_reads == OBJECTS
         # The cache manager enforces its capacity when it executes, not
-        # when it reads (ROADMAP item 2(ii)): one write later, what is
+        # when it reads (ROADMAP item 6(ii)): one write later, what is
         # left in RAM is the cache — the store kept none of the reads.
         system.execute(physical("obj:0000", _value(0)))
         assert len(system.cache._entries) <= 128
