@@ -23,7 +23,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__version__ = "4.11.0"
+__version__ = "5.0.0"
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".common": ("ObjectId", "StateId"),
@@ -65,7 +65,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "DaemonConfig", "DeadlineExceededError", "FencedError", "RetryPolicy",
         "ServeDaemon", "ServeError", "ServerFailedError",
         "ServerUnavailableError", "ServingWatchdog", "ShuttingDownError",
-        "WatchdogConfig",
     ),
     ".shard": (
         "CrossShardError", "FenceAudit", "ShardRouter", "ShardedSystem",

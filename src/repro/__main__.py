@@ -151,6 +151,9 @@ def _bounded(kind: type, low: float, high: float = float("inf")) -> Callable:
 positive_int = _bounded(int, 1)
 port_number = _bounded(int, 0, 65535)
 fraction = _bounded(float, 0, 1)
+#: A duration in seconds: at least a millisecond (so never 0, negative
+#: or NaN).
+seconds = _bounded(float, 0.001)
 
 
 class Flag(NamedTuple):
@@ -665,9 +668,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port-file", default=None, metavar="PATH",
                        help="write bound ports + pid to PATH as JSON "
                        "once the listener is open")
-    serve.add_argument("--max-queue", type=int, default=64,
+    serve.add_argument("--max-queue", type=positive_int, default=64,
                        help="admission backlog bound (default 64)")
-    serve.add_argument("--default-deadline-ms", type=int, default=5000,
+    serve.add_argument("--default-deadline-ms", type=positive_int,
+                       default=5000,
                        help="deadline for requests that carry none")
     serve.add_argument("--shards", type=positive_int, default=1,
                        help="recovery domains; > 1 serves a sharded "
@@ -706,9 +710,9 @@ def _build_parser() -> argparse.ArgumentParser:
     promote.add_argument("--host", default="127.0.0.1")
     promote.add_argument("--port", type=port_number, required=True,
                          help="the witness daemon's request port")
-    promote.add_argument("--attempts", type=int, default=5,
+    promote.add_argument("--attempts", type=positive_int, default=5,
                          help="client retry attempts (default 5)")
-    promote.add_argument("--deadline", type=float, default=30.0,
+    promote.add_argument("--deadline", type=seconds, default=30.0,
                          help="overall promotion deadline in seconds")
     promote.set_defaults(fn=promote_witness)
 

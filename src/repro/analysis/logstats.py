@@ -148,11 +148,10 @@ def failure_summary(
     then the lost/restored object verdict.
     """
     table = Table(title, ["attempt", "outcome", "escalation", "detail"])
-    deadline = "-" if report.deadline is None else f"{report.deadline:.3f}s"
     table.add_row(
         "budget",
         f"{report.attempts_used}/{report.max_attempts}",
-        f"deadline {deadline}",
+        "-",
         f"elapsed {report.elapsed:.3f}s",
     )
     for record in report.attempts:

@@ -17,7 +17,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
     ".config": ("CacheConfig", "GraphMode", "MultiObjectStrategy"),
     ".cache_manager": ("CacheManager", "CacheEntry"),
     ".policies": (
-        "EvictionPolicy", "LRUEviction", "FIFOEviction", "VictimPolicy",
-        "PeelFirstSorted", "PeelHottest",
+        "LRUEviction", "VictimPolicy", "PeelFirstSorted", "PeelHottest",
     ),
 })

@@ -138,8 +138,9 @@ class CacheManager:
         #: Modelled value bytes every flush so far wrote to the store
         #: (the checkpoint telemetry reports its own share).
         self._flushed_bytes = 0
-        #: Access-recency tracker feeding the hot-object victim policy;
-        #: maintained regardless of the configured eviction policy.
+        #: The one access clock: capacity eviction drops its least
+        #: recently used clean object, and the hot-object victim policy
+        #: peels its most recently used one.
         self.heat = LRUEviction()
         #: Observability hook (null object by default).  Events that
         #: used to go to a directly-attached tracer now flow through
@@ -213,7 +214,6 @@ class CacheManager:
             entry = CacheEntry(version.value, version.vsi, dirty=False)
             self._entries[obj] = entry
         self.heat.touch(obj)
-        self.config.eviction.touch(obj)
         if entry.value is TOMBSTONE:
             return None
         return entry.value
@@ -243,7 +243,6 @@ class CacheManager:
             entry.vsi = lsi
             entry.dirty = True
         self.heat.touch(obj)
-        self.config.eviction.touch(obj)
 
     def _register(self, op: Operation) -> None:
         """Enter logged ``op`` in the tables and the graph — by its
@@ -392,7 +391,6 @@ class CacheManager:
             )
         del self._entries[obj]
         self.heat.forget(obj)
-        self.config.eviction.forget(obj)
         if self.obs.enabled:
             self.obs.count("cache.evictions")
         self._emit("evict", obj=obj)
@@ -400,7 +398,7 @@ class CacheManager:
     def _enforce_capacity(self) -> None:
         """Shrink the cache to the configured capacity.
 
-        Clean objects are evicted in replacement-policy order; when
+        The least recently used clean object is evicted first; when
         nothing is clean, write-graph nodes are installed (PurgeCache)
         until eviction candidates appear.  Re-entrant calls (capacity
         pressure during an identity-write injection inside a purge) are
@@ -425,8 +423,7 @@ class CacheManager:
                     if not entry.dirty
                 ]
                 if clean:
-                    victim = self.config.eviction.victims(clean)[0]
-                    self.evict(victim)
+                    self.evict(min(clean, key=self.heat.last_access))
                     continue
                 if not self.purge():
                     # Nothing dirty yet nothing clean: impossible, but

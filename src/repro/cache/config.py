@@ -22,12 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.cache.policies import (
-    EvictionPolicy,
-    LRUEviction,
-    PeelFirstSorted,
-    VictimPolicy,
-)
+from repro.cache.policies import PeelFirstSorted, VictimPolicy
 from repro.core.engine import GraphMode
 from repro.storage.atomic import AtomicFlushMechanism, ShadowInstall
 
@@ -59,11 +54,10 @@ class CacheConfig:
     #: advancement during the analysis pass (Section 5).
     log_installations: bool = True
     #: Maximum number of cached objects; None = unbounded.  When the
-    #: cache exceeds capacity, clean objects are evicted (STEAL), after
-    #: installing write-graph nodes if nothing is clean.
+    #: cache exceeds capacity, the least recently used clean objects are
+    #: evicted (STEAL), after installing write-graph nodes if nothing is
+    #: clean.
     capacity: Optional[int] = None
-    #: Replacement policy for capacity eviction.
-    eviction: EvictionPolicy = field(default_factory=LRUEviction)
     #: Which object a flush-set dissolution peels off next (Section 4).
     victim_policy: VictimPolicy = field(default_factory=PeelFirstSorted)
 

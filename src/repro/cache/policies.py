@@ -1,11 +1,10 @@
-"""Cache replacement and identity-write victim policies.
+"""The cache's access clock and identity-write victim policies.
 
-Two policy families configure the cache manager:
-
-* **Eviction** — which clean object to drop when the cache is over
-  capacity (LRU by default).  The STEAL discipline of the paper applies:
-  only clean objects may leave, so eviction may first have to install
-  write-graph nodes (make_clean).
+* **Recency** — :class:`LRUEviction` is the cache manager's one access
+  clock (``CacheManager.heat``): capacity eviction drops the least
+  recently used clean object.  The STEAL discipline of the paper
+  applies: only clean objects may leave, so eviction may first have to
+  install write-graph nodes (make_clean).
 * **Identity-write victims** — when dissolving a multi-object flush set
   (Section 4), which object is *kept* to be flushed with the node and
   which are peeled off with ``W_IP`` records.  The paper observes that
@@ -14,82 +13,37 @@ Two policy families configure the cache manager:
   logging, without flushing them immediately" — i.e. peel the hot
   objects (log their value once, keep accumulating updates in cache)
   and flush a cold one.
+
+Both read the same clock, so "recently used" means one thing.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.common.identifiers import ObjectId
 
 
-class EvictionPolicy(abc.ABC):
-    """Chooses eviction victims among cached objects."""
-
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def touch(self, obj: ObjectId) -> None:
-        """Record an access to ``obj``."""
-
-    @abc.abstractmethod
-    def forget(self, obj: ObjectId) -> None:
-        """``obj`` left the cache."""
-
-    @abc.abstractmethod
-    def victims(self, candidates: Iterable[ObjectId]) -> List[ObjectId]:
-        """Order ``candidates`` from most- to least-evictable."""
-
-
-class LRUEviction(EvictionPolicy):
+class LRUEviction:
     """Least-recently-used ordering via an access clock."""
-
-    name = "lru"
 
     def __init__(self) -> None:
         self._clock = 0
         self._last_access: Dict[ObjectId, int] = {}
 
     def touch(self, obj: ObjectId) -> None:
+        """Record an access to ``obj``."""
         self._clock += 1
         self._last_access[obj] = self._clock
 
     def forget(self, obj: ObjectId) -> None:
+        """``obj`` left the cache."""
         self._last_access.pop(obj, None)
-
-    def victims(self, candidates: Iterable[ObjectId]) -> List[ObjectId]:
-        return sorted(
-            candidates,
-            key=lambda obj: self._last_access.get(obj, 0),
-        )
 
     def last_access(self, obj: ObjectId) -> int:
         """The access clock at ``obj``'s last touch (0 = never)."""
         return self._last_access.get(obj, 0)
-
-
-class FIFOEviction(EvictionPolicy):
-    """First-in-first-out: evict in insertion order, ignore re-access."""
-
-    name = "fifo"
-
-    def __init__(self) -> None:
-        self._clock = 0
-        self._arrival: Dict[ObjectId, int] = {}
-
-    def touch(self, obj: ObjectId) -> None:
-        if obj not in self._arrival:
-            self._clock += 1
-            self._arrival[obj] = self._clock
-
-    def forget(self, obj: ObjectId) -> None:
-        self._arrival.pop(obj, None)
-
-    def victims(self, candidates: Iterable[ObjectId]) -> List[ObjectId]:
-        return sorted(
-            candidates, key=lambda obj: self._arrival.get(obj, 0)
-        )
 
 
 class VictimPolicy(abc.ABC):

@@ -65,9 +65,9 @@ class TransientStorageError(ReproError, OSError):
 
     Raised by the fault-injection layer (and catchable alongside real
     ``OSError`` I/O failures) at any simulated device touchpoint: an
-    object read or write, a log force, an fsync.  The hardened write
-    paths retry these with bounded backoff; only after the retry budget
-    is exhausted does the error propagate.
+    object read or write, a log force, an fsync.  The hardened storage
+    paths retry these a bounded number of times; only after the retry
+    budget is exhausted does the error propagate.
     """
 
 

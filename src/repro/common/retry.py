@@ -1,36 +1,33 @@
-"""Bounded retry with backoff for transient storage faults.
+"""Bounded retry for transient storage faults, and the backoff shape.
 
 Real devices fail transiently — a write returns ``EIO`` once and then
 succeeds, an fsync is interrupted — and a recoverable system must not
 escalate every such hiccup into a crash.  :func:`retry_transient` is the
-single retry policy shared by the hardened write paths (log force, cache
-flush, file persist): it retries :class:`TransientStorageError` a bounded
-number of times, counting each retry in the shared
+single retry policy shared by the hardened storage paths (log force,
+cache read and flush, file persist, recovery's re-apply and redo reads):
+it retries :class:`TransientStorageError` up to :data:`DEFAULT_ATTEMPTS`
+times, counting each retry in the shared
 :class:`~repro.storage.stats.IOStats` ledger so torture runs can report
-how much transient noise was absorbed.
-
-Backoff is exponential with an optional jitter fraction and a max-delay
-cap (the classic "full jitter under a ceiling" shape that stops retry
-herds from synchronizing), but defaults to zero delay: the simulated
+how much transient noise was absorbed.  It never sleeps: the simulated
 fault layer injects failures deterministically, and sleeping would only
-slow the harness.  On-disk deployments that expect real transient errors
-can pass a nonzero ``base_delay``.  The sleep function is injectable so
-tests and the torture harness run with zero real sleeping while still
-exercising the delay computation.
+slow the harness.
+
+:func:`backoff_delay` is the exponential-with-jitter schedule of the one
+retry loop that does wait, the daemon client's
+(:class:`~repro.serve.client.RetryPolicy`).
 """
 
 from __future__ import annotations
 
 import random
-import time
 from typing import Callable, Optional, TypeVar
 
 from repro.common.errors import TransientStorageError
 
 T = TypeVar("T")
 
-#: Default attempt budget: tolerates bursts of up to five consecutive
-#: transient failures at one I/O point before giving up.
+#: Attempt budget: tolerates bursts of up to five consecutive transient
+#: failures at one I/O point before giving up.
 DEFAULT_ATTEMPTS = 6
 
 #: Default ceiling on one backoff delay, seconds.  Exponential growth
@@ -51,9 +48,9 @@ def backoff_delay(
     ``base_delay * 2**attempt``, capped at ``max_delay``, then spread by
     ``jitter`` (a fraction in [0, 1]): the result is drawn uniformly
     from ``[(1 - jitter) * delay, delay]``, so ``jitter=0`` is
-    deterministic and ``jitter=1`` is AWS-style full jitter.  Shared by
-    :func:`retry_transient` and the recovery supervisor so both rungs of
-    the escalation ladder pace themselves identically.
+    deterministic and ``jitter=1`` is AWS-style full jitter (the
+    classic "full jitter under a ceiling" shape that stops retry herds
+    from synchronizing).
     """
     if not 0.0 <= jitter <= 1.0:
         raise ValueError("jitter must be in [0, 1]")
@@ -67,66 +64,23 @@ def backoff_delay(
 def retry_transient(
     fn: Callable[[], T],
     *,
-    attempts: int = DEFAULT_ATTEMPTS,
-    base_delay: float = 0.0,
-    max_delay: float = DEFAULT_MAX_DELAY,
-    jitter: float = 0.0,
-    rng: Optional[random.Random] = None,
-    sleep: Callable[[float], None] = time.sleep,
     stats: Optional[object] = None,
     what: str = "storage I/O",
-    deadline: Optional[float] = None,
-    clock: Callable[[], float] = time.monotonic,
 ) -> T:
     """Call ``fn``, retrying on :class:`TransientStorageError`.
 
-    Retries up to ``attempts - 1`` times, sleeping
-    :func:`backoff_delay` seconds between attempts when ``base_delay``
-    is nonzero (via the injectable ``sleep``, so harnesses pass a
-    recording stub and never block).  Each retry bumps
-    ``stats.fault_retries`` when a stats ledger is supplied.  The final
-    failure propagates unchanged so the caller (or a torture harness)
-    sees the exhausted-retries condition.
-
-    ``deadline`` is an **overall elapsed budget in seconds** measured
-    by the injectable ``clock`` from the moment the call starts — not a
-    per-attempt cap.  When the budget is already spent at a failure, or
-    the next backoff delay would overshoot it, the last failure
-    propagates immediately and any remaining sleep is clamped to the
-    budget.  This is what lets a request-serving retry (a daemon client,
-    the recovery supervisor) promise a caller-visible deadline: the
-    retry loop can never outlive it, however many attempts remain.
+    Retries up to ``DEFAULT_ATTEMPTS - 1`` times, at once.  Each retry
+    bumps ``stats.fault_retries`` when a stats ledger is supplied.  The
+    final failure propagates unchanged so the caller (or a torture
+    harness) sees the exhausted-retries condition.  ``what`` names the
+    I/O for a reader of the call site.
     """
-    if attempts < 1:
-        raise ValueError("attempts must be >= 1")
-    if deadline is not None and deadline < 0.0:
-        raise ValueError("deadline must be >= 0")
-    start = clock() if deadline is not None else 0.0
-    for attempt in range(attempts):
+    for attempt in range(DEFAULT_ATTEMPTS):
         try:
             return fn()
         except TransientStorageError:
-            if attempt == attempts - 1:
-                raise
-            if deadline is not None and clock() - start >= deadline:
+            if attempt == DEFAULT_ATTEMPTS - 1:
                 raise
             if stats is not None:
                 stats.fault_retries += 1
-            if base_delay > 0.0:
-                delay = backoff_delay(
-                    attempt,
-                    base_delay=base_delay,
-                    max_delay=max_delay,
-                    jitter=jitter,
-                    rng=rng,
-                )
-                if deadline is not None:
-                    remaining = deadline - (clock() - start)
-                    if delay >= remaining:
-                        # Sleeping would burn the whole budget; spend
-                        # what is left, then let the next failure (if
-                        # any) propagate to the caller on time.
-                        delay = max(0.0, remaining)
-                if delay > 0.0:
-                    sleep(delay)
     raise AssertionError("unreachable")  # pragma: no cover

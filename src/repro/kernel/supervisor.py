@@ -12,8 +12,7 @@ ladder with budgets:
 
 1. **bounded retry / restart** — a transient fault or an injected crash
    inside recovery is answered by running recovery again from scratch,
-   with the same exponential backoff (jitter + max-delay cap, injectable
-   sleep) the hardened write paths use (:mod:`repro.common.retry`);
+   at once (recovery is idempotent, so there is nothing to wait for);
 2. **quarantine + media restore** — a checksum failure surfacing during
    recovery is left for the next attempt's pre-recovery scrub, which
    quarantines the damaged version and reinstates it from the backup
@@ -24,11 +23,11 @@ ladder with budgets:
    :attr:`~repro.kernel.system.SystemHealth.DEGRADED`: surviving
    objects stay readable, writes raise
    :class:`~repro.common.errors.DegradedModeError`;
-4. **failed** — attempts or deadline exhausted without convergence.
+4. **failed** — the attempt budget exhausted without convergence.
 
 Every run produces a structured :class:`FailureReport` — the
 per-attempt fault trace, each escalation decision, the objects lost and
-restored, and how much of the attempt/deadline budget was consumed —
+restored, and how much of the attempt budget was consumed —
 renderable via :func:`repro.analysis.logstats.failure_summary` and
 surfaced by ``python -m repro torture``.
 
@@ -42,10 +41,9 @@ the derivation was out of reach.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import (
     CorruptObjectError,
@@ -53,33 +51,19 @@ from repro.common.errors import (
     TransientStorageError,
 )
 from repro.common.identifiers import ObjectId, StateId
-from repro.common.retry import DEFAULT_MAX_DELAY, backoff_delay
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.storage.backup import FuzzyBackup
 
 
 @dataclass
 class SupervisorConfig:
-    """Budgets and policy knobs for one supervised recovery."""
+    """Budget and policy for one supervised recovery."""
 
     #: Total recovery attempts before declaring FAILED.
     max_attempts: int = 16
-    #: Backoff between attempts (0.0 = no sleeping, the harness default).
-    base_delay: float = 0.0
-    max_delay: float = DEFAULT_MAX_DELAY
-    jitter: float = 0.0
-    #: Injectable sleep/clock so harnesses never block on real time.
-    sleep: Callable[[float], None] = time.sleep
-    clock: Callable[[], float] = time.monotonic
-    rng: Optional[random.Random] = None
-    #: Wall-clock budget in seconds (None = attempts budget only).
-    deadline: Optional[float] = None
     #: Rung 2: reinstate quarantined objects from the backup image.
     #: Disabled by the degraded-mode campaigns to force object loss.
     allow_media_restore: bool = True
-    #: Rung 3: accept object loss and serve reads.  When False, loss
-    #: escalates straight to FAILED.
-    allow_degraded: bool = True
 
 
 @dataclass
@@ -90,7 +74,7 @@ class AttemptRecord:
     #: "converged" | "crashed" | "transient" | "corrupt" | "latent-damage"
     outcome: str
     #: The ladder rung taken next: "none" | "restart" | "retry" |
-    #: "quarantine+media-restore" | "re-recover" | "degrade" | "fail"
+    #: "quarantine+media-restore" | "re-recover" | "degrade"
     escalation: str
     error: str = ""
     #: Faults injected during this attempt, in schedule notation.
@@ -109,7 +93,6 @@ class FailureReport:
     objects_lost: List[ObjectId] = field(default_factory=list)
     objects_restored: List[ObjectId] = field(default_factory=list)
     max_attempts: int = 0
-    deadline: Optional[float] = None
     elapsed: float = 0.0
 
     @property
@@ -164,23 +147,16 @@ class RecoverySupervisor:
     # entry point
     # ------------------------------------------------------------------
     def run(self) -> FailureReport:
-        """Recover until converged, degraded, or out of budget."""
+        """Recover until converged, degraded, or out of attempts."""
         cfg = self.config
         system = self.system
-        start = cfg.clock()
-        report = FailureReport(
-            max_attempts=cfg.max_attempts, deadline=cfg.deadline
-        )
+        start = time.monotonic()
+        report = FailureReport(max_attempts=cfg.max_attempts)
         #: obj -> vSI its damaged version claimed, merged across attempts.
         claimed: Dict[ObjectId, StateId] = {}
         restore_backup = self.backup if cfg.allow_media_restore else None
 
         for attempt in range(cfg.max_attempts):
-            if (
-                cfg.deadline is not None
-                and cfg.clock() - start > cfg.deadline
-            ):
-                break
             system.stats.recovery_attempts += 1
             obs = system.obs
             if obs.enabled:
@@ -213,7 +189,6 @@ class RecoverySupervisor:
                             span,
                         )
                     )
-                    self._pause(attempt)
                     continue
                 except TransientStorageError as exc:
                     report.attempts.append(
@@ -222,7 +197,6 @@ class RecoverySupervisor:
                             span,
                         )
                     )
-                    self._pause(attempt)
                     continue
                 except CorruptObjectError as exc:
                     # The damage is stable; the next attempt's
@@ -239,7 +213,6 @@ class RecoverySupervisor:
                             span,
                         )
                     )
-                    self._pause(attempt)
                     continue
 
                 latent = system.store.scrub()
@@ -258,7 +231,6 @@ class RecoverySupervisor:
                     )
                     report.attempts.append(record)
                     system.crash()
-                    self._pause(attempt)
                     continue
 
                 return self._finish_obs(
@@ -267,10 +239,10 @@ class RecoverySupervisor:
                     )
                 )
 
-        # Budgets exhausted without convergence.
+        # Attempts exhausted without convergence.
         system.mark_failed()
         report.final_health = system.health
-        report.elapsed = cfg.clock() - start
+        report.elapsed = time.monotonic() - start
         system.last_failure_report = report
         return self._finish_obs(report)
 
@@ -297,12 +269,8 @@ class RecoverySupervisor:
             attempt, "converged", "none", None, fault_mark, span
         )
         if lost:
-            if self.config.allow_degraded:
-                record.escalation = "degrade"
-                system.enter_degraded(lost)
-            else:
-                record.escalation = "fail"
-                system.mark_failed()
+            record.escalation = "degrade"
+            system.enter_degraded(lost)
         if span is not None:
             span.tag(
                 escalation=record.escalation,
@@ -314,7 +282,7 @@ class RecoverySupervisor:
         report.objects_lost = list(lost)
         report.objects_restored = list(restored)
         report.final_health = system.health
-        report.elapsed = self.config.clock() - start
+        report.elapsed = time.monotonic() - start
         system.last_failure_report = report
         return report
 
@@ -370,17 +338,3 @@ class RecoverySupervisor:
             obs.gauge("recovery.last_attempts", report.attempts_used)
             obs.gauge("recovery.last_elapsed_s", report.elapsed)
         return report
-
-    def _pause(self, attempt: int) -> None:
-        cfg = self.config
-        if cfg.base_delay <= 0.0:
-            return
-        cfg.sleep(
-            backoff_delay(
-                attempt,
-                base_delay=cfg.base_delay,
-                max_delay=cfg.max_delay,
-                jitter=cfg.jitter,
-                rng=cfg.rng,
-            )
-        )

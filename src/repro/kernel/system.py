@@ -95,18 +95,6 @@ class SystemConfig:
     #: to the whole log buffer so adjacent force requests in an install
     #: batch share one stable-log write (see LogManager.force_through).
     group_commit: bool = False
-    #: Stable-store backend built when no explicit ``store`` is passed
-    #: to the system, resolved through :func:`repro.storage.make_store`
-    #: (``"memory"``, ``"file"``, ``"logstore"``).  None keeps the
-    #: classic default, the in-memory simulated store.
-    store_backend: Optional[str] = None
-    #: Database directory for durable ``store_backend`` values; ignored
-    #: by the in-memory backend.
-    store_root: Optional[str] = None
-
-    def fresh_cache_config(self) -> CacheConfig:
-        """Cache config for the post-recovery cache manager."""
-        return self.cache
 
 
 class RecoverableSystem:
@@ -128,14 +116,6 @@ class RecoverableSystem:
         # file-backed store may already have quarantined corrupt frames
         # while loading its directory, and those counts must survive
         # the switch to the shared ledger.
-        if store is None and self.config.store_backend is not None:
-            # Backend selected by name (the make_store registry): the
-            # config owns the policy, the system owns the instance.
-            from repro.storage.registry import make_store
-
-            store = make_store(
-                self.config.store_backend, self.config.store_root
-            )
         adopted = []
         for component in (store, log):
             if component is None:
@@ -391,7 +371,7 @@ class RecoverableSystem:
             self.store,
             self.log,
             self.registry,
-            self.config.fresh_cache_config(),
+            self.config.cache,
             self.stats,
         )
         self.cache.set_obs(self.obs)
@@ -470,7 +450,7 @@ class RecoverableSystem:
                 self.store,
                 self.log,
                 self.registry,
-                self.config.fresh_cache_config(),
+                self.config.cache,
                 self.stats,
             )
             self.cache.set_obs(self.obs)

@@ -62,6 +62,13 @@ from repro.workloads import (
     LogicalWorkload, LogicalWorkloadConfig, register_workload_functions,
 )
 
+#: Probability of a log force after each operation.
+P_FORCE = 0.4
+#: Supervised runs: the supervisor's attempt budget.  Generous —
+#: nested-crash schedules legitimately burn several attempts before the
+#: last scheduled crash point is consumed.
+SUPERVISOR_ATTEMPTS = 24
+
 #: IOStats fields the report aggregates across runs.
 _COUNTERS = (
     "faults_injected", "fault_retries", "checksum_failures", "quarantines",
@@ -142,9 +149,9 @@ class TortureConfig:
     operations: int = 20
     object_size: int = 64
     p_delete: float = 0.1
-    #: Probability of a log force / purge after each operation (drawn
-    #: from the interleave rng, identical across runs of one harness).
-    p_force: float = 0.4
+    #: Probability of a purge after each operation (drawn, like the
+    #: force's, from the interleave rng: identical across runs of one
+    #: harness).
     p_purge: float = 0.3
     workload_seed: int = 0
     #: Stable-store backend under torture, resolved through
@@ -152,12 +159,8 @@ class TortureConfig:
     #: attached; a durable one gets a scratch directory per run, so the
     #: campaign tortures the real on-disk read/write/scrub paths.
     store_backend: str = "memory"
-    #: Fresh cache config per run (configs hold stateful mechanisms).
+    #: The cache config of each run's system.
     cache_factory: Callable[[], CacheConfig] = CacheConfig
-    #: Supervised runs: the supervisor's attempt budget.  Generous —
-    #: nested-crash schedules legitimately burn several attempts before
-    #: the last scheduled crash point is consumed.
-    supervisor_attempts: int = 24
 
 
 @dataclass
@@ -292,7 +295,7 @@ class TortureHarness:
         try:
             for op in workload.operations():
                 system.execute(op)
-                if interleave.random() < cfg.p_force:
+                if interleave.random() < P_FORCE:
                     system.log.force()
                 if interleave.random() < cfg.p_purge:
                     system.purge()
@@ -318,7 +321,7 @@ class TortureHarness:
                         system,
                         backup=backup,
                         config=SupervisorConfig(
-                            max_attempts=self.config.supervisor_attempts
+                            max_attempts=SUPERVISOR_ATTEMPTS
                         ),
                     ).run()
                     outcome.attempts = report.attempts_used

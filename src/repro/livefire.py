@@ -83,7 +83,6 @@ from repro.serve import protocol
 from repro.serve.client import DaemonClient, RetryPolicy
 from repro.serve.errors import ServeError
 from repro.serve.server import DaemonConfig, ServeDaemon
-from repro.serve.watchdog import WatchdogConfig
 from repro.shard.group import FenceAudit
 from repro.shard.router import ShardRouter
 from repro.storage.faults import FaultCrash, FaultModel, FuzzRates
@@ -111,7 +110,7 @@ DAEMON = DaemonConfig(
     http_port=None,
     max_queue=16,
     retry_after_ms=5,
-    watchdog=WatchdogConfig(supervisor=SupervisorConfig(max_attempts=24)),
+    supervisor=SupervisorConfig(max_attempts=24),
 )
 #: The pair: a short cap on one witness receipt, and a redo cadence
 #: small enough that redo cycles interleave with the load.

@@ -25,6 +25,7 @@ import json
 import os
 from typing import Optional
 
+from repro.common.errors import ReproError
 from repro.storage.framing import write_file_durably
 
 #: Epoch of a pair that has never failed over.
@@ -49,15 +50,29 @@ class EpochStore:
         return os.path.join(self.root, _FILENAME)
 
     def load(self) -> int:
-        """The stored epoch; ``INITIAL_EPOCH`` when none was saved."""
+        """The stored epoch; ``INITIAL_EPOCH`` when none was saved.
+
+        Only a missing file means "never failed over".  A file that is
+        there but does not hold an epoch raises :class:`ReproError`
+        naming it: reading it as ``INITIAL_EPOCH`` would let a later
+        :meth:`save` write a smaller number over a promoted one.
+        """
         if self.root is None:
             return self._memory
         try:
             with open(self.path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
-            epoch = int(payload["epoch"])
-        except (OSError, ValueError, KeyError, TypeError):
+        except FileNotFoundError:
             return INITIAL_EPOCH
+        except (OSError, ValueError) as exc:
+            raise ReproError(
+                f"{self.path}: unreadable epoch file: {exc}"
+            ) from exc
+        epoch = payload.get("epoch") if isinstance(payload, dict) else None
+        if type(epoch) is not int:
+            raise ReproError(
+                f"{self.path}: no integer epoch in {payload!r}"
+            )
         return max(epoch, INITIAL_EPOCH)
 
     def save(self, epoch: int) -> int:

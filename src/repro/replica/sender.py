@@ -48,6 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serve.server import _Connection
 
 
+#: Maximum records per ``repl_batch`` frame (a reconnecting witness far
+#: behind is caught up in chunks, not one giant frame).
+MAX_BATCH_RECORDS = 512
+
+
 @dataclass
 class ReplicationConfig:
     """Primary-side replication policy."""
@@ -60,9 +65,6 @@ class ReplicationConfig:
     ack_timeout_s: float = 5.0
     #: Backoff hint attached to replication UNAVAILABLE rejections.
     retry_after_ms: int = 100
-    #: Maximum records per ``repl_batch`` frame (a reconnecting witness
-    #: far behind is caught up in chunks, not one giant frame).
-    max_batch_records: int = 512
 
 
 class ReplicationSender:
@@ -327,9 +329,9 @@ class ReplicationSender:
         ship_ctx = trace.child() if trace is not None else None
         wire_trace = ship_ctx.to_wire() if ship_ctx is not None else None
         with stage(obs, "repl.ship_ms", ship_ctx):
-            limit = max(1, self.config.max_batch_records)
-            while len(records) > limit:
-                chunk, records = records[:limit], records[limit:]
+            while len(records) > MAX_BATCH_RECORDS:
+                chunk = records[:MAX_BATCH_RECORDS]
+                records = records[MAX_BATCH_RECORDS:]
                 conn.send(
                     wire.batch_frame(
                         self.epoch, chunk[-1].lsi, chunk, trace=wire_trace

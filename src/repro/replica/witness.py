@@ -417,7 +417,7 @@ class WitnessDaemon(ServeDaemon):
             if not self.system._crashed:
                 self.system.crash()
             RecoverySupervisor(
-                self.system, config=self.config.watchdog.supervisor
+                self.system, config=self.config.supervisor
             ).run()
             if self.system.health is not SystemHealth.HEALTHY:
                 # The ladder did not converge (it will re-run next
@@ -501,7 +501,7 @@ class WitnessDaemon(ServeDaemon):
             if not self.system._crashed:
                 self.system.crash()
             RecoverySupervisor(
-                self.system, config=self.config.watchdog.supervisor
+                self.system, config=self.config.supervisor
             ).run()
             if self.system.health is SystemHealth.FAILED:
                 return protocol.error_response(

@@ -14,9 +14,9 @@ long-running process with an operator's contract:
 * :class:`DaemonClient` / :class:`RetryPolicy` — the client library:
   jittered exponential backoff that honors server ``retry_after_ms``
   hints under an overall elapsed deadline budget;
-* :class:`ServingWatchdog` / :class:`WatchdogConfig` — when the
-  escalation ladder runs (before the listener opens; after a mid-serve
-  crash) and how many restarts are tolerated;
+* :class:`ServingWatchdog` — when the escalation ladder runs (before
+  the listener opens; after a mid-serve crash), under the budget of
+  ``DaemonConfig.supervisor``;
 * :mod:`repro.serve.protocol` — the length-prefixed JSON framing;
 * :mod:`repro.serve.errors` — the typed rejections clients catch.
 
@@ -48,5 +48,5 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "ServerUnavailableError", "ShuttingDownError",
     ),
     ".server": ("WRITE_KINDS", "DaemonConfig", "ServeDaemon"),
-    ".watchdog": ("ServingWatchdog", "WatchdogConfig"),
+    ".watchdog": ("ServingWatchdog",),
 })

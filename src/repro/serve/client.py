@@ -2,9 +2,9 @@
 
 ``DaemonClient`` speaks :mod:`repro.serve.protocol` to one daemon and
 turns structured rejections into the exceptions of
-:mod:`repro.serve.errors`.  Its retry loop is deliberately the same
-shape as the kernel's (:func:`repro.common.retry.backoff_delay` with
-full jitter under a ceiling) plus two serving-specific rules:
+:mod:`repro.serve.errors`.  Its retry loop backs off on
+:func:`repro.common.retry.backoff_delay`'s schedule (full jitter under
+a ceiling) plus two serving-specific rules:
 
 * **server hints win** — a rejection carrying ``retry_after_ms`` is
   backed off by at least that long (the server knows how jammed its
@@ -18,9 +18,9 @@ full jitter under a ceiling) plus two serving-specific rules:
   condition like draining) keep the legacy whole-client behavior;
 * **deadlines are an overall budget** — ``RetryPolicy.deadline``
   caps *total elapsed time* across connects, sends, and backoff
-  sleeps, mirroring the elapsed-budget cap ``retry_transient`` grew
-  for exactly this reason: a retried request must never outlive the
-  deadline its caller was promised.  When the budget runs out the
+  sleeps: a retried request must never outlive the deadline its
+  caller was promised.  This is the one retry loop in the package
+  that waits or keeps a deadline.  When the budget runs out the
   client raises :class:`~repro.serve.errors.DeadlineExceededError`
   carrying the last server answer.
 

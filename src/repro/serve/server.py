@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.common.errors import ReproError, SimulatedCrash
 from repro.core.operation import Operation, OpKind, delete_object
+from repro.kernel.supervisor import SupervisorConfig
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.flightrec import FlightRecorder
 from repro.obs.metrics import MetricsRegistry, process_memory
@@ -66,7 +67,7 @@ from repro.serve import protocol
 from repro.serve.cross import Rendezvous
 from repro.serve.errors import FencedError
 from repro.serve.protocol import WRITE_KINDS
-from repro.serve.watchdog import ServingWatchdog, WatchdogConfig
+from repro.serve.watchdog import ServingWatchdog
 from repro.serve.worker import _Shard, _stage_ctx, _Work, enqueue
 from repro.shard.group import ShardedSystem
 from repro.storage.backup import FuzzyBackup
@@ -107,8 +108,8 @@ class DaemonConfig:
     default_deadline_ms: int = 5_000
     #: Backoff hint returned with BACKPRESSURE / UNAVAILABLE answers.
     retry_after_ms: int = 50
-    #: Watchdog/supervisor policy (ladder budgets, restart cap).
-    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
+    #: The recovery ladder's budget for every supervised recovery.
+    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     #: Flight-recorder persistence path (``flightrec.jsonl`` under the
     #: data dir when run via the CLI; None = in-memory ring only, still
     #: served by ``/debug/flightrec``).
@@ -201,7 +202,9 @@ class ServeDaemon:
                 index,
                 kernel,
                 ServingWatchdog(
-                    kernel, backup=backups[index], config=self.config.watchdog
+                    kernel,
+                    backup=backups[index],
+                    config=self.config.supervisor,
                 ),
             )
             for index, kernel in enumerate(systems)

@@ -17,15 +17,14 @@ possible:
   admission gate queues new arrivals (health is RECOVERING throughout).
 
 The watchdog never owns recovery policy — that is the supervisor's
-ladder — it owns *when* the ladder runs and how many mid-serve restarts
-are tolerated before the daemon stops trusting the device
-(``max_restarts`` exhausted ⇒ the system is marked FAILED and every
-subsequent request is refused).
+ladder, whose attempt budget (``DaemonConfig.supervisor``) decides when
+the daemon stops trusting the device (exhausted ⇒ the system is marked
+FAILED and every subsequent request is refused) — it owns *when* the
+ladder runs, and counts the mid-serve restarts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.kernel.supervisor import (
@@ -37,18 +36,6 @@ from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.storage.backup import FuzzyBackup
 
 
-@dataclass
-class WatchdogConfig:
-    """Restart policy for one serving daemon."""
-
-    #: Ladder budgets for each supervised recovery the watchdog runs.
-    supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
-    #: Mid-serve restarts tolerated over the daemon's lifetime; the
-    #: next crash past the budget marks the system FAILED instead of
-    #: recovering again.  ``None`` = unlimited (the torture default).
-    max_restarts: Optional[int] = None
-
-
 class ServingWatchdog:
     """Drives the escalation ladder on behalf of a serving loop."""
 
@@ -56,11 +43,12 @@ class ServingWatchdog:
         self,
         system: RecoverableSystem,
         backup: Optional[FuzzyBackup] = None,
-        config: Optional[WatchdogConfig] = None,
+        config: Optional[SupervisorConfig] = None,
     ) -> None:
         self.system = system
         self.backup = backup
-        self.config = config if config is not None else WatchdogConfig()
+        #: The ladder's budget for every recovery this watchdog drives.
+        self.config = config if config is not None else SupervisorConfig()
         #: Mid-serve restarts performed so far.
         self.restarts = 0
         #: The most recent ladder verdict (startup or restart).
@@ -93,9 +81,7 @@ class ServingWatchdog:
         Volatile state is discarded (operations whose records never
         reached the stable log never happened, durably — which is why
         the daemon only acknowledges after a WAL force) and the ladder
-        runs to a terminal state.  Past the restart budget the system
-        is marked FAILED instead: a device this unreliable should page
-        an operator, not flap forever.
+        runs to a terminal state.
 
         ``trace`` is the crashed request's distributed-trace context,
         when it carried one: the ladder's per-attempt spans join that
@@ -111,22 +97,6 @@ class ServingWatchdog:
             cause=type(cause).__name__,
             restarts=self.restarts,
         )
-        cfg = self.config
-        if (
-            cfg.max_restarts is not None
-            and self.restarts >= cfg.max_restarts
-        ):
-            if not system._crashed:
-                system.crash()
-            system.mark_failed()
-            report = FailureReport(
-                final_health=system.health,
-                converged=False,
-                max_attempts=cfg.supervisor.max_attempts,
-            )
-            self.last_report = report
-            system.last_failure_report = report
-            return report
         self.restarts += 1
         if obs.enabled:
             obs.count("serve.restarts")
@@ -140,7 +110,7 @@ class ServingWatchdog:
     # ------------------------------------------------------------------
     def _run_ladder(self, trace=None) -> FailureReport:
         supervisor = RecoverySupervisor(
-            self.system, backup=self.backup, config=self.config.supervisor
+            self.system, backup=self.backup, config=self.config
         )
         supervisor.trace = trace
         report = supervisor.run()

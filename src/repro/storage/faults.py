@@ -110,6 +110,15 @@ class FaultSpec:
         return f"{self.kind.value}@{prefix}{self.point}{tail}{bang}"
 
 
+#: Fuzz mode: probability that a damaging (torn/corrupt) fault also
+#: crashes.
+CRASH_GIVEN_FAULT = 0.5
+#: Fuzz mode: max consecutive failures for one transient fault (kept
+#: under the retry budget, ``repro.common.retry.DEFAULT_ATTEMPTS``, so
+#: transients recover transparently).
+MAX_TIMES = 2
+
+
 @dataclass
 class FuzzRates:
     """Per-I/O-point fault probabilities for fuzz mode."""
@@ -122,11 +131,6 @@ class FuzzRates:
     #: Zero by default so forward-only campaigns are unchanged; the
     #: recovery-resilience campaigns raise it to crash mid-recovery.
     crash: float = 0.0
-    #: Probability that a damaging (torn/corrupt) fault also crashes.
-    crash_given_fault: float = 0.5
-    #: Max consecutive failures for one transient fault (kept under the
-    #: retry budget so transients recover transparently).
-    max_times: int = 2
 
 
 class FaultModel:
@@ -284,11 +288,11 @@ class FaultModel:
         else:
             return None
         if kind is FaultKind.TRANSIENT:
-            times = rng.randint(1, max(1, rates.max_times))
+            times = rng.randint(1, MAX_TIMES)
             return FaultSpec(point, kind, times=times, phase=self.phase)
         # Damage may take the machine down with it.
         crash = (
-            kind in _DAMAGE_KINDS and rng.random() < rates.crash_given_fault
+            kind in _DAMAGE_KINDS and rng.random() < CRASH_GIVEN_FAULT
         )
         return FaultSpec(point, kind, crash=crash, phase=self.phase)
 

@@ -84,9 +84,11 @@ def _segment_name(seg_id: int) -> str:
     return f"seg-{seg_id:08d}.seg"
 
 
-@dataclass(slots=True)
+@dataclass
 class _Loc:
     """Where an object's record lives, and its vSI: all RAM keeps of it."""
+
+    __slots__ = ("seg_id", "offset", "length", "members", "vsi")
 
     seg_id: int
     offset: int

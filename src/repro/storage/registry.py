@@ -11,8 +11,8 @@ without knowing their classes.
 The registry is open: :func:`register_store_backend` admits new
 backends (a future remote store, an encrypting wrapper) which then
 work everywhere a backend name is threaded —
-``SystemConfig.store_backend``, ``PersistentSystem.open(store_backend=
-...)``, ``python -m repro serve --store``, and the torture CLI.
+``PersistentSystem.open(store_backend=...)``, ``python -m repro serve
+--store``, and the torture CLI.
 """
 
 from __future__ import annotations

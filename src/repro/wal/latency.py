@@ -32,9 +32,8 @@ class LatencyLog(LogManager):
         self,
         force_latency_s: float = 0.0015,
         stats: Optional[IOStats] = None,
-        group_commit: bool = False,
     ) -> None:
-        super().__init__(stats=stats, group_commit=group_commit)
+        super().__init__(stats=stats)
         if force_latency_s < 0:
             raise ValueError(
                 f"force latency must be >= 0, got {force_latency_s}"

@@ -561,6 +561,14 @@ class TestCLI:
             ["serve", "--data-dir", "unused", "--p-corrupt", "-0.1"],
             ["torture", "fuzz", "--p-transient", "7"],
             ["torture", "v2", "--p-crash", "2"],
+            # Budgets under which the daemon would refuse everything.
+            ["serve", "--data-dir", "unused", "--default-deadline-ms", "0"],
+            ["serve", "--data-dir", "unused", "--default-deadline-ms", "-5"],
+            ["serve", "--data-dir", "unused", "--max-queue", "0"],
+            ["promote", "--port", "1", "--attempts", "0"],
+            ["promote", "--port", "1", "--deadline", "0"],
+            ["promote", "--port", "1", "--deadline", "-1"],
+            ["promote", "--port", "1", "--deadline", "nan"],
         ],
     )
     def test_port_or_rate_out_of_range_is_a_usage_error(self, argv, capsys):

@@ -11,12 +11,7 @@ from repro import (
     SystemConfig,
     verify_recovered,
 )
-from repro.cache.policies import (
-    FIFOEviction,
-    LRUEviction,
-    PeelFirstSorted,
-    PeelHottest,
-)
+from repro.cache.policies import LRUEviction, PeelFirstSorted, PeelHottest
 from repro.workloads import register_workload_functions
 from tests.conftest import physical
 
@@ -27,7 +22,7 @@ class TestLRUEviction:
         for obj in ("a", "b", "c"):
             policy.touch(obj)
         policy.touch("a")  # a is now hottest
-        assert policy.victims(["a", "b", "c"]) == ["b", "c", "a"]
+        assert sorted("abc", key=policy.last_access) == ["b", "c", "a"]
 
     def test_forget(self):
         policy = LRUEviction()
@@ -38,16 +33,7 @@ class TestLRUEviction:
     def test_untouched_objects_coldest(self):
         policy = LRUEviction()
         policy.touch("a")
-        assert policy.victims(["ghost", "a"]) == ["ghost", "a"]
-
-
-class TestFIFOEviction:
-    def test_ignores_reaccess(self):
-        policy = FIFOEviction()
-        for obj in ("a", "b", "c"):
-            policy.touch(obj)
-        policy.touch("a")  # re-access must not rejuvenate
-        assert policy.victims(["a", "b", "c"]) == ["a", "b", "c"]
+        assert min(["a", "ghost"], key=policy.last_access) == "ghost"
 
 
 class TestVictimPolicies:
@@ -108,9 +94,7 @@ class TestCapacityEnforcement:
         verify_recovered(system)
 
     def test_lru_evicts_coldest(self):
-        config = SystemConfig(
-            cache=CacheConfig(capacity=3, eviction=LRUEviction())
-        )
+        config = SystemConfig(cache=CacheConfig(capacity=3))
         system = RecoverableSystem(config)
         for obj in ("a", "b", "c"):
             system.execute(physical(obj, b"v"))
@@ -120,6 +104,22 @@ class TestCapacityEnforcement:
         assert len(system.cache) <= 3
         assert system.cache.entry("a") is not None
         assert system.cache.entry("b") is None
+
+    def test_systems_sharing_a_config_keep_their_own_clock(self):
+        # One SystemConfig, two systems: each evicts by its own
+        # accesses, never by the other's.
+        config = SystemConfig(cache=CacheConfig(capacity=2))
+        a, b = RecoverableSystem(config), RecoverableSystem(config)
+        a.execute(physical("x", b"v"))
+        a.execute(physical("y", b"v"))
+        a.flush_all()
+        for obj in ("x", "y", "x"):
+            a.read(obj)
+        b.execute(physical("y", b"w"))
+        b.read("y")
+        a.execute(physical("z", b"v"))  # forces one eviction
+        assert a.cache.entry("x") is not None
+        assert a.cache.entry("y") is None
 
 
 class TestHotVictimIntegration:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -26,7 +29,7 @@ class TestTopLevel:
         # The operable-daemon surface is part of the package API.
         for name in (
             "ServeDaemon", "DaemonClient", "DaemonConfig", "RetryPolicy",
-            "ServingWatchdog", "WatchdogConfig",
+            "ServingWatchdog",
             "LiveFireConfig", "LiveFireHarness", "SCENARIOS",
             "ServeError", "BackpressureError", "DeadlineExceededError",
             "ServerUnavailableError", "ShuttingDownError",
@@ -106,6 +109,10 @@ REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
 ] + [
     # 4.7.0: both harnesses report through TortureReport.
     "LiveFire" + "Report",
+    # 5.0.0: DaemonConfig.supervisor; one LRU access clock.
+    "Watchdog" + "Config",
+    "Eviction" + "Policy",
+    "FIFO" + "Eviction",
 ]
 # 4.7.0: one run path, one point counter, one sweep, one fuzz; the
 # injector raises the post-damage crash.  (module, attribute path)
@@ -120,12 +127,30 @@ REMOVED_ATTRIBUTES = [
     ("repro.storage.faultwrap", "WRITE_DAMAGE"),
     ("repro.__main__", "_report_livefire"),
     ("repro.__main__", "_report_torture"),
+] + [
+    # 5.0.0: values no caller outside the tests set are constants, and
+    # the code paths only those values reached are gone.
+    ("repro.kernel.supervisor", "SupervisorConfig." + name)
+    for name in ("base_delay", "max_delay", "jitter", "sleep", "clock",
+                 "rng", "deadline", "allow_degraded")
+] + [
+    ("repro.kernel.supervisor", "RecoverySupervisor._pause"),
+    ("repro.kernel.supervisor", "FailureReport.deadline"),
+    ("repro.kernel.system", "SystemConfig.fresh_cache_config"),
+    ("repro.kernel.system", "SystemConfig.store_backend"),
+    ("repro.kernel.system", "SystemConfig.store_root"),
+    ("repro.cache.policies", "LRUEviction.victims"),
+    ("repro.replica.sender", "ReplicationConfig.max_batch_records"),
+    ("repro.kernel.torture", "TortureConfig.p_force"),
+    ("repro.kernel.torture", "TortureConfig.supervisor_attempts"),
+    ("repro.storage.faults", "FuzzRates.max_times"),
+    ("repro.storage.faults", "FuzzRates.crash_given_fault"),
 ]
 
 
 class TestRemovedPaths:
-    """Removed modules and names (3.0.0, 4.0.0, 4.7.0) are gone, not
-    aliased."""
+    """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0) are gone,
+    not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):
@@ -147,7 +172,9 @@ class TestRemovedPaths:
 
     @pytest.mark.parametrize("name", REMOVED_NAMES)
     def test_removed_names_are_gone(self, name):
-        for package in (repro, serve, repro.replica, repro.livefire):
+        for package in (
+            repro, serve, repro.replica, repro.livefire, repro.cache
+        ):
             assert name not in getattr(package, "__all__", ())
             assert not hasattr(package, name)
 
@@ -200,3 +227,87 @@ class TestServeModule:
             obj = getattr(serve, name)
             if isinstance(obj, type) and issubclass(obj, errors.ServeError):
                 assert obj.code in ERROR_CODES, name
+
+
+# Every value a caller can set on a ``*Config`` dataclass, and on the
+# other surfaces 5.0.0 narrowed.  A knob earns its place when two
+# callers outside the tests need different values; adding one is a
+# reviewed edit of this table.
+OPTION_SURFACE = {
+    "repro.cache.config.CacheConfig": (
+        "graph_mode", "multi_object_strategy", "mechanism",
+        "log_installations", "capacity", "victim_policy",
+    ),
+    "repro.kernel.supervisor.SupervisorConfig": (
+        "max_attempts", "allow_media_restore",
+    ),
+    "repro.kernel.system.SystemConfig": (
+        "cache", "redo_test", "checkpoint_every_bytes",
+        "truncate_on_checkpoint", "group_commit",
+    ),
+    "repro.kernel.torture.TortureConfig": (
+        "objects", "operations", "object_size", "p_delete", "p_purge",
+        "workload_seed", "store_backend", "cache_factory",
+    ),
+    "repro.livefire.LiveFireConfig": (
+        "clients", "requests_per_client", "objects_per_client", "p_get",
+        "p_cross", "rates", "zombie_ratio", "shards", "store_backend",
+        "store_root",
+    ),
+    "repro.replica.sender.ReplicationConfig": (
+        "epoch_root", "ack_timeout_s", "retry_after_ms",
+    ),
+    "repro.replica.witness.WitnessConfig": (
+        "primary_host", "primary_port", "redo_every_records",
+        "reconnect_delay_s", "epoch_root",
+    ),
+    "repro.serve.server.DaemonConfig": (
+        "host", "port", "http_port", "max_queue", "default_deadline_ms",
+        "retry_after_ms", "supervisor", "flightrec_path", "allow_chaos",
+    ),
+    "repro.workloads.generator.LogicalWorkloadConfig": (
+        "objects", "operations", "object_size", "w_physical", "w_touch",
+        "w_combine", "w_derive", "p_delete",
+    ),
+    "repro.storage.faults.FuzzRates": (
+        "transient", "torn", "corrupt", "fsync_lie", "crash",
+    ),
+}
+CALL_SURFACE = {
+    "repro.common.retry.retry_transient": ("fn", "stats", "what"),
+    "repro.wal.latency.LatencyLog": ("force_latency_s", "stats"),
+}
+
+
+def _resolve(dotted):
+    module, name = dotted.rsplit(".", 1)
+    return getattr(importlib.import_module(module), name)
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("dotted", sorted(OPTION_SURFACE))
+    def test_config_fields(self, dotted):
+        fields = tuple(f.name for f in dataclasses.fields(_resolve(dotted)))
+        assert fields == OPTION_SURFACE[dotted]
+
+    @pytest.mark.parametrize("dotted", sorted(CALL_SURFACE))
+    def test_call_parameters(self, dotted):
+        parameters = tuple(inspect.signature(_resolve(dotted)).parameters)
+        assert parameters == CALL_SURFACE[dotted]
+
+    def test_every_config_dataclass_is_listed(self):
+        found = set()
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name == "repro.__main__":
+                continue
+            module = importlib.import_module(info.name)
+            for name, obj in vars(module).items():
+                if (
+                    name.endswith("Config")
+                    and dataclasses.is_dataclass(obj)
+                    and obj.__module__ == module.__name__
+                ):
+                    found.add(f"{module.__name__}.{name}")
+        assert found == {
+            dotted for dotted in OPTION_SURFACE if dotted.endswith("Config")
+        }

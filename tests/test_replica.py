@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from repro.common.errors import WALViolationError
+from repro.common.errors import ReproError, WALViolationError
 from repro.common.identifiers import NULL_SI
 from repro.core.operation import Operation, OpKind
 from repro.kernel.system import RecoverableSystem
@@ -22,6 +22,7 @@ from repro.replica import (
     INITIAL_EPOCH,
     EpochStore,
     ReplicationConfig,
+    ReplicationSender,
 )
 from repro.replica.wire import (
     batch_frame,
@@ -99,6 +100,26 @@ class TestEpochStore:
         assert EpochStore(root).save(4) == 5
         assert EpochStore(root).load() == 5
 
+    @pytest.mark.parametrize("payload", ['{"epoch": 3', "[3]"])
+    def test_a_damaged_file_refuses_to_load(self, tmp_path, payload):
+        # Reading damage as "never failed over" would let a later save
+        # write a smaller epoch over a promoted one (split brain).
+        root = str(tmp_path / "epoch")
+        store = EpochStore(root)
+        store.save(3)
+        with open(store.path, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+        with pytest.raises(ReproError, match="epoch.json"):
+            EpochStore(root).load()
+        with pytest.raises(ReproError, match="epoch.json"):
+            EpochStore(root).save(2)
+        with pytest.raises(ReproError, match="epoch.json"):
+            ReplicationSender(
+                RecoverableSystem(), ReplicationConfig(epoch_root=root)
+            )
+        with open(store.path, encoding="utf-8") as handle:
+            assert handle.read() == payload
+
     def test_a_save_that_fails_before_the_rename_changes_nothing(
         self, tmp_path, monkeypatch
     ):
@@ -116,14 +137,6 @@ class TestEpochStore:
         assert EpochStore(root).load() == 4
         assert os.listdir(root) == ["epoch.json"]  # no stray temp file
         assert store.save(5) == 5
-
-    def test_corrupt_sidecar_degrades_to_initial(self, tmp_path):
-        root = str(tmp_path / "epoch")
-        store = EpochStore(root)
-        store.save(9)
-        with open(store.path, "w", encoding="utf-8") as handle:
-            handle.write("{torn")
-        assert store.load() == INITIAL_EPOCH
 
 
 # ----------------------------------------------------------------------

@@ -449,41 +449,6 @@ class TestWatchdog:
         assert system.log.is_stable(lsi)
         client.close()
 
-    def test_restart_budget_exhaustion_fails_the_system(self, shards):
-        from repro.kernel.supervisor import SupervisorConfig
-        from repro.serve import WatchdogConfig
-
-        daemon = start_daemon(
-            shards,
-            watchdog=WatchdogConfig(
-                supervisor=SupervisorConfig(), max_restarts=0
-            ),
-        )
-        system = target(daemon)
-        try:
-            system.log.force = lambda: (_ for _ in ()).throw(
-                SimulatedCrash("always")
-            )
-            client = client_for(daemon)
-            with pytest.raises(
-                (ServerFailedError, DeadlineExceededError, Exception)
-            ):
-                client.put(key(daemon, "x"), b"v")
-            # The crash is answered to the client *before* the watchdog
-            # runs, so give the apply thread a moment to mark FAILED.
-            deadline = time.monotonic() + 5.0
-            while (
-                system.health is not SystemHealth.FAILED
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.005)
-            assert system.health is SystemHealth.FAILED
-            with pytest.raises(ServerFailedError):
-                client.get(key(daemon, "x"))
-            client.close()
-        finally:
-            daemon.stop(graceful=False)
-
 
 class TestCommitter:
     """The second stage of the ack path: the apply thread parks each

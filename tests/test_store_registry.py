@@ -6,7 +6,7 @@ import pytest
 
 from repro.cache.config import MultiObjectStrategy
 from repro.domains.kvstore import KVPageStore, register_kv_functions
-from repro.kernel.system import RecoverableSystem, SystemConfig
+from repro.kernel.system import SystemConfig
 from repro.persist import PersistentSystem
 from repro.storage import registry as registry_module
 from repro.storage.atomic import LogStructuredInstall
@@ -146,23 +146,6 @@ class TestRecommendedCacheConfig:
 
 
 class TestBackendThreading:
-    def test_system_config_builds_the_store(self, tmp_path):
-        config = SystemConfig(
-            store_backend="logstore", store_root=str(tmp_path)
-        )
-        system = RecoverableSystem(config)
-        assert type(system.store) is LogStructuredStableStore
-        # The constructed store shares the system's ledger.
-        assert system.store.stats is system.stats
-
-    def test_explicit_store_beats_the_config_backend(self, tmp_path):
-        store = StableStore()
-        config = SystemConfig(
-            store_backend="logstore", store_root=str(tmp_path)
-        )
-        system = RecoverableSystem(config, store=store)
-        assert system.store is store
-
     @pytest.mark.parametrize("backend", ["file", "logstore"])
     def test_persistent_open_round_trip(self, tmp_path, backend):
         dbdir = str(tmp_path / "db")

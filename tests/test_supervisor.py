@@ -150,7 +150,7 @@ class TestLadderRungs:
 
 
 class TestDegradedMode:
-    def _degrade(self, allow_degraded=True):
+    def _degrade(self):
         """Unrecoverable loss: rot an object whose derivation is off
         the log (checkpoint truncation) with no backup to restore."""
         model = FaultModel(armed=False)
@@ -166,9 +166,7 @@ class TestDegradedMode:
         )
         system.crash()
         model.enter_phase(RECOVERY_PHASE)
-        config = SupervisorConfig(
-            allow_media_restore=False, allow_degraded=allow_degraded
-        )
+        config = SupervisorConfig(allow_media_restore=False)
         report = RecoverySupervisor(system, config=config).run()
         return system, report, victim
 
@@ -190,13 +188,6 @@ class TestDegradedMode:
         with pytest.raises(DegradedModeError):
             system.execute(physical("obj:0", b"new"))
 
-    def test_loss_with_degraded_disallowed_fails(self):
-        system, report, victim = self._degrade(allow_degraded=False)
-        assert report.final_health is SystemHealth.FAILED
-        assert report.attempts[-1].escalation == "fail"
-        with pytest.raises(RuntimeError):
-            system.read("obj:0")
-
 
 class TestBudgets:
     def test_attempt_budget_exhaustion_fails(self):
@@ -215,32 +206,18 @@ class TestBudgets:
         assert report.final_health is SystemHealth.FAILED
         assert system.health is SystemHealth.FAILED
 
-    def test_deadline_bounds_wall_clock(self):
-        ticks = iter(range(100))
-        model = FaultModel(_recovery_specs((0, FaultKind.CRASH)))
-        system, backup = _crashed_workload(model)
-        config = SupervisorConfig(
-            deadline=1.5, clock=lambda: float(next(ticks))
-        )
-        report = RecoverySupervisor(system, backup=backup, config=config).run()
-        assert not report.converged
-        assert report.final_health is SystemHealth.FAILED
-        # First attempt crashed; the deadline stopped the second.
-        assert report.attempts_used == 1
-        assert report.elapsed > 1.5
+    def test_restarts_never_sleep(self, monkeypatch):
+        def boom(_):
+            raise AssertionError("sleep must not be called")
 
-    def test_backoff_uses_injectable_sleep(self):
-        slept = []
+        monkeypatch.setattr("time.sleep", boom)
         model = FaultModel(
             _recovery_specs((0, FaultKind.CRASH), (1, FaultKind.CRASH))
         )
         system, backup = _crashed_workload(model)
-        config = SupervisorConfig(
-            base_delay=0.125, max_delay=0.2, sleep=slept.append
-        )
-        report = RecoverySupervisor(system, backup=backup, config=config).run()
+        report = RecoverySupervisor(system, backup=backup).run()
         assert report.converged
-        assert slept == [0.125, 0.2]
+        assert report.attempts_used == 3
 
 
 class TestFailureReport:
@@ -250,7 +227,6 @@ class TestFailureReport:
         report = RecoverySupervisor(system, backup=backup).run()
         assert isinstance(report, FailureReport)
         assert report.max_attempts == 16
-        assert report.deadline is None
         assert report.elapsed >= 0.0
         assert report.fault_trace() == ["crash@r0"]
         assert "converged in 2/16 attempts" in report.summary()

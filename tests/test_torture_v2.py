@@ -15,7 +15,7 @@ from repro.kernel.torture import (
 )
 from repro.storage.faults import FaultKind, FuzzRates
 
-SMALL = TortureConfig(objects=4, operations=12, supervisor_attempts=24)
+SMALL = TortureConfig(objects=4, operations=12)
 
 
 def test_recovery_sweep_kinds_cover_the_v2_taxonomy():
