@@ -261,15 +261,37 @@ def identity_write(obj: ObjectId, current_value: Any) -> Operation:
     )
 
 
+#: The readset of every blind write built here or decoded from a
+#: compact record.  CPython keeps no empty-frozenset singleton, and a
+#: pinned write holds its readset for as long as it is uninstalled.
+_NO_READS: frozenset = frozenset()
+
+
+def blind_write_name(obj: ObjectId, value: Any) -> str:
+    """The canonical name of a blind physical write of ``value`` to
+    ``obj``: ``delete(obj)`` for ``TOMBSTONE``, ``put(obj)`` otherwise.
+
+    The WAL codec stores an operation with this name in its compact
+    layout and rebuilds the name instead of storing it.
+    """
+    return f"delete({obj})" if value is TOMBSTONE else f"put({obj})"
+
+
+def put_object(obj: ObjectId, value: Any) -> Operation:
+    """Build a put: a blind physical write of ``value`` to ``obj`` under
+    its :func:`blind_write_name` (a put of ``TOMBSTONE`` is a delete)."""
+    return Operation(
+        name=blind_write_name(obj, value),
+        kind=OpKind.PHYSICAL,
+        reads=_NO_READS,
+        writes=frozenset({obj}),
+        payload={obj: value},
+    )
+
+
 def delete_object(obj: ObjectId) -> Operation:
     """Build a delete operation: a blind physical write of TOMBSTONE."""
-    return Operation(
-        name=f"delete({obj})",
-        kind=OpKind.PHYSICAL,
-        reads=frozenset(),
-        writes=frozenset({obj}),
-        payload={obj: TOMBSTONE},
-    )
+    return put_object(obj, TOMBSTONE)
 
 
 def execute_transform(

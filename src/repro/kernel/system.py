@@ -278,6 +278,11 @@ class RecoverableSystem:
         """The online checkpoint, once ``every_bytes`` of log have been
         appended since the last checkpoint; True when it ran.
 
+        The bytes are ``stats.log_bytes``: the modelled
+        ``record_size()`` of each appended record (Figure 1), not its
+        encoded size on a file log, so a change to the codec moves no
+        checkpoint.
+
         It installs every node holding a record older than the
         *previous* checkpoint, then checkpoints and (with ``truncate``)
         drops the log below the new minimum rSI — so the log holds

@@ -117,7 +117,7 @@ def decode_value(value: Any) -> Any:
     """Invert :func:`encode_value`."""
     if isinstance(value, dict) and set(value) == {"__bytes__"}:
         try:
-            return base64.b64decode(value["__bytes__"])
+            return base64.b64decode(value["__bytes__"], validate=True)
         except (TypeError, ValueError) as exc:
             raise ProtocolError(f"bad bytes envelope: {exc}") from None
     return value

@@ -57,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.replica.sender import ReplicationConfig, ReplicationSender
 
 from repro.common.errors import ReproError, SimulatedCrash
-from repro.core.operation import Operation, OpKind, delete_object
+from repro.core.operation import Operation, OpKind, delete_object, put_object
 from repro.kernel.supervisor import SupervisorConfig
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.flightrec import FlightRecorder
@@ -762,6 +762,9 @@ class ServeDaemon:
             obj = request.get("obj")
             if not isinstance(obj, str) or not obj:
                 raise protocol.ProtocolError("request requires an 'obj' string")
+            if kind == "put" and "value" not in request:
+                # Absent is not null: a put of None is an explicit value.
+                raise protocol.ProtocolError("put requires a 'value'")
             obj = request["obj"] = sys.intern(obj)
             return (router.shard_of(obj),)
         if kind == "apply":
@@ -942,14 +945,8 @@ class ServeDaemon:
                 shard=shard.index,
             )
         if kind == "put":
-            obj = request["obj"]
-            value = protocol.decode_value(request.get("value"))
-            op = Operation(
-                f"serve.put({obj})#{next(self._op_ids)}",
-                OpKind.PHYSICAL,
-                reads=frozenset(),
-                writes=frozenset({obj}),
-                payload={obj: value},
+            op = put_object(
+                request["obj"], protocol.decode_value(request["value"])
             )
         elif kind == "delete":
             op = delete_object(request["obj"])

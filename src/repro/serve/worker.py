@@ -51,7 +51,11 @@ from repro.serve.protocol import WRITE_KINDS
 from repro.serve.watchdog import ServingWatchdog
 from repro.shard.group import CrossShardError
 
-#: Log bytes appended between a shard's online checkpoints.  Each one
+#: Log bytes appended between a shard's online checkpoints.  They are
+#: the modelled ``record_size()`` bytes of ``IOStats.log_bytes``, not
+#: encoded ``wal.log`` bytes, on purpose: a record layout that shrinks
+#: the file (the compact blind write) then moves no checkpoint, install
+#: or truncation, only the bytes between them.  Each one
 #: installs what is older than the previous one, so a key that is
 #: rewritten within an interval never costs a store write: per put, the
 #: chance of a flush is about e^(-interval / (keys x record bytes)) —

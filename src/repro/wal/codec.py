@@ -12,7 +12,10 @@ state identifiers and counts are varints, and only data values (an
 operation's parameters and payload, a flush transaction's versions) go
 through the tagged value codec.  A logical operation's record is
 therefore its identifiers and nothing else — the paper's Figure 1
-economy, on real bytes.
+economy, on real bytes.  A blind physical write under its canonical
+name (``put(obj)``, ``delete(obj)``) is likewise its object and its
+value: the compact layout rebuilds the name, the empty readset and the
+writeset instead of storing them.
 
 Decoding constructs only the classes in :data:`RECORD_TYPES`, through
 their ordinary constructors (so ``Operation.__post_init__`` validates
@@ -38,7 +41,7 @@ from repro.common.codec import (
     put_value,
     unpack_header,
 )
-from repro.core.operation import OpKind, Operation
+from repro.core.operation import OpKind, Operation, blind_write_name, put_object
 from repro.wal.records import (
     CheckpointRecord,
     EpochRecord,
@@ -59,6 +62,12 @@ _OP_KINDS = (
 )
 _OP_KIND_CODE = {kind: code for code, kind in enumerate(_OP_KINDS)}
 _HAS_PAYLOAD = 0x04
+#: The compact layout of a blind physical write under its canonical
+#: name (:func:`~repro.core.operation.blind_write_name`).  It is the
+#: whole flags byte: the kind (PHYSICAL), the empty readset, ``fn`` and
+#: params, the one-object payload and the writeset it equals are all
+#: implied, and the body is ``op_id + 1 · obj · value``.
+_BLIND_WRITE = 0x08
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +142,20 @@ def _get_numbers(data: bytes, pos: int) -> Tuple[Tuple[int, ...], int]:
 # ----------------------------------------------------------------------
 def _put_operation(out: bytearray, record: OperationRecord) -> None:
     op = record.op
+    if (
+        op.kind is OpKind.PHYSICAL
+        and not op.reads
+        and not op.fn
+        and not op.params
+        and len(op.payload) == 1
+    ):
+        ((obj, value),) = op.payload.items()
+        if op.name == blind_write_name(obj, value):
+            out.append(_BLIND_WRITE)
+            put_uvarint(out, op.op_id + 1)
+            put_str(out, obj)
+            put_value(out, value)
+            return
     flags = _OP_KIND_CODE[op.kind]
     if op.payload is not None:
         flags |= _HAS_PAYLOAD
@@ -155,6 +178,13 @@ def _put_operation(out: bytearray, record: OperationRecord) -> None:
 def _get_operation(data: bytes, pos: int) -> Tuple[LogRecord, int]:
     flags = data[pos]
     pos += 1
+    if flags == _BLIND_WRITE:
+        op_id, pos = get_uvarint(data, pos)
+        obj, pos = get_str(data, pos)
+        value, pos = get_value(data, pos)
+        op = put_object(obj, value)
+        op.op_id = op_id - 1
+        return OperationRecord(op), pos
     if flags & ~(_HAS_PAYLOAD | 0x03):
         raise CodecError(f"unknown operation flags 0x{flags:02x}")
     op_id, pos = get_uvarint(data, pos)

@@ -36,9 +36,21 @@ from repro.common.codec import (
     decode_value,
     encode_stored_version,
     encode_value,
+    pack_header,
+    put_str,
+    put_uvarint,
+    put_value,
 )
 from repro.common.sizes import ID_SIZE
-from repro.core.operation import TOMBSTONE, Operation, OpKind
+from repro.core.operation import (
+    TOMBSTONE,
+    Operation,
+    OpKind,
+    blind_write_name,
+    delete_object,
+    put_object,
+)
+from repro.persist import PersistentSystem
 from repro.persist.file_log import FileLogManager
 from repro.replica.wire import decode_records
 from repro.serve.errors import ProtocolError
@@ -312,8 +324,13 @@ class TestRecordRoundTrip:
     def test_decoded_operations_went_through_validation(self):
         """A payload that names a physical operation whose payload keys
         differ from its writeset is refused by Operation.__post_init__,
-        surfaced as the codec error."""
-        record = _stamp(OperationRecord(_put("x", b"v")), 9)
+        surfaced as the codec error.  The compact layout stores one key
+        for both, so the operation takes a non-canonical name to keep
+        the full layout."""
+        op = Operation(
+            "w(x)", OpKind.PHYSICAL, frozenset(), {"x"}, payload={"x": b"v"}
+        )
+        record = _stamp(OperationRecord(op), 9)
         payload = encode_record(record)
         # flip the payload key "x" to "y" (its last occurrence)
         at = payload.rindex(b"\x01x")
@@ -380,6 +397,20 @@ GOLDEN_HEX = [
     "01070a00000000000000" "03" "02" "0161" "0b" "050176" "0162" "0c" "0c",
     "01080b00000000000000" "03",
 ]
+#: The compact layout of a blind write under its canonical name:
+#: flags 0x08, ``op_id + 1``, the object, the value.
+COMPACT_GOLDEN = {
+    "put": (put_object("x", b"v"), "01010c00000000000000" "08" "00" "0178"
+            "050176"),
+    "delete": (delete_object("x"), "01010c00000000000000" "08" "00" "0178"
+               "0c"),
+}
+#: The same put as 5.0.0 wrote it: flags, op_id, name, fn, reads,
+#: writes, params, payload.
+FULL_LAYOUT_PUT_HEX = (
+    "01010c00000000000000" "06" "00" "06707574287829" "00" "00" "010178" "00"
+    "01" "0178" "050176"
+)
 GOLDEN_STORED_HEX = (
     "01102a00000000000000" "09" "02" "06016b" "0502ff00" "06016e" "0702" "00"
     "04000000000000f83f"
@@ -401,6 +432,190 @@ class TestGoldenBytes:
         assert encode_stored_version(value, 42).hex() == GOLDEN_STORED_HEX
         decoded, vsi = decode_stored_version(bytes.fromhex(GOLDEN_STORED_HEX))
         assert same(decoded, value) and vsi == 42
+
+
+# ----------------------------------------------------------------------
+# the compact layout of a blind write
+# ----------------------------------------------------------------------
+_FLAGS_AT = struct.calcsize("<BBQ")  # an operation body starts with flags
+
+
+def _full_layout(op) -> bytes:
+    """The 5.0.0 payload of a one-object physical write."""
+    ((obj, value),) = op.payload.items()
+    out = pack_header(1, op.lsi)
+    out.append(0x06)  # PHYSICAL, with a payload
+    put_uvarint(out, op.op_id + 1)
+    put_str(out, op.name)
+    put_str(out, op.fn)
+    put_uvarint(out, 0)  # no reads
+    put_uvarint(out, 1)
+    put_str(out, obj)
+    put_uvarint(out, 0)  # no params
+    put_uvarint(out, 1)
+    put_str(out, obj)
+    put_value(out, value)
+    return bytes(out)
+
+
+@st.composite
+def near_blind_writes(draw):
+    """A canonical put or delete with one thing changed that the
+    compact layout cannot carry."""
+    obj, value = draw(IDS), draw(VALUES)
+    name = blind_write_name(obj, value)
+    kind, reads, fn, params = OpKind.PHYSICAL, frozenset(), "", ()
+    payload = {obj: value}
+    change = draw(st.sampled_from(
+        ["name", "kind", "reads", "fn", "params", "objects"]
+    ))
+    if change == "name":
+        name = draw(TEXT.filter(lambda text: text != name))
+    elif change == "kind":
+        kind = draw(st.sampled_from(
+            [k for k in OpKind if k is not OpKind.PHYSICAL]
+        ))
+    elif change == "reads":
+        reads = draw(st.frozensets(IDS, min_size=1, max_size=3))
+    elif change == "fn":
+        fn = draw(TEXT.filter(bool))
+    elif change == "params":
+        params = tuple(draw(st.lists(VALUES, min_size=1, max_size=3)))
+    else:
+        other = draw(IDS.filter(lambda text: text != obj))
+        payload[other] = draw(VALUES)
+    return Operation(
+        name, kind, reads, set(payload), fn=fn, params=params,
+        payload=payload, op_id=draw(st.integers(-1, 2**40)),
+    )
+
+
+class TestCompactBlindWrites:
+    @pytest.mark.parametrize(
+        "op,expected", list(COMPACT_GOLDEN.values()), ids=list(COMPACT_GOLDEN)
+    )
+    def test_layout_is_pinned(self, op, expected):
+        record = _stamp(OperationRecord(op), 12)
+        assert encode_record(record).hex() == expected
+        assert same(decode_record(bytes.fromhex(expected)), record)
+
+    def test_a_5_0_0_put_decodes_to_the_identical_op(self):
+        put, compact = COMPACT_GOLDEN["put"]
+        record = _stamp(OperationRecord(put), 12)
+        assert _full_layout(put).hex() == FULL_LAYOUT_PUT_HEX
+        assert same(decode_record(bytes.fromhex(FULL_LAYOUT_PUT_HEX)), record)
+        assert encode_record(record).hex() == compact
+
+    def test_a_served_put_frames_to_157_bytes(self):
+        """8 B frame + 10 B header + flags + op_id + 6 B object +
+        3 B tag and length + the 128 B value."""
+        record = _stamp(OperationRecord(put_object("k0123", b"v" * 128)), 9)
+        assert _HEADER.size + len(encode_record(record)) == 157
+
+    def test_blind_writes_share_one_empty_readset(self):
+        decoded = decode_record(bytes.fromhex(COMPACT_GOLDEN["put"][1]))
+        first = put_object("a", 1)
+        for op in (put_object("b", 2), delete_object("c"), decoded.op):
+            assert op.reads is first.reads
+
+    @given(TEXT, VALUES, st.integers(-1, 2**40), SIS)
+    @settings(deadline=None)
+    def test_every_put_and_delete_round_trips_compact(
+        self, obj, value, op_id, lsi
+    ):
+        for op in (put_object(obj, value), delete_object(obj)):
+            op.op_id = op_id
+            record = _stamp(OperationRecord(op), lsi)
+            payload = encode_record(record)
+            assert payload[_FLAGS_AT] == 0x08
+            assert same(decode_record(payload), record)
+
+    @given(near_blind_writes(), SIS)
+    @settings(deadline=None)
+    def test_anything_else_keeps_the_full_layout(self, op, lsi):
+        record = _stamp(OperationRecord(op), lsi)
+        payload = encode_record(record)
+        assert not payload[_FLAGS_AT] & 0x08
+        assert same(decode_record(payload), record)
+
+    @given(
+        st.integers(0, 255).filter(lambda flags: flags & 0x08 and flags != 8),
+        IDS,
+        VALUES,
+    )
+    @settings(deadline=None)
+    def test_bit_3_with_any_other_flag_bit_is_refused(self, flags, obj, value):
+        payload = bytearray(
+            encode_record(_stamp(OperationRecord(put_object(obj, value)), 1))
+        )
+        payload[_FLAGS_AT] = flags
+        with pytest.raises(CodecError, match="unknown operation flags"):
+            decode_record(bytes(payload))
+
+    @given(IDS, VALUES)
+    @settings(deadline=None)
+    def test_a_truncated_compact_body_raises_only_the_codec_error(
+        self, obj, value
+    ):
+        payload = encode_record(
+            _stamp(OperationRecord(put_object(obj, value)), 1)
+        )
+        for cut in range(_FLAGS_AT, len(payload)):
+            with pytest.raises(CodecError):
+                decode_record(payload[:cut])
+
+    @given(st.binary(max_size=120))
+    @settings(deadline=None)
+    def test_random_compact_bodies(self, body):
+        header = struct.pack("<BBQ", VERSION, 1, 7)
+        _decodes_or_codec_error(decode_record, header + b"\x08" + body)
+
+    def test_a_wal_log_of_5_0_0_puts_opens_and_recovers(self, tmp_path):
+        """A ``wal.log`` written before the compact layout opens
+        unchanged, recovers what the same writes logged today recover,
+        and takes compact records after its old ones."""
+
+        def writes():
+            return [
+                put_object("a", b"1"), put_object("b", b"2"),
+                put_object("a", b"3"), delete_object("b"),
+                put_object("c", None),
+            ]
+
+        old, new = tmp_path / "old", tmp_path / "new"
+        old.mkdir()
+        logged = writes()
+        with open(old / "wal.log", "wb") as handle:
+            for lsi, op in enumerate(logged, start=1):
+                op.lsi = lsi
+                handle.write(_frame(_full_layout(op)))
+        log = FileLogManager(str(old))
+        reopened = log.stable_operations()
+        log.close()
+        assert len(reopened) == len(logged)
+        assert all(map(same, reopened, logged))
+
+        log = FileLogManager(str(new))
+        for op in writes():
+            log.append_operation(op)
+        log.force()
+        log.close()
+        assert (new / "wal.log").stat().st_size < (old / "wal.log").stat().st_size
+
+        def recovered(directory):
+            system = PersistentSystem.open(str(directory))
+            try:
+                return {obj: system.read(obj) for obj in ("a", "b", "c", "d")}
+            finally:
+                system.close()
+
+        expected = {"a": b"3", "b": None, "c": None, "d": None}
+        assert recovered(old) == recovered(new) == expected
+        system = PersistentSystem.open(str(old))
+        system.execute(put_object("d", b"4"))
+        system.log.force()
+        system.close()
+        assert recovered(old) == {**expected, "d": b"4"}
 
 
 # ----------------------------------------------------------------------
@@ -429,8 +644,10 @@ class TestHostileBytes:
 
     @pytest.mark.parametrize(
         "payload",
-        [bytes.fromhex(h) for h in GOLDEN_HEX],
-        ids=[type(r).__name__ for r in GOLDEN_RECORDS],
+        [bytes.fromhex(h) for h in GOLDEN_HEX]
+        + [bytes.fromhex(h) for _, h in COMPACT_GOLDEN.values()],
+        ids=[type(r).__name__ for r in GOLDEN_RECORDS]
+        + [f"compact-{name}" for name in COMPACT_GOLDEN],
     )
     def test_every_bit_flip_and_every_prefix(self, payload):
         tracemalloc.start()

@@ -317,6 +317,56 @@ class TestRefusalsOutsideTheTable:
             daemon.stop(graceful=False)
 
 
+class TestPutValues:
+    def test_a_put_without_a_value_is_a_bad_request(self):
+        """Absent is refused at admission; an explicit null is a value."""
+        daemon = start_daemon(1)
+        try:
+            with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+                missing = exchange(sock, {"id": 1, "kind": "put", "obj": "a"})
+                assert missing["ok"] is False
+                assert missing["error"] == {
+                    "code": "BAD_REQUEST", "message": "put requires a 'value'",
+                }
+                get = {"id": 2, "kind": "get", "obj": "a"}
+                assert exchange(sock, get)["vsi"] == 0
+                null = exchange(
+                    sock, {"id": 3, "kind": "put", "obj": "a", "value": None}
+                )
+                assert null["ok"] is True
+                got = exchange(sock, get)
+                assert got["value"] is None and got["vsi"] == null["lsi"]
+            assert rejected(daemon) == {"serve.rejected.bad_request": 1}
+        finally:
+            daemon.stop(graceful=False)
+
+    @pytest.mark.parametrize("blob", ["eA==!!", "e A==", "eA==\n"])
+    def test_a_malformed_bytes_envelope_is_a_bad_request_and_logs_nothing(
+        self, blob
+    ):
+        daemon = start_daemon(1)
+        try:
+            with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+                first = exchange(
+                    sock, {"id": 1, "kind": "put", "obj": "a", "value": 1}
+                )
+                bad = exchange(sock, {
+                    "id": 2, "kind": "put", "obj": "b",
+                    "value": {"__bytes__": blob},
+                })
+                assert bad["ok"] is False
+                assert bad["error"]["code"] == "BAD_REQUEST"
+                assert "bad bytes envelope" in bad["error"]["message"]
+                after = exchange(
+                    sock, {"id": 3, "kind": "put", "obj": "c", "value": 2}
+                )
+                assert after["lsi"] == first["lsi"] + 1
+                got = exchange(sock, {"id": 4, "kind": "get", "obj": "b"})
+                assert got["value"] is None and got["vsi"] == 0
+        finally:
+            daemon.stop(graceful=False)
+
+
 class TestHostileKinds:
     @pytest.mark.parametrize(
         "kind", [["put"], {"put": 1}, 7, None], ids=["list", "dict", "int",
