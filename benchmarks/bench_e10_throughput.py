@@ -1,4 +1,4 @@
-"""E10 — hot-path throughput: indexed addop_rW and the group-commit WAL.
+"""E10 — hot-path throughput: indexed addop_rW.
 
 The perf companion to E4's structural story.  E4 showed *what* rW
 buys (small flush sets); E10 measures *how fast* the bookkeeping runs
@@ -17,9 +17,7 @@ now that the engine is indexed:
   plus a full W-mode kernel run asserting the engine performs **zero**
   full graph rebuilds across the whole stream;
 * **end-to-end kernel runs** — ``RecoverableSystem.execute`` with
-  purge pressure, the full WAL + cache + graph path;
-* **group commit** — log forces with the knob off vs on over the E8a
-  heavy-logical workload, both settings verified to recover.
+  purge pressure, the full WAL + cache + graph path.
 
 Results are appended to ``BENCH_e10.json`` at the repo root so future
 PRs can track the trajectory (CI diffs the ``ops_per_sec`` lanes, see
@@ -50,7 +48,6 @@ from repro import (
     MultiObjectStrategy,
     RecoverableSystem,
     SystemConfig,
-    verify_recovered,
 )
 from repro.analysis import Table
 from repro.core._reference import ReferenceWriteGraph
@@ -438,7 +435,7 @@ def _kernel_run(size: int, metrics=None) -> Dict[str, float]:
     instrumented path (the observability-overhead lane).
     """
     rng = random.Random(11)
-    system = RecoverableSystem(SystemConfig(group_commit=True))
+    system = RecoverableSystem()
     if metrics is not None:
         system.attach_metrics(metrics)
     register_workload_functions(system.registry)
@@ -572,75 +569,4 @@ def test_e10_observability_overhead(benchmark):
         "null": null_run,
         "attached": attached_run,
         "attached_over_null": ratio,
-    })
-
-
-def _group_commit_run(group_commit: bool, seed: int) -> Dict[str, int]:
-    """The E8a driven system, group commit off/on."""
-    rng = random.Random(seed)
-    system = RecoverableSystem(SystemConfig(group_commit=group_commit))
-    register_workload_functions(system.registry)
-    workload = LogicalWorkload(
-        LogicalWorkloadConfig(
-            objects=6, operations=60, object_size=64, **dict(MIXES[3][1])
-        ),
-        seed=seed,
-    )
-    for op in workload.operations():
-        system.execute(op)
-        if rng.random() < 0.3:
-            system.purge()
-    system.flush_all()
-    system.crash()
-    system.recover()
-    verify_recovered(system)
-    return {
-        "log_forces": system.stats.log_forces,
-        "log_force_saves": system.stats.log_force_saves,
-    }
-
-
-@pytest.mark.benchmark(group="e10")
-def test_e10_group_commit_forces(benchmark):
-    def sweep():
-        return {
-            seed: {
-                "off": _group_commit_run(False, seed),
-                "on": _group_commit_run(True, seed),
-            }
-            for seed in range(4)
-        }
-
-    results = once(benchmark, sweep)
-
-    table = Table(
-        "E10: group commit, log forces on the E8a workload",
-        ["seed", "forces off", "forces on", "saves"],
-    )
-    for seed, row in results.items():
-        table.add_row(
-            seed,
-            row["off"]["log_forces"],
-            row["on"]["log_forces"],
-            row["on"]["log_force_saves"],
-        )
-    table.print()
-
-    total_off = sum(r["off"]["log_forces"] for r in results.values())
-    total_on = sum(r["on"]["log_forces"] for r in results.values())
-    total_saves = sum(r["on"]["log_force_saves"] for r in results.values())
-    # Group commit measurably reduces forces, and every force it saves
-    # is accounted: off == on + saves, seed by seed.
-    assert total_on < total_off
-    assert total_saves > 0
-    for row in results.values():
-        assert (
-            row["off"]["log_forces"]
-            == row["on"]["log_forces"] + row["on"]["log_force_saves"]
-        )
-
-    _record("group_commit", {
-        "total_forces_off": total_off,
-        "total_forces_on": total_on,
-        "total_saves": total_saves,
     })

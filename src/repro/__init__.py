@@ -23,7 +23,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__version__ = "5.1.0"
+__version__ = "5.2.0"
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".common": ("ObjectId", "StateId"),
@@ -42,8 +42,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "LogStructuredInstall", "RawMultiWrite", "FuzzyBackup", "FaultKind",
         "FaultModel", "FaultSpec", "FaultyStore", "FaultyFileStore",
         "FaultyLogStructuredStore", "FuzzRates", "FileStableStore",
-        "LogStructuredStableStore", "StoreBackend", "make_store",
-        "recommended_cache_config", "register_store_backend",
+        "LogStructuredStableStore", "make_store", "recommended_cache_config",
         "store_backends",
     ),
     ".obs": (

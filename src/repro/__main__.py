@@ -65,8 +65,8 @@ from typing import (
 from repro.obs import MetricsRegistry, dump_jsonl, load_jsonl, render_prometheus
 from repro.storage.faults import FaultModel, FuzzRates
 from repro.storage.registry import (
+    DURABLE_BACKENDS,
     recommended_cache_config,
-    resolve_backend,
     store_backends,
 )
 
@@ -653,8 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--data-dir", required=True,
                        help="database directory (created if missing)")
     serve.add_argument("--store", default="file",
-                       choices=[name for name in store_backends()
-                                if resolve_backend(name).requires_root],
+                       choices=DURABLE_BACKENDS,
                        help="durable store backend for the data "
                        "directory (default file; a directory must be "
                        "reopened with the backend that created it)")

@@ -142,9 +142,8 @@ class CacheManager:
         #: recently used clean object, and the hot-object victim policy
         #: peels its most recently used one.
         self.heat = LRUEviction()
-        #: Observability hook (null object by default).  Events that
-        #: used to go to a directly-attached tracer now flow through
-        #: ``obs.emit`` — a Tracer subscribes to the registry instead.
+        #: Observability hook (null object by default).  Events flow
+        #: through ``obs.emit``; a Tracer subscribes to the registry.
         self.obs = NULL_OBS
 
     def set_obs(self, obs) -> None:

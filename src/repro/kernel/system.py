@@ -91,10 +91,6 @@ class SystemConfig:
     checkpoint_every_bytes: Optional[int] = None
     #: Whether automatic checkpoints truncate the log.
     truncate_on_checkpoint: bool = True
-    #: Group-commit WAL: prefix forces that must touch the device widen
-    #: to the whole log buffer so adjacent force requests in an install
-    #: batch share one stable-log write (see LogManager.force_through).
-    group_commit: bool = False
 
 
 class RecoverableSystem:
@@ -127,8 +123,6 @@ class RecoverableSystem:
             component.stats = self.stats
         self.store = store if store is not None else StableStore(self.stats)
         self.log = log if log is not None else LogManager(self.stats)
-        if self.config.group_commit:
-            self.log.group_commit = True
         self.cache = CacheManager(
             self.store, self.log, self.registry, self.config.cache, self.stats
         )
@@ -141,7 +135,6 @@ class RecoverableSystem:
         #: supervised recovery (set by callers that drive one, e.g.
         #: ``PersistentSystem.open(supervisor_config=...)``).
         self.last_failure_report = None
-        self._tracer = None
         #: The system's observability hub.  NULL_OBS (a no-op null
         #: object) until :meth:`attach_metrics` installs a registry;
         #: re-wired into every fresh cache manager across crash/recover.
@@ -213,7 +206,6 @@ class RecoverableSystem:
             tracer = Tracer()
         if not self.obs.enabled:
             self.attach_metrics()
-        self._tracer = tracer
         self.obs.subscribe(tracer)
         return tracer
 

@@ -56,7 +56,7 @@ from repro.storage.faults import (
     FORWARD_PHASE, RECOVERY_PHASE, FaultKind, FaultModel, FaultSpec, FuzzRates,
 )
 from repro.storage.backup import FuzzyBackup
-from repro.storage.registry import make_store, resolve_backend
+from repro.storage.registry import is_durable, make_store
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads import (
     LogicalWorkload, LogicalWorkloadConfig, register_workload_functions,
@@ -130,7 +130,7 @@ def scratch_root(
     """Where one run's durable ``backend`` lives (None for an in-memory
     one): ``parent/name``, or ``name`` in a fresh temp directory; either
     is removed once the run's verdict is in."""
-    if not resolve_backend(backend).requires_root:
+    if not is_durable(backend):
         yield None
         return
     created = None if parent is not None else tempfile.mkdtemp(prefix=prefix)

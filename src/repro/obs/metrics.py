@@ -15,7 +15,7 @@ One :class:`MetricsRegistry` per :class:`~repro.kernel.system.RecoverableSystem`
   ``stats()``) under a prefix — or, registered as gauges, supply point
   samples (queue depth, ring lengths) nobody pushes per request, and
 - **sinks** — subscribers (e.g. ``Tracer``) receiving the ``emit()``
-  event stream that previously went through ``CacheManager.tracer``.
+  event stream.
 
 :data:`NULL_OBS` is the shared null object: ``enabled`` is False and
 every method is a no-op, so instrumented hot paths cost ~one attribute

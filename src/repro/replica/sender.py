@@ -189,9 +189,7 @@ class ReplicationSender:
             self._shipped_through = watermark
             # Pin everything the witness does not yet hold: checkpoint
             # truncation must not outrun the shipping stream.
-            if self._protection is not None:
-                log.remove_protection(self._protection)
-            self._protection = log.add_protection(watermark + 1)
+            self._repin_locked(watermark)
             conn.send(
                 protocol.ok_response(
                     request_id,
@@ -223,16 +221,23 @@ class ReplicationSender:
                 return  # a superseded connection's straggler
             if watermark > self._watermark:
                 self._watermark = watermark
-                log = self.system.log
-                if self._protection is not None:
-                    log.remove_protection(self._protection)
-                self._protection = log.add_protection(watermark + 1)
+                self._repin_locked(watermark)
             unacked = max(0, self._shipped_through - self._watermark)
             self._cond.notify_all()
         obs = self.system.obs
         if obs.enabled:
             obs.gauge("repl.witness_watermark", watermark)
             obs.gauge("repl.unacked_records", unacked)
+
+    def _repin_locked(self, watermark: StateId) -> None:
+        """Move the truncation pin to just past ``watermark``.  The new
+        pin goes in before the old one comes out: an online checkpoint
+        on the apply thread may truncate in between."""
+        log = self.system.log
+        previous = self._protection
+        self._protection = log.add_protection(watermark + 1)
+        if previous is not None:
+            log.remove_protection(previous)
 
     def detach(self, conn: "_Connection") -> None:
         """A registered witness connection died (reader loop exited)."""

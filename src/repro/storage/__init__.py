@@ -48,8 +48,6 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "FaultyFileStore", "FaultyLogStructuredStore", "FaultyStore",
     ),
     ".registry": (
-        "DEFAULT_BACKEND", "StoreBackend", "make_store",
-        "recommended_cache_config", "register_store_backend",
-        "resolve_backend", "store_backends",
+        "make_store", "recommended_cache_config", "store_backends",
     ),
 })

@@ -37,10 +37,6 @@ class IOStats:
         logical logging avoids writing).
     log_forces:
         Times the volatile log buffer was forced to the stable log.
-    log_force_saves:
-        Force requests satisfied for free because an earlier
-        group-commit force widened to the whole buffer and carried the
-        requested prefix with it.
     quiesce_events:
         Times the system had to pause normal execution (flush
         transactions freeze the objects they copy; System R quiesced).
@@ -97,7 +93,6 @@ class IOStats:
     log_bytes: int = 0
     log_value_bytes: int = 0
     log_forces: int = 0
-    log_force_saves: int = 0
     quiesce_events: int = 0
     flush_double_writes: int = 0
     compaction_copies: int = 0

@@ -50,26 +50,11 @@ def _first_index(records: List[LogRecord], lsi: StateId) -> int:
 class LogManager:
     """Append-ordered log with a volatile buffer and a stable tail."""
 
-    def __init__(
-        self,
-        stats: Optional[IOStats] = None,
-        group_commit: bool = False,
-    ) -> None:
+    def __init__(self, stats: Optional[IOStats] = None) -> None:
         self.stats = stats if stats is not None else IOStats()
-        #: Group commit: a prefix force that must touch the device
-        #: widens to the whole buffer, so adjacent force requests in an
-        #: install batch share one stable-log write.  Off by default —
-        #: exact prefix semantics are what PurgeCache literally states,
-        #: and some tests depend on them.
-        self.group_commit = group_commit
         self._buffer: List[LogRecord] = []
         self._next_lsi: StateId = NULL_SI + 1
         self._truncated_before: StateId = NULL_SI + 1
-        #: Highest lSI any force request has asked for; lets the group
-        #: commit path tell "this prefix rode along with an earlier
-        #: widened force" (a saved force) apart from "this prefix was
-        #: already explicitly forced" (a plain no-op).
-        self._requested_high: StateId = NULL_SI
         self._next_txn_id = 1
         self._protections: Dict[int, StateId] = {}
         self._next_protection_token = 1
@@ -236,7 +221,6 @@ class LogManager:
                 return 0
             self._buffer.extend(fresh)
             self._next_lsi = max(self._next_lsi, fresh[-1].lsi + 1)
-            self._requested_high = max(self._requested_high, fresh[-1].lsi)
             for record in fresh:
                 self.stats.log_records += 1
                 self.stats.log_bytes += record.record_size()
@@ -252,10 +236,6 @@ class LogManager:
         with self._force_mutex:
             with self._lock:
                 pending = list(self._buffer)
-                if pending:
-                    self._requested_high = max(
-                        self._requested_high, pending[-1].lsi
-                    )
             self._force_pending(pending)
 
     def force_through(self, lsi: StateId) -> None:
@@ -263,34 +243,14 @@ class LogManager:
 
         Forcing a prefix (not the whole buffer) matches PurgeCache:
         "write a conflict graph prefix of operations ... to the stable
-        log in conflict order (WAL protocol)".  With :attr:`group_commit`
-        on, a force that must touch the device takes the whole buffer
-        with it — the later records were headed for the stable log
-        anyway, and riding along costs no extra force; when they are
-        next requested the force has already happened and
-        ``log_force_saves`` counts it.
+        log in conflict order (WAL protocol)".
         """
         with self._force_mutex:
             with self._lock:
                 if not self._buffer or self._buffer[0].lsi > lsi:
-                    if (
-                        self.group_commit
-                        and lsi > self._requested_high
-                        and self.is_stable(lsi)
-                    ):
-                        # An earlier widened force already made this
-                        # prefix stable: one device force saved.
-                        self.stats.log_force_saves += 1
-                        self._requested_high = lsi
                     return
-                self._requested_high = max(self._requested_high, lsi)
                 # The buffer is lsi-ordered, so the prefix cut is a bisect.
-                count = (
-                    len(self._buffer)
-                    if self.group_commit
-                    else _first_index(self._buffer, lsi + 1)
-                )
-                pending = self._buffer[:count]
+                pending = self._buffer[: _first_index(self._buffer, lsi + 1)]
             self._force_pending(pending)
 
     def _force_pending(self, pending: List[LogRecord]) -> None:
@@ -321,8 +281,8 @@ class LogManager:
         for record in pending:
             appended = self._append_times.pop(record.lsi, None)
             if appended is not None:
-                # Group-commit coalescing latency: how long the record
-                # sat in the volatile buffer before going stable.
+                # Coalescing latency: how long the record sat in the
+                # volatile buffer before going stable.
                 obs.observe("wal.coalesce_wait", done - appended)
 
     def assert_stable(self, lsi: StateId) -> None:
@@ -386,24 +346,28 @@ class LogManager:
     def add_protection(self, lsi: StateId) -> int:
         """Protect records with lSI >= ``lsi`` from truncation.
 
-        Used by media recovery: a fuzzy backup's redo window must stay
-        on the log until the backup is superseded.  Returns a token for
-        :meth:`remove_protection`.
+        Used by media recovery (a fuzzy backup's redo window must stay
+        on the log until the backup is superseded) and by a replicating
+        primary (what its witness has not acked).  Returns a token for
+        :meth:`remove_protection`.  A caller moving its pin adds the
+        new one before removing the old, so a concurrent truncation
+        never sees it unpinned.
         """
-        token = self._next_protection_token
-        self._next_protection_token += 1
-        self._protections[token] = lsi
-        return token
+        with self._lock:
+            token = self._next_protection_token
+            self._next_protection_token += 1
+            self._protections[token] = lsi
+            return token
 
     def remove_protection(self, token: int) -> None:
         """Release a truncation protection."""
-        self._protections.pop(token, None)
+        with self._lock:
+            self._protections.pop(token, None)
 
     def min_protected_lsi(self) -> Optional[StateId]:
         """The smallest protected lSI, or None when nothing is protected."""
-        if not self._protections:
-            return None
-        return min(self._protections.values())
+        with self._lock:
+            return min(self._protections.values(), default=None)
 
     def truncate_before(self, lsi: StateId, redo_start: StateId) -> int:
         """Discard stable records with lSI < ``lsi``.

@@ -378,3 +378,60 @@ def test_torn_force_under_concurrent_appends_keeps_a_prefix(kind, tmp_path):
     if kind == "faulty-file":
         log.close()
         assert _reopened_lsis(tmp_path) == stable
+
+
+class _SilentWitness:
+    """A witness connection that stays alive and drops every frame."""
+
+    alive = True
+
+    def send(self, frame) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("cut", [1, 5])
+def test_witness_repins_race_no_truncation(cut):
+    """A replicating primary moves its truncation pin on a reader thread
+    (every witness subscribe and ack) while the apply thread's online
+    checkpoint truncates.  The checkpoint must neither fail nor cut
+    past the pin: this witness holds nothing, so lSI 1 stays."""
+    import sys
+    import threading
+    import time
+
+    from repro.kernel.system import RecoverableSystem
+    from repro.replica import wire
+    from repro.replica.sender import ReplicationSender
+
+    system = RecoverableSystem()
+    sender = ReplicationSender(system)
+    subscribe = {
+        "kind": wire.KIND_SUBSCRIBE,
+        "id": 1,
+        "watermark": NULL_SI,
+        "epoch": sender.epoch,
+    }
+    witness = _SilentWitness()
+    halt = threading.Event()
+
+    def resubscribe() -> None:
+        while not halt.is_set():
+            sender.handle_frame(witness, subscribe)
+
+    log = system.log
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    thread = threading.Thread(target=resubscribe)
+    thread.start()
+    try:
+        deadline = time.monotonic() + 1.0
+        while time.monotonic() < deadline and log.stable_start_lsi() == 1:
+            log.truncate_before(cut, redo_start=cut)
+    finally:
+        halt.set()
+        thread.join(timeout=10.0)
+        sys.setswitchinterval(interval)
+    assert log.stable_start_lsi() == 1

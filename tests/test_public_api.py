@@ -60,14 +60,13 @@ class TestTopLevel:
         assert declared == repro.__version__
 
     def test_storage_surface_exported(self):
-        # The pluggable-backend surface (PR 8) is part of the package
-        # API: the backends, their fault-injecting variants, and the
-        # registry/factory that selects among them.
+        # The storage surface is part of the package API: the
+        # backends, their fault-injecting variants, and the factory
+        # that selects among them by name.
         for name in (
             "StableStore", "FileStableStore", "LogStructuredStableStore",
             "FaultyStore", "FaultyFileStore", "FaultyLogStructuredStore",
-            "LogStructuredInstall", "StoreBackend", "make_store",
-            "store_backends", "register_store_backend",
+            "LogStructuredInstall", "make_store", "store_backends",
             "recommended_cache_config",
         ):
             assert name in repro.__all__, name
@@ -113,6 +112,11 @@ REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     "Watchdog" + "Config",
     "Eviction" + "Policy",
     "FIFO" + "Eviction",
+    # 5.2.0: the store backends are a closed table.
+    "Store" + "Backend",
+    "register_store" + "_backend",
+    "resolve" + "_backend",
+    "DEFAULT" + "_BACKEND",
 ]
 # 4.7.0: one run path, one point counter, one sweep, one fuzz; the
 # injector raises the post-damage crash.  (module, attribute path)
@@ -145,12 +149,20 @@ REMOVED_ATTRIBUTES = [
     ("repro.kernel.torture", "TortureConfig.supervisor_attempts"),
     ("repro.storage.faults", "FuzzRates.max_times"),
     ("repro.storage.faults", "FuzzRates.crash_given_fault"),
+] + [
+    # 5.2.0: one prefix force (no second group commit) and a closed
+    # table of store backends.
+    ("repro.kernel.system", "SystemConfig.group" + "_commit"),
+    ("repro.storage.stats", "IOStats.log_force" + "_saves"),
+] + [
+    ("repro.storage.registry", name)
+    for name in ("_REGISTRY", "_ALIASES", "_register_builtins")
 ]
 
 
 class TestRemovedPaths:
-    """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0) are gone,
-    not aliased."""
+    """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0) are
+    gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):
@@ -173,7 +185,8 @@ class TestRemovedPaths:
     @pytest.mark.parametrize("name", REMOVED_NAMES)
     def test_removed_names_are_gone(self, name):
         for package in (
-            repro, serve, repro.replica, repro.livefire, repro.cache
+            repro, serve, repro.replica, repro.livefire, repro.cache,
+            storage, repro.storage.registry,
         ):
             assert name not in getattr(package, "__all__", ())
             assert not hasattr(package, name)
@@ -243,7 +256,7 @@ OPTION_SURFACE = {
     ),
     "repro.kernel.system.SystemConfig": (
         "cache", "redo_test", "checkpoint_every_bytes",
-        "truncate_on_checkpoint", "group_commit",
+        "truncate_on_checkpoint",
     ),
     "repro.kernel.torture.TortureConfig": (
         "objects", "operations", "object_size", "p_delete", "p_purge",
@@ -276,6 +289,8 @@ OPTION_SURFACE = {
 CALL_SURFACE = {
     "repro.common.retry.retry_transient": ("fn", "stats", "what"),
     "repro.wal.latency.LatencyLog": ("force_latency_s", "stats"),
+    "repro.wal.log_manager.LogManager": ("stats",),
+    "repro.storage.registry.make_store": ("backend", "root", "stats", "model"),
 }
 
 

@@ -194,8 +194,11 @@ def big_dirs(tmp_path_factory):
     with mock.patch.object(os, "fsync", lambda fd: None):
         for backend in DURABLE:
             root = str(tmp_path_factory.mktemp(f"big-{backend}"))
-            options = {"auto_compact": False} if backend == "logstore" else {}
-            store = make_store(backend, root, **options)
+            store = (
+                LogStructuredStableStore(root, auto_compact=False)
+                if backend == "logstore"
+                else make_store(backend, root)
+            )
             for index in range(OBJECTS):
                 store.write(f"obj:{index:04d}", _value(index), index + 1)
             store.close()
