@@ -23,7 +23,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__version__ = "5.2.0"
+__version__ = "5.3.0"
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".common": ("ObjectId", "StateId"),

@@ -36,7 +36,7 @@ class FaultyFileLog(LogFaultInjector, FileLogManager):
             write(pending[:-1])
             if pending:
                 good = self._file.end
-                self._file.append(torn_prefix(self._frame(pending[-1])))
+                self._file.append(torn_prefix(self._frames[pending[-1].lsi]))
                 self._file.end, self._file.torn = good, True
             raise FaultCrash(f"machine lost mid-force ({spec.describe()})")
 

@@ -4,8 +4,10 @@ Stable records are appended to ``root/wal.log`` as
 ``[length u32][crc32 u32][payload]`` frames whose payload is the
 versioned binary record encoding of :mod:`repro.wal.codec`.  A record
 is encoded when it is appended — a value the codec cannot write fails
-that one append and never enters the buffer — and ``force`` hands the
-buffered frames to the log's one
+that one append and never enters the buffer — or, on a witness, arrives
+as the frame the primary's ``wal.log`` holds and is written verbatim
+(:meth:`~repro.wal.log_manager.LogManager.adopt_records`); ``force``
+hands the buffered frames to the log's one
 :class:`~repro.storage.framing.FramedFile`, which owns every byte that
 touches the device: the held append descriptor, write + fsync, the
 cut-back to the last acknowledged frame when a force fails part-way
@@ -19,7 +21,8 @@ Once forced, a record lives in the file only.  What stays in memory is
 two packed arrays — which answers every question about *which* records
 are stable; a reader (recovery, replication catch-up, the fence audit)
 gets the records themselves by reading frames back from the offset the
-index names (DESIGN.md §4a has the reader / force / truncate ordering).
+index names (DESIGN.md §4a has the reader / force / truncate ordering);
+the replication sender gets the frames, undecoded (``stable_frames``).
 The one exception is the **open snapshot**: opening decodes every record
 once, to refuse a log it cannot read, and those records are served to
 readers until the log first changes, so a restart's recovery does not
@@ -38,7 +41,7 @@ import os
 import time
 from array import array
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.common.codec import CodecError
 from repro.common.errors import CorruptObjectError
@@ -48,6 +51,8 @@ from repro.storage.stats import IOStats
 from repro.wal.codec import decode_record, encode_record
 from repro.wal.log_manager import LogManager
 from repro.wal.records import LogRecord
+
+_T = TypeVar("_T")
 
 
 class FileLogManager(LogManager):
@@ -102,14 +107,14 @@ class FileLogManager(LogManager):
         # buffer failing every later force for every caller.
         with self._lock:
             record.lsi = self._next_lsi
-            frame = self._frame(record)
+            frame = pack_frame(encode_record(record))
             lsi = super().append(record)
             self._frames[lsi] = frame
             return lsi
 
-    @staticmethod
-    def _frame(record: LogRecord) -> bytes:
-        return pack_frame(encode_record(record))
+    def _buffer_adopted(self, adopted: List[Tuple[LogRecord, bytes]]) -> None:
+        super()._buffer_adopted(adopted)
+        self._frames.update((record.lsi, frame) for record, frame in adopted)
 
     def _write_device(self, pending: List[LogRecord]) -> None:
         # File first, index second: a transient failure before any
@@ -117,11 +122,7 @@ class FileLogManager(LogManager):
         # bounded retry can safely re-drive the whole append.  The
         # write + fsync run under the force mutex only; ``_lock`` is
         # taken for the publish, so appends land during the fsync.
-        # Adopted (shipped) records bypass append and are framed here.
-        frames = [
-            self._frames.get(record.lsi) or self._frame(record)
-            for record in pending
-        ]
+        frames = [self._frames[record.lsi] for record in pending]
         data = b"".join(frames)
         offset = self._file.append(data) if frames else 0
         with self._lock:
@@ -148,42 +149,66 @@ class FileLogManager(LogManager):
     def stable_records(
         self, from_lsi: StateId = NULL_SI
     ) -> Iterator[LogRecord]:
-        """A device read: the frames of the records published at this
-        call, from the first with lSI >= ``from_lsi``, decoded one at a
-        time as the iterator is drawn.
-
-        The index is consulted and the file opened under ``_lock``, so
-        the offset and the inode belong together: a force in flight has
-        not published (its bytes lie past the last frame this reader
-        will take) and a truncation that replaces the file afterwards
-        leaves this reader on the inode it opened.
-        """
+        """A device read: the records published at this call, from the
+        first with lSI >= ``from_lsi``, decoded one at a time as the
+        iterator is drawn."""
         with self._lock:
             first = bisect_left(self._lsis, from_lsi)
             if self._snapshot is not None:
                 return iter(self._snapshot[first:])
-            count = len(self._lsis) - first
-            if not count:
-                return iter(())
-            frames = FramedFile(self.path).scan(self._offsets[first])
-        return self._decoded(frames, count)
+            return self._read(first, lambda _, payload: decode_record(payload))
 
-    def _decoded(
-        self, frames: Iterator[Tuple[int, bytes]], count: int
-    ) -> Iterator[LogRecord]:
-        spent = 0.0  # reading + decoding, not what the caller does between
+    def stable_frames(
+        self, from_lsi: StateId = NULL_SI
+    ) -> Iterator[Tuple[StateId, int, bytes]]:
+        """A device read of the same records as frames, byte for byte as
+        ``wal.log`` holds them; nothing is decoded."""
+        with self._lock:
+            return self._read(
+                bisect_left(self._lsis, from_lsi),
+                # The type code is the payload header's second byte.
+                lambda lsi, payload: (lsi, payload[1], pack_frame(payload)),
+            )
+
+    def _read(
+        self, first: int, parse: Callable[[StateId, bytes], _T]
+    ) -> Iterator[_T]:
+        """``parse(lsi, payload)`` of each record published at this call
+        from index ``first`` on, read from the frame at the offset the
+        index names as the iterator is drawn.
+
+        Called under ``_lock``, so the offset and the inode belong
+        together: a force in flight has not published (its bytes lie
+        past the last frame this reader will take) and a truncation
+        that replaces the file afterwards leaves this reader on the
+        inode it opened.
+        """
+        lsis = self._lsis[first:]
+        if not lsis:
+            return iter(())
+        return self._parsed(
+            lsis, FramedFile(self.path).scan(self._offsets[first]), parse
+        )
+
+    def _parsed(
+        self,
+        lsis: array,
+        frames: Iterator[Tuple[int, bytes]],
+        parse: Callable[[StateId, bytes], _T],
+    ) -> Iterator[_T]:
+        spent = 0.0  # reading + parsing, not what the caller does between
         try:
-            for missing in range(count, 0, -1):
+            for index, lsi in enumerate(lsis):
                 started = time.perf_counter()
                 frame = next(frames, None)
                 if frame is None:
                     raise CorruptObjectError(
-                        f"{self.path}: {missing} records the log "
+                        f"{self.path}: {len(lsis) - index} records the log "
                         "acknowledged no longer pass the frame test"
                     )
-                record = decode_record(frame[1])
+                item = parse(lsi, frame[1])
                 spent += time.perf_counter() - started
-                yield record
+                yield item
         finally:
             frames.close()
             self.obs.observe("wal.scan", spent)

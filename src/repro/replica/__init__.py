@@ -1,10 +1,10 @@
 """Primary/witness replication: logical WAL shipping over the serve wire.
 
 The package extends one recovery domain to a *pair* of them: a primary
-:class:`~repro.serve.server.ServeDaemon` ships its forced WAL suffix
-(operation, fence, and epoch records — the logical log, never the
-primary's private bookkeeping) to a :class:`WitnessDaemon` that adopts
-the records into its own WAL at the primary's lSIs and continuously
+:class:`~repro.serve.server.ServeDaemon` ships the frames of its forced
+WAL suffix (operation, fence, and epoch records — the logical log, never
+the primary's private bookkeeping) to a :class:`WitnessDaemon` that
+writes them into its own WAL at the primary's lSIs and continuously
 redoes them through the real recovery path.  Acks to clients are gated
 on the witness's durable receipt (semi-synchronous shipping), so every
 acknowledged write survives the loss of either machine; an epoch
@@ -13,9 +13,9 @@ primary from acknowledging writes after its witness was promoted.
 
 Layout:
 
-* :mod:`repro.replica.wire` — frame builders/parsers for the three
-  replication frames (``repl_subscribe``/``repl_batch``/``repl_ack``)
-  and the shippable-record filter;
+* :mod:`repro.replica.wire` — frame builders for the three replication
+  frames (``repl_subscribe``/``repl_batch``/``repl_ack``) and the
+  witness's batch receive (WAL frames, verbatim);
 * :mod:`repro.replica.epoch` — the durable, monotone epoch sidecar;
 * :mod:`repro.replica.sender` — the primary-side
   :class:`ReplicationSender` (subscriber registry, watermark tracking,

@@ -9,7 +9,7 @@ primary half of the protocol in :mod:`repro.replica.wire`:
   watermark) here; the reply carries the primary's epoch and stable
   end, and a catch-up batch follows immediately;
 * after every commit batch's WAL force, the shard's committer calls
-  :meth:`replicate` once, which ships the new stable records and
+  :meth:`replicate` once, which ships the new stable WAL frames and
   **blocks until the witness's durable watermark covers the batch's
   highest lSI** (or the deadline runs out); the daemon releases a
   reply only when :attr:`watermark` covers the lSI it waits for.
@@ -42,6 +42,7 @@ from repro.replica import wire
 from repro.replica.epoch import EpochStore
 from repro.serve import protocol
 from repro.serve.errors import FencedError, ServerUnavailableError
+from repro.wal.codec import SHIPPED_TYPES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.kernel.system import RecoverableSystem
@@ -148,12 +149,14 @@ class ReplicationSender:
         request_id = request.get("id")
         health = self.system.health.value
         try:
+            wire.check_protocol(request, "witness")
             watermark = int(request.get("watermark", NULL_SI))
             peer_epoch = int(request.get("epoch", self.epoch))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, protocol.ProtocolError) as exc:
             conn.send(
                 protocol.error_response(
-                    request_id, "BAD_REQUEST", "bad subscribe frame", health
+                    request_id, "BAD_REQUEST",
+                    f"bad subscribe frame: {exc}", health,
                 )
             )
             return
@@ -325,26 +328,28 @@ class ReplicationSender:
         through = log.stable_end_lsi()
         if through <= self._shipped_through and not checkpoint:
             return
-        records = [
-            record
-            for record in log.stable_records(self._shipped_through + 1)
-            if wire.shippable(record)
+        # Shipped as they lie in the log: no record is decoded here.
+        frames = log.stable_frames(self._shipped_through + 1)
+        shipped = [
+            (lsi, frame) for lsi, code, frame in frames
+            if code in SHIPPED_TYPES
         ]
         obs = self.system.obs
         ship_ctx = trace.child() if trace is not None else None
         wire_trace = ship_ctx.to_wire() if ship_ctx is not None else None
         with stage(obs, "repl.ship_ms", ship_ctx):
-            while len(records) > MAX_BATCH_RECORDS:
-                chunk = records[:MAX_BATCH_RECORDS]
-                records = records[MAX_BATCH_RECORDS:]
+            while len(shipped) > MAX_BATCH_RECORDS:
+                chunk = shipped[:MAX_BATCH_RECORDS]
+                shipped = shipped[MAX_BATCH_RECORDS:]
                 conn.send(
                     wire.batch_frame(
-                        self.epoch, chunk[-1].lsi, chunk, trace=wire_trace
+                        self.epoch, chunk[-1][0], [f for _, f in chunk],
+                        trace=wire_trace,
                     )
                 )
             conn.send(
                 wire.batch_frame(
-                    self.epoch, through, records, checkpoint,
+                    self.epoch, through, [f for _, f in shipped], checkpoint,
                     trace=wire_trace,
                 )
             )

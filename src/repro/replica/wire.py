@@ -1,4 +1,4 @@
-"""Replication wire format: WAL records over the serving protocol.
+"""Replication wire format: WAL frames over the serving protocol.
 
 Replication reuses the length-prefixed JSON framing of
 :mod:`repro.serve.protocol` — a witness dials the primary's *normal*
@@ -9,7 +9,8 @@ answers it like any request, then keeps the connection and pushes
 
 ``repl_subscribe`` (witness → primary, once per connection)::
 
-    {"id": 0, "kind": "repl_subscribe", "watermark": 41, "epoch": 1}
+    {"id": 0, "kind": "repl_subscribe", "protocol": 2,
+     "watermark": 41, "epoch": 1}
 
 ``watermark`` is the witness's durable position (the last lSI it has on
 its stable log, ``NULL_SI`` when empty): the primary resumes shipping
@@ -19,18 +20,20 @@ and current stable end (``through``).
 
 ``repl_batch`` (primary → witness, pushed)::
 
-    {"kind": "repl_batch", "epoch": 1, "through": 57,
-     "checkpoint": false, "records": ["<base64 record payload>", ...]}
+    {"kind": "repl_batch", "protocol": 2, "epoch": 1, "through": 57,
+     "checkpoint": false, "frames": "<base64 WAL frames>"}
 
-``records`` are the primary's forced :class:`~repro.wal.records`
-objects — operation, fence and epoch records only; the primary's
-private bookkeeping records (installation, flush, checkpoint) describe
-the *primary's* stable store and are never shipped — with their
-original lSIs preserved.  ``through`` is the primary's stable end when
-the batch was built: it is the unit of the watermark handshake, and it
-may exceed the last shipped record's lSI (bookkeeping gaps).
-``checkpoint`` hints that the primary just checkpointed, nudging the
-witness to run a redo/materialize cycle soon.
+``frames`` is one base64 string: the primary's forced WAL frames
+(``[length u32][crc32 u32][payload]``) back to back, byte for byte as
+its ``wal.log`` holds them, so a record is encoded once — by the
+primary's append — and the witness writes the bytes it received.  Only
+operation, fence and epoch records ship, with their original lSIs
+(:data:`~repro.wal.codec.SHIPPED_TYPES`: the primary's bookkeeping
+describes the *primary's* stable store).  ``through`` is the primary's
+stable end when the batch was built: it is the unit of the watermark
+handshake, and it may exceed the last shipped record's lSI (bookkeeping
+gaps).  ``checkpoint`` hints that the primary just checkpointed,
+nudging the witness to run a redo/materialize cycle soon.
 
 ``repl_ack`` (witness → primary, one per batch)::
 
@@ -43,82 +46,72 @@ an operation only once the witness watermark covers its lSI —
 replication is semi-synchronous, which is what makes the acked-write
 oracle extendable across the pair.
 
-Records travel as the versioned binary payloads of
-:mod:`repro.wal.codec` — the same bytes the WAL file frames — in base64
-envelopes (the frame is JSON).  Nothing on this channel is trusted:
-decoding constructs only shippable record classes, bounds every length
-by the bytes received, and answers anything else — garbage, a foreign
-codec version, a record kind that is never shipped — with
-:class:`~repro.serve.errors.ProtocolError`.
+Nothing on this channel is trusted: every frame must pass its CRC,
+carry a shipped type and decode before any of the batch lands; anything
+else, or another :data:`PROTOCOL`, is a :class:`RefusedError` (a
+:class:`~repro.serve.errors.ProtocolError`).
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, TYPE_CHECKING
 
 from repro.common.codec import CodecError
+from repro.common.errors import CorruptObjectError, WALViolationError
 from repro.serve.errors import ProtocolError
-from repro.wal.codec import decode_record, encode_record
-from repro.wal.records import (
-    EpochRecord,
-    FenceRecord,
-    LogRecord,
-    OperationRecord,
-)
 
-#: Record kinds a primary ships.  Everything else in its WAL is private
-#: bookkeeping about its own stable store and must not prune (or drive)
-#: the witness's redo.
-SHIPPED_RECORD_KINDS = (OperationRecord, FenceRecord, EpochRecord)
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.wal.log_manager import LogManager
+
+#: The replication protocol of this build.  Subscribe and batch frames
+#: carry it; a peer without it speaks protocol 1 (per-record envelopes,
+#: before 5.3.0) and is refused by name.
+PROTOCOL = 2
 
 KIND_SUBSCRIBE = "repl_subscribe"
 KIND_BATCH = "repl_batch"
 KIND_ACK = "repl_ack"
 
 
-def shippable(record: LogRecord) -> bool:
-    """True for record kinds that cross the replication channel."""
-    return isinstance(record, SHIPPED_RECORD_KINDS)
+class RefusedError(ProtocolError):
+    """A frame this build refuses (a torn stream is a plain ProtocolError)."""
 
 
-def encode_records(records: Sequence[LogRecord]) -> List[str]:
-    """Serialize records for a ``repl_batch`` frame."""
-    return [
-        base64.b64encode(encode_record(record)).decode("ascii")
-        for record in records
-    ]
+def check_protocol(frame: Dict[str, Any], peer: str) -> None:
+    """Refuse, naming both versions, a ``frame`` not in :data:`PROTOCOL`."""
+    spoken = frame.get("protocol", 1)
+    if spoken != PROTOCOL:
+        raise RefusedError(
+            f"the {peer} speaks replication protocol {spoken!r}; this "
+            f"build speaks {PROTOCOL}: upgrade the pair together"
+        )
 
 
-def decode_records(blobs: Sequence[Any]) -> List[LogRecord]:
-    """Invert :func:`encode_records`, validating every entry."""
-    records: List[LogRecord] = []
-    for blob in blobs:
-        if not isinstance(blob, str):
-            raise ProtocolError(
-                f"repl_batch record must be a base64 string, got "
-                f"{type(blob).__name__}"
-            )
-        try:
-            record = decode_record(base64.b64decode(blob, validate=True))
-        except (ValueError, CodecError) as exc:  # bad base64 / bad payload
-            raise ProtocolError(f"undecodable shipped record: {exc}") from None
-        if not shippable(record):
-            raise ProtocolError(
-                f"{type(record).__name__} is never shipped; refusing it"
-            )
-        records.append(record)
-    return records
+def adopt_batch(log: "LogManager", frame: Dict[str, Any]) -> int:
+    """Adopt one ``repl_batch``'s frames into ``log``; return how many
+    records landed.  Every refusal is a :class:`RefusedError` and leaves
+    the log as it was."""
+    check_protocol(frame, "primary")
+    try:  # TypeError: not a string; ValueError: not ASCII or base64
+        blob = str.encode(frame.get("frames"), "ascii")
+        frames = base64.b64decode(blob, validate=True)
+    except (TypeError, ValueError) as exc:
+        raise RefusedError(f"repl_batch frames: {exc}") from None
+    try:
+        return log.adopt_records(frames)
+    except (CodecError, CorruptObjectError, WALViolationError) as exc:
+        raise RefusedError(f"refusing repl_batch: {exc}") from None
 
 
 def batch_frame(
     epoch: int,
     through: int,
-    records: Sequence[LogRecord],
+    frames: Sequence[bytes],
     checkpoint: bool = False,
     trace: Optional[Dict[str, str]] = None,
 ) -> Dict[str, Any]:
-    """Build one ``repl_batch`` push frame.
+    """Build one ``repl_batch`` push frame from stable WAL frames.
 
     ``trace`` is the optional distributed-trace wire field of the
     client write whose ack is gated on this batch: the witness parses
@@ -127,10 +120,11 @@ def batch_frame(
     """
     frame: Dict[str, Any] = {
         "kind": KIND_BATCH,
+        "protocol": PROTOCOL,
         "epoch": int(epoch),
         "through": int(through),
         "checkpoint": bool(checkpoint),
-        "records": encode_records(records),
+        "frames": base64.b64encode(b"".join(frames)).decode("ascii"),
     }
     if trace is not None:
         frame["trace"] = trace
@@ -142,6 +136,7 @@ def subscribe_frame(watermark: int, epoch: int) -> Dict[str, Any]:
     return {
         "id": 0,
         "kind": KIND_SUBSCRIBE,
+        "protocol": PROTOCOL,
         "watermark": int(watermark),
         "epoch": int(epoch),
     }

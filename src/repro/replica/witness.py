@@ -51,6 +51,7 @@ from repro.serve import protocol
 from repro.serve.server import DaemonConfig, ServeDaemon, _Connection
 from repro.serve.worker import _Shard, _Work
 from repro.storage.backup import FuzzyBackup
+from repro.wal.records import EpochRecord
 
 #: How long one dial of the primary may take before the subscriber
 #: backs off and redials: a live primary on a reachable host accepts in
@@ -237,22 +238,20 @@ class WitnessDaemon(ServeDaemon):
                     (cfg.primary_host, cfg.primary_port),
                     timeout=CONNECT_TIMEOUT_S,
                 )
-            except OSError:
-                self._attached.clear()
-                if self._stop_subscriber.wait(cfg.reconnect_delay_s):
-                    return
-                continue
-            sock.settimeout(None)
-            protocol.disable_nagle(sock)
-            with self._sock_lock:
-                if self._stop_subscriber.is_set():
-                    sock.close()
-                    return
-                self._subscriber_sock = sock
-            try:
+                sock.settimeout(None)
+                protocol.disable_nagle(sock)
+                with self._sock_lock:
+                    if self._stop_subscriber.is_set():
+                        sock.close()
+                        return
+                    self._subscriber_sock = sock
                 self._subscribe_and_stream(sock)
+            except wire.RefusedError as exc:
+                # A refused subscription or batch: drop it and redial.
+                # The flight recorder says why the pair never attaches.
+                self.system.obs.emit("repl.refused", reason=str(exc))
             except (OSError, ValueError, protocol.ProtocolError):
-                pass  # peer gone, or our own socket closed under us
+                pass  # no primary, peer gone mid-frame, or our socket closed
             finally:
                 self._attached.clear()
                 self._close_subscriber_sock()
@@ -271,10 +270,13 @@ class WitnessDaemon(ServeDaemon):
             sock, wire.subscribe_frame(watermark, self.epoch)
         )
         response = protocol.recv_frame(sock)
-        if response is None or not response.get("ok"):
-            # A fenced or unwilling primary; back off and retry (the
-            # reconnect loop owns pacing).
+        if response is None:
             return
+        if not response.get("ok"):
+            # A fenced or unwilling primary: the loop backs off, redials.
+            raise wire.RefusedError(
+                f"primary refused the subscription: {response.get('error')}"
+            )
         try:
             primary_epoch = int(response.get("epoch", INITIAL_EPOCH))
             through = int(response.get("through", NULL_SI))
@@ -318,7 +320,7 @@ class WitnessDaemon(ServeDaemon):
             epoch = int(frame.get("epoch", INITIAL_EPOCH))
             through = int(frame.get("through", NULL_SI))
         except (TypeError, ValueError):
-            raise protocol.ProtocolError("bad repl_batch frame")
+            raise wire.RefusedError("bad repl_batch frame")
         run_cycle = False
         obs = self.system.obs
         # The batch may carry the trace of the client write whose ack
@@ -336,18 +338,17 @@ class WitnessDaemon(ServeDaemon):
                 return False
             if epoch > self.epoch:
                 self._set_epoch_locked(epoch)
-            # The durable-adopt stage: decode + adopt_records (which
-            # forces) is what the witness's receipt promise costs.
+            # The durable-adopt stage: check + decode + adopt_records
+            # (which forces) is what the witness's receipt promise costs.
             with stage(obs, "witness.adopt_ms", adopt_ctx):
-                records = wire.decode_records(frame.get("records") or [])
-                self.system.log.adopt_records(records)
+                adopted = wire.adopt_batch(self.system.log, frame)
             self._adopted_through = max(
                 self._adopted_through,
                 through,
                 self.system.log.stable_end_lsi(),
             )
             self._primary_through = max(self._primary_through, through)
-            self._records_since_cycle += len(records)
+            self._records_since_cycle += adopted
             run_cycle = bool(frame.get("checkpoint")) or (
                 self._records_since_cycle
                 >= self.witness_config.redo_every_records
@@ -515,8 +516,6 @@ class WitnessDaemon(ServeDaemon):
             self.system.log.reserve_lsis_through(
                 max(self._primary_through, self._adopted_through)
             )
-            from repro.wal.records import EpochRecord
-
             self.system.log.append(
                 EpochRecord(
                     epoch=new_epoch,

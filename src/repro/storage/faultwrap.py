@@ -145,6 +145,11 @@ class LogFaultInjector(DeviceFaultInjector):
         self.model.fire(self.SCAN_SITE, f"from {from_lsi}", stats=self.stats)
         return super().stable_records(from_lsi)
 
+    def stable_frames(self, from_lsi: StateId = NULL_SI) -> Iterator[Any]:
+        """The same point: shipping reads the stable log as frames."""
+        self.model.fire(self.SCAN_SITE, f"from {from_lsi}", stats=self.stats)
+        return super().stable_frames(from_lsi)
+
 
 class FaultyStore(DeviceFaultInjector, StableStore):
     """A stable store whose device is described by a :class:`FaultModel`.

@@ -1,11 +1,12 @@
 """Record bodies of the shared binary codec.
 
-One payload layout — ``version u8 · type u8 · lsi u64 · body`` — serves
-the WAL file (:mod:`repro.persist.file_log`, inside a length+CRC frame)
-and the replication wire (:mod:`repro.replica.wire`, base64 inside the
-JSON frame).  :mod:`repro.common.codec` owns the header, the primitives
-and the tagged value encoding; this module owns the type table and the
-body of each record class in :mod:`repro.wal.records`.
+One payload layout — ``version u8 · type u8 · lsi u64 · body`` — inside
+one length+CRC frame (:func:`repro.storage.framing.pack_frame`) serves
+the WAL file (:mod:`repro.persist.file_log`) and the replication wire,
+which carries the primary's frames verbatim (:func:`unpack_shipped`).
+:mod:`repro.common.codec` owns the header, the primitives and the
+tagged value encoding; this module owns the type table and the body of
+each record class in :mod:`repro.wal.records`.
 
 Bodies are typed, not self-describing: identifiers are bare strings,
 state identifiers and counts are varints, and only data values (an
@@ -25,7 +26,7 @@ every decoded operation), and raises only
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.common.codec import (
     DECODE_ERRORS,
@@ -42,6 +43,7 @@ from repro.common.codec import (
     unpack_header,
 )
 from repro.core.operation import OpKind, Operation, blind_write_name, put_object
+from repro.storage.framing import HEADER as FRAME_HEADER, payload_at
 from repro.wal.records import (
     CheckpointRecord,
     EpochRecord,
@@ -338,6 +340,14 @@ _TABLE = (
     (8, FlushTxnCommitRecord, _put_txn_commit, _get_txn_commit),
 )
 RECORD_TYPES: Dict[int, type] = {code: cls for code, cls, _, _ in _TABLE}
+#: The types a primary ships (operation, fence, epoch).  The others are
+#: its private bookkeeping about its own stable store and must not
+#: prune (or drive) a witness's redo.
+SHIPPED_TYPES = frozenset(
+    code
+    for code, cls, _, _ in _TABLE
+    if cls in (OperationRecord, FenceRecord, EpochRecord)
+)
 _ENCODERS = {cls: (code, put) for code, cls, put, _ in _TABLE}
 _DECODERS = {code: get for code, _, _, get in _TABLE}
 
@@ -380,3 +390,24 @@ def decode_record(data: bytes) -> LogRecord:
     if type(record) is OperationRecord:
         record.op.lsi = lsi  # the pair append_operation keeps equal
     return record
+
+
+def unpack_shipped(frames: bytes) -> Iterator[Tuple[LogRecord, bytes]]:
+    """``(record, frame)`` of each WAL frame in ``frames``, which lie
+    back to back as a primary's ``wal.log`` holds them.
+
+    Each frame must pass the frame test
+    (:class:`~repro.common.errors.CorruptObjectError` otherwise), carry
+    a type in :data:`SHIPPED_TYPES` and decode (``CodecError``
+    otherwise): its payload is decoded exactly once.
+    """
+    offset = 0
+    while offset < len(frames):
+        payload = payload_at(frames, offset, origin=f"shipped frame @{offset}")
+        code, _lsi, _body = unpack_header(payload)
+        if code not in SHIPPED_TYPES:
+            name = getattr(RECORD_TYPES.get(code), "__name__", f"type {code}")
+            raise CodecError(f"{name} is never shipped; refusing it")
+        end = offset + FRAME_HEADER.size + len(payload)
+        yield decode_record(payload), frames[offset:end]
+        offset = end

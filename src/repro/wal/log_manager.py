@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
+from repro.common.codec import CodecError
 from repro.common.errors import LogTruncationError, WALViolationError
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
 from repro.common.retry import retry_transient
 from repro.obs.metrics import COUNT_BUCKETS, NULL_OBS
 from repro.core.operation import Operation
+from repro.storage.framing import pack_frame
 from repro.storage.stable_store import StoredVersion
 from repro.storage.stats import IOStats
+from repro.wal.codec import encode_record, unpack_shipped
 from repro.wal.records import (
     FlushTxnCommitRecord,
     FlushTxnValuesRecord,
@@ -81,7 +84,8 @@ class LogManager:
     # Here a list: in this class, and in the fault-injecting and latency
     # logs built on it, the list *is* the device.  A backend with a real
     # one overrides these and the readers below (``stable_records``,
-    # ``stable_end_lsi``, ``stable_start_lsi``, ``__len__``).
+    # ``stable_frames``, ``stable_end_lsi``, ``stable_start_lsi``,
+    # ``__len__``).
     def _open_device(self) -> None:
         """Attach the stable device (the last step of construction)."""
         self._stable: List[LogRecord] = []
@@ -99,6 +103,12 @@ class LogManager:
         with self._lock:
             self._stable.extend(pending)
             del self._buffer[: len(pending)]
+
+    def _buffer_adopted(self, adopted: List[Tuple[LogRecord, bytes]]) -> None:
+        """Buffer adopted ``(record, frame)`` pairs (``_lock`` held).
+        The list keeps the records; a byte device keeps the frames they
+        arrived in, to write them verbatim."""
+        self._buffer.extend(record for record, _ in adopted)
 
     def _drop_before(self, lsi: StateId) -> int:
         """Discard the stable records below ``lsi`` (both locks held);
@@ -174,8 +184,8 @@ class LogManager:
         with self._lock:
             self._next_lsi = max(self._next_lsi, lsi + 1)
 
-    def adopt_records(self, records: List[LogRecord]) -> int:
-        """Durably adopt shipped records, preserving their origin lSIs.
+    def adopt_records(self, frames: bytes) -> int:
+        """Durably adopt shipped frames, preserving their origin lSIs.
 
         A replication witness mirrors the primary's lSI space: shipped
         records keep the lSIs the primary assigned, so the REDO test
@@ -184,14 +194,24 @@ class LogManager:
         bookkeeping records (installation, flush, checkpoint) describe
         the primary's stable store and are never shipped — which the
         gap-tolerant :meth:`is_stable` / :meth:`stable_records` already
-        handle.  Records at or below the current stable end are
-        duplicates from a re-ship after reconnect and are skipped
-        (adoption is idempotent); the remainder must be strictly
-        ascending.  Adoption goes straight through the forced path
-        (:meth:`_write_device` via the transient-retry wrapper), so a
-        file-backed witness has the records on disk before this
-        returns — the receipt ack a witness sends upstream is a
-        durability promise.
+        handle.
+
+        ``frames`` are WAL frames back to back, as the primary's
+        :meth:`stable_frames` yields them.  The whole batch is checked
+        before any of it lands (:func:`~repro.wal.codec.unpack_shipped`):
+        a frame that fails its frame test raises
+        :class:`~repro.common.errors.CorruptObjectError`, one that is
+        not a shipped record (or holds a value no append could have
+        sized) ``CodecError`` — a CRC-valid frame that does not decode
+        would make a file-backed log refuse to reopen.
+        Records at or below the current stable end are duplicates from
+        a re-ship after reconnect and are skipped (adoption is
+        idempotent); the remainder must be strictly ascending
+        (:class:`WALViolationError` otherwise).  Adoption goes straight
+        through the forced path (:meth:`_write_device` via the
+        transient-retry wrapper), so a file-backed witness has the
+        received bytes on disk before this returns — the receipt ack a
+        witness sends upstream is a durability promise.
 
         Returns the number of records actually adopted.  Refuses to
         interleave with locally appended volatile records: a witness
@@ -207,26 +227,34 @@ class LogManager:
                     "buffered local appends"
                 )
             floor = max(self.stable_end_lsi(), self._truncated_before - 1)
-            fresh: List[LogRecord] = []
-            for record in records:
+            fresh: List[Tuple[LogRecord, bytes]] = []
+            for record, frame in unpack_shipped(frames):
                 if record.lsi <= floor:
                     continue  # duplicate from a reconnect re-ship
-                if fresh and record.lsi <= fresh[-1].lsi:
+                if fresh and record.lsi <= fresh[-1][0].lsi:
                     raise WALViolationError(
                         "shipped records are not in ascending lSI order: "
-                        f"{record.lsi} after {fresh[-1].lsi}"
+                        f"{record.lsi} after {fresh[-1][0].lsi}"
                     )
-                fresh.append(record)
+                fresh.append((record, frame))
             if not fresh:
                 return 0
-            self._buffer.extend(fresh)
-            self._next_lsi = max(self._next_lsi, fresh[-1].lsi + 1)
-            for record in fresh:
+            records = [record for record, _ in fresh]
+            try:
+                # Sized before anything changes, as append sizes first.
+                sizes = [(r.record_size(), r.value_bytes()) for r in records]
+            except (TypeError, ValueError) as exc:  # e.g. a lone surrogate
+                raise CodecError(
+                    f"shipped record outside the modelled universe: {exc}"
+                ) from None
+            self._buffer_adopted(fresh)
+            self._next_lsi = max(self._next_lsi, records[-1].lsi + 1)
+            for size, value_bytes in sizes:
                 self.stats.log_records += 1
-                self.stats.log_bytes += record.record_size()
-                self.stats.log_value_bytes += record.value_bytes()
-            self._force_pending(fresh)
-            return len(fresh)
+                self.stats.log_bytes += size
+                self.stats.log_value_bytes += value_bytes
+            self._force_pending(records)
+            return len(records)
 
     # ------------------------------------------------------------------
     # forcing (WAL)
@@ -312,6 +340,21 @@ class LogManager:
         index = _first_index(stable, from_lsi)
         while index < len(stable):
             yield stable[index]
+            index += 1
+
+    def stable_frames(
+        self, from_lsi: StateId = NULL_SI
+    ) -> Iterator[Tuple[StateId, int, bytes]]:
+        """``(lSI, type code, frame)`` of each stable record with lSI >=
+        ``from_lsi``, the frame as a WAL file holds it: what a
+        replicating primary ships.  Here the records are framed from
+        the list, which is this log's device."""
+        stable = self._stable
+        index = _first_index(stable, from_lsi)
+        while index < len(stable):
+            record = stable[index]
+            payload = encode_record(record)  # type code: header byte 1
+            yield record.lsi, payload[1], pack_frame(payload)
             index += 1
 
     def stable_end_lsi(self) -> StateId:

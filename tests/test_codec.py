@@ -52,10 +52,11 @@ from repro.core.operation import (
 )
 from repro.persist import PersistentSystem
 from repro.persist.file_log import FileLogManager
-from repro.replica.wire import decode_records
+from repro.replica.wire import adopt_batch, batch_frame
 from repro.serve.errors import ProtocolError
-from repro.storage.framing import HEADER as _HEADER
+from repro.storage.framing import HEADER as _HEADER, pack_frame
 from repro.wal.codec import RECORD_TYPES, decode_record, encode_record
+from repro.wal.log_manager import LogManager
 from repro.wal.records import (
     CheckpointRecord,
     EpochRecord,
@@ -164,8 +165,19 @@ def operations(draw):
     )
 
 
-RECORDS = st.one_of(
+#: The record kinds a primary ships, and its private bookkeeping.
+SHIPPED_RECORDS = st.one_of(
     operations().map(OperationRecord),
+    st.builds(
+        FenceRecord,
+        TEXT,
+        st.integers(0, 64),
+        st.lists(st.integers(0, 64), max_size=4).map(tuple),
+        st.dictionaries(st.integers(0, 64), st.integers(0, 2**62), max_size=4),
+    ),
+    st.builds(EpochRecord, st.integers(0, 2**40), TEXT, TEXT),
+)
+PRIVATE_RECORDS = st.one_of(
     st.builds(
         InstallationRecord,
         SI_MAPS,
@@ -179,14 +191,6 @@ RECORDS = st.one_of(
         st.one_of(st.none(), st.integers(0, 2**32 - 1)),
     ),
     st.builds(
-        FenceRecord,
-        TEXT,
-        st.integers(0, 64),
-        st.lists(st.integers(0, 64), max_size=4).map(tuple),
-        st.dictionaries(st.integers(0, 64), st.integers(0, 2**62), max_size=4),
-    ),
-    st.builds(EpochRecord, st.integers(0, 2**40), TEXT, TEXT),
-    st.builds(
         FlushTxnValuesRecord,
         st.integers(0, 2**40),
         st.dictionaries(
@@ -195,6 +199,7 @@ RECORDS = st.one_of(
     ),
     st.builds(FlushTxnCommitRecord, st.integers(0, 2**40)),
 )
+RECORDS = st.one_of(SHIPPED_RECORDS, PRIVATE_RECORDS)
 
 
 @st.composite
@@ -751,9 +756,171 @@ class TestWireRefusesPickle:
         pickle.loads(base64.b64decode(blob))  # the bomb is live...
         assert _DETONATED == ["ran"]
         del _DETONATED[:]
+        batch = dict(batch_frame(1, 1, []), frames=blob)
         with pytest.raises(ProtocolError):  # ...and the wire is deaf to it
-            decode_records([blob])
+            adopt_batch(LogManager(), batch)
         assert _DETONATED == []
+
+
+# ----------------------------------------------------------------------
+# the wire: a repl_batch's frames against hostile bytes
+# ----------------------------------------------------------------------
+#: The witness log under attack holds lSIs 1-3; batches ship above them.
+_SEED_END = 3
+
+
+def _framed(record) -> bytes:
+    return pack_frame(encode_record(record))
+
+
+def _seeded_log() -> LogManager:
+    log = LogManager()
+    log.adopt_records(
+        b"".join(_framed(_stamp(OperationRecord(_put("k", b"v")), lsi))
+                 for lsi in range(1, _SEED_END + 1))
+    )
+    return log
+
+
+def _appendable(record) -> bool:
+    """Could a primary's append have sized it?  (The codec writes lone
+    surrogates; the size model does not.)"""
+    try:
+        record.record_size()
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def shipped_frames(draw, min_size=1):
+    """A valid batch's frames: shipped records a primary could append,
+    at ascending lSIs past the seeded log's end."""
+    frames, lsi = [], _SEED_END
+    records = SHIPPED_RECORDS.filter(_appendable)
+    for record in draw(st.lists(records, min_size=min_size, max_size=4)):
+        lsi += draw(st.integers(1, 3))
+        frames.append(_framed(_stamp(record, lsi)))
+    return frames
+
+
+def _blob(frames) -> str:
+    return base64.b64encode(b"".join(frames)).decode("ascii")
+
+
+def _refused(frames_field) -> None:
+    """The batch raises ProtocolError, nothing else, and the log (its
+    frames, its buffer, its ledger) is as it was."""
+    log = _seeded_log()
+
+    def state():
+        return (list(log.stable_frames()), len(log), log.stats.log_records)
+
+    before = state()
+    batch = dict(batch_frame(1, 99, []), frames=frames_field)
+    with pytest.raises(ProtocolError):
+        adopt_batch(log, batch)
+    assert state() == before
+
+
+class TestHostileBatches:
+    """Run derandomized in CI's codec-fuzz step with the rest of this
+    file: every malformed batch is a ``ProtocolError`` that lands
+    nothing."""
+
+    @given(shipped_frames())
+    @settings(deadline=None)
+    def test_a_valid_batch_lands_byte_for_byte(self, frames):
+        log = _seeded_log()
+        adopt_batch(log, dict(batch_frame(1, 99, frames)))
+        landed = [frame for _, _, frame in log.stable_frames(_SEED_END + 1)]
+        assert landed == frames
+
+    @given(shipped_frames(), st.data())
+    @settings(deadline=None)
+    def test_truncated(self, frames, data):
+        whole = b"".join(frames)
+        ends, end = set(), 0
+        for frame in frames:
+            end += len(frame)
+            ends.add(end)
+        cut = data.draw(
+            st.integers(1, len(whole) - 1).filter(lambda c: c not in ends)
+        )
+        _refused(base64.b64encode(whole[:cut]).decode("ascii"))
+
+    @given(shipped_frames(), st.data())
+    @settings(deadline=None)
+    def test_bit_flipped(self, frames, data):
+        whole = bytearray(b"".join(frames))
+        bit = data.draw(st.integers(0, len(whole) * 8 - 1))
+        whole[bit // 8] ^= 1 << (bit % 8)
+        _refused(base64.b64encode(bytes(whole)).decode("ascii"))
+
+    @given(shipped_frames(), st.data())
+    @settings(deadline=None)
+    def test_an_oversized_length_prefix(self, frames, data):
+        index = data.draw(st.integers(0, len(frames) - 1))
+        length, crc = _HEADER.unpack_from(frames[index])
+        claim = data.draw(st.integers(length + 1, 2**32 - 1))
+        frames[index] = _HEADER.pack(claim, crc) + frames[index][_HEADER.size:]
+        _refused(_blob(frames))
+
+    @given(shipped_frames(), st.data())
+    @settings(deadline=None)
+    def test_a_foreign_codec_version(self, frames, data):
+        index = data.draw(st.integers(0, len(frames) - 1))
+        version = data.draw(st.integers(0, 255).filter(lambda v: v != VERSION))
+        payload = frames[index][_HEADER.size:]
+        frames[index] = pack_frame(bytes([version]) + payload[1:])
+        _refused(_blob(frames))
+
+    @given(shipped_frames(min_size=0), PRIVATE_RECORDS, st.data())
+    @settings(deadline=None)
+    def test_an_unshippable_type(self, frames, private, data):
+        index = data.draw(st.integers(0, len(frames)))
+        frames.insert(index, _framed(_stamp(private, 50 + index)))
+        _refused(_blob(frames))
+
+    def test_a_value_no_append_could_size(self):
+        op = Operation("put(k)", OpKind.PHYSICAL, frozenset(), {"k"},
+                       payload={"k": "\ud800"})
+        _refused(_blob([_framed(_stamp(OperationRecord(op), 4))]))
+
+    @given(shipped_frames(min_size=2))
+    @settings(deadline=None)
+    def test_descending_lsis(self, frames):
+        _refused(_blob(frames[::-1]))
+
+    @given(
+        st.one_of(
+            st.none(),
+            st.booleans(),
+            st.integers(),
+            st.floats(),
+            st.binary(max_size=20),
+            st.lists(st.text(max_size=8), max_size=3),
+            st.dictionaries(st.text(max_size=4), st.text(max_size=4),
+                            max_size=2),
+        )
+    )
+    @settings(deadline=None)
+    def test_frames_that_are_not_a_string(self, field):
+        _refused(field)
+
+    def test_a_file_log_keeps_its_bytes(self, tmp_path):
+        log = FileLogManager(str(tmp_path))
+        log.adopt_records(
+            b"".join(frame for _, _, frame in _seeded_log().stable_frames())
+        )
+        before = (tmp_path / "wal.log").read_bytes()
+        bad = [_framed(_stamp(OperationRecord(_put("k", b"w")), lsi))
+               for lsi in (6, 5)]
+        with pytest.raises(ProtocolError, match="ascending"):
+            adopt_batch(log, dict(batch_frame(1, 6, bad)))
+        assert (tmp_path / "wal.log").read_bytes() == before
+        assert log.buffered_lsis() == [] and log.stable_end_lsi() == 3
+        log.close()
 
 
 # ----------------------------------------------------------------------

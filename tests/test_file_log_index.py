@@ -2,7 +2,7 @@
 
 * a hypothesis differential against the in-memory ``LogManager`` (whose
   list *is* its device) over append / force / force_through / adopt /
-  truncate / crash / reopen;
+  truncate / crash / reopen, record for record and frame for frame;
 * reader vs. force and reader vs. truncation orderings, with threads
   and barriers (no sleeps);
 * the restart path decodes each record once (the open snapshot), and a
@@ -33,6 +33,7 @@ from repro.storage.faults import (
     FaultModel,
     FaultSpec,
 )
+from repro.storage.framing import pack_frame
 from repro.wal.codec import decode_record, encode_record
 from repro.wal.log_manager import LogManager
 from repro.wal.records import (
@@ -70,6 +71,19 @@ STEP = st.one_of(
 )
 
 
+def _reopened(memory: LogManager) -> LogManager:
+    """A restart of the in-memory log: its device (the list) survives,
+    decoded afresh, and the next lSI follows the last stable one, as
+    ``FileLogManager`` leaves it on open."""
+    survivor = LogManager()
+    survivor._stable = [
+        decode_record(payload) for payload in _encoded(memory.stable_records())
+    ]
+    if survivor._stable:
+        survivor._next_lsi = survivor._stable[-1].lsi + 1
+    return survivor
+
+
 def _same_log(file_log: LogManager, memory: LogManager) -> None:
     assert len(file_log) == len(memory)
     assert file_log.stable_start_lsi() == memory.stable_start_lsi()
@@ -82,6 +96,9 @@ def _same_log(file_log: LogManager, memory: LogManager) -> None:
         assert file_log.is_stable(lsi) == memory.is_stable(lsi)
         assert _encoded(file_log.stable_records(lsi)) == _encoded(
             memory.stable_records(lsi)
+        ), lsi
+        assert list(file_log.stable_frames(lsi)) == list(
+            memory.stable_frames(lsi)
         ), lsi
 
 
@@ -112,9 +129,12 @@ def test_file_log_equals_the_in_memory_log_step_for_step(
                 )
                 lsis = [base, base + 1 + arg, base + 3 + arg]
                 for log in logs:
-                    shipped = [_record(2, lsi) for lsi in lsis]
-                    for record, lsi in zip(shipped, lsis):
+                    shipped = []
+                    for lsi in lsis:
+                        record = _record(2, lsi)
                         record.lsi = lsi
+                        shipped.append(pack_frame(encode_record(record)))
+                    shipped = b"".join(shipped)
                     if log.buffered_lsis():
                         with pytest.raises(WALViolationError):
                             log.adopt_records(shipped)
@@ -134,12 +154,7 @@ def test_file_log_equals_the_in_memory_log_step_for_step(
                 # "survives" by handing its stable records to a new log.
                 file_log.close()
                 file_log = FileLogManager(root)
-                survivors = [
-                    decode_record(payload)
-                    for payload in _encoded(memory.stable_records())
-                ]
-                memory = LogManager()
-                memory.adopt_records(survivors)
+                memory = _reopened(memory)
                 logs = (file_log, memory)
             _same_log(file_log, memory)
     finally:

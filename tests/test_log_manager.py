@@ -6,8 +6,10 @@ from repro.common.errors import LogTruncationError, WALViolationError
 from repro.common.identifiers import NULL_SI
 from repro.core.operation import Operation, OpKind
 from repro.storage import IOStats
+from repro.storage.framing import pack_frame
+from repro.wal.codec import encode_record
 from repro.wal.log_manager import LogManager
-from repro.wal.records import CheckpointRecord, LogRecord
+from repro.wal.records import CheckpointRecord, LogRecord, OperationRecord
 
 
 def _op(name: str = "op") -> Operation:
@@ -128,12 +130,12 @@ class TestStableRecordsBisect:
 
     def _gapped(self, lsis):
         log = LogManager()
-        records = []
+        frames = []
         for lsi in lsis:
-            record = LogRecord()
+            record = OperationRecord(_op())
             record.lsi = lsi
-            records.append(record)
-        assert log.adopt_records(records) == len(lsis)
+            frames.append(pack_frame(encode_record(record)))
+        assert log.adopt_records(b"".join(frames)) == len(lsis)
         return log
 
     def test_gapped_log_from_present_absent_and_out_of_range_lsis(self):
@@ -408,12 +410,7 @@ def test_witness_repins_race_no_truncation(cut):
 
     system = RecoverableSystem()
     sender = ReplicationSender(system)
-    subscribe = {
-        "kind": wire.KIND_SUBSCRIBE,
-        "id": 1,
-        "watermark": NULL_SI,
-        "epoch": sender.epoch,
-    }
+    subscribe = wire.subscribe_frame(NULL_SI, sender.epoch)
     witness = _SilentWitness()
     halt = threading.Event()
 

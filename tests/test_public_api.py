@@ -157,12 +157,20 @@ REMOVED_ATTRIBUTES = [
 ] + [
     ("repro.storage.registry", name)
     for name in ("_REGISTRY", "_ALIASES", "_register_builtins")
+] + [
+    # 5.3.0: the WAL frame is the wire's record format; no per-record
+    # envelope, and nothing re-frames an adopted record.
+    ("repro.replica.wire", name)
+    for name in ("encode_records", "decode_records", "shippable",
+                 "SHIPPED_RECORD_KINDS")
+] + [
+    ("repro.persist.file_log", "FileLogManager._frame"),
 ]
 
 
 class TestRemovedPaths:
-    """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0) are
-    gone, not aliased."""
+    """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0,
+    5.3.0) are gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):

@@ -1,19 +1,23 @@
 """Replication units and pair integration (repro.replica).
 
-Unit layers first — the durable epoch sidecar, the wire envelopes, the
-log manager's adopt/reserve primitives — then live in-process pairs:
-attach and semi-synchronous shipping, readiness, promotion, and the
-epoch fence against a zombie primary.
+Unit layers first — the durable epoch sidecar, the wire's batch of WAL
+frames, the log manager's adopt/reserve primitives — then live
+in-process pairs: attach and semi-synchronous shipping, readiness,
+promotion, the epoch fence against a zombie primary, refusals that
+drop a stream but never the witness, and one encoding per shipped
+record on file-backed pairs.
 """
 
 from __future__ import annotations
 
+import base64
 import os
 import threading
 import time
 
 import pytest
 
+from repro.common.codec import unpack_header
 from repro.common.errors import ReproError, WALViolationError
 from repro.common.identifiers import NULL_SI
 from repro.core.operation import Operation, OpKind
@@ -25,10 +29,10 @@ from repro.replica import (
     ReplicationSender,
 )
 from repro.replica.wire import (
+    PROTOCOL,
+    adopt_batch,
     batch_frame,
-    decode_records,
-    encode_records,
-    shippable,
+    subscribe_frame,
 )
 from repro.serve import (
     DaemonClient,
@@ -39,7 +43,10 @@ from repro.serve import (
     ServeDaemon,
     ServeError,
     ServerUnavailableError,
+    protocol,
 )
+from repro.storage.framing import HEADER, pack_frame
+from repro.wal.codec import SHIPPED_TYPES, encode_record, unpack_shipped
 from repro.wal.log_manager import LogManager
 from repro.wal.records import (
     CheckpointRecord,
@@ -140,60 +147,84 @@ class TestEpochStore:
 
 
 # ----------------------------------------------------------------------
-# the wire envelopes
+# the wire: WAL frames in a JSON batch
 # ----------------------------------------------------------------------
+def _frames(*records: LogRecord) -> bytes:
+    """``records`` as WAL frames back to back, as a primary ships them."""
+    return b"".join(pack_frame(encode_record(record)) for record in records)
+
+
+def _batch(*records: LogRecord, **fields) -> dict:
+    frame = batch_frame(1, records[-1].lsi if records else 0,
+                        [_frames(record) for record in records])
+    frame.update(fields)
+    return frame
+
+
 class TestWire:
     def test_shippable_filter(self):
-        assert shippable(_op_record(1))
-        assert shippable(FenceRecord("f", 0, (0,), {0: 1}))
-        assert shippable(EpochRecord(2, "primary"))
+        def code(record):
+            return encode_record(record)[1]
+
+        assert code(_op_record(1)) in SHIPPED_TYPES
+        assert code(FenceRecord("f", 0, (0,), {0: 1})) in SHIPPED_TYPES
+        assert code(EpochRecord(2, "primary")) in SHIPPED_TYPES
         # The primary's private bookkeeping never crosses the channel.
-        assert not shippable(CheckpointRecord({}))
-        assert not shippable(InstallationRecord({}, {}, []))
-        assert not shippable(LogRecord())
+        assert code(CheckpointRecord({})) not in SHIPPED_TYPES
+        assert code(InstallationRecord({}, {}, [])) not in SHIPPED_TYPES
+        assert len(SHIPPED_TYPES) == 3
 
     def test_encode_decode_round_trip(self):
+        log = LogManager()
         records = [_op_record(4, value=b"payload"), _op_record(7)]
-        decoded = decode_records(encode_records(records))
+        assert adopt_batch(log, _batch(*records)) == 2
+        decoded = list(log.stable_records())
         assert [r.lsi for r in decoded] == [4, 7]
         assert decoded[0].op.payload == {"x": b"payload"}
+        # The log's frames are the bytes that were shipped.
+        assert b"".join(f for _, _, f in log.stable_frames()) == _frames(
+            *records
+        )
 
     def test_batch_frame_shape(self):
-        frame = batch_frame(2, 9, [_op_record(8)], checkpoint=True)
+        frame = batch_frame(2, 9, [_frames(_op_record(8))], checkpoint=True)
         assert frame["kind"] == "repl_batch"
+        assert frame["protocol"] == PROTOCOL == 2
         assert frame["epoch"] == 2
         assert frame["through"] == 9
         assert frame["checkpoint"] is True
-        assert len(frame["records"]) == 1
+        assert base64.b64decode(frame["frames"]) == _frames(_op_record(8))
+        assert subscribe_frame(3, 1)["protocol"] == PROTOCOL
 
     def test_decode_rejects_non_string(self):
         with pytest.raises(ProtocolError):
-            decode_records([42])
+            adopt_batch(LogManager(), _batch(frames=42))
 
     def test_decode_rejects_garbage(self):
         with pytest.raises(ProtocolError):
-            decode_records(["not base64 at all!!"])
+            adopt_batch(LogManager(), _batch(frames="not base64 at all!!"))
 
     def test_decode_rejects_a_value_that_is_not_a_record(self):
-        import base64
-
         from repro.common.codec import encode_value
 
-        blob = base64.b64encode(encode_value({"not": "a record"})).decode()
+        frames = pack_frame(encode_value({"not": "a record"}))
+        blob = base64.b64encode(frames).decode()
         with pytest.raises(ProtocolError):
-            decode_records([blob])
+            adopt_batch(LogManager(), _batch(frames=blob))
 
     def test_decode_refuses_record_kinds_that_are_never_shipped(self):
         """The primary's bookkeeping records encode fine — they are on
         its WAL — but a peer must not be able to push one."""
-        import base64
-
-        from repro.wal.codec import encode_record
-
         for private in (CheckpointRecord({"x": 3}), InstallationRecord({}, {}, ())):
-            blob = base64.b64encode(encode_record(private)).decode()
+            private.lsi = 5
             with pytest.raises(ProtocolError, match="never shipped"):
-                decode_records([blob])
+                adopt_batch(LogManager(), _batch(private))
+
+    def test_a_protocol_1_batch_is_refused_by_name(self):
+        old = {"kind": "repl_batch", "epoch": 1, "through": 4,
+               "checkpoint": False, "records": ["AQEEAAAAAAAAAA=="]}
+        with pytest.raises(ProtocolError, match="protocol 1.*speaks 2"):
+            adopt_batch(LogManager(), old)
 
 
 # ----------------------------------------------------------------------
@@ -202,41 +233,43 @@ class TestWire:
 class TestAdoptRecords:
     def test_adopt_preserves_origin_lsis_with_gaps(self):
         log = LogManager()
-        adopted = log.adopt_records([_op_record(3), _op_record(7)])
+        adopted = log.adopt_records(_frames(_op_record(3), _op_record(7)))
         assert adopted == 2
         assert [r.lsi for r in log.stable_records()] == [3, 7]
         assert log.stable_end_lsi() == 7
 
     def test_adopt_skips_duplicates_from_reship(self):
         log = LogManager()
-        log.adopt_records([_op_record(3), _op_record(5)])
+        log.adopt_records(_frames(_op_record(3), _op_record(5)))
         # A reconnect re-ships an overlapping window; only the new
         # suffix lands.
-        assert log.adopt_records([_op_record(3), _op_record(5),
-                                  _op_record(8)]) == 1
+        assert log.adopt_records(
+            _frames(_op_record(3), _op_record(5), _op_record(8))
+        ) == 1
         assert [r.lsi for r in log.stable_records()] == [3, 5, 8]
 
     def test_adopt_rejects_out_of_order_batch(self):
         log = LogManager()
         with pytest.raises(WALViolationError):
-            log.adopt_records([_op_record(5), _op_record(4)])
+            log.adopt_records(_frames(_op_record(5), _op_record(4)))
+        assert len(log) == 0
 
     def test_adopt_refuses_buffered_local_appends(self):
         log = LogManager()
         log.append(LogRecord())  # volatile local append, not forced
         with pytest.raises(WALViolationError):
-            log.adopt_records([_op_record(9)])
+            log.adopt_records(_frames(_op_record(9)))
 
     def test_adopted_records_are_stable_immediately(self):
         # The receipt ack is a durability promise: adoption goes
         # through the forced path, nothing lingers in the buffer.
         log = LogManager()
-        log.adopt_records([_op_record(2)])
+        log.adopt_records(_frames(_op_record(2)))
         assert log.is_stable(2)
 
     def test_reserve_lsis_through_fences_old_history(self):
         log = LogManager()
-        log.adopt_records([_op_record(4)])
+        log.adopt_records(_frames(_op_record(4)))
         log.reserve_lsis_through(10)
         lsi = log.append(LogRecord())
         assert lsi == 11  # no lSI the old primary may have used
@@ -636,11 +669,12 @@ class TestPair:
             executed.append(append(op))
             return executed[-1]
 
-        def adopt_records(records):
+        def adopt_records(frames):
             adopted.extend(
-                r.lsi for r in records if isinstance(r, OperationRecord)
+                record.lsi for record, _ in unpack_shipped(frames)
+                if isinstance(record, OperationRecord)
             )
-            return adopt(records)
+            return adopt(frames)
 
         primary_system.log.append_operation = append_operation
         witness_system.log.adopt_records = adopt_records
@@ -697,3 +731,311 @@ class TestPair:
             client.close()
         finally:
             daemon.kill()
+
+
+# ----------------------------------------------------------------------
+# refusals: a bad batch or another protocol drops the stream, never the
+# witness
+# ----------------------------------------------------------------------
+class _ScriptedPrimary:
+    """A listener that answers every ``repl_subscribe`` ok and pushes
+    the next scripted batch down the connection (the last one again
+    for every later dial).  A ``bytes`` batch is written raw and the
+    connection closed: a primary dying mid-frame."""
+
+    def __init__(self, batches) -> None:
+        import socket
+
+        self.batches = list(batches)
+        self.subscribes = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._conns = []
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # closed
+            self._conns.append(conn)
+            try:
+                request = protocol.recv_frame(conn)
+                self.subscribes.append(request)
+                protocol.send_frame(
+                    conn,
+                    protocol.ok_response(
+                        request["id"], "healthy", epoch=INITIAL_EPOCH,
+                        through=0,
+                    ),
+                )
+                batch = self.batches[
+                    min(len(self.subscribes), len(self.batches)) - 1
+                ]
+                if isinstance(batch, bytes):
+                    conn.sendall(batch)
+                    conn.close()
+                else:
+                    protocol.send_frame(conn, batch)
+            except (OSError, ProtocolError):
+                continue
+
+    def close(self) -> None:
+        self._listener.close()
+        for conn in self._conns:
+            conn.close()
+
+
+def _witness_of(primary: _ScriptedPrimary):
+    from repro.replica import WitnessConfig, WitnessDaemon
+
+    return WitnessDaemon(
+        RecoverableSystem(),
+        DaemonConfig(port=0, http_port=None),
+        witness=WitnessConfig(
+            primary_port=primary.port,
+            redo_every_records=1 << 30,
+            reconnect_delay_s=0.02,
+        ),
+    ).start()
+
+
+def _refusals(witness) -> list:
+    return [
+        event["reason"] for event in witness.flightrec.events()
+        if event["kind"] == "repl.refused"
+    ]
+
+
+class TestRefusals:
+    def test_a_descending_batch_drops_the_stream_not_the_witness(self):
+        # lSIs 5 then 3 used to raise WALViolationError out of the
+        # subscriber thread: the witness never dialed again.
+        bad = _batch(_op_record(5), _op_record(3))
+        good = _batch(_op_record(5), _op_record(7))
+        primary = _ScriptedPrimary([bad, good])
+        witness = _witness_of(primary)
+        try:
+            assert wait_until(
+                lambda: witness.system.log.stable_end_lsi() == 7, 10.0
+            )
+            assert len(primary.subscribes) >= 2
+            assert witness._subscriber_thread.is_alive()
+            reasons = _refusals(witness)
+            assert reasons and "ascending" in reasons[0]
+            assert witness.obs.counter_value("events.repl.refused") >= 1
+        finally:
+            witness.stop(graceful=False)
+            primary.close()
+
+    def test_a_witness_refuses_a_protocol_1_batch_by_name_and_redials(self):
+        old = {"kind": "repl_batch", "epoch": INITIAL_EPOCH, "through": 4,
+               "checkpoint": False, "records": ["AQEEAAAAAAAAAA=="]}
+        primary = _ScriptedPrimary([old])
+        witness = _witness_of(primary)
+        try:
+            assert wait_until(lambda: len(_refusals(witness)) >= 2, 10.0)
+            assert len(primary.subscribes) >= 2
+            assert all(
+                "protocol 1" in reason and "speaks 2" in reason
+                for reason in _refusals(witness)
+            )
+            assert all(
+                request["protocol"] == PROTOCOL
+                for request in primary.subscribes
+            )
+            assert witness.system.log.stable_end_lsi() == NULL_SI
+        finally:
+            witness.stop(graceful=False)
+            primary.close()
+
+    def test_a_primary_dying_mid_frame_is_no_refusal(self):
+        # A length prefix promising 100 bytes, then 3 and a close: the
+        # witness redials, but records no refusal for a torn stream.
+        primary = _ScriptedPrimary([(100).to_bytes(4, "little") + b"abc"])
+        witness = _witness_of(primary)
+        try:
+            assert wait_until(lambda: len(primary.subscribes) >= 3, 10.0)
+            assert witness._subscriber_thread.is_alive()
+            assert _refusals(witness) == []
+            assert witness.obs.counter_value("events.repl.refused") == 0
+        finally:
+            witness.stop(graceful=False)
+            primary.close()
+
+    def test_a_primary_refuses_a_protocol_1_subscribe_by_name(self):
+        import socket
+
+        system = RecoverableSystem()
+        daemon = ServeDaemon(
+            system,
+            DaemonConfig(port=0, http_port=None),
+            replication=ReplicationConfig(),
+        ).start()
+        try:
+            with socket.create_connection(("127.0.0.1", daemon.port)) as sock:
+                protocol.send_frame(sock, {
+                    "id": 7, "kind": "repl_subscribe",
+                    "watermark": NULL_SI, "epoch": INITIAL_EPOCH,
+                })
+                response = protocol.recv_frame(sock)
+            assert response["ok"] is False
+            assert response["error"]["code"] == "BAD_REQUEST"
+            message = response["error"]["message"]
+            assert "protocol 1" in message and "speaks 2" in message
+            assert not daemon.replication.attached
+        finally:
+            daemon.kill()
+
+
+# ----------------------------------------------------------------------
+# one encoding per record: the witness writes the primary's bytes
+# ----------------------------------------------------------------------
+def _file_backed_pair(root, backend: str):
+    from repro.replica import WitnessConfig
+    from repro.topology import build_daemon, build_systems
+
+    config = DaemonConfig(port=0, http_port=None, retry_after_ms=5)
+    primary = build_daemon(
+        build_systems(1, backend, os.path.join(root, "primary"),
+                      file_log=True),
+        config,
+        replication=ReplicationConfig(ack_timeout_s=5.0, retry_after_ms=5),
+    ).start()
+    witness = build_daemon(
+        build_systems(1, backend, os.path.join(root, "witness"),
+                      file_log=True),
+        config,
+        witness=WitnessConfig(
+            primary_port=primary.port,
+            redo_every_records=1 << 30,  # keep the adopted log whole
+            reconnect_delay_s=0.02,
+        ),
+    ).start()
+    assert wait_until(
+        lambda: witness.attached and primary.replication.attached, 10.0
+    )
+    return primary, witness
+
+
+def _seeded_traffic(port: int, seed: int, requests: int = 60) -> int:
+    """Puts, deletes and logical applies over a few keys; returns the
+    highest acked lSI."""
+    import random
+
+    rng = random.Random(seed)
+    keys = [f"one:{index}" for index in range(6)]
+    last = NULL_SI
+    with _client(port) as client:
+        for index in range(requests):
+            src, dst = rng.sample(keys, 2)
+            roll = rng.random()
+            if roll < 0.5:
+                lsi = client.put(dst, rng.randbytes(rng.randint(0, 300)))
+            elif roll < 0.6:
+                lsi = client.delete(dst)
+            else:
+                fn = rng.choice(["wl_combine", "wl_derive"])
+                reads = [src, dst] if fn == "wl_combine" else [src]
+                lsi = client.apply(fn, reads, [dst], [src, dst])["lsi"]
+            last = max(last, lsi)
+    return last
+
+
+def _wal_frames(daemon) -> dict:
+    """lSI -> the frame bytes as ``wal.log`` holds them."""
+    from repro.storage.framing import FramedFile
+
+    path = daemon.system.log.path
+    with open(path, "rb") as handle:
+        data = handle.read()
+    frames = {}
+    for offset, payload in FramedFile(path).scan():
+        _code, lsi, _ = unpack_header(payload)
+        frames[lsi] = data[offset:offset + HEADER.size + len(payload)]
+    return frames
+
+
+@pytest.mark.parametrize("backend", ["file", "logstore"])
+class TestOneEncoding:
+    def test_the_witness_log_holds_the_primarys_bytes(self, tmp_path, backend):
+        primary, witness = _file_backed_pair(str(tmp_path), backend)
+        try:
+            last = _seeded_traffic(primary.port, seed=36)
+            assert witness.system.log.is_stable(last)
+            mine, theirs = _wal_frames(primary), _wal_frames(witness)
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+        assert len(theirs) >= 60
+        for lsi, frame in theirs.items():
+            assert frame == mine[lsi], lsi
+        # Exactly the shipped kinds crossed: the witness misses only the
+        # primary's private bookkeeping.
+        shipped = {
+            lsi for lsi, frame in mine.items()
+            if frame[HEADER.size + 1] in SHIPPED_TYPES
+        }
+        assert set(theirs) == shipped
+
+    def test_a_record_is_decoded_once_and_never_encoded_in_transit(
+        self, tmp_path, backend, monkeypatch
+    ):
+        import sys
+
+        from repro.wal import codec
+
+        primary, witness = _file_backed_pair(str(tmp_path), backend)
+        where = threading.local()
+        calls = {}
+        adopted = []
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                place = getattr(where, "place", None)
+                if place is not None:
+                    calls[place, name] = calls.get((place, name), 0) + 1
+                return original(*args, **kwargs)
+            return call
+
+        for name in ("encode_record", "decode_record"):
+            original = getattr(codec, name)
+            for module in list(sys.modules.values()):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted(name, original))
+
+        def during(place, method):
+            def call(*args, **kwargs):
+                where.place = place
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    where.place = None
+            return call
+
+        sender = primary.replication
+        monkeypatch.setattr(
+            sender, "_ship_locked", during("ship", sender._ship_locked)
+        )
+        adopt = witness.system.log.adopt_records
+
+        def adopt_records(frames):
+            adopted.append(adopt(frames))
+            return adopted[-1]
+
+        monkeypatch.setattr(
+            witness.system.log, "adopt_records",
+            during("adopt", adopt_records),
+        )
+        try:
+            _seeded_traffic(primary.port, seed=7, requests=40)
+        finally:
+            witness.stop(graceful=False)
+            primary.kill()
+        assert sum(adopted) >= 40
+        assert calls.get(("ship", "decode_record"), 0) == 0
+        assert calls.get(("ship", "encode_record"), 0) == 0
+        assert calls.get(("adopt", "decode_record"), 0) == sum(adopted)
+        assert calls.get(("adopt", "encode_record"), 0) == 0
