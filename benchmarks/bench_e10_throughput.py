@@ -19,9 +19,9 @@ now that the engine is indexed:
 * **end-to-end kernel runs** — ``RecoverableSystem.execute`` with
   purge pressure, the full WAL + cache + graph path.
 
-Results are appended to ``BENCH_e10.json`` at the repo root so future
-PRs can track the trajectory (CI diffs the ``ops_per_sec`` lanes, see
-``benchmarks/diff_trajectory.py``).  ``E10_MAX_OPS`` caps the largest
+Results merge into ``.bench_results/BENCH_e10.json`` (untracked); CI
+diffs its ``ops_per_sec`` lanes against the committed ``BENCH_e10.json``
+(``benchmarks/diff_trajectory.py``).  ``E10_MAX_OPS`` caps the largest
 size (CI smoke runs with ``E10_MAX_OPS=1000``); the sizes and the
 reference measurements scale down with it, so every assertion still
 runs.  The quadratic reference is never *run* above ``SPEEDUP_SIZE``:
@@ -32,12 +32,11 @@ lane diffs.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict, List
 
 import pytest
@@ -61,7 +60,7 @@ from repro.workloads import (
     LogicalWorkloadConfig,
     register_workload_functions,
 )
-from benchmarks.conftest import once
+from benchmarks.conftest import once, record
 
 MIXES = [
     ("physiological-only", dict(w_physical=0.2, w_touch=0.8, w_combine=0.0, w_derive=0.0)),
@@ -82,7 +81,6 @@ SPEEDUP_SIZE = REF_SIZES[-1]
 #: smoke sizes leave less quadratic work to win back.
 SPEEDUP_FLOOR = 10.0 if SPEEDUP_SIZE >= 5000 else 3.0
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e10.json"
 
 
 def _ops_for(mix: dict, size: int, seed: int = 7) -> List:
@@ -121,18 +119,7 @@ def _drive(graph, ops) -> Dict[str, float]:
     }
 
 
-def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e10.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["max_ops"] = MAX_OPS
-    data["sizes"] = SIZES
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_record = partial(record, "BENCH_e10.json", max_ops=MAX_OPS, sizes=SIZES)
 
 
 def _maintenance_sweep() -> Dict[str, Dict]:

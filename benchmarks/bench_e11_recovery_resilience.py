@@ -20,18 +20,17 @@ time — as the device gets nastier:
   backup and media restore disabled must land in DEGRADED read-only
   mode in one attempt, never loop.
 
-Results are appended to ``BENCH_e11.json`` at the repo root so future
-PRs can track the trajectory.  ``E11_RUNS`` caps the fuzz runs per
+Results merge into ``.bench_results/BENCH_e11.json`` (untracked), which
+CI diffs against the committed ``BENCH_e11.json``.  ``E11_RUNS`` caps the fuzz runs per
 ladder rung (CI smoke runs with ``E11_RUNS=20``); the assertions all
 still run at any cap.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict
 
 import pytest
@@ -55,7 +54,7 @@ from repro.storage.stable_store import StoredVersion
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads import register_workload_functions
 from tests.conftest import physical
-from benchmarks.conftest import once
+from benchmarks.conftest import RESULTS_DIR, once, record
 
 #: Fuzz schedules per ladder rung (CI smoke: E11_RUNS=20).
 RUNS = int(os.environ.get("E11_RUNS", "150"))
@@ -66,21 +65,8 @@ OPS = int(os.environ.get("E11_OPS", "30"))
 #: rates stay fixed so attempts isolate the cost of *restarting*.
 CRASH_RATES = (0.0, 0.01, 0.05, 0.15)
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e11.json"
 
-
-def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e11.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["runs_per_rung"] = RUNS
-    data["operations"] = OPS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_record = partial(record, "BENCH_e11.json", runs_per_rung=RUNS, operations=OPS)
 
 
 def _harness() -> TortureHarness:
@@ -200,11 +186,10 @@ def test_e11_crash_rate_ladder(benchmark):
 # supervised campaign, exported as the JSONL artifact CI uploads
 # ----------------------------------------------------------------------
 
-#: Where the telemetry artifact lands (repo root, committed as the
-#: CI-grown baseline; CI smoke overrides via E11_METRICS_OUT).
+#: Where the telemetry artifact lands (beside the results; CI smoke
+#: overrides via E11_METRICS_OUT).
 METRICS_PATH = os.environ.get(
-    "E11_METRICS_OUT",
-    str(Path(__file__).resolve().parent.parent / "BENCH_e11_metrics.jsonl"),
+    "E11_METRICS_OUT", str(RESULTS_DIR / "BENCH_e11_metrics.jsonl")
 )
 #: Supervised fuzz runs for the telemetry lane (kept small: every run
 #: is a full workload + supervised recovery).

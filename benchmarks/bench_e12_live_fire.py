@@ -22,17 +22,16 @@ and never a value no client sent):
   with no faults armed, so the serving overhead has a number and a
   trajectory.
 
-Results are appended to ``BENCH_e12.json`` at the repo root so future
-PRs can track the trajectory.
+Results merge into ``.bench_results/BENCH_e12.json`` (untracked), which
+CI diffs against the committed ``BENCH_e12.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict
 
 import pytest
@@ -48,27 +47,15 @@ from repro.serve import (
     ServeDaemon,
 )
 from repro.workloads import register_workload_functions
-from benchmarks.conftest import once
+from benchmarks.conftest import once, record
 
 #: Seeded live-fire runs in the campaign (CI smoke: E12_RUNS=25).
 RUNS = int(os.environ.get("E12_RUNS", "200"))
 #: Clean-path throughput sample size.
 THROUGHPUT_OPS = int(os.environ.get("E12_THROUGHPUT_OPS", "400"))
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e12.json"
 
-
-def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e12.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["runs"] = RUNS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_record = partial(record, "BENCH_e12.json", runs=RUNS)
 
 
 # ----------------------------------------------------------------------

@@ -17,7 +17,8 @@ so one shard under load is no longer that stream; the lane now
 measures it directly — one lone caller on one shard, one force per ack
 — and keeps the bar against it.
 
-Lanes (recorded in ``BENCH_e13.json``):
+Lanes (recorded in ``.bench_results/BENCH_e13.json``, which CI diffs
+against the committed ``BENCH_e13.json``):
 
 * **sharded_scaling** — aggregate acked puts/second at 1/2/4/8 shards
   under a fixed 8-client offered load, 0% cross-shard, beside the
@@ -36,11 +37,10 @@ Lanes (recorded in ``BENCH_e13.json``):
 from __future__ import annotations
 
 import gc
-import json
 import os
 import threading
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict, List, Optional
 
 import pytest
@@ -52,7 +52,7 @@ from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.shard import ShardedSystem
 from repro.wal.latency import LatencyLog
 from repro.workloads import register_workload_functions
-from benchmarks.conftest import once
+from benchmarks.conftest import once, record
 
 #: Put requests per client thread per configuration.
 OPS = int(os.environ.get("E13_OPS", "80"))
@@ -66,22 +66,11 @@ MIN_SPEEDUP = float(os.environ.get("E13_MIN_SPEEDUP", "2.5"))
 #: Required speedup of one shard under the 8-client load over it.
 MIN_COALESCE = 2.0
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e13.json"
 
-
-def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e13.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["ops_per_client"] = OPS
-    data["clients"] = CLIENTS
-    data["force_latency_ms"] = FORCE_LATENCY_MS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_record = partial(
+    record, "BENCH_e13.json", ops_per_client=OPS, clients=CLIENTS,
+    force_latency_ms=FORCE_LATENCY_MS,
+)
 
 
 # ----------------------------------------------------------------------

@@ -15,23 +15,22 @@ CRC — so both counters must read **zero** on that path.  E14 measures:
   file backend under identity writes (the paper's recommendation for
   in-place stores), and the logstore under batch installs
   (:func:`repro.storage.recommended_cache_config`).  The ``c3_*`` lanes
-  land in ``BENCH_e14.json`` and are diffed by CI (lower is better);
-  the zero claims are hard assertions.
+  are diffed by CI (lower is better); the zero claims are hard
+  assertions.
 * **compaction_sweep** — overwrite churn against the logstore at
   several ``compact_ratio`` settings: copies performed, bytes
   reclaimed, final footprint.  Aggressive compaction must bound the
   footprint; lazy compaction must copy less.
 
-Results merge into ``BENCH_e14.json`` at the repo root (same pattern
-as E11) so future PRs track the trajectory.
+Results merge into ``.bench_results/BENCH_e14.json`` (untracked), which
+CI diffs against the committed ``BENCH_e14.json``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict
 
 import pytest
@@ -49,7 +48,7 @@ from repro.analysis import Table, format_bytes
 from repro.storage import FlushTransaction, make_store
 from repro.storage.logstore import LogStructuredStableStore
 from repro.storage.registry import recommended_cache_config
-from benchmarks.conftest import once, payload
+from benchmarks.conftest import once, payload, record
 
 #: Operations in the workload (CI smoke: E14_OPS=20).
 OPS = int(os.environ.get("E14_OPS", "60"))
@@ -57,7 +56,6 @@ OBJECT_SIZE = 2 * 1024
 #: Objects per multi-object operation — the paper's common k=2 case.
 SET_SIZE = 2
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e14.json"
 
 #: The three C3 configurations: (backend, cache-config factory).
 LANES = {
@@ -73,18 +71,9 @@ LANES = {
 }
 
 
-def _record(section: str, payload_dict) -> None:
-    """Merge one section into the BENCH_e14.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["operations"] = OPS
-    data["object_size"] = OBJECT_SIZE
-    data[section] = payload_dict
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_record = partial(
+    record, "BENCH_e14.json", operations=OPS, object_size=OBJECT_SIZE
+)
 
 
 def _pair_op(step: int) -> Operation:

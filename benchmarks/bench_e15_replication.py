@@ -25,7 +25,8 @@ catch-up, not a full replay.  Three lanes:
   (``acked_per_s_replicated``), so the durability upgrade's price has a
   number and a trajectory.
 
-Results are appended to ``BENCH_e15.json`` at the repo root;
+Results merge into ``.bench_results/BENCH_e15.json`` (untracked), which
+CI diffs against the committed ``BENCH_e15.json``;
 ``benchmarks/diff_trajectory.py`` treats ``seconds_per_*`` and
 ``lag_*`` lanes as lower-is-better and ``acked_per_s*`` as
 higher-is-better.
@@ -33,10 +34,9 @@ higher-is-better.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict, List
 
 import pytest
@@ -56,7 +56,7 @@ from repro.serve import (
     ServeDaemon,
 )
 from repro.workloads import register_workload_functions
-from benchmarks.conftest import once
+from benchmarks.conftest import once, record
 
 #: Seeded kill/zombie-promote runs in the campaign (CI smoke: E15_RUNS=6).
 RUNS = int(os.environ.get("E15_RUNS", "100"))
@@ -65,20 +65,8 @@ LAG_WRITES = int(os.environ.get("E15_LAG_WRITES", "200"))
 #: Puts per throughput lane (standalone and replicated).
 THROUGHPUT_OPS = int(os.environ.get("E15_THROUGHPUT_OPS", "300"))
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e15.json"
 
-
-def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e15.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["runs"] = RUNS
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_record = partial(record, "BENCH_e15.json", runs=RUNS)
 
 
 def _percentile(values: List[float], fraction: float) -> float:

@@ -21,17 +21,17 @@ or losing time.  Two lanes:
   against the same single daemon: ``acked_per_s_untraced`` /
   ``acked_per_s_traced`` plus the ratio sanity bar.
 
-Results are appended to ``BENCH_e16.json`` at the repo root;
+Results merge into ``.bench_results/BENCH_e16.json`` (untracked), which
+CI diffs against the committed ``BENCH_e16.json``;
 ``benchmarks/diff_trajectory.py`` treats ``stage_ms_*`` as
 lower-is-better and ``acked_per_s*`` as higher-is-better.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
+from functools import partial
 from typing import Dict, List
 
 import pytest
@@ -43,7 +43,7 @@ from repro.obs.tracetree import build_trace, trace_has_stages
 from repro.replica import ReplicationConfig, WitnessConfig, WitnessDaemon
 from repro.serve import DaemonClient, DaemonConfig, ServeDaemon
 from repro.workloads import register_workload_functions
-from benchmarks.conftest import once
+from benchmarks.conftest import once, record
 
 #: Traced puts in the attribution lane (CI smoke: E16_WRITES=40).
 WRITES = int(os.environ.get("E16_WRITES", "150"))
@@ -61,20 +61,8 @@ STAGES = (
     "witness.ack_ms",
 )
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_e16.json"
 
-
-def _record(section: str, payload) -> None:
-    """Merge one section into the BENCH_e16.json trajectory file."""
-    data = {}
-    if RESULTS_PATH.exists():
-        try:
-            data = json.loads(RESULTS_PATH.read_text())
-        except (ValueError, OSError):
-            data = {}
-    data["writes"] = WRITES
-    data[section] = payload
-    RESULTS_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_record = partial(record, "BENCH_e16.json", writes=WRITES)
 
 
 def _start_pair():

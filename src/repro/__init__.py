@@ -23,7 +23,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__version__ = "5.3.0"
+__version__ = "6.0.0"
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".common": ("ObjectId", "StateId"),
@@ -50,7 +50,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "render_prometheus",
     ),
     ".kernel": (
-        "RecoverableSystem", "SystemConfig", "SystemHealth", "CrashInjector",
+        "RecoverableSystem", "SystemConfig", "SystemHealth",
         "verify_recovered", "VerificationError", "FailureReport",
         "RecoverySupervisor", "SupervisorConfig", "TortureConfig",
         "TortureHarness", "TortureReport",

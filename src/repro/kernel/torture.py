@@ -25,7 +25,9 @@ quarantine path), drives, crashes, recovers, and asserts both oracles:
 the durable history) and :func:`~repro.core.invariants.check_explainable`
 (Theorem 3).  Forces and purges are drawn from an rng seeded only by the
 workload seed, so a faulted run's numbering lines up with its counting
-run.  :class:`Outcome` and :class:`TortureReport` are the live-fire
+run.  :func:`flush_crash_sweep` aims the same model at one flush: a
+crash at each of its store writes, the tear an atomic flush set rules
+out.  :class:`Outcome` and :class:`TortureReport` are the live-fire
 harness's (:mod:`repro.livefire`) verdict types too.
 """
 
@@ -53,7 +55,8 @@ from repro.kernel.system import RecoverableSystem, SystemConfig, SystemHealth
 from repro.kernel.verify import verify_recovered
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.faults import (
-    FORWARD_PHASE, RECOVERY_PHASE, FaultKind, FaultModel, FaultSpec, FuzzRates,
+    FORWARD_PHASE, RECOVERY_PHASE, FaultCrash, FaultKind, FaultModel,
+    FaultSpec, FuzzRates,
 )
 from repro.storage.backup import FuzzyBackup
 from repro.storage.registry import is_durable, make_store
@@ -437,3 +440,51 @@ class TortureHarness:
             report.outcomes.append(outcome)
         report.totals = dict(self._totals)
         return report
+
+
+def flush_crash_sweep(
+    cache_factory: Callable[[], CacheConfig],
+    drive: Callable[[RecoverableSystem], None],
+    backend: str = "memory",
+) -> List[bool]:
+    """Crash one flush at each of its store writes; per point, whether
+    recovery matched the oracle.
+
+    A system on ``backend``'s fault-injecting store, its model disarmed,
+    runs ``drive`` and forces the log; the model is armed just before
+    ``flush_all()``, so point *k* is the flush's *k*-th store write.  A
+    counting run numbers the points, then each point gets a fresh system
+    that crashes there, recovers and is verified.  Crashed between the
+    writes of a non-atomic multi-object set, a flush is torn: the stable
+    state an atomic flush set exists to rule out (E7's strawman).
+    """
+
+    def run(model: FaultModel) -> bool:
+        with scratch_root(backend, "repro-flush-") as root:
+            system = RecoverableSystem(
+                SystemConfig(cache=cache_factory()),
+                store=make_store(backend, root, model=model),
+            )
+            register_workload_functions(system.registry)
+            drive(system)
+            system.log.force()
+            model.armed = True
+            try:
+                system.flush_all()
+            except FaultCrash:
+                pass
+            model.armed = False
+            system.crash()
+            system.recover()
+            try:
+                verify_recovered(system)
+            except AssertionError:
+                return False
+            return True
+
+    counter = FaultModel(armed=False)
+    run(counter)
+    return [
+        run(FaultModel([FaultSpec(point, FaultKind.CRASH)], armed=False))
+        for point in range(counter.points_in(FORWARD_PHASE))
+    ]

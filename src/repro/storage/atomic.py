@@ -52,10 +52,6 @@ class AtomicFlushMechanism(abc.ABC):
     #: Short name used in benchmark tables.
     name: str = "abstract"
 
-    #: Whether a crash can tear a multi-object flush performed through
-    #: this mechanism.  Only the raw strawman is tearable.
-    tearable: bool = False
-
     @abc.abstractmethod
     def flush(
         self,
@@ -81,7 +77,6 @@ class RawMultiWrite(AtomicFlushMechanism):
     """
 
     name = "raw"
-    tearable = True
 
     def flush(
         self,

@@ -5,7 +5,9 @@ WALs — consults its :class:`~repro.storage.faults.FaultModel` through
 :class:`DeviceFaultInjector`, a mixin over the honest class.  The mixin
 owns the protocol: one fire per device write, the returned spec handed
 to the damage this device can suffer (else the write lands intact), the
-spec's post-damage crash demand honoured.  The device owns the physics
+spec's post-damage crash demand honoured, and an atomic multi-object
+set held until all its members have fired, so a crash lands none of
+it.  The device owns the physics
 — a damaged in-memory value, half an object file, half a segment
 append, a torn prefix of forced records, half a log frame, a lying
 fsync.  :class:`LogFaultInjector` adds the log side: a stable scan is
@@ -19,8 +21,10 @@ beside their honest classes (:class:`~repro.wal.faulty_log.FaultyLog`,
 
 from __future__ import annotations
 
+import contextlib
 import os
 import zlib
+from functools import partial
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.common.codec import encode_stored_version, encode_value
@@ -97,6 +101,9 @@ class DeviceFaultInjector:
 
     model: FaultModel
     stats: IOStats
+    #: While an atomic set is written: its members' landings, held
+    #: until every member's point has fired (see :meth:`_atomic_set`).
+    _held: Optional[List[Callable[[], None]]] = None
 
     def _faulted_device_write(
         self,
@@ -110,18 +117,40 @@ class DeviceFaultInjector:
         or ``damage[spec.kind](spec)`` (a torn write lands partially, a
         rotted one whole and then corrupted), then crash if the spec
         demands it.  ``after_fire`` runs iff the fire did not raise: the
-        I/O was attempted (transients and clean crashes raise from it)."""
+        I/O was attempted (transients and clean crashes raise from it).
+        Inside an atomic set the landing is held, and a demanded crash
+        drops the set before any of it lands."""
         spec = self.model.fire(
             self.WRITE_SITE, detail, can=frozenset(damage), stats=self.stats
         )
         if after_fire is not None:
             after_fire()
-        if spec is None:
-            intact()
-            return
-        damage[spec.kind](spec)
-        if spec.crash:
+        land = intact if spec is None else partial(damage[spec.kind], spec)
+        crash = spec is not None and spec.crash
+        if self._held is None:
+            land()
+        elif not crash:
+            self._held.append(land)
+        if crash:
             raise FaultCrash(f"crash demanded by {spec.describe()}")
+
+    @contextlib.contextmanager
+    def _atomic_set(self, atomic: bool) -> Iterator[None]:
+        """Write a multi-object set one object write at a time.  With
+        ``atomic``, every member's point fires before any member lands,
+        so an injected crash — clean, or demanded after damage — leaves
+        none of the set visible.  The fire sequence is the same either
+        way: ``atomic`` changes what a crash leaves, not the numbering."""
+        if not atomic:
+            yield
+            return
+        self._held = held = []
+        try:
+            yield
+        finally:
+            self._held = None
+        for land in held:
+            land()
 
     def _faulted_device_delete(self, detail: str) -> None:
         """Fire the delete point (transient/crash only — no damage)."""
@@ -217,10 +246,9 @@ class FaultyStore(DeviceFaultInjector, StableStore):
         # Each object write is one device I/O whether or not the set is
         # installed atomically — an atomicity mechanism orders failure
         # visibility, it does not remove the device operations.
-        for obj, version in versions.items():
-            if not atomic and self.mid_write_hook is not None:
-                self.mid_write_hook(obj)
-            self._faulty_put(obj, version, count=count)
+        with self._atomic_set(atomic):
+            for obj, version in versions.items():
+                self._faulty_put(obj, version, count=count)
 
     def _faulty_put(
         self, obj: ObjectId, version: StoredVersion, count: bool
@@ -310,6 +338,22 @@ class FaultyFileStore(DeviceFaultInjector, FileStableStore):
     ) -> None:
         self.model = model
         super().__init__(root, stats)
+
+    def write_many(
+        self,
+        versions: Mapping[ObjectId, StoredVersion],
+        atomic: bool,
+        count: bool = True,
+    ) -> None:
+        # The index is RAM that _put updates as each member fires: an
+        # atomic set that died before landing must leave it as it was.
+        index = dict(self._index) if atomic else self._index
+        try:
+            with self._atomic_set(atomic):
+                super().write_many(versions, atomic, count)
+        except BaseException:
+            self._index = index
+            raise
 
     def _write_frame(self, obj: ObjectId, frame: bytes) -> None:
         path = os.path.join(self._dir, _encode(obj))

@@ -13,14 +13,17 @@ A crash never damages the store itself; whatever versions were written
 before it remain.  What a crash *can* do is interrupt a multi-object
 write issued without an atomicity mechanism, leaving a prefix of the set
 written — a torn flush: :meth:`StableStore.write_many` with
-``atomic=False`` plus a crash hook, which experiment E7 uses to show why
-write graphs and atomic-flush machinery exist at all.
+``atomic=False`` lands one object at a time.  Crashes are injected
+through the fault model (:mod:`repro.storage.faultwrap`), whose stores
+fire one numbered point per object write; experiment E7 crashes a flush
+at each of them to show why write graphs and atomic-flush machinery
+exist at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
 from repro.obs.metrics import NULL_OBS
@@ -56,9 +59,6 @@ class StableStore:
     #: cleared when recovery adopts its outcome; a class-level default
     #: so durable subclasses can shadow it with a persisted property.
     media_redo_pending: Optional[StateId] = None
-    #: Called between the writes of a non-atomic multi-object write; a
-    #: crash-injection harness raises from here to tear the flush.
-    mid_write_hook: Optional[Callable[[ObjectId], None]] = None
     #: Where ``store.read_ms`` is observed (the owning system's hub).
     obs = NULL_OBS
 
@@ -123,18 +123,15 @@ class StableStore:
         With ``atomic=True`` the whole set lands or none of it — the
         caller asserts it used a real atomicity mechanism (those in
         :mod:`repro.storage.atomic` call this).  With ``atomic=False``
-        the writes go one at a time with ``mid_write_hook`` between
-        them, so a crash injected there tears the set.  ``count=False``:
-        the mechanism charged the transfer elsewhere (shadow writes).
+        the writes go one at a time, so a crash between them tears the
+        set.  ``count=False``: the mechanism charged the transfer
+        elsewhere (shadow writes).
         """
         if atomic and count:
             self.stats.object_writes += len(versions)
         for obj, version in versions.items():
-            if not atomic:
-                if self.mid_write_hook is not None:
-                    self.mid_write_hook(obj)
-                if count:
-                    self.stats.object_writes += 1
+            if count and not atomic:
+                self.stats.object_writes += 1
             self._put(obj, version)
 
     def _drop(self, obj: ObjectId) -> None:

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.storage import (
+    FaultKind,
+    FaultModel,
+    FaultSpec,
+    FaultyStore,
     FlushTransaction,
     IOStats,
     RawMultiWrite,
     ShadowInstall,
     StableStore,
 )
+from repro.storage.faults import FaultCrash
 from repro.storage.stable_store import StoredVersion
 from repro.wal.log_manager import LogManager
 from repro.wal.records import FlushTxnCommitRecord, FlushTxnValuesRecord
@@ -42,8 +47,12 @@ class TestShadowInstall:
         assert stats.atomic_flushes == 1
         assert stats.quiesce_events == 0
 
-    def test_not_tearable(self):
-        assert ShadowInstall().tearable is False
+    def test_crash_inside_the_set_lands_none(self):
+        stats, _, log, versions = _fixture()
+        store = FaultyStore(FaultModel([FaultSpec(1, FaultKind.CRASH)]), stats)
+        with pytest.raises(FaultCrash):
+            ShadowInstall().flush(store, versions, log)
+        assert len(store) == 0  # the pointer never swung
 
 
 class TestFlushTransaction:
@@ -71,24 +80,16 @@ class TestFlushTransaction:
 
 
 class TestRawMultiWrite:
-    def test_is_tearable(self):
-        assert RawMultiWrite().tearable is True
-
     def test_writes_land_without_crash(self):
         stats, store, log, versions = _fixture()
         RawMultiWrite().flush(store, versions, log)
         assert store.read("a").value == b"A" * 100
         assert store.read("b").value == b"B" * 100
 
-    def test_mid_write_hook_tears(self):
-        stats, store, log, versions = _fixture()
-
-        def hook(obj):
-            if stats.object_writes == 1:
-                raise RuntimeError("crash mid-flush")
-
-        store.mid_write_hook = hook
-        with pytest.raises(RuntimeError):
+    def test_crash_between_writes_tears(self):
+        stats, _, log, versions = _fixture()
+        store = FaultyStore(FaultModel([FaultSpec(1, FaultKind.CRASH)]), stats)
+        with pytest.raises(FaultCrash):
             RawMultiWrite().flush(store, versions, log)
         assert len(store) == 1  # exactly one of the two landed
 

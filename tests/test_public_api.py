@@ -100,6 +100,8 @@ REMOVED_MODULES = [
     "repro.serve." + "livefire",
     "repro.serve." + "livefire_shard",
     "repro.replica." + "livefire",
+    # 6.0.0: one crash model; a torn flush is a FaultModel crash point.
+    "repro.kernel." + "crash",
 ]
 REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     prefix + "LiveFire" + suffix
@@ -117,6 +119,9 @@ REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     "register_store" + "_backend",
     "resolve" + "_backend",
     "DEFAULT" + "_BACKEND",
+    # 6.0.0: one crash model.
+    "Crash" + "Injector",
+    "Crash" + "Now",
 ]
 # 4.7.0: one run path, one point counter, one sweep, one fuzz; the
 # injector raises the post-damage crash.  (module, attribute path)
@@ -165,12 +170,18 @@ REMOVED_ATTRIBUTES = [
                  "SHIPPED_RECORD_KINDS")
 ] + [
     ("repro.persist.file_log", "FileLogManager._frame"),
+] + [
+    # 6.0.0: no store hook tears a flush, and no flag claims a mechanism
+    # can tear; the flush crash sweep measures that by behaviour.
+    ("repro.storage.stable_store", "StableStore.mid_write" + "_hook"),
+    ("repro.storage.atomic", "AtomicFlushMechanism.tear" + "able"),
+    ("repro.storage.atomic", "RawMultiWrite.tear" + "able"),
 ]
 
 
 class TestRemovedPaths:
     """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0,
-    5.3.0) are gone, not aliased."""
+    5.3.0, 6.0.0) are gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):

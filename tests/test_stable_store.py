@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.common.errors import TransientStorageError
 from repro.common.identifiers import NULL_SI
-from repro.storage import IOStats, StableStore
+from repro.common.retry import DEFAULT_ATTEMPTS
+from repro.storage import (
+    FaultKind, FaultModel, FaultSpec, IOStats, StableStore, make_store,
+)
+from repro.storage.faults import FaultCrash
 from repro.storage.stable_store import StoredVersion
 
 
@@ -61,33 +66,73 @@ class TestWriteMany:
         assert store.read("a").value == b"1"
         assert store.read("b").value == b"2"
 
-    def test_non_atomic_runs_hook_between_writes(self):
-        store = StableStore()
-        seen = []
-        store.mid_write_hook = seen.append
-        store.write_many(
-            {"a": StoredVersion(b"1", 1), "b": StoredVersion(b"2", 2)},
-            atomic=False,
+
+SET = {"a": StoredVersion(b"1", 1), "b": StoredVersion(b"2", 2)}
+
+
+@pytest.mark.parametrize("backend", ["memory", "file"])
+class TestWriteManyUnderFaults:
+    """A fault-injecting store fires one point per object write of a
+    set; ``atomic`` decides what a crash among them leaves."""
+
+    @staticmethod
+    def _store(backend, tmp_path, *specs):
+        model = FaultModel(specs)
+        return model, make_store(backend, str(tmp_path / "db"), model=model)
+
+    @staticmethod
+    def _landed(store):
+        return [obj for obj in SET if store.contains(obj)]
+
+    def test_raw_set_tears_between_writes(self, backend, tmp_path):
+        _, store = self._store(
+            backend, tmp_path, FaultSpec(1, FaultKind.CRASH)
         )
-        assert sorted(seen) == ["a", "b"]
+        with pytest.raises(FaultCrash):
+            store.write_many(SET, atomic=False)
+        assert self._landed(store) == ["a"]  # torn: exactly one landed
 
-    def test_non_atomic_tears_on_hook_exception(self):
-        store = StableStore()
-        calls = {"n": 0}
+    @pytest.mark.parametrize("spec", [
+        FaultSpec(0, FaultKind.CRASH),
+        FaultSpec(1, FaultKind.CRASH),
+        FaultSpec(0, FaultKind.TORN, crash=True),
+        FaultSpec(1, FaultKind.CORRUPT, crash=True),
+    ], ids=FaultSpec.describe)
+    def test_crash_inside_an_atomic_set_lands_none(
+        self, backend, tmp_path, spec
+    ):
+        _, store = self._store(backend, tmp_path, spec)
+        with pytest.raises(FaultCrash):
+            store.write_many(SET, atomic=True)
+        assert self._landed(store) == []
+        assert store.vsi_of("a") == NULL_SI
+        assert store.scrub() == []  # no damaged member either
 
-        def hook(obj):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("crash")
+    def test_exhausted_retries_land_none(self, backend, tmp_path):
+        spec = FaultSpec(1, FaultKind.TRANSIENT, times=DEFAULT_ATTEMPTS)
+        _, store = self._store(backend, tmp_path, spec)
+        with pytest.raises(TransientStorageError):
+            store.write_many(SET, atomic=True)
+        assert self._landed(store) == []
 
-        store.mid_write_hook = hook
-        with pytest.raises(RuntimeError):
-            store.write_many(
-                {"a": StoredVersion(b"1", 1), "b": StoredVersion(b"2", 2)},
-                atomic=False,
+    def test_atomic_set_lands_whole_with_its_damage(self, backend, tmp_path):
+        _, store = self._store(backend, tmp_path, FaultSpec(1, FaultKind.TORN))
+        store.write_many(SET, atomic=True)
+        assert self._landed(store) == ["a", "b"]
+        assert store.scrub() == ["b"]
+
+    def test_atomic_changes_no_numbering(self, backend, tmp_path):
+        seen = []
+        for atomic in (False, True):
+            model, store = self._store(
+                backend,
+                tmp_path / str(atomic),
+                FaultSpec(1, FaultKind.TORN, crash=True),
             )
-        written = [obj for obj in ("a", "b") if store.contains(obj)]
-        assert len(written) == 1  # torn: exactly one landed
+            with pytest.raises(FaultCrash):
+                store.write_many(SET, atomic=atomic)
+            seen.append((model.trace(), model.next_point))
+        assert seen[0] == seen[1] == (["torn@1!"], 2)
 
 
 class TestSnapshots:
