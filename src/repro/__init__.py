@@ -23,7 +23,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".common": ("ObjectId", "StateId"),
@@ -42,8 +42,8 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "LogStructuredInstall", "RawMultiWrite", "FuzzyBackup", "FaultKind",
         "FaultModel", "FaultSpec", "FaultyStore", "FaultyFileStore",
         "FaultyLogStructuredStore", "FuzzRates", "FileStableStore",
-        "LogStructuredStableStore", "make_store", "recommended_cache_config",
-        "store_backends",
+        "LogStructuredStableStore", "make_log", "make_store",
+        "recommended_cache_config", "store_backends",
     ),
     ".obs": (
         "MetricsRegistry", "NULL_OBS", "Span", "dump_jsonl", "load_jsonl",

@@ -472,7 +472,7 @@ def serve_daemon(args: argparse.Namespace) -> int:
     # stream) independently; the daemon gates admission and supervises
     # per domain.
     sharded = build_systems(
-        args.shards, args.store, args.data_dir, file_log=True, models=models
+        args.shards, args.store, args.data_dir, models=models
     )
     # Cold start: whatever the directory contains — a clean shutdown,
     # SIGKILL debris — the daemon's supervised startup must recover it

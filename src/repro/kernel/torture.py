@@ -28,7 +28,8 @@ workload seed, so a faulted run's numbering lines up with its counting
 run.  :func:`flush_crash_sweep` aims the same model at one flush: a
 crash at each of its store writes, the tear an atomic flush set rules
 out.  :class:`Outcome` and :class:`TortureReport` are the live-fire
-harness's (:mod:`repro.livefire`) verdict types too.
+harness's (:mod:`repro.livefire`) verdict types too.  A durable
+backend's runs force into the ``wal.log`` that ``serve`` runs.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from repro.storage.faults import (
     FaultSpec, FuzzRates,
 )
 from repro.storage.backup import FuzzyBackup
-from repro.storage.registry import is_durable, make_store
-from repro.wal.faulty_log import FaultyLog
+from repro.storage.registry import is_durable, make_log, make_store
 from repro.workloads import (
     LogicalWorkload, LogicalWorkloadConfig, register_workload_functions,
 )
@@ -272,7 +272,7 @@ class TortureHarness:
             system = RecoverableSystem(
                 SystemConfig(cache=self.config.cache_factory()),
                 store=make_store(backend, root, model=model),
-                log=FaultyLog(model),
+                log=make_log(backend, root, model=model),
             )
             register_workload_functions(system.registry)
             if self.obs is not None:
@@ -464,6 +464,7 @@ def flush_crash_sweep(
             system = RecoverableSystem(
                 SystemConfig(cache=cache_factory()),
                 store=make_store(backend, root, model=model),
+                log=make_log(backend, root),
             )
             register_workload_functions(system.registry)
             drive(system)

@@ -1,9 +1,10 @@
 """Real on-disk persistence.
 
-Everything else in the library simulates stable storage in memory —
+The ``memory`` backend simulates stable storage and the WAL in memory —
 ideal for experiments, useless for actually keeping data.  This package
-provides the file-backed WAL and a facade that opens (and recovers) a
-database directory:
+provides the file-backed WAL that every durable backend is served and
+tortured with (:func:`repro.storage.make_log` builds it) and a facade
+that opens (and recovers) a database directory:
 
 * :class:`~repro.persist.file_log.FileLogManager` — an append-only
   record file; ``force`` appends and fsyncs, a torn tail (partial last
@@ -13,8 +14,8 @@ database directory:
   wires a durable store and the file log, replays recovery, and hands
   back a fully recovered
   :class:`~repro.kernel.system.RecoverableSystem`.  The store backend
-  is selected by name (``store_backend="file"`` or ``"logstore"``) via
-  :func:`repro.storage.make_store`.
+  is selected by name (``store_backend="file"`` or ``"logstore"``;
+  ``"memory"`` is refused) via :func:`repro.storage.make_store`.
 
 The durable *stores* live on the canonical storage surface,
 :mod:`repro.storage` (:class:`~repro.storage.file_store.FileStableStore`,

@@ -43,12 +43,10 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from repro.core.functions import FunctionRegistry, default_registry
-from repro.core.recovery import RecoveryReport
 from repro.kernel.supervisor import RecoverySupervisor, SupervisorConfig
 from repro.kernel.system import RecoverableSystem, SystemConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.persist.file_log import FileLogManager
-from repro.storage.registry import make_store
+from repro.storage.registry import is_durable, make_log, make_store
 
 
 class PersistentSystem:
@@ -85,13 +83,19 @@ class PersistentSystem:
         ``"file"`` (the default; one file per object) or ``"logstore"``
         (append-only segments).  A directory must be reopened with the
         backend that created it — the layouts are disjoint, so opening
-        with the wrong backend sees an empty store.
+        with the wrong backend sees an empty store.  ``"memory"`` raises
+        ``ValueError``: its store would not outlive the ``wal.log``.
         """
+        if not is_durable(store_backend):
+            raise ValueError(
+                f"store backend {store_backend!r} is not durable; a "
+                "persistent database needs 'file' or 'logstore'"
+            )
         registry = registry if registry is not None else default_registry()
         for register in domains:
             register(registry)
         store = make_store(store_backend, path)
-        log = FileLogManager(path)
+        log = make_log(store_backend, path)
         system = RecoverableSystem(
             config=config, registry=registry, store=store, log=log
         )
@@ -103,8 +107,3 @@ class PersistentSystem:
         else:
             system.recover()
         return system
-
-    @staticmethod
-    def last_open_report(system: RecoverableSystem) -> Optional[RecoveryReport]:
-        """The recovery report from the open (or latest recovery)."""
-        return system.last_report

@@ -48,6 +48,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "FaultyFileStore", "FaultyLogStructuredStore", "FaultyStore",
     ),
     ".registry": (
-        "make_store", "recommended_cache_config", "store_backends",
+        "make_log", "make_store", "recommended_cache_config",
+        "store_backends",
     ),
 })

@@ -1,13 +1,14 @@
-"""The stable-storage backends and the ``make_store`` factory.
+"""The stable-storage backends: ``make_store`` and ``make_log``.
 
 Mirrors :func:`repro.core.engine.make_engine`: backend choice is a
 first-class, swappable **policy**, not a hardcoded class.  Callers name
 a backend (``"memory"``, ``"file"``, ``"logstore"``) and get a fully
-constructed :class:`~repro.storage.stable_store.StableStore`; passing a
+constructed :class:`~repro.storage.stable_store.StableStore` and the
+WAL it is served with; passing a
 :class:`~repro.storage.faults.FaultModel` yields the backend's
-fault-injecting variant, so every torture lane can sweep backends
+fault-injecting variants, so every torture lane can sweep backends
 without knowing their classes.  The set is closed, and a backend's
-classes are imported only when :func:`make_store` builds one.
+classes are imported only when a factory builds one.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.storage.stats import IOStats
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.cache.config import CacheConfig
     from repro.storage.faults import FaultModel
+    from repro.wal.log_manager import LogManager
 
 #: The backends that live under a root directory.  The only other one
 #: is ``memory``, the paper's simulated store.
@@ -47,6 +49,14 @@ def is_durable(backend: str) -> bool:
     return check_backend(backend) in DURABLE_BACKENDS
 
 
+def _check_root(backend: str, root: Optional[str]) -> None:
+    if is_durable(backend) and root is None:
+        raise ValueError(
+            f"store backend {backend!r} is durable and requires a root "
+            "directory"
+        )
+
+
 def make_store(
     backend: str = "memory",
     root: Optional[str] = None,
@@ -70,11 +80,7 @@ def make_store(
         When given, the backend's fault-injecting variant is built so
         torture harnesses can sweep backends uniformly.
     """
-    if is_durable(backend) and root is None:
-        raise ValueError(
-            f"store backend {backend!r} is durable and requires a root "
-            "directory"
-        )
+    _check_root(backend, root)
     if model is not None:
         from repro.storage import faultwrap
 
@@ -92,6 +98,35 @@ def make_store(
     from repro.storage.logstore import LogStructuredStableStore
 
     return LogStructuredStableStore(root, stats)
+
+
+def make_log(
+    backend: str = "memory",
+    root: Optional[str] = None,
+    stats: Optional[IOStats] = None,
+    *,
+    model: Optional["FaultModel"] = None,
+) -> "LogManager":
+    """Build the WAL ``backend``'s store is served with: the paper's
+    simulated log for ``memory``, ``root/wal.log`` for a durable one.
+    The parameters are :func:`make_store`'s; a ``model`` builds the
+    variant that fires ``log.force`` / ``log.scan`` points."""
+    _check_root(backend, root)
+    if backend == "memory":
+        if model is not None:
+            from repro.wal.faulty_log import FaultyLog
+
+            return FaultyLog(model, stats)
+        from repro.wal.log_manager import LogManager
+
+        return LogManager(stats)
+    if model is not None:
+        from repro.persist.faulty_log import FaultyFileLog
+
+        return FaultyFileLog(root, model, stats)
+    from repro.persist.file_log import FileLogManager
+
+    return FileLogManager(root, stats)
 
 
 def recommended_cache_config(backend: str) -> "CacheConfig":

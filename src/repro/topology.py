@@ -7,8 +7,9 @@ serve`` builds it over a data directory (store and WAL on disk, the
 debris of a previous process recovered at startup); the live-fire
 harness (:mod:`repro.livefire`) builds it from in-memory parts, or over a
 scratch directory for a durable backend, with seeded fault models armed
-on every device.  Both go through the two functions here, so what is
-tortured is what is served.
+on every device.  Both go through the two functions here, and the
+registry pairs each store with its WAL, so what is tortured is what is
+served.
 """
 
 from __future__ import annotations
@@ -18,16 +19,17 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.kernel.system import SystemConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.persist.file_log import FileLogManager
 from repro.serve.server import DaemonConfig, ServeDaemon
 from repro.shard.group import ShardedSystem
 from repro.storage.backup import FuzzyBackup
 from repro.storage.faults import FaultModel
-from repro.storage.registry import make_store, recommended_cache_config
+from repro.storage.registry import (
+    make_log, make_store, recommended_cache_config,
+)
 from repro.workloads.generator import register_workload_functions
 
-# Annotations only: the witness and the faulty logs are imported in the
-# branch that builds them, so a plain ``serve`` process loads neither.
+# Annotations only: the witness is imported in the branch that builds
+# it, so a plain ``serve`` process does not load it.
 if TYPE_CHECKING:
     from repro.replica.sender import ReplicationConfig
     from repro.replica.witness import WitnessConfig
@@ -47,15 +49,14 @@ def build_systems(
     store_backend: str = "memory",
     root: Optional[str] = None,
     *,
-    file_log: bool = False,
     models: Sequence[FaultModel] = (),
     metrics: Optional[MetricsRegistry] = None,
 ) -> ShardedSystem:
     """Build ``shards`` recovery domains behind one router.
 
-    ``root`` holds the durable backends' per-shard directories (and the
-    WAL files when ``file_log``; otherwise the WAL is the in-memory
-    simulated log).  ``models``, when given, carries one fault model per
+    ``root`` holds the durable backends' per-shard directories, each
+    with its store and ``wal.log`` (``memory`` keeps both devices in
+    memory).  ``models``, when given, carries one fault model per
     shard and selects the fault-injecting variant of both devices.
     Every domain gets the backend's recommended cache strategy and the
     workload transforms (``wl_*``), so clients need no registration.
@@ -67,20 +68,6 @@ def build_systems(
     def model(index: int) -> Optional[FaultModel]:
         return models[index] if models else None
 
-    def log(index: int):
-        faults = model(index)
-        if file_log:
-            if faults is None:
-                return FileLogManager(directory(index))
-            from repro.persist.faulty_log import FaultyFileLog
-
-            return FaultyFileLog(directory(index), faults)
-        if faults is None:
-            return None
-        from repro.wal.faulty_log import FaultyLog
-
-        return FaultyLog(faults)
-
     sharded = ShardedSystem.build(
         shards,
         config_factory=lambda index: SystemConfig(
@@ -89,7 +76,9 @@ def build_systems(
         store_factory=lambda index: make_store(
             store_backend, directory(index), model=model(index)
         ),
-        log_factory=log,
+        log_factory=lambda index: make_log(
+            store_backend, directory(index), model=model(index)
+        ),
     )
     register_workload_functions(sharded.registry)
     if metrics is not None:

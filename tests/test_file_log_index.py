@@ -84,20 +84,20 @@ def _reopened(memory: LogManager) -> LogManager:
     return survivor
 
 
-def _same_log(file_log: LogManager, memory: LogManager) -> None:
-    assert len(file_log) == len(memory)
-    assert file_log.stable_start_lsi() == memory.stable_start_lsi()
+def _same_log(on_disk: LogManager, memory: LogManager) -> None:
+    assert len(on_disk) == len(memory)
+    assert on_disk.stable_start_lsi() == memory.stable_start_lsi()
     end = memory.stable_end_lsi()
-    assert file_log.stable_end_lsi() == end
-    assert file_log.buffered_lsis() == memory.buffered_lsis()
+    assert on_disk.stable_end_lsi() == end
+    assert on_disk.buffered_lsis() == memory.buffered_lsis()
     # Every start: below the retained prefix, on a record, in a gap,
     # past the end.
     for lsi in range(max(0, memory.stable_start_lsi() - 2), end + 3):
-        assert file_log.is_stable(lsi) == memory.is_stable(lsi)
-        assert _encoded(file_log.stable_records(lsi)) == _encoded(
+        assert on_disk.is_stable(lsi) == memory.is_stable(lsi)
+        assert _encoded(on_disk.stable_records(lsi)) == _encoded(
             memory.stable_records(lsi)
         ), lsi
-        assert list(file_log.stable_frames(lsi)) == list(
+        assert list(on_disk.stable_frames(lsi)) == list(
             memory.stable_frames(lsi)
         ), lsi
 
@@ -108,9 +108,9 @@ def test_file_log_equals_the_in_memory_log_step_for_step(
     tmp_path_factory, steps
 ):
     root = str(tmp_path_factory.mktemp("wal"))
-    file_log: LogManager = FileLogManager(root)
+    on_disk: LogManager = FileLogManager(root)
     memory = LogManager()
-    logs = (file_log, memory)
+    logs = (on_disk, memory)
     try:
         for tag, (step, arg) in enumerate(steps):
             if step == "append":
@@ -152,13 +152,13 @@ def test_file_log_equals_the_in_memory_log_step_for_step(
             else:
                 # A restart: the file is re-read; the in-memory device
                 # "survives" by handing its stable records to a new log.
-                file_log.close()
-                file_log = FileLogManager(root)
+                on_disk.close()
+                on_disk = FileLogManager(root)
                 memory = _reopened(memory)
-                logs = (file_log, memory)
-            _same_log(file_log, memory)
+                logs = (on_disk, memory)
+            _same_log(on_disk, memory)
     finally:
-        file_log.close()
+        on_disk.close()
 
 
 # ----------------------------------------------------------------------

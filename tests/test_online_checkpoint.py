@@ -149,7 +149,7 @@ def test_a_served_log_stays_two_intervals_long(tmp_path, backend):
     than two, and a restart over the SIGKILL debris redoes what it holds
     — not every write served — and loses no acked value."""
     root = str(tmp_path / "data")
-    sharded = build_systems(1, backend, root, file_log=True)
+    sharded = build_systems(1, backend, root)
     daemon = build_daemon(sharded, DaemonConfig(port=0, http_port=None))
     daemon.start()
     acked, peak = {}, 0
@@ -172,7 +172,7 @@ def test_a_served_log_stays_two_intervals_long(tmp_path, backend):
     assert peak <= 2 * ONLINE_CHECKPOINT_BYTES + 4 * VALUE, peak
     assert counters["wal.appended_bytes"] > 3 * peak
 
-    reopened = build_systems(1, backend, root, file_log=True)
+    reopened = build_systems(1, backend, root)
     reopened.crash_all()
     daemon = build_daemon(reopened, DaemonConfig(port=0, http_port=None))
     daemon.start()

@@ -66,8 +66,8 @@ class TestTopLevel:
         for name in (
             "StableStore", "FileStableStore", "LogStructuredStableStore",
             "FaultyStore", "FaultyFileStore", "FaultyLogStructuredStore",
-            "LogStructuredInstall", "make_store", "store_backends",
-            "recommended_cache_config",
+            "LogStructuredInstall", "make_log", "make_store",
+            "store_backends", "recommended_cache_config",
         ):
             assert name in repro.__all__, name
 
@@ -176,12 +176,15 @@ REMOVED_ATTRIBUTES = [
     ("repro.storage.stable_store", "StableStore.mid_write" + "_hook"),
     ("repro.storage.atomic", "AtomicFlushMechanism.tear" + "able"),
     ("repro.storage.atomic", "RawMultiWrite.tear" + "able"),
+] + [
+    # 7.0.0: the registry pairs every store with its WAL.
+    ("repro.persist.database", "PersistentSystem.last_open" + "_report"),
 ]
 
 
 class TestRemovedPaths:
     """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0,
-    5.3.0, 6.0.0) are gone, not aliased."""
+    5.3.0, 6.0.0, 7.0.0) are gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):
@@ -310,6 +313,10 @@ CALL_SURFACE = {
     "repro.wal.latency.LatencyLog": ("force_latency_s", "stats"),
     "repro.wal.log_manager.LogManager": ("stats",),
     "repro.storage.registry.make_store": ("backend", "root", "stats", "model"),
+    "repro.storage.registry.make_log": ("backend", "root", "stats", "model"),
+    "repro.topology.build_systems": (
+        "shards", "store_backend", "root", "models", "metrics",
+    ),
 }
 
 

@@ -899,14 +899,12 @@ def _file_backed_pair(root, backend: str):
 
     config = DaemonConfig(port=0, http_port=None, retry_after_ms=5)
     primary = build_daemon(
-        build_systems(1, backend, os.path.join(root, "primary"),
-                      file_log=True),
+        build_systems(1, backend, os.path.join(root, "primary")),
         config,
         replication=ReplicationConfig(ack_timeout_s=5.0, retry_after_ms=5),
     ).start()
     witness = build_daemon(
-        build_systems(1, backend, os.path.join(root, "witness"),
-                      file_log=True),
+        build_systems(1, backend, os.path.join(root, "witness")),
         config,
         witness=WitnessConfig(
             primary_port=primary.port,
