@@ -36,7 +36,7 @@ from typing import Dict
 import pytest
 
 from repro.common.errors import DegradedModeError
-from repro.kernel.supervisor import RecoverySupervisor, SupervisorConfig
+from repro.kernel.supervisor import RecoverySupervisor
 from repro.kernel.system import (
     RecoverableSystem,
     SystemConfig,
@@ -293,10 +293,7 @@ def _degraded_campaign() -> Dict:
     system.crash()
     model.enter_phase(RECOVERY_PHASE)
     t0 = time.perf_counter()
-    report = RecoverySupervisor(
-        system,
-        config=SupervisorConfig(allow_media_restore=False),
-    ).run()
+    report = RecoverySupervisor(system).run()
     elapsed = time.perf_counter() - t0
     survivors_readable = all(
         system.read(obj) is not None

@@ -58,6 +58,7 @@ from repro.workloads import (
     transient_files_workload,
 )
 from benchmarks.conftest import once
+from tests.conftest import listen
 
 HEAVY_MIX = dict(w_physical=0.1, w_touch=0.15, w_combine=0.45, w_derive=0.3)
 
@@ -229,7 +230,7 @@ def _ablation_victim_policy() -> Dict[str, Dict[str, int]]:
                 cache=CacheConfig(victim_policy=policy, capacity=2)
             )
         )
-        tracer = system.attach_tracer()
+        events = listen(system)
         system.registry.register("hot_step", hot_step)
         for round_index in range(12):
             cold = f"cold{round_index}"
@@ -250,7 +251,7 @@ def _ablation_victim_policy() -> Dict[str, Dict[str, int]]:
         verify_recovered(system)
         hot_flushes = sum(
             1
-            for event in tracer.of_kind("install")
+            for event in events.of_kind("install")
             if "zzz-hot" in event.get("vars", ())
         )
         snapshot = system.stats.snapshot()

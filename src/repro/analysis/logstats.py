@@ -183,30 +183,6 @@ def _sig(value: float) -> str:
     return f"{value:.4g}"
 
 
-def _hist_quantile(hist: Mapping[str, Any], q: float) -> float:
-    """Recompute quantile ``q`` from a histogram snapshot's buckets.
-
-    The fallback for snapshots exported before the quantile was part of
-    :meth:`~repro.obs.metrics.Histogram.snapshot` — same upper-boundary
-    semantics as the live computation.
-    """
-    count = hist.get("count", 0)
-    boundaries = hist.get("boundaries") or []
-    buckets = hist.get("buckets") or []
-    maximum = hist.get("max", 0.0)
-    if not count or not buckets:
-        return 0.0
-    rank = q * count
-    cumulative = 0
-    for index, bucket in enumerate(buckets):
-        cumulative += bucket
-        if cumulative >= rank and bucket:
-            if index < len(boundaries):
-                return min(boundaries[index], maximum)
-            return maximum
-    return maximum
-
-
 def obs_summary(
     source: Union[Any, Mapping[str, Any]],
     title: str = "observability summary",
@@ -218,8 +194,7 @@ def obs_summary(
     ``io.*``/``engine.*`` values included), then every histogram with
     its observation count, p50, p95, p99, and mean — the per-span-kind
     latency digest the benchmarks and the ``metrics --summary`` CLI
-    print.  Quantiles missing from an older snapshot are recomputed
-    from its bucket counts.
+    print.
     """
     snap = source if isinstance(source, Mapping) else source.snapshot()
     table = Table(title, ["metric", "count", "p50", "p95", "p99", "mean"])
@@ -232,14 +207,10 @@ def obs_summary(
         table.add_row(f"... {dropped} more counters", "-", "-", "-", "-", "-")
     for name in sorted(snap.get("histograms", {})):
         hist = snap["histograms"][name]
-        quantiles = [
-            hist[key] if key in hist else _hist_quantile(hist, q)
-            for key, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-        ]
         table.add_row(
             name,
             _sig(hist["count"]),
-            *[_sig(value) for value in quantiles],
+            *[_sig(hist[key]) for key in ("p50", "p95", "p99")],
             _sig(hist["mean"]),
         )
     return table

@@ -143,7 +143,7 @@ class CacheManager:
         #: peels its most recently used one.
         self.heat = LRUEviction()
         #: Observability hook (null object by default).  Events flow
-        #: through ``obs.emit``; a Tracer subscribes to the registry.
+        #: through ``obs.emit`` to the registry's subscribed sinks.
         self.obs = NULL_OBS
 
     def set_obs(self, obs) -> None:
@@ -790,10 +790,6 @@ class CacheManager:
     def dirty_objects(self) -> List[ObjectId]:
         """Objects with uninstalled updates, per the dirty object table."""
         return sorted(obj for obj, _ in self.dirty_table.items())
-
-    def cached_objects(self) -> List[ObjectId]:
-        """All object ids currently resident in the cache."""
-        return sorted(self._entries)
 
     def entry(self, obj: ObjectId) -> Optional[CacheEntry]:
         """The raw cache entry for tests and verifiers."""

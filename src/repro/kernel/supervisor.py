@@ -16,7 +16,7 @@ ladder with budgets:
 2. **quarantine + media restore** — a checksum failure surfacing during
    recovery is left for the next attempt's pre-recovery scrub, which
    quarantines the damaged version and reinstates it from the backup
-   image (when media restore is allowed) before widening the redo scan;
+   image (when the supervisor was given one) before widening the redo scan;
 3. **degraded read-only mode** — when recovery converges but some
    quarantined objects never came back (no backup version, no
    log-reachable derivation), the system enters
@@ -61,9 +61,6 @@ class SupervisorConfig:
 
     #: Total recovery attempts before declaring FAILED.
     max_attempts: int = 16
-    #: Rung 2: reinstate quarantined objects from the backup image.
-    #: Disabled by the degraded-mode campaigns to force object loss.
-    allow_media_restore: bool = True
 
 
 @dataclass
@@ -154,7 +151,6 @@ class RecoverySupervisor:
         report = FailureReport(max_attempts=cfg.max_attempts)
         #: obj -> vSI its damaged version claimed, merged across attempts.
         claimed: Dict[ObjectId, StateId] = {}
-        restore_backup = self.backup if cfg.allow_media_restore else None
 
         for attempt in range(cfg.max_attempts):
             system.stats.recovery_attempts += 1
@@ -178,7 +174,7 @@ class RecoverySupervisor:
                     # that later crashed stays quarantined in the store,
                     # and a fresh scrub will not see it again.
                     try:
-                        system.recover(quarantine_backup=restore_backup)
+                        system.recover(quarantine_backup=self.backup)
                     finally:
                         claimed.update(system.last_quarantined)
                 except SimulatedCrash as exc:

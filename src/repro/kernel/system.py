@@ -191,24 +191,6 @@ class RecoverableSystem:
         self.store.obs = self.obs
         self.cache.set_obs(self.obs)
 
-    def attach_tracer(self, tracer=None):
-        """Attach (or create) an event tracer; survives crash/recover.
-
-        The tracer is a *sink* on the system's metrics registry (one is
-        created on demand): events such as ``execute``/``install``/
-        ``evict`` flow through ``registry.emit`` to every subscriber.
-        Returns the tracer so callers can inspect
-        :attr:`repro.analysis.trace.Tracer.events`.
-        """
-        if tracer is None:
-            from repro.analysis.trace import Tracer
-
-            tracer = Tracer()
-        if not self.obs.enabled:
-            self.attach_metrics()
-        self.obs.subscribe(tracer)
-        return tracer
-
     @property
     def health(self) -> SystemHealth:
         """Escalation-ladder position (see :class:`SystemHealth`)."""

@@ -5,8 +5,9 @@ into.  A :class:`MetricsRegistry` holds counters, gauges and
 bounded-bucket histograms; a :class:`Span` times a (possibly nested)
 phase and lands its duration in a histogram keyed by the span name;
 *collectors* absorb the pre-existing counter ledgers (``IOStats``,
-engine ``stats()``) behind compatibility accessors; *sinks*
-(:class:`repro.analysis.trace.Tracer`) subscribe to the registry's
+engine ``stats()``) behind compatibility accessors; *sinks* (the
+serving daemon's :class:`~repro.obs.flightrec.FlightRecorder`, or any
+object with ``emit(kind, **details)``) subscribe to the registry's
 event stream instead of being wired as a parallel mechanism.
 
 The whole layer follows the null-object pattern: every instrumented

@@ -14,8 +14,8 @@ One :class:`MetricsRegistry` per :class:`~repro.kernel.system.RecoverableSystem`
   pre-existing counter ledgers (``IOStats.snapshot()``, engine
   ``stats()``) under a prefix — or, registered as gauges, supply point
   samples (queue depth, ring lengths) nobody pushes per request, and
-- **sinks** — subscribers (e.g. ``Tracer``) receiving the ``emit()``
-  event stream.
+- **sinks** — subscribers (e.g. the ``FlightRecorder``) receiving the
+  ``emit()`` event stream.
 
 :data:`NULL_OBS` is the shared null object: ``enabled`` is False and
 every method is a no-op, so instrumented hot paths cost ~one attribute

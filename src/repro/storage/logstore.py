@@ -55,7 +55,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.common.errors import CorruptObjectError
 from repro.common.identifiers import NULL_SI, ObjectId, StateId
@@ -118,8 +118,8 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
     """A StableStore that is an append-only log under ``root/segments``
     (``root`` is shared with the WAL and marker files).
 
-    The active segment rolls once past ``segment_bytes``.  With
-    ``auto_compact`` every mutating call checks the threshold — at least
+    The active segment rolls once past ``segment_bytes``.  Every
+    mutating call checks the compaction threshold — at least
     ``compact_min_bytes`` in all (tiny stores churn), ``compact_ratio``
     of them dead; :meth:`compact` can always be invoked explicitly.
     """
@@ -132,7 +132,6 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         segment_bytes: int = 64 * 1024,
         compact_ratio: float = 0.5,
         compact_min_bytes: int = 32 * 1024,
-        auto_compact: bool = True,
     ) -> None:
         # Not ``StableStore.__init__``: that builds the in-memory device.
         self.stats = stats if stats is not None else IOStats()
@@ -140,7 +139,6 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         self.segment_bytes = segment_bytes
         self.compact_ratio = compact_ratio
         self.compact_min_bytes = compact_min_bytes
-        self.auto_compact = auto_compact
         self._dir = os.path.join(root, "segments")
         os.makedirs(self._dir, exist_ok=True)
         self._index: Dict[ObjectId, _Loc] = {}
@@ -154,9 +152,6 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         self._next_id = 1
         self._active: Optional[_Segment] = None
         self._compacting = False
-        #: Test hook: called at compaction stages ("copied", "indexed",
-        #: "retired"); a crash-injection harness raises from here.
-        self.compaction_hook: Callable[[str], None] = lambda stage: None
         self._init_marker(root)
         if self._rebuild():
             # A damaged frame may have been some object's newest record:
@@ -406,8 +401,7 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
     # ------------------------------------------------------------------
     def _maybe_compact(self) -> None:
         if (
-            self.auto_compact
-            and not self._compacting
+            not self._compacting
             and self._total >= self.compact_min_bytes
             and self.dead_ratio() >= self.compact_ratio
         ):
@@ -478,17 +472,14 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         if not new_locs:
             # Nothing live (so the copy was never created on disk).
             self._drop_segment(copy_seg)
-        self.compaction_hook("copied")
         # Index swap: reads now go to the copy.  The old segments are
         # dead but on disk, so a crash before retirement replays alike.
         self._index.update(new_locs)
         self._live = copy_seg.size
-        self.compaction_hook("indexed")
         for segment in old_segments:
             self._drop_segment(segment)
         fsync_dir(self._dir)
         self.stats.bump("compactions")
-        self.compaction_hook("retired")
         return len(new_locs)
 
     # ------------------------------------------------------------------

@@ -116,6 +116,30 @@ class SendSpy:
         ]
 
 
+class EventSink(list):
+    """A registry sink: each ``emit(kind, **details)`` it receives is
+    appended as ``(kind, details)``."""
+
+    def emit(self, kind, **details) -> None:
+        self.append((kind, details))
+
+    def kinds(self):
+        return [kind for kind, _details in self]
+
+    def of_kind(self, kind):
+        return [details for seen, details in self if seen == kind]
+
+
+def listen(system) -> EventSink:
+    """Subscribe a fresh :class:`EventSink` to ``system``'s registry,
+    attaching one first if the system has none."""
+    if not system.obs.enabled:
+        system.attach_metrics()
+    sink = EventSink()
+    system.obs.subscribe(sink)
+    return sink
+
+
 def wait_until(predicate, timeout: float = 5.0) -> bool:
     """Poll ``predicate`` until it holds or ``timeout`` passes."""
     import time

@@ -527,9 +527,7 @@ class TestLogstoreDescriptors:
         )
 
     def test_only_the_active_segment_holds_one(self, tmp_path):
-        store = LogStructuredStableStore(
-            str(tmp_path), segment_bytes=128, auto_compact=False
-        )
+        store = LogStructuredStableStore(str(tmp_path), segment_bytes=128)
         assert self._held(store) == []  # nothing appended, nothing held
         for index in range(12):
             store.write(f"obj:{index}", b"x" * 48, index)
@@ -540,9 +538,7 @@ class TestLogstoreDescriptors:
         assert store._active.file._fd == held
 
     def test_compaction_restore_and_close_release_them(self, tmp_path):
-        store = LogStructuredStableStore(
-            str(tmp_path), segment_bytes=128, auto_compact=False
-        )
+        store = LogStructuredStableStore(str(tmp_path), segment_bytes=128)
         for index in range(12):
             store.write(f"obj:{index % 3}", b"x" * 48, index)
         store.compact()
@@ -763,3 +759,48 @@ def test_the_allowlist_names_only_sites_that_exist():
         assert functions, relative
         if function is not None:
             assert function in functions, (relative, function)
+
+
+def _hook_assignments(tree):
+    """``(class name, target)`` for each ``*_hook`` a class assigns, as
+    a class attribute or on an instance inside one of its methods."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                name = getattr(target, "attr", getattr(target, "id", ""))
+                if name.endswith("_hook"):
+                    found.append((cls.name, ast.unparse(target)))
+    return found
+
+
+def test_no_class_carries_a_hook():
+    """Stable state changes only through the cache manager's installs;
+    a settable ``*_hook`` on a store or log would be a second path (a
+    test that wants to crash a step patches the step itself)."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for cls, target in _hook_assignments(tree):
+            offenders.append(f"{path.relative_to(SRC)}: {cls}: {target}")
+    assert offenders == []
+
+
+def test_the_hook_scan_sees_a_hook():
+    tree = ast.parse(
+        "class Store:\n"
+        "    flush_hook = None\n"
+        "    def __init__(self):\n"
+        "        self.compaction_hook: object = lambda stage: None\n"
+    )
+    assert _hook_assignments(tree) == [
+        ("Store", "flush_hook"), ("Store", "self.compaction_hook"),
+    ]

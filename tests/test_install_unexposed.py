@@ -58,6 +58,7 @@ from tests.conftest import (
     CACHE_CONFIGS,
     client_rounds as _client_rounds,
     examples,
+    listen,
     logical,
     physical,
 )
@@ -221,7 +222,7 @@ def test_install_sequence_and_counts_equal_the_parents(case):
         SystemConfig(cache=CACHE_CONFIGS[config_name]())
     )
     register_workload_functions(system.registry)
-    tracer = system.attach_tracer()
+    events = listen(system)
     workload = LogicalWorkload(
         LogicalWorkloadConfig(**_STREAMS[stream]), seed=int(seed)
     )
@@ -232,7 +233,7 @@ def test_install_sequence_and_counts_equal_the_parents(case):
     system.flush_all()
     sequence = [
         (event.get("ops"), event.get("vars"), event.get("notx"))
-        for event in tracer.of_kind("install")
+        for event in events.of_kind("install")
     ]
     digest = hashlib.sha256(repr(sequence).encode()).hexdigest()[:12]
     snap = system.stats.snapshot()

@@ -68,21 +68,17 @@ class TestRoundTrip:
 
 class TestSegments:
     def test_active_segment_rolls_at_threshold(self, dbdir):
-        store = LogStructuredStableStore(
-            dbdir, segment_bytes=256, auto_compact=False
-        )
+        store = LogStructuredStableStore(dbdir, segment_bytes=256)
         for index in range(20):
             store.write(f"obj:{index}", b"x" * 64, index)
         assert store.segment_count() > 1
         assert len(_segment_files(dbdir)) == store.segment_count()
 
     def test_rebuild_replays_segments_in_id_order(self, dbdir):
-        store = LogStructuredStableStore(
-            dbdir, segment_bytes=256, auto_compact=False
-        )
+        store = LogStructuredStableStore(dbdir, segment_bytes=256)
         for index in range(20):
             store.write("x", f"value-{index}".encode(), index)
-        again = LogStructuredStableStore(dbdir, auto_compact=False)
+        again = LogStructuredStableStore(dbdir)
         assert again.peek("x").value == b"value-19"
         assert again.vsi_of("x") == 19
 
@@ -205,9 +201,7 @@ class TestMarker:
 
 class TestCompaction:
     def test_compact_collapses_to_one_segment(self, dbdir):
-        store = LogStructuredStableStore(
-            dbdir, segment_bytes=256, auto_compact=False
-        )
+        store = LogStructuredStableStore(dbdir, segment_bytes=256)
         for index in range(30):
             store.write(f"obj:{index % 3}", b"x" * 40, index)
         assert store.segment_count() > 1
@@ -220,7 +214,7 @@ class TestCompaction:
             assert again.contains(f"obj:{obj}")
 
     def test_compact_preserves_values_and_vsis(self, dbdir):
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+        store = LogStructuredStableStore(dbdir)
         for index in range(10):
             store.write("x", f"v{index}".encode(), index)
         store.delete("x")
@@ -232,7 +226,7 @@ class TestCompaction:
         assert again.vsi_of("y") == 99
 
     def test_compact_with_nothing_live_leaves_no_segments(self, dbdir):
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+        store = LogStructuredStableStore(dbdir)
         store.write("x", b"v", 1)
         store.delete("x")
         assert store.compact() == 0
@@ -254,7 +248,7 @@ class TestCompaction:
         assert LogStructuredStableStore(dbdir).vsi_of("hot") == 199
 
     def test_writes_after_compaction_win_over_copies(self, dbdir):
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+        store = LogStructuredStableStore(dbdir)
         for index in range(5):
             store.write("x", f"v{index}".encode(), index)
         store.compact()
@@ -266,7 +260,7 @@ class TestCompaction:
 
 class TestRestore:
     def test_restore_versions_replaces_the_log(self, dbdir):
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+        store = LogStructuredStableStore(dbdir)
         for index in range(10):
             store.write(f"obj:{index}", b"old", index)
         image = {"a": StoredVersion(b"1", 1), "b": StoredVersion(b"2", 2)}

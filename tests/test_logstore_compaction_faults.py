@@ -1,7 +1,7 @@
-"""Compaction under injected faults: a crash at any compaction stage
-must leave a reopenable directory whose rebuilt state equals the
-pre-compaction state (segment-id ordering is the whole crash-safety
-argument — see the logstore module docstring)."""
+"""Compaction under injected faults: a crash before or between the
+retirements of old segments must leave a reopenable directory whose
+rebuilt state equals the pre-compaction state (segment-id ordering is
+the whole crash-safety argument — see the logstore module docstring)."""
 
 import os
 
@@ -44,76 +44,109 @@ def _state(store):
     }
 
 
+#: Small enough that ``_populate`` spreads over several segments, so
+#: retirement has more than one old segment to unlink.
+_SEGMENT_BYTES = 64
+#: Old segments a clean compaction of ``_populate``'s store retires
+#: (pinned by ``test_compaction_retires_every_old_segment``).
+_RETIREMENTS = 5
+
+
+def _store(dbdir):
+    return LogStructuredStableStore(dbdir, segment_bytes=_SEGMENT_BYTES)
+
+
+def _segment_names(dbdir):
+    return sorted(os.listdir(os.path.join(dbdir, "segments")))
+
+
+def _crash_at_retirement(monkeypatch, store, k):
+    """Make the ``k``-th (0-based) ``_drop_segment`` call of ``store``
+    raise before it unlinks anything; the ones before it complete."""
+    original = store._drop_segment
+    dropped = []
+
+    def drop(segment):
+        if len(dropped) == k:
+            raise SimulatedCrash(f"killed at retirement {k}")
+        original(segment)
+        dropped.append(segment.seg_id)
+
+    monkeypatch.setattr(store, "_drop_segment", drop)
+
+
 class TestCrashMidCompaction:
-    @pytest.mark.parametrize("stage", ["copied", "indexed", "retired"])
-    def test_crash_at_stage_preserves_state(self, dbdir, stage):
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+    def test_compaction_retires_every_old_segment(self, dbdir):
+        store = _store(dbdir)
+        _populate(store)
+        old = _segment_names(dbdir)
+        assert len(old) == _RETIREMENTS
+        store.compact()
+        names = _segment_names(dbdir)
+        assert len(names) == 1 and names[0] not in old
+
+    @pytest.mark.parametrize("k", range(_RETIREMENTS))
+    def test_crash_at_kth_retirement_preserves_state(
+        self, dbdir, monkeypatch, k
+    ):
+        """The copy is fsynced before the first old segment goes, so
+        any prefix of the retirements replays to the same state."""
+        store = _store(dbdir)
         expected = _populate(store)
-
-        def die(reached):
-            if reached == stage:
-                raise SimulatedCrash(f"killed at compaction stage {reached}")
-
-        store.compaction_hook = die
+        _crash_at_retirement(monkeypatch, store, k)
         with pytest.raises(SimulatedCrash):
             store.compact()
+        # k old segments are gone, the rest and the copy are on disk.
+        assert len(_segment_names(dbdir)) == _RETIREMENTS - k + 1
         again = LogStructuredStableStore(dbdir)
         assert _state(again) == expected
         # No damage was involved: the survivor must not have widened.
         assert again.media_redo_pending is None
 
-    def test_crash_before_retirement_keeps_old_segments(self, dbdir):
+    def test_completed_compaction_then_reopen_preserves_state(self, dbdir):
+        store = _store(dbdir)
+        expected = _populate(store)
+        store.compact()
+        again = LogStructuredStableStore(dbdir)
+        assert _state(again) == expected
+        assert again.media_redo_pending is None
+
+    def test_crash_before_retirement_keeps_old_segments(
+        self, dbdir, monkeypatch
+    ):
         """Until old segments are unlinked they remain authoritative:
         the copy only duplicates what they already replay to."""
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+        store = _store(dbdir)
         _populate(store)
-        before = store.segment_count()
-
-        def die(reached):
-            if reached == "indexed":
-                raise SimulatedCrash("pre-retirement")
-
-        store.compaction_hook = die
+        _crash_at_retirement(monkeypatch, store, 0)
         with pytest.raises(SimulatedCrash):
             store.compact()
-        names = os.listdir(os.path.join(dbdir, "segments"))
         # Old segments plus the completed copy are all still on disk.
-        assert len(names) == before + 1
+        assert len(_segment_names(dbdir)) == _RETIREMENTS + 1
 
-    def test_torn_copy_segment_is_discarded(self, dbdir):
+    def test_torn_copy_segment_is_discarded(self, dbdir, monkeypatch):
         """A crash mid-copy leaves a half-written copy segment; its torn
         tail is truncated at reopen and the old segments still replay to
         the exact pre-compaction state."""
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+        store = _store(dbdir)
         expected = _populate(store)
-
-        def die(reached):
-            if reached == "copied":
-                raise SimulatedCrash("mid-copy")
-
-        store.compaction_hook = die
+        _crash_at_retirement(monkeypatch, store, 0)
         with pytest.raises(SimulatedCrash):
             store.compact()
-        segments = sorted(os.listdir(os.path.join(dbdir, "segments")))
-        copy_path = os.path.join(dbdir, "segments", segments[-1])
+        copy_path = os.path.join(dbdir, "segments", _segment_names(dbdir)[-1])
         size = os.path.getsize(copy_path)
         with open(copy_path, "r+b") as handle:
             handle.truncate(max(1, size // 2))
         again = LogStructuredStableStore(dbdir)
         assert _state(again) == expected
 
-    def test_interrupted_compaction_can_rerun(self, dbdir):
-        store = LogStructuredStableStore(dbdir, auto_compact=False)
+    def test_interrupted_compaction_can_rerun(self, dbdir, monkeypatch):
+        store = _store(dbdir)
         expected = _populate(store)
-
-        def die(reached):
-            if reached == "copied":
-                raise SimulatedCrash("first attempt dies")
-
-        store.compaction_hook = die
+        _crash_at_retirement(monkeypatch, store, _RETIREMENTS - 1)
         with pytest.raises(SimulatedCrash):
             store.compact()
-        again = LogStructuredStableStore(dbdir, auto_compact=False)
+        again = LogStructuredStableStore(dbdir)
         copied = again.compact()
         assert copied == len(expected)
         assert again.segment_count() == 1
@@ -163,7 +196,7 @@ class TestFaultyAppends:
 
     def test_compaction_runs_under_the_faulty_wrapper(self, dbdir):
         store = FaultyLogStructuredStore(
-            dbdir, FaultModel(), auto_compact=False
+            dbdir, FaultModel()
         )
         for index in range(10):
             store.write("x", f"v{index}".encode(), index)

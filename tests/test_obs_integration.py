@@ -1,7 +1,7 @@
 """Integration tests: the observability layer wired through a running
 system — WAL/cache/engine instrumentation, recovery-phase spans, the
-Tracer-as-sink event stream, the torture harness's shared registry,
-``obs_summary``, and the ``python -m repro metrics`` CLI."""
+event stream as a subscribed sink sees it, the torture harness's shared
+registry, ``obs_summary``, and the ``python -m repro metrics`` CLI."""
 
 import pytest
 
@@ -17,13 +17,14 @@ from repro import (
     dump_jsonl,
     verify_recovered,
 )
-from repro.analysis import Tracer, obs_summary
+from repro.analysis import obs_summary
 from repro.domains import RecoverableFileSystem
 from repro.kernel.torture import RECOVERY
 from repro.storage.faults import FaultKind, FaultModel, FaultSpec
 from repro.storage.faultwrap import FaultyStore
 from repro.wal.faulty_log import FaultyLog
 from repro.workloads import register_workload_functions
+from tests.conftest import listen
 
 
 def _run_workload(system):
@@ -100,23 +101,24 @@ class TestAttachMetrics:
         assert system.obs is reg
 
 
-class TestTracerAsSink:
-    def test_tracer_still_sees_cache_events(self):
+class TestEventSink:
+    def test_sink_sees_cache_events(self):
         system = RecoverableSystem()
-        tracer = system.attach_tracer()
+        events = listen(system)
         _run_workload(system)
-        kinds = tracer.kinds()
+        kinds = events.kinds()
         assert "execute" in kinds
         assert "install" in kinds or "identity-write" in kinds
 
-    def test_attach_tracer_creates_registry_and_counts_events(self):
+    def test_sink_sees_what_the_events_counters_count(self):
         system = RecoverableSystem()
-        tracer = system.attach_tracer()
+        events = listen(system)
         assert system.obs.enabled
         _run_workload(system)
-        counts = tracer.counts()
-        for kind, count in counts.items():
-            assert system.obs.counters[f"events.{kind}"] == count
+        kinds = events.kinds()
+        assert kinds
+        for kind in set(kinds):
+            assert system.obs.counters[f"events.{kind}"] == kinds.count(kind)
 
 
 class TestRecoverySpans:

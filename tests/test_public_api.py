@@ -102,6 +102,8 @@ REMOVED_MODULES = [
     "repro.replica." + "livefire",
     # 6.0.0: one crash model; a torn flush is a FaultModel crash point.
     "repro.kernel." + "crash",
+    # 8.0.0: the event stream needs no tracer of its own.
+    "repro.analysis." + "trace",
 ]
 REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     prefix + "LiveFire" + suffix
@@ -122,6 +124,9 @@ REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     # 6.0.0: one crash model.
     "Crash" + "Injector",
     "Crash" + "Now",
+    # 8.0.0: a list subscribed to the registry is the event sink.
+    "Trace" + "Event",
+    "Tra" + "cer",
 ]
 # 4.7.0: one run path, one point counter, one sweep, one fuzz; the
 # injector raises the post-damage crash.  (module, attribute path)
@@ -179,12 +184,21 @@ REMOVED_ATTRIBUTES = [
 ] + [
     # 7.0.0: the registry pairs every store with its WAL.
     ("repro.persist.database", "PersistentSystem.last_open" + "_report"),
+] + [
+    # 8.0.0: nothing that only the tests reach.
+    ("repro.kernel.system", "RecoverableSystem.attach" + "_tracer"),
+    ("repro.cache.cache_manager", "CacheManager.cached" + "_objects"),
+    ("repro.kernel.supervisor", "SupervisorConfig.allow_media" + "_restore"),
+    ("repro.storage.logstore", "LogStructuredStableStore.auto" + "_compact"),
+    ("repro.storage.logstore",
+     "LogStructuredStableStore.compaction" + "_hook"),
+    ("repro.analysis.logstats", "_hist" + "_quantile"),
 ]
 
 
 class TestRemovedPaths:
     """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0,
-    5.3.0, 6.0.0, 7.0.0) are gone, not aliased."""
+    5.3.0, 6.0.0, 7.0.0, 8.0.0) are gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):
@@ -208,7 +222,7 @@ class TestRemovedPaths:
     def test_removed_names_are_gone(self, name):
         for package in (
             repro, serve, repro.replica, repro.livefire, repro.cache,
-            storage, repro.storage.registry,
+            storage, repro.storage.registry, repro.analysis,
         ):
             assert name not in getattr(package, "__all__", ())
             assert not hasattr(package, name)
@@ -273,9 +287,7 @@ OPTION_SURFACE = {
         "graph_mode", "multi_object_strategy", "mechanism",
         "log_installations", "capacity", "victim_policy",
     ),
-    "repro.kernel.supervisor.SupervisorConfig": (
-        "max_attempts", "allow_media_restore",
-    ),
+    "repro.kernel.supervisor.SupervisorConfig": ("max_attempts",),
     "repro.kernel.system.SystemConfig": (
         "cache", "redo_test", "checkpoint_every_bytes",
         "truncate_on_checkpoint",
@@ -314,6 +326,10 @@ CALL_SURFACE = {
     "repro.wal.log_manager.LogManager": ("stats",),
     "repro.storage.registry.make_store": ("backend", "root", "stats", "model"),
     "repro.storage.registry.make_log": ("backend", "root", "stats", "model"),
+    "repro.storage.logstore.LogStructuredStableStore": (
+        "root", "stats", "segment_bytes", "compact_ratio",
+        "compact_min_bytes",
+    ),
     "repro.topology.build_systems": (
         "shards", "store_backend", "root", "models", "metrics",
     ),

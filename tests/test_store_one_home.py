@@ -195,7 +195,7 @@ def big_dirs(tmp_path_factory):
         for backend in DURABLE:
             root = str(tmp_path_factory.mktemp(f"big-{backend}"))
             store = (
-                LogStructuredStableStore(root, auto_compact=False)
+                LogStructuredStableStore(root)
                 if backend == "logstore"
                 else make_store(backend, root)
             )
@@ -277,9 +277,7 @@ class TestTheBound:
 
     def test_read_descriptors_are_bounded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "fsync", lambda fd: None)
-        store = LogStructuredStableStore(
-            str(tmp_path), segment_bytes=64, auto_compact=False
-        )
+        store = LogStructuredStableStore(str(tmp_path), segment_bytes=64)
         for index in range(320):
             store.write(f"obj:{index}", b"x" * 64, index + 1)
         assert store.segment_count() >= 300
@@ -343,7 +341,7 @@ def _raw(store, obj) -> bytes:
 
 class TestCompactionCopy:
     def test_a_put_frame_is_copied_byte_for_byte(self, tmp_path):
-        store = LogStructuredStableStore(str(tmp_path), auto_compact=False)
+        store = LogStructuredStableStore(str(tmp_path))
         _seeded_stream(store, seed=1)
         before = _state(store)
         source = {obj: _raw(store, obj) for obj in store.object_ids()}
@@ -364,13 +362,18 @@ class TestCompactionCopy:
     def test_compacted_and_uncompacted_stores_rebuild_alike(
         self, tmp_path, seed
     ):
+        # A threshold no store reaches keeps the reference uncompacted.
         plain = LogStructuredStableStore(
-            str(tmp_path / "plain"), auto_compact=False
+            str(tmp_path / "plain"), compact_min_bytes=1 << 62
         )
         compacting = LogStructuredStableStore(str(tmp_path / "compacting"))
         _seeded_stream(plain, seed, steps=400)
         _seeded_stream(compacting, seed, steps=400)
+        assert plain.stats.extra.get("compactions", 0) == 0
         assert compacting.stats.extra["compactions"] >= 1
+        # Writes after the write-path compaction overwrite most of what
+        # it copied; a last compaction makes the compared state its own.
+        assert compacting.compact() == len(plain.object_ids())
         expected = _state(plain)
         assert _state(compacting) == expected
         for root in ("plain", "compacting"):
@@ -387,7 +390,7 @@ class TestCompactionCopy:
         pre-compaction versions and the copy's tail is repaired."""
         monkeypatch.setattr(logstore_module, "COPY_CHUNK", chunk)
         root = str(tmp_path)
-        seed = LogStructuredStableStore(root, auto_compact=False)
+        seed = LogStructuredStableStore(root)
         _seeded_stream(seed, seed=5)
         expected = _state(seed)
         segments = seed.segment_count()
@@ -397,7 +400,6 @@ class TestCompactionCopy:
         store = FaultyLogStructuredStore(
             root,
             FaultModel([FaultSpec(point, FaultKind.TORN, crash=True)]),
-            auto_compact=False,
         )
         with pytest.raises(SimulatedCrash):
             store.compact()
@@ -411,7 +413,7 @@ class TestCompactionCopy:
         # The survivor in this process still serves the old versions...
         assert _state(store) == expected
         # ...and so does a reopen, which also repairs the copy's tail.
-        again = LogStructuredStableStore(root, auto_compact=False)
+        again = LogStructuredStableStore(root)
         assert _state(again) == expected
         assert os.path.getsize(copy.path) == copy.end
         assert again.compact() == len(expected)
@@ -422,13 +424,12 @@ class TestCompactionCopy:
     ):
         monkeypatch.setattr(logstore_module, "COPY_CHUNK", 256)
         root = str(tmp_path)
-        seed = LogStructuredStableStore(root, auto_compact=False)
+        seed = LogStructuredStableStore(root)
         _seeded_stream(seed, seed=6)
         expected = _state(seed)
         seed.close()
         store = FaultyLogStructuredStore(
             root, FaultModel([FaultSpec(2, FaultKind.CRASH)]),
-            auto_compact=False,
         )
         with pytest.raises(SimulatedCrash):
             store.compact()
@@ -439,9 +440,7 @@ class TestCompactionCopy:
 
     def test_a_damaged_source_frame_aborts_the_compaction(self, tmp_path):
         root = str(tmp_path)
-        store = LogStructuredStableStore(
-            root, segment_bytes=512, auto_compact=False
-        )
+        store = LogStructuredStableStore(root, segment_bytes=512)
         _seeded_stream(store, seed=7)
         expected = _state(store)
         victim = max(  # the last-written object with a frame to itself

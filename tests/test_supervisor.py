@@ -166,8 +166,7 @@ class TestDegradedMode:
         )
         system.crash()
         model.enter_phase(RECOVERY_PHASE)
-        config = SupervisorConfig(allow_media_restore=False)
-        report = RecoverySupervisor(system, config=config).run()
+        report = RecoverySupervisor(system).run()
         return system, report, victim
 
     def test_unrecoverable_loss_lands_degraded(self):

@@ -1,66 +1,23 @@
-"""Tests for event tracing (repro.analysis.trace) and its cache-manager
-integration."""
+"""Tests for the cache manager's event stream (``obs.emit``), as a
+subscribed sink on the system's registry sees it."""
 
-from repro import RecoverableSystem, verify_recovered
-from repro.analysis import Tracer
-from tests.conftest import logical, physical
-
-
-class TestTracer:
-    def test_emit_and_query(self):
-        tracer = Tracer()
-        tracer.emit("a", x=1)
-        tracer.emit("b", y=2)
-        tracer.emit("a", x=3)
-        assert tracer.kinds() == ["a", "b", "a"]
-        assert [e.get("x") for e in tracer.of_kind("a")] == [1, 3]
-        assert tracer.counts() == {"a": 2, "b": 1}
-        assert len(tracer) == 3
-
-    def test_capacity_bound(self):
-        tracer = Tracer(capacity=2)
-        for index in range(5):
-            tracer.emit("e", n=index)
-        assert [e.get("n") for e in tracer] == [3, 4]
-
-    def test_capacity_enforced_by_deque(self):
-        # The bound is structural (deque maxlen), not a slice in emit():
-        # overflowing by one drops exactly the oldest event.
-        from collections import deque
-
-        tracer = Tracer(capacity=3)
-        assert isinstance(tracer.events, deque)
-        assert tracer.events.maxlen == 3
-        for index in range(4):
-            tracer.emit("e", n=index)
-        assert len(tracer) == 3
-        assert [e.get("n") for e in tracer] == [1, 2, 3]
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit("a")
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_repr_readable(self):
-        tracer = Tracer()
-        tracer.emit("install", vars=("x",))
-        assert "install" in repr(tracer.events[0])
+from repro import verify_recovered
+from tests.conftest import listen, physical
 
 
 class TestIntegration:
     def test_execute_and_install_events(self, system):
-        tracer = system.attach_tracer()
+        events = listen(system)
         system.execute(physical("x", b"v"))
         system.flush_all()
-        kinds = tracer.kinds()
+        kinds = events.kinds()
         assert "execute" in kinds
         assert "install" in kinds
-        install = tracer.of_kind("install")[0]
-        assert install.get("vars") == ("x",)
+        install = events.of_kind("install")[0]
+        assert install["vars"] == ("x",)
 
     def test_identity_write_events(self, system):
-        tracer = system.attach_tracer()
+        events = listen(system)
         system.registry.register(
             "pairT", lambda reads: {"a": b"1", "b": b"2"}
         )
@@ -73,32 +30,32 @@ class TestIntegration:
             )
         )
         system.flush_all()
-        assert tracer.counts().get("identity-write", 0) >= 1
+        assert events.kinds().count("identity-write") >= 1
 
     def test_tracer_survives_crash_recover(self, system):
-        tracer = system.attach_tracer()
+        events = listen(system)
         system.execute(physical("x", b"v"))
         system.log.force()
         system.crash()
         system.recover()
         system.flush_all()
         verify_recovered(system)
-        assert "install" in tracer.kinds()
+        assert "install" in events.kinds()
 
     def test_notx_install_traced(self, system):
-        tracer = system.attach_tracer()
+        events = listen(system)
         system.execute(physical("x", b"old"))
         system.execute(physical("x", b"new"))
         system.purge()
-        installs = tracer.of_kind("install")
-        assert installs[0].get("notx") == ("x",)
-        assert installs[0].get("vars") == ()
+        installs = events.of_kind("install")
+        assert installs[0]["notx"] == ("x",)
+        assert installs[0]["vars"] == ()
 
     def test_checkpoint_and_evict_traced(self, system):
-        tracer = system.attach_tracer()
+        events = listen(system)
         system.execute(physical("x", b"v"))
         system.flush_all()
         system.checkpoint()
         system.cache.evict("x")
-        assert "checkpoint" in tracer.kinds()
-        assert "evict" in tracer.kinds()
+        assert "checkpoint" in events.kinds()
+        assert "evict" in events.kinds()

@@ -220,20 +220,20 @@ class TestFlightRecorder:
     def test_per_operation_kinds_reach_every_sink_but_the_recorder(
         self, tmp_path
     ):
-        from repro.analysis.trace import Tracer
         from repro.obs.flightrec import PER_OPERATION_KINDS
+        from tests.conftest import EventSink
 
         path = str(tmp_path / "flightrec.jsonl")
         recorder = FlightRecorder(path, capacity=16)
-        tracer = Tracer()
+        sink = EventSink()
         registry = MetricsRegistry()
         registry.subscribe(recorder)
-        registry.subscribe(tracer)
+        registry.subscribe(sink)
         for kind in sorted(PER_OPERATION_KINDS):
             registry.emit(kind, obj="a")
         registry.emit("checkpoint", lsi=7)
         # The other sink and the counters saw all of them...
-        assert [e.kind for e in tracer.events] == [
+        assert sink.kinds() == [
             *sorted(PER_OPERATION_KINDS), "checkpoint",
         ]
         assert registry.counters["events.execute"] == 1
