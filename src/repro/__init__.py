@@ -23,7 +23,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__version__ = "8.0.0"
+__version__ = "9.0.0"
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".common": ("ObjectId", "StateId"),
@@ -63,7 +63,7 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "BackpressureError", "BadRequestError", "DaemonClient",
         "DaemonConfig", "DeadlineExceededError", "FencedError", "RetryPolicy",
         "ServeDaemon", "ServeError", "ServerFailedError",
-        "ServerUnavailableError", "ServingWatchdog", "ShuttingDownError",
+        "ServerUnavailableError", "ShuttingDownError",
     ),
     ".shard": (
         "CrossShardError", "FenceAudit", "ShardRouter", "ShardedSystem",

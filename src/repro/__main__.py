@@ -25,7 +25,7 @@
   the durable store backend (``file`` or ``logstore``; reopen with the
   backend that created the directory).  ``--shards N`` serves
   a sharded topology: N recovery domains with per-shard WAL streams
-  under ``data-dir/shard-K``, per-shard admission gates and watchdogs,
+  under ``data-dir/shard-K``, per-shard admission gates and recovery ladders,
   and fence-protocol cross-shard operations.  ``--replicate`` accepts
   a witness subscription and gates every ack on the witness's durable
   receipt; ``--witness-of HOST:PORT`` runs the *witness* side —
@@ -476,8 +476,8 @@ def serve_daemon(args: argparse.Namespace) -> int:
     )
     # Cold start: whatever the directory contains — a clean shutdown,
     # SIGKILL debris — the daemon's supervised startup must recover it
-    # before the listener opens.  Entering the crashed state makes the
-    # watchdog run the full escalation ladder.
+    # before the listener opens.  Entering the crashed state makes each
+    # shard run the full escalation ladder.
     sharded.crash_all()
     replication = witness = None
     if args.replicate:

@@ -4,8 +4,5 @@ from repro._exports import lazy_exports
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".tables": ("Table", "format_bytes", "ratio"),
-    ".logstats": (
-        "LogBreakdown", "analyze_log", "engine_summary", "failure_summary",
-        "fault_summary", "obs_summary",
-    ),
+    ".logstats": ("failure_summary", "fault_summary", "obs_summary"),
 })

@@ -1,15 +1,9 @@
-"""Log composition analytics.
+"""Printable ledgers of a run: faults, supervised recovery, telemetry.
 
-Summarizes a log's stable records by type and by operation kind: record
-counts, total bytes, data-value bytes.  Useful for understanding *where
-the log bytes went* — the question the paper's whole Figure 1 argument
-is about — and used by examples and tests to report log composition.
-
-Also renders the fault-injection ledger (:func:`fault_summary`): how
-many faults a torture campaign injected and how each was absorbed —
+Renders the fault-injection ledger (:func:`fault_summary`): how many
+faults a torture campaign injected and how each was absorbed —
 retried, checksum-detected, quarantined, media-recovered, and how many
-recovery attempts/restarts the supervisor drove — the write-graph
-engine's counters (:func:`engine_summary`), the recovery
+recovery attempts/restarts the supervisor drove — the recovery
 supervisor's structured :class:`~repro.kernel.supervisor.FailureReport`
 (:func:`failure_summary`), and a system's observability registry
 (:func:`obs_summary`: top counters plus per-histogram p50/p95/p99).
@@ -17,74 +11,10 @@ supervisor's structured :class:`~repro.kernel.supervisor.FailureReport`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Mapping, Union
 
-from repro.analysis.tables import Table, format_bytes
+from repro.analysis.tables import Table
 from repro.storage.stats import IOStats
-from repro.wal.log_manager import LogManager
-from repro.wal.records import OperationRecord
-
-
-@dataclass
-class LogBreakdown:
-    """Aggregated composition of a log's stable records."""
-
-    #: record-type name -> (count, bytes, value bytes)
-    by_record_type: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: operation kind -> (count, bytes, value bytes), operation records only
-    by_op_kind: Dict[str, Dict[str, int]] = field(default_factory=dict)
-
-    def total_bytes(self) -> int:
-        """All stable-log bytes."""
-        return sum(row["bytes"] for row in self.by_record_type.values())
-
-    def total_value_bytes(self) -> int:
-        """All data-value bytes on the stable log."""
-        return sum(
-            row["value_bytes"] for row in self.by_record_type.values()
-        )
-
-    def overhead_fraction(self) -> float:
-        """Share of log bytes that are NOT data values (headers, ids,
-        parameters, bookkeeping records)."""
-        total = self.total_bytes()
-        if total == 0:
-            return 0.0
-        return 1.0 - self.total_value_bytes() / total
-
-    def render(self, title: str = "log composition") -> str:
-        """An aligned two-section table."""
-        table = Table(
-            title, ["record type / op kind", "count", "bytes", "value bytes"]
-        )
-        for name in sorted(self.by_record_type):
-            row = self.by_record_type[name]
-            table.add_row(
-                name,
-                row["count"],
-                format_bytes(row["bytes"]),
-                format_bytes(row["value_bytes"]),
-            )
-        for kind in sorted(self.by_op_kind):
-            row = self.by_op_kind[kind]
-            table.add_row(
-                f"  op:{kind}",
-                row["count"],
-                format_bytes(row["bytes"]),
-                format_bytes(row["value_bytes"]),
-            )
-        return table.render()
-
-
-def _bump(bucket: Dict[str, Dict[str, int]], key: str, size: int,
-          value_bytes: int) -> None:
-    row = bucket.setdefault(
-        key, {"count": 0, "bytes": 0, "value_bytes": 0}
-    )
-    row["count"] += 1
-    row["bytes"] += size
-    row["value_bytes"] += value_bytes
 
 
 #: Counter name -> row label for the fault ledger, in display order.
@@ -116,26 +46,6 @@ def fault_summary(
         else:
             value = stats.get(name, 0)
         table.add_row(label, value)
-    return table
-
-
-def engine_summary(
-    stats: Mapping[str, object],
-    title: str = "write-graph engine counters",
-) -> Table:
-    """A :meth:`WriteGraphEngine.stats` mapping as a printable table.
-
-    The ``engine`` entry (the mode string) becomes part of the title;
-    the remaining counters are emitted in the engine's own order.
-    """
-    mode = stats.get("engine")
-    if mode:
-        title = f"{title} [{mode}]"
-    table = Table(title, ["counter", "value"])
-    for name, value in stats.items():
-        if name == "engine":
-            continue
-        table.add_row(name, value)
     return table
 
 
@@ -215,18 +125,3 @@ def obs_summary(
         )
     return table
 
-
-def analyze_log(log: LogManager) -> LogBreakdown:
-    """Aggregate the stable log's records into a :class:`LogBreakdown`."""
-    breakdown = LogBreakdown()
-    for record in log.stable_records():
-        size = record.record_size()
-        values = record.value_bytes()
-        _bump(
-            breakdown.by_record_type, type(record).__name__, size, values
-        )
-        if isinstance(record, OperationRecord):
-            _bump(
-                breakdown.by_op_kind, record.op.kind.value, size, values
-            )
-    return breakdown

@@ -136,7 +136,7 @@ class RecoverySupervisor:
         self.backup = backup
         self.config = config if config is not None else SupervisorConfig()
         #: Optional distributed-trace context: when a serving crash with
-        #: a live request trace triggers the ladder, the watchdog sets
+        #: a live request trace triggers the ladder, the shard sets
         #: this so recovery attempts appear in the request's trace tree.
         self.trace = None
 

@@ -331,6 +331,12 @@ class RecoverableSystem:
         whose records had not reached the stable log — read off the
         buffer itself — are removed from the history when one is kept:
         durably, they never happened.
+
+        Idempotent, so callers need not ask first: on a crashed system
+        the buffer is already empty, so a second call loses nothing,
+        returns ``[]`` and leaves the system crashed and RECOVERING.
+        (A FAILED system moves to RECOVERING — the transition the first
+        ``recover()`` of the ladder that follows would make anyway.)
         """
         lost = [
             record.op

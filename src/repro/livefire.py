@@ -104,7 +104,7 @@ ZOMBIE_PROBE_WRITES = 3  # writes driven at a deposed, living primary
 PROCESS_TIMEOUT_S = 30.0  # a real process coming up / going down
 TRUNCATION_STEP = 3  # kill steps 0-2 are store writes, this one truncation
 #: Every in-process daemon: a small admission bound (backpressure should
-#: fire) and a generous ladder budget for watchdog recoveries.
+#: fire) and a generous ladder budget for mid-serve recoveries.
 DAEMON = DaemonConfig(
     port=0,
     http_port=None,
@@ -149,7 +149,7 @@ class LiveFireConfig:
     #: (only where the client's objects actually span shards).
     p_cross: float = 0.2
     #: Fuzz rates armed on every shard's store and log (None = honest
-    #: devices).  The models stay armed through mid-serve watchdog
+    #: devices).  The models stay armed through mid-serve
     #: recoveries, so these faults also hit recovery's own I/O.
     rates: Optional[FuzzRates] = None
     #: Share of replicated runs that leave the primary alive (a zombie)
@@ -640,7 +640,7 @@ class _CheckpointKill:
     device, so the stable state is what a kill at that instant leaves —
     some installs flushed, their installation records and the
     checkpoint record perhaps unforced, the log untruncated — and the
-    daemon's watchdog recovers from exactly that.
+    daemon's startup ladder recovers from exactly that.
     """
 
     def __init__(self, system: Any, checkpoint: int, step: int) -> None:
@@ -822,9 +822,7 @@ class _InProcess:
             self.primary.revive_shard(self.plan.victim)
         else:
             # A fresh daemon over the killed one's debris.
-            for system in self.sharded.systems:
-                if not system._crashed:
-                    system.crash()
+            self.sharded.crash_all()
             healed = self.primary = build_daemon(
                 self.sharded, DAEMON, backups=self.backups
             ).start()

@@ -10,8 +10,10 @@ into its log (:meth:`~repro.wal.log_manager.LogManager.adopt_records`
 forces before the receipt ack — the ack is a durability promise), and
 **continuously redoes the adopted log through the real recovery
 path**: on a cadence it crashes its own volatile state, runs the
-:class:`~repro.kernel.supervisor.RecoverySupervisor` ladder, and
-installs the redone versions into its stable store.  This is the
+:class:`~repro.kernel.supervisor.RecoverySupervisor` ladder through its
+shard's one recovery driver
+(:meth:`~repro.serve.worker._Shard.supervise`), and installs the
+redone versions into its stable store.  This is the
 paper's REDO test doing replication: the shipped records keep the
 primary's lSIs, the witness's installed versions carry those lSIs as
 vSIs, and the test ``lsi >= max(rsi, vsi + 1)`` prunes exactly the
@@ -42,7 +44,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.common.identifiers import NULL_SI, StateId
 from repro.core.operation import TOMBSTONE
-from repro.kernel.supervisor import RecoverySupervisor
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.tracing import stage
 from repro.replica import wire
@@ -50,7 +51,6 @@ from repro.replica.epoch import INITIAL_EPOCH, EpochStore
 from repro.serve import protocol
 from repro.serve.server import DaemonConfig, ServeDaemon, _Connection
 from repro.serve.worker import _Shard, _Work
-from repro.storage.backup import FuzzyBackup
 from repro.wal.records import EpochRecord
 
 #: How long one dial of the primary may take before the subscriber
@@ -82,9 +82,8 @@ class WitnessDaemon(ServeDaemon):
         system: RecoverableSystem,
         config: Optional[DaemonConfig] = None,
         witness: Optional[WitnessConfig] = None,
-        backup: Optional[FuzzyBackup] = None,
     ) -> None:
-        super().__init__(system, config, backup=backup)
+        super().__init__(system, config)
         self.witness_config = witness if witness is not None else WitnessConfig()
         self.epochs = EpochStore(self.witness_config.epoch_root)
         self.epoch = self.epochs.load()
@@ -415,11 +414,8 @@ class WitnessDaemon(ServeDaemon):
                 self._records_since_cycle = 0
                 return
             start = time.perf_counter()
-            if not self.system._crashed:
-                self.system.crash()
-            RecoverySupervisor(
-                self.system, config=self.config.supervisor
-            ).run()
+            self.system.crash()
+            self._shards[0].supervise()
             if self.system.health is not SystemHealth.HEALTHY:
                 # The ladder did not converge (it will re-run next
                 # cycle and at promotion); keep the log intact.
@@ -499,11 +495,8 @@ class WitnessDaemon(ServeDaemon):
             watermark = max(
                 self._adopted_through, self.system.log.stable_end_lsi()
             )
-            if not self.system._crashed:
-                self.system.crash()
-            RecoverySupervisor(
-                self.system, config=self.config.supervisor
-            ).run()
+            self.system.crash()
+            self._shards[0].supervise()
             if self.system.health is SystemHealth.FAILED:
                 return protocol.error_response(
                     request_id,

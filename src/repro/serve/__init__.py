@@ -7,22 +7,21 @@ long-running process with an operator's contract:
   per-shard health-gated admission, one single-writer apply loop per
   shard with force-before-ack durability, deadlines and backpressure,
   graceful (SIGTERM) and abrupt (SIGKILL-model) shutdown, and a
-  ``/metrics`` + ``/healthz`` scrape endpoint.  Given one
-  :class:`~repro.kernel.system.RecoverableSystem` it is the
+  ``/metrics`` + ``/healthz`` scrape endpoint.  Each shard runs its
+  own escalation ladder (before the listener opens, on revive, after a
+  mid-serve crash) under the budget of ``DaemonConfig.supervisor``.
+  Given one :class:`~repro.kernel.system.RecoverableSystem` it is the
   single-kernel server; given a :class:`~repro.shard.ShardedSystem` it
   serves N shards through the same code;
 * :class:`DaemonClient` / :class:`RetryPolicy` — the client library:
   jittered exponential backoff that honors server ``retry_after_ms``
   hints under an overall elapsed deadline budget;
-* :class:`ServingWatchdog` — when the escalation ladder runs (before
-  the listener opens; after a mid-serve crash), under the budget of
-  ``DaemonConfig.supervisor``;
 * :mod:`repro.serve.protocol` — the length-prefixed JSON framing;
 * :mod:`repro.serve.errors` — the typed rejections clients catch.
 
 Sharded serving (``python -m repro serve --shards N``) fronts N
 independent recovery domains with one apply thread, WAL stream, health
-gate and watchdog per shard, a fence-protocol rendezvous for
+gate and recovery ladder per shard, a fence-protocol rendezvous for
 cross-shard operations, and chaos endpoints that kill and revive one
 shard while the others keep serving.
 
@@ -48,5 +47,4 @@ __all__, __getattr__ = lazy_exports(__name__, {
         "ServerUnavailableError", "ShuttingDownError",
     ),
     ".server": ("WRITE_KINDS", "DaemonConfig", "ServeDaemon"),
-    ".watchdog": ("ServingWatchdog",),
 })

@@ -90,7 +90,7 @@ class DeadlineExceededError(ServeError):
 class ServerUnavailableError(ServeError):
     """The server exists but cannot take the request right now.
 
-    RECOVERING (watchdog restart in flight) and mid-shutdown are the
+    RECOVERING (a mid-serve restart in flight) and mid-shutdown are the
     retryable shapes; the client honors ``retry_after_ms`` when given.
     """
 

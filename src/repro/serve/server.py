@@ -11,9 +11,10 @@ worker's (:mod:`repro.serve.worker`); cross-shard applies meet in
 :mod:`repro.serve.cross`.
 
 * **supervised startup** — the listener does not open until every
-  shard's :class:`~repro.serve.watchdog.ServingWatchdog` has driven
-  recovery to a terminal state, so a daemon restarted over SIGKILL
-  debris serves its first request from verified state.  A shard that
+  shard's escalation ladder
+  (:meth:`~repro.serve.worker._Shard.supervise`) has driven recovery
+  to a terminal state, so a daemon restarted over SIGKILL debris
+  serves its first request from verified state.  A shard that
   lands DEGRADED or FAILED does not block the others;
 * **health-gated admission, per shard** — each shard has its own
   bounded queue and health gate: requests are admitted when HEALTHY,
@@ -67,7 +68,6 @@ from repro.serve import protocol
 from repro.serve.cross import Rendezvous
 from repro.serve.errors import FencedError
 from repro.serve.protocol import WRITE_KINDS
-from repro.serve.watchdog import ServingWatchdog
 from repro.serve.worker import _Shard, _stage_ctx, _Work, enqueue
 from repro.shard.group import ShardedSystem
 from repro.storage.backup import FuzzyBackup
@@ -89,6 +89,10 @@ _HEALTH_RANK = {
     SystemHealth.DEGRADED: 2,
     SystemHealth.FAILED: 3,
 }
+
+#: States a shard serves as it stands; any other is recovered first —
+#: a crashed kernel, or one an abrupt kill left RECOVERING.
+_SERVABLE = (SystemHealth.HEALTHY, SystemHealth.DEGRADED)
 
 
 @dataclass
@@ -197,16 +201,7 @@ class ServeDaemon:
         )
         backups += [None] * (len(systems) - len(backups))
         self._shards: List[_Shard] = [
-            _Shard(
-                self,
-                index,
-                kernel,
-                ServingWatchdog(
-                    kernel,
-                    backup=backups[index],
-                    config=self.config.supervisor,
-                ),
-            )
+            _Shard(self, index, kernel, backups[index])
             for index, kernel in enumerate(systems)
         ]
         self._rendezvous = Rendezvous(self)
@@ -312,8 +307,8 @@ class ServeDaemon:
         return self._http.port if self._http is not None else None
 
     def restarts(self) -> int:
-        """Mid-serve watchdog restarts summed over the shards."""
-        return sum(shard.watchdog.restarts for shard in self._shards)
+        """Mid-serve restarts summed over the shards."""
+        return sum(shard.restarts for shard in self._shards)
 
     def aggregate_health(self) -> SystemHealth:
         """The worst health across shards (the conservative headline)."""
@@ -350,7 +345,8 @@ class ServeDaemon:
             },
         )
         for shard in self._shards:
-            shard.watchdog.supervised_startup()
+            if shard.system.health not in _SERVABLE:
+                shard.supervise()
         if self.config.http_port is not None:
             # Imported where the endpoint starts: ``http.server`` and
             # what it drags in (email, ssl, ...) cost ~3 MiB that a
@@ -515,8 +511,7 @@ class ServeDaemon:
                 return
             shard.killed = True
             shard.halt(timeout=10.0)
-            if not shard.system._crashed:
-                shard.system.crash()
+            shard.system.crash()
             self.obs.count(f"serve.shard.{index}.kills")
             self.obs.emit("shard.kill", shard=index)
             shard.flush("UNAVAILABLE", f"shard {index} worker was killed")
@@ -527,7 +522,8 @@ class ServeDaemon:
             shard = self._shards[index]
             if not shard.killed:
                 raise ValueError(f"shard {index} is not killed")
-            shard.watchdog.supervised_startup()
+            if shard.system.health not in _SERVABLE:
+                shard.supervise()
             shard.start()
             shard.killed = False
             self.obs.count(f"serve.shard.{index}.revives")
@@ -804,7 +800,7 @@ class ServeDaemon:
                 "health": shard.system.health.value,
                 "killed": shard.killed,
                 "queue_depth": shard.depth(),
-                "restarts": shard.watchdog.restarts,
+                "restarts": shard.restarts,
                 "lost_objects": sorted(map(str, shard.system.lost_objects)),
             }
             for shard in self._shards
@@ -862,8 +858,8 @@ class ServeDaemon:
     def _health_payload(self) -> Tuple[int, Dict[str, Any]]:
         """Liveness: 200 while the process can make progress.
 
-        RECOVERING and DEGRADED are *live* states (a watchdog or an
-        operator is working the problem; restarting the process would
+        RECOVERING and DEGRADED are *live* states (the shard's ladder or
+        an operator is working the problem; restarting the process would
         only repeat the ladder) — only a terminally FAILED shard, which
         explicitly needs an operator, answers 503.  Load balancers and
         rolling deploys should poll readiness (``/healthz?ready=1``)

@@ -12,8 +12,17 @@
   is durable by construction (DESIGN.md §4b);
 * **the crash hand-off** — a storage failure inside an apply (or a
   committer's force) refuses every parked reply with a retryable
-  ``UNAVAILABLE``, then re-runs the shard's watchdog ladder on the apply
-  thread while admission keeps queueing and the other shards serve on.
+  ``UNAVAILABLE``, crashes the kernel and re-runs its escalation ladder
+  on the apply thread while admission keeps queueing and the other
+  shards serve on;
+* **one recovery driver** — :meth:`_Shard.supervise` is the only place
+  the serving layer runs the
+  :class:`~repro.kernel.supervisor.RecoverySupervisor` ladder: before
+  the listener opens, on revive, after a mid-serve crash, and for a
+  witness's redo cycles and promotion.  It owns *when* the ladder runs;
+  the ladder's attempt budget (``DaemonConfig.supervisor``) decides
+  when the shard stops trusting its device (exhausted ⇒ FAILED, and
+  every later request is refused).
 
 A worker holds its daemon and calls it directly: the daemon dispatches
 the verb (``ServeDaemon._dispatch``) and sends every refusal
@@ -44,12 +53,13 @@ from repro.common.errors import (
     TransientStorageError,
 )
 from repro.common.identifiers import NULL_SI, StateId
+from repro.kernel.supervisor import RecoverySupervisor
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.tracing import TraceContext, record_stage
 from repro.serve.errors import FencedError, ServerUnavailableError
 from repro.serve.protocol import WRITE_KINDS
-from repro.serve.watchdog import ServingWatchdog
 from repro.shard.group import CrossShardError
+from repro.storage.backup import FuzzyBackup
 
 #: Log bytes appended between a shard's online checkpoints.  They are
 #: the modelled ``record_size()`` bytes of ``IOStats.log_bytes``, not
@@ -66,7 +76,7 @@ from repro.shard.group import CrossShardError
 ONLINE_CHECKPOINT_BYTES = 512 * 1024
 
 #: Storage failures that surface inside an apply: the shard's volatile
-#: state is suspect, so its watchdog re-runs the ladder.
+#: state is suspect, so the shard crashes it and re-runs the ladder.
 _SERVING_CRASHES = (SimulatedCrash, CorruptObjectError, TransientStorageError)
 
 
@@ -105,14 +115,18 @@ class _Shard:
         daemon: "ServeDaemon",
         index: int,
         system: RecoverableSystem,
-        watchdog: ServingWatchdog,
+        backup: Optional[FuzzyBackup] = None,
     ) -> None:
         self.daemon = daemon
         self.index = index
         #: Per-ack counter name, built once rather than per ack.
         self.acked_writes = f"serve.shard.{index}.acked_writes"
         self.system = system
-        self.watchdog = watchdog
+        #: The image the ladder restores damaged objects from (None =
+        #: replay only).
+        self.backup = backup
+        #: Mid-serve restarts performed so far.
+        self.restarts = 0
         #: Primary-side replication of this shard's WAL (None =
         #: standalone).  With a sender attached, every write's ack
         #: additionally waits for the witness's durable receipt — see
@@ -128,7 +142,7 @@ class _Shard:
         self.commit = threading.Condition()
         self.committer: Optional[threading.Thread] = None
         #: A force failure the committer hit, until the apply thread —
-        #: the only one on the kernel — has run the watchdog for it.
+        #: the only one on the kernel — has recovered from it.
         self.crash: Optional[BaseException] = None
         self.stop = threading.Event()
         self.idle = threading.Event()
@@ -225,7 +239,7 @@ class _Shard:
         Every item — a cross-shard token included — passes the same
         two gates before any kernel is touched: its deadline, and the
         health its shard moved to while it sat in the backlog (a
-        watchdog restart may have run).
+        mid-serve restart may have run).
         """
         daemon = self.daemon
         job = work.cross
@@ -277,7 +291,7 @@ class _Shard:
         a cross-shard apply forced its fences inside ``run``.  Anything
         ``run`` raises is answered from the one table in
         :meth:`_refuse_raised`, and a storage crash is then handed to
-        the watchdog of every involved shard.
+        every involved shard's :meth:`_crashed`.
         """
         work.started = time.monotonic()
         try:
@@ -336,13 +350,48 @@ class _Shard:
             "serve.request_seconds", time.monotonic() - work.started
         )
 
+    def supervise(self, trace: Optional[TraceContext] = None) -> None:
+        """Run the escalation ladder on this shard's kernel until it
+        lands HEALTHY, DEGRADED or FAILED (the admission gate enforces
+        what each may serve).
+
+        ``trace`` is the crashed request's distributed-trace context,
+        when it carried one: the ladder's per-attempt spans join that
+        trace, so the tree shows recovery as a consequence of the
+        request that tripped it.
+        """
+        supervisor = RecoverySupervisor(
+            self.system, backup=self.backup,
+            config=self.daemon.config.supervisor,
+        )
+        supervisor.trace = trace
+        supervisor.run()
+        self.system.obs.gauge("serve.watchdog_restarts", self.restarts)
+
     def _crashed(self, exc: BaseException, trace=None) -> None:
         """Refuse what is parked, then recover — in that order: a reply
         whose record dies with the log buffer must never meet a later,
-        higher stable end.  Runs on the kernel's own (apply) thread."""
+        higher stable end.  Runs on the kernel's own (apply) thread.
+
+        Volatile state is discarded (operations whose records never
+        reached the stable log never happened, durably — which is why
+        the daemon only acknowledges after a WAL force) and the ladder
+        runs while admission keeps queueing (health is RECOVERING
+        throughout).
+        """
         self._refuse_parked(exc)
         self.daemon.obs.count(f"serve.shard.{self.index}.crashes")
-        self.watchdog.handle_serving_crash(exc, trace=trace)
+        obs = self.system.obs
+        obs.count("serve.crashes")
+        obs.emit(
+            "watchdog.crash", cause=type(exc).__name__,
+            restarts=self.restarts,
+        )
+        self.restarts += 1
+        obs.count("serve.restarts")
+        obs.emit("watchdog.restart", restarts=self.restarts)
+        self.system.crash()
+        self.supervise(trace)
 
     def _refuse_raised(
         self, work: _Work, involved: Tuple["_Shard", ...], exc: Exception
@@ -369,8 +418,8 @@ class _Shard:
         elif isinstance(exc, _SERVING_CRASHES):
             # Mid-serve crash: the request's durability is whatever the
             # WAL made of it (never acked here; a partial cross-shard
-            # fence is, by construction, unacked), and the watchdogs
-            # own getting the involved shards back.
+            # fence is, by construction, unacked), and each involved
+            # shard's crash hand-off gets it back.
             code = "UNAVAILABLE"
             message = (
                 f"serving crash ({type(exc).__name__}: {exc}); "

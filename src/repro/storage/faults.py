@@ -28,12 +28,8 @@ TORN           a write lands partially — the stored bytes are a
                damaged variant of the intended value.
 CORRUPT        silent bit rot: an already-stored version is damaged
                after the fact, checksum left stale.
-FSYNC_FAIL     a log force raises transiently (alias of TRANSIENT at
-               log points; named for schedules that target the WAL).
 FSYNC_LIE      the force reports success but the records are not
                durable — a subsequent crash loses them.
-SLOW           the I/O succeeds after a modelled delay (counted, not
-               slept).
 CRASH          the machine dies at the I/O point, cleanly: no damage
                lands, :class:`FaultCrash` is raised.  The kind that
                lets a schedule say "crash recovery at its 3rd read".
@@ -65,16 +61,12 @@ class FaultKind(enum.Enum):
     TRANSIENT = "io-error"
     TORN = "torn"
     CORRUPT = "corrupt"
-    FSYNC_FAIL = "fsync-fail"
     FSYNC_LIE = "fsync-lie"
-    SLOW = "slow"
     CRASH = "crash"
 
 
-#: Kinds that raise a retryable error instead of damaging state.
-_TRANSIENT_KINDS = frozenset({FaultKind.TRANSIENT, FaultKind.FSYNC_FAIL})
 #: Kinds meaningful at every I/O point (the rest only where ``can``).
-_EVERYWHERE_KINDS = _TRANSIENT_KINDS | {FaultKind.CRASH, FaultKind.SLOW}
+_EVERYWHERE_KINDS = frozenset({FaultKind.TRANSIENT, FaultKind.CRASH})
 #: Kinds that damage what lands (and may crash right after).
 _DAMAGE_KINDS = frozenset({FaultKind.TORN, FaultKind.CORRUPT})
 
@@ -258,16 +250,9 @@ class FaultModel:
             # A clean machine death at this I/O point: nothing lands,
             # nothing is damaged — the process is simply gone.
             raise FaultCrash(message)
-        if spec.kind in _TRANSIENT_KINDS:
+        if spec.kind is FaultKind.TRANSIENT:
             self._transient_remaining = spec.times - 1
             raise TransientStorageError(message)
-        if spec.kind is FaultKind.SLOW:
-            # Slow I/O is accounted, not slept: the simulator has no
-            # clock, and the interesting property is that slowness is
-            # *harmless* to correctness.
-            if stats is not None:
-                stats.bump("slow_ios")
-            return None
         return spec
 
     def _decide(self, point: int) -> Optional[FaultSpec]:

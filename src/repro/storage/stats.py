@@ -147,11 +147,3 @@ class IOStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0) + value
-
-    def total_device_writes(self) -> int:
-        """All object-value writes that hit the simulated device.
-
-        This is the Section 4 comparison unit: in-place writes, shadow
-        writes and pointer swings all cost device I/Os.
-        """
-        return self.object_writes + self.shadow_writes + self.pointer_swings

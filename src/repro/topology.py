@@ -100,7 +100,8 @@ def build_daemon(
     ``witness`` makes it the witness of the primary that config names,
     ``replication`` a primary that gates acks on a witness's durable
     receipt, neither a standalone daemon.  Replication pairs exactly
-    one recovery domain with one witness.
+    one recovery domain with one witness, and a witness takes no
+    ``backups``: what it recovers is the primary's shipped log.
     """
     if witness is None:
         return ServeDaemon(
@@ -110,11 +111,11 @@ def build_daemon(
         raise ValueError(
             f"a witness adopts one WAL stream; got {sharded.shards} shards"
         )
+    if backups is not None:
+        raise ValueError(
+            "a witness restores from the primary's shipped log, "
+            "not from a backup"
+        )
     from repro.replica.witness import WitnessDaemon
 
-    return WitnessDaemon(
-        sharded.systems[0],
-        config,
-        witness=witness,
-        backup=backups[0] if backups else None,
-    )
+    return WitnessDaemon(sharded.systems[0], config, witness=witness)

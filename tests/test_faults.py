@@ -265,13 +265,6 @@ class TestFaultModel:
         assert schedule(7) == schedule(7)
         assert schedule(7) != schedule(8)
 
-    def test_slow_fault_counts_but_passes(self):
-        stats = IOStats()
-        model = FaultModel([FaultSpec(0, FaultKind.SLOW)])
-        assert model.fire("store.write", "x", stats=stats) is None
-        assert stats.faults_injected == 1
-        assert stats.extra["slow_ios"] == 1
-
 
 class TestFaultyStore:
     def _store(self, *specs):

@@ -794,6 +794,50 @@ def test_no_class_carries_a_hook():
     assert offenders == []
 
 
+#: The modules that may build the recovery ladder: the torture harness's
+#: runs, a database's open, and a served shard's one driver
+#: (``_Shard.supervise``), which startup, revive, a mid-serve crash and
+#: the witness's redo cycle and promotion all go through.
+LADDER_BUILDERS = (
+    "kernel/torture.py", "persist/database.py", "serve/worker.py",
+)
+
+
+def _ladder_constructions(tree):
+    """Line numbers of every ``RecoverySupervisor(...)`` call."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        == "RecoverySupervisor"
+    )
+
+
+def test_one_serving_side_recovery_driver():
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if relative in LADDER_BUILDERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for lineno in _ladder_constructions(tree):
+            offenders.append(f"{relative}:{lineno}")
+    assert offenders == []
+
+
+def test_the_ladder_scan_sees_a_ladder():
+    tree = ast.parse(
+        "RecoverySupervisor(system).run()\n"
+        "supervisor.RecoverySupervisor(system, config=c)\n"
+        "RecoverySupervisorish(system)\n"
+    )
+    assert _ladder_constructions(tree) == [1, 2]
+    for relative in LADDER_BUILDERS:
+        tree = ast.parse((SRC / relative).read_text(encoding="utf-8"))
+        assert _ladder_constructions(tree), relative
+
+
 def test_the_hook_scan_sees_a_hook():
     tree = ast.parse(
         "class Store:\n"

@@ -8,6 +8,7 @@ from repro import (
     OpKind,
     RecoverableSystem,
     SystemConfig,
+    SystemHealth,
     VsiRedoTest,
     verify_recovered,
 )
@@ -50,6 +51,42 @@ class TestLifecycle:
         reopened = PersistentSystem.open(str(tmp_path))
         assert reopened.peek("y") == b"fine" and reopened.peek("x") is None
         reopened.close()
+
+    @pytest.mark.parametrize("backend", ["memory", "file"])
+    def test_crashing_twice_is_crashing_once(self, tmp_path, backend):
+        from repro.storage.registry import make_log, make_store
+        from tests.conftest import listen
+
+        def crashed(times):
+            root = str(tmp_path / str(times)) if backend == "file" else None
+            system = RecoverableSystem(
+                store=make_store(backend, root), log=make_log(backend, root)
+            )
+            events = listen(system)
+            system.execute(physical("x", b"stable"))
+            system.log.force()
+            system.execute(physical("x", b"lost"))
+            system.execute(physical("y", b"lost"))
+            lost = [system.crash() for _ in range(times)]
+            return system, lost, events
+
+        def ids(ops):
+            return [(op.name, op.lsi) for op in ops]
+
+        once, lost_once, events_once = crashed(1)
+        twice, lost_twice, events_twice = crashed(2)
+        assert [name for name, _ in ids(lost_once[0])] == ["wp(x)", "wp(y)"]
+        assert [ids(ops) for ops in lost_twice] == [ids(lost_once[0]), []]
+        assert ids(twice.history) == ids(once.history)
+        assert twice.health is once.health is SystemHealth.RECOVERING
+        assert events_twice == events_once
+        assert events_once.of_kind("health.transition") == [
+            {"from": "healthy", "to": "recovering"}
+        ]
+        for system in (once, twice):
+            system.recover()
+            verify_recovered(system)
+            assert system.read("x") == b"stable"
 
     def test_peek_works_while_crashed(self, system):
         system.execute(physical("x", b"v"))

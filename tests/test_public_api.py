@@ -29,7 +29,6 @@ class TestTopLevel:
         # The operable-daemon surface is part of the package API.
         for name in (
             "ServeDaemon", "DaemonClient", "DaemonConfig", "RetryPolicy",
-            "ServingWatchdog",
             "LiveFireConfig", "LiveFireHarness", "SCENARIOS",
             "ServeError", "BackpressureError", "DeadlineExceededError",
             "ServerUnavailableError", "ShuttingDownError",
@@ -104,6 +103,8 @@ REMOVED_MODULES = [
     "repro.kernel." + "crash",
     # 8.0.0: the event stream needs no tracer of its own.
     "repro.analysis." + "trace",
+    # 9.0.0: a served shard drives its own recovery ladder.
+    "repro.serve." + "watchdog",
 ]
 REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     prefix + "LiveFire" + suffix
@@ -127,6 +128,12 @@ REMOVED_NAMES = ["Sharded" + "ServeDaemon", "Sharded" + "DaemonConfig"] + [
     # 8.0.0: a list subscribed to the registry is the event sink.
     "Trace" + "Event",
     "Tra" + "cer",
+    # 9.0.0: one recovery driver per served shard; nothing only the
+    # tests reach.
+    "Serving" + "Watchdog",
+    "Log" + "Breakdown",
+    "analyze" + "_log",
+    "engine" + "_summary",
 ]
 # 4.7.0: one run path, one point counter, one sweep, one fuzz; the
 # injector raises the post-damage crash.  (module, attribute path)
@@ -193,12 +200,18 @@ REMOVED_ATTRIBUTES = [
     ("repro.storage.logstore",
      "LogStructuredStableStore.compaction" + "_hook"),
     ("repro.analysis.logstats", "_hist" + "_quantile"),
+] + [
+    # 9.0.0: nothing that only the tests reach.
+    ("repro.analysis.logstats", "_bump"),
+    ("repro.storage.stats", "IOStats.total_device" + "_writes"),
+    ("repro.storage.faults", "FaultKind.FSYNC" + "_FAIL"),
+    ("repro.storage.faults", "FaultKind." + "SLOW"),
 ]
 
 
 class TestRemovedPaths:
     """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0,
-    5.3.0, 6.0.0, 7.0.0, 8.0.0) are gone, not aliased."""
+    5.3.0, 6.0.0, 7.0.0, 8.0.0, 9.0.0) are gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):
@@ -333,6 +346,7 @@ CALL_SURFACE = {
     "repro.topology.build_systems": (
         "shards", "store_backend", "root", "models", "metrics",
     ),
+    "repro.replica.witness.WitnessDaemon": ("system", "config", "witness"),
 }
 
 

@@ -1040,6 +1040,51 @@ class TestOneEncoding:
 
 
 # ----------------------------------------------------------------------
+# the witness recovers through its shard's one recovery driver
+# ----------------------------------------------------------------------
+class TestRecoveryDriver:
+    """A redo cycle and a promotion each run the ladder once, through
+    the shard's driver, and neither counts as a mid-serve restart."""
+
+    def _witness_holding_a_record(self):
+        from repro.core.operation import put_object
+        from repro.replica import WitnessConfig, WitnessDaemon
+
+        witness = WitnessDaemon(
+            RecoverableSystem(),
+            DaemonConfig(port=0, http_port=None),
+            witness=WitnessConfig(),
+        )
+        witness.system.execute(put_object("a", b"v"))
+        witness.system.log.force()
+        return witness
+
+    def _runs_and_restarts(self, witness):
+        obs = witness.system.obs
+        return [
+            obs.counter_value("recovery.supervised_runs"),
+            obs.counter_value("serve.restarts"),
+            witness.restarts(),
+        ]
+
+    def test_a_redo_cycle_is_one_supervised_run(self):
+        witness = self._witness_holding_a_record()
+        before = self._runs_and_restarts(witness)
+        witness._redo_cycle()
+        after = self._runs_and_restarts(witness)
+        assert witness.redo_cycles == 1
+        assert [b - a for a, b in zip(before, after)] == [1, 0, 0]
+
+    def test_a_promotion_is_one_supervised_run(self):
+        witness = self._witness_holding_a_record()
+        before = self._runs_and_restarts(witness)
+        response = witness._promote("promote-1")
+        after = self._runs_and_restarts(witness)
+        assert response["ok"] and witness.promoted
+        assert [b - a for a, b in zip(before, after)] == [1, 0, 0]
+
+
+# ----------------------------------------------------------------------
 # the witness's materialize step installs outside the write graph
 # ----------------------------------------------------------------------
 @pytest.mark.xfail(

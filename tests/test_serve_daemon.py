@@ -52,6 +52,7 @@ from tests.conftest import (
     StalledExecute,
     StalledForce,
     concurrent_puts,
+    listen,
     wait_until,
 )
 
@@ -448,6 +449,48 @@ class TestWatchdog:
         assert client.get(x) == (b"precious", lsi)
         assert system.log.is_stable(lsi)
         client.close()
+
+    def test_a_crash_counts_one_restart_everywhere(self, served):
+        # The kernel's registry counts the crash and the restart, the
+        # daemon's the shard's crash, and the shard its restart; the
+        # events say crash, then restart.
+        system = target(served)
+        events = listen(system)
+        shard_crashes = f"serve.shard.{served.shards - 1}.crashes"
+
+        def counts():
+            return [
+                system.obs.counter_value("serve.crashes"),
+                system.obs.counter_value("serve.restarts"),
+                served.obs.counter_value(shard_crashes),
+                served.restarts(),
+            ]
+
+        before = counts()
+        original = system.log.force
+        fired = []
+
+        def flaky():
+            if not fired:
+                fired.append(True)
+                raise SimulatedCrash("device lost mid-force")
+            return original()
+
+        system.log.force = flaky
+        client = client_for(
+            served,
+            policy=RetryPolicy(attempts=4, base_delay=0.001),
+        )
+        client.put(key(served, "x"), b"v")
+        client.close()
+        assert [b - a for a, b in zip(before, counts())] == [1, 1, 1, 1]
+        ladder = [
+            (kind, details["restarts"]) for kind, details in events
+            if kind.startswith("watchdog.")
+        ]
+        assert ladder == [("watchdog.crash", 0), ("watchdog.restart", 1)]
+        gauges = system.obs.snapshot()["gauges"]
+        assert gauges["serve.watchdog_restarts"] == 1
 
 
 class TestCommitter:
@@ -986,4 +1029,16 @@ class TestTopologyComesFromTheSystem:
                 ShardedSystem.build(2),
                 DaemonConfig(http_port=None),
                 replication=ReplicationConfig(),
+            )
+
+    def test_a_witness_takes_no_backup(self):
+        from repro.replica import WitnessConfig
+        from repro.topology import build_daemon
+
+        with pytest.raises(ValueError, match="not from a backup"):
+            build_daemon(
+                ShardedSystem.build(1),
+                DaemonConfig(http_port=None),
+                witness=WitnessConfig(),
+                backups=[None],
             )

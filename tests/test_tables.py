@@ -68,10 +68,3 @@ class TestIOStats:
         stats.bump("custom")
         stats.bump("custom", 4)
         assert stats.snapshot()["custom"] == 5
-
-    def test_total_device_writes(self):
-        stats = IOStats()
-        stats.object_writes = 3
-        stats.shadow_writes = 2
-        stats.pointer_swings = 1
-        assert stats.total_device_writes() == 6
