@@ -165,7 +165,10 @@ class CacheManager:
         that fails (bad inputs, missing source object) must leave no
         trace on the log.
         """
-        reads = {obj: self.read_object(obj) for obj in op.reads}
+        # In a fixed order: a miss is a device read, so the order is
+        # fault-point numbering and LRU heat, and must not follow the
+        # process's string hashing.
+        reads = {obj: self.read_object(obj) for obj in sorted(op.reads)}
         writes = execute_transform(op, reads, self.registry)
         if set(writes) != set(op.writes):
             raise CacheError(

@@ -120,5 +120,8 @@ class BackupManager:
             raise ValueError("no backup retained")
         backup = self._retained[-1]
         self.system.crash()
+        # Before the first write: a crash inside the restore leaves part
+        # of the image, which only another restore may be redone over.
+        self.system.store.media_redo_pending = backup.start_lsi
         backup.restore_into(self.system.store)
         return self.system.recover(media_redo_start=backup.start_lsi)

@@ -15,8 +15,8 @@ ladder with budgets:
    at once (recovery is idempotent, so there is nothing to wait for);
 2. **quarantine + media restore** — a checksum failure surfacing during
    recovery is left for the next attempt's pre-recovery scrub, which
-   quarantines the damaged version and reinstates it from the backup
-   image (when the supervisor was given one) before widening the redo scan;
+   quarantines the damaged version, restores the whole backup image
+   (when the supervisor was given one) and widens the redo scan;
 3. **degraded read-only mode** — when recovery converges but some
    quarantined objects never came back (no backup version, no
    log-reachable derivation), the system enters
@@ -196,9 +196,9 @@ class RecoverySupervisor:
                     continue
                 except CorruptObjectError as exc:
                     # The damage is stable; the next attempt's
-                    # pre-recovery scrub quarantines it and (if allowed)
-                    # restores from the backup image before widening the
-                    # redo scan.
+                    # pre-recovery scrub quarantines it, restores the
+                    # backup image (when given one) and widens the redo
+                    # scan.
                     report.attempts.append(
                         self._record(
                             attempt,

@@ -712,8 +712,8 @@ class _InProcess:
                 run_plan.kill_step,
             )
         # Backups at time zero pin the log and back the quarantine path,
-        # so mid-serve media restores can reinstate corrupt objects
-        # instead of escalating to DEGRADED.
+        # so a mid-serve quarantine restores the image and redoes the
+        # log instead of escalating to DEGRADED.
         self.backups = [
             BackupManager(system).take_backup()
             for system in self.sharded.systems

@@ -4,15 +4,19 @@ The paper notes that a backup must itself remain recoverable: because a
 fuzzy backup copies objects asynchronously with normal execution, the
 copy can violate the flush order that the cache manager honoured for the
 stable store.  The companion paper [10] solves this in full; here we
-provide the substrate hook — an incremental object-at-a-time backup with
-a recorded *backup-start lSI* — so media recovery can be exercised:
-restore the backup, then run redo recovery over the log suffix from the
+provide the substrate — an object-at-a-time backup with a recorded
+*backup-start lSI* — so media recovery can be exercised: restore the
+whole image, then run redo recovery over the log suffix from the
 backup-start point.
 
-Replaying the whole suffix "repeats history" onto the backup image and
-repairs any flush-order violations the fuzzy copy introduced, provided
-the log has not been truncated past the backup-start lSI.  That proviso
-is enforced by the log manager's truncation check.
+Replaying the suffix "repeats history" onto the image, provided the log
+has not been truncated past the backup-start lSI (the log manager's
+truncation check enforces that).  Replay does **not** repair a
+flush-order violation that an interleaved copy introduced: a logical
+record redone over the image reads the imaged versions of its inputs,
+so the image must itself be a recoverable state — one the cache
+manager's flush order could have left on the stable store.  For the
+same reason an image is restored whole, never one object at a time.
 """
 
 from __future__ import annotations
@@ -78,25 +82,15 @@ class FuzzyBackup:
     def restore_into(self, store: StableStore) -> None:
         """Replace the store's contents with the backup image.
 
-        The caller must follow this with a redo recovery pass starting
-        at ``start_lsi`` to bring the image to a recoverable state.
+        The caller must follow this with a redo pass in media mode
+        from ``start_lsi``; until that pass completes the store is not
+        a recoverable state, so record the window first
+        (``StableStore.media_redo_pending``, as
+        ``RecoverableSystem.recover`` does) if a crash may intervene.
         """
         if not self._finished:
             raise ValueError("cannot restore an unfinished backup")
         store.restore_versions(self._image)
-
-    def restore_object(self, store: StableStore, obj: ObjectId) -> None:
-        """Restore one object from the image (absent in image = remove).
-
-        This is the quarantine fallback: a stored version that failed
-        its checksum is replaced by the (older) backed-up version, and a
-        media-style redo pass from ``start_lsi`` repeats history onto
-        it.  As with a full restore, replaying the suffix is what makes
-        the result correct.
-        """
-        if not self._finished:
-            raise ValueError("cannot restore from an unfinished backup")
-        store.restore_version(obj, self._image.get(obj))
 
     def __len__(self) -> int:
         return len(self._image)

@@ -302,15 +302,6 @@ class FaultyStore(DeviceFaultInjector, StableStore):
         super().quarantine(obj)
         self._crcs.pop(obj, None)
 
-    def restore_version(
-        self, obj: ObjectId, version: Optional[StoredVersion]
-    ) -> None:
-        super().restore_version(obj, version)
-        if version is None:
-            self._crcs.pop(obj, None)
-        else:
-            self._crcs[obj] = version_checksum(version)
-
     def restore_versions(
         self, versions: Mapping[ObjectId, StoredVersion]
     ) -> None:

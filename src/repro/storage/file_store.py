@@ -13,8 +13,8 @@ vSI}`` and every ``read`` / ``peek`` is a verified read of the object's
 file.  A torn or bit-rotted file fails its frame test — on load, where
 it is **quarantined** (moved to ``<root>/quarantine/``), or on the read
 that touches it, which raises :class:`CorruptObjectError` — instead of
-yielding garbage; recovery then replays the object from the log (see
-``RecoverableSystem.recover``'s quarantine fallback).
+yielding garbage; recovery then rebuilds it from a backup image and
+the log (see ``RecoverableSystem.recover``'s quarantine fallback).
 
 ``os.replace`` and ``os.unlink`` mutate the *directory*, and a
 metadata-losing crash can undo them unless the directory is fsynced —

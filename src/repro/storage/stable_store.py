@@ -159,18 +159,9 @@ class StableStore:
         """Take a failed version out of service (no I/O accounting).
 
         Readers then see "absent" rather than garbage; media-style
-        recovery reinstates the object from a backup and/or the log.
+        recovery rebuilds the object from a backup image and/or the log.
         """
         self._versions.pop(obj, None)
-
-    def restore_version(
-        self, obj: ObjectId, version: Optional[StoredVersion]
-    ) -> None:
-        """Media-recovery restore of one object (``None`` removes it)."""
-        if version is None:
-            self._drop(obj)
-        else:
-            self._put(obj, version)
 
     # ------------------------------------------------------------------
     # maintenance

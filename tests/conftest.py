@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import threading
 
@@ -279,6 +280,25 @@ def physiological(name: str, obj: str, fn: str, params: tuple) -> Operation:
         writes={obj},
         fn=fn,
         params=params,
+    )
+
+
+def small_cache_torture(backend: str):
+    """The bounded-cache torture row: two cached objects and a purge
+    after most operations, so a damaged write is met by a cache miss
+    while the workload still runs.  (The CLI's harness has an unbounded
+    cache, so its reads never reach the device.)"""
+    from repro.kernel.torture import TortureConfig
+    from repro.storage.registry import recommended_cache_config
+
+    return TortureConfig(
+        objects=6,
+        operations=40,
+        p_purge=0.6,
+        store_backend=backend,
+        cache_factory=lambda: dataclasses.replace(
+            recommended_cache_config(backend), capacity=2
+        ),
     )
 
 

@@ -269,17 +269,6 @@ class TestRestore:
         assert sorted(again.object_ids()) == ["a", "b"]
         assert again.peek("a").value == b"1"
 
-    def test_restore_version_none_appends_tombstone(self, dbdir):
-        store = LogStructuredStableStore(dbdir)
-        store.write("x", b"v", 1)
-        store.restore_version("x", None)
-        assert not LogStructuredStableStore(dbdir).contains("x")
-
-    def test_restore_version_value_is_durable(self, dbdir):
-        store = LogStructuredStableStore(dbdir)
-        store.restore_version("x", StoredVersion(b"restored", 9))
-        assert LogStructuredStableStore(dbdir).peek("x").value == b"restored"
-
 
 class TestRebuildParity:
     """Randomized workloads: the rebuilt logstore state must match a

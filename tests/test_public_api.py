@@ -206,12 +206,17 @@ REMOVED_ATTRIBUTES = [
     ("repro.storage.stats", "IOStats.total_device" + "_writes"),
     ("repro.storage.faults", "FaultKind.FSYNC" + "_FAIL"),
     ("repro.storage.faults", "FaultKind." + "SLOW"),
+] + [
+    # 10.0.0: media repair restores the whole backup image.
+    ("repro.storage.backup", "FuzzyBackup.restore" + "_object"),
+    ("repro.storage.stable_store", "StableStore.restore" + "_version"),
+    ("repro.storage.faultwrap", "FaultyStore.restore" + "_version"),
 ]
 
 
 class TestRemovedPaths:
     """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0,
-    5.3.0, 6.0.0, 7.0.0, 8.0.0, 9.0.0) are gone, not aliased."""
+    5.3.0, 6.0.0, 7.0.0, 8.0.0, 9.0.0, 10.0.0) are gone, not aliased."""
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):

@@ -23,7 +23,7 @@ import pytest
 from repro.common.errors import CorruptObjectError, SimulatedCrash
 from repro.kernel.supervisor import RecoverySupervisor
 from repro.kernel.system import RecoverableSystem, SystemConfig, SystemHealth
-from repro.kernel.torture import TortureConfig, TortureHarness
+from repro.kernel.torture import TortureHarness
 from repro.obs.metrics import MetricsRegistry
 from repro.persist import PersistentSystem
 from repro.storage import logstore as logstore_module
@@ -45,7 +45,7 @@ from repro.storage.logstore import (
 from repro.storage.registry import recommended_cache_config
 from repro.storage.stable_store import StoredVersion
 
-from tests.conftest import physical
+from tests.conftest import physical, small_cache_torture
 
 DURABLE = ["file", "logstore"]
 
@@ -150,19 +150,8 @@ class TestDamageIsFoundByTheRead:
     ):
         """A CORRUPT write fault, then a cache miss on that object while
         the workload is still running: the read raises, the machine
-        dies there, and recovery verifies clean.  (The CLI's harness
-        has an unbounded cache, so its reads never reach the device.)"""
-        harness = TortureHarness(
-            TortureConfig(
-                objects=6,
-                operations=40,
-                p_purge=0.6,
-                store_backend=backend,
-                cache_factory=lambda: dataclasses.replace(
-                    recommended_cache_config(backend), capacity=2
-                ),
-            )
-        )
+        dies there, and recovery verifies clean."""
+        harness = TortureHarness(small_cache_torture(backend))
         spec = FaultSpec(5, FaultKind.CORRUPT)
         # Found during the drive — before any crash, scrub or restart.
         with harness._system(FaultModel([spec])) as (system, _backup):
