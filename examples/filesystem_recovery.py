@@ -66,10 +66,11 @@ def main() -> None:
 
     expected_raw = fs.read_file("raw")
 
-    # Disk dies: restore the backup image, then replay the log suffix.
-    backup.restore_into(system.store)
+    # Disk dies: mark a restore pending, and recovery restores the
+    # backup image, then replays the log suffix.
     system.crash()
-    report = system.recover(media_redo_start=backup.start_lsi)
+    system.store.media_redo_pending = backup.start_lsi
+    report = system.recover(quarantine_backup=backup)
     verify_recovered(system)
     fs = RecoverableFileSystem(system)
     assert fs.read_file("raw") == expected_raw

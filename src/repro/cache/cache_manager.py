@@ -621,7 +621,7 @@ class CacheManager:
                         entry.dirty = False
         self._engine.remove_node(node)
 
-    def install_unexposed(self) -> int:
+    def install_unexposed(self, flush: bool = False) -> int:
         """Install minimal nodes whose flush set is empty, at zero I/O.
 
         A later blind update left every object such a node wrote
@@ -637,20 +637,37 @@ class CacheManager:
         them.  Returns the number of nodes installed, at most
         :data:`UNEXPOSED_INSTALLS_PER_CALL`; a call with nothing to
         install costs one look at the frontier.
+
+        With ``flush=True`` (a witness's redo cycle: its log holds the
+        primary's lSIs) it also flushes what it installs, with no
+        per-call bound, still no force and no record, and none of this
+        verb's telemetry; it stops at the first flush set only a logged
+        identity write could dissolve (several objects under
+        ``IDENTITY_WRITES``).
         """
-        obs = self.obs
+        obs = NULL_OBS if flush else self.obs
         started = time.perf_counter() if obs.enabled else 0.0
         graph = self._engine
         is_stable = self.log.is_stable
+        split = (
+            self.config.multi_object_strategy
+            is MultiObjectStrategy.IDENTITY_WRITES
+        )
         installed = 0
-        while installed < UNEXPOSED_INSTALLS_PER_CALL:
+        while flush or installed < UNEXPOSED_INSTALLS_PER_CALL:
             node = graph.least_minimal()
-            if node is None or node.vars:
+            if node is None or (node.vars and not flush):
+                break
+            vars_ = set(node.vars)
+            if split and len(vars_) > 1:
                 break
             ops, new_rsis, wal_bound = self._installation_plan(node)
             if not is_stable(wal_bound):
                 break  # its turn comes once the committer catches up
-            self._retire(node, ops, frozenset(), new_rsis)
+            if vars_:
+                self._flush_objects(vars_)
+                self.stats.flushes += 1
+            self._retire(node, ops, vars_, new_rsis)
             installed += 1
         if obs.enabled:
             obs.observe(
@@ -790,10 +807,6 @@ class CacheManager:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def dirty_objects(self) -> List[ObjectId]:
-        """Objects with uninstalled updates, per the dirty object table."""
-        return sorted(obj for obj, _ in self.dirty_table.items())
-
     def entry(self, obj: ObjectId) -> Optional[CacheEntry]:
         """The raw cache entry for tests and verifiers."""
         return self._entries.get(obj)

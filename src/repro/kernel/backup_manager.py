@@ -112,9 +112,10 @@ class BackupManager:
         """Media recovery: restore the newest backup and replay.
 
         The system is crashed (volatile state gone, simulating the
-        media failure taking the machine down), the store is replaced
-        by the backup image, and media-mode redo recovery replays the
-        retained log suffix from the backup's window start.
+        media failure taking the machine down) and a restore is marked
+        pending, so recovery takes its one media path: it restores the
+        whole image and replays the retained log suffix from the
+        backup's window start in media mode.
         """
         if not self._retained:
             raise ValueError("no backup retained")
@@ -123,5 +124,4 @@ class BackupManager:
         # Before the first write: a crash inside the restore leaves part
         # of the image, which only another restore may be redone over.
         self.system.store.media_redo_pending = backup.start_lsi
-        backup.restore_into(self.system.store)
-        return self.system.recover(media_redo_start=backup.start_lsi)
+        return self.system.recover(quarantine_backup=backup)

@@ -365,20 +365,16 @@ class RecoverableSystem:
         return lost
 
     def recover(
-        self,
-        media_redo_start: Optional[StateId] = None,
-        quarantine_backup: Optional["FuzzyBackup"] = None,
+        self, quarantine_backup: Optional["FuzzyBackup"] = None
     ) -> RecoveryReport:
         """Run analysis + redo and adopt the outcome.
-
-        ``media_redo_start`` enables media-recovery mode after a backup
-        restore: the redo scan starts at the backup-start lSI with the
-        per-object vSI test (see RecoveryManager.run).
 
         Before either pass runs, the stable store is scrubbed: stored
         versions that fail their integrity check (torn writes, bit rot)
         are **quarantined** rather than replayed over, and recovery
-        falls back to media mode for the whole store.  With
+        falls back to media mode for the whole store — the redo scan
+        opens early and uses the per-object vSI test (see
+        :meth:`RecoveryManager.run`).  With
         ``quarantine_backup`` the whole image is restored
         (:meth:`FuzzyBackup.restore_into`) and the redo scan opens at
         its ``start_lsi``: every object a redone record reads is then
@@ -399,9 +395,7 @@ class RecoverableSystem:
         self.health = SystemHealth.RECOVERING
         self.last_quarantined = {}
         with self.obs.span("recovery.scrub", phase="recovery") as scrub_span:
-            media_redo_start = self._quarantine_scrub(
-                media_redo_start, quarantine_backup
-            )
+            media_start = self._quarantine_scrub(quarantine_backup)
             scrub_span.tag(
                 quarantined=sorted(map(str, self.last_quarantined))
             )
@@ -415,9 +409,9 @@ class RecoverableSystem:
         with self.obs.span(
             "recovery.redo",
             phase="recovery",
-            media=media_redo_start is not None,
+            media=media_start is not None,
         ) as redo_span:
-            outcome = manager.run(media_redo_start=media_redo_start)
+            outcome = manager.run(media_start)
             redo_span.tag(redone=len(outcome.redone_ops))
         if self.history is not None and len(self.history) == 0:
             # A verifier's *cold open* (no in-process history, e.g. a
@@ -441,18 +435,15 @@ class RecoverableSystem:
         return outcome.report
 
     def _quarantine_scrub(
-        self,
-        media_redo_start: Optional[StateId],
-        backup: Optional["FuzzyBackup"],
+        self, backup: Optional["FuzzyBackup"]
     ) -> Optional[StateId]:
         """Quarantine checksum-failing versions; open the redo window;
         restore the backup's whole image when one is needed.
 
-        Returns the redo window's start: the caller's
-        ``media_redo_start``, lowered to a pending marker's and — when
-        corruption was found or a restore is pending — to the backup's
-        ``start_lsi`` (without a backup, the retained log's start).
-        None, when nothing asks for media mode.
+        Returns the redo window's start: a pending marker's, lowered —
+        when corruption was found or a restore is pending — to the
+        backup's ``start_lsi`` (without a backup, to the retained log's
+        start on corruption).  None, when nothing asks for media mode.
         """
         # A prior attempt's media restore whose widened redo never
         # finished: its store may hold part of the image.
@@ -469,7 +460,7 @@ class RecoverableSystem:
         if corrupt:
             self.stats.media_recoveries += 1
         restore = backup is not None and (bool(corrupt) or pending is not None)
-        starts = [s for s in (media_redo_start, pending) if s is not None]
+        starts = [] if pending is None else [pending]
         if restore:
             starts.append(backup.start_lsi)
         elif corrupt:

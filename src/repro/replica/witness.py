@@ -13,7 +13,8 @@ path**: on a cadence it crashes its own volatile state, runs the
 :class:`~repro.kernel.supervisor.RecoverySupervisor` ladder through its
 shard's one recovery driver
 (:meth:`~repro.serve.worker._Shard.supervise`), and installs the
-redone versions into its stable store.  This is the
+redone operations through its cache manager, in write-graph order.
+This is the
 paper's REDO test doing replication: the shipped records keep the
 primary's lSIs, the witness's installed versions carry those lSIs as
 vSIs, and the test ``lsi >= max(rsi, vsi + 1)`` prunes exactly the
@@ -43,7 +44,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.common.identifiers import NULL_SI, StateId
-from repro.core.operation import TOMBSTONE
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.obs.tracing import stage
 from repro.replica import wire
@@ -105,7 +105,7 @@ class WitnessDaemon(ServeDaemon):
         #: Highest ``through`` covered by our own stable log (what we
         #: ack): everything at or below it is durable here.
         self._adopted_through: StateId = NULL_SI
-        #: Watermark the last redo/materialize cycle installed through.
+        #: Watermark the last redo/materialize cycle redid through.
         self._materialized_through: StateId = NULL_SI
         self._records_since_cycle = 0
         #: Completed redo/materialize cycles (telemetry + tests).
@@ -397,14 +397,13 @@ class WitnessDaemon(ServeDaemon):
     def _redo_cycle(self) -> None:
         """Crash, supervise recovery, install, truncate.
 
-        One cycle makes everything at or below the current stable end
-        *recovery-stable*: the supervisor replays the adopted records
-        through analysis + REDO-test pruning, and the materialize step
-        installs every dirty cache entry into the stable store at its
-        vSI.  After installation every retained record's effects have
-        ``vSI >= lSI``, so the REDO test would skip them all — which is
-        exactly the condition under which truncating them is safe (and
-        the witness's own restart recovery stays bounded).
+        The supervisor replays the adopted records through analysis +
+        REDO-test pruning; the redone operations install through the
+        cache manager in write-graph order, so a crash between any two
+        store writes recovers.  The log is then cut where a truncating
+        checkpoint cuts it: below the oldest rSI still dirty (a flush
+        set waiting for the primary's identity writes), else past the
+        watermark.
         """
         with self._witness_lock:
             if self._promoted.is_set():
@@ -420,7 +419,13 @@ class WitnessDaemon(ServeDaemon):
                 # The ladder did not converge (it will re-run next
                 # cycle and at promotion); keep the log intact.
                 return
-            self._materialize_locked(watermark)
+            # Flush, but neither force nor log: the adopted log's lSIs
+            # are the primary's.
+            cache = self.system.cache
+            cache.install_unexposed(flush=True)
+            oldest, end = cache.dirty_table.min_rsi(), watermark + 1
+            cut = end if oldest is None else min(oldest, end)
+            self.system.log.truncate_before(cut, cut)
             self._materialized_through = watermark
             self._records_since_cycle = 0
             self.redo_cycles += 1
@@ -432,22 +437,6 @@ class WitnessDaemon(ServeDaemon):
                 self.system.obs.gauge(
                     "repl.redo_lag_records", self.redo_lag_records
                 )
-
-    def _materialize_locked(self, watermark: StateId) -> None:
-        """Install redone versions; truncate the covered log prefix."""
-        system = self.system
-        cache, store, log = system.cache, system.store, system.log
-        for obj in cache.dirty_objects():
-            entry = cache.entry(obj)
-            if entry is None:
-                continue
-            if store.vsi_of(obj) >= entry.vsi:
-                continue  # an earlier cycle already installed this
-            if entry.value is TOMBSTONE:
-                store.delete(obj)
-            else:
-                store.write(obj, entry.value, entry.vsi)
-        log.truncate_before(watermark + 1, watermark + 1)
 
     # ------------------------------------------------------------------
     # promotion (apply thread, via the ``promote`` request kind)

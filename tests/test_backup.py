@@ -77,12 +77,12 @@ class TestMediaRecovery:
         system.flush_all()
         expected = {obj: system.read(obj) for obj in ("x", "y")}
 
-        # Media failure: lose the stable store, restore the backup,
-        # then run media-mode redo recovery over the retained log
-        # suffix, starting at the backup-start point.
-        backup.restore_into(system.store)
+        # Media failure: lose the stable store; with a restore marked
+        # pending, recovery restores the backup and runs media-mode redo
+        # over the retained log suffix from the backup-start point.
         system.crash()
-        system.recover(media_redo_start=backup.start_lsi)
+        system.store.media_redo_pending = backup.start_lsi
+        system.recover(quarantine_backup=backup)
         verify_recovered(system)
         assert {obj: system.read(obj) for obj in ("x", "y")} == expected
 

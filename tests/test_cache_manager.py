@@ -87,7 +87,8 @@ class TestExecute:
         with pytest.raises(CacheError, match="cannot be stored"):
             cm.execute(op)
         assert op.lsi == 0 and stats.log_records == 1
-        assert cm.dirty_objects() == ["y"] and len(cm.engine) == 1
+        assert sorted(cm.dirty_table.snapshot()) == ["y"]
+        assert len(cm.engine) == 1
         assert cm.read_object("x") is None
         assert cm.flush_all() == 1
 
@@ -132,7 +133,7 @@ class TestInstallation:
         op = _physical("x", b"v")
         cm.execute(op)
         cm.flush_all()
-        assert cm.dirty_objects() == []
+        assert len(cm.dirty_table) == 0
         entry = cm.entry("x")
         assert entry is not None and not entry.dirty
         assert store.read("x").vsi == op.lsi

@@ -794,6 +794,71 @@ def test_no_class_carries_a_hook():
     assert offenders == []
 
 
+#: Where a stable store may be written: the cache manager's installs,
+#: the stores and flush mechanisms themselves, and recovery's re-apply
+#: of a committed flush transaction.
+STORE_WRITERS = ("cache/", "storage/", "core/recovery.py")
+STORE_MUTATORS = frozenset({"write", "write_many", "delete", "restore_versions"})
+
+
+def _store_mutations(tree):
+    """Line numbers of every ``<...>store.write / write_many / delete /
+    restore_versions(...)`` call."""
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in STORE_MUTATORS
+        ):
+            continue
+        receiver = node.func.value
+        name = getattr(receiver, "attr", getattr(receiver, "id", ""))
+        if name.endswith("store"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def _store_writer(relative):
+    return any(
+        relative == site or (site.endswith("/") and relative.startswith(site))
+        for site in STORE_WRITERS
+    )
+
+
+def test_no_store_write_outside_the_installers():
+    """Only the cache manager's installs (and the layers beneath them)
+    change a stable store; a second installer beside them writes in an
+    order the write graph never approved."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        relative = path.relative_to(SRC).as_posix()
+        if _store_writer(relative):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for lineno in _store_mutations(tree):
+            offenders.append(f"{relative}:{lineno}")
+    assert offenders == []
+
+
+def test_the_store_scan_sees_a_store_write():
+    tree = ast.parse(
+        "system.store.write(obj, value, vsi)\n"
+        "self.store.delete(obj)\n"
+        "store.write_many(versions, atomic=True)\n"
+        "target_store.restore_versions(versions)\n"
+        "handle.write(data)\n"
+        "fs.delete(path)\n"
+        "store.read(obj)\n"
+    )
+    assert _store_mutations(tree) == [1, 2, 3, 4]
+    for site in ("cache/cache_manager.py", "core/recovery.py"):
+        tree = ast.parse((SRC / site).read_text(encoding="utf-8"))
+        assert _store_mutations(tree), site
+    assert not _store_writer("replica/witness.py")
+    assert not _store_writer("core/redo.py")
+
+
 #: The modules that may build the recovery ladder: the torture harness's
 #: runs, a database's open, and a served shard's one driver
 #: (``_Shard.supervise``), which startup, revive, a mid-serve crash and

@@ -254,9 +254,9 @@ class TestReleasedHistory:
         system.flush_all()
         system.checkpoint()  # summarizes everything above as installed
         system.log.force()
-        backup.restore_into(system.store)
         system.crash()
-        report = system.recover(media_redo_start=backup.start_lsi)
+        system.store.media_redo_pending = backup.start_lsi
+        report = system.recover(quarantine_backup=backup)
         # From the first operation logged since the backup began, though
         # the later checkpoint's own table is empty.
         assert backup.start_lsi <= report.redo_start_lsi < report.checkpoint_lsi

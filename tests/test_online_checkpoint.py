@@ -46,7 +46,9 @@ class TestInstallBefore:
         installed = system.cache.install_before(target)
         assert installed == 6
         assert system.cache.dirty_table.min_rsi() > target
-        assert system.cache.dirty_objects() == [f"new{i}" for i in range(6)]
+        assert sorted(system.cache.dirty_table.snapshot()) == [
+            f"new{i}" for i in range(6)
+        ]
         assert system.stats.flushes == 6
 
     def test_predecessors_install_first_whatever_their_age(self):
@@ -65,7 +67,7 @@ class TestInstallBefore:
             system.engine.node_of(derive)
         }
         assert system.cache.install_before(target) == 2
-        assert system.cache.dirty_objects() == ["y"]
+        assert sorted(system.cache.dirty_table.snapshot()) == ["y"]
         system.log.force()
         system.crash()
         system.recover()

@@ -211,12 +211,25 @@ REMOVED_ATTRIBUTES = [
     ("repro.storage.backup", "FuzzyBackup.restore" + "_object"),
     ("repro.storage.stable_store", "StableStore.restore" + "_version"),
     ("repro.storage.faultwrap", "FaultyStore.restore" + "_version"),
+] + [
+    # 11.0.0: the witness installs through the write graph, and only
+    # tests read the dirty objects off the cache manager.
+    ("repro.replica.witness", "WitnessDaemon._materialize" + "_locked"),
+    ("repro.cache.cache_manager", "CacheManager.dirty" + "_objects"),
 ]
 
 
 class TestRemovedPaths:
     """Removed modules and names (3.0.0, 4.0.0, 4.7.0, 5.0.0, 5.2.0,
-    5.3.0, 6.0.0, 7.0.0, 8.0.0, 9.0.0, 10.0.0) are gone, not aliased."""
+    5.3.0, 6.0.0, 7.0.0, 8.0.0, 9.0.0, 10.0.0, 11.0.0) are gone, not
+    aliased."""
+
+    def test_recover_takes_no_media_redo_start(self):
+        # 11.0.0: a media restore is a pending marker plus the backup.
+        from repro.kernel.system import RecoverableSystem
+
+        parameters = inspect.signature(RecoverableSystem.recover).parameters
+        assert tuple(parameters) == ("self", "quarantine_backup")
 
     @pytest.mark.parametrize("module", REMOVED_MODULES)
     def test_module_is_gone(self, module):

@@ -1085,36 +1085,67 @@ class TestRecoveryDriver:
 
 
 # ----------------------------------------------------------------------
-# the witness's materialize step installs outside the write graph
+# the witness's redo cycle installs through the write graph
 # ----------------------------------------------------------------------
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="_materialize_locked writes dirty objects in sorted order, "
-    "outside the write graph: a crash between its writes installs an "
-    "input past a record that still has to be redone",
-)
-@pytest.mark.parametrize("backend", ["file", "logstore"])
-def test_crash_mid_materialize_keeps_derived_values(
-    tmp_path, monkeypatch, backend
-):
-    """``b := derive(a)`` then ``a := touch(a)``: the cycle installs the
-    touched ``a`` first, so a crash before ``b`` lands leaves a store
-    from which the redo of the derive reads the wrong ``a``."""
-    import hashlib
-
-    from repro.common.errors import SimulatedCrash
-    from repro.core.operation import put_object
-    from repro.kernel.supervisor import RecoverySupervisor
+def _witness_on(backend, root, model=None):
+    """An unstarted witness over ``backend`` at ``root``, built as
+    ``serve --witness-of`` builds one; ``model`` faults its store."""
     from repro.replica import WitnessConfig
     from repro.topology import build_daemon, build_systems
 
-    root = str(tmp_path)
-    witness = build_daemon(
-        build_systems(1, backend, root),
+    models = () if model is None else [model]
+    return build_daemon(
+        build_systems(1, backend, root, models=models),
         DaemonConfig(port=0, http_port=None),
         witness=WitnessConfig(),
     )
+
+
+def _cycle_armed(witness, model):
+    """Run one redo cycle with ``model`` armed once recovery is done,
+    so point *k* is the *k*-th store write of the cycle's installs."""
+    from repro.storage.faults import FaultCrash
+
+    shard = witness._shards[0]
+    supervise = shard.supervise
+
+    def supervise_then_arm(*args, **kwargs):
+        supervise(*args, **kwargs)
+        model.armed = True
+
+    shard.supervise = supervise_then_arm
+    try:
+        witness._redo_cycle()
+    except FaultCrash:
+        return True
+    finally:
+        model.armed = False
+        del shard.supervise
+        witness.system.close()
+    return False
+
+
+def _reopened(backend, root):
+    from repro.topology import build_systems
+
+    system = build_systems(1, backend, root).systems[0]
+    system.recover()
+    return system
+
+
+@pytest.mark.parametrize("backend", ["file", "logstore"])
+def test_crash_mid_materialize_keeps_derived_values(tmp_path, backend):
+    """``b := derive(a)`` then ``a := touch(a)``: a crash right after
+    the cycle's first store write must leave a store from which the
+    redo of the derive still reads the ``a`` it read."""
+    import hashlib
+
+    from repro.core.operation import put_object
+    from repro.storage.faults import FaultKind, FaultModel, FaultSpec
+
+    root = str(tmp_path)
+    model = FaultModel([FaultSpec(1, FaultKind.CRASH)], armed=False)
+    witness = _witness_on(backend, root, model)
     system = witness.system
     system.execute(put_object("a", b"v0"))
     system.execute(Operation(
@@ -1126,25 +1157,116 @@ def test_crash_mid_materialize_keeps_derived_values(
         fn="wl_touch", params=("a",),
     ))
     system.log.force()
-    watermark = system.log.stable_end_lsi()
-    # The cycle, as _redo_cycle runs it, dying after its first write.
-    system.crash()
-    RecoverySupervisor(system).run()
-    write = system.store.write
-    landed = []
+    assert _cycle_armed(witness, model)
+    assert len(system.store) == 1  # the crash came after one write
 
-    def write_then_crash(obj, value, vsi):
-        write(obj, value, vsi)
-        landed.append(obj)
-        raise SimulatedCrash("after the first materialize write")
-
-    monkeypatch.setattr(system.store, "write", write_then_crash)
-    with pytest.raises(SimulatedCrash):
-        witness._materialize_locked(watermark)
-    if landed != ["a"]:  # not an AssertionError: only the read may xfail
-        pytest.fail(f"materialize installed {landed} first, not ['a']")
-    system.crash()
-
-    again = build_systems(1, backend, root).systems[0]
-    again.recover()
+    again = _reopened(backend, root)
     assert again.read("b") == hashlib.sha256(b"derive" + b"v0").digest()
+    again.close()
+
+
+def _logical_ops(seed):
+    from repro.workloads import LogicalWorkload, LogicalWorkloadConfig
+
+    config = LogicalWorkloadConfig(objects=6, operations=30)
+    return list(LogicalWorkload(config, seed=seed).operations())
+
+
+@pytest.mark.parametrize("backend", ["file", "logstore"])
+def test_witness_crash_sweep(tmp_path, backend):
+    """Crash the redo cycle before each of its store writes, 40 seeds
+    of a logical workload: every reopened directory holds what the
+    workload computed."""
+    from repro.storage.faults import (
+        FORWARD_PHASE, FaultKind, FaultModel, FaultSpec,
+    )
+
+    wrong, points = [], 0
+    for seed in range(40):
+        reference = RecoverableSystem()
+        register_workload_functions(reference.registry)
+        ops = _logical_ops(seed)
+        for op in ops:
+            reference.execute(op)
+        ids = sorted({obj for op in ops for obj in op.writes})
+        expected = {obj: reference.read(obj) for obj in ids}
+
+        def run(model, where):
+            root = str(tmp_path / where)
+            witness = _witness_on(backend, root, model)
+            for op in _logical_ops(seed):
+                witness.system.execute(op)
+            witness.system.log.force()
+            crashed = _cycle_armed(witness, model)
+            again = _reopened(backend, root)
+            wrong.extend(
+                (seed, where, obj) for obj in ids
+                if again.read(obj) != expected[obj]
+            )
+            again.close()
+            return crashed
+
+        counter = FaultModel(armed=False)
+        assert not run(counter, f"{seed}-all")
+        count = counter.points_in(FORWARD_PHASE)
+        for point in range(count):
+            spec = FaultSpec(point, FaultKind.CRASH)
+            assert run(FaultModel([spec], armed=False), f"{seed}-{point}")
+        points += count
+    assert points >= 200
+    assert wrong == []
+
+
+def test_a_pinned_witness_log_drains_with_the_primarys_identity_writes(
+    tmp_path,
+):
+    """A cycle of logical writes leaves a two-object flush set that the
+    witness cannot install without logging, so its log stays pinned;
+    the primary's ``flush_all`` ships the identity writes that split
+    it, and the next cycle installs everything and truncates the log."""
+    from repro.core.operation import put_object
+    from repro.topology import build_systems
+
+    primary = build_systems(1, "file", str(tmp_path / "primary")).systems[0]
+    witness = _witness_on("file", str(tmp_path / "witness"))
+    shipped = NULL_SI
+
+    def ship():
+        nonlocal shipped
+        primary.log.force()
+        frames = [
+            (lsi, frame)
+            for lsi, code, frame in primary.log.stable_frames(shipped + 1)
+            if code in SHIPPED_TYPES
+        ]
+        witness.system.log.adopt_records(b"".join(f for _, f in frames))
+        shipped = frames[-1][0]
+        witness._redo_cycle()
+
+    primary.execute(put_object("x", b"x0"))
+    primary.execute(put_object("y", b"y0"))
+    for op in (
+        Operation("a", OpKind.LOGICAL, reads={"x", "y"}, writes={"y"},
+                  fn="wl_combine", params=("x", "y")),
+        Operation("b", OpKind.LOGICAL, reads={"y"}, writes={"x"},
+                  fn="wl_derive", params=("y", "x")),
+        Operation("c", OpKind.PHYSIOLOGICAL, reads={"y"}, writes={"y"},
+                  fn="wl_touch", params=("y",)),
+    ):
+        primary.execute(op)
+    ship()
+    log = witness.system.log
+    assert witness.redo_cycles == 1
+    assert log.footprint()["stable_records"] > 0
+    assert witness.system.cache.dirty_table.min_rsi() is not None
+
+    primary.flush_all()
+    assert primary.stats.identity_writes > 0
+    ship()
+    assert witness.redo_cycles == 2
+    assert log.footprint()["stable_records"] == 0
+    assert len(witness.system.cache.dirty_table) == 0
+    for obj in ("x", "y"):
+        assert witness.system.store.read(obj).value == primary.read(obj)
+    witness.system.close()
+    primary.close()

@@ -187,7 +187,7 @@ class RecoverableSystemMachine(RuleBasedStateMachine):
         if self.crashed:
             return
         cache = self.system.cache
-        for obj in cache.dirty_objects():
+        for obj, _ in cache.dirty_table.items():
             entry = cache.entry(obj)
             assert entry is not None, f"dirty {obj} not cached"
             # A dirty object has uninstalled updates or was installed
