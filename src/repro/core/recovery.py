@@ -31,14 +31,14 @@ rerun converges to the same verified state.  Recovery's own I/O is
 hardened like the forward paths: reads and re-apply writes retry
 transient faults, and a checkpoint whose payload fails its content
 checksum is rejected in favour of the previous intact one (or the log
-start).  The escalation beyond retries — quarantine, media restore,
-degraded mode — lives in :mod:`repro.kernel.supervisor`.
+start).  Quarantine and media restore run in the kernel's ``recover()``,
+and the escalation beyond retries in :mod:`repro.kernel.supervisor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.common.errors import UnknownFunctionError
 from repro.common.retry import retry_transient
@@ -97,6 +97,8 @@ class RecoveryOutcome:
     #: registers each one's footprint; nothing keeps the list, or the
     #: operations, once the outcome is adopted.
     redone_ops: List[Operation] = field(default_factory=list)
+    #: Media mode: the objects the redo could not rebuild.
+    lost: Set[ObjectId] = field(default_factory=set)
 
 
 class RecoveryManager:
@@ -120,31 +122,38 @@ class RecoveryManager:
     # entry point
     # ------------------------------------------------------------------
     def run(
-        self, media_redo_start: Optional[StateId] = None
+        self,
+        media_redo_start: Optional[StateId] = None,
+        lost: Iterable[ObjectId] = (),
     ) -> RecoveryOutcome:
         """Execute both passes and return the outcome.
 
         ``media_redo_start`` switches to media-recovery mode: the
-        stable store was just replaced by a (fuzzy) backup, so the
-        dirty-object table reconstructed by analysis describes the
-        *lost* store and cannot be trusted for skipping.  The redo scan
-        instead starts at the backup-start lSI and relies purely on the
+        stable store was just replaced by a (fuzzy) backup, or lost
+        quarantined versions, so the dirty-object table reconstructed
+        by analysis cannot be trusted for skipping.  The redo scan
+        instead starts at ``media_redo_start`` and relies on the
         per-object vSI test — the classical media-recovery discipline
-        (the full treatment of logical operations over fuzzy backups is
-        the companion paper [10]; see DESIGN.md for scope).
+        (the full treatment of logical operations over fuzzy backups
+        is the companion paper [10]; see DESIGN.md for scope).
+
+        A media redo keeps the ledger of objects it cannot rebuild,
+        seeded with ``lost`` and returned on ``RecoveryOutcome.lost``.
+        A record reading a lost object, or an input whose held vSI is
+        above its lSI, is voided unexecuted; a voided record's writes
+        join the ledger and a redone one's leave it; and a record
+        skipped as installed adds each write whose vSI is below its lSI.
         """
         report = RecoveryReport()
         dirty = self._analysis_pass(report, media_redo_start)
-        volatile, redone = self._redo_pass(
-            report,
-            dirty,
-            redo_test=VsiRedoTest() if media_redo_start is not None else None,
-        )
+        ledger = None if media_redo_start is None else set(lost)
+        volatile, redone = self._redo_pass(report, dirty, ledger)
         return RecoveryOutcome(
             report=report,
             dirty=dirty,
             volatile=volatile,
             redone_ops=redone,
+            lost=ledger or set(),
         )
 
     # ------------------------------------------------------------------
@@ -248,9 +257,10 @@ class RecoveryManager:
         self,
         report: RecoveryReport,
         dirty: DirtyObjectTable,
-        redo_test: Optional[RedoTest] = None,
+        lost: Optional[Set[ObjectId]] = None,
     ) -> Tuple[Dict[ObjectId, Tuple[Any, StateId]], List[Operation]]:
-        test = redo_test if redo_test is not None else self.redo_test
+        """``lost``: the media-mode ledger, updated in place."""
+        test = self.redo_test if lost is None else VsiRedoTest()
         start = dirty.min_rsi()
         if start is None:
             # Nothing dirty: no redo needed.
@@ -297,13 +307,30 @@ class RecoveryManager:
             if decision is RedoDecision.SKIP_INSTALLED:
                 report.ops_skipped_installed += 1
                 self.stats.redo_skipped += 1
+                if lost is not None:
+                    lost.update(o for o in op.writes if vsi_of(o) < op.lsi)
                 continue
             if decision is RedoDecision.SKIP_UNEXPOSED:
                 report.ops_skipped_unexposed += 1
                 self.stats.redo_skipped += 1
                 continue
-            self._trial_execute(op, value_of, volatile, redone, report)
+            if lost is None:
+                self._trial_execute(op, value_of, volatile, redone, report)
+            elif any(obj in lost or vsi_of(obj) > op.lsi for obj in op.reads):
+                # Inapplicable state: an input is lost or past this
+                # record, so its redo would compute something else.
+                lost.update(op.writes)
+                self._void(report)
+            elif self._trial_execute(op, value_of, volatile, redone, report):
+                lost.difference_update(op.writes)
+            else:
+                lost.update(op.writes)
         return volatile, redone
+
+    def _void(self, report: RecoveryReport) -> bool:
+        report.ops_voided += 1
+        self.stats.redo_voided += 1
+        return False
 
     def _trial_execute(
         self,
@@ -312,8 +339,9 @@ class RecoveryManager:
         volatile: Dict[ObjectId, Tuple[Any, StateId]],
         redone: List[Operation],
         report: RecoveryReport,
-    ) -> None:
-        """Re-execute ``op`` with the Section 5 voiding rules.
+    ) -> bool:
+        """Re-execute ``op`` with the Section 5 voiding rules; True
+        when it was redone, False when voided.
 
         Rule (b): an execution updating more than the original writeset
         is detected and voided.  Rule (c): an execution raising against
@@ -329,15 +357,12 @@ class RecoveryManager:
             # would silently lose the operation's effects; fail loudly.
             raise
         except Exception:
-            report.ops_voided += 1
-            self.stats.redo_voided += 1
-            return
+            return self._void(report)
         if set(writes) != set(op.writes):
-            report.ops_voided += 1
-            self.stats.redo_voided += 1
-            return
+            return self._void(report)
         for obj, value in writes.items():
             volatile[obj] = (value, op.lsi)
         redone.append(op)
         report.ops_redone += 1
         self.stats.redo_executed += 1
+        return True

@@ -116,11 +116,6 @@ class GeneralizedRedoTest(RedoTest):
 
     name = "rsi"
 
-    def __init__(self, check_vsi: bool = True) -> None:
-        #: Whether to confirm with the (page-read-costing) vSI check
-        #: before redoing; disabling it models an analysis-only test.
-        self.check_vsi = check_vsi
-
     def decide(
         self,
         op: Operation,
@@ -136,11 +131,10 @@ class GeneralizedRedoTest(RedoTest):
             break
         if not needs_redo:
             return RedoDecision.SKIP_UNEXPOSED
-        if self.check_vsi:
-            for obj in op.writes:
-                if vsi_of(obj) >= op.lsi:
-                    # The installation record was lost with the volatile
-                    # log buffer, but the flushed version proves
-                    # installation anyway.
-                    return RedoDecision.SKIP_INSTALLED
+        for obj in op.writes:
+            if vsi_of(obj) >= op.lsi:
+                # The installation record was lost with the volatile
+                # log buffer, but the flushed version proves
+                # installation anyway.
+                return RedoDecision.SKIP_INSTALLED
         return RedoDecision.REDO

@@ -17,11 +17,10 @@ ladder with budgets:
    recovery is left for the next attempt's pre-recovery scrub, which
    quarantines the damaged version, restores the whole backup image
    (when the supervisor was given one) and widens the redo scan;
-3. **degraded read-only mode** — when recovery converges but some
-   quarantined objects never came back (no backup version, no
-   log-reachable derivation), the system enters
-   :attr:`~repro.kernel.system.SystemHealth.DEGRADED`: surviving
-   objects stay readable, writes raise
+3. **degraded read-only mode** — ``recover()`` itself lands
+   :attr:`~repro.kernel.system.SystemHealth.DEGRADED` when its media
+   redo could not rebuild some objects: surviving objects stay
+   readable, writes raise
    :class:`~repro.common.errors.DegradedModeError`;
 4. **failed** — the attempt budget exhausted without convergence.
 
@@ -29,28 +28,23 @@ Every run produces a structured :class:`FailureReport` — the
 per-attempt fault trace, each escalation decision, the objects lost and
 restored, and how much of the attempt budget was consumed —
 renderable via :func:`repro.analysis.logstats.failure_summary` and
-surfaced by ``python -m repro torture``.
-
-Lost-vs-restored classification uses the vSIs the damaged versions
-*claimed*: torn/corrupt damage preserves the intended vSI, so after a
-converged recovery an object is restored iff its current version is at
-least that recent (``cache.vsi_of(obj) >= claimed``) — a later version
-can only come from repeating history, and an older one (or none) means
-the derivation was out of reach.
+surfaced by ``python -m repro torture``.  The lost objects are the
+system's ``lost_objects``; the restored ones, what the run quarantined
+that is not among them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.common.errors import (
     CorruptObjectError,
     SimulatedCrash,
     TransientStorageError,
 )
-from repro.common.identifiers import ObjectId, StateId
+from repro.common.identifiers import ObjectId
 from repro.kernel.system import RecoverableSystem, SystemHealth
 from repro.storage.backup import FuzzyBackup
 
@@ -149,8 +143,6 @@ class RecoverySupervisor:
         system = self.system
         start = time.monotonic()
         report = FailureReport(max_attempts=cfg.max_attempts)
-        #: obj -> vSI its damaged version claimed, merged across attempts.
-        claimed: Dict[ObjectId, StateId] = {}
 
         for attempt in range(cfg.max_attempts):
             system.stats.recovery_attempts += 1
@@ -169,14 +161,7 @@ class RecoverySupervisor:
                 **trace_tags
             ) as span:
                 try:
-                    # Merge quarantine observations from *every* attempt,
-                    # converged or not: an object quarantined by a run
-                    # that later crashed stays quarantined in the store,
-                    # and a fresh scrub will not see it again.
-                    try:
-                        system.recover(quarantine_backup=self.backup)
-                    finally:
-                        claimed.update(system.last_quarantined)
+                    system.recover(quarantine_backup=self.backup)
                 except SimulatedCrash as exc:
                     system.stats.recovery_restarts += 1
                     report.attempts.append(
@@ -230,9 +215,7 @@ class RecoverySupervisor:
                     continue
 
                 return self._finish_obs(
-                    self._converge(
-                        report, attempt, claimed, fault_mark, start, span
-                    )
+                    self._converge(report, attempt, fault_mark, start, span)
                 )
 
         # Attempts exhausted without convergence.
@@ -249,34 +232,33 @@ class RecoverySupervisor:
         self,
         report: FailureReport,
         attempt: int,
-        claimed: Dict[ObjectId, StateId],
         fault_mark: int,
         start: float,
         span=None,
     ) -> FailureReport:
+        """Report the verdict ``recover()`` reached: its lost objects,
+        and every object this run quarantined that is not among them."""
         system = self.system
-        lost = sorted(
-            obj
-            for obj, vsi in claimed.items()
-            if system.cache.vsi_of(obj) < vsi
-        )
-        restored = sorted(obj for obj in claimed if obj not in lost)
         record = self._record(
             attempt, "converged", "none", None, fault_mark, span
         )
+        report.attempts.append(record)
+        lost = sorted(system.lost_objects)
+        restored = sorted(
+            {obj for one in report.attempts for obj in one.quarantined}
+            - system.lost_objects
+        )
         if lost:
             record.escalation = "degrade"
-            system.enter_degraded(lost)
         if span is not None:
             span.tag(
                 escalation=record.escalation,
                 lost=len(lost),
                 restored=len(restored),
             )
-        report.attempts.append(record)
         report.converged = True
-        report.objects_lost = list(lost)
-        report.objects_restored = list(restored)
+        report.objects_lost = lost
+        report.objects_restored = restored
         report.final_health = system.health
         report.elapsed = time.monotonic() - start
         system.last_failure_report = report

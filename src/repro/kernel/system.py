@@ -14,10 +14,10 @@ function registry, and exposes the lifecycle the paper describes:
 
 A :class:`SystemHealth` state machine tracks the escalation ladder
 (HEALTHY / RECOVERING / DEGRADED / FAILED): :meth:`crash` enters
-RECOVERING, a converged :meth:`recover` returns to HEALTHY, and the
-recovery supervisor (:mod:`repro.kernel.supervisor`) may instead land
-the system in degraded read-only mode or declare it failed when its
-escalation budgets run out.
+RECOVERING, a converged :meth:`recover` lands HEALTHY — or DEGRADED
+while some object is lost — and the recovery supervisor
+(:mod:`repro.kernel.supervisor`) declares it failed when its budget
+runs out.
 
 A system built for verification also carries the submitted
 :class:`~repro.core.history.History`, so verifiers can compare recovered
@@ -62,11 +62,13 @@ class SystemHealth(enum.Enum):
     * ``RECOVERING`` — crashed, recovery not (successfully) finished;
       reads and writes raise until :meth:`RecoverableSystem.recover`
       converges (the supervisor drives retries here).
-    * ``DEGRADED`` — recovery converged for every recoverable object
-      but some objects were *lost* (quarantined with neither a backup
-      version nor a log-reachable derivation).  Reads of surviving
-      objects succeed; reads of lost objects and **all** writes raise
-      :class:`~repro.common.errors.DegradedModeError`.
+    * ``DEGRADED`` — recovery converged but some objects are *lost*:
+      quarantined, or written by a record the media redo could not
+      redo, and not rebuilt since (``lost_objects``).  Reads of
+      surviving objects succeed; reads of lost objects and **all**
+      writes raise :class:`~repro.common.errors.DegradedModeError`.
+      A crash keeps the lost set, so the next recovery lands here
+      again unless a media redo rebuilds them.
     * ``FAILED`` — the supervisor exhausted its budgets without
       converging; nothing is trustworthy and every access raises.
     """
@@ -147,14 +149,11 @@ class RecoverableSystem:
         #: Writes go through the ``health`` property so every transition
         #: is emitted (and lands in an attached flight recorder).
         self._health = SystemHealth.HEALTHY
-        #: Objects declared lost by the supervisor when entering
-        #: DEGRADED; reads of these raise until an operator intervenes.
+        #: What the scrub quarantined, then what the last media redo
+        #: could not rebuild; recover() lands DEGRADED while it is set.
         self.lost_objects: Set[ObjectId] = set()
-        #: Objects quarantined by the most recent recover() attempt,
-        #: mapped to the vSI their (damaged) stored version claimed —
-        #: the supervisor compares post-recovery vSIs against these to
-        #: classify each quarantined object as restored or lost.
-        self.last_quarantined: Dict[ObjectId, StateId] = {}
+        #: Objects quarantined by the most recent recover() attempt.
+        self.last_quarantined: List[ObjectId] = []
 
     def attach_metrics(
         self, registry: Optional[MetricsRegistry] = None
@@ -373,16 +372,17 @@ class RecoverableSystem:
         versions that fail their integrity check (torn writes, bit rot)
         are **quarantined** rather than replayed over, and recovery
         falls back to media mode for the whole store — the redo scan
-        opens early and uses the per-object vSI test (see
-        :meth:`RecoveryManager.run`).  With
+        opens early, uses the per-object vSI test and keeps the ledger
+        of lost objects (see :meth:`RecoveryManager.run`).  With
         ``quarantine_backup`` the whole image is restored
         (:meth:`FuzzyBackup.restore_into`) and the redo scan opens at
         its ``start_lsi``: every object a redone record reads is then
         at or before that record's state, which is what the REDO test
         needs of a logical record's inputs.  Without one, the scan
-        widens to the retained log's start, so repeat-history repairs
-        the quarantined objects while the vSI test bypasses the intact
-        ones (best effort: see :meth:`_quarantine_scrub`).
+        widens to the retained log's start and the redo rebuilds what
+        the log still writes.  A media redo sets ``lost_objects`` to
+        what it could not rebuild, a normal one keeps it, and the
+        system lands DEGRADED while it is not empty.
 
         The widened window is recorded on the stable store
         (``media_redo_pending``) *before* the restore's first write and
@@ -393,7 +393,7 @@ class RecoverableSystem:
         state the redo can start from.
         """
         self.health = SystemHealth.RECOVERING
-        self.last_quarantined = {}
+        self.last_quarantined = []
         with self.obs.span("recovery.scrub", phase="recovery") as scrub_span:
             media_start = self._quarantine_scrub(quarantine_backup)
             scrub_span.tag(
@@ -411,7 +411,7 @@ class RecoverableSystem:
             phase="recovery",
             media=media_start is not None,
         ) as redo_span:
-            outcome = manager.run(media_start)
+            outcome = manager.run(media_start, self.lost_objects)
             redo_span.tag(redone=len(outcome.redone_ops))
         if self.history is not None and len(self.history) == 0:
             # A verifier's *cold open* (no in-process history, e.g. a
@@ -428,8 +428,12 @@ class RecoverableSystem:
             self.cache.set_obs(self.obs)
             self.cache.adopt_recovery(outcome.volatile, outcome.redone_ops)
         self._crashed = False
-        self.health = SystemHealth.HEALTHY
-        self.lost_objects = set()
+        if media_start is not None:
+            self.lost_objects = outcome.lost
+        if self.lost_objects:
+            self.enter_degraded(self.lost_objects)
+        else:
+            self.health = SystemHealth.HEALTHY
         self.store.media_redo_pending = None
         self.last_report = outcome.report
         return outcome.report
@@ -450,11 +454,8 @@ class RecoverableSystem:
         pending = self.store.media_redo_pending
         corrupt = self.store.scrub()
         for obj in corrupt:
-            # Record the vSI the damaged version claimed: damage keeps
-            # the intended vSI, so "did something at least this recent
-            # come back?" is exactly the restored-vs-lost question the
-            # supervisor asks after redo.
-            self.last_quarantined[obj] = self.store.vsi_of(obj)
+            self.last_quarantined.append(obj)
+            self.lost_objects.add(obj)
             self.store.quarantine(obj)
             self.stats.quarantines += 1
         if corrupt:
@@ -464,11 +465,6 @@ class RecoverableSystem:
         if restore:
             starts.append(backup.start_lsi)
         elif corrupt:
-            # Best effort without an image: replay the whole retained
-            # log over the intact objects.  A redone logical record may
-            # then read an input installed past it, so a derived object
-            # can come back wrong (a strict xfail in
-            # tests/test_bounded_cache_media.py pins it).
             starts.append(self.log.stable_start_lsi())
         if not starts:
             return None
@@ -478,6 +474,8 @@ class RecoverableSystem:
         self.store.media_redo_pending = start
         if restore:
             backup.restore_into(self.store)
+            # The image holds every object at a recoverable state.
+            self.lost_objects = set()
         return start
 
     # ------------------------------------------------------------------
@@ -486,9 +484,8 @@ class RecoverableSystem:
     def enter_degraded(self, lost: Iterable[ObjectId]) -> None:
         """Enter degraded read-only mode, naming the lost objects.
 
-        Recovery converged for everything it could redo, but the listed
-        objects are gone (quarantined with no backup version and no
-        log-reachable derivation).  Surviving objects stay readable;
+        :meth:`recover` calls it when its lost-object ledger is not
+        empty.  Surviving objects stay readable;
         writes — which would let new state depend on the holes — raise
         :class:`~repro.common.errors.DegradedModeError`.
         """

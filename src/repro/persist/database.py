@@ -68,11 +68,11 @@ class PersistentSystem:
         and returns the recovered system.  ``domains`` are
         function-registration callables (e.g.
         ``register_filesystem_functions``) invoked on the registry
-        before replay.  With ``supervisor_config`` the open-time
-        recovery runs under the escalation-ladder supervisor: the
-        system comes back HEALTHY when recovery converges, or DEGRADED
-        (read-only over the surviving objects) when it cannot, with
-        the structured verdict on ``system.last_failure_report``.
+        before replay.  The system comes back HEALTHY, or DEGRADED
+        (read-only over the surviving objects) when recovery could not
+        rebuild some object.  With ``supervisor_config`` the open-time
+        recovery runs under the escalation-ladder supervisor, with the
+        structured verdict on ``system.last_failure_report``.
 
         ``metrics`` attaches a :class:`~repro.obs.metrics.MetricsRegistry`
         before recovery runs, so the open-time recovery's phase spans

@@ -103,7 +103,7 @@ class TestColdRestartMediaRecovery:
         """Open attempt whose redo pass dies after the scrub widened."""
         from repro.core.recovery import RecoveryManager
 
-        def die(self, media_redo_start=None):
+        def die(self, media_redo_start=None, lost=()):
             raise SimulatedCrash("process killed mid-media-redo")
 
         with monkeypatch.context() as patch:

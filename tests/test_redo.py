@@ -102,13 +102,6 @@ class TestGeneralizedRedoTest:
         decision = test.decide(_op(5), _vsi({"x": 5}), dirty)
         assert decision is RedoDecision.SKIP_INSTALLED
 
-    def test_vsi_backstop_can_be_disabled(self):
-        test = GeneralizedRedoTest(check_vsi=False)
-        dirty = DirtyObjectTable({"x": 2})
-        assert (
-            test.decide(_op(5), _vsi({"x": 5}), dirty) is RedoDecision.REDO
-        )
-
     def test_multi_object_any_exposed_triggers_redo(self):
         test = GeneralizedRedoTest()
         op = _op(5, writes=("x", "y"))
