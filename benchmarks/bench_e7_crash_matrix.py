@@ -6,13 +6,14 @@ recovered; the recovered state is compared against the oracle over the
 durable history.  The matrix spans the four supported cache
 configurations.  Expected: 100% success everywhere.
 
-Three more rows crash one flush at each of its store writes, through
-the fault model (:func:`~repro.kernel.torture.flush_crash_sweep`): the
-``raw`` strawman (multi-object flushes with no atomicity mechanism)
-reports how often the torn flush leaves an *unrecoverable* state — the
-paper's motivation for the whole apparatus — and the shadow and
-flush-transaction rows show the same crash points under each atomic
-mechanism, where every one must recover.
+Three more rows are the torture harness's flush row
+(:data:`~repro.kernel.torture.FLUSH`): one flush crashed at each of its
+I/O points, and once after its last.  The ``raw`` strawman
+(multi-object flushes with no atomicity mechanism) reports how often
+the torn flush leaves an *unrecoverable* state — the paper's motivation
+for the whole apparatus — and the shadow and flush-transaction rows
+show the same crash points under each atomic mechanism, where every one
+must recover.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro import (
     verify_recovered,
 )
 from repro.analysis import Table
-from repro.kernel.torture import flush_crash_sweep
+from repro.kernel.torture import FLUSH, TortureConfig, TortureHarness
 from repro.storage import FlushTransaction, ShadowInstall
 from repro.workloads import (
     LogicalWorkload,
@@ -109,8 +110,9 @@ def _one_run(make_config, seed: int, crash_at: int) -> bool:
 
 
 def _flush_crash_sweep(mechanism, seed: int) -> List[bool]:
-    """Crash the strawman workload's final flush at each of its store
-    writes (through the fault model); one verdict per point."""
+    """Crash the strawman workload's final flush at each of its I/O
+    points and after its last (the harness's flush row); one verdict
+    per run."""
 
     def drive(system: RecoverableSystem) -> None:
         workload = LogicalWorkload(
@@ -128,13 +130,16 @@ def _flush_crash_sweep(mechanism, seed: int) -> List[bool]:
         for op in workload.operations():
             system.execute(op)
 
-    return flush_crash_sweep(
-        lambda: CacheConfig(
-            multi_object_strategy=MultiObjectStrategy.ATOMIC,
-            mechanism=mechanism,
+    harness = TortureHarness(
+        TortureConfig(
+            cache_factory=lambda: CacheConfig(
+                multi_object_strategy=MultiObjectStrategy.ATOMIC,
+                mechanism=mechanism,
+            )
         ),
-        drive,
+        drive=drive,
     )
+    return [outcome.ok for outcome in harness.sweep(FLUSH).outcomes]
 
 
 def _matrix() -> Dict[str, Dict[str, int]]:

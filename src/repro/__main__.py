@@ -8,7 +8,9 @@
   point of a seeded workload under every must-survive fault kind,
   ``fuzz`` runs N seeded random fault schedules, and ``v2`` does both to
   recovery's own I/O (nested crashes included) through the supervisor's
-  escalation ladder.  ``v3|v3-rewrite|v3-checkpoint|v4|v5`` are the
+  escalation ladder.  ``flush`` does both to one flush (and crashes once
+  after it), ``rot`` to the objects a truncating workload left stored,
+  recovered with no backup.  ``v3|v3-rewrite|v3-checkpoint|v4|v5`` are the
   live-fire rows of :mod:`repro.livefire`: concurrent clients drive a
   served workload over sockets while the storage misbehaves, the daemon
   (``v3``, over rewritten keys ``v3-rewrite``, inside an online
@@ -51,6 +53,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -233,25 +236,34 @@ def torture_fuzz(args: argparse.Namespace, metrics) -> int:
     return _report(harness.fuzz(args.runs, args.seed, rates), args)
 
 
-def torture_v2(args: argparse.Namespace, metrics) -> int:
-    from repro.kernel.torture import RECOVERY
+def torture_phase(
+    phase_name: str, points: str, schedules: str,
+    args: argparse.Namespace, metrics,
+) -> int:
+    """``v2``, ``flush`` and ``rot``: the sweep of one phase row of
+    :mod:`repro.kernel.torture`, then ``--fuzz-runs`` seeded schedules
+    in it at the row's rates with the ``--p-*`` flags applied."""
+    from repro.kernel import torture
 
+    phase = getattr(torture, phase_name)
     harness = _harness(args, metrics)
     print(
-        f"torture v2: sweeping {harness.points(RECOVERY)} recovery-phase "
-        f"I/O points (workload seed {args.workload_seed}, {args.ops} "
+        f"torture {args.row.name}: sweeping {harness.points(phase)} "
+        f"{points} (workload seed {args.workload_seed}, {args.ops} "
         "operations)"
     )
-    status = _report(harness.sweep(RECOVERY), args)
+    status = _report(harness.sweep(phase), args)
     if args.fuzz_runs > 0:
         print(
-            f"\nfuzzing {args.fuzz_runs} two-phase schedules "
+            f"\nfuzzing {args.fuzz_runs} {schedules} schedules "
             f"from seed {args.seed}"
         )
-        rates = FuzzRates(
-            torn=args.p_torn, corrupt=args.p_corrupt, crash=args.p_crash
-        )
-        fuzz = harness.fuzz(args.fuzz_runs, args.seed, rates, RECOVERY)
+        rates = dataclasses.replace(phase.rates, **{
+            f.dest[len("p_"):]: getattr(args, f.dest)
+            for f in args.row.flags
+            if f.dest.startswith("p_")
+        })
+        fuzz = harness.fuzz(args.fuzz_runs, args.seed, rates, phase)
         status = _report(fuzz, args) or status
     return status
 
@@ -316,6 +328,32 @@ def _livefire_mode(scenario: Scenario) -> Mode:
                 "--runs", scenario)
 
 
+def _rate_flags(**rates: float) -> Tuple[Flag, ...]:
+    """``--p-<kind>`` flags: a fuzz stage's per-point fault rates."""
+    what = {"transient": "transient-fault", "torn": "torn-write",
+            "corrupt": "corruption", "crash": "clean-crash"}
+    return tuple(
+        Flag(f"--p-{kind}", f"p_{kind}", fraction, rate,
+             f"per-point {what[kind]} rate")
+        for kind, rate in rates.items()
+    )
+
+
+def _phase_mode(
+    name: str, help: str, phase_name: str, points: str, schedules: str,
+    fuzz_runs: int, **rates: float,
+) -> Mode:
+    """A phase row's sub-command (:func:`torture_phase`)."""
+    return Mode(name, help, WORKLOAD + (
+        Flag("--fuzz-runs", "fuzz_runs", int, fuzz_runs, f"{schedules} "
+             "fuzz schedules after the sweep; 0 skips the fuzz stage",
+             shape=False),
+        SEED,
+    ) + _rate_flags(**rates),
+        functools.partial(torture_phase, phase_name, points, schedules),
+        "--fuzz-runs")
+
+
 #: The library campaigns' ``torture`` sub-commands.
 LIBRARY_MODES: Tuple[Mode, ...] = (
     Mode("sweep", "every I/O point x every must-survive fault kind",
@@ -323,26 +361,20 @@ LIBRARY_MODES: Tuple[Mode, ...] = (
     Mode("fuzz", "seeded random fault schedules", WORKLOAD + (
         Flag("--runs", "runs", int, 500, "number of schedules", shape=False),
         SEED,
-        Flag("--p-transient", "p_transient", fraction, 0.02,
-             "per-point transient-fault rate"),
-        Flag("--p-torn", "p_torn", fraction, 0.01,
-             "per-point torn-write rate"),
-        Flag("--p-corrupt", "p_corrupt", fraction, 0.01,
-             "per-point corruption rate"),
-    ), torture_fuzz, "--runs"),
-    Mode("v2", "crash recovery itself: recovery-point sweep (incl. nested "
-         "crashes) + two-phase fuzz via the supervisor", WORKLOAD + (
-        Flag("--fuzz-runs", "fuzz_runs", int, 200, "two-phase fuzz "
-             "schedules after the sweep; 0 skips the fuzz stage",
-             shape=False),
-        SEED,
-        Flag("--p-torn", "p_torn", fraction, 0.005,
-             "per-point torn-write rate"),
-        Flag("--p-corrupt", "p_corrupt", fraction, 0.005,
-             "per-point corruption rate"),
-        Flag("--p-crash", "p_crash", fraction, 0.01,
-             "per-point clean-crash rate"),
-    ), torture_v2, "--fuzz-runs"),
+    ) + _rate_flags(transient=0.02, torn=0.01, corrupt=0.01),
+        torture_fuzz, "--runs"),
+    _phase_mode("v2", "crash recovery itself: recovery-point sweep (incl. "
+                "nested crashes) + two-phase fuzz via the supervisor",
+                "RECOVERY", "recovery-phase I/O points", "two-phase", 200,
+                torn=0.005, corrupt=0.005, crash=0.01),
+    _phase_mode("flush", "crash one flush at each of its I/O points and "
+                "after its last + seeded faults inside the flush", "FLUSH",
+                "flush I/O points, then the crash after the flush",
+                "flush-phase", 100, torn=0.05, corrupt=0.05, crash=0.1),
+    _phase_mode("rot", "rot each stored object after a truncating workload "
+                "and recover with no backup + seeded multi-object rot",
+                "ROT", "stored objects after a truncating workload", "rot",
+                50, corrupt=0.3),
 )
 
 

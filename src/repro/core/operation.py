@@ -303,7 +303,9 @@ def execute_transform(
 
     For physical/identity operations the result is the logged payload;
     for logical/physiological operations the registered function is
-    applied to the read values.  The returned mapping's keys must equal
+    applied to the read values, a deleted input read as ``None`` (the
+    value execution's read gives it, so a redo and the oracle compute
+    what execution did).  The returned mapping's keys must equal
     the declared writeset — recovery relies on this to detect operations
     whose trial execution "attempts to update more than the original
     writeset" (Section 5 voiding rule b).
@@ -312,7 +314,13 @@ def execute_transform(
         assert op.payload is not None
         return dict(op.payload)
     fn = registry.resolve(op.fn)
-    produced = fn(dict(read_values), *op.params)
+    produced = fn(
+        {
+            obj: None if value is TOMBSTONE else value
+            for obj, value in read_values.items()
+        },
+        *op.params,
+    )
     if not isinstance(produced, dict):
         raise TypeError(
             f"transform {op.fn!r} must return a dict of writes, got "

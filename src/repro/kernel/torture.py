@@ -4,10 +4,10 @@ The crash matrix (E7) shows recovery survives *clean* crashes at every
 operation boundary; this harness shows it survives a **misbehaving
 device** — transient I/O errors, torn writes, silent corruption,
 crashes — at every numbered I/O point.  One run path serves two
-campaign shapes: a **sweep** numbers the I/O points with a counting run
-and runs every (point × fault kind) cell; a **fuzz** runs seeded
-schedules that draw faults at every point, each replayable from its
-single integer seed.
+campaign shapes: a **sweep** numbers the points with a counting run and
+runs every (point × fault kind) cell; a **fuzz** runs seeded schedules
+that draw faults at every point, each replayable from its single
+integer seed.
 
 A campaign takes a :class:`Phase` row.  :data:`FORWARD` faults the
 workload's own I/O and recovers bare against a disarmed device (the
@@ -18,18 +18,26 @@ nested crashes that kill recoveries that are themselves restarts
 included — and recovers through the
 :class:`~repro.kernel.supervisor.RecoverySupervisor` with the model
 still armed, so the escalation ladder must converge to ``HEALTHY``.
+:data:`FLUSH` runs the workload clean and faults one ``flush_all()``
+after a log force: its sweep crashes at each of the flush's I/O points
+(the tear an atomic flush set rules out) and once after its last, while
+the flush's installation records are still volatile.  :data:`ROT` runs
+the workload with truncating checkpoints, crashes, rots the stored
+objects (one point each) and supervises recovery with no backup: the
+media redo must name what it cannot rebuild, and serve nothing else
+wrong.  A harness built with ``drive`` runs that fixed history in place
+of the generated workload.
 
-Every run backs up at workload start (pinning the log, backing the
-quarantine path), drives, crashes, recovers, and asserts both oracles:
-:func:`~repro.kernel.verify.verify_recovered` (the crash-free oracle on
-the durable history) and :func:`~repro.core.invariants.check_explainable`
-(Theorem 3).  Forces and purges are drawn from an rng seeded only by the
-workload seed, so a faulted run's numbering lines up with its counting
-run.  :func:`flush_crash_sweep` aims the same model at one flush: a
-crash at each of its store writes, the tear an atomic flush set rules
-out.  :class:`Outcome` and :class:`TortureReport` are the live-fire
-harness's (:mod:`repro.livefire`) verdict types too.  A durable
-backend's runs force into the ``wal.log`` that ``serve`` runs.
+Every run but the rot row's backs up at workload start (pinning the
+log, backing the quarantine path), drives, crashes, recovers, and
+asserts both oracles: :func:`~repro.kernel.verify.verify_recovered`
+(the crash-free oracle on the durable history) and
+:func:`~repro.core.invariants.check_explainable` (Theorem 3).  Forces
+and purges are drawn from an rng seeded only by the workload seed, so a
+faulted run's numbering lines up with its counting run.
+:class:`Outcome` and :class:`TortureReport` are the live-fire harness's
+(:mod:`repro.livefire`) verdict types too.  A durable backend's runs
+force into the ``wal.log`` that ``serve`` runs.
 """
 
 from __future__ import annotations
@@ -46,27 +54,34 @@ from repro.cache.config import CacheConfig
 from repro.common.errors import (
     CorruptObjectError, SimulatedCrash, TransientStorageError,
 )
+from repro.common.identifiers import ObjectId
 from repro.common.rng import make_rng
+from repro.common.tombstone import TOMBSTONE
 from repro.core.invariants import check_explainable, stable_values_of
 from repro.kernel.backup_manager import BackupManager
 from repro.kernel.supervisor import (
     FailureReport, RecoverySupervisor, SupervisorConfig,
 )
 from repro.kernel.system import RecoverableSystem, SystemConfig, SystemHealth
-from repro.kernel.verify import verify_recovered
+from repro.kernel.verify import VerificationError, verify_recovered
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.faults import (
-    FORWARD_PHASE, RECOVERY_PHASE, FaultCrash, FaultKind, FaultModel,
-    FaultSpec, FuzzRates,
+    FLUSH_PHASE, FORWARD_PHASE, RECOVERY_PHASE, ROT_PHASE, FaultKind,
+    FaultModel, FaultSpec, FuzzRates,
 )
 from repro.storage.backup import FuzzyBackup
 from repro.storage.registry import is_durable, make_log, make_store
+from repro.storage.stats import IOStats
 from repro.workloads import (
     LogicalWorkload, LogicalWorkloadConfig, register_workload_functions,
 )
 
 #: Probability of a log force after each operation.
 P_FORCE = 0.4
+#: Rot row: probability of a checkpoint after each operation, and that
+#: it truncates the log (so a rotted object's writer may be gone).
+P_CHECKPOINT = 0.1
+P_TRUNCATE = 0.6
 #: Supervised runs: the supervisor's attempt budget.  Generous —
 #: nested-crash schedules legitimately burn several attempts before the
 #: last scheduled crash point is consumed.
@@ -89,8 +104,8 @@ class Phase:
     #: crash (the most adversarial moment to lose the machine), TRANSIENT
     #: burns two attempts and must be invisible, CORRUPT is silent.
     kinds: Tuple[FaultKind, ...]
-    #: Recover through the supervisor with the model still armed (else
-    #: one bare ``recover()`` against a disarmed device).
+    #: Recover through the supervisor (else one bare ``recover()``);
+    #: the device stays armed only on the recovery row.
     supervised: bool
     #: Add the nested-crash schedules to a sweep: three crash points a
     #: stride apart, so later ones kill recoveries that are restarts.
@@ -123,6 +138,30 @@ RECOVERY = Phase(
     supervised=True,
     nested=True,
     rates=FuzzRates(torn=0.005, corrupt=0.005, crash=0.01),
+)
+#: One ``flush_all()`` after a clean workload and a log force.  A sweep
+#: crashes at each of its I/O points — a crash between the writes of a
+#: non-atomic multi-object set tears it, the state an atomic flush set
+#: exists to rule out — and once after its last: the flush is done and
+#: its installation records are still in the log buffer.
+FLUSH = Phase(
+    FLUSH_PHASE,
+    kinds=(FaultKind.CRASH,),
+    supervised=False,
+    nested=False,
+    rates=FuzzRates(torn=0.05, corrupt=0.05, crash=0.1),
+)
+#: The objects a crashed store holds, one point each; CORRUPT rots one.
+#: The workload takes truncating checkpoints, so a rotted object's
+#: writer may be gone from the log, and recovery is supervised with no
+#: backup: the one row whose runs may end DEGRADED, when they name the
+#: lost objects, and must serve every other object as the oracle does.
+ROT = Phase(
+    ROT_PHASE,
+    kinds=(FaultKind.CORRUPT,),
+    supervised=True,
+    nested=False,
+    rates=FuzzRates(transient=0.0, torn=0.0, corrupt=0.3),
 )
 
 
@@ -192,9 +231,11 @@ class TortureOutcome(Outcome):
 
     #: Faults actually applied, in schedule notation.
     trace: List[str] = field(default_factory=list)
-    #: Supervised runs: recovery attempts the supervisor used, and its
-    #: structured report when the run failed.
+    #: Supervised runs: recovery attempts the supervisor used, the
+    #: objects it declared lost, and its structured report when the run
+    #: failed.
     attempts: int = 0
+    lost: List[ObjectId] = field(default_factory=list)
     failure_report: Optional[FailureReport] = None
 
     def details(self) -> List[str]:
@@ -217,8 +258,9 @@ class TortureReport:
     #: IOStats counters summed across runs.
     points: int = 0
     totals: Dict[str, int] = field(default_factory=dict)
-    #: Live-fire campaigns: ``(label, outcome field)`` pairs the summary
-    #: line sums across runs instead of naming the point space.
+    #: ``(label, outcome field)`` pairs the summary line sums across
+    #: runs: a live-fire campaign's acked writes, the rot row's lost
+    #: objects.
     tallies: Tuple[Tuple[str, str], ...] = ()
 
     @property
@@ -235,9 +277,10 @@ class TortureReport:
 
     def summary(self) -> str:
         """One status line, e.g. for the CLI."""
-        scope = "".join(
+        scope = f" over {self.points} fault points" if self.points else ""
+        scope += "".join(
             f", {self.total(name)} {label}" for label, name in self.tallies
-        ) or f" over {self.points} fault points"
+        )
         failed = len(self.failures())
         status = "OK" if failed == 0 else f"{failed} FAILED"
         runs = len(self.outcomes)
@@ -251,39 +294,64 @@ class TortureHarness:
         self,
         config: Optional[TortureConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
+        drive: Optional[Callable[[RecoverableSystem], None]] = None,
     ) -> None:
         self.config = config if config is not None else TortureConfig()
         self._totals: Dict[str, int] = {}
         #: Optional shared registry: every system the campaign builds
         #: attaches it, so spans and histograms accumulate across runs.
         self.obs = metrics
+        #: A fixed history, ``drive(system)``, run in place of the
+        #: generated workload (and its forces, purges and checkpoints).
+        self.drive = drive
 
     # ------------------------------------------------------------------
     # one run
     # ------------------------------------------------------------------
+    def _build(
+        self, model: FaultModel, root: Optional[str],
+        stats: Optional[IOStats] = None,
+    ) -> RecoverableSystem:
+        """A system on ``model``'s devices under ``root``."""
+        backend = self.config.store_backend
+        system = RecoverableSystem(
+            SystemConfig(cache=self.config.cache_factory()),
+            store=make_store(backend, root, stats, model=model),
+            log=make_log(backend, root, stats, model=model),
+        )
+        register_workload_functions(system.registry)
+        if self.obs is not None:
+            system.attach_metrics(self.obs)
+        return system
+
     @contextlib.contextmanager
     def _system(
-        self, model: FaultModel
-    ) -> Iterator[Tuple[RecoverableSystem, FuzzyBackup]]:
+        self, model: FaultModel, phase: Phase = FORWARD
+    ) -> Iterator[Tuple[RecoverableSystem, Optional[FuzzyBackup]]]:
         """A system on ``model``'s devices and a backup taken at
-        workload start; its scratch directory goes with it."""
+        workload start (none on the rot row: it would pin the log the
+        row's checkpoints truncate); its scratch directory goes with
+        it.  The model is armed from here only on the rows that fault
+        the workload."""
         backend = self.config.store_backend
         with scratch_root(backend, "repro-torture-") as root:
-            system = RecoverableSystem(
-                SystemConfig(cache=self.config.cache_factory()),
-                store=make_store(backend, root, model=model),
-                log=make_log(backend, root, model=model),
-            )
-            register_workload_functions(system.registry)
-            if self.obs is not None:
-                system.attach_metrics(self.obs)
-            yield system, BackupManager(system).take_backup()
+            model.armed = phase is FORWARD or phase is RECOVERY
+            system = self._build(model, root)
+            backup = None
+            if phase is not ROT:
+                backup = BackupManager(system).take_backup()
+            yield system, backup
 
-    def _drive(self, system: RecoverableSystem) -> None:
+    def _drive(
+        self, system: RecoverableSystem, model: FaultModel,
+        phase: Phase = FORWARD,
+    ) -> None:
         """Run the workload until it completes or the machine dies: an
         injected crash, a detected-corrupt read surfacing through the
         cache (a real system would fail the operation and enter
-        recovery), or a transient fault outliving the retry budget."""
+        recovery), or a transient fault outliving the retry budget.
+        The flush row then forces the log and runs one armed
+        ``flush_all()``."""
         cfg = self.config
         workload = LogicalWorkload(
             LogicalWorkloadConfig(
@@ -296,29 +364,69 @@ class TortureHarness:
         )
         interleave = make_rng(f"torture-interleave:{cfg.workload_seed}")
         try:
-            for op in workload.operations():
-                system.execute(op)
-                if interleave.random() < P_FORCE:
-                    system.log.force()
-                if interleave.random() < cfg.p_purge:
-                    system.purge()
+            if self.drive is not None:
+                self.drive(system)
+            else:
+                for op in workload.operations():
+                    system.execute(op)
+                    if interleave.random() < P_FORCE:
+                        system.log.force()
+                    if interleave.random() < cfg.p_purge:
+                        system.purge()
+                    if phase is ROT and interleave.random() < P_CHECKPOINT:
+                        system.checkpoint(
+                            truncate=interleave.random() < P_TRUNCATE
+                        )
+            if phase is FLUSH:
+                system.log.force()
+                model.enter_phase(FLUSH_PHASE)
+                model.armed = True
+                system.flush_all()
         except (SimulatedCrash, CorruptObjectError, TransientStorageError):
             pass
+
+    def _rot(
+        self, system: RecoverableSystem, model: FaultModel
+    ) -> RecoverableSystem:
+        """Rot each stored object whose rot point the model faults; a
+        ``file`` store rots while closed and its directory is reopened.
+        (A logstore rots in process: reopened over a rotted newest
+        frame it falls back to an older one, ROADMAP item 2.)"""
+        model.enter_phase(ROT_PHASE)
+        model.armed = True
+        reopen = self.config.store_backend == "file"
+        if reopen:
+            system.close()
+        for obj in sorted(system.store.object_ids()):
+            spec = model.fire(
+                "store.rot", obj, can=frozenset({FaultKind.CORRUPT}),
+                stats=system.stats,
+            )
+            if spec is not None:
+                system.store.rot(obj, spec.point)
+        model.armed = False
+        if not reopen:
+            return system
+        reopened = self._build(model, system.store.root, system.stats)
+        reopened.history = system.history
+        return reopened
 
     def run(
         self, model: FaultModel, description: str, phase: Phase = FORWARD
     ) -> TortureOutcome:
-        """Drive, crash, recover as ``phase`` says, check both oracles.
+        """Drive, crash, recover as ``phase`` says, check the oracles.
         Recovery-phase numbering is continuous across supervised
         restarts, so one schedule can kill several successive attempts."""
         outcome = TortureOutcome(description)
-        with self._system(model) as (system, backup):
-            self._drive(system)
+        with self._system(model, phase) as (system, backup):
+            self._drive(system, model, phase)
             report = None
             try:
                 system.crash()
+                if phase is ROT:
+                    system = self._rot(system, model)
                 model.enter_phase(phase.name)
-                model.armed = phase.supervised
+                model.armed = phase is RECOVERY
                 if phase.supervised:
                     report = RecoverySupervisor(
                         system,
@@ -329,20 +437,29 @@ class TortureHarness:
                     ).run()
                     outcome.attempts = report.attempts_used
                     model.armed = False
-                    if report.final_health is not SystemHealth.HEALTHY:
+                    outcome.lost = sorted(system.lost_objects)
+                    health = report.final_health
+                    if health is not SystemHealth.HEALTHY and not (
+                        phase is ROT
+                        and health is SystemHealth.DEGRADED
+                        and outcome.lost
+                    ):
                         raise AssertionError(
                             "escalation ladder did not converge: "
                             f"{report.summary()}"
                         )
                 else:
                     system.recover(quarantine_backup=backup)
-                verify_recovered(system)
-                check_explainable(
-                    system.history,
-                    system.cache.uninstalled_operations(),
-                    stable_values_of(system.store),
-                    system.oracle(),
-                )
+                if phase is ROT:
+                    _serves_the_oracle(system)
+                else:
+                    verify_recovered(system)
+                    check_explainable(
+                        system.history,
+                        system.cache.uninstalled_operations(),
+                        stable_values_of(system.store),
+                        system.oracle(),
+                    )
             except Exception as exc:  # noqa: BLE001 - a verdict
                 outcome.fail(f"{type(exc).__name__}: {exc}")
                 outcome.failure_report = report
@@ -361,26 +478,28 @@ class TortureHarness:
     # campaigns
     # ------------------------------------------------------------------
     def points(self, phase: Phase = FORWARD) -> int:
-        """Number ``phase``'s I/O points with a pure counting model: the
-        workload runs clean and, for a recovery-phase row, one clean
-        recovery consumes recovery-phase points without injecting."""
+        """Number ``phase``'s points: one run of the row under a pure
+        counting model, which numbers every point and injects nothing.
+        It is no campaign run, so the shared registry does not see it."""
         model = FaultModel()
-        with self._system(model) as (system, backup):
-            self._drive(system)
-            if phase.name == RECOVERY_PHASE:
-                system.crash()
-                model.enter_phase(RECOVERY_PHASE)
-                system.recover(quarantine_backup=backup)
+        obs, self.obs = self.obs, None
+        try:
+            self.run(model, "count", phase)
+        finally:
+            self.obs = obs
         return model.points_in(phase.name)
 
     def sweep(self, phase: Phase = FORWARD) -> TortureReport:
-        """Every ``phase`` I/O point × every kind of the row, one run
-        each, then the row's nested-crash schedules."""
+        """Every ``phase`` point × every kind of the row, one run each,
+        then the row's nested-crash schedules.  The flush row's last
+        cell crashes after the flush's last point: the flush is done
+        and nothing has been forced since."""
         points = self.points(phase)
+        cells = points + 1 if phase is FLUSH else points
         schedules = [
             [FaultSpec(point, kind, times=2 if kind is FaultKind.TRANSIENT
                        else 1, crash=kind is FaultKind.TORN, phase=phase.name)]
-            for point in range(points)
+            for point in range(cells)
             for kind in phase.kinds
         ]
         stride = max(1, points // 2)
@@ -434,6 +553,8 @@ class TortureHarness:
         runs: Iterable[Tuple[FaultModel, str, Optional[int]]],
     ) -> TortureReport:
         self._totals = dict.fromkeys(_COUNTERS, 0)
+        if phase is ROT:
+            report.tallies = (("objects lost", "lost"),)
         for model, description, seed in runs:
             outcome = self.run(model, description, phase)
             outcome.seed = seed
@@ -442,50 +563,17 @@ class TortureHarness:
         return report
 
 
-def flush_crash_sweep(
-    cache_factory: Callable[[], CacheConfig],
-    drive: Callable[[RecoverableSystem], None],
-    backend: str = "memory",
-) -> List[bool]:
-    """Crash one flush at each of its store writes; per point, whether
-    recovery matched the oracle.
-
-    A system on ``backend``'s fault-injecting store, its model disarmed,
-    runs ``drive`` and forces the log; the model is armed just before
-    ``flush_all()``, so point *k* is the flush's *k*-th store write.  A
-    counting run numbers the points, then each point gets a fresh system
-    that crashes there, recovers and is verified.  Crashed between the
-    writes of a non-atomic multi-object set, a flush is torn: the stable
-    state an atomic flush set exists to rule out (E7's strawman).
-    """
-
-    def run(model: FaultModel) -> bool:
-        with scratch_root(backend, "repro-flush-") as root:
-            system = RecoverableSystem(
-                SystemConfig(cache=cache_factory()),
-                store=make_store(backend, root, model=model),
-                log=make_log(backend, root),
-            )
-            register_workload_functions(system.registry)
-            drive(system)
-            system.log.force()
-            model.armed = True
-            try:
-                system.flush_all()
-            except FaultCrash:
-                pass
-            model.armed = False
-            system.crash()
-            system.recover()
-            try:
-                verify_recovered(system)
-            except AssertionError:
-                return False
-            return True
-
-    counter = FaultModel(armed=False)
-    run(counter)
-    return [
-        run(FaultModel([FaultSpec(point, FaultKind.CRASH)], armed=False))
-        for point in range(counter.points_in(FORWARD_PHASE))
+def _serves_the_oracle(system: RecoverableSystem) -> None:
+    """The rot row's verdict: every object outside ``lost_objects``
+    reads what the oracle computes from the durable history."""
+    final = system.oracle().replay(list(system.history))
+    wrong = [
+        obj
+        for obj, value in sorted(final.items())
+        if obj not in system.lost_objects
+        and system.read(obj) != (None if value is TOMBSTONE else value)
     ]
+    if wrong:
+        raise VerificationError(
+            f"served objects the oracle disagrees with: {wrong}"
+        )

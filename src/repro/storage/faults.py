@@ -13,11 +13,13 @@ correct in exactly that regime.  This module is the adversary:
   or a seeded per-point draw (fuzz mode), whether that point faults and
   how;
 * points are numbered within a **phase family**: the workload's own I/O
-  is ``"forward"``, the I/O recovery performs is ``"recovery"``
-  (:meth:`FaultModel.enter_phase`), so a schedule can target "the k-th
-  I/O *of recovery itself*" however the forward run died.  Recovery
-  numbering is continuous across restarted attempts: a spec at recovery
-  point *k* fires in whichever attempt reaches it, exactly once.
+  is ``"forward"``, the I/O recovery performs is ``"recovery"``, one
+  flush's I/O is ``"flush"``, and a crashed store's objects, one point
+  each, are ``"rot"`` (:meth:`FaultModel.enter_phase`), so a schedule
+  can target "the k-th I/O *of recovery itself*" however the forward
+  run died.  Recovery numbering is continuous across restarted
+  attempts: a spec at recovery point *k* fires in whichever attempt
+  reaches it, exactly once.
 
 Fault vocabulary (the classic storage-fault taxonomy):
 
@@ -74,6 +76,10 @@ _DAMAGE_KINDS = frozenset({FaultKind.TORN, FaultKind.CORRUPT})
 #: The phase family a spec (or a model) numbers its points in.
 FORWARD_PHASE = "forward"
 RECOVERY_PHASE = "recovery"
+FLUSH_PHASE = "flush"
+ROT_PHASE = "rot"
+#: Schedule notation's point prefix per phase family (forward: none).
+_PREFIXES = {RECOVERY_PHASE: "r", FLUSH_PHASE: "f", ROT_PHASE: "o"}
 
 
 @dataclass(frozen=True)
@@ -89,16 +95,17 @@ class FaultSpec:
     #: adversarial moment to lose the machine.
     crash: bool = False
     #: Which point family the spec's ``point`` counts in: ``"forward"``
-    #: (the workload's own I/O, the default) or ``"recovery"`` (the I/O
-    #: performed by recovery itself).
+    #: (the workload's own I/O, the default), ``"recovery"`` (the I/O
+    #: performed by recovery itself), ``"flush"`` or ``"rot"``.
     phase: str = FORWARD_PHASE
 
     def describe(self) -> str:
         """Compact schedule notation, e.g. ``torn@17!`` (``!`` = crash);
-        recovery-phase specs carry an ``r`` prefix (``crash@r3``)."""
+        other families prefix the point: ``crash@r3`` (recovery),
+        ``crash@f1`` (flush), ``corrupt@o2`` (rot)."""
         tail = f"x{self.times}" if self.times != 1 else ""
         bang = "!" if self.crash else ""
-        prefix = "r" if self.phase == RECOVERY_PHASE else ""
+        prefix = _PREFIXES.get(self.phase, "")
         return f"{self.kind.value}@{prefix}{self.point}{tail}{bang}"
 
 

@@ -213,13 +213,18 @@ class FaultyStore(DeviceFaultInjector, StableStore):
         )
         if spec is not None and obj in self._versions:
             # Bit rot discovered by the read that touches it.
-            good = self._versions[obj]
-            self._versions[obj] = StoredVersion(
-                damaged_value(good.value, spec.kind, spec.point), good.vsi
-            )
+            self.rot(obj, spec.point)
         version = super().read(obj)
         self._verify(obj, version)
         return version
+
+    def rot(self, obj: ObjectId, point: int) -> None:
+        """Bit rot: damage ``obj``'s stored version, checksum left
+        stale (``point`` picks the bit)."""
+        good = self._versions[obj]
+        self._versions[obj] = StoredVersion(
+            damaged_value(good.value, FaultKind.CORRUPT, point), good.vsi
+        )
 
     def _verify(self, obj: ObjectId, version: StoredVersion) -> None:
         expected = self._crcs.get(obj)
@@ -359,17 +364,21 @@ class FaultyFileStore(DeviceFaultInjector, FileStableStore):
             overwrite_raw(path, torn_prefix(frame))
 
         def rot(spec: FaultSpec) -> None:
-            # The write completed, then the medium rotted: flip one
-            # payload bit of the stored frame, checksum left stale.
+            # The write completed, then the medium rotted.
             intact()
-            size = os.path.getsize(path)
-            flip_byte_in_file(
-                path, OVERHEAD + spec.point % max(1, size - OVERHEAD)
-            )
+            self.rot(obj, spec.point)
 
         self._faulted_device_write(
             obj, intact, {FaultKind.TORN: torn, FaultKind.CORRUPT: rot}
         )
+
+    def rot(self, obj: ObjectId, point: int) -> None:
+        """Bit rot: flip one payload bit of ``obj``'s frame, checksum
+        left stale.  Needs no open descriptor: a closed store's
+        directory rots the same way."""
+        path = os.path.join(self._dir, _encode(obj))
+        size = os.path.getsize(path)
+        flip_byte_in_file(path, OVERHEAD + point % max(1, size - OVERHEAD))
 
     def _drop(self, obj: ObjectId) -> None:
         self._faulted_device_delete(obj)
@@ -424,3 +433,12 @@ class FaultyLogStructuredStore(DeviceFaultInjector, LogStructuredStableStore):
             },
         )
         return offset
+
+    def rot(self, obj: ObjectId, point: int) -> None:
+        """Bit rot: flip one payload bit of the record frame ``obj``'s
+        index entry points at, checksum left stale."""
+        loc = self._index[obj]
+        flip_byte_in_file(
+            self._segments[loc.seg_id].file.path,
+            loc.offset + OVERHEAD + point % max(1, loc.length - OVERHEAD),
+        )

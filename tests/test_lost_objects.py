@@ -8,20 +8,21 @@ objects, refuses a record that reads a lost object or an input past it
 (its writes join the ledger), and lets a redone record take its writes
 out.  ``recover()`` lands DEGRADED whenever the ledger is not empty.
 
-The rot sweep rots each stored object in turn after a logical workload,
-crashes, and supervises recovery without a backup: no object may be
-served with a value the oracle disagrees with.  The strict xfails pin
-what a ledger kept in RAM cannot see across a process's death or a
-logstore's fallback to an older frame, and the one input the vSI rule
-cannot see: an object whose delete was installed.
+The rot sweep is the torture harness's rot row
+(``repro.kernel.torture.ROT``, ``python -m repro torture rot``): each
+stored object rotted in turn after a truncating workload, a crash, and
+recovery supervised without a backup; no object outside the ledger may
+be served with a value the oracle disagrees with.  Here it runs over
+forty workload seeds.  The strict xfails pin what a ledger kept in RAM
+cannot see across a process's death or a logstore's fallback to an
+older frame, and the inputs the vSI rule cannot see: an object whose
+delete was installed, and one whose writes were truncated.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import random
-import urllib.parse
 
 import pytest
 
@@ -31,17 +32,13 @@ from repro.core.operation import (
 )
 from repro.kernel.supervisor import RecoverySupervisor, SupervisorConfig
 from repro.kernel.system import RecoverableSystem, SystemHealth
+from repro.kernel.torture import ROT, TortureConfig, TortureHarness
 from repro.persist import PersistentSystem
-from repro.storage.faults import FaultKind, FaultModel
-from repro.storage.faultwrap import damaged_value, flip_byte_in_file
+from repro.storage.faults import ROT_PHASE, FaultKind, FaultModel, FaultSpec
+from repro.storage.faultwrap import flip_byte_in_file
 from repro.storage.framing import OVERHEAD
 from repro.storage.registry import make_log, make_store
-from repro.storage.stable_store import StoredVersion
-from repro.workloads import (
-    LogicalWorkload,
-    LogicalWorkloadConfig,
-    register_workload_functions,
-)
+from repro.workloads import register_workload_functions
 
 SEEDS = range(40)
 
@@ -57,104 +54,41 @@ def _derived(value: bytes) -> bytes:
     return hashlib.sha256(b"derive" + value).digest()
 
 
-def _system(backend: str, root: str) -> RecoverableSystem:
-    """A system over ``root``; the memory store is the checksummed
-    fault-injecting one, so its scrub sees rot."""
-    model = FaultModel(armed=False) if backend == "memory" else None
-    root = None if backend == "memory" else root
+def _system() -> RecoverableSystem:
+    """An in-memory system on the checksummed fault-injecting store, so
+    its scrub sees rot (``system.store.rot``)."""
     system = RecoverableSystem(
-        store=make_store(backend, root, model=model),
-        log=make_log(backend, root),
+        store=make_store("memory", model=FaultModel(armed=False)),
+        log=make_log("memory"),
     )
     register_workload_functions(system.registry)
     return system
 
 
-def _rot(system: RecoverableSystem, backend: str, root: str, obj) -> None:
-    """Damage ``obj``'s stored version and leave its checksum stale."""
-    store = system.store
-    if backend == "memory":
-        stored = store._versions[obj]
-        store._versions[obj] = StoredVersion(
-            damaged_value(stored.value, FaultKind.CORRUPT, 0), stored.vsi
-        )
-    elif backend == "file":
-        path = os.path.join(
-            root, "objects", urllib.parse.quote(obj, safe="") + ".obj"
-        )
-        size = os.path.getsize(path)
-        flip_byte_in_file(path, OVERHEAD + (size - OVERHEAD) // 2)
-    else:
-        loc = store._index[obj]
-        path = os.path.join(root, "segments", f"seg-{loc.seg_id:08d}.seg")
-        flip_byte_in_file(
-            path, loc.offset + OVERHEAD + (loc.length - OVERHEAD) // 2
-        )
-
-
-def _drive(system: RecoverableSystem, seed: int) -> None:
-    config = LogicalWorkloadConfig(objects=6, operations=30)
-    interleave = random.Random(seed)
-    for op in LogicalWorkload(config, seed=seed).operations():
-        system.execute(op)
-        if interleave.random() < 0.4:
-            system.log.force()
-        if interleave.random() < 0.5:
-            system.purge()
-        if interleave.random() < 0.1:
-            system.checkpoint(truncate=interleave.random() < 0.6)
-
-
-def _rotted_and_recovered(backend: str, root: str, seed: int, victim):
-    """Drive, crash, rot ``victim`` (while closed, on ``file``), then
-    supervise recovery with no backup; returns the recovered system,
-    the oracle's values and the objects that were stored."""
-    system = _system(backend, root)
-    _drive(system, seed)
-    system.crash()
-    expected = system.oracle().replay(list(system.history))
-    stored = system.store.object_ids()
-    if victim is not None:
-        if backend == "file":
-            system.close()
-            _rot(system, backend, root, victim)
-            system = _system(backend, root)
-        else:
-            _rot(system, backend, root, victim)
-        RecoverySupervisor(system).run()
-    return system, expected, stored
+def _workload(backend: str, seed: int) -> TortureConfig:
+    """The rot sweep's workload from before it was a torture row:
+    6 objects, 30 operations of 256 B, no deletes, a purge after half
+    the operations (the row adds its truncating checkpoints)."""
+    return TortureConfig(
+        objects=6, operations=30, object_size=256, p_delete=0.0,
+        p_purge=0.5, workload_seed=seed, store_backend=backend,
+    )
 
 
 @pytest.mark.parametrize("backend", ["memory", "file", "logstore"])
-def test_rot_sweep_serves_no_wrong_object(tmp_path, backend):
-    wrong, points, lost = [], 0, 0
+def test_rot_row_over_forty_workload_seeds(backend):
+    points = lost = 0
+    wrong = []
     for seed in SEEDS:
-        _, _, stored = _rotted_and_recovered(
-            backend, str(tmp_path / f"{seed}"), seed, None
-        )
-        for victim in sorted(stored):
-            root = str(tmp_path / f"{seed}-{points}")
-            system, expected, _ = _rotted_and_recovered(
-                backend, root, seed, victim
-            )
-            points += 1
-            assert system.health in (
-                SystemHealth.HEALTHY, SystemHealth.DEGRADED
-            ), (seed, victim, system.health)
-            assert (system.health is SystemHealth.DEGRADED) == bool(
-                system.lost_objects
-            )
-            lost += len(system.lost_objects)
-            wrong.extend(
-                (seed, victim, obj)
-                for obj, value in expected.items()
-                if obj not in system.lost_objects
-                and system.read(obj) != value
-            )
-            system.close()
+        report = TortureHarness(_workload(backend, seed)).sweep(ROT)
+        points += report.points
+        lost += report.total("lost")
+        wrong += [(seed, outcome.description) for outcome in report.failures()]
     assert points >= 200
     assert lost > 0
-    assert wrong == []
+    # The one cell serving a wrong object is the pinned hole of
+    # test_an_input_whose_writes_were_truncated_is_lost.
+    assert wrong == [(28, "corrupt@o3")]
 
 
 # ----------------------------------------------------------------------
@@ -202,12 +136,12 @@ def _quarantined_input(system: RecoverableSystem) -> None:
     system.checkpoint(truncate=True)
     system.execute(_derive("q", "c"))
     system.log.force()
-    _rot(system, "memory", "", "q")
+    system.store.rot("q", 0)
     system.crash()
 
 
 def test_uninstalled_derive_over_a_quarantined_input_is_lost():
-    system = _system("memory", "")
+    system = _system()
     _quarantined_input(system)
     report = RecoverySupervisor(system).run()
     assert report.final_health is SystemHealth.DEGRADED, report.summary()
@@ -219,7 +153,7 @@ def test_uninstalled_derive_over_a_quarantined_input_is_lost():
 
 
 def test_a_degraded_system_stays_degraded_across_a_crash():
-    system = _system("memory", "")
+    system = _system()
     system.execute(put_object("s", b"s0"))
     _quarantined_input(system)
     RecoverySupervisor(system).run()
@@ -236,11 +170,11 @@ def test_a_degraded_system_stays_degraded_across_a_crash():
 def test_a_redone_writer_rebuilds_a_quarantined_object():
     """The record that wrote the rotted object is still on the log:
     the media redo rebuilds it, and the derive over it, HEALTHY."""
-    system = _system("memory", "")
+    system = _system()
     system.execute(put_object("q", b"q0"))
     system.execute(_derive("q", "c"))
     system.flush_all()
-    _rot(system, "memory", "", "q")
+    system.store.rot("q", 0)
     system.crash()
     report = RecoverySupervisor(system).run()
     assert report.final_health is SystemHealth.HEALTHY, report.summary()
@@ -304,7 +238,11 @@ def test_logstore_newest_frame_rotted_while_closed_is_lost(tmp_path):
     system.flush_all()
     system.checkpoint(truncate=True)
     system.close()
-    _rot(system, "logstore", dbdir, "q")
+    loc = system.store._index["q"]
+    flip_byte_in_file(
+        os.path.join(dbdir, "segments", f"seg-{loc.seg_id:08d}.seg"),
+        loc.offset + OVERHEAD + (loc.length - OVERHEAD) // 2,
+    )
     system = PersistentSystem.open(dbdir, store_backend="logstore")
     try:
         assert "q" in system.lost_objects or system.read("q") == b"q1"
@@ -322,14 +260,37 @@ def test_a_deleted_input_is_not_read_as_absent():
     """``x := derive(o)`` then ``delete(o)``, both installed, ``o``'s
     put truncated; ``x`` rots.  The redo of the derive reads ``o``
     absent, though at its lSI ``o`` held ``o0``."""
-    system = _system("memory", "")
+    system = _system()
     system.execute(put_object("o", b"o0"))
     system.flush_all()
     system.checkpoint(truncate=True)
     system.execute(_derive("o", "x"))
     system.execute(delete_object("o"))
     system.flush_all()
-    _rot(system, "memory", "", "x")
+    system.store.rot("x", 0)
     system.crash()
     RecoverySupervisor(system).run()
     assert "x" in system.lost_objects or system.read("x") == _derived(b"o0")
+
+
+# ----------------------------------------------------------------------
+# what the rot row finds
+# ----------------------------------------------------------------------
+def _rot_cell(config: TortureConfig, point: int):
+    harness = TortureHarness(config)
+    spec = FaultSpec(point, FaultKind.CORRUPT, phase=ROT_PHASE)
+    return harness.run(FaultModel([spec]), spec.describe(), ROT)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="obj:3 is installed from derive(obj:1->obj:3) at lSI 30; "
+    "obj:1's writes between its stored vSI 9 and lSI 30 are truncated "
+    "off the log.  obj:3 rots; the media redo reads obj:1 at vSI 9, "
+    "which is not past the record, and rebuilds obj:3 wrong, HEALTHY",
+)
+@pytest.mark.parametrize("backend", ["memory", "file", "logstore"])
+def test_an_input_whose_writes_were_truncated_is_lost(backend):
+    outcome = _rot_cell(_workload(backend, 28), 3)
+    assert outcome.ok, outcome.error

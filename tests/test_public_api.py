@@ -144,6 +144,8 @@ REMOVED_ATTRIBUTES = [
 ] + [
     ("repro.kernel.torture", "SWEEP_KINDS"),
     ("repro.kernel.torture", "RECOVERY_SWEEP_KINDS"),
+    # 13.0.0: the flush sweep is the harness's flush row.
+    ("repro.kernel.torture", "flush_crash_sweep"),
     ("repro.storage.faults", "FaultModel.crash_if_demanded"),
     ("repro.storage.faultwrap", "WRITE_DAMAGE"),
     ("repro.__main__", "_report_livefire"),

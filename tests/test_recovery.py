@@ -1,13 +1,20 @@
 """Tests for the recovery manager (repro.core.recovery): analysis pass,
 redo pass, trial execution with voiding, flush-transaction repair."""
 
+import hashlib
+
 import pytest
 
 from repro.core.functions import default_registry
-from repro.core.operation import Operation, OpKind
+from repro.core.operation import (
+    Operation, OpKind, delete_object, put_object,
+)
 from repro.core.recovery import RecoveryManager
 from repro.core.redo import GeneralizedRedoTest, VsiRedoTest
+from repro.kernel.system import RecoverableSystem
+from repro.kernel.verify import verify_recovered
 from repro.storage import IOStats, StableStore
+from repro.storage.registry import make_log, make_store
 from repro.storage.stable_store import StoredVersion
 from repro.wal.log_manager import LogManager
 from repro.wal.records import (
@@ -15,6 +22,7 @@ from repro.wal.records import (
     FlushRecord,
     InstallationRecord,
 )
+from repro.workloads import register_workload_functions
 
 
 def _physical(obj, data):
@@ -266,3 +274,27 @@ class TestTrialExecutionVoiding:
         outcome = manager.run()
         assert outcome.report.ops_voided == 1
         assert outcome.volatile == {}
+
+
+@pytest.mark.parametrize("backend", ["memory", "file", "logstore"])
+def test_a_deleted_input_reads_as_none_in_redo(tmp_path, backend):
+    """``put x``, ``delete x``, ``y := derive(x)``: execution read ``x``
+    as None, and so do the redo and the oracle."""
+    root = None if backend == "memory" else str(tmp_path)
+    system = RecoverableSystem(
+        store=make_store(backend, root), log=make_log(backend, root)
+    )
+    register_workload_functions(system.registry)
+    system.execute(put_object("x", b"x0"))
+    system.execute(delete_object("x"))
+    system.execute(
+        Operation("derive(x->y)", OpKind.LOGICAL, reads={"x"},
+                  writes={"y"}, fn="wl_derive", params=("x", "y"))
+    )
+    derived = hashlib.sha256(b"derive").digest()
+    assert system.read("y") == derived
+    system.log.force()
+    system.crash()
+    assert system.recover().ops_voided == 0
+    assert system.read("y") == derived
+    verify_recovered(system)

@@ -15,6 +15,7 @@ shard other than the default one.  What only exists with N > 1
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -811,6 +812,23 @@ class TestShutdown:
         system.recover()
         assert system.read(x) == b"survives"
         assert system.cache.vsi_of(x) >= lsi
+
+    def test_kill_keeps_a_write_derived_from_a_deleted_input(self, shards):
+        """The redo reads the deleted ``x`` as ``None``, as the apply
+        did, so the derived ``y`` survives the kill."""
+        daemon = start_daemon(shards)
+        system = target(daemon)
+        client = client_for(daemon)
+        x, y = key(daemon, "x"), key(daemon, "y")
+        client.put(x, b"gone")
+        client.delete(x)
+        client.apply("wl_derive", reads=[x], writes=[y], params=[x, y])
+        client.close()
+        daemon.kill()
+        system.crash()
+        system.recover()
+        assert system.read(y) == hashlib.sha256(b"derive").digest()
+        assert system.last_report.ops_voided == 0
 
     def test_connection_refused_after_stop(self, served):
         served.stop()

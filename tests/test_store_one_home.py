@@ -154,8 +154,9 @@ class TestDamageIsFoundByTheRead:
         harness = TortureHarness(small_cache_torture(backend))
         spec = FaultSpec(5, FaultKind.CORRUPT)
         # Found during the drive — before any crash, scrub or restart.
-        with harness._system(FaultModel([spec])) as (system, _backup):
-            harness._drive(system)
+        model = FaultModel([spec])
+        with harness._system(model) as (system, _backup):
+            harness._drive(system, model)
             assert system.stats.checksum_failures == 1
             assert system.stats.quarantines == 0
         outcome = harness.run(FaultModel([spec]), spec.describe())

@@ -7,12 +7,10 @@ import os
 
 import pytest
 
-from repro.cache.config import CacheConfig, MultiObjectStrategy
+from repro.cache.config import MultiObjectStrategy
 from repro.domains.kvstore import KVPageStore, register_kv_functions
 from repro.kernel.system import SystemConfig
-from repro.kernel.torture import (
-    TortureConfig, TortureHarness, flush_crash_sweep,
-)
+from repro.kernel.torture import FLUSH, TortureConfig, TortureHarness
 from repro.livefire import SCENARIOS, LiveFireHarness
 from repro.persist import PersistentSystem
 from repro.persist.faulty_log import FaultyFileLog
@@ -136,8 +134,9 @@ class TestEveryBuilderServesTheFileWal:
             logs.append(system.log)
             system.execute(physical("x", b"x0"))
 
-        flush_crash_sweep(CacheConfig, drive, "file")
-        assert logs and all(type(log) is FileLogManager for log in logs)
+        config = TortureConfig(store_backend="file")
+        assert TortureHarness(config, drive=drive).sweep(FLUSH).ok
+        assert logs and all(type(log) is FaultyFileLog for log in logs)
 
     @pytest.mark.parametrize("backend", ["file", "logstore"])
     def test_build_systems(self, tmp_path, backend):

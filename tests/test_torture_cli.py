@@ -29,6 +29,7 @@ def every_run_fails(monkeypatch):
         raise AssertionError("forced verdict")
 
     monkeypatch.setattr(torture, "verify_recovered", refuse)
+    monkeypatch.setattr(torture, "_serves_the_oracle", refuse)
 
 
 SHAPE = ["--store", "file", "--ops", "6", "--objects", "3",
@@ -57,15 +58,19 @@ def test_failing_fuzz_prints_a_runnable_replay(every_run_fails, capsys):
     assert "fuzz seed=8: AssertionError" in capsys.readouterr().out
 
 
-def test_failing_v2_prints_a_runnable_replay(every_run_fails, capsys):
-    argv = ["torture", "v2", "--fuzz-runs", "2", "--seed", "9",
-            "--p-crash", "0.02"]
+@pytest.mark.parametrize("mode", ["v2", "flush", "rot"])
+def test_a_failing_phase_row_prints_a_runnable_replay(
+    every_run_fails, capsys, mode
+):
+    argv = ["torture", mode, "--fuzz-runs", "2", "--seed", "9",
+            "--p-corrupt", "0.02"]
     assert main(argv + SHAPE) == 1
     replays = _replays(capsys.readouterr().out)
+    assert len(replays) > 2
     for args in replays:
-        assert args.mode == "v2"
+        assert args.mode == mode
         _same_shape(args)
-        assert args.p_crash == 0.02
+        assert args.p_corrupt == 0.02
     # The sweep's cells replay without the fuzz stage; each fuzz
     # schedule as a one-schedule fuzz stage at its seed.
     assert {args.fuzz_runs for args in replays[:-2]} == {0}

@@ -7,6 +7,9 @@ fuzz and v2 campaigns became one run path over two phase rows, and are
 not to be edited: a changed digest means a fault point was renumbered or
 a verdict flipped.  They do not depend on ``PYTHONHASHSEED``.
 
+The flush and rot rows have their own digests, taken when they joined
+the harness (13.0.0).
+
 The bounded-cache row (``tests.conftest.small_cache_torture``) has its
 own digests, taken once a quarantine restored the whole backup image
 (10.0.0): its reads reach the device while the workload runs, which the
@@ -19,7 +22,9 @@ import hashlib
 
 import pytest
 
-from repro.kernel.torture import RECOVERY, TortureConfig, TortureHarness
+from repro.kernel.torture import (
+    FLUSH, RECOVERY, ROT, TortureConfig, TortureHarness,
+)
 from tests.conftest import small_cache_torture
 
 CAMPAIGNS = {
@@ -27,6 +32,10 @@ CAMPAIGNS = {
     "fuzz": lambda harness: harness.fuzz(30),
     "sweep-recovery": lambda harness: harness.sweep(RECOVERY),
     "fuzz-recovery": lambda harness: harness.fuzz(20, phase=RECOVERY),
+    "sweep-flush": lambda harness: harness.sweep(FLUSH),
+    "fuzz-flush": lambda harness: harness.fuzz(30, phase=FLUSH),
+    "sweep-rot": lambda harness: harness.sweep(ROT),
+    "fuzz-rot": lambda harness: harness.fuzz(30, phase=ROT),
 }
 
 GOLDEN = {
@@ -55,6 +64,24 @@ GOLDEN = {
     ("logstore", "fuzz-recovery"):
         "b17a60abf0012077f08e7045311a1c15f27d0125581bb4ad7de13e20a1b623fa",
 }
+_FLUSH_ROT = {
+    "sweep-flush":
+        "0bdaddc6d4689fc777354be37f23e37eaab1282fe19c5c90f69294ff04d8f85b",
+    "fuzz-flush":
+        "bf07d7c9b41807484032a4a5d5be4a4f328fb7596d9ba2f7ca4e9ddf26fae11e",
+    "sweep-rot":
+        "1c4e5e610bf84031400736ee786f90e3088694d98cc36daf50aa9402c0236e18",
+    "fuzz-rot":
+        "e64d37e42c1a7a85e052c6e0f104b7b7d2af8974a3e914417c50fcafd2e46cd5",
+}
+GOLDEN.update(
+    ((backend, campaign), value)
+    for backend in ("memory", "file", "logstore")
+    for campaign, value in _FLUSH_ROT.items()
+)
+GOLDEN["logstore", "fuzz-flush"] = (
+    "0af4b1c3e1eefd08cc8b5b7a4511ebbf37213d068b122db9449a39462fc37456"
+)
 
 
 SMALL_CACHE_CAMPAIGNS = {
