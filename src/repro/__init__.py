@@ -23,7 +23,7 @@ Quickstart::
 
 from repro._exports import lazy_exports
 
-__version__ = "13.0.0"
+__version__ = "14.0.0"
 
 __all__, __getattr__ = lazy_exports(__name__, {
     ".common": ("ObjectId", "StateId"),

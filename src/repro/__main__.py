@@ -10,7 +10,8 @@
   recovery's own I/O (nested crashes included) through the supervisor's
   escalation ladder.  ``flush`` does both to one flush (and crashes once
   after it), ``rot`` to the objects a truncating workload left stored,
-  recovered with no backup.  ``v3|v3-rewrite|v3-checkpoint|v4|v5`` are the
+  recovered with no backup, ``witness`` to a witness's redo cycle (and
+  crashes once after it).  ``v3|v3-rewrite|v3-checkpoint|v4|v5`` are the
   live-fire rows of :mod:`repro.livefire`: concurrent clients drive a
   served workload over sockets while the storage misbehaves, the daemon
   (``v3``, over rewritten keys ``v3-rewrite``, inside an online
@@ -240,9 +241,10 @@ def torture_phase(
     phase_name: str, points: str, schedules: str,
     args: argparse.Namespace, metrics,
 ) -> int:
-    """``v2``, ``flush`` and ``rot``: the sweep of one phase row of
-    :mod:`repro.kernel.torture`, then ``--fuzz-runs`` seeded schedules
-    in it at the row's rates with the ``--p-*`` flags applied."""
+    """``v2``, ``flush``, ``rot`` and ``witness``: the sweep of one
+    phase row of :mod:`repro.kernel.torture`, then ``--fuzz-runs``
+    seeded schedules in it at the row's rates with the mode's ``--p-*``
+    flags (if any) applied."""
     from repro.kernel import torture
 
     phase = getattr(torture, phase_name)
@@ -375,6 +377,11 @@ LIBRARY_MODES: Tuple[Mode, ...] = (
                 "and recover with no backup + seeded multi-object rot",
                 "ROT", "stored objects after a truncating workload", "rot",
                 50, corrupt=0.3),
+    _phase_mode("witness", "crash a witness's redo cycle at each of its "
+                "I/O points and after its last + seeded faults inside the "
+                "cycle", "WITNESS",
+                "redo-cycle I/O points, then the crash after the cycle",
+                "redo-cycle", 50),
 )
 
 

@@ -621,7 +621,7 @@ class CacheManager:
                         entry.dirty = False
         self._engine.remove_node(node)
 
-    def install_unexposed(self, flush: bool = False) -> int:
+    def install_unexposed(self) -> int:
         """Install minimal nodes whose flush set is empty, at zero I/O.
 
         A later blind update left every object such a node wrote
@@ -637,37 +637,20 @@ class CacheManager:
         them.  Returns the number of nodes installed, at most
         :data:`UNEXPOSED_INSTALLS_PER_CALL`; a call with nothing to
         install costs one look at the frontier.
-
-        With ``flush=True`` (a witness's redo cycle: its log holds the
-        primary's lSIs) it also flushes what it installs, with no
-        per-call bound, still no force and no record, and none of this
-        verb's telemetry; it stops at the first flush set only a logged
-        identity write could dissolve (several objects under
-        ``IDENTITY_WRITES``).
         """
-        obs = NULL_OBS if flush else self.obs
+        obs = self.obs
         started = time.perf_counter() if obs.enabled else 0.0
         graph = self._engine
         is_stable = self.log.is_stable
-        split = (
-            self.config.multi_object_strategy
-            is MultiObjectStrategy.IDENTITY_WRITES
-        )
         installed = 0
-        while flush or installed < UNEXPOSED_INSTALLS_PER_CALL:
+        while installed < UNEXPOSED_INSTALLS_PER_CALL:
             node = graph.least_minimal()
-            if node is None or (node.vars and not flush):
-                break
-            vars_ = set(node.vars)
-            if split and len(vars_) > 1:
+            if node is None or node.vars:
                 break
             ops, new_rsis, wal_bound = self._installation_plan(node)
             if not is_stable(wal_bound):
                 break  # its turn comes once the committer catches up
-            if vars_:
-                self._flush_objects(vars_)
-                self.stats.flushes += 1
-            self._retire(node, ops, vars_, new_rsis)
+            self._retire(node, ops, frozenset(), new_rsis)
             installed += 1
         if obs.enabled:
             obs.observe(
@@ -679,6 +662,39 @@ class CacheManager:
             if installed:
                 obs.count("cache.unexposed_installs", installed)
         return installed
+
+    def materialize(self) -> None:
+        """A witness's redo cycle, after recovery: install every node
+        whose records are stable, flushing its set but neither forcing
+        nor logging (the log's lSIs are the primary's), up to the first
+        set only a logged identity write could split; then truncate the
+        log where a truncating checkpoint would."""
+        graph = self._engine
+        split = (
+            self.config.multi_object_strategy
+            is MultiObjectStrategy.IDENTITY_WRITES
+        )
+        while True:
+            node = graph.least_minimal()
+            if node is None or (split and len(node.vars) > 1):
+                break
+            ops, new_rsis, wal_bound = self._installation_plan(node)
+            if not self.log.is_stable(wal_bound):
+                break
+            vars_ = set(node.vars)
+            if vars_:
+                self._flush_objects(vars_)
+                self.stats.flushes += 1
+            self._retire(node, ops, vars_, new_rsis)
+        self._truncate_below(self.log.stable_end_lsi() + 1)
+
+    def _truncate_below(self, bound: StateId) -> None:
+        """Truncate the stable log below ``bound``, or below the oldest
+        dirty rSI when that is lower: only installed records precede
+        the cut, which is also the redo scan's start."""
+        oldest = self.dirty_table.min_rsi()
+        cut = bound if oldest is None else min(oldest, bound)
+        self.log.truncate_before(cut, redo_start=cut)
 
     def _flush_objects(self, objs: Set[ObjectId]) -> None:
         """Write the current cached versions of ``objs`` to the store.
@@ -769,10 +785,7 @@ class CacheManager:
             truncate=truncate, installs=installs, flushed_bytes=flushed,
         )
         if truncate:
-            start = self.dirty_table.min_rsi()
-            redo_start = start if start is not None else lsi
-            cut = min(redo_start, lsi)
-            self.log.truncate_before(cut, redo_start=cut)
+            self._truncate_below(lsi)
         if obs.enabled:
             obs.observe("cache.checkpoint", time.perf_counter() - started)
             obs.observe("cache.checkpoint_installs", installs, COUNT_BUCKETS)

@@ -25,16 +25,20 @@ the flush's installation records are still volatile.  :data:`ROT` runs
 the workload with truncating checkpoints, crashes, rots the stored
 objects (one point each) and supervises recovery with no backup: the
 media redo must name what it cannot rebuild, and serve nothing else
-wrong.  A harness built with ``drive`` runs that fixed history in place
-of the generated workload.
+wrong.  :data:`WITNESS` faults a witness's redo cycle, one
+``materialize()`` after a clean workload and a supervised recovery,
+crashes once after it, and reopens a durable directory cold before the
+verdict.  A harness built with ``drive`` runs that fixed
+history in place of the generated workload.
 
-Every run but the rot row's backs up at workload start (pinning the
-log, backing the quarantine path), drives, crashes, recovers, and
-asserts both oracles: :func:`~repro.kernel.verify.verify_recovered`
-(the crash-free oracle on the durable history) and
-:func:`~repro.core.invariants.check_explainable` (Theorem 3).  Forces
-and purges are drawn from an rng seeded only by the workload seed, so a
-faulted run's numbering lines up with its counting run.
+Every run but the rot and witness rows' backs up at workload start
+(pinning the log, backing the quarantine path), drives, crashes,
+recovers, and asserts both oracles:
+:func:`~repro.kernel.verify.verify_recovered` (the crash-free oracle on
+the durable history) and :func:`~repro.core.invariants.check_explainable`
+(Theorem 3).  Forces and purges are drawn from an rng seeded only by
+the workload seed, so a faulted run's numbering lines up with its
+counting run.
 :class:`Outcome` and :class:`TortureReport` are the live-fire harness's
 (:mod:`repro.livefire`) verdict types too.  A durable backend's runs
 force into the ``wal.log`` that ``serve`` runs.
@@ -66,8 +70,8 @@ from repro.kernel.system import RecoverableSystem, SystemConfig, SystemHealth
 from repro.kernel.verify import VerificationError, verify_recovered
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.faults import (
-    FLUSH_PHASE, FORWARD_PHASE, RECOVERY_PHASE, ROT_PHASE, FaultKind,
-    FaultModel, FaultSpec, FuzzRates,
+    FLUSH_PHASE, FORWARD_PHASE, RECOVERY_PHASE, ROT_PHASE, WITNESS_PHASE,
+    FaultKind, FaultModel, FaultSpec, FuzzRates,
 )
 from repro.storage.backup import FuzzyBackup
 from repro.storage.registry import is_durable, make_log, make_store
@@ -112,6 +116,23 @@ class Phase:
     nested: bool
     #: Fuzz rates when a campaign names none (None: ``FuzzRates()``).
     rates: Optional[FuzzRates]
+    #: Back up at workload start: the backup pins the log and backs the
+    #: quarantine path.
+    backup: bool = True
+    #: Purge after operations at the config's ``p_purge``.
+    purges: bool = True
+    #: The row's own I/O, run armed in its family after the clean
+    #: workload and a log force (None: the workload's or recovery's I/O
+    #: is the row's).  A sweep also crashes once after its last point:
+    #: the step is done and nothing has been forced since.
+    step: Optional[Callable[[RecoverableSystem], None]] = None
+    #: The row's process restarts around ``step``: a crash and a
+    #: supervised recovery before it, and after the crash that ends the
+    #: run a durable directory is reopened cold.
+    restarts: bool = False
+    #: Fault kinds after which a run may end DEGRADED naming what it
+    #: lost; it must then serve every other object as the oracle does.
+    loses_to: Tuple[FaultKind, ...] = ()
 
     def mode(self, shape: str) -> str:
         """A campaign's report name: ``sweep``, ``fuzz-recovery``, ..."""
@@ -150,11 +171,12 @@ FLUSH = Phase(
     supervised=False,
     nested=False,
     rates=FuzzRates(torn=0.05, corrupt=0.05, crash=0.1),
+    step=RecoverableSystem.flush_all,
 )
 #: The objects a crashed store holds, one point each; CORRUPT rots one.
 #: The workload takes truncating checkpoints, so a rotted object's
 #: writer may be gone from the log, and recovery is supervised with no
-#: backup: the one row whose runs may end DEGRADED, when they name the
+#: backup: its runs may end DEGRADED, when they name the
 #: lost objects, and must serve every other object as the oracle does.
 ROT = Phase(
     ROT_PHASE,
@@ -162,6 +184,25 @@ ROT = Phase(
     supervised=True,
     nested=False,
     rates=FuzzRates(transient=0.0, torn=0.0, corrupt=0.3),
+    backup=False,
+    loses_to=(FaultKind.CORRUPT,),
+)
+#: A witness's redo cycle: a clean workload with no purges (a witness
+#: installs only in its cycles), then force, crash, supervised recovery
+#: and one armed ``materialize()``; a crashed cycle's directory is
+#: reopened cold.  A witness holds no backup, so a run that tore or
+#: rotted a write may end DEGRADED, naming what it lost.
+WITNESS = Phase(
+    WITNESS_PHASE,
+    kinds=(FaultKind.CRASH,),
+    supervised=True,
+    nested=False,
+    rates=FLUSH.rates,
+    backup=False,
+    purges=False,
+    step=lambda system: system.cache.materialize(),
+    restarts=True,
+    loses_to=(FaultKind.TORN, FaultKind.CORRUPT),
 )
 
 
@@ -328,9 +369,8 @@ class TortureHarness:
     def _system(
         self, model: FaultModel, phase: Phase = FORWARD
     ) -> Iterator[Tuple[RecoverableSystem, Optional[FuzzyBackup]]]:
-        """A system on ``model``'s devices and a backup taken at
-        workload start (none on the rot row: it would pin the log the
-        row's checkpoints truncate); its scratch directory goes with
+        """A system on ``model``'s devices and, if the row takes one, a
+        backup taken at workload start; its scratch directory goes with
         it.  The model is armed from here only on the rows that fault
         the workload."""
         backend = self.config.store_backend
@@ -338,7 +378,7 @@ class TortureHarness:
             model.armed = phase is FORWARD or phase is RECOVERY
             system = self._build(model, root)
             backup = None
-            if phase is not ROT:
+            if phase.backup:
                 backup = BackupManager(system).take_backup()
             yield system, backup
 
@@ -350,8 +390,8 @@ class TortureHarness:
         injected crash, a detected-corrupt read surfacing through the
         cache (a real system would fail the operation and enter
         recovery), or a transient fault outliving the retry budget.
-        The flush row then forces the log and runs one armed
-        ``flush_all()``."""
+        A row with a ``step`` then forces the log, restarts if it
+        says so, and runs the step armed."""
         cfg = self.config
         workload = LogicalWorkload(
             LogicalWorkloadConfig(
@@ -363,6 +403,7 @@ class TortureHarness:
             seed=cfg.workload_seed,
         )
         interleave = make_rng(f"torture-interleave:{cfg.workload_seed}")
+        p_purge = cfg.p_purge if phase.purges else 0.0
         try:
             if self.drive is not None:
                 self.drive(system)
@@ -371,17 +412,20 @@ class TortureHarness:
                     system.execute(op)
                     if interleave.random() < P_FORCE:
                         system.log.force()
-                    if interleave.random() < cfg.p_purge:
+                    if interleave.random() < p_purge:
                         system.purge()
                     if phase is ROT and interleave.random() < P_CHECKPOINT:
                         system.checkpoint(
                             truncate=interleave.random() < P_TRUNCATE
                         )
-            if phase is FLUSH:
+            if phase.step is not None:
                 system.log.force()
-                model.enter_phase(FLUSH_PHASE)
+                if phase.restarts:
+                    system.crash()
+                    RecoverySupervisor(system).run()
+                model.enter_phase(phase.name)
                 model.armed = True
-                system.flush_all()
+                phase.step(system)
         except (SimulatedCrash, CorruptObjectError, TransientStorageError):
             pass
 
@@ -405,8 +449,14 @@ class TortureHarness:
             if spec is not None:
                 system.store.rot(obj, spec.point)
         model.armed = False
-        if not reopen:
-            return system
+        return self._reopened(system, model) if reopen else system
+
+    def _reopened(
+        self, system: RecoverableSystem, model: FaultModel
+    ) -> RecoverableSystem:
+        """``system``'s closed directory opened again on the same
+        devices and stats, its history carried: what a restarted
+        process finds."""
         reopened = self._build(model, system.store.root, system.stats)
         reopened.history = system.history
         return reopened
@@ -420,13 +470,16 @@ class TortureHarness:
         outcome = TortureOutcome(description)
         with self._system(model, phase) as (system, backup):
             self._drive(system, model, phase)
-            report = None
+            report, named_loss = None, False
             try:
                 system.crash()
                 if phase is ROT:
                     system = self._rot(system, model)
                 model.enter_phase(phase.name)
                 model.armed = phase is RECOVERY
+                if phase.restarts and is_durable(self.config.store_backend):
+                    system.close()
+                    system = self._reopened(system, model)
                 if phase.supervised:
                     report = RecoverySupervisor(
                         system,
@@ -439,18 +492,20 @@ class TortureHarness:
                     model.armed = False
                     outcome.lost = sorted(system.lost_objects)
                     health = report.final_health
-                    if health is not SystemHealth.HEALTHY and not (
-                        phase is ROT
-                        and health is SystemHealth.DEGRADED
-                        and outcome.lost
-                    ):
+                    named_loss = (
+                        health is SystemHealth.DEGRADED
+                        and bool(outcome.lost)
+                        and any(spec.kind in phase.loses_to
+                                for spec in model.fired)
+                    )
+                    if health is not SystemHealth.HEALTHY and not named_loss:
                         raise AssertionError(
                             "escalation ladder did not converge: "
                             f"{report.summary()}"
                         )
                 else:
                     system.recover(quarantine_backup=backup)
-                if phase is ROT:
+                if phase is ROT or named_loss:
                     _serves_the_oracle(system)
                 else:
                     verify_recovered(system)
@@ -491,11 +546,10 @@ class TortureHarness:
 
     def sweep(self, phase: Phase = FORWARD) -> TortureReport:
         """Every ``phase`` point × every kind of the row, one run each,
-        then the row's nested-crash schedules.  The flush row's last
-        cell crashes after the flush's last point: the flush is done
-        and nothing has been forced since."""
+        then the row's nested-crash schedules; a row with a ``step``
+        adds one cell after its last point."""
         points = self.points(phase)
-        cells = points + 1 if phase is FLUSH else points
+        cells = points if phase.step is None else points + 1
         schedules = [
             [FaultSpec(point, kind, times=2 if kind is FaultKind.TRANSIENT
                        else 1, crash=kind is FaultKind.TORN, phase=phase.name)]
@@ -553,7 +607,7 @@ class TortureHarness:
         runs: Iterable[Tuple[FaultModel, str, Optional[int]]],
     ) -> TortureReport:
         self._totals = dict.fromkeys(_COUNTERS, 0)
-        if phase is ROT:
+        if phase.loses_to:
             report.tallies = (("objects lost", "lost"),)
         for model, description, seed in runs:
             outcome = self.run(model, description, phase)

@@ -395,15 +395,12 @@ class WitnessDaemon(ServeDaemon):
     # the redo/materialize cycle (the paper's recovery path, on a timer)
     # ------------------------------------------------------------------
     def _redo_cycle(self) -> None:
-        """Crash, supervise recovery, install, truncate.
+        """Crash, supervise recovery, materialize.
 
         The supervisor replays the adopted records through analysis +
-        REDO-test pruning; the redone operations install through the
-        cache manager in write-graph order, so a crash between any two
-        store writes recovers.  The log is then cut where a truncating
-        checkpoint cuts it: below the oldest rSI still dirty (a flush
-        set waiting for the primary's identity writes), else past the
-        watermark.
+        REDO-test pruning; ``cache.materialize()`` installs the redone
+        operations in write-graph order and truncates the log (the
+        torture harness's ``WITNESS`` row crashes it at each write).
         """
         with self._witness_lock:
             if self._promoted.is_set():
@@ -419,13 +416,7 @@ class WitnessDaemon(ServeDaemon):
                 # The ladder did not converge (it will re-run next
                 # cycle and at promotion); keep the log intact.
                 return
-            # Flush, but neither force nor log: the adopted log's lSIs
-            # are the primary's.
-            cache = self.system.cache
-            cache.install_unexposed(flush=True)
-            oldest, end = cache.dirty_table.min_rsi(), watermark + 1
-            cut = end if oldest is None else min(oldest, end)
-            self.system.log.truncate_before(cut, cut)
+            self.system.cache.materialize()
             self._materialized_through = watermark
             self._records_since_cycle = 0
             self.redo_cycles += 1

@@ -14,8 +14,9 @@ correct in exactly that regime.  This module is the adversary:
   how;
 * points are numbered within a **phase family**: the workload's own I/O
   is ``"forward"``, the I/O recovery performs is ``"recovery"``, one
-  flush's I/O is ``"flush"``, and a crashed store's objects, one point
-  each, are ``"rot"`` (:meth:`FaultModel.enter_phase`), so a schedule
+  flush's I/O is ``"flush"``, a crashed store's objects, one point
+  each, are ``"rot"``, and a witness redo cycle's installs are
+  ``"witness"`` (:meth:`FaultModel.enter_phase`), so a schedule
   can target "the k-th I/O *of recovery itself*" however the forward
   run died.  Recovery numbering is continuous across restarted
   attempts: a spec at recovery point *k* fires in whichever attempt
@@ -78,8 +79,10 @@ FORWARD_PHASE = "forward"
 RECOVERY_PHASE = "recovery"
 FLUSH_PHASE = "flush"
 ROT_PHASE = "rot"
+WITNESS_PHASE = "witness"
 #: Schedule notation's point prefix per phase family (forward: none).
-_PREFIXES = {RECOVERY_PHASE: "r", FLUSH_PHASE: "f", ROT_PHASE: "o"}
+_PREFIXES = {RECOVERY_PHASE: "r", FLUSH_PHASE: "f", ROT_PHASE: "o",
+             WITNESS_PHASE: "w"}
 
 
 @dataclass(frozen=True)
@@ -96,13 +99,13 @@ class FaultSpec:
     crash: bool = False
     #: Which point family the spec's ``point`` counts in: ``"forward"``
     #: (the workload's own I/O, the default), ``"recovery"`` (the I/O
-    #: performed by recovery itself), ``"flush"`` or ``"rot"``.
+    #: performed by recovery itself), ``"flush"``, ``"rot"``, ``"witness"``.
     phase: str = FORWARD_PHASE
 
     def describe(self) -> str:
         """Compact schedule notation, e.g. ``torn@17!`` (``!`` = crash);
         other families prefix the point: ``crash@r3`` (recovery),
-        ``crash@f1`` (flush), ``corrupt@o2`` (rot)."""
+        ``crash@f1`` (flush), ``corrupt@o2`` (rot), ``crash@w3``."""
         tail = f"x{self.times}" if self.times != 1 else ""
         bang = "!" if self.crash else ""
         prefix = _PREFIXES.get(self.phase, "")

@@ -367,6 +367,9 @@ CALL_SURFACE = {
         "shards", "store_backend", "root", "models", "metrics",
     ),
     "repro.replica.witness.WitnessDaemon": ("system", "config", "witness"),
+    # 14.0.0: a witness's redo cycle materializes through its own verb.
+    "repro.cache.cache_manager.CacheManager.install_unexposed": ("self",),
+    "repro.cache.cache_manager.CacheManager.materialize": ("self",),
     # 12.0.0: the rSI test always confirms with the vSI check.
     "repro.core.redo.GeneralizedRedoTest": (),
 }
@@ -374,7 +377,10 @@ CALL_SURFACE = {
 
 def _resolve(dotted):
     module, name = dotted.rsplit(".", 1)
-    return getattr(importlib.import_module(module), name)
+    try:
+        return getattr(importlib.import_module(module), name)
+    except ModuleNotFoundError:  # a method: resolve its class
+        return getattr(_resolve(module), name)
 
 
 class TestOptionSurface:

@@ -1085,136 +1085,19 @@ class TestRecoveryDriver:
 
 
 # ----------------------------------------------------------------------
-# the witness's redo cycle installs through the write graph
+# the witness's redo cycle (its crash points: tests/test_witness_row.py)
 # ----------------------------------------------------------------------
-def _witness_on(backend, root, model=None):
+def _witness_on(backend, root):
     """An unstarted witness over ``backend`` at ``root``, built as
-    ``serve --witness-of`` builds one; ``model`` faults its store."""
+    ``serve --witness-of`` builds one."""
     from repro.replica import WitnessConfig
     from repro.topology import build_daemon, build_systems
 
-    models = () if model is None else [model]
     return build_daemon(
-        build_systems(1, backend, root, models=models),
+        build_systems(1, backend, root),
         DaemonConfig(port=0, http_port=None),
         witness=WitnessConfig(),
     )
-
-
-def _cycle_armed(witness, model):
-    """Run one redo cycle with ``model`` armed once recovery is done,
-    so point *k* is the *k*-th store write of the cycle's installs."""
-    from repro.storage.faults import FaultCrash
-
-    shard = witness._shards[0]
-    supervise = shard.supervise
-
-    def supervise_then_arm(*args, **kwargs):
-        supervise(*args, **kwargs)
-        model.armed = True
-
-    shard.supervise = supervise_then_arm
-    try:
-        witness._redo_cycle()
-    except FaultCrash:
-        return True
-    finally:
-        model.armed = False
-        del shard.supervise
-        witness.system.close()
-    return False
-
-
-def _reopened(backend, root):
-    from repro.topology import build_systems
-
-    system = build_systems(1, backend, root).systems[0]
-    system.recover()
-    return system
-
-
-@pytest.mark.parametrize("backend", ["file", "logstore"])
-def test_crash_mid_materialize_keeps_derived_values(tmp_path, backend):
-    """``b := derive(a)`` then ``a := touch(a)``: a crash right after
-    the cycle's first store write must leave a store from which the
-    redo of the derive still reads the ``a`` it read."""
-    import hashlib
-
-    from repro.core.operation import put_object
-    from repro.storage.faults import FaultKind, FaultModel, FaultSpec
-
-    root = str(tmp_path)
-    model = FaultModel([FaultSpec(1, FaultKind.CRASH)], armed=False)
-    witness = _witness_on(backend, root, model)
-    system = witness.system
-    system.execute(put_object("a", b"v0"))
-    system.execute(Operation(
-        "derive(a->b)", OpKind.LOGICAL, reads={"a"}, writes={"b"},
-        fn="wl_derive", params=("a", "b"),
-    ))
-    system.execute(Operation(
-        "touch(a)", OpKind.PHYSIOLOGICAL, reads={"a"}, writes={"a"},
-        fn="wl_touch", params=("a",),
-    ))
-    system.log.force()
-    assert _cycle_armed(witness, model)
-    assert len(system.store) == 1  # the crash came after one write
-
-    again = _reopened(backend, root)
-    assert again.read("b") == hashlib.sha256(b"derive" + b"v0").digest()
-    again.close()
-
-
-def _logical_ops(seed):
-    from repro.workloads import LogicalWorkload, LogicalWorkloadConfig
-
-    config = LogicalWorkloadConfig(objects=6, operations=30)
-    return list(LogicalWorkload(config, seed=seed).operations())
-
-
-@pytest.mark.parametrize("backend", ["file", "logstore"])
-def test_witness_crash_sweep(tmp_path, backend):
-    """Crash the redo cycle before each of its store writes, 40 seeds
-    of a logical workload: every reopened directory holds what the
-    workload computed."""
-    from repro.storage.faults import (
-        FORWARD_PHASE, FaultKind, FaultModel, FaultSpec,
-    )
-
-    wrong, points = [], 0
-    for seed in range(40):
-        reference = RecoverableSystem()
-        register_workload_functions(reference.registry)
-        ops = _logical_ops(seed)
-        for op in ops:
-            reference.execute(op)
-        ids = sorted({obj for op in ops for obj in op.writes})
-        expected = {obj: reference.read(obj) for obj in ids}
-
-        def run(model, where):
-            root = str(tmp_path / where)
-            witness = _witness_on(backend, root, model)
-            for op in _logical_ops(seed):
-                witness.system.execute(op)
-            witness.system.log.force()
-            crashed = _cycle_armed(witness, model)
-            again = _reopened(backend, root)
-            wrong.extend(
-                (seed, where, obj) for obj in ids
-                if again.read(obj) != expected[obj]
-            )
-            again.close()
-            return crashed
-
-        counter = FaultModel(armed=False)
-        assert not run(counter, f"{seed}-all")
-        count = counter.points_in(FORWARD_PHASE)
-        for point in range(count):
-            spec = FaultSpec(point, FaultKind.CRASH)
-            assert run(FaultModel([spec], armed=False), f"{seed}-{point}")
-        points += count
-    assert points >= 200
-    assert wrong == []
 
 
 def test_a_pinned_witness_log_drains_with_the_primarys_identity_writes(

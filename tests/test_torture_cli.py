@@ -58,19 +58,20 @@ def test_failing_fuzz_prints_a_runnable_replay(every_run_fails, capsys):
     assert "fuzz seed=8: AssertionError" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("mode", ["v2", "flush", "rot"])
+@pytest.mark.parametrize("mode", ["v2", "flush", "rot", "witness"])
 def test_a_failing_phase_row_prints_a_runnable_replay(
     every_run_fails, capsys, mode
 ):
-    argv = ["torture", mode, "--fuzz-runs", "2", "--seed", "9",
-            "--p-corrupt", "0.02"]
+    # The witness mode has no ``--p-*`` flags: it fuzzes at its row's.
+    rates = [] if mode == "witness" else ["--p-corrupt", "0.02"]
+    argv = ["torture", mode, "--fuzz-runs", "2", "--seed", "9"] + rates
     assert main(argv + SHAPE) == 1
     replays = _replays(capsys.readouterr().out)
     assert len(replays) > 2
     for args in replays:
         assert args.mode == mode
         _same_shape(args)
-        assert args.p_corrupt == 0.02
+        assert vars(args).get("p_corrupt", 0.02) == 0.02
     # The sweep's cells replay without the fuzz stage; each fuzz
     # schedule as a one-schedule fuzz stage at its seed.
     assert {args.fuzz_runs for args in replays[:-2]} == {0}

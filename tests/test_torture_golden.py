@@ -8,7 +8,10 @@ not to be edited: a changed digest means a fault point was renumbered or
 a verdict flipped.  They do not depend on ``PYTHONHASHSEED``.
 
 The flush and rot rows have their own digests, taken when they joined
-the harness (13.0.0).
+the harness (13.0.0).  So has the witness row (14.0.0), at the shape CI
+runs it (6 objects, 30 operations, the backend's recommended cache): at
+the default shape its workload collapses into one flush set, a single
+point.
 
 The bounded-cache row (``tests.conftest.small_cache_torture``) has its
 own digests, taken once a quarantine restored the whole backup image
@@ -23,8 +26,9 @@ import hashlib
 import pytest
 
 from repro.kernel.torture import (
-    FLUSH, RECOVERY, ROT, TortureConfig, TortureHarness,
+    FLUSH, RECOVERY, ROT, WITNESS, TortureConfig, TortureHarness,
 )
+from repro.storage.registry import recommended_cache_config
 from tests.conftest import small_cache_torture
 
 CAMPAIGNS = {
@@ -36,6 +40,8 @@ CAMPAIGNS = {
     "fuzz-flush": lambda harness: harness.fuzz(30, phase=FLUSH),
     "sweep-rot": lambda harness: harness.sweep(ROT),
     "fuzz-rot": lambda harness: harness.fuzz(30, phase=ROT),
+    "sweep-witness": lambda harness: harness.sweep(WITNESS),
+    "fuzz-witness": lambda harness: harness.fuzz(50, phase=WITNESS),
 }
 
 GOLDEN = {
@@ -64,7 +70,7 @@ GOLDEN = {
     ("logstore", "fuzz-recovery"):
         "b17a60abf0012077f08e7045311a1c15f27d0125581bb4ad7de13e20a1b623fa",
 }
-_FLUSH_ROT = {
+_ROWS = {
     "sweep-flush":
         "0bdaddc6d4689fc777354be37f23e37eaab1282fe19c5c90f69294ff04d8f85b",
     "fuzz-flush":
@@ -73,15 +79,22 @@ _FLUSH_ROT = {
         "1c4e5e610bf84031400736ee786f90e3088694d98cc36daf50aa9402c0236e18",
     "fuzz-rot":
         "e64d37e42c1a7a85e052c6e0f104b7b7d2af8974a3e914417c50fcafd2e46cd5",
+    "sweep-witness":
+        "0a84a21ff3ace882b5537c0e9c19a14390e91f1c3354619d7b2c597911e83166",
+    "fuzz-witness":
+        "720c99b911145f679c50135ee648ca702e649c91c396c507cc23bbe5d5ff811d",
 }
 GOLDEN.update(
     ((backend, campaign), value)
     for backend in ("memory", "file", "logstore")
-    for campaign, value in _FLUSH_ROT.items()
+    for campaign, value in _ROWS.items()
 )
 GOLDEN["logstore", "fuzz-flush"] = (
     "0af4b1c3e1eefd08cc8b5b7a4511ebbf37213d068b122db9449a39462fc37456"
 )
+# A restarted logstore witness serves a rotted cycle write wrong: the
+# strict xfail in tests/test_witness_row.py, so no digest until it mends.
+del GOLDEN["logstore", "fuzz-witness"]
 
 
 SMALL_CACHE_CAMPAIGNS = {
@@ -123,7 +136,13 @@ def digest(report) -> str:
 
 @pytest.mark.parametrize("backend, campaign", sorted(GOLDEN))
 def test_campaign_digest_is_golden(backend, campaign):
-    harness = TortureHarness(TortureConfig(store_backend=backend))
+    config = TortureConfig(store_backend=backend)
+    if campaign.endswith("-witness"):
+        config = TortureConfig(
+            objects=6, operations=30, store_backend=backend,
+            cache_factory=lambda: recommended_cache_config(backend),
+        )
+    harness = TortureHarness(config)
     report = CAMPAIGNS[campaign](harness)
     assert report.mode == campaign
     assert report.ok, [f"{o.description}: {o.error}" for o in report.failures()]
