@@ -23,7 +23,7 @@ rejected, and every failure is a :class:`CodecError`.
 from __future__ import annotations
 
 import struct
-from typing import Any, Tuple
+from typing import Any, Tuple, Union
 
 from repro.common.errors import ReproError
 from repro.common.tombstone import TOMBSTONE
@@ -42,7 +42,18 @@ MAX_DEPTH = 32
 #: (:mod:`repro.wal.codec`).
 TYPE_STORED_VERSION = 16
 
+#: The version byte of a *deflated* stored version, which only store
+#: frames carry (:func:`repro.storage.framing.frame`): the header is
+#: ``2 · TYPE_STORED_VERSION · vSI`` and the body is the tagged value's
+#: length as a varint, then that encoding deflated.  No other payload
+#: takes it, so :func:`unpack_header` refuses it everywhere else — and a
+#: build that reads only version 1 refuses a deflated store frame
+#: (:class:`UnknownVersionError`) instead of taking it for damage.
+DEFLATED_VERSION = 2
+
 HEADER = struct.Struct("<BBQ")  # version, type, si
+#: What the decoders read: the codec never needs the bytes to be ``bytes``.
+Buffer = Union[bytes, memoryview]
 _F64 = struct.Struct("<d")
 
 TAG_NONE = 0x00
@@ -93,7 +104,7 @@ def put_uvarint(out: bytearray, n: int) -> None:
     out.append(n)
 
 
-def get_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+def get_uvarint(data: Buffer, pos: int) -> Tuple[int, int]:
     """Read one varint of at most ten bytes; return ``(value, new pos)``."""
     byte = data[pos]
     if byte < 0x80:
@@ -114,7 +125,7 @@ def get_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
     return result, pos
 
 
-def get_count(data: bytes, pos: int) -> Tuple[int, int]:
+def get_count(data: Buffer, pos: int) -> Tuple[int, int]:
     """Read an element count: no more elements than bytes remain."""
     count, pos = get_uvarint(data, pos)
     if count > len(data) - pos:
@@ -137,14 +148,14 @@ def put_str(out: bytearray, text: str) -> None:
     out += raw
 
 
-def get_str(data: bytes, pos: int) -> Tuple[str, int]:
+def get_str(data: Buffer, pos: int) -> Tuple[str, int]:
     length, pos = get_uvarint(data, pos)
     end = pos + length
     if end > len(data):
         raise CodecError(
             f"string of {length} bytes exceeds the {len(data) - pos} remaining"
         )
-    return data[pos:end].decode("utf-8", "surrogatepass"), end
+    return str(data[pos:end], "utf-8", "surrogatepass"), end
 
 
 def pack_header(kind: int, si: int) -> bytearray:
@@ -152,7 +163,7 @@ def pack_header(kind: int, si: int) -> bytearray:
     return bytearray(HEADER.pack(VERSION, kind, si))
 
 
-def unpack_header(data: bytes) -> Tuple[int, int, int]:
+def unpack_header(data: Buffer) -> Tuple[int, int, int]:
     """Check the version; return ``(type, si, body offset)``."""
     if not data:
         raise CodecError("empty payload")
@@ -252,14 +263,15 @@ def _check_depth(depth: int) -> None:
         raise CodecError(f"containers nested deeper than {MAX_DEPTH}")
 
 
-def get_value(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
+def get_value(data: Buffer, pos: int, depth: int = 0) -> Tuple[Any, int]:
     """Read one tagged value; return ``(value, new pos)``."""
     tag = data[pos]
     pos += 1
     if tag == TAG_BYTES:
         length, pos = get_count(data, pos)
         end = pos + length
-        return data[pos:end], end
+        # The one copy of a value read through a ``memoryview``.
+        return bytes(data[pos:end]), end
     if tag == TAG_STR:
         return get_str(data, pos)
     if tag == TAG_INT:
@@ -310,7 +322,7 @@ def get_value(data: bytes, pos: int, depth: int = 0) -> Tuple[Any, int]:
     raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
-def finish(data: bytes, pos: int) -> None:
+def finish(data: Buffer, pos: int) -> None:
     """Reject a payload that continues past its decoded content."""
     if pos != len(data):
         raise CodecError(f"{len(data) - pos} trailing bytes after payload")
@@ -341,9 +353,9 @@ def encode_stored_version(value: Any, vsi: int) -> bytes:
     return bytes(out)
 
 
-def decode_stored_version(data: bytes) -> Tuple[Any, int]:
-    """Invert :func:`encode_stored_version`."""
-    data = bytes(data)
+def decode_stored_version(data: Buffer) -> Tuple[Any, int]:
+    """Invert :func:`encode_stored_version`, in place on ``data`` (a
+    ``memoryview`` of a read buffer is decoded without copying it)."""
     kind, vsi, pos = unpack_header(data)
     if kind != TYPE_STORED_VERSION:
         raise CodecError(f"payload type {kind} is not a stored version")

@@ -21,7 +21,16 @@ of Theorem 3.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Set
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Set,
+)
 
 from repro.common.identifiers import ObjectId
 from repro.core.history import History
@@ -106,10 +115,52 @@ def explains(
     ``state`` maps object ids to stable values; objects absent from the
     mapping are treated as holding the oracle's initial value.
     """
-    ideal = installed_values(history, installed, oracle)
-    for obj in exposed_objects(history, installed):
-        expected = ideal.get(obj, oracle.initial.get(obj))
-        actual = state.get(obj, oracle.initial.get(obj))
+    facts = _Facts.of(history, oracle)
+    return _explains(history, installed, state, oracle, facts)
+
+
+class _Facts(NamedTuple):
+    """What :func:`explains` needs of the history that does not depend on
+    ``I``: a search computes it once, not at every leaf."""
+
+    #: ``oracle.trajectory(history)``.
+    trajectory: List[Dict[ObjectId, Any]]
+    #: Every object an operation touches, with its accessors in
+    #: conflict order.
+    accessors: Dict[ObjectId, List[Operation]]
+
+    @classmethod
+    def of(cls, history: History, oracle: Oracle) -> "_Facts":
+        objects: Set[ObjectId] = set()
+        for op in history:
+            objects |= op.reads | op.writes
+        return cls(
+            oracle.trajectory(list(history)),
+            {obj: history.accessors_in_order(obj) for obj in objects},
+        )
+
+
+def _explains(
+    history: History,
+    installed: Set[Operation],
+    state: Mapping[ObjectId, Any],
+    oracle: Oracle,
+    facts: _Facts,
+) -> bool:
+    """:func:`explains`, one object at a time: the first exposed object
+    whose stable value is not its installed value decides."""
+    initial = oracle.initial
+    for obj, accessors in facts.accessors.items():
+        minimal = next((op for op in accessors if op not in installed), None)
+        if minimal is not None and obj not in minimal.reads:
+            continue  # unexposed: the minimal uninstalled op blind-writes x
+        writer = history.last_writer(obj, within=installed)
+        expected = (
+            initial.get(obj)
+            if writer is None
+            else facts.trajectory[writer.op_id + 1][obj]
+        )
+        actual = state.get(obj, initial.get(obj))
         # A deleted object (TOMBSTONE) and an absent object are the
         # same stable fact.
         if expected is TOMBSTONE:
@@ -133,10 +184,12 @@ def find_explanation(
     ``candidates`` restricts the search to operations that might be
     uninstalled (everything before them is taken as installed); by
     default all operations of the graph participate.  The search
-    enumerates downward-closed subsets in conflict order with
-    memoization on the decision frontier, so it is exponential in the
-    worst case — suitable for verification on test-sized histories, not
-    for production recovery (which never materializes I).
+    enumerates downward-closed subsets in conflict order, deciding one
+    operation per level (each subset is met once, so nothing is
+    memoized), so it is exponential in the worst case — suitable for
+    verification on test-sized histories, not for production recovery
+    (which never materializes I).  What every leaf needs of the history
+    is computed once per search (:class:`_Facts`).
 
     Returns one explaining prefix set, or None if the state is
     unexplainable (an :class:`UnrecoverableStateError` situation).
@@ -149,18 +202,14 @@ def find_explanation(
         op for op in history if op not in set(pool)
     }
     n = len(pool)
-    seen: Set[FrozenSet[int]] = set()
+    facts = _Facts.of(history, oracle)
 
     def search(index: int, chosen: Set[Operation]) -> Optional[Set[Operation]]:
         if index == n:
             installed = always_installed | chosen
-            if explains(history, installed, state, oracle):
+            if _explains(history, installed, state, oracle, facts):
                 return installed
             return None
-        key = frozenset(op.op_id for op in chosen) | {-(index + 1)}
-        if key in seen:
-            return None
-        seen.add(key)
         op = pool[index]
         # Branch 1: include op, legal only if its predecessors (within
         # the pool) were all included — downward closure.

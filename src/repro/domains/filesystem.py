@@ -21,7 +21,7 @@ import enum
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.common.identifiers import ObjectId
-from repro.core.functions import FunctionRegistry
+from repro.core.functions import FunctionRegistry, sorted_bytes
 from repro.core.operation import Operation, OpKind, delete_object
 from repro.kernel.system import RecoverableSystem
 
@@ -267,7 +267,7 @@ class RecoverableFileSystem:
             if data is None:
                 raise FileNotFoundError(src)
             result = (
-                bytes(sorted(data)) if fn == "sorted_copy" else bytes(data)
+                sorted_bytes(data) if fn == "sorted_copy" else bytes(data)
             )
             op = Operation(
                 f"fs{fn}_P({dst})",

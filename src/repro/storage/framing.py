@@ -4,7 +4,8 @@ Every durable backend in :mod:`repro.storage` writes checksummed frames
 — ``magic || [length][crc32] || payload`` — mirroring the WAL's frame
 format, with the payload the stored-version encoding of the shared
 binary codec (:mod:`repro.common.codec`: ``version · type · vSI ·``
-tagged value): :class:`~repro.storage.file_store.FileStableStore`
+tagged value, deflated when that pays — see :func:`frame`):
+:class:`~repro.storage.file_store.FileStableStore`
 frames one object version per file, and
 :class:`~repro.storage.logstore.LogStructuredStableStore` appends
 record frames to segment files.  The framing is the detection layer: a
@@ -40,10 +41,18 @@ import zlib
 from typing import Any, BinaryIO, Callable, Iterator, Optional, Tuple, Union
 
 from repro.common.codec import (
+    DECODE_ERRORS,
+    DEFLATED_VERSION,
+    HEADER as PAYLOAD_HEADER,
+    TYPE_STORED_VERSION,
+    Buffer,
     CodecError,
     UnknownVersionError,
     decode_stored_version,
+    decode_value,
     encode_stored_version,
+    get_uvarint,
+    put_uvarint,
 )
 from repro.common.errors import CorruptObjectError
 from repro.common.identifiers import NULL_SI, StateId
@@ -60,6 +69,18 @@ SCAN_CHUNK = 256 * 1024
 _NO_KERNEL_COPY = frozenset(
     {errno.ENOSYS, errno.EXDEV, errno.EINVAL, errno.EOPNOTSUPP}
 )
+
+#: The deflate rule of a stored version (:func:`frame`): an encoding
+#: shorter than the floor is framed as it is; a longer one is deflated
+#: at the level, and the deflated body is kept only when it saves at
+#: least 1/:data:`DEFLATE_SAVING` of the payload's bytes.
+DEFLATE_FLOOR = 256
+DEFLATE_LEVEL = 1
+DEFLATE_SAVING = 8
+#: The most deflate can expand (a 258-byte match in under two bits): a
+#: body declaring more than this many bytes per deflated byte is a lie,
+#: refused before anything is inflated.
+MAX_INFLATE_RATIO = 1032
 
 MARKER_NAME = "media_redo_pending.marker"
 #: Value field stored in the marker frame (the vSI slot carries the
@@ -93,9 +114,10 @@ def pack_frame(payload: bytes, magic: bytes = b"") -> bytes:
 
 
 def payload_at(
-    data: bytes, offset: int, magic: bytes = b"", origin: str = "frame"
-) -> bytes:
-    """The frame test: the payload of the frame at ``offset`` in ``data``.
+    data: Buffer, offset: int, magic: bytes = b"", origin: str = "frame"
+) -> Buffer:
+    """The frame test: the payload of the frame at ``offset`` in ``data``
+    (a slice of ``data``: a view of a ``memoryview``, bytes of bytes).
 
     Raises :class:`CorruptObjectError` for anything a torn or rotted
     write leaves behind — a missing magic, an incomplete header, a
@@ -103,7 +125,7 @@ def payload_at(
     the empty frame of an all-zero header (no writer frames nothing).
     """
     start = offset + len(magic) + HEADER.size
-    if not data.startswith(magic, offset):
+    if data[offset : offset + len(magic)] != magic:
         raise CorruptObjectError(f"{origin}: bad magic (torn or foreign file)")
     if start > len(data):
         raise CorruptObjectError(f"{origin}: truncated header")
@@ -117,17 +139,74 @@ def payload_at(
 
 
 def frame(value: Any, vsi: StateId) -> bytes:
-    """Serialize one ``(value, vSI)`` pair as a checksummed frame."""
-    return pack_frame(encode_stored_version(value, vsi), MAGIC)
+    """Serialize one ``(value, vSI)`` pair as a checksummed frame.
+
+    The payload is the stored-version encoding, or — when it is at
+    least :data:`DEFLATE_FLOOR` bytes and deflating saves at least
+    1/:data:`DEFLATE_SAVING` of them — its deflated form
+    ``DEFLATED_VERSION · TYPE_STORED_VERSION · vSI · uvarint(length) ·
+    zlib(tagged value)``, which a build reading only codec version 1
+    refuses rather than quarantines.
+    """
+    return pack_frame(_deflated(encode_stored_version(value, vsi)), MAGIC)
 
 
-def decode_payload(payload: bytes, origin: str) -> Tuple[Any, StateId]:
-    """Decode a stored-version payload that passed the frame test.
+def _deflated(payload: bytes) -> bytes:
+    """``payload`` deflated by the rule of :func:`frame`, or itself."""
+    if len(payload) < DEFLATE_FLOOR:
+        return payload
+    encoding = memoryview(payload)[PAYLOAD_HEADER.size :]
+    head = bytearray(payload[: PAYLOAD_HEADER.size])
+    head[0] = DEFLATED_VERSION
+    put_uvarint(head, len(encoding))
+    head += zlib.compress(encoding, DEFLATE_LEVEL)
+    if len(head) * DEFLATE_SAVING > len(payload) * (DEFLATE_SAVING - 1):
+        return payload
+    return bytes(head)
 
-    Undecodable bytes are damage (:class:`CorruptObjectError`); another
-    codec version's frame is refused (``UnknownVersionError``).
+
+def _inflated(payload: Buffer) -> Tuple[Any, StateId]:
+    """Invert :func:`_deflated`.  The inflation is bounded by the
+    declared length; every failure is a :class:`CodecError`."""
+    try:
+        _version, kind, vsi = PAYLOAD_HEADER.unpack_from(payload, 0)
+        length, start = get_uvarint(payload, PAYLOAD_HEADER.size)
+    except DECODE_ERRORS:
+        raise CodecError("truncated deflated header") from None
+    if kind != TYPE_STORED_VERSION:
+        raise CodecError(f"payload type {kind} is not a stored version")
+    body = payload[start:]
+    if not 0 < length <= MAX_INFLATE_RATIO * len(body):
+        raise CodecError(
+            f"{len(body)} deflated bytes cannot inflate to {length}"
+        )
+    inflater = zlib.decompressobj()
+    try:
+        # One byte of room past the declared length: a stream that
+        # fills it inflates past its bound, and one that ends exactly
+        # there has room to read its end marker.
+        encoding = inflater.decompress(body, length + 1)
+    except zlib.error as exc:
+        raise CodecError(f"bad deflate stream: {exc}") from None
+    if len(encoding) != length or not inflater.eof or inflater.unused_data:
+        raise CodecError(
+            f"deflated body does not inflate to its declared {length} bytes"
+        )
+    return decode_value(encoding), vsi
+
+
+def decode_payload(payload: Buffer, origin: str) -> Tuple[Any, StateId]:
+    """Decode a stored-version payload (deflated or not) that passed
+    the frame test.
+
+    Undecodable bytes are damage (:class:`CorruptObjectError`) — a
+    deflated body that is not a deflate stream, inflates past its
+    declared length or is not a value included; another codec version's
+    frame is refused (``UnknownVersionError``).
     """
     try:
+        if len(payload) and payload[0] == DEFLATED_VERSION:
+            return _inflated(payload)
         return decode_stored_version(payload)
     except UnknownVersionError as exc:
         raise UnknownVersionError(f"{origin}: {exc}") from None
@@ -138,7 +217,8 @@ def decode_payload(payload: bytes, origin: str) -> Tuple[Any, StateId]:
 def unframe(data: bytes, origin: str) -> Tuple[Any, StateId]:
     """Parse a frame, raising :class:`CorruptObjectError` on any damage
     (and ``UnknownVersionError`` for another codec version's frame)."""
-    return decode_payload(payload_at(data, 0, MAGIC, origin), origin)
+    payload = payload_at(memoryview(data), 0, MAGIC, origin)
+    return decode_payload(payload, origin)
 
 
 def write_file_durably(
@@ -307,9 +387,10 @@ class FramedFile:
         self.end = offset
         self.torn = offset < size
 
-    def read_frame(self, offset: int, length: int) -> bytes:
-        """The payload of the ``length``-byte frame at ``offset``: one
-        ``pread`` of exactly those bytes plus the frame test, on a
+    def read_frame(self, offset: int, length: int) -> memoryview:
+        """The payload of the ``length``-byte frame at ``offset``, as a
+        view of the read buffer: one ``pread`` of exactly those bytes
+        plus the frame test, on a
         read-only descriptor opened by the first call and held until
         :meth:`release_reader` / :meth:`close` / :meth:`remove` (the
         owner bounds how many of its files hold one).
@@ -324,7 +405,9 @@ class FramedFile:
                 ) from None
         try:
             return payload_at(
-                os.pread(self._read_fd, length, offset), 0, self.magic
+                memoryview(os.pread(self._read_fd, length, offset)),
+                0,
+                self.magic,
             )
         except CorruptObjectError as exc:  # say where, but only then
             raise CorruptObjectError(

@@ -301,9 +301,12 @@ class LogStructuredStableStore(DurableMediaMarker, StableStore):
         record, _ = framing.decode_payload(self._payload(loc), "segment record")
         if record[0] == _PUT:
             return record[2]
-        return {member: value for member, value, _vsi in record[1]}[obj]
+        for member, value, _vsi in record[1]:
+            if member == obj:
+                return value
+        raise CorruptObjectError(f"segment record: no member {obj!r}")
 
-    def _payload(self, loc: _Loc) -> bytes:
+    def _payload(self, loc: _Loc) -> memoryview:
         """The device read: the verified payload of an indexed frame."""
         segment = self._segments.get(loc.seg_id)
         if segment is None:

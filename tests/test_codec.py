@@ -17,6 +17,8 @@ import errno
 import os
 import pathlib
 import pickle
+import random
+import shutil
 import stat
 import struct
 import tracemalloc
@@ -27,7 +29,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.codec import (
+    DEFLATED_VERSION,
     MAX_DEPTH,
+    TYPE_STORED_VERSION,
     VERSION,
     CodecError,
     UnknownVersionError,
@@ -40,7 +44,9 @@ from repro.common.codec import (
     put_str,
     put_uvarint,
     put_value,
+    unpack_header,
 )
+from repro.common.errors import CorruptObjectError
 from repro.common.sizes import ID_SIZE
 from repro.core.operation import (
     TOMBSTONE,
@@ -54,7 +60,10 @@ from repro.persist import PersistentSystem
 from repro.persist.file_log import FileLogManager
 from repro.replica.wire import adopt_batch, batch_frame
 from repro.serve.errors import ProtocolError
+from repro.storage import framing
 from repro.storage.framing import HEADER as _HEADER, pack_frame
+from repro.storage.registry import make_store
+from repro.storage.stable_store import StoredVersion
 from repro.wal.codec import RECORD_TYPES, decode_record, encode_record
 from repro.wal.log_manager import LogManager
 from repro.wal.records import (
@@ -1035,6 +1044,290 @@ class TestUnencodableValueFailsItsOwnAppend:
         log.close()
         reopened = FileLogManager(str(tmp_path))
         assert [r.lsi for r in reopened.stable_records()] == [first, second]
+
+
+# ----------------------------------------------------------------------
+# store frames: a stored version is deflated when that pays
+# ----------------------------------------------------------------------
+#: Values a store frame deflates: repeats, sorted bytes (the paper's
+#: sort example), long text and small-integer tuples.
+COMPRESSIBLE = st.one_of(
+    st.tuples(st.binary(min_size=1, max_size=32), st.integers(1, 300)).map(
+        lambda unit_count: unit_count[0] * unit_count[1]
+    ),
+    st.binary(min_size=200, max_size=4096).map(lambda raw: bytes(sorted(raw))),
+    st.tuples(TEXT, st.integers(1, 80)).map(lambda pair: pair[0] * pair[1]),
+    st.lists(st.integers(0, 3), max_size=400).map(tuple),
+)
+#: Random bytes, which stay plain.
+NOISE = st.builds(
+    lambda seed, size: random.Random(seed).randbytes(size),
+    st.integers(0, 2**32),
+    st.integers(0, 4096),
+)
+STORED = st.one_of(VALUES, COMPRESSIBLE, NOISE, st.binary(max_size=4096))
+
+
+def _payload(frame: bytes) -> bytes:
+    return frame[framing.OVERHEAD:]
+
+
+def _deflated_payload(
+    body: bytes, length: int, kind=TYPE_STORED_VERSION, vsi=11
+) -> bytes:
+    """A deflated stored-version payload declaring ``length``."""
+    out = bytearray(struct.pack("<BBQ", DEFLATED_VERSION, kind, vsi))
+    put_uvarint(out, length)
+    return bytes(out) + body
+
+
+#: A deflated 100-byte value: its encoding is 103 bytes.
+_A100 = zlib.compress(encode_value(b"a" * 100))
+
+
+class TestDeflatedFrames:
+    @given(STORED, SIS)
+    @settings(deadline=None)
+    def test_frames_round_trip(self, value, vsi):
+        frame = framing.frame(value, vsi)
+        decoded, decoded_vsi = framing.unframe(frame, "t")
+        assert same(decoded, value) and decoded_vsi == vsi
+
+    @given(STORED, SIS)
+    @settings(deadline=None)
+    def test_the_deflate_rule(self, value, vsi):
+        """At least the floor and saving at least 1/8: deflated at level
+        1; otherwise today's bytes exactly."""
+        plain = encode_stored_version(value, vsi)
+        encoding = encode_value(value)
+        candidate = _deflated_payload(
+            zlib.compress(encoding, 1), len(encoding), vsi=vsi
+        )
+        pays = (
+            len(plain) >= framing.DEFLATE_FLOOR
+            and len(candidate) * 8 <= len(plain) * 7
+        )
+        expected = candidate if pays else plain
+        assert framing.frame(value, vsi) == pack_frame(expected, framing.MAGIC)
+
+    @given(
+        st.binary(min_size=1, max_size=8).map(lambda u: u * (400 // len(u))),
+        SIS,
+    )
+    @settings(deadline=None)
+    def test_a_version_1_reader_refuses_a_deflated_frame(self, value, vsi):
+        """What 14.0.0's ``decode_stored_version`` runs first refuses it:
+        an unknown version, never damage to quarantine."""
+        payload = _payload(framing.frame(value, vsi))
+        assert payload[0] == DEFLATED_VERSION
+        with pytest.raises(UnknownVersionError, match="version 2"):
+            unpack_header(payload)
+        with pytest.raises(UnknownVersionError):
+            decode_stored_version(payload)
+
+    def test_the_sort_example_stores_in_a_fraction(self):
+        data = bytes(sorted(random.Random(7).randbytes(8192)))
+        assert len(framing.frame(data, 1)) < 1024
+        noise = random.Random(7).randbytes(8192)
+        assert _payload(framing.frame(noise, 1)) == encode_stored_version(
+            noise, 1
+        )
+
+    def test_a_memoryview_decodes_to_owned_values(self):
+        value = (b"bytes", "str", 7, [b"x" * 300])
+        payload = encode_stored_version(value, 3)
+        decoded, vsi = decode_stored_version(memoryview(payload))
+        assert same(decoded, value) and vsi == 3
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _deflated_payload(b"not a deflate stream", 40),
+            # inflates past its declared length (the bound)
+            _deflated_payload(zlib.compress(encode_value(b"a" * 1000)), 100),
+            # inflates short of it
+            _deflated_payload(_A100, 500),
+            _deflated_payload(_A100[:-4], 103),
+            _deflated_payload(_A100 + b"!", 103),
+            # inflates to bytes that are not one value
+            _deflated_payload(zlib.compress(b"\xff" * 300), 300),
+            _deflated_payload(zlib.compress(encode_value(1) + b"\x00"), 3),
+            _deflated_payload(zlib.compress(encode_value(b"x" * 50)), 0),
+            _deflated_payload(zlib.compress(encode_value(b"x" * 50)), 52,
+                              kind=1),
+            struct.pack("<BBQ", DEFLATED_VERSION, TYPE_STORED_VERSION, 1)[:7],
+            struct.pack("<BBQ", DEFLATED_VERSION, TYPE_STORED_VERSION, 1)
+            + b"\xff",
+        ],
+        ids=[
+            "bad-stream", "past-the-bound", "short", "truncated-stream",
+            "trailing-bytes", "not-a-value", "trailing-value", "zero-length",
+            "not-a-stored-version", "torn-header", "torn-length",
+        ],
+    )
+    def test_hostile_deflated_frames_are_damage(self, payload):
+        with pytest.raises(CorruptObjectError, match="undecodable"):
+            framing.unframe(pack_frame(payload, framing.MAGIC), "t")
+
+    def test_a_bomb_is_refused_within_its_bound(self):
+        """A stream inflating to 8 MiB that declares 1 KiB allocates
+        about the KiB; a declared length deflate cannot reach allocates
+        nothing."""
+        bomb = zlib.compress(bytes(8 << 20), 9)
+        tracemalloc.start()
+        try:
+            for payload in (
+                _deflated_payload(bomb, 1024),
+                _deflated_payload(bomb[:64], 2**60),
+            ):
+                with pytest.raises(CorruptObjectError):
+                    framing.unframe(pack_frame(payload, framing.MAGIC), "t")
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @given(st.binary(max_size=300), st.integers(0, 2**20))
+    @settings(deadline=None)
+    def test_random_deflated_bodies(self, body, length):
+        frame = pack_frame(_deflated_payload(body, length), framing.MAGIC)
+        try:
+            framing.unframe(frame, "t")
+        except CorruptObjectError:
+            pass
+
+    def test_a_damaged_deflated_object_file_is_quarantined(self, tmp_path):
+        store = make_store("file", str(tmp_path))
+        store.write("k", b"ab" * 500, 4)
+        store.close()
+        path = tmp_path / "objects" / "k.obj"
+        frame = path.read_bytes()
+        assert frame[framing.OVERHEAD] == DEFLATED_VERSION
+        path.write_bytes(
+            pack_frame(_payload(frame)[:-6] + b"\x00" * 6, framing.MAGIC)
+        )
+        reopened = make_store("file", str(tmp_path))
+        assert reopened.scrub() == ["k"]
+        assert (tmp_path / "quarantine" / "k.obj").exists()
+
+    def test_a_later_version_is_refused_not_quarantined(self, tmp_path):
+        store = make_store("file", str(tmp_path))
+        store.write("k", b"ab" * 500, 4)
+        store.close()
+        path = tmp_path / "objects" / "k.obj"
+        payload = bytearray(_payload(path.read_bytes()))
+        payload[0] = DEFLATED_VERSION + 1
+        path.write_bytes(pack_frame(bytes(payload), framing.MAGIC))
+        with pytest.raises(UnknownVersionError, match="version 3"):
+            make_store("file", str(tmp_path))
+        assert path.exists() and not (tmp_path / "quarantine").exists()
+
+
+# ----------------------------------------------------------------------
+# directories written at 14.0.0 (no deflated frame) open unchanged
+# ----------------------------------------------------------------------
+GOLDEN_DIRS = pathlib.Path(__file__).resolve().parent / "data" / "store-14.0.0"
+
+
+def golden_writes(store, batches: bool) -> None:
+    """The writes behind ``tests/data/store-14.0.0/<backend>``: 14.0.0's
+    file store and logstore took exactly these (``batches`` on the
+    logstore), then were closed."""
+    rng = random.Random(14)
+    store.write("obj:text", "an older version " * 20, 1)
+    store.write("obj:text", "logical logging " * 40, 5)
+    store.write("obj:zeros", bytes(2048), 2)
+    store.write("obj:sorted", bytes(sorted(rng.randbytes(1024))), 3)
+    store.write("obj:random", rng.randbytes(600), 4)
+    store.write("obj:small", b"v1", 6)
+    store.write("obj:tuple", tuple(range(100)), 7)
+    store.write("obj:gone", b"x" * 512, 8)
+    store.delete("obj:gone")
+    versions = {
+        "obj:batch-a": StoredVersion(b"ab" * 300, 9),
+        "obj:batch-b": StoredVersion({"k": "v" * 400}, 9),
+    }
+    if batches:
+        store.write_many(versions, atomic=True)
+    else:
+        for obj, version in versions.items():
+            store.write(obj, version.value, version.vsi)
+
+
+def _tree(root: pathlib.Path):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def _frames(root: pathlib.Path):
+    """Every store frame's payload under ``root``."""
+    for path in sorted(root.rglob("*")):
+        if path.suffix == ".obj":
+            yield _payload(path.read_bytes())
+        elif path.suffix == ".seg":
+            for _offset, payload in framing.FramedFile(
+                str(path), framing.MAGIC
+            ).scan():
+                yield payload
+
+
+@pytest.mark.parametrize("backend", ["file", "logstore"])
+class TestGoldenDirectories:
+    def _copy(self, tmp_path, backend) -> pathlib.Path:
+        root = tmp_path / backend
+        shutil.copytree(GOLDEN_DIRS / backend, root)
+        return root
+
+    def test_it_holds_no_deflated_frame(self, backend):
+        payloads = list(_frames(GOLDEN_DIRS / backend))
+        assert payloads and {p[0] for p in payloads} == {VERSION}
+        assert any(len(p) >= framing.DEFLATE_FLOOR for p in payloads)
+
+    def test_opens_unchanged_and_reads_every_object(self, tmp_path, backend):
+        root = self._copy(tmp_path, backend)
+        before = _tree(root)
+        expected = make_store("memory")
+        golden_writes(expected, batches=backend == "logstore")
+        store = make_store(backend, str(root))
+        assert store.scrub() == [] and store.media_redo_pending is None
+        assert sorted(store.object_ids()) == sorted(expected.object_ids())
+        for obj in expected.object_ids():
+            got, want = store.read(obj), expected.peek(obj)
+            assert same(got.value, want.value) and got.vsi == want.vsi
+        store.close()
+        assert _tree(root) == before
+
+    def test_new_frames_land_beside_the_old(self, tmp_path, backend):
+        root = self._copy(tmp_path, backend)
+        store = make_store(backend, str(root))
+        store.write("obj:new", b"ab" * 1000, 20)
+        if backend == "logstore":
+            store.compact()  # put frames move as the bytes they are
+        store.close()
+        payloads = list(_frames(root))
+        assert {p[0] for p in payloads} == {VERSION, DEFLATED_VERSION}
+        reopened = make_store(backend, str(root))
+        assert reopened.peek("obj:new") == StoredVersion(b"ab" * 1000, 20)
+        assert reopened.peek("obj:text").value == "logical logging " * 40
+        assert reopened.scrub() == []
+
+
+def test_compaction_copies_14_0_0_put_frames_verbatim(tmp_path):
+    root = tmp_path / "logstore"
+    shutil.copytree(GOLDEN_DIRS / "logstore", root)
+    before = set(_frames(root))
+    store = make_store("logstore", str(root))
+    store.compact()
+    store.close()
+    after = set(_frames(root))
+    # Every put the copy carried is a frame 14.0.0 wrote, byte for byte;
+    # only the two batch members are framed anew (as puts, deflated).
+    assert {p for p in after if p[0] == VERSION} <= before
+    assert {p[0] for p in after - before} == {DEFLATED_VERSION}
+    assert len(after - before) == 2
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Unit tests for the function registry (repro.core.functions)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.errors import UnknownFunctionError
 from repro.core.functions import FunctionRegistry, default_registry
@@ -51,6 +53,13 @@ class TestDefaultTransforms:
         registry = default_registry()
         fn = registry.resolve("sorted_copy")
         assert fn({"a": b"cba"}, "a", "b") == {"b": b"abc"}
+
+    @given(st.binary(max_size=9000))
+    def test_sorted_copy_bytes_is_the_comparison_sort(self, data):
+        fn = default_registry().resolve("sorted_copy")
+        expected = {"b": bytes(sorted(data))}
+        assert fn({"a": data}, "a", "b") == expected
+        assert fn({"a": bytearray(data)}, "a", "b") == expected
 
     def test_sorted_copy_sequence(self):
         registry = default_registry()

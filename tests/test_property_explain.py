@@ -11,12 +11,18 @@ from repro.core.explain import (
     explains,
     exposed_objects,
     extend,
+    installed_values,
     is_prefix_set,
 )
 from repro.core.functions import default_registry
 from repro.core.history import History
 from repro.core.installation_graph import InstallationGraph
-from repro.core.operation import Operation, OpKind, execute_transform
+from repro.core.operation import (
+    TOMBSTONE,
+    Operation,
+    OpKind,
+    execute_transform,
+)
 from repro.core.oracle import Oracle
 from repro.workloads import LogicalWorkload, LogicalWorkloadConfig
 from repro.workloads.generator import register_workload_functions
@@ -107,3 +113,32 @@ class TestFullInstallationAlwaysExplains:
         history = _history(seed, 16)
         final = oracle.replay(list(history))
         assert explains(history, set(history), final, oracle)
+
+
+class TestExplainsIsTheDefinition:
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        mask=st.integers(min_value=0, max_value=2**12 - 1),
+        cut=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=examples(100), deadline=None)
+    def test_explains_agrees_with_exposed_objects_and_installed_values(
+        self, seed, mask, cut
+    ):
+        """``explains`` stops at the first mismatch; its verdict is the
+        definition's, computed whole from the two public parts."""
+        oracle = Oracle(_registry())
+        history = _history(seed, 12)
+        installed = {op for op in history if mask >> op.op_id & 1}
+        state = oracle.replay(list(history)[:cut])
+        ideal = installed_values(history, installed, oracle)
+
+        def fact(value):
+            return None if value is TOMBSTONE else value
+
+        expected = all(
+            fact(state.get(obj, oracle.initial.get(obj)))
+            == fact(ideal.get(obj, oracle.initial.get(obj)))
+            for obj in exposed_objects(history, installed)
+        )
+        assert explains(history, installed, state, oracle) == expected
